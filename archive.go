@@ -426,18 +426,8 @@ func (a *Archive) DecodeField(name string, anchors []*Field) (*Field, error) {
 	if len(anchors) != len(e.Deps) {
 		return nil, fmt.Errorf("crossfield: field %q needs %d anchors %v, got %d", name, len(e.Deps), e.Deps, len(anchors))
 	}
-	payload, err := a.arc.Payload(i)
-	if err != nil {
-		return nil, err
-	}
-	t, err := core.Decompress(payload, fieldTensors(anchors))
-	if err != nil {
-		return nil, fmt.Errorf("crossfield: field %q: %w", name, err)
-	}
-	if !slices.Equal(t.Shape(), e.Dims) {
-		return nil, fmt.Errorf("crossfield: field %q payload dims %v, manifest says %v", name, t.Shape(), e.Dims)
-	}
-	return &Field{Name: e.Name, t: t}, nil
+	f, _, err := a.decode(i, fieldTensors(anchors), LevelFull)
+	return f, err
 }
 
 // FieldLevels reports the named field's progressive layering by parsing
@@ -456,45 +446,26 @@ func (a *Archive) FieldLevels(name string) (*LevelSpec, error) {
 }
 
 // DecodeFieldAtLevel decompresses the named field at a progressive level
-// (0 = coarsest preview, LevelFull = bit-exact), reading only the payload
-// prefix that level needs out of the archive — for a file-backed mount,
-// the bytes of deeper refinement layers are never touched. Integrity of
-// the consumed prefix comes from the per-layer CRCs rather than the
-// manifest's whole-payload checksum. Anchors are materialized (at full
-// fidelity, as compression saw them) and cached exactly as Field does.
-// The achieved max error the compressor recorded for the level is
-// returned alongside (NaN for non-progressive fields, which accept only
-// level 0).
+// (0 = coarsest preview, LevelFull = bit-exact). A preview reads only the
+// payload prefix its level needs out of the archive — for a file-backed
+// mount, the bytes of deeper refinement layers are never touched — and
+// the per-layer CRCs verify that prefix. A decode that needs the whole
+// payload (LevelFull, the deepest level, or a non-progressive field)
+// verifies the manifest checksum, exactly as Field does. Anchors are
+// materialized (at full fidelity, as compression saw them) and cached
+// exactly as Field does. The achieved max error the compressor recorded
+// for the level is returned alongside (NaN for non-progressive fields,
+// which accept only level 0).
 func (a *Archive) DecodeFieldAtLevel(name string, level int) (*Field, float64, error) {
 	i, ok := a.arc.Lookup(name)
 	if !ok {
 		return nil, 0, fmt.Errorf("crossfield: archive has no field %q (have %v)", name, a.Fields())
 	}
-	e := a.arc.Entries[i]
-	anchors := make([]*tensor.Tensor, len(e.Deps))
-	for k, dep := range e.Deps {
-		j, ok := a.arc.Lookup(dep)
-		if !ok {
-			return nil, 0, fmt.Errorf("crossfield: field %q anchor %q missing from manifest", name, dep)
-		}
-		af, err := a.materialize(j)
-		if err != nil {
-			return nil, 0, fmt.Errorf("crossfield: field %q anchor: %w", name, err)
-		}
-		anchors[k] = af.t
-	}
-	sec, err := a.arc.PayloadSection(i)
+	anchors, err := a.anchorsOf(i)
 	if err != nil {
 		return nil, 0, err
 	}
-	t, achieved, err := core.DecompressAtLevelReader(sec, sec.Size(), anchors, level, 0)
-	if err != nil {
-		return nil, 0, fmt.Errorf("crossfield: field %q: %w", name, err)
-	}
-	if !slices.Equal(t.Shape(), e.Dims) {
-		return nil, 0, fmt.Errorf("crossfield: field %q payload dims %v, manifest says %v", name, t.Shape(), e.Dims)
-	}
-	return &Field{Name: e.Name, t: t}, achieved, nil
+	return a.decode(i, anchors, level)
 }
 
 // Field decompresses the named field. Anchors are materialized first, in
@@ -516,36 +487,68 @@ func (a *Archive) Field(name string) (*Field, error) {
 func (a *Archive) materialize(i int) (*Field, error) {
 	s := &a.slots[i]
 	s.once.Do(func() {
-		e := a.arc.Entries[i]
-		anchors := make([]*tensor.Tensor, len(e.Deps))
-		for k, dep := range e.Deps {
-			j, ok := a.arc.Lookup(dep)
-			if !ok {
-				s.err = fmt.Errorf("crossfield: field %q anchor %q missing from manifest", e.Name, dep)
-				return
-			}
-			af, err := a.materialize(j)
-			if err != nil {
-				s.err = fmt.Errorf("crossfield: field %q anchor: %w", e.Name, err)
-				return
-			}
-			anchors[k] = af.t
-		}
-		payload, err := a.arc.Payload(i)
+		anchors, err := a.anchorsOf(i)
 		if err != nil {
 			s.err = err
 			return
 		}
-		t, err := core.Decompress(payload, anchors)
-		if err != nil {
-			s.err = fmt.Errorf("crossfield: field %q: %w", e.Name, err)
-			return
-		}
-		if !slices.Equal(t.Shape(), e.Dims) {
-			s.err = fmt.Errorf("crossfield: field %q payload dims %v, manifest says %v", e.Name, t.Shape(), e.Dims)
-			return
-		}
-		s.f = &Field{Name: e.Name, t: t}
+		s.f, _, s.err = a.decode(i, anchors, LevelFull)
 	})
 	return s.f, s.err
+}
+
+// anchorsOf materializes field i's anchors, in its manifest order.
+func (a *Archive) anchorsOf(i int) ([]*tensor.Tensor, error) {
+	e := a.arc.Entries[i]
+	anchors := make([]*tensor.Tensor, len(e.Deps))
+	for k, dep := range e.Deps {
+		j, ok := a.arc.Lookup(dep)
+		if !ok {
+			return nil, fmt.Errorf("crossfield: field %q anchor %q missing from manifest", e.Name, dep)
+		}
+		af, err := a.materialize(j)
+		if err != nil {
+			return nil, fmt.Errorf("crossfield: field %q anchor: %w", e.Name, err)
+		}
+		anchors[k] = af.t
+	}
+	return anchors, nil
+}
+
+// decode decompresses field i at level against its anchor
+// reconstructions and checks the result against the manifest dims. Only
+// a preview of a layered payload reads through the payload section;
+// every whole-payload decode goes through the manifest checksum, so each
+// decoded byte is covered by a layer CRC or the manifest CRC.
+func (a *Archive) decode(i int, anchors []*tensor.Tensor, level int) (*Field, float64, error) {
+	e := a.arc.Entries[i]
+	t, achieved, err := a.decodeTensor(i, anchors, level)
+	if err != nil {
+		return nil, 0, fmt.Errorf("crossfield: field %q: %w", e.Name, err)
+	}
+	if !slices.Equal(t.Shape(), e.Dims) {
+		return nil, 0, fmt.Errorf("crossfield: field %q payload dims %v, manifest says %v", e.Name, t.Shape(), e.Dims)
+	}
+	return &Field{Name: e.Name, t: t}, achieved, nil
+}
+
+func (a *Archive) decodeTensor(i int, anchors []*tensor.Tensor, level int) (*tensor.Tensor, float64, error) {
+	if level >= 0 {
+		sec, err := a.arc.PayloadSection(i)
+		if err != nil {
+			return nil, 0, err
+		}
+		spec, err := core.PayloadLevelSpecReader(sec, sec.Size())
+		if err != nil {
+			return nil, 0, err
+		}
+		if level < spec.Levels-1 {
+			return core.DecompressAtLevelReader(sec, sec.Size(), anchors, level, 0)
+		}
+	}
+	payload, err := a.arc.Payload(i)
+	if err != nil {
+		return nil, 0, err
+	}
+	return core.DecompressAtLevel(payload, anchors, level)
 }

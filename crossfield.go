@@ -253,10 +253,17 @@ func DecompressChunkAtLevel(name string, blob []byte, i, level int, anchors []*F
 	return &Field{Name: name, t: t}, start, achieved, nil
 }
 
-// DecompressChunkSlabAtLevelCtx is DecompressChunkSlabCtx at a progressive
-// level — the serving layer's preview decode: anchor data covers only
-// chunk i's slab range, and only the layers the level needs are consumed
-// and CRC-verified.
+// DecompressChunkSlabAtLevelCtx is DecompressChunkAtLevel for callers
+// that hold anchor data covering only chunk i's slab range rather than
+// whole anchor fields: each anchorSlab must have the chunk's dims (the
+// field dims with axis 0 cut to the chunk's slab count). Reconstruction is
+// bit-identical to DecompressChunkAtLevel with full anchors — random access
+// consults exactly that region — which is what lets serving layers answer
+// a dependent-chunk request by decoding only the anchor chunks it touches.
+// LevelFull is the bit-exact decode; a preview level consumes and
+// CRC-verifies only the layers it needs. Block-coded payloads check ctx
+// between decode blocks and wavefront fronts, so a request whose client
+// has gone away stops decoding at the next boundary and returns ctx.Err().
 func DecompressChunkSlabAtLevelCtx(ctx context.Context, name string, blob []byte, i, level int, anchorSlabs []*Field) (*Field, int, float64, error) {
 	t, start, achieved, err := core.DecompressChunkAtLevelWithAnchorSlabsCtx(ctx, blob, i, level, fieldTensors(anchorSlabs))
 	if err != nil {
@@ -299,29 +306,6 @@ func DecompressChunk(name string, blob []byte, i int, anchors []*Field) (*Field,
 // result is byte-identical at any worker count.
 func DecompressChunkWith(name string, blob []byte, i int, anchors []*Field, workers int) (*Field, int, error) {
 	t, start, err := core.DecompressChunkWith(blob, i, fieldTensors(anchors), workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &Field{Name: name, t: t}, start, nil
-}
-
-// DecompressChunkSlab is DecompressChunk for callers that hold anchor data
-// covering only chunk i's slab range rather than whole anchor fields: each
-// anchorSlab must have the chunk's dims (the field dims with axis 0 cut to
-// the chunk's slab count). Reconstruction is bit-identical to
-// DecompressChunk with full anchors — random access consults exactly that
-// region — which is what lets serving layers answer a dependent-chunk
-// request by decoding only the anchor chunks the request touches.
-func DecompressChunkSlab(name string, blob []byte, i int, anchorSlabs []*Field) (*Field, int, error) {
-	return DecompressChunkSlabCtx(context.Background(), name, blob, i, anchorSlabs)
-}
-
-// DecompressChunkSlabCtx is DecompressChunkSlab with request-scoped
-// cancellation: block-coded payloads check ctx between decode blocks and
-// wavefront fronts, so a serving request whose client has gone away
-// stops decoding at the next boundary and returns ctx.Err().
-func DecompressChunkSlabCtx(ctx context.Context, name string, blob []byte, i int, anchorSlabs []*Field) (*Field, int, error) {
-	t, start, err := core.DecompressChunkWithAnchorSlabsCtx(ctx, blob, i, fieldTensors(anchorSlabs))
 	if err != nil {
 		return nil, 0, err
 	}

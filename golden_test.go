@@ -1,6 +1,7 @@
 package crossfield_test
 
 import (
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -105,23 +106,6 @@ func floatsToBytes(data []float32) []byte {
 		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
 	}
 	return out
-}
-
-// requireExact compares a reconstruction against the stored expectation
-// bit for bit.
-func requireExact(t *testing.T, name string, got *crossfield.Field, wantFile string) {
-	t.Helper()
-	want := readGolden(t, wantFile)
-	gotB := floatsToBytes(got.Data())
-	if len(gotB) != len(want) {
-		t.Fatalf("%s: decoded %d bytes, expectation %s holds %d", name, len(gotB), wantFile, len(want))
-	}
-	for i := range gotB {
-		if gotB[i] != want[i] {
-			t.Fatalf("%s: decode differs from %s at byte %d (value index %d): old blobs no longer decode bit-exactly",
-				name, wantFile, i, i/4)
-		}
-	}
 }
 
 // cfc2ToV1 rewrites a version-2 CFC2 container as version 1: the version
@@ -250,18 +234,7 @@ func regenGoldenLayered(t *testing.T) {
 }
 
 func regenGoldenLayeredArchive(t *testing.T) {
-	target, anchors := goldenDataset()
-	codec, err := crossfield.Train(target, anchors, crossfield.Training{
-		Features: 6, Epochs: 4, StepsPerEpoch: 8, Batch: 1, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []crossfield.FieldSpec{
-		{Field: anchors[0]}, {Field: anchors[1]}, {Field: anchors[2]},
-		{Field: target, Codec: codec},
-	}
-	res, err := crossfield.CompressDataset(specs, crossfield.Rel(1e-3),
+	res, err := crossfield.CompressDataset(buildStreamSpecs(t), crossfield.Rel(1e-3),
 		crossfield.WithChunks(2*10*12), crossfield.WithProgressive(3))
 	if err != nil {
 		t.Fatal(err)
@@ -270,18 +243,7 @@ func regenGoldenLayeredArchive(t *testing.T) {
 }
 
 func regenGoldenArchive(t *testing.T) {
-	target, anchors := goldenDataset()
-	codec, err := crossfield.Train(target, anchors, crossfield.Training{
-		Features: 6, Epochs: 4, StepsPerEpoch: 8, Batch: 1, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []crossfield.FieldSpec{
-		{Field: anchors[0]}, {Field: anchors[1]}, {Field: anchors[2]},
-		{Field: target, Codec: codec},
-	}
-	res, err := crossfield.CompressDataset(specs, crossfield.Rel(1e-3),
+	res, err := crossfield.CompressDataset(buildStreamSpecs(t), crossfield.Rel(1e-3),
 		crossfield.WithChunks(2*10*12))
 	if err != nil {
 		t.Fatal(err)
@@ -304,14 +266,10 @@ func TestGoldenCFC1Baseline(t *testing.T) {
 	if *update {
 		regenGoldenBaseline(t)
 	}
-	blob := readGolden(t, "baseline_cfc1.cfc")
-	back, err := crossfield.Decompress("W", blob, nil)
-	if err != nil {
-		t.Fatalf("CFC1 golden blob no longer decodes: %v", err)
-	}
-	requireExact(t, "CFC1", back, "baseline_cfc1.f32")
-	// The committed blob must still honor its recorded bound against the
+	// The committed blob's reconstruction (TestGoldenRoutesAgree pins every
+	// route to it) must still honor its recorded bound against the
 	// deterministic source field.
+	back := goldenExpectation(t, "baseline_cfc1.f32", goldenField().Dims())
 	if maxErr, ok, err := crossfield.Verify(goldenField(), back, 0.05); err != nil || !ok {
 		t.Fatalf("bound violated: maxErr=%g ok=%v err=%v", maxErr, ok, err)
 	}
@@ -325,25 +283,6 @@ func TestGoldenCFC2V2(t *testing.T) {
 	if n, err := crossfield.ChunkCount(blob); err != nil || n != 3 {
 		t.Fatalf("ChunkCount = %d, %v; want 3", n, err)
 	}
-	back, err := crossfield.Decompress("W", blob, nil)
-	if err != nil {
-		t.Fatalf("CFC2 v2 golden blob no longer decodes: %v", err)
-	}
-	requireExact(t, "CFC2v2", back, "chunked_cfc2.f32")
-	// Random access must agree with the full reconstruction.
-	part, start, err := crossfield.DecompressChunk("W", blob, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start != 2 {
-		t.Fatalf("chunk 1 start = %d, want 2", start)
-	}
-	slab := 10 * 12
-	for i, v := range part.Data() {
-		if v != back.Data()[start*slab+i] {
-			t.Fatalf("chunk decode differs from full decode at %d", i)
-		}
-	}
 }
 
 func TestGoldenCFC2V1(t *testing.T) {
@@ -351,16 +290,11 @@ func TestGoldenCFC2V1(t *testing.T) {
 		regenGoldenChunked(t)
 	}
 	blob := readGolden(t, "chunked_cfc2v1.cfc")
+	// v1 lacks per-chunk errors but carries identical payloads, so
+	// TestGoldenRoutesAgree holds it to the v2 expectation bit for bit.
 	if blob[4] != 1 {
 		t.Fatalf("fixture version byte = %d, want 1", blob[4])
 	}
-	back, err := crossfield.Decompress("W", blob, nil)
-	if err != nil {
-		t.Fatalf("CFC2 v1 golden blob no longer decodes: %v", err)
-	}
-	// v1 lacks per-chunk errors but carries identical payloads, so the
-	// reconstruction matches the v2 expectation bit for bit.
-	requireExact(t, "CFC2v1", back, "chunked_cfc2.f32")
 }
 
 func TestGoldenCFC1V2Blocks(t *testing.T) {
@@ -368,16 +302,11 @@ func TestGoldenCFC1V2Blocks(t *testing.T) {
 		regenGoldenBlocks(t)
 	}
 	blob := readGolden(t, "baseline_cfc1v2.cfc")
+	// Block-local payloads reconstruct the identical quantized integers,
+	// so TestGoldenRoutesAgree holds them to the sequential expectation.
 	if blob[4] != 2 {
 		t.Fatalf("fixture version byte = %d, want 2", blob[4])
 	}
-	back, err := crossfield.Decompress("W", blob, nil)
-	if err != nil {
-		t.Fatalf("CFC1 v2 golden blob no longer decodes: %v", err)
-	}
-	// Block-local payloads reconstruct the identical quantized integers,
-	// so the expectation is the sequential fixture's.
-	requireExact(t, "CFC1v2", back, "baseline_cfc1.f32")
 }
 
 func TestGoldenCFC2V3Blocks(t *testing.T) {
@@ -387,28 +316,6 @@ func TestGoldenCFC2V3Blocks(t *testing.T) {
 	blob := readGolden(t, "chunked_cfc2v3.cfc")
 	if blob[4] != 3 {
 		t.Fatalf("fixture version byte = %d, want 3", blob[4])
-	}
-	back, err := crossfield.Decompress("W", blob, nil)
-	if err != nil {
-		t.Fatalf("CFC2 v3 golden blob no longer decodes: %v", err)
-	}
-	requireExact(t, "CFC2v3", back, "chunked_cfc2.f32")
-	// Parallel single-chunk random access must agree with the full
-	// reconstruction at every worker count the server uses.
-	for _, workers := range []int{1, 2, 4} {
-		part, start, err := crossfield.DecompressChunkWith("W", blob, 1, nil, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if start != 2 {
-			t.Fatalf("chunk 1 start = %d, want 2", start)
-		}
-		slab := 10 * 12
-		for i, v := range part.Data() {
-			if v != back.Data()[start*slab+i] {
-				t.Fatalf("workers=%d: chunk decode differs from full decode at %d", workers, i)
-			}
-		}
 	}
 }
 
@@ -421,16 +328,8 @@ func TestGoldenCFC3Archive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CFC3 golden archive no longer opens: %v", err)
 	}
-	names := ar.Fields()
-	if len(names) != 4 {
+	if names := ar.Fields(); len(names) != 4 {
 		t.Fatalf("archive holds %v, want 4 fields", names)
-	}
-	for _, name := range names {
-		f, err := ar.Field(name)
-		if err != nil {
-			t.Fatalf("field %s no longer decodes: %v", name, err)
-		}
-		requireExact(t, "CFC3/"+name, f, fmt.Sprintf("archive_cfc3_%s.f32", name))
 	}
 	// The dependent field's manifest entry must still record its graph.
 	fi, ok := ar.FieldInfoFor("W")
@@ -447,28 +346,14 @@ func TestGoldenCFC1V3Layered(t *testing.T) {
 	if blob[4] != 3 {
 		t.Fatalf("fixture version byte = %d, want 3", blob[4])
 	}
-	back, err := crossfield.Decompress("W", blob, nil)
-	if err != nil {
-		t.Fatalf("CFC1 v3 golden blob no longer decodes: %v", err)
-	}
-	// Full-prefix decode recovers the quantized integers exactly, so the
-	// expectation is the sequential fixture's.
-	requireExact(t, "CFC1v3", back, "baseline_cfc1.f32")
+	// Full-prefix decode recovers the quantized integers exactly, so
+	// TestGoldenRoutesAgree holds it to the sequential expectation.
 	spec, err := crossfield.PayloadLevels(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.Levels != 3 {
 		t.Fatalf("layer table reports %d levels, want 3", spec.Levels)
-	}
-	full, _, err := crossfield.DecompressAtLevel("W", blob, nil, crossfield.LevelFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range full.Data() {
-		if v != back.Data()[i] {
-			t.Fatalf("full-level decode differs from Decompress at %d", i)
-		}
 	}
 	// Every preview level must honor the bound its layer table advertises
 	// against the deterministic source field (absolute bound 0.05).
@@ -499,11 +384,6 @@ func TestGoldenCFC2V4Layered(t *testing.T) {
 	if n, err := crossfield.ChunkCount(blob); err != nil || n != 3 {
 		t.Fatalf("ChunkCount = %d, %v; want 3", n, err)
 	}
-	back, err := crossfield.Decompress("W", blob, nil)
-	if err != nil {
-		t.Fatalf("CFC2 v4 golden blob no longer decodes: %v", err)
-	}
-	requireExact(t, "CFC2v4", back, "chunked_cfc2.f32")
 	spec, err := crossfield.PayloadLevels(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -530,16 +410,6 @@ func TestGoldenCFC2V4Layered(t *testing.T) {
 	if maxErr, ok, err := crossfield.Verify(srcChunk, part, bound); err != nil || !ok {
 		t.Fatalf("chunk base level: maxErr=%g over bound %g (ok=%v err=%v)", maxErr, bound, ok, err)
 	}
-	// The deepest chunk level agrees with the full reconstruction.
-	deep, start2, _, err := crossfield.DecompressChunkAtLevel("W", blob, 1, crossfield.LevelFull, nil)
-	if err != nil || start2 != start {
-		t.Fatalf("full-level chunk decode: start=%d err=%v", start2, err)
-	}
-	for i, v := range deep.Data() {
-		if v != back.Data()[start*slab+i] {
-			t.Fatalf("full-level chunk decode differs from full decode at %d", i)
-		}
-	}
 }
 
 func TestGoldenCFC3V3LayeredArchive(t *testing.T) {
@@ -550,17 +420,11 @@ func TestGoldenCFC3V3LayeredArchive(t *testing.T) {
 	if string(blob[:4]) != "CFC3" || blob[4] != 3 {
 		t.Fatalf("fixture header = %q v%d, want CFC3 v3", blob[:4], blob[4])
 	}
+	// Full-fidelity decodes share the non-layered archive's expectations
+	// (TestGoldenRoutesAgree).
 	ar, err := crossfield.OpenArchive(blob)
 	if err != nil {
 		t.Fatalf("CFC3 v3 golden archive no longer opens: %v", err)
-	}
-	// Full-fidelity decodes share the non-layered archive's expectations.
-	for _, name := range ar.Fields() {
-		f, err := ar.Field(name)
-		if err != nil {
-			t.Fatalf("field %s no longer decodes: %v", name, err)
-		}
-		requireExact(t, "CFC3v3/"+name, f, fmt.Sprintf("archive_cfc3_%s.f32", name))
 	}
 	// The dependent field's base level stays within its advertised bound
 	// against the deterministic source dataset.
@@ -586,6 +450,140 @@ func TestGoldenCFC3V3LayeredArchive(t *testing.T) {
 	}
 	if maxErr, ok, err := crossfield.Verify(target, f0, bound); err != nil || !ok {
 		t.Fatalf("W base level: maxErr=%g over bound %g (ok=%v err=%v)", maxErr, bound, ok, err)
+	}
+}
+
+// goldenExpectation loads a committed .f32 expectation as a field.
+func goldenExpectation(t *testing.T, file string, dims []int) *crossfield.Field {
+	t.Helper()
+	raw := readGolden(t, file)
+	data := make([]float32, len(raw)/4)
+	for i := range data {
+		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+	}
+	f, err := crossfield.NewField(file, data, dims...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestGoldenRoutesAgree is the route-equivalence table: every committed
+// fixture — each CFC1, CFC2 and CFC3 version, and every field of the
+// archives — decodes through every library decode entry to bytes
+// identical to its committed expectation. Full-level calls run at
+// LevelFull; chunk calls run at workers 1 and 4 and are reassembled at
+// their reported starts. Hybrid payloads decode against their anchors'
+// committed expectations.
+func TestGoldenRoutesAgree(t *testing.T) {
+	if *update {
+		t.Skip("regenerating")
+	}
+	for _, fx := range []struct{ file, want string }{
+		{"baseline_cfc1.cfc", "baseline_cfc1.f32"}, {"baseline_cfc1v2.cfc", "baseline_cfc1.f32"},
+		{"baseline_cfc1v3.cfc", "baseline_cfc1.f32"}, {"chunked_cfc2v1.cfc", "chunked_cfc2.f32"},
+		{"chunked_cfc2v2.cfc", "chunked_cfc2.f32"}, {"chunked_cfc2v3.cfc", "chunked_cfc2.f32"},
+		{"chunked_cfc2v4.cfc", "chunked_cfc2.f32"},
+	} {
+		requirePayloadRoutes(t, fx.file, readGolden(t, fx.file), nil, goldenField().Dims(), readGolden(t, fx.want))
+	}
+	for _, file := range []string{"archive_cfc3.cfc", "archive_cfc3v3.cfc"} {
+		ar, err := crossfield.OpenArchive(readGolden(t, file))
+		if err != nil {
+			t.Fatalf("%s no longer opens: %v", file, err)
+		}
+		for _, fi := range ar.Manifest() {
+			label, want := file+"/"+fi.Name, readGolden(t, "archive_cfc3_"+fi.Name+".f32")
+			anchors := make([]*crossfield.Field, len(fi.Anchors))
+			for k, dep := range fi.Anchors {
+				anchors[k] = goldenExpectation(t, "archive_cfc3_"+dep+".f32", fi.Dims)
+			}
+			payload, err := ar.FieldPayload(fi.Name)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			requirePayloadRoutes(t, label, payload, anchors, fi.Dims, want)
+			f, err := ar.Field(fi.Name)
+			requireRouteBytes(t, label+" Archive.Field", f, err, want)
+			f, err = ar.DecodeField(fi.Name, anchors)
+			requireRouteBytes(t, label+" Archive.DecodeField", f, err, want)
+			f, _, err = ar.DecodeFieldAtLevel(fi.Name, crossfield.LevelFull)
+			requireRouteBytes(t, label+" Archive.DecodeFieldAtLevel", f, err, want)
+		}
+	}
+}
+
+// requirePayloadRoutes decodes one payload (a CFC1 or CFC2 blob) through
+// every whole-field and single-chunk library entry.
+func requirePayloadRoutes(t *testing.T, label string, blob []byte, anchors []*crossfield.Field, dims []int, want []byte) {
+	t.Helper()
+	f, err := crossfield.Decompress("W", blob, anchors)
+	requireRouteBytes(t, label+" Decompress", f, err, want)
+	f, _, err = crossfield.DecompressAtLevel("W", blob, anchors, crossfield.LevelFull)
+	requireRouteBytes(t, label+" DecompressAtLevel", f, err, want)
+	slab := len(want) / 4 / dims[0]
+	chunked := map[string]func(i int) (*crossfield.Field, int, error){
+		"DecompressChunk": func(i int) (*crossfield.Field, int, error) {
+			return crossfield.DecompressChunk("W", blob, i, anchors)
+		},
+		"DecompressChunkAtLevel": func(i int) (*crossfield.Field, int, error) {
+			f, start, _, err := crossfield.DecompressChunkAtLevel("W", blob, i, crossfield.LevelFull, anchors)
+			return f, start, err
+		},
+		// Anchors cut to the chunk's slab range, as the serving layer
+		// does, the range taken from a full-anchor decode of the chunk.
+		"DecompressChunkSlabAtLevelCtx": func(i int) (*crossfield.Field, int, error) {
+			ref, start, err := crossfield.DecompressChunk("W", blob, i, anchors)
+			if err != nil {
+				return nil, 0, err
+			}
+			slabs := make([]*crossfield.Field, len(anchors))
+			for k, a := range anchors {
+				slabs[k] = crossfield.MustNewField(a.Name, a.Data()[start*slab:start*slab+ref.Len()], ref.Dims()...)
+			}
+			f, start, _, err := crossfield.DecompressChunkSlabAtLevelCtx(context.Background(), "W", blob, i, crossfield.LevelFull, slabs)
+			return f, start, err
+		},
+	}
+	for _, w := range []int{1, 4} {
+		f, err := crossfield.DecompressChunked("W", blob, anchors, w)
+		requireRouteBytes(t, fmt.Sprintf("%s DecompressChunked/w=%d", label, w), f, err, want)
+		chunked[fmt.Sprintf("DecompressChunkWith/w=%d", w)] = func(i int) (*crossfield.Field, int, error) {
+			return crossfield.DecompressChunkWith("W", blob, i, anchors, w)
+		}
+	}
+	n, err := crossfield.ChunkCount(blob)
+	if err != nil {
+		t.Fatalf("%s: ChunkCount: %v", label, err)
+	}
+	for name, route := range chunked {
+		out := make([]float32, len(want)/4)
+		for i := 0; i < n; i++ {
+			f, start, err := route(i)
+			if err != nil {
+				t.Fatalf("%s %s chunk %d: %v", label, name, i, err)
+			}
+			copy(out[start*slab:], f.Data())
+		}
+		requireRouteBytes(t, label+" "+name, crossfield.MustNewField("W", out, dims...), nil, want)
+	}
+}
+
+// requireRouteBytes compares one route's reconstruction with the
+// committed expectation bit for bit.
+func requireRouteBytes(t *testing.T, label string, got *crossfield.Field, err error, want []byte) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s no longer decodes: %v", label, err)
+	}
+	gotB := floatsToBytes(got.Data())
+	if len(gotB) != len(want) {
+		t.Fatalf("%s: decoded %d bytes, expectation holds %d", label, len(gotB), len(want))
+	}
+	for i := range gotB {
+		if gotB[i] != want[i] {
+			t.Fatalf("%s: differs from the expectation at byte %d (value %d): old blobs no longer decode bit-exactly", label, i, i/4)
+		}
 	}
 }
 

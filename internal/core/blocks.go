@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/container"
@@ -343,7 +342,7 @@ var zeroOrigin = []int{0, 0, 0}
 // ctx is checked per block and between wavefront fronts: a canceled
 // serving request stops a multi-front decode at the next boundary
 // instead of completing work nobody will read.
-func reconstructBlocks(ctx context.Context, q []int32, vals []float32, raw []byte, codec *huffman.Codec, b *container.Blob, dq [][]float64, workers int, times []float64) error {
+func reconstructBlocks(ctx context.Context, q []int32, vals []float32, raw []byte, codec *huffman.Codec, b *container.Blob, dq [][]float64, workers int) error {
 	bs := b.Blocks
 	g, err := geomFor(b.Dims, bs.Edges)
 	if err != nil {
@@ -395,10 +394,6 @@ func reconstructBlocks(ctx context.Context, q []int32, vals []float32, raw []byt
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var start time.Time
-		if times != nil {
-			start = time.Now()
-		}
 		lo, hi := g.bounds(bi)
 		sp := scratch.Get().(*[]int32)
 		defer scratch.Put(sp)
@@ -416,9 +411,6 @@ func reconstructBlocks(ctx context.Context, q []int32, vals []float32, raw []byt
 			reconstructCrossBlock(q, codes, b.Dims, lo, hi, org, dq, weights, hasLor)
 		}
 		dequantizeBlock(vals, q, b.AbsEB, b.Dims, lo, hi)
-		if times != nil {
-			times[bi] = time.Since(start).Seconds()
-		}
 		return nil
 	}
 	if independent {

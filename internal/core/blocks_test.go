@@ -140,7 +140,7 @@ func TestBlockDecodeParityProperty(t *testing.T) {
 			workers := 1 + rng.Intn(4)
 			q2 := make([]int32, n)
 			vals := make([]float32, n)
-			if err := reconstructBlocks(context.Background(), q2, vals, raw, codec, blob, dq, workers, nil); err != nil {
+			if err := reconstructBlocks(context.Background(), q2, vals, raw, codec, blob, dq, workers); err != nil {
 				t.Fatalf("iter %d dims %v edges %v mode %d: reconstruct: %v", iter, dims, edges, mode.mode, err)
 			}
 			for i := range q2 {
@@ -214,7 +214,7 @@ func TestBlockDecodeHonorsCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := decompressMono(ctx, blocked.Blob, nil, nil, nil, 2); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := decompressChunk(ctx, blocked.Blob, 0, LevelFull, nil, true, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("decode under canceled ctx = %v, want context.Canceled", err)
 	}
 }
@@ -252,7 +252,7 @@ func TestBlockCompressDecompressEndToEnd(t *testing.T) {
 			t.Fatalf("plain decompress: %v", err)
 		}
 		for _, workers := range []int{0, 1, 2, 4} {
-			got, err := decompressMono(context.Background(), blocked.Blob, nil, nil, nil, workers)
+			got, _, err := DecompressChunkWith(blocked.Blob, 0, nil, workers)
 			if err != nil {
 				t.Fatalf("block decompress (workers=%d): %v", workers, err)
 			}

@@ -222,44 +222,103 @@ func DecompressChunked(blob []byte, anchors []*tensor.Tensor) (*tensor.Tensor, e
 // DecompressChunkedWith is DecompressChunked with an explicit bound on how
 // many chunks decompress concurrently; workers <= 0 means
 // parallel.Workers(). A monolithic CFC1 blob is accepted too (it has a
-// single sequential chunk, so workers does not apply).
+// single sequential chunk, so workers only bounds block-parallel decode).
 func DecompressChunkedWith(blob []byte, anchors []*tensor.Tensor, workers int) (*tensor.Tensor, error) {
+	t, _, err := decompressBlob(blob, anchors, LevelFull, workers)
+	return t, err
+}
+
+// decompressBlob reconstructs a whole in-memory blob (CFC1 or CFC2) at
+// level, returning the achieved max error recorded for the level.
+func decompressBlob(blob []byte, anchors []*tensor.Tensor, level, workers int) (*tensor.Tensor, float64, error) {
 	if !chunk.IsChunked(blob) {
-		return decompressMono(context.Background(), blob, anchors, nil, nil, workers)
-	}
-	if workers <= 0 {
-		workers = parallel.Workers()
+		b, err := parsePayload(blob, level)
+		if err != nil {
+			return nil, 0, err
+		}
+		return decodePayload(context.Background(), b, level, anchors, nil, nil, workers)
 	}
 	a, err := chunk.Decode(blob)
 	if err != nil {
+		return nil, 0, err
+	}
+	return decodeChunks(a, anchors, level, workers, func(i int) (*container.Blob, error) {
+		return chunkPayload(a, i, level)
+	})
+}
+
+// chunkPayload CRC-checks chunk i of an in-memory container and parses
+// it for a decode at level.
+func chunkPayload(a *chunk.Archive, i, level int) (*container.Blob, error) {
+	p, err := a.Payload(i)
+	if err != nil {
 		return nil, err
+	}
+	b, err := parsePayload(p, level)
+	if err != nil {
+		return nil, fmt.Errorf("core: chunk %d: %w", i, err)
+	}
+	return b, nil
+}
+
+// decodeChunks is the one whole-container chunk loop: the shared CFNN
+// inference runs once per field, then every chunk decodes in parallel
+// into its region of the output, and the per-chunk achieved errors fold
+// into the field's. payload yields chunk i's parsed payload at level —
+// from the in-memory container, or read through an io.ReaderAt.
+// Chunk-level parallelism comes first; leftover workers go to
+// block-parallel decode inside each chunk.
+func decodeChunks(a *chunk.Archive, anchors []*tensor.Tensor, level, workers int, payload func(i int) (*container.Blob, error)) (*tensor.Tensor, float64, error) {
+	if workers <= 0 {
+		workers = parallel.Workers()
 	}
 	g, model, err := prepareArchive(a, anchors)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	inf, err := archiveInference(a, g, model, anchors, workers)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// Chunk-level parallelism comes first; leftover workers go to
-	// block-parallel decode inside each chunk (v3 containers).
-	inner := workers / a.NumChunks()
-	if inner < 1 {
-		inner = 1
-	}
+	inner := max(1, workers/a.NumChunks())
 	out := make([]float32, a.NumPoints())
+	achieved := make([]float64, a.NumChunks())
 	err = parallel.ForErr(workers, a.NumChunks(), func(i int) error {
-		payload, err := a.Payload(i)
+		b, err := payload(i)
 		if err != nil {
 			return err
 		}
-		return decompressChunkInto(out, payload, g, i, inf, inner)
+		t, ach, err := decodeChunk(context.Background(), b, g, i, level, nil, nil, inf.chunkDQ(i), inner)
+		if err != nil {
+			return err
+		}
+		achieved[i] = ach
+		copy(out[g.Offset(i):], t.Data())
+		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return tensor.FromSlice(out, a.Dims...)
+	t, err := tensor.FromSlice(out, a.Dims...)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, maxAchieved(achieved), nil
+}
+
+// decodeChunk reverses chunk i's parsed payload and checks its dims
+// against the grid. Hybrid payloads take exactly one prediction source:
+// dq slab views from the shared inference pass (whole-container decodes),
+// or the chunk's anchor views plus the container model (random access).
+func decodeChunk(ctx context.Context, b *container.Blob, g *chunk.Grid, i, level int, anchors []*tensor.Tensor, model *cfnn.Model, dq [][]float64, workers int) (*tensor.Tensor, float64, error) {
+	t, ach, err := decodePayload(ctx, b, level, anchors, model, dq, workers)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: chunk %d: %w", i, err)
+	}
+	if !sameDims(t.Shape(), g.ChunkDims(i)) {
+		return nil, 0, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
+	}
+	return t, ach, nil
 }
 
 // archiveInference runs the container-level shared inference pass for a
@@ -309,7 +368,14 @@ func DecompressChunkedFrom(r io.Reader, anchors []*tensor.Tensor) (*tensor.Tenso
 		sem <- struct{}{}
 		go func(i int, payload []byte) {
 			defer func() { <-sem }()
-			errs[i] = decompressChunkInto(out, payload, g, i, inf, 1)
+			b, err := parsePayload(payload, LevelFull)
+			if err == nil {
+				var t *tensor.Tensor
+				if t, _, err = decodeChunk(context.Background(), b, g, i, LevelFull, nil, nil, inf.chunkDQ(i), 1); err == nil {
+					copy(out[g.Offset(i):], t.Data())
+				}
+			}
+			errs[i] = err
 		}(i, payload)
 	}
 	for w := 0; w < workers; w++ {
@@ -343,107 +409,68 @@ func DecompressChunk(blob []byte, i int, anchors []*tensor.Tensor) (*tensor.Tens
 // sequentially regardless — the bound only governs intra-chunk
 // parallelism, which is the single-chunk decode-latency lever.
 func DecompressChunkWith(blob []byte, i int, anchors []*tensor.Tensor, workers int) (*tensor.Tensor, int, error) {
+	t, start, _, err := decompressChunk(context.Background(), blob, i, LevelFull, anchors, true, workers)
+	return t, start, err
+}
+
+// decompressChunk is the one single-chunk path: it decodes only chunk i
+// at level, returning the chunk, its starting slab along axis 0, and the
+// achieved max error recorded for the level. With whole set, anchors are
+// full anchor fields and only chunk i's views of them are consulted;
+// otherwise they are slabs covering just chunk i's range, each with the
+// chunk's dims — the serving layer's form, which never materializes whole
+// anchors. Both give bit-identical predictions: inference runs over
+// exactly the same chunk region. A monolithic CFC1 blob is a single
+// chunk spanning every slab. ctx cancels block-coded payload decodes.
+func decompressChunk(ctx context.Context, blob []byte, i, level int, anchors []*tensor.Tensor, whole bool, workers int) (*tensor.Tensor, int, float64, error) {
 	if !chunk.IsChunked(blob) {
 		if i != 0 {
-			return nil, 0, fmt.Errorf("core: chunk %d out of [0,1) (monolithic blob)", i)
+			return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,1) (monolithic blob)", i)
 		}
-		t, err := decompressMono(context.Background(), blob, anchors, nil, nil, workers)
+		b, err := parsePayload(blob, level)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		return t, 0, nil
+		t, ach, err := decodePayload(ctx, b, level, anchors, nil, nil, workers)
+		return t, 0, ach, err
 	}
 	a, err := chunk.Decode(blob)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if i < 0 || i >= a.NumChunks() {
-		return nil, 0, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
-	}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, 0, err
-	}
-	payload, err := a.Payload(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	var subAnchors []*tensor.Tensor
-	if model != nil {
-		// Random access decodes one chunk, so inference runs on the
-		// chunk's anchor views alone; the model was loaded privately by
-		// prepareArchive, so no clone is needed.
-		if subAnchors, err = g.Views(anchors, i); err != nil {
-			return nil, 0, err
-		}
-	}
-	t, err := decompressChunkPayload(context.Background(), payload, g, i, subAnchors, model, nil, workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, a.Index[i].Start, nil
-}
-
-// DecompressChunkWithAnchorSlabs is DecompressChunk for callers that
-// supply anchor data covering only chunk i's slab range — each slab tensor
-// must have the chunk's dims (the field dims with axis 0 cut to the
-// chunk's slab count) — instead of full anchor fields. This is the serving
-// layer's random-access entry point: a dependent-chunk request decodes
-// only the anchor chunks intersecting its slab range, never whole anchor
-// fields. Predictions are bit-identical to DecompressChunk with full
-// anchors, which runs inference over exactly the same chunk views.
-func DecompressChunkWithAnchorSlabs(blob []byte, i int, anchorSlabs []*tensor.Tensor) (*tensor.Tensor, int, error) {
-	return DecompressChunkWithAnchorSlabsCtx(context.Background(), blob, i, anchorSlabs)
-}
-
-// DecompressChunkWithAnchorSlabsCtx is DecompressChunkWithAnchorSlabs
-// with request-scoped cancellation: block-coded payloads check ctx at
-// block and wavefront-front boundaries, so a canceled serving request
-// releases its workers at the next barrier instead of decoding bytes
-// nobody will read.
-func DecompressChunkWithAnchorSlabsCtx(ctx context.Context, blob []byte, i int, anchorSlabs []*tensor.Tensor) (*tensor.Tensor, int, error) {
-	if !chunk.IsChunked(blob) {
-		// A monolithic blob is a single chunk spanning every slab, so the
-		// "slabs" are the full anchor fields.
-		return DecompressChunk(blob, i, anchorSlabs)
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, 0, err
-	}
-	if i < 0 || i >= a.NumChunks() {
-		return nil, 0, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
+		return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
 	}
 	g, err := a.Grid()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
+	}
+	if crossField(a.Method) {
+		if whole {
+			if err := checkAnchors(&a.Header, anchors, a.Dims); err != nil {
+				return nil, 0, 0, err
+			}
+			if anchors, err = g.Views(anchors, i); err != nil {
+				return nil, 0, 0, err
+			}
+		}
+		if err := checkAnchors(&a.Header, anchors, g.ChunkDims(i)); err != nil {
+			return nil, 0, 0, err
+		}
 	}
 	model, err := loadArchiveModel(&a.Header)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	if model != nil {
-		if len(anchorSlabs) == 0 {
-			return nil, 0, fmt.Errorf("%w: method %v, anchors %v", ErrNeedAnchors, a.Method, a.Anchors)
-		}
-		want := g.ChunkDims(i)
-		for k, s := range anchorSlabs {
-			if !sameDims(s.Shape(), want) {
-				return nil, 0, fmt.Errorf("core: anchor slab %d shape %v != chunk %d dims %v", k, s.Shape(), i, want)
-			}
-		}
-	}
-	payload, err := a.Payload(i)
+	b, err := chunkPayload(a, i, level)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	// Serving decodes one chunk per request: give block-coded payloads the
-	// whole machine — intra-chunk parallelism is what moves cold p99.
-	t, err := decompressChunkPayload(ctx, payload, g, i, anchorSlabs, model, nil, parallel.Workers())
+	t, ach, err := decodeChunk(ctx, b, g, i, level, anchors, model, nil, workers)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return t, a.Index[i].Start, nil
+	return t, a.Index[i].Start, ach, nil
 }
 
 // ChunkCount returns the number of chunks in a CFC2 container (1 for a
@@ -537,20 +564,17 @@ func loadArchiveModel(h *chunk.Header) (*cfnn.Model, error) {
 }
 
 // prepareArchive validates anchors against the container header, loads the
-// shared CFNN model (if any), and rebuilds the chunk grid.
+// shared CFNN model (if any), and rebuilds the chunk grid. Anchors are
+// checked before the model is loaded, so a request that cannot decode
+// never pays for (or trusts) the stored model.
 func prepareArchive(a *chunk.Archive, anchors []*tensor.Tensor) (*chunk.Grid, *cfnn.Model, error) {
 	g, err := a.Grid()
 	if err != nil {
 		return nil, nil, err
 	}
-	if a.Method == container.MethodHybrid || a.Method == container.MethodCrossOnly {
-		if len(anchors) == 0 {
-			return nil, nil, fmt.Errorf("%w: method %v, anchors %v", ErrNeedAnchors, a.Method, a.Anchors)
-		}
-		for i, an := range anchors {
-			if !sameDims(an.Shape(), a.Dims) {
-				return nil, nil, fmt.Errorf("core: anchor %d shape %v != field dims %v", i, an.Shape(), a.Dims)
-			}
+	if crossField(a.Method) {
+		if err := checkAnchors(&a.Header, anchors, a.Dims); err != nil {
+			return nil, nil, err
 		}
 	}
 	model, err := loadArchiveModel(&a.Header)
@@ -560,34 +584,21 @@ func prepareArchive(a *chunk.Archive, anchors []*tensor.Tensor) (*chunk.Grid, *c
 	return g, model, nil
 }
 
-// decompressChunkPayload reverses one chunk payload. For hybrid payloads
-// exactly one prediction source is supplied: dq slab views from the
-// shared inference pass (full-container decodes), or the chunk's anchor
-// views plus the container model for per-chunk inference (random access).
-func decompressChunkPayload(ctx context.Context, payload []byte, g *chunk.Grid, i int, subAnchors []*tensor.Tensor, model *cfnn.Model, dq [][]float64, workers int) (*tensor.Tensor, error) {
-	t, err := decompressMono(ctx, payload, subAnchors, model, dq, workers)
-	if err != nil {
-		return nil, fmt.Errorf("core: chunk %d: %w", i, err)
-	}
-	if !sameDims(t.Shape(), g.ChunkDims(i)) {
-		return nil, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-	}
-	return t, nil
+// crossField reports whether a container method predicts from anchors.
+func crossField(m container.Method) bool {
+	return m == container.MethodHybrid || m == container.MethodCrossOnly
 }
 
-// decompressChunkInto reconstructs chunk i directly into its region of the
-// full output array, reading predictions from the shared inference pass
-// (inf nil for baseline containers). The dq slabs are shared and
-// read-only, so concurrent chunk workers need no model state at all.
-func decompressChunkInto(out []float32, payload []byte, g *chunk.Grid, i int, inf *fieldInference, workers int) error {
-	var dq [][]float64
-	if inf != nil {
-		dq = inf.chunkDQ(i)
+// checkAnchors rejects missing anchors, or anchors whose shape is not
+// dims, for a hybrid container.
+func checkAnchors(h *chunk.Header, anchors []*tensor.Tensor, dims []int) error {
+	if len(anchors) == 0 {
+		return fmt.Errorf("%w: method %v, anchors %v", ErrNeedAnchors, h.Method, h.Anchors)
 	}
-	t, err := decompressChunkPayload(context.Background(), payload, g, i, nil, nil, dq, workers)
-	if err != nil {
-		return err
+	for k, an := range anchors {
+		if !sameDims(an.Shape(), dims) {
+			return fmt.Errorf("core: anchor %d shape %v != dims %v", k, an.Shape(), dims)
+		}
 	}
-	copy(out[g.Offset(i):], t.Data())
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -212,7 +213,7 @@ func TestDecompressChunkMatchesRegion(t *testing.T) {
 	}
 }
 
-// DecompressChunkWithAnchorSlabs must reproduce DecompressChunk exactly
+// The slab-anchored single-chunk path must reproduce DecompressChunk exactly
 // when fed only the chunk's slab range of each anchor — the contract the
 // serving layer relies on to avoid whole-anchor decodes.
 func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
@@ -247,7 +248,7 @@ func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 			}
 			slabs[k] = s
 		}
-		got, start, err := DecompressChunkWithAnchorSlabs(res.Blob, i, slabs)
+		got, start, _, err := DecompressChunkAtLevelWithAnchorSlabsCtx(context.Background(), res.Blob, i, LevelFull, slabs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +266,7 @@ func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressChunkWithAnchorSlabs(res.Blob, 0, []*tensor.Tensor{bad}); err == nil {
+	if _, _, _, err := DecompressChunkAtLevelWithAnchorSlabsCtx(context.Background(), res.Blob, 0, LevelFull, []*tensor.Tensor{bad}); err == nil {
 		t.Fatal("wrong-shaped anchor slab accepted")
 	}
 }

@@ -22,9 +22,14 @@
 // random-access CFC2 container, with CFNN inference run once per field by
 // a shared segmented pass (see inference.go). Random access comes in two
 // flavors: DecompressChunk takes full anchor fields and consults only the
-// chunk's region; DecompressChunkWithAnchorSlabs takes anchor data
-// covering just the chunk's slab range — the serving layer's entry point
-// for decoding dependent chunks without materializing whole anchors.
+// chunk's region; DecompressChunkAtLevelWithAnchorSlabsCtx takes anchor
+// data covering just the chunk's slab range — the serving layer's entry
+// point for decoding dependent chunks without materializing whole anchors.
+//
+// Every decode entry is a thin call into one of three level-aware paths,
+// a full-fidelity decode being simply LevelFull: decodePayload (one
+// parsed CFC1 payload), decodeChunks (every chunk of a CFC2 container,
+// in memory or through an io.ReaderAt) and decompressChunk (one chunk).
 package core
 
 import (

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cfnn"
+	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/lossless"
 	"repro/internal/quant"
@@ -242,6 +243,30 @@ func TestDecompressCorruptBlob(t *testing.T) {
 	if err == nil {
 		if _, ok, _ := VerifyBound(f, back, 0.1); ok {
 			t.Log("corruption landed in padding bits; round-trip unaffected")
+		}
+	}
+	// A flipped byte inside a CFC2 chunk payload is caught by the chunk
+	// CRC on every whole-field route, the ReaderAt route included.
+	cres, err := CompressChunked(f, nil, nil, ChunkedOptions{Options: Options{Bound: quant.AbsBound(0.1)}, ChunkVoxels: 4 * 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cbad := append([]byte(nil), cres.Blob...)
+	cbad[len(cbad)-3] ^= 0x10
+	routes := map[string]func() error{
+		"Decompress": func() error { _, err := Decompress(cbad, nil); return err },
+		"DecompressAtLevel": func() error {
+			_, _, err := DecompressAtLevel(cbad, nil, LevelFull)
+			return err
+		},
+		"DecompressAtLevelReader": func() error {
+			_, _, err := DecompressAtLevelReader(newByteReaderAt(cbad), int64(len(cbad)), nil, LevelFull, 0)
+			return err
+		},
+	}
+	for name, route := range routes {
+		if err := route(); !errors.Is(err, chunk.ErrChecksum) {
+			t.Errorf("%s of a flipped chunk byte: err = %v, want chunk.ErrChecksum", name, err)
 		}
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/bitstream"
 	"repro/internal/cfnn"
-	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/huffman"
 	"repro/internal/lossless"
@@ -20,78 +20,89 @@ import (
 // need no anchors (pass nil); hybrid/cross-only blobs require the same
 // decompressed anchor fields used at compression time, in the same order.
 // Both container formats are accepted: monolithic CFC1 blobs and chunked
-// CFC2 containers (routed to DecompressChunked).
+// CFC2 containers.
 //
 // Within one CFC1 blob, decompression is sequential in raster order — the
 // Lorenzo dependency the paper describes — while the CFNN inference that
 // produces the cross-field difference estimates runs up front in parallel.
 // CFC2 containers additionally decompress chunk-parallel.
 func Decompress(blob []byte, anchors []*tensor.Tensor) (*tensor.Tensor, error) {
-	if chunk.IsChunked(blob) {
-		return DecompressChunked(blob, anchors)
-	}
-	return decompressMono(context.Background(), blob, anchors, nil, nil, 0)
+	return DecompressChunkedWith(blob, anchors, 0)
 }
 
-// decompressMono reverses one CFC1 blob. ext supplies the CFNN model for
-// chunk payloads whose model section was stripped (stored once at the CFC2
-// level); a model embedded in the blob always wins. dqExt, when non-nil,
-// supplies the predicted-diff fields (prequant units) directly — the
-// shared-inference chunked path computes them once per field and hands
-// each chunk its slab views, skipping per-payload model loading and
-// inference entirely. workers bounds the decode worker pool for
-// block-coded payloads (<= 0 means GOMAXPROCS); plain payloads decode
-// sequentially regardless. ctx cancels block-coded payload decodes at
-// block/front boundaries; plain sequential payloads run to completion
-// (they are single-threaded and comparatively short).
-func decompressMono(ctx context.Context, blob []byte, anchors []*tensor.Tensor, ext *cfnn.Model, dqExt [][]float64, workers int) (*tensor.Tensor, error) {
-	b, err := container.Decode(blob)
-	if err != nil {
-		return nil, err
+// parsePayload parses a whole in-memory CFC1 payload for a decode at
+// level: strictly at LevelFull (every layer present, no trailing bytes),
+// as a possibly-truncated layered prefix for any other level.
+func parsePayload(p []byte, level int) (*container.Blob, error) {
+	if level == LevelFull {
+		return container.Decode(p)
 	}
+	b, _, err := container.DecodePrefix(p)
+	return b, err
+}
+
+// decodePayload is the one payload dispatcher: it reverses one parsed
+// CFC1 payload at level, returning the reconstruction and the achieved
+// max error the compressor recorded for that level (NaN when the payload
+// is not layered). Non-layered payloads accept only level 0 / LevelFull
+// and decode in full.
+//
+// For hybrid payloads, dq supplies the predicted-diff fields (prequant
+// units) directly — the shared-inference chunked path computes them once
+// per field and hands each chunk its slab views. Otherwise inference runs
+// over anchors with the payload's embedded model, or ext for chunk
+// payloads whose model is stored once at the CFC2 level. workers bounds
+// the decode worker pool for block-coded payloads (<= 0 means
+// GOMAXPROCS); ctx cancels them at block/front boundaries. Plain payloads
+// decode sequentially and run to completion.
+func decodePayload(ctx context.Context, b *container.Blob, level int, anchors []*tensor.Tensor, ext *cfnn.Model, dqExt [][]float64, workers int) (*tensor.Tensor, float64, error) {
 	if b.Layers != nil {
-		t, _, err := reconstructLayered(b, anchors, ext, dqExt, b.Layers.NumLevels()-1)
-		return t, err
+		return reconstructLayered(b, anchors, ext, dqExt, level)
+	}
+	if level > 0 {
+		return nil, 0, fmt.Errorf("core: payload is not layered; level %d unavailable", level)
 	}
 	backend, err := lossless.ByID(b.BackendID)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	payloadRaw, err := backend.Decompress(b.Payload, b.PayloadRaw)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	codec, _, err := huffman.UnmarshalCodec(b.Table)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	dq, err := resolveDQ(b, anchors, ext, dqExt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n := b.NumPoints()
 	if b.Blocks != nil {
 		q := make([]int32, n)
 		vals := make([]float32, n)
-		if err := reconstructBlocks(ctx, q, vals, payloadRaw, codec, b, dq, workers, nil); err != nil {
-			return nil, err
+		if err := reconstructBlocks(ctx, q, vals, payloadRaw, codec, b, dq, workers); err != nil {
+			return nil, 0, err
 		}
-		return tensor.FromSlice(vals, b.Dims...)
+		t, err := tensor.FromSlice(vals, b.Dims...)
+		return t, math.NaN(), err
 	}
 	codes, err := codec.Decode(bitstream.NewReader(payloadRaw), n)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	q := make([]int32, n)
 	if b.Method == container.MethodBaseline {
 		if err := reconstructBaseline(q, codes, b.Dims); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	} else if err := reconstructCrossField(q, codes, b.Dims, dq, b.Hybrid, b.Method); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	vals := quant.Dequantize(q, b.AbsEB)
-	return tensor.FromSlice(vals, b.Dims...)
+	t, err := tensor.FromSlice(vals, b.Dims...)
+	return t, math.NaN(), err
 }
 
 // resolveDQ produces the cross-field difference predictions (prequant

@@ -1,12 +1,127 @@
 package core
 
 import (
+	"context"
+	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/archive"
+	"repro/internal/chunk"
+	"repro/internal/container"
 	"repro/internal/quant"
 )
+
+// FuzzDecodePayload drives the payload dispatcher at LevelFull and at the
+// base level: malformed input must error, never panic. Each input goes
+// through decompressBlob, which routes CFC1 and CFC2 alike (without
+// anchors, so a CFC2 model is never loaded), and, when it parses as a
+// CFC1 payload, straight into decodePayload with zero-valued cross-field
+// predictions, so the hybrid reconstruction runs too. The corpus is
+// seeded with every committed golden fixture, the field payloads of the
+// archives and the chunk payloads of every CFC2 container, so mutations
+// start from each format version and method.
+//
+//	go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 30s ./internal/core
+func FuzzDecodePayload(f *testing.F) {
+	files, err := filepath.Glob("../../testdata/golden/*.cfc")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no golden fixtures to seed from (err=%v)", err)
+	}
+	var seeds [][]byte
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	// Unpack archives into their field payloads, and CFC2 containers into
+	// their chunk payloads, appending to the list as it is walked.
+	for k := 0; k < len(seeds); k++ {
+		if a, err := archive.Decode(seeds[k]); err == nil {
+			for i := 0; i < a.NumFields(); i++ {
+				if p, err := a.Payload(i); err == nil {
+					seeds = append(seeds, p)
+				}
+			}
+		} else if a, err := chunk.Decode(seeds[k]); err == nil {
+			for i := range a.Index {
+				if p, err := a.Payload(i); err == nil {
+					seeds = append(seeds, p)
+				}
+			}
+		}
+		f.Add(seeds[k])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !fuzzSized(data) {
+			t.Skip("headers declare an oversized decode")
+		}
+		for _, level := range []int{LevelFull, 0} {
+			_, _, _ = decompressBlob(data, nil, level, 2)
+			if b, err := parsePayload(data, level); err == nil {
+				var dq [][]float64
+				if b.Method != container.MethodBaseline {
+					dq = make([][]float64, len(b.Dims))
+					for k := range dq {
+						dq[k] = make([]float64, b.NumPoints())
+					}
+				}
+				_, _, _ = decodePayload(context.Background(), b, level, nil, nil, dq, 2)
+			}
+		}
+	})
+}
+
+// fuzzSized reports whether every header in data declares a small
+// decode. The decoder allocates what headers declare (volumes, raw
+// lengths, Huffman alphabets) before checking it against the payload
+// size — those allocations are not capped yet — so without this filter
+// the fuzzer would measure the host's memory rather than the decoder.
+func fuzzSized(data []byte) bool {
+	const maxVoxels, maxBytes = 1 << 12, 1 << 20
+	small := func(dims []int) bool {
+		n, err := container.CheckVolume(dims)
+		return err == nil && n <= maxVoxels
+	}
+	smallTable := func(table []byte) bool {
+		n, _ := binary.Uvarint(table)
+		return n <= maxVoxels
+	}
+	payloads := [][]byte{data}
+	if a, err := chunk.Decode(data); err == nil {
+		if !small(a.Dims) {
+			return false
+		}
+		payloads = payloads[:0]
+		for i := range a.Index {
+			if p, err := a.Payload(i); err == nil {
+				payloads = append(payloads, p)
+			}
+		}
+	}
+	for _, p := range payloads {
+		b, _, err := container.DecodePrefix(p)
+		if err != nil {
+			continue // rejected at parse time
+		}
+		if !small(b.Dims) || b.PayloadRaw > maxBytes || !smallTable(b.Table) {
+			return false
+		}
+		if b.Layers != nil {
+			for _, l := range b.Layers.Layers {
+				if l.RawLen > maxBytes || !smallTable(l.Table) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
 
 // Property: Decompress never panics on arbitrary byte blobs — it either
 // errors or (vanishingly unlikely) returns a field. Malformed input is a

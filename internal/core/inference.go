@@ -40,8 +40,12 @@ func newFieldInference(model *cfnn.Model, anchors []*tensor.Tensor, eb float64, 
 
 // chunkDQ returns read-only slab views of the predicted-diff fields
 // covering chunk i. The returned slices alias the shared full-field
-// arrays; workers must treat them as immutable.
+// arrays; workers must treat them as immutable. A nil inference (a
+// baseline container) yields nil.
 func (fi *fieldInference) chunkDQ(i int) [][]float64 {
+	if fi == nil {
+		return nil
+	}
 	lo := fi.g.Offset(i)
 	hi := lo + fi.g.Voxels(i)
 	out := make([][]float64, len(fi.dq))

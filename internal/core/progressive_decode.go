@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 
@@ -207,24 +208,6 @@ func reconstructLayered(b *container.Blob, anchors []*tensor.Tensor, ext *cfnn.M
 	return t, ls.Layers[level].MaxErr, nil
 }
 
-// decompressPayloadAtLevel decodes one CFC1 payload (possibly a prefix) at
-// a level. Non-layered payloads accept only level 0 / LevelFull and decode
-// in full, reporting NaN for the recorded achieved error.
-func decompressPayloadAtLevel(ctx context.Context, payload []byte, anchors []*tensor.Tensor, ext *cfnn.Model, dqExt [][]float64, workers, level int) (*tensor.Tensor, float64, error) {
-	b, _, err := container.DecodePrefix(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	if b.Layers == nil {
-		if level > 0 {
-			return nil, 0, fmt.Errorf("core: payload is not layered; level %d unavailable", level)
-		}
-		t, err := decompressMono(ctx, payload, anchors, ext, dqExt, workers)
-		return t, math.NaN(), err
-	}
-	return reconstructLayered(b, anchors, ext, dqExt, level)
-}
-
 // DecompressAtLevel reconstructs a field from a compressed blob at the
 // given level (LevelFull = bit-exact), returning the reconstruction and
 // the achieved max error the compressor recorded for that level (NaN when
@@ -232,61 +215,7 @@ func decompressPayloadAtLevel(ctx context.Context, payload []byte, anchors []*te
 // chunk-parallel; hybrid payloads need the same decompressed anchors as
 // Decompress.
 func DecompressAtLevel(blob []byte, anchors []*tensor.Tensor, level int) (*tensor.Tensor, float64, error) {
-	if chunk.IsChunked(blob) {
-		return decompressChunkedAtLevel(blob, anchors, level, 0)
-	}
-	return decompressPayloadAtLevel(context.Background(), blob, anchors, nil, nil, 0, level)
-}
-
-// decompressChunkedAtLevel is the CFC2 whole-field level decode: shared
-// inference once, then every chunk's prefix reconstructed in parallel.
-// The achieved error is the max across chunks at that level.
-func decompressChunkedAtLevel(blob []byte, anchors []*tensor.Tensor, level, workers int) (*tensor.Tensor, float64, error) {
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, 0, err
-	}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, 0, err
-	}
-	inf, err := archiveInference(a, g, model, anchors, workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]float32, a.NumPoints())
-	achieved := make([]float64, a.NumChunks())
-	err = parallel.ForErr(workers, a.NumChunks(), func(i int) error {
-		payload, err := a.Payload(i)
-		if err != nil {
-			return err
-		}
-		var dq [][]float64
-		if inf != nil {
-			dq = inf.chunkDQ(i)
-		}
-		t, ach, err := decompressPayloadAtLevel(context.Background(), payload, nil, nil, dq, 1, level)
-		if err != nil {
-			return fmt.Errorf("core: chunk %d: %w", i, err)
-		}
-		if !sameDims(t.Shape(), g.ChunkDims(i)) {
-			return fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-		}
-		achieved[i] = ach
-		copy(out[g.Offset(i):], t.Data())
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	t, err := tensor.FromSlice(out, a.Dims...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, maxAchieved(achieved), nil
+	return decompressBlob(blob, anchors, level, 0)
 }
 
 // maxAchieved folds per-chunk achieved errors; any NaN (unknown) makes the
@@ -309,90 +238,21 @@ func maxAchieved(errs []float64) float64 {
 // and the recorded achieved max error for that level. Hybrid containers
 // need the full-field decompressed anchors, exactly as DecompressChunk.
 func DecompressChunkAtLevel(blob []byte, i, level int, anchors []*tensor.Tensor) (*tensor.Tensor, int, float64, error) {
-	if !chunk.IsChunked(blob) {
-		if i != 0 {
-			return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,1) (monolithic blob)", i)
-		}
-		t, ach, err := decompressPayloadAtLevel(context.Background(), blob, anchors, nil, nil, 0, level)
-		return t, 0, ach, err
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if i < 0 || i >= a.NumChunks() {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
-	}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	payload, err := a.Payload(i)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var subAnchors []*tensor.Tensor
-	if model != nil {
-		if subAnchors, err = g.Views(anchors, i); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	t, ach, err := decompressPayloadAtLevel(context.Background(), payload, subAnchors, model, nil, 0, level)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d: %w", i, err)
-	}
-	if !sameDims(t.Shape(), g.ChunkDims(i)) {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-	}
-	return t, a.Index[i].Start, ach, nil
+	return decompressChunk(context.Background(), blob, i, level, anchors, true, 0)
 }
 
-// DecompressChunkAtLevelWithAnchorSlabsCtx is the serving layer's level
-// decode: like DecompressChunkWithAnchorSlabsCtx, anchor data covers only
-// chunk i's slab range, and the payload reconstructs at the requested
-// level.
+// DecompressChunkAtLevelWithAnchorSlabsCtx is the serving layer's chunk
+// decode: anchor data covers only chunk i's slab range — each slab tensor
+// has the chunk's dims (the field dims with axis 0 cut to the chunk's slab
+// count) — and the payload reconstructs at the requested level. A
+// dependent-chunk request thus decodes only the anchor chunks
+// intersecting its slab range, never whole anchor fields; predictions are
+// bit-identical to DecompressChunkAtLevel with full anchors. Block-coded
+// payloads get a GOMAXPROCS-wide pool and check ctx at block and
+// wavefront-front boundaries, so a canceled request releases its workers
+// at the next barrier.
 func DecompressChunkAtLevelWithAnchorSlabsCtx(ctx context.Context, blob []byte, i, level int, anchorSlabs []*tensor.Tensor) (*tensor.Tensor, int, float64, error) {
-	if !chunk.IsChunked(blob) {
-		return DecompressChunkAtLevel(blob, i, level, anchorSlabs)
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if i < 0 || i >= a.NumChunks() {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
-	}
-	g, err := a.Grid()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	model, err := loadArchiveModel(&a.Header)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if model != nil {
-		if len(anchorSlabs) == 0 {
-			return nil, 0, 0, fmt.Errorf("%w: method %v, anchors %v", ErrNeedAnchors, a.Method, a.Anchors)
-		}
-		want := g.ChunkDims(i)
-		for k, s := range anchorSlabs {
-			if !sameDims(s.Shape(), want) {
-				return nil, 0, 0, fmt.Errorf("core: anchor slab %d shape %v != chunk %d dims %v", k, s.Shape(), i, want)
-			}
-		}
-	}
-	payload, err := a.Payload(i)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	t, ach, err := decompressPayloadAtLevel(ctx, payload, anchorSlabs, model, nil, parallel.Workers(), level)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d: %w", i, err)
-	}
-	if !sameDims(t.Shape(), g.ChunkDims(i)) {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-	}
-	return t, a.Index[i].Start, ach, nil
+	return decompressChunk(ctx, blob, i, level, anchorSlabs, false, 0)
 }
 
 // PayloadLevelSpec reports the progressive layering of an in-memory
@@ -515,11 +375,11 @@ func readLayeredPrefix(r io.ReaderAt, off, length int64, level int) (*container.
 // ReaderAt-backed payload, reading only the byte prefix that level needs:
 // the container header/index plus layers 0..level of each chunk. This is
 // the bounded-memory path behind Archive.DecodeFieldAtLevel. Layer CRCs
-// replace the full-payload checksum for the portions read.
+// cover the prefixes read; a chunk read whole (LevelFull, or a
+// non-layered chunk) is verified against its index checksum. A CFC1
+// payload carries no whole-payload checksum of its own, so callers
+// holding one (an archive manifest) should decode whole reads in memory.
 func DecompressAtLevelReader(r io.ReaderAt, size int64, anchors []*tensor.Tensor, level, workers int) (*tensor.Tensor, float64, error) {
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
 	var head [4]byte
 	if size >= 4 {
 		if _, err := r.ReadAt(head[:], 0); err != nil {
@@ -527,96 +387,53 @@ func DecompressAtLevelReader(r io.ReaderAt, size int64, anchors []*tensor.Tensor
 		}
 	}
 	if !chunk.IsChunked(head[:]) {
-		// Monolithic CFC1: one growing prefix read, then a plain level
-		// decode.
-		var m5 [5]byte
-		if size < 5 {
-			return nil, 0, fmt.Errorf("%w: %d-byte payload", container.ErrCorrupt, size)
-		}
-		if _, err := r.ReadAt(m5[:], 0); err != nil {
-			return nil, 0, err
-		}
-		if !container.IsLayered(m5[:]) {
-			buf := make([]byte, size)
-			if _, err := io.ReadFull(io.NewSectionReader(r, 0, size), buf); err != nil {
-				return nil, 0, err
-			}
-			return decompressPayloadAtLevel(context.Background(), buf, anchors, nil, nil, workers, level)
-		}
-		b, _, err := readLayeredPrefix(r, 0, size, effLevel(level))
+		b, err := readPayload(r, 0, size, level, nil)
 		if err != nil {
 			return nil, 0, err
 		}
-		return reconstructLayered(b, anchors, nil, nil, level)
+		return decodePayload(context.Background(), b, level, anchors, nil, nil, workers)
 	}
 	cr, err := chunk.NewReader(io.NewSectionReader(r, 0, size))
 	if err != nil {
 		return nil, 0, err
 	}
 	a := &chunk.Archive{Header: *cr.Header(), Index: cr.Index()}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, 0, err
-	}
-	inf, err := archiveInference(a, g, model, anchors, workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]float32, a.NumPoints())
-	achieved := make([]float64, a.NumChunks())
-	err = parallel.ForErr(workers, a.NumChunks(), func(i int) error {
+	return decodeChunks(a, anchors, level, workers, func(i int) (*container.Blob, error) {
 		e := a.Index[i]
-		var dq [][]float64
-		if inf != nil {
-			dq = inf.chunkDQ(i)
+		b, err := readPayload(r, int64(e.Offset), int64(e.PayloadLen), level, &e.Checksum)
+		if err != nil {
+			return nil, fmt.Errorf("core: chunk %d: %w", i, err)
 		}
-		var (
-			t   *tensor.Tensor
-			ach float64
-		)
-		if a.Layered {
-			b, _, err := readLayeredPrefix(r, int64(e.Offset), int64(e.PayloadLen), effLevel(level))
-			if err != nil {
-				return fmt.Errorf("core: chunk %d: %w", i, err)
-			}
-			t, ach, err = reconstructLayered(b, nil, nil, dq, level)
-			if err != nil {
-				return fmt.Errorf("core: chunk %d: %w", i, err)
-			}
-		} else {
-			buf := make([]byte, e.PayloadLen)
-			if _, err := io.ReadFull(io.NewSectionReader(r, int64(e.Offset), int64(e.PayloadLen)), buf); err != nil {
-				return fmt.Errorf("core: chunk %d: %w", i, err)
-			}
-			t, ach, err = decompressPayloadAtLevel(context.Background(), buf, nil, nil, dq, 1, level)
-			if err != nil {
-				return fmt.Errorf("core: chunk %d: %w", i, err)
-			}
-		}
-		if !sameDims(t.Shape(), g.ChunkDims(i)) {
-			return fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-		}
-		achieved[i] = ach
-		copy(out[g.Offset(i):], t.Data())
-		return nil
+		return b, nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	t, err := tensor.FromSlice(out, a.Dims...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, maxAchieved(achieved), nil
 }
 
-// effLevel maps LevelFull to a prefix requirement of "every layer", which
-// readLayeredPrefix satisfies only at the deepest level.
-func effLevel(level int) int {
-	if level == LevelFull {
-		return int(^uint(0) >> 1) // max int: read all layers
+// readPayload reads the CFC1 payload at [off, off+length) of r for a
+// decode at level. A preview of a layered payload reads only the prefix
+// the level needs, which the per-layer CRCs cover. Every other decode
+// reads the whole payload, verifies it against crc when the caller has
+// one (a CFC2 index checksum), and parses it as strictly as an in-memory
+// payload.
+func readPayload(r io.ReaderAt, off, length int64, level int, crc *uint32) (*container.Blob, error) {
+	var head [5]byte
+	if length < int64(len(head)) {
+		return nil, fmt.Errorf("%w: %d-byte payload", container.ErrCorrupt, length)
 	}
-	return level
+	if _, err := r.ReadAt(head[:], off); err != nil {
+		return nil, err
+	}
+	if level != LevelFull && container.IsLayered(head[:]) {
+		b, _, err := readLayeredPrefix(r, off, length, level)
+		return b, err
+	}
+	buf := make([]byte, length)
+	if _, err := io.ReadFull(io.NewSectionReader(r, off, length), buf); err != nil {
+		return nil, err
+	}
+	if crc != nil && crc32.ChecksumIEEE(buf) != *crc {
+		return nil, chunk.ErrChecksum
+	}
+	return parsePayload(buf, level)
 }
 
 // PayloadLevelBytes reports, per level, how many compressed payload bytes

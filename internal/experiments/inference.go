@@ -29,19 +29,14 @@ type InferenceBenchRow struct {
 // ChunkDecodeRow is one timed configuration of the single-chunk
 // decompress-latency ladder: a hybrid chunk decoded from a sequential
 // payload versus a block-coded (CFC2 v3) payload at increasing worker
-// counts. On machines with fewer cores than a row requests, MeasuredMS
-// cannot speed up, so the row also carries ModeledMS — computed from a
-// profiled single-worker block schedule (real per-block measurements,
-// simulated parallel composition; see core.BlockProfile) — and sets
-// Modeled. SpeedupX compares against the sequential payload's measured
-// latency, using ModeledMS on modeled rows.
+// counts. Every row is measured, so a row asking for more workers than
+// GOMAXPROCS (recorded on the report's inference rows) cannot speed up
+// past it. SpeedupX compares against the sequential payload's latency.
 type ChunkDecodeRow struct {
 	Payload    string  `json:"payload"` // "sequential" or "blocks"
 	BlockMode  string  `json:"block_mode,omitempty"`
 	Workers    int     `json:"workers"`
 	MeasuredMS float64 `json:"measured_ms"`
-	ModeledMS  float64 `json:"modeled_ms,omitempty"`
-	Modeled    bool    `json:"modeled"`
 	SpeedupX   float64 `json:"speedup_x"`
 }
 
@@ -106,7 +101,7 @@ func InferenceBench(w io.Writer, s Sizes, jsonPath string) error {
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&m1)
 		row := InferenceBenchRow{
-			Mode: mode, Workers: nw, GOMAXPROCS: workers(),
+			Mode: mode, Workers: nw,
 			PassMS:      elapsed.Seconds() * 1000 / float64(iters),
 			MBps:        mb * float64(iters) / elapsed.Seconds(),
 			AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(iters),
@@ -151,9 +146,7 @@ func InferenceBench(w io.Writer, s Sizes, jsonPath string) error {
 // chunkDecodeLadder times one hybrid chunk's decompress latency from a
 // sequential CFC2 v2 payload and from a block-coded CFC2 v3 payload at
 // 1, 2, and 4 workers, verifying in-bench that every configuration
-// reconstructs byte-identical floats. Rows whose worker count exceeds
-// GOMAXPROCS report a capacity-modeled latency from the profiled block
-// schedule (core.BlockProfile) alongside the measured one.
+// reconstructs byte-identical floats.
 func chunkDecodeLadder(w io.Writer, p *preparedPlan, report *InferenceBenchReport) error {
 	fmt.Fprintf(w, "single-chunk hybrid decompress, sequential vs block-coded payload:\n")
 	bound := crossfield.Rel(1e-3)
@@ -215,10 +208,6 @@ func chunkDecodeLadder(w io.Writer, p *preparedPlan, report *InferenceBenchRepor
 	})
 	fmt.Fprintf(w, "  %-11s w=%-2d  %8.2f ms\n", "sequential", 1, seqMS)
 
-	profile, err := core.ProfileChunkBlocks(blkRes.Blob, ci, anchorT)
-	if err != nil {
-		return err
-	}
 	for _, nw := range []int{1, 2, 4} {
 		ms, vals, err := timeDecode(blkRes.Blob, nw)
 		if err != nil {
@@ -231,17 +220,9 @@ func chunkDecodeLadder(w io.Writer, p *preparedPlan, report *InferenceBenchRepor
 		}
 		row := ChunkDecodeRow{
 			Payload: "blocks", BlockMode: mode, Workers: nw,
-			MeasuredMS: ms, Modeled: nw > workers(),
+			MeasuredMS: ms, SpeedupX: seqMS / ms,
 		}
-		if row.Modeled {
-			row.ModeledMS = profile.ModeledLatencyS(nw) * 1000
-			row.SpeedupX = seqMS / row.ModeledMS
-			fmt.Fprintf(w, "  %-11s w=%-2d  %8.2f ms measured (1 core), %8.2f ms modeled  %5.2fx vs sequential (modeled)\n",
-				mode, nw, row.MeasuredMS, row.ModeledMS, row.SpeedupX)
-		} else {
-			row.SpeedupX = seqMS / ms
-			fmt.Fprintf(w, "  %-11s w=%-2d  %8.2f ms  %5.2fx vs sequential\n", mode, nw, ms, row.SpeedupX)
-		}
+		fmt.Fprintf(w, "  %-11s w=%-2d  %8.2f ms  %5.2fx vs sequential\n", mode, nw, ms, row.SpeedupX)
 		report.DecodeRows = append(report.DecodeRows, row)
 	}
 	return nil

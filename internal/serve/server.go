@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -625,9 +626,9 @@ func (s *Server) lookup(archiveName, fieldName string) (*mount, int, bool) {
 // fieldVal is a cached decoded field: the Field for anchor use plus its
 // serialized little-endian body, built once at decode time so hot
 // requests never re-serialize. Both copies are charged to the cache
-// budget. achieved is the compressor-recorded max error of the served
-// progressive level; NaN for full-fidelity decodes, whose max error comes
-// from the manifest instead.
+// budget. achieved is the compressor-recorded max error of the decoded
+// progressive level (NaN when unknown); full-fidelity responses report
+// the manifest's max error instead.
 type fieldVal struct {
 	f        *crossfield.Field
 	raw      []byte
@@ -694,19 +695,25 @@ func (s *Server) quarantinePayload(pkey string) {
 	}
 }
 
-// fieldData returns field i of m decoded, through the shared LRU with
-// singleflight coalescing. Anchors are resolved recursively through the
-// same cache, so one request for a dependent field warms every anchor on
-// its chain — the manifest graph is a validated DAG, so the recursion
-// terminates and cannot self-wait. Stage spans and decode timings are
-// recorded inside the compute closure: the singleflight leader that runs
-// the decode observes them exactly once, coalesced waiters never do.
-func (s *Server) fieldData(ctx context.Context, m *mount, i int) (*fieldVal, error) {
+// fieldData returns field i of m decoded at level (LevelFull for full
+// fidelity), through the shared LRU with singleflight coalescing. A
+// preview is cached under its own level key next to the full-fidelity
+// entry; only the requested field's payload is read partially. The
+// payload comes through payloadBytes for every mount kind, so its
+// checksum is verified and a corrupt payload is quarantined in one place.
+// Anchors resolve at full fidelity, recursively through the same cache,
+// so one request for a dependent field warms every anchor on its chain —
+// the manifest graph is a validated DAG, so the recursion terminates and
+// cannot self-wait. Stage spans and decode timings are recorded inside
+// the compute closure: the singleflight leader that runs the decode
+// observes them exactly once, coalesced waiters never do.
+func (s *Server) fieldData(ctx context.Context, m *mount, i, level int) (*fieldVal, error) {
 	fv := &m.fieldList[i]
+	level = fv.normLevel(level)
 	tr, parent := obs.FromContext(ctx)
 	lid := tr.Start(parent, "cache_lookup")
 	lstart := time.Now()
-	v, err := s.fields.GetOrCompute(ctx, fv.key, func(dctx context.Context) (any, int64, error) {
+	v, err := s.fields.GetOrCompute(ctx, levelKey(fv.key, level), func(dctx context.Context) (any, int64, error) {
 		// dctx is detached from any one caller: it carries the leader's
 		// trace values but is canceled only when every coalesced waiter
 		// has abandoned the computation.
@@ -715,34 +722,22 @@ func (s *Server) fieldData(ctx context.Context, m *mount, i int) (*fieldVal, err
 		if err != nil {
 			return nil, 0, err
 		}
-		var f *crossfield.Field
-		if m.ar != nil {
-			_, endDecode := s.metrics.stage(cctx, "field_decode", s.metrics.stages.fieldDecode)
-			start := time.Now()
-			f, err = m.ar.DecodeField(fv.info.Name, anchors)
-			s.metrics.observeDecode(time.Since(start))
-			endDecode()
-			if err != nil && errors.Is(err, crossfield.ErrChecksum) {
-				// The archive read path verifies payload CRCs internally;
-				// quarantine here too so later chunk requests fail fast.
-				s.quarantinePayload(fv.key + "/payload")
-				err = fmt.Errorf("%w: mount %q field %q: %v", ErrCorruptPayload, m.name, fv.info.Name, err)
-			}
-		} else {
-			payload, perr := s.payloadBytes(cctx, m, i)
-			if perr != nil {
-				return nil, 0, perr
-			}
-			_, endDecode := s.metrics.stage(cctx, "field_decode", s.metrics.stages.fieldDecode)
-			start := time.Now()
-			f, err = crossfield.Decompress(fv.info.Name, payload, anchors)
-			s.metrics.observeDecode(time.Since(start))
-			endDecode()
-		}
+		payload, err := s.payloadBytes(cctx, m, i)
 		if err != nil {
 			return nil, 0, err
 		}
-		val := &fieldVal{f: f, raw: floatBytes(f.Data()), achieved: math.NaN()}
+		_, endDecode := s.metrics.stage(cctx, "field_decode", s.metrics.stages.fieldDecode)
+		start := time.Now()
+		f, achieved, err := crossfield.DecompressAtLevel(fv.info.Name, payload, anchors, level)
+		s.metrics.observeDecode(time.Since(start))
+		endDecode()
+		if err != nil {
+			return nil, 0, err
+		}
+		if !slices.Equal(f.Dims(), fv.info.Dims) {
+			return nil, 0, fmt.Errorf("serve: field %q payload dims %v, manifest says %v", fv.info.Name, f.Dims(), fv.info.Dims)
+		}
+		val := &fieldVal{f: f, raw: floatBytes(f.Data()), achieved: achieved}
 		return val, val.size(), nil
 	})
 	tr.End(lid)
@@ -771,7 +766,7 @@ func (s *Server) anchorFields(cctx context.Context, m *mount, fv *fieldView) ([]
 		if err := cctx.Err(); err != nil {
 			return nil, err
 		}
-		af, err := s.fieldData(actx, m, d)
+		af, err := s.fieldData(actx, m, d, crossfield.LevelFull)
 		if err != nil {
 			return nil, fmt.Errorf("anchor %q: %w", m.fieldList[d].info.Name, err)
 		}
@@ -780,49 +775,24 @@ func (s *Server) anchorFields(cctx context.Context, m *mount, fv *fieldView) ([]
 	return anchors, nil
 }
 
-// levelKey derives the cache key of a progressive preview: the content
-// key (or chunk key) suffixed with the level, so previews and the
-// full-fidelity entry coexist in the same LRU without colliding.
+// levelKey derives the cache key of a decode at level: the content key
+// (or chunk key) itself for full fidelity, suffixed with the level for a
+// preview, so previews and the full-fidelity entry coexist in the same
+// LRU without colliding.
 func levelKey(key string, level int) string {
+	if level == crossfield.LevelFull {
+		return key
+	}
 	return key + "@L" + strconv.Itoa(level)
 }
 
-// fieldLevelData decodes field i at a progressive preview level through
-// the field LRU, keyed separately from the full-fidelity entry. Anchors
-// resolve at full fidelity; only the requested field's payload is read
-// partially (layers 0..level consumed and CRC-verified).
-func (s *Server) fieldLevelData(ctx context.Context, m *mount, i, level int) (*fieldVal, error) {
-	fv := &m.fieldList[i]
-	tr, parent := obs.FromContext(ctx)
-	lid := tr.Start(parent, "cache_lookup")
-	lstart := time.Now()
-	v, err := s.fields.GetOrCompute(ctx, levelKey(fv.key, level), func(dctx context.Context) (any, int64, error) {
-		cctx := obs.ContextWithSpan(dctx, tr, lid)
-		anchors, err := s.anchorFields(cctx, m, fv)
-		if err != nil {
-			return nil, 0, err
-		}
-		payload, err := s.payloadBytes(cctx, m, i)
-		if err != nil {
-			return nil, 0, err
-		}
-		_, endDecode := s.metrics.stage(cctx, "field_decode", s.metrics.stages.fieldDecode)
-		start := time.Now()
-		f, achieved, err := crossfield.DecompressAtLevel(fv.info.Name, payload, anchors, level)
-		s.metrics.observeDecode(time.Since(start))
-		endDecode()
-		if err != nil {
-			return nil, 0, err
-		}
-		val := &fieldVal{f: f, raw: floatBytes(f.Data()), achieved: achieved}
-		return val, val.size(), nil
-	})
-	tr.End(lid)
-	s.metrics.stages.cacheLookup.Observe(time.Since(lstart).Seconds())
-	if err != nil {
-		return nil, err
+// normLevel maps the deepest progressive level onto LevelFull: both name
+// the full-fidelity representation, cached and served under one key.
+func (fv *fieldView) normLevel(level int) int {
+	if level == fv.levels.Levels-1 {
+		return crossfield.LevelFull
 	}
-	return v.(*fieldVal), nil
+	return level
 }
 
 // chunkVal is a cached decoded chunk.
@@ -831,18 +801,24 @@ type chunkVal struct {
 	start int // first slab along axis 0
 }
 
-// chunkData returns chunk ci of field i decoded, through the chunk LRU.
-// Hybrid fields resolve their anchors per-chunk: only the anchor chunks
-// whose slab ranges intersect the requested chunk are decoded (through
-// the same chunk LRU, recursively for anchor chains), never whole anchor
-// fields — the anchor-slab slicing the ROADMAP scale-out item asks for.
-func (s *Server) chunkData(ctx context.Context, m *mount, i, ci int) (*chunkVal, error) {
+// chunkData returns chunk ci of field i decoded at level (LevelFull for
+// full fidelity), through the chunk LRU; previews are keyed by level
+// like fieldData's. Hybrid fields resolve their anchors per-chunk, at
+// full fidelity: only the anchor chunks whose slab ranges intersect the
+// requested chunk are decoded (through the same chunk LRU, recursively
+// for anchor chains), never whole anchor fields. Cluster peer fetch and
+// repair carry full-fidelity bytes keyed by the full content address, so
+// previews never consult peers — a preview decode is already cheaper
+// than a round trip.
+func (s *Server) chunkData(ctx context.Context, m *mount, i, ci, level int) (*chunkVal, error) {
 	fv := &m.fieldList[i]
+	level = fv.normLevel(level)
 	key := fv.key + "#" + strconv.Itoa(ci)
+	full := level == crossfield.LevelFull
 	tr, parent := obs.FromContext(ctx)
 	lid := tr.Start(parent, "cache_lookup")
 	lstart := time.Now()
-	v, err := s.chunks.GetOrCompute(ctx, key, func(dctx context.Context) (any, int64, error) {
+	v, err := s.chunks.GetOrCompute(ctx, levelKey(key, level), func(dctx context.Context) (any, int64, error) {
 		// Deriving a child context allocates, but only here on the cold
 		// path; cache hits never reach this closure. Recording stages
 		// inside it also makes them leader-only — coalesced waiters get
@@ -856,7 +832,7 @@ func (s *Server) chunkData(ctx context.Context, m *mount, i, ci int) (*chunkVal,
 		// them is what makes the cluster-wide dedupe real. Runs inside the
 		// singleflight closure, so concurrent local requests coalesce onto
 		// one fetch; any failure falls through to the local decode.
-		if rc := s.remote; rc != nil && !remoteSuppressed(cctx) {
+		if rc := s.remote; full && rc != nil && !remoteSuppressed(cctx) {
 			_, endFetch := s.metrics.stage(cctx, "remote_fetch", s.metrics.stages.remoteFetch)
 			raw, ok := rc.FetchChunk(cctx, key, m.name, fv.info.Name, ci, c.Voxels*4)
 			endFetch()
@@ -874,7 +850,7 @@ func (s *Server) chunkData(ctx context.Context, m *mount, i, ci int) (*chunkVal,
 		}
 		payload, err := s.payloadBytes(cctx, m, i)
 		if err != nil {
-			if errors.Is(err, ErrCorruptPayload) {
+			if full && errors.Is(err, ErrCorruptPayload) {
 				// One-shot peer repair: the local payload is damaged, but a
 				// ring replica may hold (or can decode) these chunk bytes.
 				if val, ok := s.repairChunk(cctx, key, m, fv, ci, c); ok {
@@ -885,13 +861,13 @@ func (s *Server) chunkData(ctx context.Context, m *mount, i, ci int) (*chunkVal,
 		}
 		_, endDecode := s.metrics.stage(cctx, "chunk_decode", s.metrics.stages.chunkDecode)
 		start := time.Now()
-		f, slab, err := crossfield.DecompressChunkSlabCtx(cctx, fv.info.Name, payload, ci, slabs)
+		f, slab, achieved, err := crossfield.DecompressChunkSlabAtLevelCtx(cctx, fv.info.Name, payload, ci, level, slabs)
 		s.metrics.observeDecode(time.Since(start))
 		endDecode()
 		if err != nil {
 			return nil, 0, err
 		}
-		val := &chunkVal{fieldVal: fieldVal{f: f, raw: floatBytes(f.Data()), achieved: math.NaN()}, start: slab}
+		val := &chunkVal{fieldVal: fieldVal{f: f, raw: floatBytes(f.Data()), achieved: achieved}, start: slab}
 		return val, val.size(), nil
 	})
 	tr.End(lid)
@@ -925,46 +901,6 @@ func (s *Server) anchorSlabs(cctx context.Context, m *mount, fv *fieldView, c co
 		slabs[k] = af
 	}
 	return slabs, nil
-}
-
-// chunkLevelData decodes chunk ci of field i at a progressive preview
-// level through the chunk LRU. Previews never consult cluster peers: the
-// remote protocol carries full-fidelity bytes keyed by the full content
-// address, and a preview decode is already cheaper than a round trip.
-func (s *Server) chunkLevelData(ctx context.Context, m *mount, i, ci, level int) (*chunkVal, error) {
-	fv := &m.fieldList[i]
-	key := levelKey(fv.key+"#"+strconv.Itoa(ci), level)
-	tr, parent := obs.FromContext(ctx)
-	lid := tr.Start(parent, "cache_lookup")
-	lstart := time.Now()
-	v, err := s.chunks.GetOrCompute(ctx, key, func(dctx context.Context) (any, int64, error) {
-		cctx := obs.ContextWithSpan(dctx, tr, lid)
-		c := fv.chunks[ci]
-		slabs, err := s.anchorSlabs(cctx, m, fv, c)
-		if err != nil {
-			return nil, 0, err
-		}
-		payload, err := s.payloadBytes(cctx, m, i)
-		if err != nil {
-			return nil, 0, err
-		}
-		_, endDecode := s.metrics.stage(cctx, "chunk_decode", s.metrics.stages.chunkDecode)
-		start := time.Now()
-		f, slab, achieved, err := crossfield.DecompressChunkSlabAtLevelCtx(cctx, fv.info.Name, payload, ci, level, slabs)
-		s.metrics.observeDecode(time.Since(start))
-		endDecode()
-		if err != nil {
-			return nil, 0, err
-		}
-		val := &chunkVal{fieldVal: fieldVal{f: f, raw: floatBytes(f.Data()), achieved: achieved}, start: slab}
-		return val, val.size(), nil
-	})
-	tr.End(lid)
-	s.metrics.stages.cacheLookup.Observe(time.Since(lstart).Seconds())
-	if err != nil {
-		return nil, err
-	}
-	return v.(*chunkVal), nil
 }
 
 // chunkValFromRaw rebuilds a cacheable chunk value from peer-fetched
@@ -1031,7 +967,7 @@ func (s *Server) anchorSlab(ctx context.Context, m *mount, d int, start, count i
 	}
 	for ci, c := range fv.chunks {
 		if c.Start == start && c.Slabs == count {
-			cv, err := s.chunkData(ctx, m, d, ci)
+			cv, err := s.chunkData(ctx, m, d, ci, crossfield.LevelFull)
 			if err != nil {
 				return nil, err
 			}
@@ -1052,7 +988,7 @@ func (s *Server) anchorSlab(ctx context.Context, m *mount, d int, start, count i
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cv, err := s.chunkData(ctx, m, d, ci)
+		cv, err := s.chunkData(ctx, m, d, ci, crossfield.LevelFull)
 		if err != nil {
 			return nil, err
 		}
@@ -1376,61 +1312,45 @@ func (s *Server) handleFieldStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, fieldToJSON(&m.fieldList[i], true))
 }
 
-// fullLevel marks a request resolved to the full-fidelity representation
-// (the deepest progressive level, or any level of a non-layered payload):
-// it is served from the unsuffixed content key with X-CFC-Level "full".
-const fullLevel = -1
-
 // resolveLevelQuery maps a request's ?eb= / ?level= parameters onto a
 // progressive level. ?eb= names an absolute error bound and resolves to
 // the cheapest level whose provable bound meets it; a bound tighter than
 // every preview — including tighter than the payload's own full bound —
 // resolves to full, the best the payload can do. ?level= names a level
 // index directly. Non-progressive payloads accept any ?eb= (full is the
-// only representation) and only ?level=0. No parameters means full.
+// only representation) and only ?level=0. No parameters means full. A
+// request resolved to the full-fidelity representation (the deepest
+// level, or any level of a non-layered payload) returns LevelFull: it is
+// served from the unsuffixed content key with X-CFC-Level "full".
 func resolveLevelQuery(r *http.Request, fv *fieldView) (int, error) {
 	q := r.URL.Query()
 	ebs, lvs := q.Get("eb"), q.Get("level")
 	if ebs == "" && lvs == "" {
-		return fullLevel, nil
+		return crossfield.LevelFull, nil
 	}
 	if ebs != "" && lvs != "" {
 		return 0, fmt.Errorf("eb and level are mutually exclusive")
 	}
-	spec := fv.levels
 	if lvs != "" {
 		n, err := strconv.Atoi(lvs)
 		if err != nil || n < 0 {
 			return 0, fmt.Errorf("malformed level %q", lvs)
 		}
-		levels := 1
-		if spec != nil {
-			levels = spec.Levels
+		if n >= fv.levels.Levels {
+			return 0, fmt.Errorf("level %d out of [0,%d)", n, fv.levels.Levels)
 		}
-		if n >= levels {
-			return 0, fmt.Errorf("level %d out of [0,%d)", n, levels)
-		}
-		if n == levels-1 {
-			return fullLevel, nil
-		}
-		return n, nil
+		return fv.normLevel(n), nil
 	}
 	eb, err := strconv.ParseFloat(ebs, 64)
 	if err != nil || !(eb > 0) {
 		return 0, fmt.Errorf("malformed eb %q (want a bound > 0)", ebs)
 	}
-	if !spec.Progressive() {
-		return fullLevel, nil
-	}
-	if n := spec.ResolveLevel(eb, fv.info.AbsEB); n < spec.Levels-1 {
-		return n, nil
-	}
-	return fullLevel, nil
+	return fv.normLevel(fv.levels.ResolveLevel(eb, fv.info.AbsEB)), nil
 }
 
 // countLevel records one data request against its served level.
 func (s *Server) countLevel(level int) {
-	if level == fullLevel {
+	if level == crossfield.LevelFull {
 		s.metrics.levelFull.Inc()
 		return
 	}
@@ -1450,42 +1370,42 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.countLevel(level)
-	// Hot cache hits bypass admission: they materialize nothing new, so
-	// shedding or queueing them would only turn graceful degradation
-	// into an outage for the traffic the cache exists to make cheap. A
-	// resident full-fidelity entry also satisfies any preview request —
-	// its error is within every relaxed bound — so it is probed first
-	// and served (as level "full") without decoding a preview.
-	if v, ok := s.fields.Peek(fv.key); ok {
-		s.metrics.admissionBypass.Inc()
-		s.observeBypassLookup(r.Context())
-		s.writeField(w, r, fv, v.(*fieldVal), fullLevel)
+	if v, served, ok := s.peekBypass(r.Context(), s.fields, fv.key, level); ok {
+		s.writeField(w, r, fv, v.(*fieldVal), served)
 		return
-	}
-	if level != fullLevel {
-		if v, ok := s.fields.Peek(levelKey(fv.key, level)); ok {
-			s.metrics.admissionBypass.Inc()
-			s.observeBypassLookup(r.Context())
-			s.writeField(w, r, fv, v.(*fieldVal), level)
-			return
-		}
 	}
 	release, ok := s.admit(w, r, s.predictFieldBytes(m, i))
 	if !ok {
 		return
 	}
 	defer release()
-	var v *fieldVal
-	if level == fullLevel {
-		v, err = s.fieldData(r.Context(), m, i)
-	} else {
-		v, err = s.fieldLevelData(r.Context(), m, i, level)
-	}
+	v, err := s.fieldData(r.Context(), m, i, level)
 	if err != nil {
 		decodeError(w, err)
 		return
 	}
 	s.writeField(w, r, fv, v, level)
+}
+
+// peekBypass is the admission-bypass fast path: hot cache hits skip
+// admission, since they materialize nothing new, and shedding or queueing
+// them would only turn graceful degradation into an outage for the
+// traffic the cache exists to make cheap. The resident full-fidelity
+// entry is probed first — its error is within every relaxed bound, so it
+// satisfies any preview request and is served as level "full" — then the
+// requested level's own entry. It returns the hit and the level it holds.
+func (s *Server) peekBypass(ctx context.Context, c *Cache, key string, level int) (any, int, bool) {
+	served := crossfield.LevelFull
+	v, ok := c.Peek(key)
+	if !ok && level != crossfield.LevelFull {
+		served = level
+		v, ok = c.Peek(levelKey(key, level))
+	}
+	if ok {
+		s.metrics.admissionBypass.Inc()
+		s.observeBypassLookup(ctx)
+	}
+	return v, served, ok
 }
 
 // observeBypassLookup records the cache_lookup span and stage sample for
@@ -1502,7 +1422,7 @@ func (s *Server) observeBypassLookup(ctx context.Context) {
 }
 
 // writeField writes a decoded field response (headers + body). level is
-// the served representation: fullLevel keys and validates against the
+// the served representation: LevelFull keys and validates against the
 // unsuffixed content key, previews against the level-suffixed one, so
 // the two representations never share an ETag.
 func (s *Server) writeField(w http.ResponseWriter, r *http.Request, fv *fieldView, v *fieldVal, level int) {
@@ -1513,19 +1433,17 @@ func (s *Server) writeField(w http.ResponseWriter, r *http.Request, fv *fieldVie
 		h.Set("X-CFC-Max-Err", formatFloat(fv.info.MaxErr))
 	}
 	h.Set("X-CFC-Role", fv.info.Role)
-	key := fv.key
-	if level == fullLevel {
+	if level == crossfield.LevelFull {
 		h.Set("X-CFC-Level", "full")
 		if !math.IsNaN(fv.info.MaxErr) {
 			h.Set("X-CFC-Achieved-EB", formatFloat(fv.info.MaxErr))
 		}
 	} else {
-		key = levelKey(key, level)
 		h.Set("X-CFC-Level", strconv.Itoa(level))
 		h.Set("X-CFC-Achieved-EB", formatFloat(v.achieved))
 		h.Set("X-CFC-Level-Bound", formatFloat(fv.levels.Bound(level, fv.info.AbsEB)))
 	}
-	s.serveRaw(w, r, v.raw, key)
+	s.serveRaw(w, r, v.raw, levelKey(fv.key, level))
 }
 
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
@@ -1550,33 +1468,16 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.countLevel(level)
-	// Hot chunk hits bypass admission, exactly like hot fields; a
-	// resident full-fidelity chunk satisfies any preview request.
-	if v, ok := s.chunks.Peek(fv.key + "#" + strconv.Itoa(ci)); ok {
-		s.metrics.admissionBypass.Inc()
-		s.observeBypassLookup(r.Context())
-		s.writeChunk(w, r, fv, ci, v.(*chunkVal), fullLevel)
+	if v, served, ok := s.peekBypass(r.Context(), s.chunks, fv.key+"#"+strconv.Itoa(ci), level); ok {
+		s.writeChunk(w, r, fv, ci, v.(*chunkVal), served)
 		return
-	}
-	if level != fullLevel {
-		if v, ok := s.chunks.Peek(levelKey(fv.key+"#"+strconv.Itoa(ci), level)); ok {
-			s.metrics.admissionBypass.Inc()
-			s.observeBypassLookup(r.Context())
-			s.writeChunk(w, r, fv, ci, v.(*chunkVal), level)
-			return
-		}
 	}
 	release, ok := s.admit(w, r, s.predictChunkBytes(m, i, ci))
 	if !ok {
 		return
 	}
 	defer release()
-	var cv *chunkVal
-	if level == fullLevel {
-		cv, err = s.chunkData(r.Context(), m, i, ci)
-	} else {
-		cv, err = s.chunkLevelData(r.Context(), m, i, ci, level)
-	}
+	cv, err := s.chunkData(r.Context(), m, i, ci, level)
 	if err != nil {
 		decodeError(w, err)
 		return
@@ -1593,19 +1494,17 @@ func (s *Server) writeChunk(w http.ResponseWriter, r *http.Request, fv *fieldVie
 	if me := fv.chunks[ci].MaxErr; !math.IsNaN(me) {
 		h.Set("X-CFC-Max-Err", formatFloat(me))
 	}
-	key := fv.key + "#" + strconv.Itoa(ci)
-	if level == fullLevel {
+	if level == crossfield.LevelFull {
 		h.Set("X-CFC-Level", "full")
 		if me := fv.chunks[ci].MaxErr; !math.IsNaN(me) {
 			h.Set("X-CFC-Achieved-EB", formatFloat(me))
 		}
 	} else {
-		key = levelKey(key, level)
 		h.Set("X-CFC-Level", strconv.Itoa(level))
 		h.Set("X-CFC-Achieved-EB", formatFloat(cv.achieved))
 		h.Set("X-CFC-Level-Bound", formatFloat(fv.levels.Bound(level, fv.info.AbsEB)))
 	}
-	s.serveRaw(w, r, cv.raw, key)
+	s.serveRaw(w, r, cv.raw, levelKey(fv.key+"#"+strconv.Itoa(ci), level))
 }
 
 // parseDeltaQuery validates a refinement-delta request: the field must be
@@ -1651,23 +1550,6 @@ func xorBody(to, from []byte) ([]byte, error) {
 	return out, nil
 }
 
-// fieldBodyAtLevel fetches field i's cached decode at a level, routing
-// the deepest level through the full-fidelity path (unsuffixed key).
-func (s *Server) fieldBodyAtLevel(ctx context.Context, m *mount, i, level int) (*fieldVal, error) {
-	if level == m.fieldList[i].levels.Levels-1 {
-		return s.fieldData(ctx, m, i)
-	}
-	return s.fieldLevelData(ctx, m, i, level)
-}
-
-// chunkBodyAtLevel is fieldBodyAtLevel for one chunk.
-func (s *Server) chunkBodyAtLevel(ctx context.Context, m *mount, i, ci, level int) (*chunkVal, error) {
-	if level == m.fieldList[i].levels.Levels-1 {
-		return s.chunkData(ctx, m, i, ci)
-	}
-	return s.chunkLevelData(ctx, m, i, ci, level)
-}
-
 func (s *Server) handleFieldDelta(w http.ResponseWriter, r *http.Request) {
 	m, i, ok := s.lookup(r.PathValue("a"), r.PathValue("f"))
 	if !ok {
@@ -1691,12 +1573,12 @@ func (s *Server) handleFieldDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	fromV, err := s.fieldBodyAtLevel(r.Context(), m, i, from)
+	fromV, err := s.fieldData(r.Context(), m, i, from)
 	if err != nil {
 		decodeError(w, err)
 		return
 	}
-	toV, err := s.fieldBodyAtLevel(r.Context(), m, i, to)
+	toV, err := s.fieldData(r.Context(), m, i, to)
 	if err != nil {
 		decodeError(w, err)
 		return
@@ -1736,12 +1618,12 @@ func (s *Server) handleChunkDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	fromV, err := s.chunkBodyAtLevel(r.Context(), m, i, ci, from)
+	fromV, err := s.chunkData(r.Context(), m, i, ci, from)
 	if err != nil {
 		decodeError(w, err)
 		return
 	}
-	toV, err := s.chunkBodyAtLevel(r.Context(), m, i, ci, to)
+	toV, err := s.chunkData(r.Context(), m, i, ci, to)
 	if err != nil {
 		decodeError(w, err)
 		return

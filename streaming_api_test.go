@@ -2,6 +2,7 @@ package crossfield_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -104,10 +105,7 @@ func TestGoldenCFC3ThroughStreamingReader(t *testing.T) {
 	}
 	for _, name := range ar.Fields() {
 		f, err := ar.Field(name)
-		if err != nil {
-			t.Fatalf("field %s: %v", name, err)
-		}
-		requireExact(t, "CFC3-reader/"+name, f, "archive_cfc3_"+name+".f32")
+		requireRouteBytes(t, "CFC3-reader/"+name, f, err, readGolden(t, "archive_cfc3_"+name+".f32"))
 	}
 }
 
@@ -134,5 +132,26 @@ func TestOpenArchiveRejectsCorruptStreamedBlob(t *testing.T) {
 	}
 	if _, err := crossfield.OpenArchive(append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	// A flipped payload byte opens (payload checks are lazy) but fails
+	// the manifest checksum on every full-fidelity decode route.
+	ar, err := crossfield.OpenArchive(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := ar.FieldPayload("U")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), blob...)
+	bad[bytes.Index(blob, payload)+len(payload)/2] ^= 0x40
+	if ar, err = crossfield.OpenArchive(bad); err != nil {
+		t.Fatalf("payload corruption rejected at open time: %v", err)
+	}
+	if _, err := ar.Field("U"); !errors.Is(err, crossfield.ErrChecksum) {
+		t.Errorf("Field of a flipped payload byte: err = %v, want ErrChecksum", err)
+	}
+	if _, _, err := ar.DecodeFieldAtLevel("U", crossfield.LevelFull); !errors.Is(err, crossfield.ErrChecksum) {
+		t.Errorf("DecodeFieldAtLevel of a flipped payload byte: err = %v, want ErrChecksum", err)
 	}
 }
