@@ -261,9 +261,10 @@ func DecompressChunkAtLevel(name string, blob []byte, i, level int, anchors []*F
 // consults exactly that region — which is what lets serving layers answer
 // a dependent-chunk request by decoding only the anchor chunks it touches.
 // LevelFull is the bit-exact decode; a preview level consumes and
-// CRC-verifies only the layers it needs. Block-coded payloads check ctx
-// between decode blocks and wavefront fronts, so a request whose client
-// has gone away stops decoding at the next boundary and returns ctx.Err().
+// CRC-verifies only the layers it needs. Every payload checks ctx at its
+// decode blocks and wavefront fronts (a payload without block coding is
+// one block), so a request whose client has gone away stops decoding at
+// the next boundary and returns ctx.Err().
 func DecompressChunkSlabAtLevelCtx(ctx context.Context, name string, blob []byte, i, level int, anchorSlabs []*Field) (*Field, int, float64, error) {
 	t, start, achieved, err := core.DecompressChunkAtLevelWithAnchorSlabsCtx(ctx, blob, i, level, fieldTensors(anchorSlabs))
 	if err != nil {

@@ -1,6 +1,7 @@
 package crossfield_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"flag"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	crossfield "repro"
@@ -214,9 +216,9 @@ func regenGoldenBlocks(t *testing.T) {
 
 // Layered (progressive) fixtures. Consuming every layer recovers exactly
 // the quantized integers the sequential payloads store, so the
-// full-prefix decodes share the existing .f32 expectations; the preview
-// levels are checked against their advertised bounds instead of adding
-// new expectation files.
+// full-prefix decodes share the existing .f32 expectations. Each preview
+// level gets its own expectation (previewFile), which pins the preview
+// bytes as well as their advertised bounds.
 func regenGoldenLayered(t *testing.T) {
 	f := goldenField()
 	res, err := crossfield.CompressBaseline(f, crossfield.Abs(0.05),
@@ -231,6 +233,30 @@ func regenGoldenLayered(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeGolden(t, "chunked_cfc2v4.cfc", resC.Blob)
+	for _, l := range previewLevels {
+		for _, fx := range []struct {
+			file string
+			blob []byte
+		}{{"baseline_cfc1v3.cfc", res.Blob}, {"chunked_cfc2v4.cfc", resC.Blob}} {
+			back, _, err := crossfield.DecompressAtLevel("W", fx.blob, nil, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeGolden(t, previewFile(fx.file, l), floatsToBytes(back.Data()))
+		}
+	}
+}
+
+// previewLevels are the preview levels of the three-level layered
+// fixtures; the deepest level is full fidelity and shares the
+// non-layered expectation.
+var previewLevels = []int{0, 1}
+
+// previewFile names the committed expectation of a layered fixture (or
+// one archive field of it, "archive.cfc/W") decoded at a preview level.
+func previewFile(fixture string, level int) string {
+	stem := strings.Replace(strings.TrimSuffix(fixture, ".cfc"), ".cfc/", "_", 1)
+	return fmt.Sprintf("%s_level%d.f32", stem, level)
 }
 
 func regenGoldenLayeredArchive(t *testing.T) {
@@ -240,6 +266,17 @@ func regenGoldenLayeredArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeGolden(t, "archive_cfc3v3.cfc", res.Blob)
+	ar, err := crossfield.OpenArchive(res.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range previewLevels {
+		f, _, err := ar.DecodeFieldAtLevel("W", l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeGolden(t, previewFile("archive_cfc3v3.cfc/W", l), floatsToBytes(f.Data()))
+	}
 }
 
 func regenGoldenArchive(t *testing.T) {
@@ -473,24 +510,38 @@ func goldenExpectation(t *testing.T, file string, dims []int) *crossfield.Field 
 // archives — decodes through every library decode entry to bytes
 // identical to its committed expectation. Full-level calls run at
 // LevelFull; chunk calls run at workers 1 and 4 and are reassembled at
-// their reported starts. Hybrid payloads decode against their anchors'
+// their reported starts. The layered fixtures (and the hybrid field W of
+// the layered archive, whose base layer predicts from scaled CFNN
+// differences) also decode at every preview level through every
+// level-aware entry. Hybrid payloads decode against their anchors'
 // committed expectations.
 func TestGoldenRoutesAgree(t *testing.T) {
 	if *update {
 		t.Skip("regenerating")
 	}
+	dims := goldenField().Dims()
 	for _, fx := range []struct{ file, want string }{
 		{"baseline_cfc1.cfc", "baseline_cfc1.f32"}, {"baseline_cfc1v2.cfc", "baseline_cfc1.f32"},
 		{"baseline_cfc1v3.cfc", "baseline_cfc1.f32"}, {"chunked_cfc2v1.cfc", "chunked_cfc2.f32"},
 		{"chunked_cfc2v2.cfc", "chunked_cfc2.f32"}, {"chunked_cfc2v3.cfc", "chunked_cfc2.f32"},
 		{"chunked_cfc2v4.cfc", "chunked_cfc2.f32"},
 	} {
-		requirePayloadRoutes(t, fx.file, readGolden(t, fx.file), nil, goldenField().Dims(), readGolden(t, fx.want))
+		requirePayloadRoutes(t, fx.file, readGolden(t, fx.file), nil, dims, crossfield.LevelFull, readGolden(t, fx.want))
+	}
+	for _, file := range []string{"baseline_cfc1v3.cfc", "chunked_cfc2v4.cfc"} {
+		for _, l := range previewLevels {
+			requirePayloadRoutes(t, file, readGolden(t, file), nil, dims, l, readGolden(t, previewFile(file, l)))
+		}
 	}
 	for _, file := range []string{"archive_cfc3.cfc", "archive_cfc3v3.cfc"} {
-		ar, err := crossfield.OpenArchive(readGolden(t, file))
+		blob := readGolden(t, file)
+		ar, err := crossfield.OpenArchive(blob)
 		if err != nil {
 			t.Fatalf("%s no longer opens: %v", file, err)
+		}
+		arR, err := crossfield.OpenArchiveReader(bytes.NewReader(blob), int64(len(blob)))
+		if err != nil {
+			t.Fatalf("%s no longer opens through a ReaderAt: %v", file, err)
 		}
 		for _, fi := range ar.Manifest() {
 			label, want := file+"/"+fi.Name, readGolden(t, "archive_cfc3_"+fi.Name+".f32")
@@ -502,38 +553,48 @@ func TestGoldenRoutesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			requirePayloadRoutes(t, label, payload, anchors, fi.Dims, want)
+			requirePayloadRoutes(t, label, payload, anchors, fi.Dims, crossfield.LevelFull, want)
 			f, err := ar.Field(fi.Name)
 			requireRouteBytes(t, label+" Archive.Field", f, err, want)
 			f, err = ar.DecodeField(fi.Name, anchors)
 			requireRouteBytes(t, label+" Archive.DecodeField", f, err, want)
-			f, _, err = ar.DecodeFieldAtLevel(fi.Name, crossfield.LevelFull)
-			requireRouteBytes(t, label+" Archive.DecodeFieldAtLevel", f, err, want)
+			levels := []int{crossfield.LevelFull}
+			if file == "archive_cfc3v3.cfc" && fi.Name == "W" {
+				levels = append(levels, previewLevels...)
+			}
+			for _, l := range levels {
+				want := want
+				if l != crossfield.LevelFull {
+					want = readGolden(t, previewFile(label, l))
+					requirePayloadRoutes(t, label, payload, anchors, fi.Dims, l, want)
+				}
+				f, _, err = ar.DecodeFieldAtLevel(fi.Name, l)
+				requireRouteBytes(t, fmt.Sprintf("%s Archive.DecodeFieldAtLevel(%d)", label, l), f, err, want)
+				f, _, err = arR.DecodeFieldAtLevel(fi.Name, l)
+				requireRouteBytes(t, fmt.Sprintf("%s ReaderAt Archive.DecodeFieldAtLevel(%d)", label, l), f, err, want)
+			}
 		}
 	}
 }
 
-// requirePayloadRoutes decodes one payload (a CFC1 or CFC2 blob) through
-// every whole-field and single-chunk library entry.
-func requirePayloadRoutes(t *testing.T, label string, blob []byte, anchors []*crossfield.Field, dims []int, want []byte) {
+// requirePayloadRoutes decodes one payload (a CFC1 or CFC2 blob) at
+// level through every level-aware whole-field and single-chunk library
+// entry, and at LevelFull also through the entries without a level.
+func requirePayloadRoutes(t *testing.T, label string, blob []byte, anchors []*crossfield.Field, dims []int, level int, want []byte) {
 	t.Helper()
-	f, err := crossfield.Decompress("W", blob, anchors)
-	requireRouteBytes(t, label+" Decompress", f, err, want)
-	f, _, err = crossfield.DecompressAtLevel("W", blob, anchors, crossfield.LevelFull)
+	label = fmt.Sprintf("%s@%d", label, level)
+	f, _, err := crossfield.DecompressAtLevel("W", blob, anchors, level)
 	requireRouteBytes(t, label+" DecompressAtLevel", f, err, want)
 	slab := len(want) / 4 / dims[0]
 	chunked := map[string]func(i int) (*crossfield.Field, int, error){
-		"DecompressChunk": func(i int) (*crossfield.Field, int, error) {
-			return crossfield.DecompressChunk("W", blob, i, anchors)
-		},
 		"DecompressChunkAtLevel": func(i int) (*crossfield.Field, int, error) {
-			f, start, _, err := crossfield.DecompressChunkAtLevel("W", blob, i, crossfield.LevelFull, anchors)
+			f, start, _, err := crossfield.DecompressChunkAtLevel("W", blob, i, level, anchors)
 			return f, start, err
 		},
 		// Anchors cut to the chunk's slab range, as the serving layer
 		// does, the range taken from a full-anchor decode of the chunk.
 		"DecompressChunkSlabAtLevelCtx": func(i int) (*crossfield.Field, int, error) {
-			ref, start, err := crossfield.DecompressChunk("W", blob, i, anchors)
+			ref, start, _, err := crossfield.DecompressChunkAtLevel("W", blob, i, level, anchors)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -541,15 +602,22 @@ func requirePayloadRoutes(t *testing.T, label string, blob []byte, anchors []*cr
 			for k, a := range anchors {
 				slabs[k] = crossfield.MustNewField(a.Name, a.Data()[start*slab:start*slab+ref.Len()], ref.Dims()...)
 			}
-			f, start, _, err := crossfield.DecompressChunkSlabAtLevelCtx(context.Background(), "W", blob, i, crossfield.LevelFull, slabs)
+			f, start, _, err := crossfield.DecompressChunkSlabAtLevelCtx(context.Background(), "W", blob, i, level, slabs)
 			return f, start, err
 		},
 	}
-	for _, w := range []int{1, 4} {
-		f, err := crossfield.DecompressChunked("W", blob, anchors, w)
-		requireRouteBytes(t, fmt.Sprintf("%s DecompressChunked/w=%d", label, w), f, err, want)
-		chunked[fmt.Sprintf("DecompressChunkWith/w=%d", w)] = func(i int) (*crossfield.Field, int, error) {
-			return crossfield.DecompressChunkWith("W", blob, i, anchors, w)
+	if level == crossfield.LevelFull {
+		f, err = crossfield.Decompress("W", blob, anchors)
+		requireRouteBytes(t, label+" Decompress", f, err, want)
+		chunked["DecompressChunk"] = func(i int) (*crossfield.Field, int, error) {
+			return crossfield.DecompressChunk("W", blob, i, anchors)
+		}
+		for _, w := range []int{1, 4} {
+			f, err := crossfield.DecompressChunked("W", blob, anchors, w)
+			requireRouteBytes(t, fmt.Sprintf("%s DecompressChunked/w=%d", label, w), f, err, want)
+			chunked[fmt.Sprintf("DecompressChunkWith/w=%d", w)] = func(i int) (*crossfield.Field, int, error) {
+				return crossfield.DecompressChunkWith("W", blob, i, anchors, w)
+			}
 		}
 	}
 	n, err := crossfield.ChunkCount(blob)
@@ -700,6 +768,9 @@ func TestGoldenFixturesCommitted(t *testing.T) {
 		"chunked_cfc2v1.cfc", "chunked_cfc2v2.cfc", "chunked_cfc2v3.cfc", "chunked_cfc2v4.cfc", "chunked_cfc2.f32",
 		"archive_cfc3.cfc", "archive_cfc3v3.cfc",
 		"archive_cfc3_U.f32", "archive_cfc3_V.f32", "archive_cfc3_PRES.f32", "archive_cfc3_W.f32",
+		"baseline_cfc1v3_level0.f32", "baseline_cfc1v3_level1.f32",
+		"chunked_cfc2v4_level0.f32", "chunked_cfc2v4_level1.f32",
+		"archive_cfc3v3_W_level0.f32", "archive_cfc3v3_W_level1.f32",
 	} {
 		found := false
 		for _, n := range names {

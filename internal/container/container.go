@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Method identifies the prediction pipeline.
@@ -367,14 +368,23 @@ func (c *StreamCursor) Byte() (byte, error) {
 	return b, nil
 }
 
-// Bytes reads n bytes into a fresh slice.
+// Bytes reads n bytes into a fresh slice. The slice grows with the bytes
+// that arrive, doubling from 64 KiB, so a declared length the stream does
+// not back never becomes an allocation.
 func (c *StreamCursor) Bytes(n int) ([]byte, error) {
 	if n < 0 || n > maxStreamSection {
 		return nil, fmt.Errorf("%w: section length %d at offset %d", c.corrupt, n, c.off)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(c.src, b); err != nil {
-		return nil, fmt.Errorf("%w: need %d bytes at offset %d: %v", c.corrupt, n, c.off, err)
+	b := make([]byte, min(n, 1<<16))
+	for got := 0; ; {
+		k, err := io.ReadFull(c.src, b[got:])
+		if got += k; err != nil {
+			return nil, fmt.Errorf("%w: need %d bytes at offset %d: %v", c.corrupt, n, c.off, err)
+		}
+		if got == n {
+			break
+		}
+		b = slices.Grow(b, min(n-got, got))[:got+min(n-got, got)]
 	}
 	c.off += n
 	return b, nil

@@ -1,9 +1,11 @@
 package container
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -213,6 +215,31 @@ func TestDecodeHugeModelLengthNoPanic(t *testing.T) {
 	blob = append(blob, 1, 2, 3)
 	if _, err := Decode(blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// A section length the stream cannot back must fail without becoming an
+// allocation: the CFC2/CFC3 stream readers take model and payload lengths
+// from headers before reading them.
+func TestStreamCursorBytesBoundedBySource(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewStreamCursor(bytes.NewReader(make([]byte, 100)), ErrCorrupt).Bytes(1 << 30)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("a 1 GiB claim over 100 bytes allocated %d bytes", d)
+	}
+	// A length the stream does back still reads whole, across growth steps.
+	src := make([]byte, 200_000)
+	for i := range src {
+		src[i] = byte(i)
+	}
+	got, err := NewStreamCursor(bytes.NewReader(src), ErrCorrupt).Bytes(len(src))
+	if err != nil || !bytes.Equal(got, src) {
+		t.Fatalf("200000-byte section: err %v, equal %v", err, bytes.Equal(got, src))
 	}
 }
 

@@ -1,14 +1,14 @@
-// Block-coded payloads: the wavefront/block-local decompression engine.
+// The reconstruct engine: every payload decodes here, block by block.
 //
-// The sequential decoder is bound by the Lorenzo dependency chain — every
-// point waits on its causal neighbors, so a chunk decodes on one core.
-// Dual quantization already guarantees the compressor sees exactly the
-// integers the decompressor will reconstruct, which is the property that
-// lets the chain be cut at block boundaries without touching the error
-// bound: the compressor partitions the prequant grid into fixed decode
-// blocks and entropy-codes each block's residuals into its own
-// byte-aligned Huffman segment (the block table in the payload records the
-// segment lengths), in one of two modes:
+// The Lorenzo dependency chain binds a plain payload's decode to one core:
+// every point waits on its causal neighbors. Dual quantization already
+// guarantees the compressor sees exactly the integers the decompressor
+// will reconstruct, which is the property that lets the chain be cut at
+// block boundaries without touching the error bound: the compressor can
+// partition the prequant grid into fixed decode blocks and entropy-code
+// each block's residuals into its own byte-aligned Huffman segment (the
+// block table in the payload records the segment lengths), in one of two
+// modes:
 //
 //   - Wavefront (container.BlockWavefront): residuals are the ordinary
 //     seam-crossing predictions, merely reordered block-major — the ratio
@@ -17,7 +17,7 @@
 //     anti-diagonal front are independent and decode in parallel; fronts
 //     run in sequence. Per-point predictions are pure functions of causal
 //     prequant values (no floating-point state accumulates across points),
-//     so the output is bit-identical to the sequential decoder.
+//     so the output is the same at any block size or worker count.
 //   - Block-independent (container.BlockIndependent): predictions reset at
 //     block borders (zeros outside the block, exactly the grid-border
 //     convention), so every block decodes with zero dependencies — the
@@ -25,13 +25,23 @@
 //     still exact: codes are exact integer residuals against the reset
 //     predictions.
 //
-// Compression encodes both candidates and chooses per chunk by measured
-// payload size, preferring independence within a small tolerance.
+// Every CFC1 payload version parses into one descriptor, payloadPlan, and
+// runs on the one engine, reconstructBlocks. A plain (v1) payload is one
+// wavefront block spanning the dims, with the whole code stream as its
+// segment. A layered (v3) payload's base layer is that same block over
+// the cross-field predictions scaled by 2^-shift; its level is a
+// dequantize plan — the refinement planes to merge and the midpoint to
+// fill — applied per block right after reconstruction.
+//
+// Compression encodes both block candidates and chooses per chunk by
+// measured payload size, preferring independence within a small
+// tolerance.
 package core
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/bitstream"
@@ -240,10 +250,16 @@ func hybridPredAt3D(q []int32, ny, nx int, dq0, dq1, dq2 []float64, w []float64,
 // point, code = q − pred with the prediction's causal horizon reset to the
 // point's block origin. Interior points (all neighbors in-block) get
 // exactly the sequential codes; only seam planes differ. Blocks write
-// disjoint regions, so the loop is block-parallel.
-func blockLocalCodes(q []int32, dims []int, g *blockGeom, dq [][]float64, w []float64, bias float64, method container.Method) []int32 {
+// disjoint regions, so the loop is block-parallel. hybrid holds the
+// hybrid weights, then the bias (nil for the baseline).
+func blockLocalCodes(q []int32, dims []int, g *blockGeom, dq [][]float64, hybrid []float64, method container.Method) []int32 {
 	out := make([]int32, len(q))
 	hasLor := method == container.MethodHybrid
+	var w []float64
+	var bias float64
+	if method != container.MethodBaseline {
+		w, bias = hybrid[:len(hybrid)-1], hybrid[len(hybrid)-1]
+	}
 	parallel.For(g.total, func(b int) {
 		lo, hi := g.bounds(b)
 		switch len(dims) {
@@ -330,90 +346,127 @@ func chooseBlockCoding(codes []int32, alt *blockAlt, dims []int, maxSymbols int)
 	return cw, rawW, sec, codes, nil
 }
 
-// zeroOrigin is the causal horizon of wavefront blocks: the grid origin.
-var zeroOrigin = []int{0, 0, 0}
+// payloadPlan is the decode descriptor every CFC1 payload version parses
+// into (planPayload) and the one input of the engine, reconstructBlocks.
+type payloadPlan struct {
+	dims   []int
+	method container.Method
+	hybrid []float64 // hybrid weights, then the bias; unused by the baseline
+	eb     float64   // the payload's absolute bound: one prequant step is 2·eb
 
-// reconstructBlocks decodes a block-coded payload into q and dequantizes
-// into vals, scheduling blocks by mode: all at once for block-independent
-// payloads, front by front for wavefront ones (the barrier between fronts
-// is what publishes a front's seam planes to the next). workers <= 0
-// means GOMAXPROCS.
-//
-// ctx is checked per block and between wavefront fronts: a canceled
-// serving request stops a multi-front decode at the next boundary
-// instead of completing work nobody will read.
-func reconstructBlocks(ctx context.Context, q []int32, vals []float32, raw []byte, codec *huffman.Codec, b *container.Blob, dq [][]float64, workers int) error {
-	bs := b.Blocks
-	g, err := geomFor(b.Dims, bs.Edges)
-	if err != nil {
-		return err
+	codec *huffman.Codec
+	raw   []byte // the base code stream after the lossless stage
+	geom  *blockGeom
+	offs  []int // block b's segment is raw[offs[b]:offs[b+1]]
+	indep bool  // block-independent: each block's horizon is its origin
+
+	dq [][]float64 // cross-field predictions in base-layer prequant units
+
+	// Layered dequantization: a value is q<<shift plus every decoded
+	// refinement plane at its bit position plus mid, the midpoint of the
+	// bits still unknown. All zero for a non-layered payload.
+	shift       int
+	planes      [][]int32
+	planeShifts []int
+	mid         int32
+
+	achieved float64 // recorded max error of the decoded level; NaN if not layered
+}
+
+// newPlan checks a base code stream against the blob's block table — or,
+// for a payload without one, against the one block spanning the dims —
+// and the prediction parameters against the method, and returns the
+// descriptor of a non-layered decode.
+func newPlan(b *container.Blob, raw []byte, codec *huffman.Codec, dq [][]float64) (*payloadPlan, error) {
+	p := &payloadPlan{dims: b.Dims, method: b.Method, hybrid: b.Hybrid, eb: b.AbsEB,
+		codec: codec, raw: raw, dq: dq, achieved: math.NaN()}
+	edges, segLens := b.Dims, []int{len(raw)}
+	if bs := b.Blocks; bs != nil {
+		edges, segLens = bs.Edges, bs.SegLens
+		p.indep = bs.Mode == container.BlockIndependent
 	}
-	if g.total != len(bs.SegLens) {
-		return fmt.Errorf("%w: %d block segments, geometry implies %d", container.ErrCorrupt, len(bs.SegLens), g.total)
+	g, err := geomFor(b.Dims, edges)
+	if err != nil {
+		return nil, err
+	}
+	if g.total != len(segLens) {
+		return nil, fmt.Errorf("%w: %d block segments, geometry implies %d", container.ErrCorrupt, len(segLens), g.total)
+	}
+	p.geom = g
+	p.offs = make([]int, g.total+1)
+	for i, l := range segLens {
+		p.offs[i+1] = p.offs[i] + l
+	}
+	if p.offs[g.total] != len(raw) {
+		return nil, fmt.Errorf("%w: block segments sum to %d bytes, payload is %d", container.ErrCorrupt, p.offs[g.total], len(raw))
 	}
 	rank := len(b.Dims)
-	var weights []float64
-	hasLor := false
 	switch b.Method {
 	case container.MethodBaseline:
 	case container.MethodHybrid, container.MethodCrossOnly:
 		if rank != 2 && rank != 3 {
-			return fmt.Errorf("core: cross-field rank %d unsupported", rank)
+			return nil, fmt.Errorf("core: cross-field rank %d unsupported", rank)
 		}
 		if len(dq) != rank {
-			return fmt.Errorf("core: %d dq fields for rank %d", len(dq), rank)
+			return nil, fmt.Errorf("core: %d dq fields for rank %d", len(dq), rank)
 		}
 		numFeats := rank
 		if b.Method == container.MethodHybrid {
 			numFeats++
-			hasLor = true
 		}
 		if len(b.Hybrid) != numFeats+1 {
-			return fmt.Errorf("core: %d hybrid params, want %d", len(b.Hybrid), numFeats+1)
+			return nil, fmt.Errorf("core: %d hybrid params, want %d", len(b.Hybrid), numFeats+1)
 		}
-		weights = b.Hybrid
 	default:
-		return fmt.Errorf("core: unknown method %v", b.Method)
+		return nil, fmt.Errorf("core: unknown method %v", b.Method)
 	}
-	offs := make([]int, g.total+1)
-	for i, l := range bs.SegLens {
-		offs[i+1] = offs[i] + l
-	}
-	if offs[g.total] != len(raw) {
-		return fmt.Errorf("%w: block segments sum to %d bytes, payload is %d", container.ErrCorrupt, offs[g.total], len(raw))
-	}
+	return p, nil
+}
+
+// zeroOrigin is the causal horizon of wavefront blocks: the grid origin.
+var zeroOrigin = []int{0, 0, 0}
+
+// reconstructBlocks is the reconstruct engine: it decodes the plan into
+// q and dequantizes into vals, scheduling blocks by mode — all at once
+// for block-independent payloads, front by front for wavefront ones (the
+// barrier between fronts is what publishes a front's seam planes to the
+// next). A plain payload is one block on one front. workers <= 0 means
+// GOMAXPROCS.
+//
+// ctx is checked per block and between wavefront fronts: a canceled
+// serving request stops the decode at the next boundary instead of
+// completing work nobody will read.
+func reconstructBlocks(ctx context.Context, q []int32, vals []float32, p *payloadPlan, workers int) error {
+	g := p.geom
 	if workers <= 0 {
 		workers = parallel.Workers()
 	}
-	scratch := sync.Pool{New: func() any {
-		s := make([]int32, g.maxBlockVoxels())
-		return &s
-	}}
-	independent := bs.Mode == container.BlockIndependent
+	rank := len(p.dims)
+	hasLor := p.method == container.MethodHybrid
 	decodeBlock := func(bi int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		lo, hi := g.bounds(bi)
-		sp := scratch.Get().(*[]int32)
-		defer scratch.Put(sp)
-		codes := (*sp)[:boxVoxels(lo, hi)]
-		if err := codec.DecodeInto(bitstream.NewReader(raw[offs[bi]:offs[bi+1]]), codes); err != nil {
+		sp := blockCodes(boxVoxels(lo, hi))
+		defer codeScratch.Put(sp)
+		codes := *sp
+		if err := p.codec.DecodeInto(bitstream.NewReader(p.raw[p.offs[bi]:p.offs[bi+1]]), codes); err != nil {
 			return fmt.Errorf("block %d: %w", bi, err)
 		}
 		org := zeroOrigin[:rank]
-		if independent {
+		if p.indep {
 			org = lo
 		}
-		if b.Method == container.MethodBaseline {
-			reconstructBaselineBlock(q, codes, b.Dims, lo, hi, org)
+		if p.method == container.MethodBaseline {
+			reconstructBaselineBlock(q, codes, p.dims, lo, hi, org)
 		} else {
-			reconstructCrossBlock(q, codes, b.Dims, lo, hi, org, dq, weights, hasLor)
+			reconstructCrossBlock(q, codes, p.dims, lo, hi, org, p.dq, p.hybrid, hasLor)
 		}
-		dequantizeBlock(vals, q, b.AbsEB, b.Dims, lo, hi)
+		p.dequantizeBlock(vals, q, lo, hi)
 		return nil
 	}
-	if independent {
+	if p.indep {
 		return parallel.ForErr(workers, g.total, decodeBlock)
 	}
 	for _, front := range g.fronts() {
@@ -429,25 +482,60 @@ func reconstructBlocks(ctx context.Context, q []int32, vals []float32, raw []byt
 	return nil
 }
 
+// codeScratch recycles the per-block code buffers of reconstructBlocks
+// across decodes.
+var codeScratch sync.Pool
+
+// blockCodes returns a recycled code buffer of length n, or a new one
+// when the recycled buffer is too small.
+func blockCodes(n int) *[]int32 {
+	if sp, _ := codeScratch.Get().(*[]int32); sp != nil && cap(*sp) >= n {
+		*sp = (*sp)[:n]
+		return sp
+	}
+	s := make([]int32, n)
+	return &s
+}
+
 // dequantizeBlock dequantizes a block's row spans right after its
 // reconstruction, while the prequant values are cache-hot.
-func dequantizeBlock(vals []float32, q []int32, eb float64, dims, lo, hi []int) {
-	switch len(dims) {
+func (p *payloadPlan) dequantizeBlock(vals []float32, q []int32, lo, hi []int) {
+	switch len(p.dims) {
 	case 1:
-		quant.DequantizeSpan(vals, q, eb, lo[0], hi[0])
+		p.dequantizeSpan(vals, q, lo[0], hi[0])
 	case 2:
-		nx := dims[1]
+		nx := p.dims[1]
 		for i := lo[0]; i < hi[0]; i++ {
-			quant.DequantizeSpan(vals, q, eb, i*nx+lo[1], i*nx+hi[1])
+			p.dequantizeSpan(vals, q, i*nx+lo[1], i*nx+hi[1])
 		}
 	default:
-		ny, nx := dims[1], dims[2]
+		ny, nx := p.dims[1], p.dims[2]
 		for k := lo[0]; k < hi[0]; k++ {
 			for i := lo[1]; i < hi[1]; i++ {
 				base := (k*ny + i) * nx
-				quant.DequantizeSpan(vals, q, eb, base+lo[2], base+hi[2])
+				p.dequantizeSpan(vals, q, base+lo[2], base+hi[2])
 			}
 		}
+	}
+}
+
+// dequantizeSpan maps the flat range [lo, hi) of reconstructed prequant
+// values to floats. A non-layered payload computes float32(float64(q)·2eb),
+// quant.Dequantize's arithmetic. A layered one shifts the base back up,
+// merges the decoded refinement planes below it and fills the midpoint
+// into the bits still unknown.
+func (p *payloadPlan) dequantizeSpan(vals []float32, q []int32, lo, hi int) {
+	if p.shift == 0 {
+		quant.DequantizeSpan(vals, q, p.eb, lo, hi)
+		return
+	}
+	s := 2 * p.eb
+	for i := lo; i < hi; i++ {
+		v := q[i] << p.shift
+		for k, pl := range p.planes {
+			v += pl[i] << p.planeShifts[k]
+		}
+		vals[i] = float32(float64(v+p.mid) * s)
 	}
 }
 

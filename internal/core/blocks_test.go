@@ -109,13 +109,7 @@ func TestBlockDecodeParityProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("geom: %v", err)
 		}
-		var wfit []float64
-		var bias float64
-		if weights != nil {
-			wfit = weights[:len(weights)-1]
-			bias = weights[len(weights)-1]
-		}
-		indep := blockLocalCodes(q, dims, g, dq, wfit, bias, method)
+		indep := blockLocalCodes(q, dims, g, dq, weights, method)
 
 		for _, mode := range []struct {
 			mode  byte
@@ -137,10 +131,14 @@ func TestBlockDecodeParityProperty(t *testing.T) {
 				},
 				Blocks: &container.BlockSection{Mode: mode.mode, Edges: g.edges, SegLens: segs},
 			}
+			p, err := newPlan(blob, raw, codec, dq)
+			if err != nil {
+				t.Fatalf("iter %d: plan: %v", iter, err)
+			}
 			workers := 1 + rng.Intn(4)
 			q2 := make([]int32, n)
 			vals := make([]float32, n)
-			if err := reconstructBlocks(context.Background(), q2, vals, raw, codec, blob, dq, workers); err != nil {
+			if err := reconstructBlocks(context.Background(), q2, vals, p, workers); err != nil {
 				t.Fatalf("iter %d dims %v edges %v mode %d: reconstruct: %v", iter, dims, edges, mode.mode, err)
 			}
 			for i := range q2 {
@@ -159,63 +157,56 @@ func TestBlockDecodeParityProperty(t *testing.T) {
 	}
 }
 
-// referenceCodes computes the sequential residual codes with the existing
-// (retained) sequential machinery: the decode side of it is
-// reconstructBaseline/reconstructCrossField, so inverting those exercises
-// the same prediction order.
+// referenceCodes computes the sequential residual codes, q − pred(q)
+// with the grid origin as every point's causal horizon: the block-local
+// codes of the one block spanning the dims, which is how the engine
+// decodes a plain payload.
 func referenceCodes(t *testing.T, q []int32, dims []int, dq [][]float64, weights []float64, method container.Method) []int32 {
 	t.Helper()
-	n := len(q)
-	codes := make([]int32, n)
-	// Derive codes by running the sequential reconstruction in reverse:
-	// reconstruct q' from codes=0 is wrong, so instead compute codes as
-	// q − pred(q) directly via the seam-reset helpers with the grid origin
-	// as horizon, which equal the plain predictors there.
-	g := &blockGeom{dims: dims, edges: append([]int(nil), dims...), nb: make([]int, len(dims)), total: 1}
-	for a := range g.nb {
-		g.nb[a] = 1
-	}
-	var w []float64
-	var bias float64
-	if weights != nil {
-		w = weights[:len(weights)-1]
-		bias = weights[len(weights)-1]
-	}
-	codes = blockLocalCodes(q, dims, g, dq, w, bias, method)
-
-	// Cross-check: the sequential decoder must invert these codes back to q.
-	q2 := make([]int32, n)
-	var err error
-	if method == container.MethodBaseline {
-		err = reconstructBaseline(q2, codes, dims)
-	} else {
-		err = reconstructCrossField(q2, codes, dims, dq, weights, method)
-	}
+	g, err := geomFor(dims, dims)
 	if err != nil {
-		t.Fatalf("sequential reconstruct: %v", err)
+		t.Fatalf("geom: %v", err)
 	}
-	for i := range q2 {
-		if q2[i] != q[i] {
-			t.Fatalf("sequential self-check: q[%d] = %d, want %d", i, q2[i], q[i])
-		}
-	}
-	return codes
+	return blockLocalCodes(q, dims, g, dq, weights, method)
 }
 
-// TestBlockDecodeHonorsCancellation: a canceled context must abort a
-// block-coded decode between fronts instead of reconstructing them all.
+// TestBlockDecodeHonorsCancellation: a canceled context must abort every
+// payload kind's decode — block-coded between fronts, plain and layered
+// at their one block — whole or as chunk 1 of a container, at full
+// fidelity and at the base level, instead of reconstructing it all.
 func TestBlockDecodeHonorsCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	field := smoothField(t, rng, []int{13, 21, 37})
-	opts := Options{Bound: quant.RelBound(1e-3), Blocks: BlockSpec{Enable: true, Edge: 8}}
-	blocked, err := CompressBaseline(field, opts)
-	if err != nil {
-		t.Fatalf("block compress: %v", err)
-	}
+	field := smoothField(t, rng, []int{12, 21, 37})
+	bound := quant.RelBound(1e-3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := decompressChunk(ctx, blocked.Blob, 0, LevelFull, nil, true, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("decode under canceled ctx = %v, want context.Canceled", err)
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		levels []int
+	}{
+		{"blocks", Options{Bound: bound, Blocks: BlockSpec{Enable: true, Edge: 8}}, []int{LevelFull, 0}},
+		{"plain", Options{Bound: bound}, []int{LevelFull, 0}},
+		{"layered", Options{Bound: bound, Progressive: &ProgressiveSpec{Levels: 3}}, []int{LevelFull, 0, 1}},
+	} {
+		mono, err := CompressBaseline(field, tc.opts)
+		if err != nil {
+			t.Fatalf("%s compress: %v", tc.name, err)
+		}
+		chunked, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: tc.opts, ChunkVoxels: 4 * 21 * 37})
+		if err != nil {
+			t.Fatalf("%s chunked compress: %v", tc.name, err)
+		}
+		for _, c := range []struct {
+			blob  []byte
+			chunk int
+		}{{mono.Blob, 0}, {chunked.Blob, 1}} {
+			for _, level := range tc.levels {
+				if _, _, _, err := decompressChunk(ctx, c.blob, c.chunk, level, nil, true, 2); !errors.Is(err, context.Canceled) {
+					t.Errorf("%s chunk %d level %d: decode under canceled ctx = %v, want context.Canceled", tc.name, c.chunk, level, err)
+				}
+			}
+		}
 	}
 }
 

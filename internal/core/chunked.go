@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/cfnn"
 	"repro/internal/chunk"
@@ -134,12 +135,7 @@ func CompressChunkedTo(w io.Writer, field *tensor.Tensor, model *cfnn.Model, anc
 		if err != nil {
 			return err
 		}
-		var res *Result
-		if model == nil {
-			res, err = compressBaselineWithEB(sub, eb, chunkOpts)
-		} else {
-			res, err = compressCrossFieldDQ(sub, inf.chunkDQ(i), nil, chunkOpts, method, eb)
-		}
+		res, err := compressCrossFieldDQ(sub, inf.chunkDQ(i), nil, chunkOpts, method, eb)
 		if err != nil {
 			return fmt.Errorf("core: chunk %d: %w", i, err)
 		}
@@ -315,7 +311,7 @@ func decodeChunk(ctx context.Context, b *container.Blob, g *chunk.Grid, i, level
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: chunk %d: %w", i, err)
 	}
-	if !sameDims(t.Shape(), g.ChunkDims(i)) {
+	if !slices.Equal(t.Shape(), g.ChunkDims(i)) {
 		return nil, 0, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
 	}
 	return t, ach, nil
@@ -404,10 +400,11 @@ func DecompressChunk(blob []byte, i int, anchors []*tensor.Tensor) (*tensor.Tens
 }
 
 // DecompressChunkWith is DecompressChunk with an explicit bound on the
-// block-decode worker pool used for block-coded (CFC2 v3) payloads;
-// workers <= 0 means parallel.Workers(). Plain payloads decode
-// sequentially regardless — the bound only governs intra-chunk
-// parallelism, which is the single-chunk decode-latency lever.
+// decode worker pool (blocks of block-coded CFC2 v3 payloads, refinement
+// planes of layered ones); workers <= 0 means parallel.Workers(). A plain
+// payload is one block and decodes on one worker regardless — the bound
+// only governs intra-chunk parallelism, which is the single-chunk
+// decode-latency lever.
 func DecompressChunkWith(blob []byte, i int, anchors []*tensor.Tensor, workers int) (*tensor.Tensor, int, error) {
 	t, start, _, err := decompressChunk(context.Background(), blob, i, LevelFull, anchors, true, workers)
 	return t, start, err
@@ -421,7 +418,8 @@ func DecompressChunkWith(blob []byte, i int, anchors []*tensor.Tensor, workers i
 // chunk's dims — the serving layer's form, which never materializes whole
 // anchors. Both give bit-identical predictions: inference runs over
 // exactly the same chunk region. A monolithic CFC1 blob is a single
-// chunk spanning every slab. ctx cancels block-coded payload decodes.
+// chunk spanning every slab. ctx cancels the decode at its next block or
+// front boundary.
 func decompressChunk(ctx context.Context, blob []byte, i, level int, anchors []*tensor.Tensor, whole bool, workers int) (*tensor.Tensor, int, float64, error) {
 	if !chunk.IsChunked(blob) {
 		if i != 0 {
@@ -596,7 +594,7 @@ func checkAnchors(h *chunk.Header, anchors []*tensor.Tensor, dims []int) error {
 		return fmt.Errorf("%w: method %v, anchors %v", ErrNeedAnchors, h.Method, h.Anchors)
 	}
 	for k, an := range anchors {
-		if !sameDims(an.Shape(), dims) {
+		if !slices.Equal(an.Shape(), dims) {
 			return fmt.Errorf("core: anchor %d shape %v != dims %v", k, an.Shape(), dims)
 		}
 	}

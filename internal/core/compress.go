@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 
 	"repro/internal/bitstream"
@@ -23,40 +24,7 @@ func CompressBaseline(field *tensor.Tensor, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compressBaselineWithEB(field, eb, opts)
-}
-
-// compressBaselineWithEB is CompressBaseline with the absolute error bound
-// already resolved — the chunked engine resolves it once over the full
-// field and reuses it for every chunk.
-func compressBaselineWithEB(field *tensor.Tensor, eb float64, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.resolveProg(); err != nil {
-		return nil, err
-	}
-	if opts.prog != nil {
-		return compressProgressive(field, nil, nil, opts, container.MethodBaseline, eb)
-	}
-	endQuant := opts.Stages.Timer("quantize")
-	q, err := quant.Prequantize(field.Data(), eb)
-	endQuant()
-	if err != nil {
-		return nil, err
-	}
-	endPredict := opts.Stages.Timer("predict")
-	lor, err := predictor.LorenzoAll(q, field.Shape())
-	if err != nil {
-		endPredict()
-		return nil, err
-	}
-	codes := predictor.ResidualCodesInt(q, lor)
-	var alt *blockAlt
-	if g := blockGeomFor(opts, field.Shape()); g != nil {
-		alt = &blockAlt{geom: g, indep: blockLocalCodes(q, field.Shape(), g, nil, nil, 0, container.MethodBaseline)}
-	}
-	endPredict()
-	maxErr := achievedMaxErr(field.Data(), q, eb)
-	return assemble(field, codes, nil, nil, nil, container.MethodBaseline, eb, maxErr, opts, alt)
+	return compressCrossFieldDQ(field, nil, nil, opts, container.MethodBaseline, eb)
 }
 
 // CompressHybrid compresses a 2D/3D field with the paper's hybrid
@@ -108,19 +76,18 @@ func compressCrossFieldWithEB(field *tensor.Tensor, model *cfnn.Model, anchors [
 	return compressCrossFieldDQ(field, dq, stored, opts, method, eb)
 }
 
-// compressCrossFieldDQ is the cross-field pipeline downstream of CFNN
-// inference: the predicted-diff fields arrive precomputed in prequant
-// units (dq, one slab per axis covering exactly this field). The chunked
-// engine calls it per chunk with read-only slab views of one shared
-// inference pass; stored, when non-nil, embeds the CFNN weights in the
-// blob.
+// compressCrossFieldDQ is the pipeline downstream of CFNN inference,
+// shared by every method and payload kind: quantize, predict, then
+// assemble a plain or block-coded payload, or hand off to the layered
+// compressor. The predicted-diff fields arrive precomputed in prequant
+// units (dq, one slab per axis covering exactly this field; nil for the
+// baseline). The chunked engine calls it per chunk with read-only slab
+// views of one shared inference pass; stored, when non-nil, embeds the
+// CFNN weights in the blob.
 func compressCrossFieldDQ(field *tensor.Tensor, dq [][]float64, stored *cfnn.Model, opts Options, method container.Method, eb float64) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.resolveProg(); err != nil {
 		return nil, err
-	}
-	if opts.prog != nil {
-		return compressProgressive(field, dq, stored, opts, method, eb)
 	}
 	endQuant := opts.Stages.Timer("quantize")
 	q, err := quant.Prequantize(field.Data(), eb)
@@ -128,18 +95,47 @@ func compressCrossFieldDQ(field *tensor.Tensor, dq [][]float64, stored *cfnn.Mod
 	if err != nil {
 		return nil, err
 	}
+	if opts.prog != nil {
+		return compressProgressive(field, q, dq, stored, opts, method, eb)
+	}
 	endPredict := opts.Stages.Timer("predict")
-	// Candidate predictions over the full field (compression side is
-	// parallel thanks to dual quantization).
-	feats, err := candidateFeatures(q, field.Shape(), dq, method)
+	codes, hybrid, err := predict(q, field.Shape(), dq, method, opts)
 	if err != nil {
 		endPredict()
 		return nil, err
 	}
+	var alt *blockAlt
+	if g := blockGeomFor(opts, field.Shape()); g != nil {
+		alt = &blockAlt{geom: g, indep: blockLocalCodes(q, field.Shape(), g, dq, hybrid, method)}
+	}
+	endPredict()
+	return assemble(field, codes, stored, hybrid, method, eb, achievedMaxErr(field.Data(), q, eb, 0), opts, alt, nil, nil)
+}
+
+// predict runs the prediction stack over the prequant integers q and
+// returns the residual codes and the hybrid parameters (weights, then the
+// bias; nil for the baseline): Lorenzo residuals for the baseline, and for
+// the cross-field methods the candidate features, a least-squares hybrid
+// fit and the rounded hybrid prediction. The plain, block-coded and
+// layered compressors all predict here, the layered one over its base
+// layer.
+func predict(q []int32, dims []int, dq [][]float64, method container.Method, opts Options) ([]int32, []float64, error) {
+	if method == container.MethodBaseline {
+		lor, err := predictor.LorenzoAll(q, dims)
+		if err != nil {
+			return nil, nil, err
+		}
+		return predictor.ResidualCodesInt(q, lor), nil, nil
+	}
+	// Candidate predictions over the full field (compression side is
+	// parallel thanks to dual quantization).
+	feats, err := candidateFeatures(q, dims, dq, method)
+	if err != nil {
+		return nil, nil, err
+	}
 	hy, err := fitHybrid(feats, q, opts)
 	if err != nil {
-		endPredict()
-		return nil, err
+		return nil, nil, err
 	}
 	codes := make([]int32, len(q))
 	parallel.ForRange(len(q), func(lo, hi int) {
@@ -152,14 +148,7 @@ func compressCrossFieldDQ(field *tensor.Tensor, dq [][]float64, stored *cfnn.Mod
 			codes[i] = q[i] - int32(pred)
 		}
 	})
-	var alt *blockAlt
-	if g := blockGeomFor(opts, field.Shape()); g != nil {
-		alt = &blockAlt{geom: g, indep: blockLocalCodes(q, field.Shape(), g, dq, hy.W, hy.Bias, method)}
-	}
-	endPredict()
-	weights := append(append([]float64(nil), hy.W...), hy.Bias)
-	maxErr := achievedMaxErr(field.Data(), q, eb)
-	return assemble(field, codes, stored, nil, weights, method, eb, maxErr, opts, alt)
+	return codes, append(append([]float64(nil), hy.W...), hy.Bias), nil
 }
 
 // candidateFeatures builds the per-point candidate predictions:
@@ -253,11 +242,27 @@ func fitHybrid(feats [][]float64, q []int32, opts Options) (*predictor.Hybrid, e
 	return predictor.Fit(sub, target)
 }
 
-// assemble entropy-codes the quantization codes and builds the container.
-// alt, when non-nil, switches the payload to block coding: both the
-// wavefront candidate (codes as-is, reordered block-major) and the
-// block-independent one (alt.indep) are encoded and the smaller wins.
-func assemble(field *tensor.Tensor, codes []int32, model *cfnn.Model, anchors []*tensor.Tensor, hybrid []float64, method container.Method, eb, maxErr float64, opts Options, alt *blockAlt) (*Result, error) {
+// entropyCode builds a Huffman codec for codes and encodes them.
+func entropyCode(codes []int32, maxSymbols int) (*huffman.Codec, []byte, error) {
+	codec, err := huffman.Build(codes, maxSymbols)
+	if err != nil {
+		return nil, nil, err
+	}
+	var w bitstream.Writer
+	if err := codec.Encode(&w, codes); err != nil {
+		return nil, nil, err
+	}
+	return codec, w.Bytes(), nil
+}
+
+// assemble entropy-codes the quantization codes and builds the container
+// and its Stats. alt, when non-nil, switches the payload to block coding:
+// both the wavefront candidate (codes as-is, reordered block-major) and
+// the block-independent one (alt.indep) are encoded and the smaller wins.
+// layers, when non-nil, makes the payload layered: the codes are its base
+// layer, which assemble encodes into layer 0 of the table and layerData;
+// the refinement planes arrive already encoded.
+func assemble(field *tensor.Tensor, codes []int32, model *cfnn.Model, hybrid []float64, method container.Method, eb, maxErr float64, opts Options, alt *blockAlt, layers *container.LayerSection, layerData [][]byte) (*Result, error) {
 	endHuff := opts.Stages.Timer("huffman")
 	var (
 		codec      *huffman.Codec
@@ -267,24 +272,13 @@ func assemble(field *tensor.Tensor, codes []int32, model *cfnn.Model, anchors []
 	)
 	if alt != nil {
 		codec, payloadRaw, blocks, codes, err = chooseBlockCoding(codes, alt, field.Shape(), opts.MaxSymbols)
-		if err != nil {
-			endHuff()
-			return nil, err
-		}
 	} else {
-		codec, err = huffman.Build(codes, opts.MaxSymbols)
-		if err != nil {
-			endHuff()
-			return nil, err
-		}
-		var w bitstream.Writer
-		if err := codec.Encode(&w, codes); err != nil {
-			endHuff()
-			return nil, err
-		}
-		payloadRaw = w.Bytes()
+		codec, payloadRaw, err = entropyCode(codes, opts.MaxSymbols)
 	}
 	endHuff()
+	if err != nil {
+		return nil, err
+	}
 	endFlate := opts.Stages.Timer("flate")
 	payload, err := opts.Backend.Compress(payloadRaw)
 	endFlate()
@@ -312,13 +306,23 @@ func assemble(field *tensor.Tensor, codes []int32, model *cfnn.Model, anchors []
 			Hybrid:     hybrid,
 			Anchors:    append([]string(nil), opts.AnchorNames...),
 		},
-		Model:      modelBlob,
-		Table:      table,
-		Blocks:     blocks,
-		PayloadRaw: len(payloadRaw),
-		Payload:    payload,
+		Model:  modelBlob,
+		Table:  table,
+		Blocks: blocks,
 	}
-	_ = anchors // anchors participate only via the model's dq fields
+	tableBytes, payloadBytes := len(table), len(payload)
+	if layers == nil {
+		blob.PayloadRaw, blob.Payload = len(payloadRaw), payload
+	} else {
+		base := &layers.Layers[0]
+		base.RawLen, base.EncLen, base.CRC = len(payloadRaw), len(payload), crc32.ChecksumIEEE(payload)
+		layerData[0] = payload
+		blob.Layers, blob.LayerData = layers, layerData
+		for _, ly := range layers.Layers[1:] {
+			tableBytes += len(ly.Table)
+			payloadBytes += ly.EncLen
+		}
+	}
 	enc, err := container.Encode(blob)
 	if err != nil {
 		return nil, err
@@ -329,8 +333,8 @@ func assemble(field *tensor.Tensor, codes []int32, model *cfnn.Model, anchors []
 		OriginalBytes:   origBytes,
 		CompressedBytes: len(enc),
 		ModelBytes:      len(modelBlob),
-		TableBytes:      len(table),
-		PayloadBytes:    len(payload),
+		TableBytes:      tableBytes,
+		PayloadBytes:    payloadBytes,
 		AbsEB:           eb,
 		MaxErr:          maxErr,
 		Ratio:           metrics.CompressionRatio(origBytes, len(enc)),

@@ -30,6 +30,12 @@
 // a full-fidelity decode being simply LevelFull: decodePayload (one
 // parsed CFC1 payload), decodeChunks (every chunk of a CFC2 container,
 // in memory or through an io.ReaderAt) and decompressChunk (one chunk).
+// All of them end in one reconstruct engine, reconstructBlocks
+// (blocks.go): every payload version parses into one descriptor, a plain
+// sequential payload being one block and a layered payload's level a
+// plan for the per-block dequantize step. On the encode side, one
+// prediction step (predict) and one container assembly (assemble) serve
+// plain, block-coded and layered payloads.
 package core
 
 import (
@@ -156,14 +162,20 @@ func resolveEB(field *tensor.Tensor, bound quant.Bound) (float64, error) {
 	return bound.Absolute(vr)
 }
 
-// achievedMaxErr computes the reconstruction error compression commits to:
+// achievedMaxErr computes the reconstruction error compression commits to
+// with r refinement bits still unknown (r = 0 for a full decode):
 // decompression reproduces the prequant values q exactly (postquant codes
-// are exact integer residuals), so the only loss is prequant rounding plus
-// the float32 rounding of dequantization — both known here, without
-// running the decompressor.
-func achievedMaxErr(data []float32, q []int32, eb float64) float64 {
+// are exact integer residuals), or q with its low r bits dropped and the
+// gap filled with the interval midpoint, so the only other loss is
+// prequant rounding plus the float32 rounding of dequantization — all
+// known here, without running the decompressor.
+func achievedMaxErr(data []float32, q []int32, eb float64, r int) float64 {
 	const grain = 1 << 15
 	s := 2 * eb
+	var mid int32
+	if r > 0 {
+		mid = int32(1) << (r - 1)
+	}
 	n := (len(data) + grain - 1) / grain
 	return parallel.MapReduce(n, 0.0,
 		func(c int, acc float64) float64 {
@@ -172,7 +184,8 @@ func achievedMaxErr(data []float32, q []int32, eb float64) float64 {
 				hi = len(data)
 			}
 			for i := lo; i < hi; i++ {
-				e := math.Abs(float64(data[i]) - float64(float32(float64(q[i])*s)))
+				qh := (q[i]>>r)<<r + mid
+				e := math.Abs(float64(data[i]) - float64(float32(float64(qh)*s)))
 				if e > acc {
 					acc = e
 				}

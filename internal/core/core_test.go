@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -260,7 +261,7 @@ func TestDecompressCorruptBlob(t *testing.T) {
 			return err
 		},
 		"DecompressAtLevelReader": func() error {
-			_, _, err := DecompressAtLevelReader(newByteReaderAt(cbad), int64(len(cbad)), nil, LevelFull, 0)
+			_, _, err := DecompressAtLevelReader(bytes.NewReader(cbad), int64(len(cbad)), nil, LevelFull, 0)
 			return err
 		},
 	}

@@ -1,17 +1,21 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/archive"
 	"repro/internal/chunk"
 	"repro/internal/container"
+	"repro/internal/huffman"
+	"repro/internal/lossless"
 	"repro/internal/quant"
 )
 
@@ -21,12 +25,53 @@ import (
 // anchors, so a CFC2 model is never loaded), and, when it parses as a
 // CFC1 payload, straight into decodePayload with zero-valued cross-field
 // predictions, so the hybrid reconstruction runs too. The corpus is
-// seeded with every committed golden fixture, the field payloads of the
-// archives and the chunk payloads of every CFC2 container, so mutations
-// start from each format version and method.
+// seeded by addGoldenSeeds.
 //
 //	go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 30s ./internal/core
 func FuzzDecodePayload(f *testing.F) {
+	addGoldenSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !fuzzSized(data) {
+			t.Skip("headers declare an oversized decode")
+		}
+		for _, level := range []int{LevelFull, 0} {
+			_, _, _ = decompressBlob(data, nil, level, 2)
+			if b, err := parsePayload(data, level); err == nil {
+				var dq [][]float64
+				if b.Method != container.MethodBaseline {
+					dq = make([][]float64, len(b.Dims))
+					for k := range dq {
+						dq[k] = make([]float64, b.NumPoints())
+					}
+				}
+				_, _, _ = decodePayload(context.Background(), b, level, nil, nil, dq, 2)
+			}
+		}
+	})
+}
+
+// FuzzDecodeAtLevelReader drives the ReaderAt prefix path — the one that
+// reads only the bytes a level needs, growing its read geometrically —
+// at LevelFull and at the first two preview levels, over the same corpus
+// and size filter as FuzzDecodePayload.
+//
+//	go test -run '^$' -fuzz '^FuzzDecodeAtLevelReader$' -fuzztime 30s ./internal/core
+func FuzzDecodeAtLevelReader(f *testing.F) {
+	addGoldenSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !fuzzSized(data) {
+			t.Skip("headers declare an oversized decode")
+		}
+		for _, level := range []int{LevelFull, 0, 1} {
+			_, _, _ = DecompressAtLevelReader(bytes.NewReader(data), int64(len(data)), nil, level, 2)
+		}
+	})
+}
+
+// addGoldenSeeds seeds a fuzz corpus with every committed golden fixture,
+// the field payloads of the archives and the chunk payloads of every CFC2
+// container, so mutations start from each format version and method.
+func addGoldenSeeds(f *testing.F) {
 	files, err := filepath.Glob("../../testdata/golden/*.cfc")
 	if err != nil || len(files) == 0 {
 		f.Fatalf("no golden fixtures to seed from (err=%v)", err)
@@ -57,33 +102,16 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		f.Add(seeds[k])
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !fuzzSized(data) {
-			t.Skip("headers declare an oversized decode")
-		}
-		for _, level := range []int{LevelFull, 0} {
-			_, _, _ = decompressBlob(data, nil, level, 2)
-			if b, err := parsePayload(data, level); err == nil {
-				var dq [][]float64
-				if b.Method != container.MethodBaseline {
-					dq = make([][]float64, len(b.Dims))
-					for k := range dq {
-						dq[k] = make([]float64, b.NumPoints())
-					}
-				}
-				_, _, _ = decodePayload(context.Background(), b, level, nil, nil, dq, 2)
-			}
-		}
-	})
 }
 
 // fuzzSized reports whether every header in data declares a small
-// decode. The decoder allocates what headers declare (volumes, raw
-// lengths, Huffman alphabets) before checking it against the payload
-// size — those allocations are not capped yet — so without this filter
-// the fuzzer would measure the host's memory rather than the decoder.
+// decode. The decoder still sizes volumes and Huffman alphabets by what
+// headers declare (raw stream lengths are checked against the codes they
+// must hold and against what the lossless stage can inflate), so without
+// this filter the fuzzer would measure the host's memory rather than the
+// decoder.
 func fuzzSized(data []byte) bool {
-	const maxVoxels, maxBytes = 1 << 12, 1 << 20
+	const maxVoxels = 1 << 12
 	small := func(dims []int) bool {
 		n, err := container.CheckVolume(dims)
 		return err == nil && n <= maxVoxels
@@ -91,6 +119,11 @@ func fuzzSized(data []byte) bool {
 	smallTable := func(table []byte) bool {
 		n, _ := binary.Uvarint(table)
 		return n <= maxVoxels
+	}
+	// The ReaderAt path parses a CFC2 header as a stream, before any
+	// index entry is checked against the data.
+	if cr, err := chunk.NewReader(bytes.NewReader(data)); err == nil && !small(cr.Header().Dims) {
+		return false
 	}
 	payloads := [][]byte{data}
 	if a, err := chunk.Decode(data); err == nil {
@@ -109,18 +142,64 @@ func fuzzSized(data []byte) bool {
 		if err != nil {
 			continue // rejected at parse time
 		}
-		if !small(b.Dims) || b.PayloadRaw > maxBytes || !smallTable(b.Table) {
+		if !small(b.Dims) || !smallTable(b.Table) {
 			return false
 		}
 		if b.Layers != nil {
 			for _, l := range b.Layers.Layers {
-				if l.RawLen > maxBytes || !smallTable(l.Table) {
+				if !smallTable(l.Table) {
 					return false
 				}
 			}
 		}
 	}
 	return true
+}
+
+// TestDecodeAllocationsBoundedByInput: lengths and volumes a header
+// declares must not become allocations the input cannot back. A 16M-voxel
+// payload whose code stream declares 10 bytes cannot hold 16M Huffman
+// codes, and a ReaderAt payload whose index claims 2 GiB over a 100-byte
+// source cannot be read; both must fail having allocated under 1 MiB.
+func TestDecodeAllocationsBoundedByInput(t *testing.T) {
+	codec, err := huffman.Build([]int32{0, 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := codec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &container.Blob{
+		Header:     container.Header{Method: container.MethodBaseline, AbsEB: 1, Dims: []int{256, 256, 256}, BackendID: lossless.IDStore},
+		Table:      table,
+		PayloadRaw: 10,
+		Payload:    make([]byte, 10),
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"16M codes in a 10-byte stream", func() error {
+			_, _, err := decodePayload(context.Background(), b, LevelFull, nil, nil, nil, 1)
+			return err
+		}},
+		{"2 GiB payload over a 100-byte source", func() error {
+			_, err := readPayload(bytes.NewReader(make([]byte, 100)), 0, 1<<31-1, LevelFull, nil)
+			return err
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes, want under 1 MiB", tc.name, d)
+		}
+	}
 }
 
 // Property: Decompress never panics on arbitrary byte blobs — it either

@@ -22,14 +22,9 @@ import (
 	"hash/crc32"
 	"math"
 
-	"repro/internal/bitstream"
 	"repro/internal/cfnn"
 	"repro/internal/container"
-	"repro/internal/huffman"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
-	"repro/internal/predictor"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -121,54 +116,18 @@ func (o *Options) resolveProg() error {
 	return nil
 }
 
-// achievedMaxErrAtLevel is achievedMaxErr for a partial reconstruction
-// with r refinement bits still unknown: the decoder holds q with its low r
-// bits dropped and fills the gap with the interval midpoint.
-func achievedMaxErrAtLevel(data []float32, q []int32, eb float64, r int) float64 {
-	if r <= 0 {
-		return achievedMaxErr(data, q, eb)
-	}
-	const grain = 1 << 15
-	s := 2 * eb
-	mid := int32(1) << (r - 1)
-	n := (len(data) + grain - 1) / grain
-	return parallel.MapReduce(n, 0.0,
-		func(c int, acc float64) float64 {
-			lo, hi := c*grain, (c+1)*grain
-			if hi > len(data) {
-				hi = len(data)
-			}
-			for i := lo; i < hi; i++ {
-				qh := (q[i]>>r)<<r + mid
-				e := math.Abs(float64(data[i]) - float64(float32(float64(qh)*s)))
-				if e > acc {
-					acc = e
-				}
-			}
-			return acc
-		},
-		math.Max)
-}
-
-// encodeLayerCodes entropy-codes one layer's symbol stream and runs the
-// lossless backend, returning the marshaled Huffman table, the encoded
-// payload, and the raw (pre-lossless) length.
+// encodeLayerCodes entropy-codes one refinement plane's symbol stream and
+// runs the lossless backend, returning the marshaled Huffman table, the
+// encoded payload, and the raw (pre-lossless) length.
 func encodeLayerCodes(codes []int32, opts Options) (table, enc []byte, rawLen int, err error) {
-	codec, err := huffman.Build(codes, opts.MaxSymbols)
+	codec, raw, err := entropyCode(codes, opts.MaxSymbols)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	var w bitstream.Writer
-	if err := codec.Encode(&w, codes); err != nil {
+	if enc, err = opts.Backend.Compress(raw); err != nil {
 		return nil, nil, 0, err
 	}
-	raw := w.Bytes()
-	enc, err = opts.Backend.Compress(raw)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	table, err = codec.MarshalBinary()
-	if err != nil {
+	if table, err = codec.MarshalBinary(); err != nil {
 		return nil, nil, 0, err
 	}
 	return table, enc, len(raw), nil
@@ -198,17 +157,12 @@ func scaleDQ(dq [][]float64, shift int) [][]float64 {
 }
 
 // compressProgressive is the layered pipeline shared by the baseline and
-// cross-field paths: split q, run the normal prediction stack on the base,
-// bit-plane the remainder, and assemble a CFC1 v3 blob. dq (non-nil only
-// for cross-field methods) arrives in full-scale prequant units.
-func compressProgressive(field *tensor.Tensor, dq [][]float64, stored *cfnn.Model, opts Options, method container.Method, eb float64) (*Result, error) {
+// cross-field paths: split the prequant integers q, run the one
+// prediction step on the base, bit-plane the remainder, and assemble a
+// CFC1 v3 blob. dq (non-nil only for cross-field methods) arrives in
+// full-scale prequant units.
+func compressProgressive(field *tensor.Tensor, q []int32, dq [][]float64, stored *cfnn.Model, opts Options, method container.Method, eb float64) (*Result, error) {
 	plan := opts.prog
-	endQuant := opts.Stages.Timer("quantize")
-	q, err := quant.Prequantize(field.Data(), eb)
-	endQuant()
-	if err != nil {
-		return nil, err
-	}
 	shift := plan.shift
 	n := len(q)
 	qb := make([]int32, n)
@@ -222,57 +176,18 @@ func compressProgressive(field *tensor.Tensor, dq [][]float64, stored *cfnn.Mode
 		}
 	})
 
-	// Base layer: the ordinary prediction pipeline over qb.
 	endPredict := opts.Stages.Timer("predict")
-	var (
-		codes   []int32
-		weights []float64
-	)
-	if method == container.MethodBaseline {
-		lor, err := predictor.LorenzoAll(qb, field.Shape())
-		if err != nil {
-			endPredict()
-			return nil, err
-		}
-		codes = predictor.ResidualCodesInt(qb, lor)
-	} else {
-		dqb := scaleDQ(dq, shift)
-		feats, err := candidateFeatures(qb, field.Shape(), dqb, method)
-		if err != nil {
-			endPredict()
-			return nil, err
-		}
-		hy, err := fitHybrid(feats, qb, opts)
-		if err != nil {
-			endPredict()
-			return nil, err
-		}
-		codes = make([]int32, n)
-		parallel.ForRange(n, func(lo, hi int) {
-			row := make([]float64, len(feats))
-			for i := lo; i < hi; i++ {
-				for k := range feats {
-					row[k] = feats[k][i]
-				}
-				pred := roundHalfAway(clampPred(hy.Apply(row)))
-				codes[i] = qb[i] - int32(pred)
-			}
-		})
-		weights = append(append([]float64(nil), hy.W...), hy.Bias)
-	}
+	codes, hybrid, err := predict(qb, field.Shape(), scaleDQ(dq, shift), method, opts)
 	endPredict()
-
-	// Entropy-code the base and each refinement plane independently.
-	endHuff := opts.Stages.Timer("huffman")
-	layers := make([]container.Layer, plan.levels())
-	data := make([][]byte, plan.levels())
-	baseTable, baseEnc, baseRaw, err := encodeLayerCodes(codes, opts)
 	if err != nil {
-		endHuff()
 		return nil, err
 	}
-	layers[0] = container.Layer{RawLen: baseRaw, EncLen: len(baseEnc), CRC: crc32.ChecksumIEEE(baseEnc)}
-	data[0] = baseEnc
+
+	// Entropy-code each refinement plane independently; assemble codes
+	// the base layer.
+	endHuff := opts.Stages.Timer("huffman")
+	layers := &container.LayerSection{Shift: shift, Layers: make([]container.Layer, plan.levels())}
+	data := make([][]byte, plan.levels())
 	plane := make([]int32, n)
 	for l, b := range plan.bits {
 		r := plan.remaining(l + 1)
@@ -287,63 +202,16 @@ func compressProgressive(field *tensor.Tensor, dq [][]float64, stored *cfnn.Mode
 			endHuff()
 			return nil, err
 		}
-		layers[l+1] = container.Layer{Bits: b, Table: table, RawLen: raw, EncLen: len(enc), CRC: crc32.ChecksumIEEE(enc)}
+		layers.Layers[l+1] = container.Layer{Bits: b, Table: table, RawLen: raw, EncLen: len(enc), CRC: crc32.ChecksumIEEE(enc)}
 		data[l+1] = enc
 	}
 	endHuff()
 
 	// Per-level achieved errors, recorded in the layer table so serving
 	// can advertise measured (not just provable) bounds per level.
-	for l := range layers {
-		layers[l].MaxErr = achievedMaxErrAtLevel(field.Data(), q, eb, plan.remaining(l))
+	for l := range layers.Layers {
+		layers.Layers[l].MaxErr = achievedMaxErr(field.Data(), q, eb, plan.remaining(l))
 	}
-
-	blob := &container.Blob{
-		Header: container.Header{
-			Method:     method,
-			BoundMode:  byte(opts.Bound.Mode),
-			BoundValue: opts.Bound.Value,
-			AbsEB:      eb,
-			Dims:       append([]int(nil), field.Shape()...),
-			BackendID:  opts.Backend.ID(),
-			Hybrid:     weights,
-			Anchors:    append([]string(nil), opts.AnchorNames...),
-		},
-		Table:     baseTable,
-		Layers:    &container.LayerSection{Shift: shift, Layers: layers},
-		LayerData: data,
-	}
-	if stored != nil {
-		mb, err := marshalModel(stored)
-		if err != nil {
-			return nil, err
-		}
-		blob.Model = mb
-	}
-	enc, err := container.Encode(blob)
-	if err != nil {
-		return nil, err
-	}
-	origBytes := field.Len() * 4
-	tableBytes := len(baseTable)
-	payloadBytes := 0
-	for l := range layers {
-		tableBytes += len(layers[l].Table)
-		payloadBytes += layers[l].EncLen
-	}
-	st := Stats{
-		Method:          method,
-		OriginalBytes:   origBytes,
-		CompressedBytes: len(enc),
-		ModelBytes:      len(blob.Model),
-		TableBytes:      tableBytes,
-		PayloadBytes:    payloadBytes,
-		AbsEB:           eb,
-		MaxErr:          layers[len(layers)-1].MaxErr,
-		Ratio:           metrics.CompressionRatio(origBytes, len(enc)),
-		BitRate:         metrics.BitRate(field.Len(), len(enc)),
-		CodeEntropy:     metrics.CodeEntropy(codes),
-		HybridWeights:   weights,
-	}
-	return &Result{Blob: enc, Stats: st}, nil
+	maxErr := layers.Layers[len(layers.Layers)-1].MaxErr
+	return assemble(field, codes, stored, hybrid, method, eb, maxErr, opts, nil, layers, data)
 }

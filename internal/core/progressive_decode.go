@@ -6,6 +6,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/crc32"
@@ -13,7 +14,6 @@ import (
 	"math"
 
 	"repro/internal/bitstream"
-	"repro/internal/cfnn"
 	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/huffman"
@@ -86,126 +86,44 @@ func specFromSection(ls *container.LayerSection) *LevelSpec {
 	return s
 }
 
-// reconstructLayered reverses a layered blob through the requested level:
-// base layer through the ordinary prediction pipeline (over the shifted
-// prequant integers), refinement planes re-attached below it, midpoint
-// fill for the bits still unknown. Returns the reconstruction and the
-// layer table's recorded achieved max error for that level. level may be
-// LevelFull for the deepest level present in the table.
-func reconstructLayered(b *container.Blob, anchors []*tensor.Tensor, ext *cfnn.Model, dqExt [][]float64, level int) (*tensor.Tensor, float64, error) {
+// decodePlanes entropy-decodes refinement planes 1..level of a layered
+// payload on at most workers goroutines (the planes are independent byte
+// streams), returning each plane's symbols and the bit position it
+// re-attaches at below the base.
+func decodePlanes(b *container.Blob, backend lossless.Backend, level, workers int) ([][]int32, []int, error) {
 	ls := b.Layers
-	if ls == nil {
-		return nil, 0, fmt.Errorf("core: blob is not layered")
-	}
-	if level == LevelFull {
-		level = ls.NumLevels() - 1
-	}
-	if level < 0 || level >= ls.NumLevels() {
-		return nil, 0, fmt.Errorf("core: level %d out of [0,%d)", level, ls.NumLevels())
-	}
-	if level >= b.LayersAvail() {
-		return nil, 0, fmt.Errorf("%w: level %d needs %d layers, prefix holds %d",
-			container.ErrCorrupt, level, level+1, b.LayersAvail())
-	}
-	backend, err := lossless.ByID(b.BackendID)
-	if err != nil {
-		return nil, 0, err
-	}
-	dq, err := resolveDQ(b, anchors, ext, dqExt)
-	if err != nil {
-		return nil, 0, err
-	}
 	n := b.NumPoints()
-
-	// Base layer: entropy-decode and run the sequential reconstruction
-	// over the shifted prequant integers.
-	enc0, err := b.LayerPayload(0)
-	if err != nil {
-		return nil, 0, err
-	}
-	raw0, err := backend.Decompress(enc0, ls.Layers[0].RawLen)
-	if err != nil {
-		return nil, 0, err
-	}
-	codec, _, err := huffman.UnmarshalCodec(b.Table)
-	if err != nil {
-		return nil, 0, err
-	}
-	codes, err := codec.Decode(bitstream.NewReader(raw0), n)
-	if err != nil {
-		return nil, 0, err
-	}
-	qb := make([]int32, n)
-	if b.Method == container.MethodBaseline {
-		err = reconstructBaseline(qb, codes, b.Dims)
-	} else {
-		err = reconstructCrossField(qb, codes, b.Dims, scaleDQ(dq, ls.Shift), b.Hybrid, b.Method)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Refinement planes are independent byte streams: decode them on the
-	// worker pool, then merge below the base.
 	planes := make([][]int32, level)
-	if level > 0 {
-		err = parallel.ForErr(parallel.Workers(), level, func(pi int) error {
-			l := pi + 1
-			enc, err := b.LayerPayload(l)
-			if err != nil {
-				return err
-			}
-			raw, err := backend.Decompress(enc, ls.Layers[l].RawLen)
-			if err != nil {
-				return err
-			}
-			pc, _, err := huffman.UnmarshalCodec(ls.Layers[l].Table)
-			if err != nil {
-				return err
-			}
-			syms, err := pc.Decode(bitstream.NewReader(raw), n)
-			if err != nil {
-				return err
-			}
-			max := int32(1) << ls.Layers[l].Bits
-			for _, s := range syms {
-				if s < 0 || s >= max {
-					return fmt.Errorf("%w: layer %d symbol %d exceeds %d-bit plane", container.ErrCorrupt, l, s, ls.Layers[l].Bits)
-				}
-			}
-			planes[pi] = syms
-			return nil
-		})
+	shifts := make([]int, level)
+	err := parallel.ForErr(workers, level, func(pi int) error {
+		l := pi + 1
+		shifts[pi] = ls.Remaining(l)
+		enc, err := b.LayerPayload(l)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-	}
-
-	rem := ls.Remaining(level)
-	shifts := make([]int, level) // plane pi re-attaches at bit position shifts[pi]
-	for pi := 0; pi < level; pi++ {
-		shifts[pi] = ls.Remaining(pi + 1)
-	}
-	var mid int32
-	if rem > 0 {
-		mid = int32(1) << (rem - 1)
-	}
-	vals := make([]float32, n)
-	s2 := 2 * b.AbsEB
-	parallel.ForRange(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := qb[i] << ls.Shift
-			for pi := 0; pi < level; pi++ {
-				v += planes[pi][i] << shifts[pi]
+		raw, err := inflate(backend, enc, ls.Layers[l].RawLen, n)
+		if err != nil {
+			return err
+		}
+		pc, _, err := huffman.UnmarshalCodec(ls.Layers[l].Table)
+		if err != nil {
+			return err
+		}
+		syms, err := pc.Decode(bitstream.NewReader(raw), n)
+		if err != nil {
+			return err
+		}
+		max := int32(1) << ls.Layers[l].Bits
+		for _, s := range syms {
+			if s < 0 || s >= max {
+				return fmt.Errorf("%w: layer %d symbol %d exceeds %d-bit plane", container.ErrCorrupt, l, s, ls.Layers[l].Bits)
 			}
-			vals[i] = float32(float64(v+mid) * s2)
 		}
+		planes[pi] = syms
+		return nil
 	})
-	t, err := tensor.FromSlice(vals, b.Dims...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, ls.Layers[level].MaxErr, nil
+	return planes, shifts, err
 }
 
 // DecompressAtLevel reconstructs a field from a compressed blob at the
@@ -247,9 +165,9 @@ func DecompressChunkAtLevel(blob []byte, i, level int, anchors []*tensor.Tensor)
 // count) — and the payload reconstructs at the requested level. A
 // dependent-chunk request thus decodes only the anchor chunks
 // intersecting its slab range, never whole anchor fields; predictions are
-// bit-identical to DecompressChunkAtLevel with full anchors. Block-coded
-// payloads get a GOMAXPROCS-wide pool and check ctx at block and
-// wavefront-front boundaries, so a canceled request releases its workers
+// bit-identical to DecompressChunkAtLevel with full anchors. The decode
+// gets a GOMAXPROCS-wide pool and checks ctx at every block and
+// wavefront-front boundary, so a canceled request releases its workers
 // at the next barrier.
 func DecompressChunkAtLevelWithAnchorSlabsCtx(ctx context.Context, blob []byte, i, level int, anchorSlabs []*tensor.Tensor) (*tensor.Tensor, int, float64, error) {
 	return decompressChunk(ctx, blob, i, level, anchorSlabs, false, 0)
@@ -258,23 +176,7 @@ func DecompressChunkAtLevelWithAnchorSlabsCtx(ctx context.Context, blob []byte, 
 // PayloadLevelSpec reports the progressive layering of an in-memory
 // compressed blob (CFC1 or CFC2). Non-layered payloads report Levels == 1.
 func PayloadLevelSpec(blob []byte) (*LevelSpec, error) {
-	return PayloadLevelSpecReader(newByteReaderAt(blob), int64(len(blob)))
-}
-
-// byteReaderAt adapts a slice to io.ReaderAt without importing bytes here.
-type byteReaderAt []byte
-
-func newByteReaderAt(b []byte) io.ReaderAt { return byteReaderAt(b) }
-
-func (b byteReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off >= int64(len(b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return PayloadLevelSpecReader(bytes.NewReader(blob), int64(len(blob)))
 }
 
 // PayloadLevelSpecReader is PayloadLevelSpec over an io.ReaderAt: only the
@@ -426,9 +328,13 @@ func readPayload(r io.ReaderAt, off, length int64, level int, crc *uint32) (*con
 		b, _, err := readLayeredPrefix(r, off, length, level)
 		return b, err
 	}
-	buf := make([]byte, length)
-	if _, err := io.ReadFull(io.NewSectionReader(r, off, length), buf); err != nil {
+	// Sized by the bytes that arrive, not by the index's claim.
+	buf, err := io.ReadAll(io.NewSectionReader(r, off, length))
+	if err != nil {
 		return nil, err
+	}
+	if int64(len(buf)) != length {
+		return nil, io.ErrUnexpectedEOF
 	}
 	if crc != nil && crc32.ChecksumIEEE(buf) != *crc {
 		return nil, chunk.ErrChecksum

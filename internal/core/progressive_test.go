@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -310,7 +311,7 @@ func TestProgressivePrefixReads(t *testing.T) {
 			t.Fatalf("level %d prefix %d not smaller than blob %d", l, maxEnd, len(blob))
 		}
 		trunc := blob[:maxEnd]
-		got, ach, err := DecompressAtLevelReader(newByteReaderAt(trunc), int64(len(trunc)), nil, l, 0)
+		got, ach, err := DecompressAtLevelReader(bytes.NewReader(trunc), int64(len(trunc)), nil, l, 0)
 		if err != nil {
 			t.Fatalf("level %d prefix decode: %v", l, err)
 		}

@@ -117,7 +117,15 @@ func (f Flate) Compress(src []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decompress implements Backend.
+// maxInflateRatio bounds how far a DEFLATE stream can expand: a
+// 258-byte match costs at least two bits, so no stream inflates more
+// than 1032:1.
+const maxInflateRatio = 1032
+
+// Decompress implements Backend. expectedLen comes from a header that may
+// lie, so neither it nor the stream decides the allocation alone: the
+// output is presized only as far as src can inflate, and reading stops
+// one byte past expectedLen.
 func (Flate) Decompress(src []byte, expectedLen int) ([]byte, error) {
 	r, _ := flateReaders.Get().(io.ReadCloser)
 	if r == nil {
@@ -136,11 +144,16 @@ func (Flate) Decompress(src []byte, expectedLen int) ([]byte, error) {
 		}
 	}()
 	var out bytes.Buffer
-	if expectedLen > 0 {
-		out.Grow(expectedLen)
+	in := io.Reader(r)
+	if expectedLen >= 0 {
+		out.Grow(min(expectedLen, maxInflateRatio*len(src)))
+		in = io.LimitReader(r, int64(expectedLen)+1)
 	}
-	if _, err := io.Copy(&out, r); err != nil {
+	if _, err := io.Copy(&out, in); err != nil {
 		return nil, fmt.Errorf("lossless: %w", err)
+	}
+	if expectedLen >= 0 && out.Len() > expectedLen {
+		return nil, fmt.Errorf("lossless: stream inflates past the expected %d bytes", expectedLen)
 	}
 	if expectedLen >= 0 && out.Len() != expectedLen {
 		return nil, fmt.Errorf("lossless: decompressed length %d != expected %d", out.Len(), expectedLen)

@@ -2,7 +2,10 @@ package lossless
 
 import (
 	"bytes"
+	"compress/flate"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +66,47 @@ func TestDecompressLengthCheck(t *testing.T) {
 	}
 	if _, err := (Store{}).Decompress([]byte("abc"), 2); err == nil {
 		t.Fatal("expected store length error")
+	}
+
+	// A declared length is a claim, not an allocation size: a stream of
+	// 64 MiB of zeros declared as 10 bytes, and an 11-byte stream declared
+	// as 1 GiB, must both fail without allocating what either side claims.
+	var bomb bytes.Buffer
+	w, err := flate.NewWriter(&bomb, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 1<<20)
+	for i := 0; i < 64; i++ {
+		if _, err := w.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	small, err := (Flate{}).Compress([]byte("lie"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		src      []byte
+		declared int
+	}{
+		{"64 MiB of zeros declared as 10 B", bomb.Bytes(), 10},
+		{fmt.Sprintf("%d-byte stream declared as 1 GiB", len(small)), small, 1 << 30},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := (Flate{}).Decompress(tc.src, tc.declared)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without a length error", tc.name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes, want under 1 MiB", tc.name, d)
+		}
 	}
 }
 
