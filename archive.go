@@ -2,6 +2,7 @@ package crossfield
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -550,5 +551,5 @@ func (a *Archive) decodeTensor(i int, anchors []*tensor.Tensor, level int) (*ten
 	if err != nil {
 		return nil, 0, err
 	}
-	return core.DecompressAtLevel(payload, anchors, level)
+	return core.DecompressAtLevel(context.Background(), payload, anchors, level)
 }

@@ -234,7 +234,7 @@ func PayloadLevelBytes(blob []byte) ([]int64, error) { return core.PayloadLevelB
 // accept only level 0 and decode in full). The full level is bit-identical
 // to Decompress of the same blob.
 func DecompressAtLevel(name string, blob []byte, anchors []*Field, level int) (*Field, float64, error) {
-	t, achieved, err := core.DecompressAtLevel(blob, fieldTensors(anchors), level)
+	t, achieved, err := core.DecompressAtLevel(context.Background(), blob, fieldTensors(anchors), level)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -172,8 +172,9 @@ func referenceCodes(t *testing.T, q []int32, dims []int, dq [][]float64, weights
 
 // TestBlockDecodeHonorsCancellation: a canceled context must abort every
 // payload kind's decode — block-coded between fronts, plain and layered
-// at their one block — whole or as chunk 1 of a container, at full
-// fidelity and at the base level, instead of reconstructing it all.
+// at their one block — whole or as chunk 1 of a container, and through
+// the whole-container chunk loop, at full fidelity and at the base
+// level, instead of reconstructing it all.
 func TestBlockDecodeHonorsCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	field := smoothField(t, rng, []int{12, 21, 37})
@@ -204,6 +205,9 @@ func TestBlockDecodeHonorsCancellation(t *testing.T) {
 			for _, level := range tc.levels {
 				if _, _, _, err := decompressChunk(ctx, c.blob, c.chunk, level, nil, true, 2); !errors.Is(err, context.Canceled) {
 					t.Errorf("%s chunk %d level %d: decode under canceled ctx = %v, want context.Canceled", tc.name, c.chunk, level, err)
+				}
+				if _, _, err := decompressBlob(ctx, c.blob, nil, level, 2); !errors.Is(err, context.Canceled) {
+					t.Errorf("%s whole decode of the chunk-%d blob, level %d: decode under canceled ctx = %v, want context.Canceled", tc.name, c.chunk, level, err)
 				}
 			}
 		}

@@ -220,25 +220,26 @@ func DecompressChunked(blob []byte, anchors []*tensor.Tensor) (*tensor.Tensor, e
 // parallel.Workers(). A monolithic CFC1 blob is accepted too (it has a
 // single sequential chunk, so workers only bounds block-parallel decode).
 func DecompressChunkedWith(blob []byte, anchors []*tensor.Tensor, workers int) (*tensor.Tensor, error) {
-	t, _, err := decompressBlob(blob, anchors, LevelFull, workers)
+	t, _, err := decompressBlob(context.Background(), blob, anchors, LevelFull, workers)
 	return t, err
 }
 
 // decompressBlob reconstructs a whole in-memory blob (CFC1 or CFC2) at
-// level, returning the achieved max error recorded for the level.
-func decompressBlob(blob []byte, anchors []*tensor.Tensor, level, workers int) (*tensor.Tensor, float64, error) {
+// level, returning the achieved max error recorded for the level. ctx
+// cancels the decode at its next chunk, block or front boundary.
+func decompressBlob(ctx context.Context, blob []byte, anchors []*tensor.Tensor, level, workers int) (*tensor.Tensor, float64, error) {
 	if !chunk.IsChunked(blob) {
 		b, err := parsePayload(blob, level)
 		if err != nil {
 			return nil, 0, err
 		}
-		return decodePayload(context.Background(), b, level, anchors, nil, nil, workers)
+		return decodePayload(ctx, b, level, anchors, nil, nil, workers)
 	}
 	a, err := chunk.Decode(blob)
 	if err != nil {
 		return nil, 0, err
 	}
-	return decodeChunks(a, anchors, level, workers, func(i int) (*container.Blob, error) {
+	return decodeChunks(ctx, a, anchors, level, workers, func(i int) (*container.Blob, error) {
 		return chunkPayload(a, i, level)
 	})
 }
@@ -263,8 +264,10 @@ func chunkPayload(a *chunk.Archive, i, level int) (*container.Blob, error) {
 // into the field's. payload yields chunk i's parsed payload at level —
 // from the in-memory container, or read through an io.ReaderAt.
 // Chunk-level parallelism comes first; leftover workers go to
-// block-parallel decode inside each chunk.
-func decodeChunks(a *chunk.Archive, anchors []*tensor.Tensor, level, workers int, payload func(i int) (*container.Blob, error)) (*tensor.Tensor, float64, error) {
+// block-parallel decode inside each chunk. ctx is checked after the
+// shared inference pass and before every chunk, and each chunk's decode
+// checks it at its block and front boundaries.
+func decodeChunks(ctx context.Context, a *chunk.Archive, anchors []*tensor.Tensor, level, workers int, payload func(i int) (*container.Blob, error)) (*tensor.Tensor, float64, error) {
 	if workers <= 0 {
 		workers = parallel.Workers()
 	}
@@ -276,15 +279,21 @@ func decodeChunks(a *chunk.Archive, anchors []*tensor.Tensor, level, workers int
 	if err != nil {
 		return nil, 0, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
 	inner := max(1, workers/a.NumChunks())
 	out := make([]float32, a.NumPoints())
 	achieved := make([]float64, a.NumChunks())
 	err = parallel.ForErr(workers, a.NumChunks(), func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		b, err := payload(i)
 		if err != nil {
 			return err
 		}
-		t, ach, err := decodeChunk(context.Background(), b, g, i, level, nil, nil, inf.chunkDQ(i), inner)
+		t, ach, err := decodeChunk(ctx, b, g, i, level, nil, nil, inf.chunkDQ(i), inner)
 		if err != nil {
 			return err
 		}

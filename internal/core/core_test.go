@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -257,7 +258,7 @@ func TestDecompressCorruptBlob(t *testing.T) {
 	routes := map[string]func() error{
 		"Decompress": func() error { _, err := Decompress(cbad, nil); return err },
 		"DecompressAtLevel": func() error {
-			_, _, err := DecompressAtLevel(cbad, nil, LevelFull)
+			_, _, err := DecompressAtLevel(context.Background(), cbad, nil, LevelFull)
 			return err
 		},
 		"DecompressAtLevelReader": func() error {

@@ -35,7 +35,7 @@ func FuzzDecodePayload(f *testing.F) {
 			t.Skip("headers declare an oversized decode")
 		}
 		for _, level := range []int{LevelFull, 0} {
-			_, _, _ = decompressBlob(data, nil, level, 2)
+			_, _, _ = decompressBlob(context.Background(), data, nil, level, 2)
 			if b, err := parsePayload(data, level); err == nil {
 				var dq [][]float64
 				if b.Method != container.MethodBaseline {

@@ -131,9 +131,10 @@ func decodePlanes(b *container.Blob, backend lossless.Backend, level, workers in
 // the achieved max error the compressor recorded for that level (NaN when
 // the payload is not layered). Chunked (CFC2) containers decode
 // chunk-parallel; hybrid payloads need the same decompressed anchors as
-// Decompress.
-func DecompressAtLevel(blob []byte, anchors []*tensor.Tensor, level int) (*tensor.Tensor, float64, error) {
-	return decompressBlob(blob, anchors, level, 0)
+// Decompress. The decode stops at its next chunk, block or front
+// boundary once ctx is done and returns ctx.Err().
+func DecompressAtLevel(ctx context.Context, blob []byte, anchors []*tensor.Tensor, level int) (*tensor.Tensor, float64, error) {
+	return decompressBlob(ctx, blob, anchors, level, 0)
 }
 
 // maxAchieved folds per-chunk achieved errors; any NaN (unknown) makes the
@@ -300,7 +301,7 @@ func DecompressAtLevelReader(r io.ReaderAt, size int64, anchors []*tensor.Tensor
 		return nil, 0, err
 	}
 	a := &chunk.Archive{Header: *cr.Header(), Index: cr.Index()}
-	return decodeChunks(a, anchors, level, workers, func(i int) (*container.Blob, error) {
+	return decodeChunks(context.Background(), a, anchors, level, workers, func(i int) (*container.Blob, error) {
 		e := a.Index[i]
 		b, err := readPayload(r, int64(e.Offset), int64(e.PayloadLen), level, &e.Checksum)
 		if err != nil {

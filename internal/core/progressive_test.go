@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,7 +100,7 @@ func progCase(t *testing.T, field *tensor.Tensor, opts Options, chunked bool, ch
 	}
 	errs := make([]float64, spec.Levels)
 	for l := 0; l < spec.Levels; l++ {
-		recon, ach, err := DecompressAtLevel(blob, nil, l)
+		recon, ach, err := DecompressAtLevel(context.Background(), blob, nil, l)
 		if err != nil {
 			t.Fatalf("decode level %d: %v", l, err)
 		}
@@ -226,7 +227,7 @@ func TestProgressiveHybrid(t *testing.T) {
 		}
 		prev := math.Inf(1)
 		for l := 0; l < spec.Levels; l++ {
-			recon, _, err := DecompressAtLevel(blob, anchors, l)
+			recon, _, err := DecompressAtLevel(context.Background(), blob, anchors, l)
 			if err != nil {
 				t.Fatalf("chunked=%v level %d: %v", chunked, l, err)
 			}
@@ -258,7 +259,7 @@ func TestProgressiveHybrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, _, err := DecompressAtLevel(blob, anchors, LevelFull)
+		full, _, err := DecompressAtLevel(context.Background(), blob, anchors, LevelFull)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +316,7 @@ func TestProgressivePrefixReads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("level %d prefix decode: %v", l, err)
 		}
-		want, wantAch, err := DecompressAtLevel(blob, nil, l)
+		want, wantAch, err := DecompressAtLevel(context.Background(), blob, nil, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +351,7 @@ func TestProgressiveOptionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressAtLevel(res.Blob, nil, 1); err == nil {
+	if _, _, err := DecompressAtLevel(context.Background(), res.Blob, nil, 1); err == nil {
 		t.Error("expected error decoding level 1 of a non-layered blob")
 	}
 	spec, err := PayloadLevelSpec(res.Blob)

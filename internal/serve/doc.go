@@ -9,17 +9,17 @@
 // RAM serve fine: payload bytes are read on demand, checksum-verified,
 // and retained only inside a size-bounded LRU.
 //
-// Behind the handlers sit three shared decode caches (compressed
-// payloads, decoded fields, decoded chunks), each a size-bounded LRU with
-// singleflight request coalescing, so N concurrent requests for the same
-// cold entry trigger exactly one decode. Cache keys are Merkle-style
+// Every data request asks for one region of a field — the whole field or
+// one chunk's slab range — through one handler, one lookup, one anchor
+// resolve and one decode, checked against the manifest dims cut to the
+// region. Whole fields, chunks and compressed payloads each have a
+// size-bounded LRU with singleflight coalescing, keyed by Merkle-style
 // content addresses over the payload bytes and the anchor chain, so
-// anchor reconstructions are shared across dependent-field requests — and
-// across mounted archives of successive timesteps whose anchors did not
-// change.
+// anchor decodes are shared across fields, requests, and archives of
+// successive timesteps whose anchors did not change.
 //
-// Dependent-chunk requests resolve their anchors per chunk: only the
-// anchor chunks whose slab ranges intersect the requested chunk are
-// decoded (recursively for anchor chains), never whole anchor fields.
-// See docs/ARCHITECTURE.md for the full request path.
+// The anchors of a region are the same region of each anchor field: a
+// dependent chunk decodes only the anchor chunks whose slab ranges
+// intersect it (recursively for anchor chains), never whole anchor
+// fields. See docs/ARCHITECTURE.md for the full request path.
 package serve

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	crossfield "repro"
+	"repro/internal/archive"
 	"repro/internal/serve"
 )
 
@@ -197,10 +199,11 @@ func walkRoutes(t *testing.T, ts *httptest.Server, lib *libraryDecoder, f32 map[
 	getJSON(t, ts, "/v1/archives/W/fields", &fields)
 	for _, f := range fields {
 		base := "/v1/archives/W/fields/" + f.Name
-		levels := []int{crossfield.LevelFull}
-		for l := f.Levels - 2; l >= 0; l-- {
-			levels = append([]int{l}, levels...)
+		var levels []int // previews first, then full
+		for l := 0; l < f.Levels-1; l++ {
+			levels = append(levels, l)
 		}
+		levels = append(levels, crossfield.LevelFull)
 		for _, level := range levels {
 			served := fetchChecked(t, ts, base+levelQuery(level), level, strict)
 			body := served.body
@@ -276,5 +279,37 @@ func checkDelta(t *testing.T, ts *httptest.Server, path string, want []byte, fro
 	}
 	if !bytes.Equal(body, want) {
 		t.Fatalf("GET %s: delta differs from the XOR of the library decodes", path)
+	}
+}
+
+// TestRegionDimsCheckedAgainstManifest: an archive whose manifest dims
+// disagree with its payload's, at the same voxel count, must fail on
+// both routes. The whole field and every chunk are checked against the
+// manifest dims with axis 0 cut to the region, so neither route serves
+// bytes the manifest mislabels.
+func TestRegionDimsCheckedAgainstManifest(t *testing.T) {
+	payload, err := os.ReadFile(filepath.Join(goldenDir, "chunked_cfc2v2.cfc")) // 6x10x12, 3 chunks
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	aw := archive.NewWriter(&buf)
+	e := archive.Entry{Name: "W", Dims: []int{12, 5, 12}, AbsEB: 0.05, MaxErr: math.NaN()}
+	if err := aw.Append(&e, func(w io.Writer) error { _, err := w.Write(payload); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(serve.Config{})
+	if err := s.Mount("bad", buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, path := range []string{"/v1/archives/bad/fields/W", "/v1/archives/bad/fields/W/chunks/0", "/v1/archives/bad/fields/W/chunks/2"} {
+		if resp, body := get(t, ts, path); resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("GET %s = %d (%.80q), want 500 for payload dims that disagree with the manifest", path, resp.StatusCode, body)
+		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/resilience"
+	"repro/internal/tensor"
 )
 
 // Config sizes the shared decode caches. Each cached entry holds the
@@ -623,19 +624,71 @@ func (s *Server) lookup(archiveName, fieldName string) (*mount, int, bool) {
 	return m, i, true
 }
 
-// fieldVal is a cached decoded field: the Field for anchor use plus its
-// serialized little-endian body, built once at decode time so hot
+// region is one slab range [start, start+slabs) of a field along axis 0,
+// the unit the server decodes, caches and serves: the whole field
+// (chunk == wholeField), cached in the field LRU under the content key,
+// or one chunk, cached in the chunk LRU under key#i.
+type region struct {
+	chunk, start, slabs int
+}
+
+// wholeField is the chunk index of a whole-field region.
+const wholeField = -1
+
+// whole is fv's whole-field region.
+func (fv *fieldView) whole() region { return region{chunk: wholeField, slabs: fv.info.Dims[0]} }
+
+// chunkRegion is chunk ci's region, as the payload's chunk index places it.
+func (fv *fieldView) chunkRegion(ci int) region {
+	c := fv.chunks[ci]
+	return region{chunk: ci, start: c.Start, slabs: c.Slabs}
+}
+
+// regionDims is the shape a decode of rg must have: the manifest dims
+// with axis 0 cut to the region.
+func (fv *fieldView) regionDims(rg region) []int {
+	dims := slices.Clone(fv.info.Dims)
+	dims[0] = rg.slabs
+	return dims
+}
+
+// regionsOver returns the regions of fv that cover rg's slab range: the
+// whole field for a whole-field region, else every chunk intersecting it.
+func (fv *fieldView) regionsOver(rg region) []region {
+	if rg.chunk == wholeField {
+		return []region{fv.whole()}
+	}
+	var out []region
+	for ci, c := range fv.chunks {
+		if c.Start < rg.start+rg.slabs && c.Start+c.Slabs > rg.start {
+			out = append(out, fv.chunkRegion(ci))
+		}
+	}
+	return out
+}
+
+// regionCache returns the LRU that holds region rg of fv and its
+// full-fidelity cache key.
+func (s *Server) regionCache(fv *fieldView, rg region) (*Cache, string) {
+	if rg.chunk == wholeField {
+		return s.fields, fv.key
+	}
+	return s.chunks, fv.key + "#" + strconv.Itoa(rg.chunk)
+}
+
+// regionVal is a cached decoded region: the tensor for anchor use plus
+// its serialized little-endian body, built once at decode time so hot
 // requests never re-serialize. Both copies are charged to the cache
 // budget. achieved is the compressor-recorded max error of the decoded
 // progressive level (NaN when unknown); full-fidelity responses report
 // the manifest's max error instead.
-type fieldVal struct {
-	f        *crossfield.Field
+type regionVal struct {
+	t        *tensor.Tensor
 	raw      []byte
 	achieved float64
 }
 
-func (v *fieldVal) size() int64 { return int64(4*v.f.Len() + len(v.raw)) }
+func (v *regionVal) size() int64 { return int64(4*v.t.Len() + len(v.raw)) }
 
 // payloadBytes returns field i's compressed payload bytes through the
 // shared payload LRU: file-backed mounts read them on demand (one pread
@@ -649,8 +702,7 @@ func (v *fieldVal) size() int64 { return int64(4*v.f.Len() + len(v.raw)) }
 // would re-read and re-hash the same corrupt bytes forever. Quarantined
 // payloads fail fast with ErrCorruptPayload until the mount is replaced
 // (remounting installs fresh fieldViews, whose reads re-verify).
-func (s *Server) payloadBytes(ctx context.Context, m *mount, i int) ([]byte, error) {
-	fv := &m.fieldList[i]
+func (s *Server) payloadBytes(ctx context.Context, m *mount, fv *fieldView) ([]byte, error) {
 	if m.blobPayload != nil {
 		return m.blobPayload, nil
 	}
@@ -695,49 +747,27 @@ func (s *Server) quarantinePayload(pkey string) {
 	}
 }
 
-// fieldData returns field i of m decoded at level (LevelFull for full
-// fidelity), through the shared LRU with singleflight coalescing. A
-// preview is cached under its own level key next to the full-fidelity
-// entry; only the requested field's payload is read partially. The
-// payload comes through payloadBytes for every mount kind, so its
-// checksum is verified and a corrupt payload is quarantined in one place.
-// Anchors resolve at full fidelity, recursively through the same cache,
-// so one request for a dependent field warms every anchor on its chain —
-// the manifest graph is a validated DAG, so the recursion terminates and
-// cannot self-wait. Stage spans and decode timings are recorded inside
+// regionData returns region rg of field fv decoded at level (LevelFull
+// for full fidelity), through the region's LRU with singleflight
+// coalescing. A preview is cached under its own level key next to the
+// full-fidelity entry. Stage spans and decode timings are recorded inside
 // the compute closure: the singleflight leader that runs the decode
 // observes them exactly once, coalesced waiters never do.
-func (s *Server) fieldData(ctx context.Context, m *mount, i, level int) (*fieldVal, error) {
-	fv := &m.fieldList[i]
+func (s *Server) regionData(ctx context.Context, m *mount, fv *fieldView, rg region, level int) (*regionVal, error) {
 	level = fv.normLevel(level)
+	cache, key := s.regionCache(fv, rg)
 	tr, parent := obs.FromContext(ctx)
 	lid := tr.Start(parent, "cache_lookup")
 	lstart := time.Now()
-	v, err := s.fields.GetOrCompute(ctx, levelKey(fv.key, level), func(dctx context.Context) (any, int64, error) {
+	v, err := cache.GetOrCompute(ctx, levelKey(key, level), func(dctx context.Context) (any, int64, error) {
 		// dctx is detached from any one caller: it carries the leader's
 		// trace values but is canceled only when every coalesced waiter
-		// has abandoned the computation.
-		cctx := obs.ContextWithSpan(dctx, tr, lid)
-		anchors, err := s.anchorFields(cctx, m, fv)
+		// has abandoned the computation. Deriving a child context
+		// allocates, but only here on the cold path.
+		val, err := s.decodeRegion(obs.ContextWithSpan(dctx, tr, lid), m, fv, rg, key, level)
 		if err != nil {
 			return nil, 0, err
 		}
-		payload, err := s.payloadBytes(cctx, m, i)
-		if err != nil {
-			return nil, 0, err
-		}
-		_, endDecode := s.metrics.stage(cctx, "field_decode", s.metrics.stages.fieldDecode)
-		start := time.Now()
-		f, achieved, err := crossfield.DecompressAtLevel(fv.info.Name, payload, anchors, level)
-		s.metrics.observeDecode(time.Since(start))
-		endDecode()
-		if err != nil {
-			return nil, 0, err
-		}
-		if !slices.Equal(f.Dims(), fv.info.Dims) {
-			return nil, 0, fmt.Errorf("serve: field %q payload dims %v, manifest says %v", fv.info.Name, f.Dims(), fv.info.Dims)
-		}
-		val := &fieldVal{f: f, raw: floatBytes(f.Data()), achieved: achieved}
 		return val, val.size(), nil
 	})
 	tr.End(lid)
@@ -745,34 +775,145 @@ func (s *Server) fieldData(ctx context.Context, m *mount, i, level int) (*fieldV
 	if err != nil {
 		return nil, err
 	}
-	return v.(*fieldVal), nil
+	return v.(*regionVal), nil
 }
 
-// anchorFields resolves fv's anchors at full fidelity through the field
-// cache. Progressive preview decodes use it unchanged: the compressor
-// built every base layer against full-fidelity anchors, so previews must
-// predict from the same reconstructions. The manifest graph is a
-// validated DAG, so the recursion terminates and cannot self-wait.
-func (s *Server) anchorFields(cctx context.Context, m *mount, fv *fieldView) ([]*crossfield.Field, error) {
+// decodeRegion is the cold path of regionData: resolve the region's
+// anchors, read the payload through payloadBytes (so its checksum is
+// verified and a corrupt payload quarantined in one place for every
+// mount kind), decode under ctx, and check the decoded dims against the
+// manifest. A full-fidelity chunk first asks a cluster peer that owns
+// its content key, and after a CRC failure tries one peer repair; both
+// carry full-fidelity bytes keyed by the full content address, so
+// previews and whole fields never consult peers — a preview decode is
+// already cheaper than a round trip.
+func (s *Server) decodeRegion(ctx context.Context, m *mount, fv *fieldView, rg region, key string, level int) (*regionVal, error) {
+	dims := fv.regionDims(rg)
+	peer := rg.chunk != wholeField && level == crossfield.LevelFull && !remoteSuppressed(ctx)
+	// Cluster peer fetch: if another node owns this content key, its
+	// cache already holds (or will decode once) these bytes — fetching
+	// them is what makes the cluster-wide dedupe real. Runs inside the
+	// singleflight closure, so concurrent local requests coalesce onto
+	// one fetch; any failure falls through to the local decode.
+	if rc := s.remote; peer && rc != nil {
+		if val, ok := s.peerChunk(ctx, rc.FetchChunk, key, m, fv, rg.chunk, dims); ok {
+			s.metrics.remoteHits.Inc()
+			return val, nil
+		}
+		s.metrics.remoteMisses.Inc()
+	}
+	anchors, err := s.anchorRegions(ctx, m, fv, rg)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := s.payloadBytes(ctx, m, fv)
+	if err != nil {
+		// One-shot peer repair: the local payload is damaged, but a ring
+		// replica (never this node) may hold or decode these chunk bytes.
+		// The AnchorClient's cooldown bounds traffic at dead peers, and the
+		// result is cached like any decode. Cluster-internal requests never
+		// repair: a second hop would break the one-hop bound.
+		if rr, ok := s.remote.(RemoteRepair); ok && peer && errors.Is(err, ErrCorruptPayload) {
+			if val, ok := s.peerChunk(ctx, rr.RepairChunk, key, m, fv, rg.chunk, dims); ok {
+				s.metrics.repairHits.Inc()
+				return val, nil
+			}
+			s.metrics.repairFailures.Inc()
+		}
+		return nil, err
+	}
+	stage, hist := "chunk_decode", s.metrics.stages.chunkDecode
+	if rg.chunk == wholeField {
+		stage, hist = "field_decode", s.metrics.stages.fieldDecode
+	}
+	_, endDecode := s.metrics.stage(ctx, stage, hist)
+	start := time.Now()
+	var (
+		t        *tensor.Tensor
+		achieved float64
+	)
+	if rg.chunk == wholeField {
+		t, achieved, err = core.DecompressAtLevel(ctx, payload, anchors, level)
+	} else {
+		t, _, achieved, err = core.DecompressChunkAtLevelWithAnchorSlabsCtx(ctx, payload, rg.chunk, level, anchors)
+	}
+	s.metrics.observeDecode(time.Since(start))
+	endDecode()
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Equal(t.Shape(), dims) {
+		return nil, fmt.Errorf("serve: field %q slabs [%d,%d): payload dims %v, manifest says %v",
+			fv.info.Name, rg.start, rg.start+rg.slabs, t.Shape(), dims)
+	}
+	return &regionVal{t: t, raw: floatBytes(t.Data()), achieved: achieved}, nil
+}
+
+// anchorRegions resolves fv's anchors over region rg at full fidelity:
+// the anchors of a region are the same region of each anchor field.
+// Progressive previews use them unchanged: the compressor built every
+// base layer against full-fidelity anchors, so previews must predict
+// from the same reconstructions.
+func (s *Server) anchorRegions(ctx context.Context, m *mount, fv *fieldView, rg region) ([]*tensor.Tensor, error) {
 	if len(fv.deps) == 0 {
 		return nil, nil
 	}
-	actx, endAnchors := s.metrics.stage(cctx, "anchor_decode", s.metrics.stages.anchorDecode)
+	actx, endAnchors := s.metrics.stage(ctx, "anchor_decode", s.metrics.stages.anchorDecode)
 	defer endAnchors()
-	anchors := make([]*crossfield.Field, len(fv.deps))
+	anchors := make([]*tensor.Tensor, len(fv.deps))
 	for k, d := range fv.deps {
 		// Anchor recursion is the long pole of a cold dependent decode;
 		// stop between anchors once nobody is waiting.
-		if err := cctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		af, err := s.fieldData(actx, m, d, crossfield.LevelFull)
+		dv := &m.fieldList[d]
+		t, err := s.anchorRegion(actx, m, dv, rg)
 		if err != nil {
-			return nil, fmt.Errorf("anchor %q: %w", m.fieldList[d].info.Name, err)
+			return nil, fmt.Errorf("anchor %q: %w", dv.info.Name, err)
 		}
-		anchors[k] = af.f
+		anchors[k] = t
 	}
 	return anchors, nil
+}
+
+// anchorRegion returns anchor field fv's full-fidelity reconstruction
+// over rg's slab range, through the same LRUs and recursively for fv's
+// own anchors. The manifest graph is a validated DAG, so the recursion
+// terminates and cannot self-wait. A whole-field region is fv's whole
+// field, from the field LRU. A chunk region decodes only the chunks of fv
+// that intersect its range, never the whole anchor field; when one chunk
+// covers the range exactly (aligned grids, the common case for archives
+// compressed with one chunk size) its cached tensor is returned as is.
+func (s *Server) anchorRegion(ctx context.Context, m *mount, fv *fieldView, rg region) (*tensor.Tensor, error) {
+	dims := fv.info.Dims
+	if rg.start < 0 || rg.start+rg.slabs > dims[0] {
+		return nil, fmt.Errorf("slab range [%d,%d) outside field %q axis 0 (%v)",
+			rg.start, rg.start+rg.slabs, fv.info.Name, dims)
+	}
+	slabVox := volume(dims[1:])
+	var out []float32
+	for _, c := range fv.regionsOver(rg) {
+		// Multi-chunk assembly: check between chunk decodes so an
+		// abandoned request stops mid-range instead of decoding the rest.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		v, err := s.regionData(ctx, m, fv, c, crossfield.LevelFull)
+		if err != nil {
+			return nil, err
+		}
+		if c.start == rg.start && c.slabs == rg.slabs {
+			return v.t, nil
+		}
+		if out == nil {
+			out = make([]float32, rg.slabs*slabVox)
+		}
+		lo, hi := max(rg.start, c.start), min(rg.start+rg.slabs, c.start+c.slabs)
+		copy(out[(lo-rg.start)*slabVox:(hi-rg.start)*slabVox],
+			v.t.Data()[(lo-c.start)*slabVox:(hi-c.start)*slabVox])
+	}
+	return tensor.FromSlice(out, fv.regionDims(rg)...)
 }
 
 // levelKey derives the cache key of a decode at level: the content key
@@ -795,271 +936,58 @@ func (fv *fieldView) normLevel(level int) int {
 	return level
 }
 
-// chunkVal is a cached decoded chunk.
-type chunkVal struct {
-	fieldVal
-	start int // first slab along axis 0
-}
-
-// chunkData returns chunk ci of field i decoded at level (LevelFull for
-// full fidelity), through the chunk LRU; previews are keyed by level
-// like fieldData's. Hybrid fields resolve their anchors per-chunk, at
-// full fidelity: only the anchor chunks whose slab ranges intersect the
-// requested chunk are decoded (through the same chunk LRU, recursively
-// for anchor chains), never whole anchor fields. Cluster peer fetch and
-// repair carry full-fidelity bytes keyed by the full content address, so
-// previews never consult peers — a preview decode is already cheaper
-// than a round trip.
-func (s *Server) chunkData(ctx context.Context, m *mount, i, ci, level int) (*chunkVal, error) {
-	fv := &m.fieldList[i]
-	level = fv.normLevel(level)
-	key := fv.key + "#" + strconv.Itoa(ci)
-	full := level == crossfield.LevelFull
-	tr, parent := obs.FromContext(ctx)
-	lid := tr.Start(parent, "cache_lookup")
-	lstart := time.Now()
-	v, err := s.chunks.GetOrCompute(ctx, levelKey(key, level), func(dctx context.Context) (any, int64, error) {
-		// Deriving a child context allocates, but only here on the cold
-		// path; cache hits never reach this closure. Recording stages
-		// inside it also makes them leader-only — coalesced waiters get
-		// the value without double-counting decode time. dctx carries
-		// the leader's trace values but is canceled only when every
-		// coalesced waiter has abandoned the computation.
-		cctx := obs.ContextWithSpan(dctx, tr, lid)
-		c := fv.chunks[ci]
-		// Cluster peer fetch: if another node owns this content key, its
-		// cache already holds (or will decode once) these bytes — fetching
-		// them is what makes the cluster-wide dedupe real. Runs inside the
-		// singleflight closure, so concurrent local requests coalesce onto
-		// one fetch; any failure falls through to the local decode.
-		if rc := s.remote; full && rc != nil && !remoteSuppressed(cctx) {
-			_, endFetch := s.metrics.stage(cctx, "remote_fetch", s.metrics.stages.remoteFetch)
-			raw, ok := rc.FetchChunk(cctx, key, m.name, fv.info.Name, ci, c.Voxels*4)
-			endFetch()
-			if ok {
-				if val, err := chunkValFromRaw(fv, c, raw); err == nil {
-					s.metrics.remoteHits.Inc()
-					return val, val.size(), nil
-				}
-			}
-			s.metrics.remoteMisses.Inc()
-		}
-		slabs, err := s.anchorSlabs(cctx, m, fv, c)
-		if err != nil {
-			return nil, 0, err
-		}
-		payload, err := s.payloadBytes(cctx, m, i)
-		if err != nil {
-			if full && errors.Is(err, ErrCorruptPayload) {
-				// One-shot peer repair: the local payload is damaged, but a
-				// ring replica may hold (or can decode) these chunk bytes.
-				if val, ok := s.repairChunk(cctx, key, m, fv, ci, c); ok {
-					return val, val.size(), nil
-				}
-			}
-			return nil, 0, err
-		}
-		_, endDecode := s.metrics.stage(cctx, "chunk_decode", s.metrics.stages.chunkDecode)
-		start := time.Now()
-		f, slab, achieved, err := crossfield.DecompressChunkSlabAtLevelCtx(cctx, fv.info.Name, payload, ci, level, slabs)
-		s.metrics.observeDecode(time.Since(start))
-		endDecode()
-		if err != nil {
-			return nil, 0, err
-		}
-		val := &chunkVal{fieldVal: fieldVal{f: f, raw: floatBytes(f.Data()), achieved: achieved}, start: slab}
-		return val, val.size(), nil
-	})
-	tr.End(lid)
-	s.metrics.stages.cacheLookup.Observe(time.Since(lstart).Seconds())
-	if err != nil {
-		return nil, err
+// peerChunk fetches chunk ci's full-fidelity bytes from a cluster peer
+// through fetch (FetchChunk or RepairChunk) and rebuilds a cacheable
+// region value; false means the peer supplied nothing usable. The fetched
+// slice doubles as the pre-serialized response body, so a remote hit
+// allocates only the decoded floats.
+func (s *Server) peerChunk(ctx context.Context, fetch func(context.Context, string, string, string, int, int) ([]byte, bool),
+	key string, m *mount, fv *fieldView, ci int, dims []int) (*regionVal, bool) {
+	_, endFetch := s.metrics.stage(ctx, "remote_fetch", s.metrics.stages.remoteFetch)
+	n := volume(dims)
+	raw, ok := fetch(ctx, key, m.name, fv.info.Name, ci, 4*n)
+	endFetch()
+	if !ok || len(raw) != 4*n {
+		return nil, false
 	}
-	return v.(*chunkVal), nil
-}
-
-// anchorSlabs resolves fv's anchors covering chunk c's slab range, each
-// through the chunk LRU at full fidelity (see anchorFields for why
-// previews never relax anchor decodes).
-func (s *Server) anchorSlabs(cctx context.Context, m *mount, fv *fieldView, c core.ChunkInfo) ([]*crossfield.Field, error) {
-	if len(fv.deps) == 0 {
-		return nil, nil
-	}
-	actx, endAnchors := s.metrics.stage(cctx, "anchor_decode", s.metrics.stages.anchorDecode)
-	defer endAnchors()
-	slabs := make([]*crossfield.Field, len(fv.deps))
-	for k, d := range fv.deps {
-		// Anchor recursion: stop between anchor decodes once every
-		// waiter has gone away.
-		if err := cctx.Err(); err != nil {
-			return nil, err
-		}
-		af, err := s.anchorSlab(actx, m, d, c.Start, c.Slabs)
-		if err != nil {
-			return nil, fmt.Errorf("anchor %q: %w", m.fieldList[d].info.Name, err)
-		}
-		slabs[k] = af
-	}
-	return slabs, nil
-}
-
-// chunkValFromRaw rebuilds a cacheable chunk value from peer-fetched
-// little-endian bytes. The fetched slice doubles as the pre-serialized
-// response body, so a remote hit allocates only the decoded floats.
-func chunkValFromRaw(fv *fieldView, c core.ChunkInfo, raw []byte) (*chunkVal, error) {
-	if len(raw) != c.Voxels*4 {
-		return nil, fmt.Errorf("remote chunk: got %d bytes, want %d", len(raw), c.Voxels*4)
-	}
-	vals := make([]float32, c.Voxels)
+	vals := make([]float32, n)
 	for i := range vals {
 		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
 	}
-	dims := append([]int(nil), fv.info.Dims...)
-	dims[0] = c.Slabs
-	f, err := crossfield.NewField(fv.info.Name, vals, dims...)
-	if err != nil {
-		return nil, err
-	}
-	return &chunkVal{fieldVal: fieldVal{f: f, raw: raw, achieved: math.NaN()}, start: c.Start}, nil
-}
-
-// repairChunk attempts the one-shot corruption repair: after a local
-// payload fails its CRC, decoded chunk bytes are refetched from a ring
-// replica (never this node). At most one attempt per request — the
-// AnchorClient's cooldown bounds traffic at dead peers — and the result
-// is cached like any decode, so a repaired hot chunk costs one fetch.
-// Cluster-internal requests never repair: the fetching peer handles its
-// own failover, and a second hop would break the one-hop bound.
-func (s *Server) repairChunk(ctx context.Context, key string, m *mount, fv *fieldView, ci int, c core.ChunkInfo) (*chunkVal, bool) {
-	rr, ok := s.remote.(RemoteRepair)
-	if !ok || remoteSuppressed(ctx) {
-		return nil, false
-	}
-	_, endFetch := s.metrics.stage(ctx, "remote_fetch", s.metrics.stages.remoteFetch)
-	raw, ok := rr.RepairChunk(ctx, key, m.name, fv.info.Name, ci, c.Voxels*4)
-	endFetch()
-	if !ok {
-		s.metrics.repairFailures.Inc()
-		return nil, false
-	}
-	val, err := chunkValFromRaw(fv, c, raw)
-	if err != nil {
-		s.metrics.repairFailures.Inc()
-		return nil, false
-	}
-	s.metrics.repairHits.Inc()
-	return val, true
-}
-
-// anchorSlab returns field d's reconstruction covering slabs
-// [start, start+count) along axis 0, decoding only the chunks of d that
-// intersect the range. Each needed chunk comes from the chunk LRU —
-// recursing into d's own anchors the same way, so a whole anchor chain is
-// resolved chunk-wise. When one chunk covers the range exactly (aligned
-// grids, the common case for archives compressed with one chunk size) its
-// cached tensor is returned without copying.
-func (s *Server) anchorSlab(ctx context.Context, m *mount, d int, start, count int) (*crossfield.Field, error) {
-	fv := &m.fieldList[d]
-	dims := fv.info.Dims
-	if len(dims) == 0 || start < 0 || start+count > dims[0] {
-		return nil, fmt.Errorf("slab range [%d,%d) outside field %q axis 0 (%v)",
-			start, start+count, fv.info.Name, dims)
-	}
-	for ci, c := range fv.chunks {
-		if c.Start == start && c.Slabs == count {
-			cv, err := s.chunkData(ctx, m, d, ci, crossfield.LevelFull)
-			if err != nil {
-				return nil, err
-			}
-			return cv.f, nil
-		}
-	}
-	slabVox := 1
-	for _, dim := range dims[1:] {
-		slabVox *= dim
-	}
-	out := make([]float32, count*slabVox)
-	for ci, c := range fv.chunks {
-		if c.Start+c.Slabs <= start || c.Start >= start+count {
-			continue
-		}
-		// Multi-chunk anchor assembly: check between chunk decodes so an
-		// abandoned request stops mid-slab instead of decoding the rest.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cv, err := s.chunkData(ctx, m, d, ci, crossfield.LevelFull)
-		if err != nil {
-			return nil, err
-		}
-		lo := max(start, c.Start)
-		hi := min(start+count, c.Start+c.Slabs)
-		copy(out[(lo-start)*slabVox:(hi-start)*slabVox],
-			cv.f.Data()[(lo-c.Start)*slabVox:(hi-c.Start)*slabVox])
-	}
-	slabDims := append([]int(nil), dims...)
-	slabDims[0] = count
-	return crossfield.NewField(fv.info.Name, out, slabDims...)
+	t, err := tensor.FromSlice(vals, dims...)
+	return &regionVal{t: t, raw: raw, achieved: math.NaN()}, err == nil
 }
 
 // admissionWeight constants: a cached decode costs ~8 bytes per voxel
 // (4 for the float32 values, 4 for the pre-serialized body).
 const bytesPerVoxel = 8
 
-// predictFieldBytes estimates the decode output a cold field request
-// will materialize: the field itself plus every transitive anchor field
-// that is not already resident. This is the manifest-dims cost
-// prediction the admission controller is sized in — no payload bytes
-// are read to compute it.
-func (s *Server) predictFieldBytes(m *mount, i int) int64 {
-	fv := &m.fieldList[i]
-	points := 1
-	for _, d := range fv.info.Dims {
-		points *= d
-	}
-	w := int64(bytesPerVoxel) * int64(points)
+// predictBytes estimates the decode output a cold request for region rg
+// of field fv will materialize: the region itself plus every anchor
+// region it resolves that is not already resident, transitively. This is
+// the manifest-dims cost prediction the admission controller is sized
+// in — no payload bytes are read to compute it. Residency probes use
+// Contains, which leaves the LRU order and hit counters untouched.
+func (s *Server) predictBytes(m *mount, fv *fieldView, rg region) int64 {
+	w := int64(bytesPerVoxel) * int64(volume(fv.regionDims(rg)))
 	for _, d := range fv.deps {
-		if s.fields.Contains(m.fieldList[d].key) {
-			continue
+		dv := &m.fieldList[d]
+		for _, c := range dv.regionsOver(rg) {
+			if cache, key := s.regionCache(dv, c); !cache.Contains(key) {
+				w += s.predictBytes(m, dv, c)
+			}
 		}
-		w += s.predictFieldBytes(m, d)
 	}
 	return w
 }
 
-// predictChunkBytes estimates a cold chunk request's decode output: the
-// chunk plus the non-resident anchor chunks intersecting its slab
-// range, transitively.
-func (s *Server) predictChunkBytes(m *mount, i, ci int) int64 {
-	fv := &m.fieldList[i]
-	c := fv.chunks[ci]
-	w := int64(bytesPerVoxel) * int64(c.Voxels)
-	for _, d := range fv.deps {
-		w += s.predictSlabBytes(m, d, c.Start, c.Slabs)
+// volume is the voxel count of dims.
+func volume(dims []int) int {
+	n := 1
+	for _, d := range dims {
+		n *= d
 	}
-	return w
-}
-
-// predictSlabBytes estimates the cost of materializing field d's chunks
-// intersecting [start, start+count), skipping resident ones. Residency
-// probes use Contains, which leaves the LRU order and hit counters
-// untouched.
-func (s *Server) predictSlabBytes(m *mount, d, start, count int) int64 {
-	fv := &m.fieldList[d]
-	var w int64
-	for ci, c := range fv.chunks {
-		if c.Start+c.Slabs <= start || c.Start >= start+count {
-			continue
-		}
-		if s.chunks.Contains(fv.key + "#" + strconv.Itoa(ci)) {
-			continue
-		}
-		w += int64(bytesPerVoxel) * int64(c.Voxels)
-		for _, dd := range fv.deps {
-			w += s.predictSlabBytes(m, dd, c.Start, c.Slabs)
-		}
-	}
-	return w
+	return n
 }
 
 // admit acquires weight bytes of decode budget for a cold request,
@@ -1123,11 +1051,11 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/archives", s.handleArchives)
 	mux.HandleFunc("GET /v1/archives/{a}/stats", s.handleArchiveStats)
 	mux.HandleFunc("GET /v1/archives/{a}/fields", s.handleFields)
-	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}", s.handleField)
+	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}", s.handleRegion)
 	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/stats", s.handleFieldStats)
-	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/delta", s.handleFieldDelta)
-	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/chunks/{i}", s.handleChunk)
-	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/chunks/{i}/delta", s.handleChunkDelta)
+	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/delta", s.handleDelta)
+	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/chunks/{i}", s.handleRegion)
+	mux.HandleFunc("GET /v1/archives/{a}/fields/{f}/chunks/{i}/delta", s.handleDelta)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/trace", s.handleTrace)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -1215,14 +1143,10 @@ func nanToNil(v float64) *float64 {
 
 func fieldToJSON(fv *fieldView, withChunks bool) fieldJSON {
 	fi := fv.info
-	points := 1
-	for _, d := range fi.Dims {
-		points *= d
-	}
 	out := fieldJSON{
 		Name:         fi.Name,
 		Dims:         fi.Dims,
-		Points:       points,
+		Points:       volume(fi.Dims),
 		Role:         fi.Role,
 		Anchors:      fi.Anchors,
 		Bound:        fi.Bound.String(),
@@ -1357,34 +1281,62 @@ func (s *Server) countLevel(level int) {
 	s.metrics.levelRequests.With(strconv.Itoa(level)).Inc()
 }
 
-func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
+// requestRegion resolves a data route's archive, field and region: the
+// whole field, or the chunk the {i} path segment names. On failure it
+// writes the 404 or 400 and returns false.
+func (s *Server) requestRegion(w http.ResponseWriter, r *http.Request) (*mount, *fieldView, region, bool) {
 	m, i, ok := s.lookup(r.PathValue("a"), r.PathValue("f"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown archive %q or field %q", r.PathValue("a"), r.PathValue("f"))
-		return
+		return nil, nil, region{}, false
 	}
 	fv := &m.fieldList[i]
+	is := r.PathValue("i")
+	if is == "" {
+		return m, fv, fv.whole(), true
+	}
+	ci, err := strconv.Atoi(is)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "malformed chunk index %q", is)
+		return nil, nil, region{}, false
+	}
+	if ci < 0 || ci >= len(fv.chunks) {
+		httpError(w, http.StatusNotFound, "chunk %d out of [0,%d)", ci, len(fv.chunks))
+		return nil, nil, region{}, false
+	}
+	return m, fv, fv.chunkRegion(ci), true
+}
+
+// handleRegion serves a whole field or one chunk at the level the query
+// negotiates: a resident entry bypasses admission, a cold one is
+// admitted at its predicted decode size and decoded through regionData.
+func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
+	m, fv, rg, ok := s.requestRegion(w, r)
+	if !ok {
+		return
+	}
 	level, err := resolveLevelQuery(r, fv)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.countLevel(level)
-	if v, served, ok := s.peekBypass(r.Context(), s.fields, fv.key, level); ok {
-		s.writeField(w, r, fv, v.(*fieldVal), served)
+	cache, key := s.regionCache(fv, rg)
+	if v, served, ok := s.peekBypass(r.Context(), cache, key, level); ok {
+		s.writeRegion(w, r, fv, rg, key, v.(*regionVal), served)
 		return
 	}
-	release, ok := s.admit(w, r, s.predictFieldBytes(m, i))
+	release, ok := s.admit(w, r, s.predictBytes(m, fv, rg))
 	if !ok {
 		return
 	}
 	defer release()
-	v, err := s.fieldData(r.Context(), m, i, level)
+	v, err := s.regionData(r.Context(), m, fv, rg, level)
 	if err != nil {
 		decodeError(w, err)
 		return
 	}
-	s.writeField(w, r, fv, v, level)
+	s.writeRegion(w, r, fv, rg, key, v, level)
 }
 
 // peekBypass is the admission-bypass fast path: hot cache hits skip
@@ -1411,7 +1363,7 @@ func (s *Server) peekBypass(ctx context.Context, c *Cache, key string, level int
 // observeBypassLookup records the cache_lookup span and stage sample for
 // a Peek hit on the admission-bypass fast path, so warm requests keep the
 // same trace shape whether they went through admission or around it. Only
-// hits record: a Peek miss falls through to fieldData/chunkData, which
+// hits record: a Peek miss falls through to regionData, which
 // records its own lookup — a miss span here would double-count cold loads.
 func (s *Server) observeBypassLookup(ctx context.Context) {
 	tr, parent := obs.FromContext(ctx)
@@ -1421,90 +1373,37 @@ func (s *Server) observeBypassLookup(ctx context.Context) {
 	s.metrics.stages.cacheLookup.Observe(time.Since(start).Seconds())
 }
 
-// writeField writes a decoded field response (headers + body). level is
-// the served representation: LevelFull keys and validates against the
-// unsuffixed content key, previews against the level-suffixed one, so
-// the two representations never share an ETag.
-func (s *Server) writeField(w http.ResponseWriter, r *http.Request, fv *fieldView, v *fieldVal, level int) {
+// writeRegion writes a decoded region response (headers + body). A whole
+// field reports its role and the manifest's max error, a chunk its start
+// slab and its own max error. level is the served representation:
+// LevelFull keys and validates against the unsuffixed cache key,
+// previews against the level-suffixed one, so the two representations
+// never share an ETag.
+func (s *Server) writeRegion(w http.ResponseWriter, r *http.Request, fv *fieldView, rg region, key string, v *regionVal, level int) {
 	h := w.Header()
-	h.Set("X-CFC-Dims", dimsString(v.f.Dims()))
-	h.Set("X-CFC-Abs-EB", formatFloat(fv.info.AbsEB))
-	if !math.IsNaN(fv.info.MaxErr) {
-		h.Set("X-CFC-Max-Err", formatFloat(fv.info.MaxErr))
+	h.Set("X-CFC-Dims", dimsString(v.t.Shape()))
+	maxErr := fv.info.MaxErr
+	if rg.chunk == wholeField {
+		h.Set("X-CFC-Role", fv.info.Role)
+	} else {
+		h.Set("X-CFC-Chunk-Start", strconv.Itoa(rg.start))
+		maxErr = fv.chunks[rg.chunk].MaxErr
 	}
-	h.Set("X-CFC-Role", fv.info.Role)
+	h.Set("X-CFC-Abs-EB", formatFloat(fv.info.AbsEB))
+	if !math.IsNaN(maxErr) {
+		h.Set("X-CFC-Max-Err", formatFloat(maxErr))
+	}
 	if level == crossfield.LevelFull {
 		h.Set("X-CFC-Level", "full")
-		if !math.IsNaN(fv.info.MaxErr) {
-			h.Set("X-CFC-Achieved-EB", formatFloat(fv.info.MaxErr))
+		if !math.IsNaN(maxErr) {
+			h.Set("X-CFC-Achieved-EB", formatFloat(maxErr))
 		}
 	} else {
 		h.Set("X-CFC-Level", strconv.Itoa(level))
 		h.Set("X-CFC-Achieved-EB", formatFloat(v.achieved))
 		h.Set("X-CFC-Level-Bound", formatFloat(fv.levels.Bound(level, fv.info.AbsEB)))
 	}
-	s.serveRaw(w, r, v.raw, levelKey(fv.key, level))
-}
-
-func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
-	m, i, ok := s.lookup(r.PathValue("a"), r.PathValue("f"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown archive %q or field %q", r.PathValue("a"), r.PathValue("f"))
-		return
-	}
-	ci, err := strconv.Atoi(r.PathValue("i"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "malformed chunk index %q", r.PathValue("i"))
-		return
-	}
-	fv := &m.fieldList[i]
-	if ci < 0 || ci >= len(fv.chunks) {
-		httpError(w, http.StatusNotFound, "chunk %d out of [0,%d)", ci, len(fv.chunks))
-		return
-	}
-	level, err := resolveLevelQuery(r, fv)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.countLevel(level)
-	if v, served, ok := s.peekBypass(r.Context(), s.chunks, fv.key+"#"+strconv.Itoa(ci), level); ok {
-		s.writeChunk(w, r, fv, ci, v.(*chunkVal), served)
-		return
-	}
-	release, ok := s.admit(w, r, s.predictChunkBytes(m, i, ci))
-	if !ok {
-		return
-	}
-	defer release()
-	cv, err := s.chunkData(r.Context(), m, i, ci, level)
-	if err != nil {
-		decodeError(w, err)
-		return
-	}
-	s.writeChunk(w, r, fv, ci, cv, level)
-}
-
-// writeChunk writes a decoded chunk response (headers + body).
-func (s *Server) writeChunk(w http.ResponseWriter, r *http.Request, fv *fieldView, ci int, cv *chunkVal, level int) {
-	h := w.Header()
-	h.Set("X-CFC-Dims", dimsString(cv.f.Dims()))
-	h.Set("X-CFC-Chunk-Start", strconv.Itoa(cv.start))
-	h.Set("X-CFC-Abs-EB", formatFloat(fv.info.AbsEB))
-	if me := fv.chunks[ci].MaxErr; !math.IsNaN(me) {
-		h.Set("X-CFC-Max-Err", formatFloat(me))
-	}
-	if level == crossfield.LevelFull {
-		h.Set("X-CFC-Level", "full")
-		if me := fv.chunks[ci].MaxErr; !math.IsNaN(me) {
-			h.Set("X-CFC-Achieved-EB", formatFloat(me))
-		}
-	} else {
-		h.Set("X-CFC-Level", strconv.Itoa(level))
-		h.Set("X-CFC-Achieved-EB", formatFloat(cv.achieved))
-		h.Set("X-CFC-Level-Bound", formatFloat(fv.levels.Bound(level, fv.info.AbsEB)))
-	}
-	s.serveRaw(w, r, cv.raw, levelKey(fv.key+"#"+strconv.Itoa(ci), level))
+	s.serveRaw(w, r, v.raw, levelKey(key, level))
 }
 
 // parseDeltaQuery validates a refinement-delta request: the field must be
@@ -1550,35 +1449,32 @@ func xorBody(to, from []byte) ([]byte, error) {
 	return out, nil
 }
 
-func (s *Server) handleFieldDelta(w http.ResponseWriter, r *http.Request) {
-	m, i, ok := s.lookup(r.PathValue("a"), r.PathValue("f"))
+// handleDelta serves the refinement delta of a whole field or one chunk
+// between two levels. Both endpoints may decode cold, so admission
+// charges one extra region's worth next to the predicted decode. The
+// ETag key derives from the cache key plus both endpoints, so deltas,
+// previews, and full bodies never share a validator.
+func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
+	m, fv, rg, ok := s.requestRegion(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown archive %q or field %q", r.PathValue("a"), r.PathValue("f"))
 		return
 	}
-	fv := &m.fieldList[i]
 	from, to, err := parseDeltaQuery(r, fv)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Both endpoints may decode cold; the extra field's worth covers the
-	// second representation next to predictFieldBytes' anchors+field.
-	points := 1
-	for _, d := range fv.info.Dims {
-		points *= d
-	}
-	release, ok := s.admit(w, r, s.predictFieldBytes(m, i)+int64(bytesPerVoxel)*int64(points))
+	release, ok := s.admit(w, r, s.predictBytes(m, fv, rg)+int64(bytesPerVoxel)*int64(volume(fv.regionDims(rg))))
 	if !ok {
 		return
 	}
 	defer release()
-	fromV, err := s.fieldData(r.Context(), m, i, from)
+	fromV, err := s.regionData(r.Context(), m, fv, rg, from)
 	if err != nil {
 		decodeError(w, err)
 		return
 	}
-	toV, err := s.fieldData(r.Context(), m, i, to)
+	toV, err := s.regionData(r.Context(), m, fv, rg, to)
 	if err != nil {
 		decodeError(w, err)
 		return
@@ -1588,63 +1484,14 @@ func (s *Server) handleFieldDelta(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.writeDelta(w, r, fv, toV.f.Dims(), body, fv.key, from, to)
-}
-
-func (s *Server) handleChunkDelta(w http.ResponseWriter, r *http.Request) {
-	m, i, ok := s.lookup(r.PathValue("a"), r.PathValue("f"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown archive %q or field %q", r.PathValue("a"), r.PathValue("f"))
-		return
-	}
-	ci, err := strconv.Atoi(r.PathValue("i"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "malformed chunk index %q", r.PathValue("i"))
-		return
-	}
-	fv := &m.fieldList[i]
-	if ci < 0 || ci >= len(fv.chunks) {
-		httpError(w, http.StatusNotFound, "chunk %d out of [0,%d)", ci, len(fv.chunks))
-		return
-	}
-	from, to, err := parseDeltaQuery(r, fv)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	c := fv.chunks[ci]
-	release, ok := s.admit(w, r, s.predictChunkBytes(m, i, ci)+int64(bytesPerVoxel)*int64(c.Voxels))
-	if !ok {
-		return
-	}
-	defer release()
-	fromV, err := s.chunkData(r.Context(), m, i, ci, from)
-	if err != nil {
-		decodeError(w, err)
-		return
-	}
-	toV, err := s.chunkData(r.Context(), m, i, ci, to)
-	if err != nil {
-		decodeError(w, err)
-		return
-	}
-	body, err := xorBody(toV.raw, fromV.raw)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("X-CFC-Chunk-Start", strconv.Itoa(toV.start))
-	s.writeDelta(w, r, fv, toV.f.Dims(), body, fv.key+"#"+strconv.Itoa(ci), from, to)
-}
-
-// writeDelta writes a refinement-delta response. The ETag key derives
-// from the content key plus both endpoints, so deltas, previews, and
-// full bodies never share a validator.
-func (s *Server) writeDelta(w http.ResponseWriter, r *http.Request, fv *fieldView, dims []int, body []byte, key string, from, to int) {
 	h := w.Header()
-	h.Set("X-CFC-Dims", dimsString(dims))
+	if rg.chunk != wholeField {
+		h.Set("X-CFC-Chunk-Start", strconv.Itoa(rg.start))
+	}
+	h.Set("X-CFC-Dims", dimsString(toV.t.Shape()))
 	h.Set("X-CFC-Delta-From", strconv.Itoa(from))
 	h.Set("X-CFC-Delta-To", strconv.Itoa(to))
+	_, key := s.regionCache(fv, rg)
 	s.serveRaw(w, r, body, key+"@D"+strconv.Itoa(from)+"-"+strconv.Itoa(to))
 }
 
