@@ -323,3 +323,56 @@ func TestCompressDatasetRejectsBadSpecs(t *testing.T) {
 		t.Fatal("duplicate field accepted")
 	}
 }
+
+// The progressive base-layer budget: on the paper's Hurricane Wf target
+// (hybrid on Uf, Vf, Pf) packed in four levels, a preview reader fetches
+// at most a quarter of the full-bound payload. The grid matters: below
+// 24×128×128 the per-chunk model and table overhead dominates the layer
+// bytes and the ratio stops measuring the layering.
+func TestProgressiveBaseLayerBudget(t *testing.T) {
+	const nz, ny, nx = 24, 128, 128
+	ds, err := crossfield.GenerateHurricane(nz, ny, nx, 44)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := ds.MustField("Wf")
+	anchors, err := ds.Fieldset("Uf", "Vf", "Pf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := crossfield.Train(target, anchors, crossfield.Training{
+		Features: 6, Epochs: 3, StepsPerEpoch: 6, Batch: 1, Seed: 51,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := crossfield.CompressDataset([]crossfield.FieldSpec{
+		{Field: anchors[0]}, {Field: anchors[1]}, {Field: anchors[2]},
+		{Field: target, Codec: codec},
+	}, crossfield.Rel(1e-3),
+		crossfield.WithChunks((nz/4+1)*ny*nx), crossfield.WithProgressive(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := crossfield.OpenArchive(res.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := ar.FieldPayload("Wf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes, err := crossfield.PayloadLevelBytes(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prefixes) != 4 {
+		t.Fatalf("Wf has %d levels, want 4", len(prefixes))
+	}
+	full := prefixes[len(prefixes)-1]
+	ratio := float64(prefixes[0]) / float64(full)
+	t.Logf("Wf base layer %d B of %d B (%.3f)", prefixes[0], full, ratio)
+	if ratio > 0.25 {
+		t.Fatalf("Wf base layer is %.1f%% of the full payload, budget is 25%%", 100*ratio)
+	}
+}

@@ -182,7 +182,8 @@ func (tc *testCluster) chunkKeyOwnedBy(t *testing.T, peer string) (path, replica
 
 // TestClusterByteIdentity: every field and chunk response through the
 // 3-node router is byte-identical to a single node serving alone, and the
-// router stamps which peer served it.
+// router stamps which peer served it. With one node killed, every path
+// still comes back through the router with the solo node's body and ETag.
 func TestClusterByteIdentity(t *testing.T) {
 	tc := startCluster(t, 3, cluster.Config{})
 	solo := serve.New(serve.Config{})
@@ -214,6 +215,23 @@ func TestClusterByteIdentity(t *testing.T) {
 		}
 		if want.Header.Get("ETag") != got.Header.Get("ETag") {
 			t.Fatalf("GET %s: ETag differs: %q vs %q", path,
+				got.Header.Get("ETag"), want.Header.Get("ETag"))
+		}
+	}
+
+	tc.backends[0].Close()
+	for _, path := range paths {
+		want, wantBody := rawGet(t, ref.URL, path, nil)
+		got, gotBody := rawGet(t, tc.front.URL, path, nil)
+		if got.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s after node kill: routed=%d: %s", path, got.StatusCode, gotBody)
+		}
+		if !bytes.Equal(wantBody, gotBody) {
+			t.Fatalf("GET %s after node kill: routed body differs from single-node body (%d vs %d bytes)",
+				path, len(gotBody), len(wantBody))
+		}
+		if want.Header.Get("ETag") != got.Header.Get("ETag") {
+			t.Fatalf("GET %s after node kill: ETag differs: %q vs %q", path,
 				got.Header.Get("ETag"), want.Header.Get("ETag"))
 		}
 	}
@@ -338,7 +356,9 @@ func TestHealthEjectReadmit(t *testing.T) {
 
 // TestTraceIDPropagation: a client-chosen trace id survives the router
 // hop — it comes back on the routed response and shows up in both the
-// router's and the serving node's /debug/trace rings.
+// router's and the serving node's /debug/trace rings. A ring is published
+// after the handler returns, so a body that outgrows the write buffer can
+// reach the client first: each ring is polled until the id appears.
 func TestTraceIDPropagation(t *testing.T) {
 	tc := startCluster(t, 3, cluster.Config{})
 	const id = "00c0ffee00c0ffee"
@@ -355,9 +375,17 @@ func TestTraceIDPropagation(t *testing.T) {
 		t.Fatal("missing X-CFC-Peer")
 	}
 	for name, base := range map[string]string{"router": tc.front.URL, "node": peer} {
-		_, trace := rawGet(t, base, "/debug/trace", nil)
-		if !strings.Contains(string(trace), id) {
-			t.Errorf("%s /debug/trace does not contain adopted id %s:\n%s", name, id, trace)
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			_, trace := rawGet(t, base, "/debug/trace", nil)
+			if strings.Contains(string(trace), id) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("%s /debug/trace does not contain adopted id %s:\n%s", name, id, trace)
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
 }

@@ -535,3 +535,48 @@ func scrapeMetric(client *http.Client, base, prefix string) float64 {
 	}
 	return 0
 }
+
+// PaperPlansByPreset returns the named Table III plan.
+func PaperPlansByPreset(preset string) crossfield.AnchorPlan {
+	for _, p := range crossfield.PaperPlans() {
+		if p.Preset == preset {
+			return p
+		}
+	}
+	panic("experiments: unknown preset " + preset)
+}
+
+// mustPayload pulls one field's payload out of an archive blob.
+func mustPayload(blob []byte, field string) []byte {
+	ar, err := crossfield.OpenArchive(blob)
+	if err != nil {
+		panic(err)
+	}
+	p, err := ar.FieldPayload(field)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// identityGet fetches url with identity encoding and returns the body.
+func identityGet(client *http.Client, url string) ([]byte, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Accept-Encoding", "identity")
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: status %d: %s", url, resp.StatusCode, body)
+	}
+	return body, nil
+}

@@ -193,12 +193,10 @@ func (m *metricsState) stage(ctx context.Context, name string, h *obs.Histogram)
 	}
 }
 
-// BytesServed returns the total response bytes written so far.
-func (s *Server) BytesServed() int64 { return s.metrics.bytesServed.Load() }
-
 // StageLatency snapshots the per-stage latency histograms, keyed by stage
 // name ("cache_lookup", "payload_read", "anchor_decode", "chunk_decode",
-// "field_decode"). cfbench sources its per-stage percentile columns here.
+// "field_decode", "remote_fetch"). They are the same histograms /metrics
+// exports as cfserve_stage_seconds.
 func (s *Server) StageLatency() map[string]obs.HistogramSnapshot {
 	m := &s.metrics
 	return map[string]obs.HistogramSnapshot{

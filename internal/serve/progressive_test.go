@@ -128,6 +128,7 @@ func TestProgressiveLevelResolution(t *testing.T) {
 	}{
 		{fmt.Sprintf("%g", bounds[0]*1.01), "0"},
 		{fmt.Sprintf("%g", bounds[1]*1.01), "1"},
+		{fmt.Sprintf("%g", bounds[1]), "1"}, // exactly a level's guarantee: that level, not deeper
 		{fmt.Sprintf("%g", bounds[2]*1.01), "full"},
 		{fmt.Sprintf("%g", absEB/100), "full"}, // tighter than the payload: best effort
 	}
