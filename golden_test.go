@@ -212,6 +212,12 @@ func regenGoldenBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeGolden(t, "chunked_cfc2v3.cfc", resC.Blob)
+	resA, err := crossfield.CompressDataset(buildStreamSpecs(t), crossfield.Rel(1e-3),
+		crossfield.WithChunks(2*10*12), crossfield.WithDecodeBlocks(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeGolden(t, "archive_cfc3_blocks.cfc", resA.Blob)
 }
 
 // Layered (progressive) fixtures. Consuming every layer recovers exactly
@@ -533,7 +539,7 @@ func TestGoldenRoutesAgree(t *testing.T) {
 			requirePayloadRoutes(t, file, readGolden(t, file), nil, dims, l, readGolden(t, previewFile(file, l)))
 		}
 	}
-	for _, file := range []string{"archive_cfc3.cfc", "archive_cfc3v3.cfc"} {
+	for _, file := range []string{"archive_cfc3.cfc", "archive_cfc3v3.cfc", "archive_cfc3_blocks.cfc"} {
 		blob := readGolden(t, file)
 		ar, err := crossfield.OpenArchive(blob)
 		if err != nil {
@@ -679,10 +685,26 @@ func TestFormatsSpecAgainstGoldenFixtures(t *testing.T) {
 		{"chunked_cfc2v4.cfc", "CFC2", 4},
 		{"archive_cfc3.cfc", "CFC3", 1},
 		{"archive_cfc3v3.cfc", "CFC3", 3},
+		{"archive_cfc3_blocks.cfc", "CFC3", 2},
 	} {
 		b := readGolden(t, tc.file)
 		if string(b[:4]) != tc.magic || b[4] != tc.version {
 			t.Errorf("%s: header %q v%d, spec says %q v%d", tc.file, b[:4], b[4], tc.magic, tc.version)
+		}
+	}
+	// The block-coded archive's field payloads are block-coded CFC2 v3
+	// containers, the hybrid field included.
+	ar, err := crossfield.OpenArchive(readGolden(t, "archive_cfc3_blocks.cfc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range ar.Fields() {
+		p, err := ar.FieldPayload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(p[:4]) != "CFC2" || p[4] != 3 {
+			t.Errorf("archive_cfc3_blocks.cfc/%s: payload %q v%d, want CFC2 v3", name, p[:4], p[4])
 		}
 	}
 	// Layer-table claims: version-3 CFC1 (and the chunked v4 carrying it)
@@ -766,7 +788,7 @@ func TestGoldenFixturesCommitted(t *testing.T) {
 	for _, want := range []string{
 		"baseline_cfc1.cfc", "baseline_cfc1v2.cfc", "baseline_cfc1v3.cfc", "baseline_cfc1.f32",
 		"chunked_cfc2v1.cfc", "chunked_cfc2v2.cfc", "chunked_cfc2v3.cfc", "chunked_cfc2v4.cfc", "chunked_cfc2.f32",
-		"archive_cfc3.cfc", "archive_cfc3v3.cfc",
+		"archive_cfc3.cfc", "archive_cfc3v3.cfc", "archive_cfc3_blocks.cfc",
 		"archive_cfc3_U.f32", "archive_cfc3_V.f32", "archive_cfc3_PRES.f32", "archive_cfc3_W.f32",
 		"baseline_cfc1v3_level0.f32", "baseline_cfc1v3_level1.f32",
 		"chunked_cfc2v4_level0.f32", "chunked_cfc2v4_level1.f32",

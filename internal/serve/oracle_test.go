@@ -46,6 +46,9 @@ var oracleFixtures = []struct {
 		"U/full": "archive_cfc3_U.f32", "V/full": "archive_cfc3_V.f32",
 		"PRES/full": "archive_cfc3_PRES.f32", "W/full": "archive_cfc3_W.f32",
 		"W/0": "archive_cfc3v3_W_level0.f32", "W/1": "archive_cfc3v3_W_level1.f32"}},
+	{"archive_cfc3_blocks.cfc", map[string]string{
+		"U/full": "archive_cfc3_U.f32", "V/full": "archive_cfc3_V.f32",
+		"PRES/full": "archive_cfc3_PRES.f32", "W/full": "archive_cfc3_W.f32"}},
 }
 
 // libraryDecoder decodes a mounted container's fields and chunks through
