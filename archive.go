@@ -160,7 +160,7 @@ func CompressDatasetTo(w io.Writer, specs []FieldSpec, bound ErrorBound, opts ..
 			if s.Codec == nil {
 				if cfg.chunked {
 					cst, err := core.CompressChunkedTo(pw, s.Field.t, nil, nil, core.ChunkedOptions{
-						Options:     core.Options{Bound: b, Stages: fieldStages, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()},
+						Options:     core.Options{Bound: b, Stages: fieldStages, Progressive: cfg.progSpec()},
 						ChunkVoxels: cfg.chunkVoxels,
 						Workers:     cfg.workers,
 					})
@@ -169,7 +169,7 @@ func CompressDatasetTo(w io.Writer, specs []FieldSpec, bound ErrorBound, opts ..
 					}
 					st = *cst
 				} else {
-					res, err := core.CompressBaseline(s.Field.t, core.Options{Bound: b, Stages: fieldStages, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()})
+					res, err := core.CompressBaseline(s.Field.t, core.Options{Bound: b, Stages: fieldStages, Progressive: cfg.progSpec()})
 					if err != nil {
 						return err
 					}
@@ -187,7 +187,7 @@ func CompressDatasetTo(w io.Writer, specs []FieldSpec, bound ErrorBound, opts ..
 					}
 					anchors[k] = t
 				}
-				o := core.Options{Bound: b, AnchorNames: s.Codec.names, Arena: arena, Stages: fieldStages, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()}
+				o := core.Options{Bound: b, AnchorNames: s.Codec.names, Arena: arena, Stages: fieldStages, Progressive: cfg.progSpec()}
 				if cfg.chunked {
 					cst, err := core.CompressChunkedTo(pw, s.Field.t, s.Codec.model, anchors, core.ChunkedOptions{
 						Options:     o,

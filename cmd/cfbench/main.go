@@ -13,9 +13,7 @@
 //	cfbench -exp archive         # multi-field CFC3 dataset archive bench,
 //	                             # writes BENCH_archive.json
 //	cfbench -exp inference       # CFNN full-field forward pass (ms, MB/s,
-//	                             # allocs) + single-chunk decode-latency
-//	                             # ladder at 1/2/4 workers, writes
-//	                             # BENCH_inference.json
+//	                             # allocs), writes BENCH_inference.json
 //	cfbench -exp chaos           # fault-injected cluster: admission storm
 //	                             # sheds, 2xx byte-identity under faults,
 //	                             # corruption + peer repair, writes

@@ -169,7 +169,7 @@ func CompressBaseline(f *Field, bound ErrorBound, opts ...Option) (*Compressed, 
 	}
 	if cfg.chunked {
 		res, err := core.CompressChunked(f.t, nil, nil, core.ChunkedOptions{
-			Options:     core.Options{Bound: bound, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()},
+			Options:     core.Options{Bound: bound, Progressive: cfg.progSpec()},
 			ChunkVoxels: cfg.chunkVoxels,
 			Workers:     cfg.workers,
 		})
@@ -178,7 +178,7 @@ func CompressBaseline(f *Field, bound ErrorBound, opts ...Option) (*Compressed, 
 		}
 		return &Compressed{Blob: res.Blob, Stats: res.Stats}, nil
 	}
-	res, err := core.CompressBaseline(f.t, core.Options{Bound: bound, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()})
+	res, err := core.CompressBaseline(f.t, core.Options{Bound: bound, Progressive: cfg.progSpec()})
 	if err != nil {
 		return nil, err
 	}
@@ -300,11 +300,11 @@ func DecompressChunk(name string, blob []byte, i int, anchors []*Field) (*Field,
 }
 
 // DecompressChunkWith is DecompressChunk with an explicit bound on the
-// worker pool used to decode block-coded (CFC2 v3 / CFC1 v2) payloads;
-// workers <= 0 means GOMAXPROCS. Payloads without block coding decode
-// sequentially regardless. This is the single-chunk decode-latency knob:
-// block-coded chunks reconstruct wavefront- or block-parallel, and the
-// result is byte-identical at any worker count.
+// worker pool used to decode block-coded (CFC2 v3 / CFC1 v2) payloads,
+// which are no longer written but still decode; workers <= 0 means
+// GOMAXPROCS. Every other payload decodes sequentially regardless:
+// parallel decode comes from chunks. The result is byte-identical at any
+// worker count.
 func DecompressChunkWith(name string, blob []byte, i int, anchors []*Field, workers int) (*Field, int, error) {
 	t, start, err := core.DecompressChunkWith(blob, i, fieldTensors(anchors), workers)
 	if err != nil {
@@ -397,7 +397,7 @@ func (c *Codec) Compress(target *Field, anchors []*Field, bound ErrorBound, opts
 	}
 	if cfg.chunked {
 		res, err := core.CompressChunked(target.t, c.model, fieldTensors(anchors), core.ChunkedOptions{
-			Options:     core.Options{Bound: bound, AnchorNames: c.names, Blocks: cfg.blockSpec(), Progressive: cfg.progSpec()},
+			Options:     core.Options{Bound: bound, AnchorNames: c.names, Progressive: cfg.progSpec()},
 			ChunkVoxels: cfg.chunkVoxels,
 			Workers:     cfg.workers,
 		})
@@ -409,7 +409,6 @@ func (c *Codec) Compress(target *Field, anchors []*Field, bound ErrorBound, opts
 	res, err := core.CompressHybrid(target.t, c.model, fieldTensors(anchors), core.Options{
 		Bound:       bound,
 		AnchorNames: c.names,
-		Blocks:      cfg.blockSpec(),
 		Progressive: cfg.progSpec(),
 	})
 	if err != nil {

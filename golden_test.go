@@ -163,7 +163,8 @@ func cfc2ToV1(t *testing.T, blob []byte) []byte {
 
 // Each decode test regenerates its own fixtures when -update is set, so
 // one `go test -run TestGolden -update` run rewrites everything without
-// depending on test execution order.
+// depending on test execution order. The block-coded fixtures are the
+// exception: nothing writes them any more (see TestGoldenCFC1V2Blocks).
 func regenGoldenBaseline(t *testing.T) {
 	f := goldenField()
 	res, err := crossfield.CompressBaseline(f, crossfield.Abs(0.05))
@@ -192,32 +193,6 @@ func regenGoldenChunked(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeGolden(t, "chunked_cfc2.f32", floatsToBytes(back.Data()))
-}
-
-// Block-coded fixtures. Dual quantization fixes every quantized integer
-// before prediction runs, so the block-local payloads decode to exactly
-// the same floats as the sequential ones — the v2/v3 fixtures share the
-// v1/v2 .f32 expectations instead of adding new ones.
-func regenGoldenBlocks(t *testing.T) {
-	f := goldenField()
-	res, err := crossfield.CompressBaseline(f, crossfield.Abs(0.05),
-		crossfield.WithDecodeBlocks(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeGolden(t, "baseline_cfc1v2.cfc", res.Blob)
-	resC, err := crossfield.CompressBaseline(f, crossfield.Abs(0.05),
-		crossfield.WithChunks(2*10*12), crossfield.WithDecodeBlocks(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeGolden(t, "chunked_cfc2v3.cfc", resC.Blob)
-	resA, err := crossfield.CompressDataset(buildStreamSpecs(t), crossfield.Rel(1e-3),
-		crossfield.WithChunks(2*10*12), crossfield.WithDecodeBlocks(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeGolden(t, "archive_cfc3_blocks.cfc", resA.Blob)
 }
 
 // Layered (progressive) fixtures. Consuming every layer recovers exactly
@@ -340,22 +315,21 @@ func TestGoldenCFC2V1(t *testing.T) {
 	}
 }
 
+// Block-coded fixtures are frozen: the encoder no longer writes CFC1 v2
+// or CFC2 v3, so -update leaves baseline_cfc1v2.cfc, chunked_cfc2v3.cfc
+// and archive_cfc3_blocks.cfc (whose field payloads are CFC2 v3, the
+// CFNN-hybrid W included) as committed. Dual quantization fixes every
+// quantized integer before prediction runs, so block-coded payloads
+// reconstruct the same floats as the sequential ones, and
+// TestGoldenRoutesAgree holds them to the sequential expectations.
 func TestGoldenCFC1V2Blocks(t *testing.T) {
-	if *update {
-		regenGoldenBlocks(t)
-	}
 	blob := readGolden(t, "baseline_cfc1v2.cfc")
-	// Block-local payloads reconstruct the identical quantized integers,
-	// so TestGoldenRoutesAgree holds them to the sequential expectation.
 	if blob[4] != 2 {
 		t.Fatalf("fixture version byte = %d, want 2", blob[4])
 	}
 }
 
 func TestGoldenCFC2V3Blocks(t *testing.T) {
-	if *update {
-		regenGoldenBlocks(t)
-	}
 	blob := readGolden(t, "chunked_cfc2v3.cfc")
 	if blob[4] != 3 {
 		t.Fatalf("fixture version byte = %d, want 3", blob[4])

@@ -18,10 +18,10 @@
 // still decoded; their per-chunk errors read back as NaN ("unknown").
 // Version 3 reuses the version-2 layout byte for byte but marks that chunk
 // payloads may be block-coded (CFC1 version-2 payloads carrying a block
-// table for parallel decode — see internal/container); the header version
-// bump makes older readers reject the container up front. Version 4 (again
-// layout-identical) marks layered chunk payloads (CFC1 version 3) for
-// progressive multi-resolution prefix decode.
+// table for parallel decode — see internal/container). It is frozen:
+// decoded, no longer written. Version 4 (again layout-identical) marks
+// layered chunk payloads (CFC1 version 3) for progressive
+// multi-resolution prefix decode. Encode writes version 2 or 4.
 //
 // Each payload is a self-contained single-chunk CFC1 blob with its model
 // section stripped (the model lives once in this header), so a chunk can
@@ -51,15 +51,13 @@ const (
 	// versionV2 adds the achieved max error to each index entry; what
 	// Encode writes for sequential-payload containers.
 	versionV2 = 2
-	// versionV3 has the identical header and index layout as v2 but
+	// Version 3 has the identical header and index layout as v2 but
 	// permits block-coded chunk payloads (CFC1 version-2 payloads, see
-	// internal/container). The version bump makes pre-v3 readers fail
-	// fast at the header instead of deep inside a chunk decode.
-	versionV3 = 3
+	// internal/container); still accepted on decode, no longer written.
+
 	// versionV4, again layout-identical, marks layered (progressive) chunk
 	// payloads: CFC1 version-3 payloads carrying a layer table for
-	// multi-resolution prefix decode (see internal/container). Mutually
-	// exclusive with version 3's block coding.
+	// multi-resolution prefix decode (see internal/container).
 	versionV4 = 4
 )
 
@@ -87,13 +85,9 @@ type Header struct {
 	Dims       []int
 	Anchors    []string
 	Model      []byte // CFNN weights, stored once; empty for baseline
-	// Blocks marks a container whose chunk payloads may be block-coded
-	// for parallel decode. Encoders set it when any payload is; it selects
-	// the version-3 header byte.
-	Blocks bool
 	// Layered marks a container whose chunk payloads are layered (CFC1
 	// version 3) for progressive multi-resolution retrieval; it selects
-	// the version-4 header byte. Mutually exclusive with Blocks.
+	// the version-4 header byte.
 	Layered bool
 }
 
@@ -171,13 +165,7 @@ func appendHeader(out []byte, h *Header, g *Grid, payloads [][]byte, maxErrs []f
 	if g.NumChunks() > maxChunks {
 		return nil, fmt.Errorf("chunk: %d chunks exceeds the format limit %d", g.NumChunks(), maxChunks)
 	}
-	if h.Blocks && h.Layered {
-		return nil, fmt.Errorf("chunk: block-coded and layered payloads are mutually exclusive")
-	}
 	ver := byte(versionV2)
-	if h.Blocks {
-		ver = versionV3
-	}
 	if h.Layered {
 		ver = versionV4
 	}
@@ -333,7 +321,7 @@ func decodeHeader(r fields) (*Header, *indexData, error) {
 	if ver < versionV1 || ver > versionV4 {
 		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
-	h := &Header{Blocks: ver == versionV3, Layered: ver == versionV4}
+	h := &Header{Layered: ver == versionV4}
 	mb, err := r.Byte()
 	if err != nil {
 		return nil, nil, err

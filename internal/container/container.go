@@ -29,6 +29,8 @@
 // distinguishes wavefront coding (predictions cross block seams; blocks
 // decode along anti-diagonal fronts) from block-independent coding
 // (predictions reset at block borders; blocks decode in any order).
+// Version 2 is frozen: decoded, no longer written, and Encode rejects a
+// blob with a block section.
 //
 // Version 3 payloads are layered for progressive retrieval (see layers.go):
 // the prequant integers split into a base layer at a relaxed bound plus
@@ -95,9 +97,8 @@ func IsLayered(data []byte) bool {
 const (
 	// version is the classic sequential-payload layout.
 	version = 1
-	// versionBlocks adds the block section (see package comment); written
-	// only when a blob is block-coded, so v1 readers keep decoding every
-	// sequential blob.
+	// versionBlocks adds the block section (see package comment). It is
+	// decode-only: Encode never writes it.
 	versionBlocks = 2
 	// versionLayered replaces the single payload with the layer section:
 	// a base layer plus refinement bit planes, each independently coded and
@@ -192,23 +193,10 @@ func Encode(b *Blob) ([]byte, error) {
 	if len(b.Dims) < 1 || len(b.Dims) > 3 {
 		return nil, fmt.Errorf("container: rank %d unsupported", len(b.Dims))
 	}
-	ver := byte(version)
 	if b.Blocks != nil {
-		ver = versionBlocks
-		if b.Layers != nil {
-			return nil, fmt.Errorf("container: blob cannot be both block-coded and layered")
-		}
-		nb, err := b.Blocks.NumBlocks(b.Dims)
-		if err != nil {
-			return nil, err
-		}
-		if nb != len(b.Blocks.SegLens) {
-			return nil, fmt.Errorf("container: %d block segments for %d blocks", len(b.Blocks.SegLens), nb)
-		}
-		if m := b.Blocks.Mode; m != BlockWavefront && m != BlockIndependent {
-			return nil, fmt.Errorf("container: block mode %d", m)
-		}
+		return nil, fmt.Errorf("container: block-coded (version 2) payloads are decode-only")
 	}
+	ver := byte(version)
 	if b.Layers != nil {
 		ver = versionLayered
 		if err := b.Layers.validate(len(b.LayerData)); err != nil {
@@ -250,19 +238,6 @@ func Encode(b *Blob) ([]byte, error) {
 	out = append(out, b.Model...)
 	out = binary.AppendUvarint(out, uint64(len(b.Table)))
 	out = append(out, b.Table...)
-	if b.Blocks != nil {
-		out = append(out, b.Blocks.Mode)
-		for _, e := range b.Blocks.Edges {
-			out = binary.AppendUvarint(out, uint64(e))
-		}
-		out = binary.AppendUvarint(out, uint64(len(b.Blocks.SegLens)))
-		for _, l := range b.Blocks.SegLens {
-			if l < 0 {
-				return nil, fmt.Errorf("container: negative segment length %d", l)
-			}
-			out = binary.AppendUvarint(out, uint64(l))
-		}
-	}
 	if b.Layers != nil {
 		out = appendLayerSection(out, b.Layers)
 		for _, d := range b.LayerData {
@@ -631,6 +606,11 @@ func decodeBlockSection(r *Cursor, dims []int) (*BlockSection, error) {
 	}
 	if nb > maxDecodeBlocks || int(nb) != want {
 		return nil, fmt.Errorf("%w: %d block segments, geometry implies %d", ErrCorrupt, nb, want)
+	}
+	// Every segment length takes at least one uvarint byte, so a count
+	// the remaining input cannot hold fails before it is allocated.
+	if nb > uint64(r.Len()-r.Off()) {
+		return nil, fmt.Errorf("%w: %d block segments in %d bytes", ErrCorrupt, nb, r.Len()-r.Off())
 	}
 	s.SegLens = make([]int, nb)
 	for i := range s.SegLens {

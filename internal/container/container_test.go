@@ -105,6 +105,12 @@ func TestEncodeErrors(t *testing.T) {
 	if _, err := Encode(&Blob{Header: Header{Dims: []int{0}}}); err == nil {
 		t.Fatal("zero dim")
 	}
+	// Block-coded (version 2) payloads are decode-only.
+	blocked := &Blob{Header: Header{Dims: []int{8}}, PayloadRaw: 2, Payload: []byte{0, 0},
+		Blocks: &BlockSection{Mode: BlockWavefront, Edges: []int{4}, SegLens: []int{1, 1}}}
+	if _, err := Encode(blocked); err == nil {
+		t.Fatal("block section encoded")
+	}
 }
 
 func TestDecodeCorruption(t *testing.T) {
@@ -255,5 +261,32 @@ func TestDecodeDimsVolumeOverflowRejected(t *testing.T) {
 	}
 	if _, err := Decode(enc); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// A block table declaring more segments than the bytes left to hold
+// them must fail before it becomes an allocation: every segment length
+// takes at least one uvarint byte. The blob is 42 bytes of CFC1 v2
+// declaring dims 64×256×256 cut into 1×1×1 blocks, 2^22 segments.
+func TestBlockTableBoundedByInput(t *testing.T) {
+	enc, err := Encode(&Blob{Header: Header{Method: MethodBaseline, AbsEB: 1, Dims: []int{64, 256, 256}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop the two zero payload uvarints, mark the blob block-coded and
+	// append the block section: wavefront mode, edges 1,1,1, the count.
+	blob := append([]byte(nil), enc[:len(enc)-2]...)
+	blob[4] = versionBlocks
+	blob = append(blob, BlockWavefront, 1, 1, 1)
+	blob = binary.AppendUvarint(blob, 64*256*256)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Decode(blob)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("a %d-byte blob allocated %d bytes before failing", len(blob), d)
 	}
 }

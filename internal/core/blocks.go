@@ -1,29 +1,31 @@
 // The reconstruct engine: every payload decodes here, block by block.
 //
 // The Lorenzo dependency chain binds a plain payload's decode to one core:
-// every point waits on its causal neighbors. Dual quantization already
-// guarantees the compressor sees exactly the integers the decompressor
-// will reconstruct, which is the property that lets the chain be cut at
-// block boundaries without touching the error bound: the compressor can
-// partition the prequant grid into fixed decode blocks and entropy-code
-// each block's residuals into its own byte-aligned Huffman segment (the
-// block table in the payload records the segment lengths), in one of two
-// modes:
+// every point waits on its causal neighbors. Dual quantization guarantees
+// the compressor sees exactly the integers the decompressor will
+// reconstruct, which is the property that lets the chain be cut at block
+// boundaries without touching the error bound. Block-coded payloads
+// (CFC1 v2) were written that way: the prequant grid partitioned into
+// fixed decode blocks, each block's residuals entropy-coded into its own
+// byte-aligned Huffman segment (the block table in the payload records
+// the segment lengths), in one of two modes:
 //
 //   - Wavefront (container.BlockWavefront): residuals are the ordinary
-//     seam-crossing predictions, merely reordered block-major — the ratio
-//     is untouched. A block depends only on the already-reconstructed seam
-//     planes of its causal neighbor blocks, so blocks on the same
-//     anti-diagonal front are independent and decode in parallel; fronts
-//     run in sequence. Per-point predictions are pure functions of causal
-//     prequant values (no floating-point state accumulates across points),
-//     so the output is the same at any block size or worker count.
+//     seam-crossing predictions, merely reordered block-major. A block
+//     depends only on the already-reconstructed seam planes of its causal
+//     neighbor blocks, so blocks on the same anti-diagonal front decode in
+//     parallel; fronts run in sequence. Per-point predictions are pure
+//     functions of causal prequant values (no floating-point state
+//     accumulates across points), so the output is the same at any block
+//     size or worker count.
 //   - Block-independent (container.BlockIndependent): predictions reset at
 //     block borders (zeros outside the block, exactly the grid-border
-//     convention), so every block decodes with zero dependencies — the
-//     fast path when seam residuals cost little ratio. Reconstruction is
-//     still exact: codes are exact integer residuals against the reset
-//     predictions.
+//     convention), so every block decodes with zero dependencies.
+//     Reconstruction is still exact: codes are exact integer residuals
+//     against the reset predictions.
+//
+// The encoder no longer writes block-coded payloads — parallel decode
+// comes from chunks — but committed ones still decode here.
 //
 // Every CFC1 payload version parses into one descriptor, payloadPlan, and
 // runs on the one engine, reconstructBlocks. A plain (v1) payload is one
@@ -32,10 +34,6 @@
 // the cross-field predictions scaled by 2^-shift; its level is a
 // dequantize plan — the refinement planes to merge and the midpoint to
 // fill — applied per block right after reconstruction.
-//
-// Compression encodes both block candidates and chooses per chunk by
-// measured payload size, preferring independence within a small
-// tolerance.
 package core
 
 import (
@@ -51,29 +49,6 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/quant"
 )
-
-// BlockSpec configures block-coded payloads (see Options.Blocks).
-type BlockSpec struct {
-	// Enable selects block coding. Payloads become CFC1 version 2 (and
-	// chunked containers CFC2 version 3), decodable block-parallel.
-	Enable bool
-	// Edge is the decode-block edge applied to every axis; 0 picks the
-	// rank default (64 for 3D, 256 for 2D, 4096 for 1D — ~256K-point
-	// blocks either way).
-	Edge int
-}
-
-// DefaultBlockEdge returns the default decode-block edge for a rank.
-func DefaultBlockEdge(rank int) int {
-	switch rank {
-	case 3:
-		return 64
-	case 2:
-		return 256
-	default:
-		return 4096
-	}
-}
 
 // blockGeom is the decode-block partitioning of one field or chunk.
 type blockGeom struct {
@@ -103,28 +78,6 @@ func geomFor(dims, edges []int) (*blockGeom, error) {
 	return g, nil
 }
 
-// blockGeomFor resolves the Options into a geometry, or nil when block
-// coding is disabled or degenerate (a single block decodes sequentially
-// anyway, so the plain payload is strictly better).
-func blockGeomFor(opts Options, dims []int) *blockGeom {
-	if !opts.Blocks.Enable {
-		return nil
-	}
-	edge := opts.Blocks.Edge
-	if edge <= 0 {
-		edge = DefaultBlockEdge(len(dims))
-	}
-	edges := make([]int, len(dims))
-	for a := range edges {
-		edges[a] = edge
-	}
-	g, err := geomFor(dims, edges)
-	if err != nil || g.total <= 1 {
-		return nil
-	}
-	return g
-}
-
 // bounds returns block b's half-open coordinate box in block-raster order
 // (slowest axis first, matching the grid's raster order).
 func (g *blockGeom) bounds(b int) (lo, hi []int) {
@@ -141,15 +94,6 @@ func (g *blockGeom) bounds(b int) (lo, hi []int) {
 		}
 	}
 	return lo, hi
-}
-
-// maxBlockVoxels bounds any single block's point count.
-func (g *blockGeom) maxBlockVoxels() int {
-	n := 1
-	for _, e := range g.edges {
-		n *= e
-	}
-	return n
 }
 
 // fronts groups block ids by anti-diagonal front (the sum of their block
@@ -181,40 +125,6 @@ func boxVoxels(lo, hi []int) int {
 	return n
 }
 
-// gatherBlock copies the codes of one block out of the raster-order array
-// into dst in block-raster order (row spans are contiguous).
-func gatherBlock(dst, src []int32, dims, lo, hi []int) []int32 {
-	switch len(dims) {
-	case 1:
-		return append(dst[:0], src[lo[0]:hi[0]]...)
-	case 2:
-		nx := dims[1]
-		out := dst[:0]
-		for i := lo[0]; i < hi[0]; i++ {
-			out = append(out, src[i*nx+lo[1]:i*nx+hi[1]]...)
-		}
-		return out
-	default:
-		ny, nx := dims[1], dims[2]
-		out := dst[:0]
-		for k := lo[0]; k < hi[0]; k++ {
-			for i := lo[1]; i < hi[1]; i++ {
-				base := (k*ny + i) * nx
-				out = append(out, src[base+lo[2]:base+hi[2]]...)
-			}
-		}
-		return out
-	}
-}
-
-// blockAlt carries the block-coding candidate data into assemble: the
-// geometry and the block-independent (seam-reset) residuals. The
-// wavefront candidate is the ordinary codes array itself.
-type blockAlt struct {
-	geom  *blockGeom
-	indep []int32
-}
-
 // hybridPredAt2D evaluates the hybrid (or cross-only, hasLor=false)
 // prediction at (i,j) with the causal horizon at org — org zero is the
 // seam-crossing prediction, org at a block origin the seam-reset one. The
@@ -244,106 +154,6 @@ func hybridPredAt3D(q []int32, ny, nx int, dq0, dq1, dq2 []float64, w []float64,
 	acc += w[f+1] * predictor.CrossFieldPredFrom(q, p, nx, i, org[1], dq1[p])
 	acc += w[f+2] * predictor.CrossFieldPredFrom(q, p, 1, j, org[2], dq2[p])
 	return int32(roundHalfAway(clampPred(acc)))
-}
-
-// blockLocalCodes computes the block-independent residuals: for every
-// point, code = q − pred with the prediction's causal horizon reset to the
-// point's block origin. Interior points (all neighbors in-block) get
-// exactly the sequential codes; only seam planes differ. Blocks write
-// disjoint regions, so the loop is block-parallel. hybrid holds the
-// hybrid weights, then the bias (nil for the baseline).
-func blockLocalCodes(q []int32, dims []int, g *blockGeom, dq [][]float64, hybrid []float64, method container.Method) []int32 {
-	out := make([]int32, len(q))
-	hasLor := method == container.MethodHybrid
-	var w []float64
-	var bias float64
-	if method != container.MethodBaseline {
-		w, bias = hybrid[:len(hybrid)-1], hybrid[len(hybrid)-1]
-	}
-	parallel.For(g.total, func(b int) {
-		lo, hi := g.bounds(b)
-		switch len(dims) {
-		case 1:
-			for i := lo[0]; i < hi[0]; i++ {
-				out[i] = q[i] - int32(predictor.LorenzoPred1DFrom(q, i, lo[0]))
-			}
-		case 2:
-			nx := dims[1]
-			for i := lo[0]; i < hi[0]; i++ {
-				for j := lo[1]; j < hi[1]; j++ {
-					p := i*nx + j
-					if method == container.MethodBaseline {
-						out[p] = q[p] - int32(predictor.LorenzoPred2DFrom(q, nx, i, j, lo[0], lo[1]))
-					} else {
-						out[p] = q[p] - hybridPredAt2D(q, nx, dq[0], dq[1], w, bias, hasLor, i, j, p, lo)
-					}
-				}
-			}
-		default:
-			ny, nx := dims[1], dims[2]
-			for k := lo[0]; k < hi[0]; k++ {
-				for i := lo[1]; i < hi[1]; i++ {
-					for j := lo[2]; j < hi[2]; j++ {
-						p := (k*ny+i)*nx + j
-						if method == container.MethodBaseline {
-							out[p] = q[p] - int32(predictor.LorenzoPred3DFrom(q, ny, nx, k, i, j, lo[0], lo[1], lo[2]))
-						} else {
-							out[p] = q[p] - hybridPredAt3D(q, ny, nx, dq[0], dq[1], dq[2], w, bias, hasLor, k, i, j, p, lo)
-						}
-					}
-				}
-			}
-		}
-	})
-	return out
-}
-
-// encodeBlockStreams Huffman-codes one candidate's residuals into
-// per-block byte-aligned segments (block-raster order), returning the
-// codec, the concatenated raw payload, and the segment lengths.
-func encodeBlockStreams(codes []int32, dims []int, g *blockGeom, maxSymbols int) (*huffman.Codec, []byte, []int, error) {
-	codec, err := huffman.Build(codes, maxSymbols)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var w bitstream.Writer
-	scratch := make([]int32, 0, g.maxBlockVoxels())
-	payload := make([]byte, 0, len(codes)/4)
-	segLens := make([]int, g.total)
-	for b := 0; b < g.total; b++ {
-		lo, hi := g.bounds(b)
-		s := gatherBlock(scratch, codes, dims, lo, hi)
-		w.Reset()
-		if err := codec.Encode(&w, s); err != nil {
-			return nil, nil, nil, err
-		}
-		seg := w.Bytes()
-		payload = append(payload, seg...)
-		segLens[b] = len(seg)
-	}
-	return codec, payload, segLens, nil
-}
-
-// chooseBlockCoding encodes both candidates and picks by measured raw
-// payload size: block-independent wins unless it costs more than ~1.6%
-// (1/64) over wavefront, because zero-dependency decode is worth a small
-// ratio delta but not a material one.
-func chooseBlockCoding(codes []int32, alt *blockAlt, dims []int, maxSymbols int) (*huffman.Codec, []byte, *container.BlockSection, []int32, error) {
-	cw, rawW, segW, err := encodeBlockStreams(codes, dims, alt.geom, maxSymbols)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	ci, rawI, segI, err := encodeBlockStreams(alt.indep, dims, alt.geom, maxSymbols)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	edges := append([]int(nil), alt.geom.edges...)
-	if len(rawI) <= len(rawW)+len(rawW)/64 {
-		sec := &container.BlockSection{Mode: container.BlockIndependent, Edges: edges, SegLens: segI}
-		return ci, rawI, sec, alt.indep, nil
-	}
-	sec := &container.BlockSection{Mode: container.BlockWavefront, Edges: edges, SegLens: segW}
-	return cw, rawW, sec, codes, nil
 }
 
 // payloadPlan is the decode descriptor every CFC1 payload version parses

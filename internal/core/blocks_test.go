@@ -6,9 +6,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/bitstream"
 	"repro/internal/container"
+	"repro/internal/huffman"
+	"repro/internal/parallel"
+	"repro/internal/predictor"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -170,38 +176,151 @@ func referenceCodes(t *testing.T, q []int32, dims []int, dq [][]float64, weights
 	return blockLocalCodes(q, dims, g, dq, weights, method)
 }
 
+// The block-payload writer, kept as the parity test's reference encoder:
+// the package decodes block-coded payloads but no longer writes them.
+
+// blockLocalCodes computes the block-independent residuals: for every
+// point, code = q − pred with the prediction's causal horizon reset to the
+// point's block origin. Interior points (all neighbors in-block) get
+// exactly the sequential codes; only seam planes differ. Blocks write
+// disjoint regions, so the loop is block-parallel. hybrid holds the
+// hybrid weights, then the bias (nil for the baseline).
+func blockLocalCodes(q []int32, dims []int, g *blockGeom, dq [][]float64, hybrid []float64, method container.Method) []int32 {
+	out := make([]int32, len(q))
+	hasLor := method == container.MethodHybrid
+	var w []float64
+	var bias float64
+	if method != container.MethodBaseline {
+		w, bias = hybrid[:len(hybrid)-1], hybrid[len(hybrid)-1]
+	}
+	parallel.For(g.total, func(b int) {
+		lo, hi := g.bounds(b)
+		switch len(dims) {
+		case 1:
+			for i := lo[0]; i < hi[0]; i++ {
+				out[i] = q[i] - int32(predictor.LorenzoPred1DFrom(q, i, lo[0]))
+			}
+		case 2:
+			nx := dims[1]
+			for i := lo[0]; i < hi[0]; i++ {
+				for j := lo[1]; j < hi[1]; j++ {
+					p := i*nx + j
+					if method == container.MethodBaseline {
+						out[p] = q[p] - int32(predictor.LorenzoPred2DFrom(q, nx, i, j, lo[0], lo[1]))
+					} else {
+						out[p] = q[p] - hybridPredAt2D(q, nx, dq[0], dq[1], w, bias, hasLor, i, j, p, lo)
+					}
+				}
+			}
+		default:
+			ny, nx := dims[1], dims[2]
+			for k := lo[0]; k < hi[0]; k++ {
+				for i := lo[1]; i < hi[1]; i++ {
+					for j := lo[2]; j < hi[2]; j++ {
+						p := (k*ny+i)*nx + j
+						if method == container.MethodBaseline {
+							out[p] = q[p] - int32(predictor.LorenzoPred3DFrom(q, ny, nx, k, i, j, lo[0], lo[1], lo[2]))
+						} else {
+							out[p] = q[p] - hybridPredAt3D(q, ny, nx, dq[0], dq[1], dq[2], w, bias, hasLor, k, i, j, p, lo)
+						}
+					}
+				}
+			}
+		}
+	})
+	return out
+}
+
+// encodeBlockStreams Huffman-codes one candidate's residuals into
+// per-block byte-aligned segments (block-raster order), returning the
+// codec, the concatenated raw payload, and the segment lengths.
+func encodeBlockStreams(codes []int32, dims []int, g *blockGeom, maxSymbols int) (*huffman.Codec, []byte, []int, error) {
+	codec, err := huffman.Build(codes, maxSymbols)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var w bitstream.Writer
+	scratch := make([]int32, 0, len(codes))
+	payload := make([]byte, 0, len(codes)/4)
+	segLens := make([]int, g.total)
+	for b := 0; b < g.total; b++ {
+		lo, hi := g.bounds(b)
+		s := gatherBlock(scratch, codes, dims, lo, hi)
+		w.Reset()
+		if err := codec.Encode(&w, s); err != nil {
+			return nil, nil, nil, err
+		}
+		seg := w.Bytes()
+		payload = append(payload, seg...)
+		segLens[b] = len(seg)
+	}
+	return codec, payload, segLens, nil
+}
+
+// gatherBlock copies the codes of one block out of the raster-order array
+// into dst in block-raster order (row spans are contiguous).
+func gatherBlock(dst, src []int32, dims, lo, hi []int) []int32 {
+	switch len(dims) {
+	case 1:
+		return append(dst[:0], src[lo[0]:hi[0]]...)
+	case 2:
+		nx := dims[1]
+		out := dst[:0]
+		for i := lo[0]; i < hi[0]; i++ {
+			out = append(out, src[i*nx+lo[1]:i*nx+hi[1]]...)
+		}
+		return out
+	default:
+		ny, nx := dims[1], dims[2]
+		out := dst[:0]
+		for k := lo[0]; k < hi[0]; k++ {
+			for i := lo[1]; i < hi[1]; i++ {
+				base := (k*ny + i) * nx
+				out = append(out, src[base+lo[2]:base+hi[2]]...)
+			}
+		}
+		return out
+	}
+}
+
 // TestBlockDecodeHonorsCancellation: a canceled context must abort every
 // payload kind's decode — block-coded between fronts, plain and layered
 // at their one block — whole or as chunk 1 of a container, and through
 // the whole-container chunk loop, at full fidelity and at the base
-// level, instead of reconstructing it all.
+// level, instead of reconstructing it all. The block-coded payloads are
+// the committed fixtures.
 func TestBlockDecodeHonorsCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	field := smoothField(t, rng, []int{12, 21, 37})
 	bound := quant.RelBound(1e-3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	compressed := func(opts Options) (mono, chunked []byte) {
+		m, err := CompressBaseline(field, opts)
+		if err != nil {
+			t.Fatalf("compress: %v", err)
+		}
+		c, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: opts, ChunkVoxels: 4 * 21 * 37})
+		if err != nil {
+			t.Fatalf("chunked compress: %v", err)
+		}
+		return m.Blob, c.Blob
+	}
+	plainMono, plainChunked := compressed(Options{Bound: bound})
+	layeredMono, layeredChunked := compressed(Options{Bound: bound, Progressive: &ProgressiveSpec{Levels: 3}})
 	for _, tc := range []struct {
-		name   string
-		opts   Options
-		levels []int
+		name          string
+		mono, chunked []byte
+		levels        []int
 	}{
-		{"blocks", Options{Bound: bound, Blocks: BlockSpec{Enable: true, Edge: 8}}, []int{LevelFull, 0}},
-		{"plain", Options{Bound: bound}, []int{LevelFull, 0}},
-		{"layered", Options{Bound: bound, Progressive: &ProgressiveSpec{Levels: 3}}, []int{LevelFull, 0, 1}},
+		{"blocks", goldenBlob(t, "baseline_cfc1v2.cfc"), goldenBlob(t, "chunked_cfc2v3.cfc"), []int{LevelFull, 0}},
+		{"plain", plainMono, plainChunked, []int{LevelFull, 0}},
+		{"layered", layeredMono, layeredChunked, []int{LevelFull, 0, 1}},
 	} {
-		mono, err := CompressBaseline(field, tc.opts)
-		if err != nil {
-			t.Fatalf("%s compress: %v", tc.name, err)
-		}
-		chunked, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: tc.opts, ChunkVoxels: 4 * 21 * 37})
-		if err != nil {
-			t.Fatalf("%s chunked compress: %v", tc.name, err)
-		}
 		for _, c := range []struct {
 			blob  []byte
 			chunk int
-		}{{mono.Blob, 0}, {chunked.Blob, 1}} {
+		}{{tc.mono, 0}, {tc.chunked, 1}} {
 			for _, level := range tc.levels {
 				if _, _, _, err := decompressChunk(ctx, c.blob, c.chunk, level, nil, true, 2); !errors.Is(err, context.Canceled) {
 					t.Errorf("%s chunk %d level %d: decode under canceled ctx = %v, want context.Canceled", tc.name, c.chunk, level, err)
@@ -214,109 +333,32 @@ func TestBlockDecodeHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestBlockCompressDecompressEndToEnd exercises the full public path:
-// compression with Blocks enabled must produce block-coded containers that
-// decompress byte-identically to the plain sequential ones at any worker
-// count, for both monolithic and chunked containers.
-func TestBlockCompressDecompressEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, dims := range [][]int{{3000}, {61, 83}, {13, 21, 37}} {
-		field := smoothField(t, rng, dims)
-		opts := Options{Bound: quant.RelBound(1e-3)}
-		plain, err := CompressBaseline(field, opts)
-		if err != nil {
-			t.Fatalf("plain compress: %v", err)
-		}
-		opts.Blocks = BlockSpec{Enable: true, Edge: 16}
-		blocked, err := CompressBaseline(field, opts)
-		if err != nil {
-			t.Fatalf("block compress: %v", err)
-		}
-		if blocked.Stats.BlockMode == 0 {
-			t.Fatalf("dims %v: block compression reported no block mode", dims)
-		}
-		b, err := container.Decode(blocked.Blob)
-		if err != nil {
-			t.Fatalf("decode blocked blob: %v", err)
-		}
-		if b.Blocks == nil {
-			t.Fatalf("dims %v: blocked blob has no block section", dims)
-		}
-		want, err := Decompress(plain.Blob, nil)
-		if err != nil {
-			t.Fatalf("plain decompress: %v", err)
-		}
-		for _, workers := range []int{0, 1, 2, 4} {
-			got, _, err := DecompressChunkWith(blocked.Blob, 0, nil, workers)
-			if err != nil {
-				t.Fatalf("block decompress (workers=%d): %v", workers, err)
-			}
-			for i, v := range got.Data() {
-				if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
-					t.Fatalf("dims %v workers %d: output differs at %d", dims, workers, i)
-				}
-			}
-		}
-
-		// Chunked: CFC2 v3 container, decoded via every public entry.
-		copts := ChunkedOptions{Options: opts, ChunkVoxels: field.Len() / 3}
-		chunked, err := CompressChunked(field, nil, nil, copts)
-		if err != nil {
-			t.Fatalf("chunked block compress: %v", err)
-		}
-		full, err := DecompressChunked(chunked.Blob, nil)
-		if err != nil {
-			t.Fatalf("chunked decompress: %v", err)
-		}
-		for i, v := range full.Data() {
-			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
-				t.Fatalf("dims %v chunked: output differs at %d", dims, i)
-			}
-		}
-		nchunks, err := ChunkCount(chunked.Blob)
-		if err != nil {
-			t.Fatalf("chunk count: %v", err)
-		}
-		slab := field.Len() / dims[0]
-		for ci := 0; ci < nchunks; ci++ {
-			for _, workers := range []int{1, 4} {
-				part, start, err := DecompressChunkWith(chunked.Blob, ci, nil, workers)
-				if err != nil {
-					t.Fatalf("chunk %d (workers=%d): %v", ci, workers, err)
-				}
-				off := start * slab
-				for i, v := range part.Data() {
-					if math.Float32bits(v) != math.Float32bits(want.Data()[off+i]) {
-						t.Fatalf("dims %v chunk %d workers %d: differs at %d", dims, ci, workers, i)
-					}
-				}
-			}
-		}
+// goldenBlob reads a committed golden fixture.
+func goldenBlob(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", name))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
 }
 
 // TestBlockSectionCorruption feeds truncated and corrupted block tables to
-// the decoder: every mutation must fail cleanly (no panic, no success
-// producing silently wrong dims).
+// the decoder: every mutation of the committed CFC1 v2 fixture must fail
+// cleanly (no panic, no success producing silently wrong dims).
 func TestBlockSectionCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	field := smoothField(t, rng, []int{40, 50})
-	opts := Options{Bound: quant.RelBound(1e-3), Blocks: BlockSpec{Enable: true, Edge: 16}}
-	res, err := CompressBaseline(field, opts)
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-	orig, err := Decompress(res.Blob, nil)
+	blob := goldenBlob(t, "baseline_cfc1v2.cfc")
+	orig, err := Decompress(blob, nil)
 	if err != nil {
 		t.Fatalf("decompress pristine: %v", err)
 	}
-	for cut := 1; cut < len(res.Blob); cut += 97 {
-		if _, err := Decompress(res.Blob[:cut], nil); err == nil {
+	for cut := 1; cut < len(blob); cut++ {
+		if _, err := Decompress(blob[:cut], nil); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", cut)
 		}
 	}
-	for pos := 0; pos < len(res.Blob); pos++ {
-		mut := append([]byte(nil), res.Blob...)
+	for pos := 0; pos < len(blob); pos++ {
+		mut := append([]byte(nil), blob...)
 		mut[pos] ^= 0x55
 		got, err := Decompress(mut, nil)
 		if err != nil {

@@ -164,12 +164,6 @@ func CompressChunkedTo(w io.Writer, field *tensor.Tensor, model *cfnn.Model, anc
 		Model:      modelBlob,
 		Layered:    opts.Options.prog != nil,
 	}
-	for _, cs := range chunkStats {
-		if cs.BlockMode != 0 {
-			hdr.Blocks = true
-			break
-		}
-	}
 	maxErrs := make([]float64, n)
 	for i, cs := range chunkStats {
 		maxErrs[i] = cs.MaxErr

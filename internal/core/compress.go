@@ -78,7 +78,7 @@ func compressCrossFieldWithEB(field *tensor.Tensor, model *cfnn.Model, anchors [
 
 // compressCrossFieldDQ is the pipeline downstream of CFNN inference,
 // shared by every method and payload kind: quantize, predict, then
-// assemble a plain or block-coded payload, or hand off to the layered
+// assemble a plain payload, or hand off to the layered
 // compressor. The predicted-diff fields arrive precomputed in prequant
 // units (dq, one slab per axis covering exactly this field; nil for the
 // baseline). The chunked engine calls it per chunk with read-only slab
@@ -104,21 +104,16 @@ func compressCrossFieldDQ(field *tensor.Tensor, dq [][]float64, stored *cfnn.Mod
 		endPredict()
 		return nil, err
 	}
-	var alt *blockAlt
-	if g := blockGeomFor(opts, field.Shape()); g != nil {
-		alt = &blockAlt{geom: g, indep: blockLocalCodes(q, field.Shape(), g, dq, hybrid, method)}
-	}
 	endPredict()
-	return assemble(field, codes, stored, hybrid, method, eb, achievedMaxErr(field.Data(), q, eb, 0), opts, alt, nil, nil)
+	return assemble(field, codes, stored, hybrid, method, eb, achievedMaxErr(field.Data(), q, eb, 0), opts, nil, nil)
 }
 
 // predict runs the prediction stack over the prequant integers q and
 // returns the residual codes and the hybrid parameters (weights, then the
 // bias; nil for the baseline): Lorenzo residuals for the baseline, and for
 // the cross-field methods the candidate features, a least-squares hybrid
-// fit and the rounded hybrid prediction. The plain, block-coded and
-// layered compressors all predict here, the layered one over its base
-// layer.
+// fit and the rounded hybrid prediction. The plain and layered
+// compressors both predict here, the layered one over its base layer.
 func predict(q []int32, dims []int, dq [][]float64, method container.Method, opts Options) ([]int32, []float64, error) {
 	if method == container.MethodBaseline {
 		lor, err := predictor.LorenzoAll(q, dims)
@@ -256,25 +251,12 @@ func entropyCode(codes []int32, maxSymbols int) (*huffman.Codec, []byte, error) 
 }
 
 // assemble entropy-codes the quantization codes and builds the container
-// and its Stats. alt, when non-nil, switches the payload to block coding:
-// both the wavefront candidate (codes as-is, reordered block-major) and
-// the block-independent one (alt.indep) are encoded and the smaller wins.
-// layers, when non-nil, makes the payload layered: the codes are its base
-// layer, which assemble encodes into layer 0 of the table and layerData;
-// the refinement planes arrive already encoded.
-func assemble(field *tensor.Tensor, codes []int32, model *cfnn.Model, hybrid []float64, method container.Method, eb, maxErr float64, opts Options, alt *blockAlt, layers *container.LayerSection, layerData [][]byte) (*Result, error) {
+// and its Stats. layers, when non-nil, makes the payload layered: the
+// codes are its base layer, which assemble encodes into layer 0 of the
+// table and layerData; the refinement planes arrive already encoded.
+func assemble(field *tensor.Tensor, codes []int32, model *cfnn.Model, hybrid []float64, method container.Method, eb, maxErr float64, opts Options, layers *container.LayerSection, layerData [][]byte) (*Result, error) {
 	endHuff := opts.Stages.Timer("huffman")
-	var (
-		codec      *huffman.Codec
-		payloadRaw []byte
-		blocks     *container.BlockSection
-		err        error
-	)
-	if alt != nil {
-		codec, payloadRaw, blocks, codes, err = chooseBlockCoding(codes, alt, field.Shape(), opts.MaxSymbols)
-	} else {
-		codec, payloadRaw, err = entropyCode(codes, opts.MaxSymbols)
-	}
+	codec, payloadRaw, err := entropyCode(codes, opts.MaxSymbols)
 	endHuff()
 	if err != nil {
 		return nil, err
@@ -306,9 +288,8 @@ func assemble(field *tensor.Tensor, codes []int32, model *cfnn.Model, hybrid []f
 			Hybrid:     hybrid,
 			Anchors:    append([]string(nil), opts.AnchorNames...),
 		},
-		Model:  modelBlob,
-		Table:  table,
-		Blocks: blocks,
+		Model: modelBlob,
+		Table: table,
 	}
 	tableBytes, payloadBytes := len(table), len(payload)
 	if layers == nil {
@@ -341,9 +322,6 @@ func assemble(field *tensor.Tensor, codes []int32, model *cfnn.Model, hybrid []f
 		BitRate:         metrics.BitRate(field.Len(), len(enc)),
 		CodeEntropy:     metrics.CodeEntropy(codes),
 		HybridWeights:   hybrid,
-	}
-	if blocks != nil {
-		st.BlockMode = blocks.Mode
 	}
 	return &Result{Blob: enc, Stats: st}, nil
 }

@@ -35,7 +35,7 @@
 // sequential payload being one block and a layered payload's level a
 // plan for the per-block dequantize step. On the encode side, one
 // prediction step (predict) and one container assembly (assemble) serve
-// plain, block-coded and layered payloads.
+// plain and layered payloads; block-coded payloads are decode-only.
 package core
 
 import (
@@ -79,12 +79,9 @@ type Options struct {
 	// safe to share one Stages across the concurrent chunk workers of a
 	// chunked compression; it never affects output bytes.
 	Stages *obs.Stages
-	// Blocks enables block-coded payloads (wavefront / block-independent
-	// decode; see blocks.go). Containers become CFC1 v2 / CFC2 v3.
-	Blocks BlockSpec
 	// Progressive, when non-nil, writes layered payloads for progressive
 	// multi-resolution retrieval (see progressive.go). Containers become
-	// CFC1 v3 / CFC2 v4. Mutually exclusive with Blocks.
+	// CFC1 v3 / CFC2 v4.
 	Progressive *ProgressiveSpec
 
 	// prog is the resolved layering plan, derived once per field from
@@ -121,9 +118,6 @@ type Stats struct {
 	BitRate       float64
 	CodeEntropy   float64 // Shannon entropy of the quantization codes
 	HybridWeights []float64
-	// BlockMode is the chosen block-coding mode (container.BlockWavefront
-	// or container.BlockIndependent), 0 for plain sequential payloads.
-	BlockMode byte
 }
 
 // Result is a compressed field.

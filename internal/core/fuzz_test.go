@@ -249,22 +249,19 @@ func TestDecompressSingleByteFlips(t *testing.T) {
 	}
 }
 
-// Same property over a chunked CFC2 v3 blob: flips and truncations that
-// land in the block table (mode byte, edge uvarints, segment lengths)
-// must surface as errors or correctly-shaped output — the table is fully
-// validated before any worker touches the payload, so no slice arithmetic
-// downstream can go out of bounds.
+// Same property over the committed chunked CFC2 v3 fixture: flips and
+// truncations that land in the block table (mode byte, edge uvarints,
+// segment lengths) must surface as errors or correctly-shaped output —
+// the table is fully validated before any worker touches the payload, so
+// no slice arithmetic downstream can go out of bounds.
 func TestCFC2V3CorruptBlockTablesNeverPanic(t *testing.T) {
-	field := smoothField2D(24, 24, 50)
-	res, err := CompressChunked(field, nil, nil, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05), Blocks: BlockSpec{Enable: true, Edge: 8}},
-		ChunkVoxels: 24 * 24 / 3,
-	})
+	blob := goldenBlob(t, "chunked_cfc2v3.cfc")
+	if blob[4] != 3 {
+		t.Fatalf("fixture is CFC2 v%d, want v3", blob[4])
+	}
+	want, err := DecompressChunked(blob, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Blob[4] != 3 {
-		t.Fatalf("fixture is CFC2 v%d, want v3", res.Blob[4])
 	}
 	check := func(label string, blob []byte) {
 		defer func() {
@@ -273,16 +270,16 @@ func TestCFC2V3CorruptBlockTablesNeverPanic(t *testing.T) {
 			}
 		}()
 		recon, err := DecompressChunked(blob, nil)
-		if err == nil && recon != nil && recon.Len() != field.Len() {
+		if err == nil && recon != nil && recon.Len() != want.Len() {
 			t.Fatalf("%s: wrong-size reconstruction accepted", label)
 		}
 	}
-	for i := range res.Blob {
-		bad := append([]byte(nil), res.Blob...)
+	for i := range blob {
+		bad := append([]byte(nil), blob...)
 		bad[i] ^= 0x55
 		check("flip", bad)
 	}
-	for n := 0; n < len(res.Blob); n += 7 {
-		check("truncate", res.Blob[:n])
+	for n := 0; n < len(blob); n += 7 {
+		check("truncate", blob[:n])
 	}
 }

@@ -73,9 +73,6 @@ func (o *Options) resolveProg() error {
 	if o.prog != nil || o.Progressive == nil {
 		return nil
 	}
-	if o.Blocks.Enable {
-		return fmt.Errorf("core: progressive layering and block-coded payloads are mutually exclusive")
-	}
 	p := o.Progressive
 	levels := p.Levels
 	if levels == 0 && p.PreviewBound > 0 {
@@ -213,5 +210,5 @@ func compressProgressive(field *tensor.Tensor, q []int32, dq [][]float64, stored
 		layers.Layers[l].MaxErr = achievedMaxErr(field.Data(), q, eb, plan.remaining(l))
 	}
 	maxErr := layers.Layers[len(layers.Layers)-1].MaxErr
-	return assemble(field, codes, stored, hybrid, method, eb, maxErr, opts, nil, layers, data)
+	return assemble(field, codes, stored, hybrid, method, eb, maxErr, opts, layers, data)
 }

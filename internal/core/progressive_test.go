@@ -339,7 +339,6 @@ func TestProgressiveOptionErrors(t *testing.T) {
 		{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{Levels: 9}},
 		{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{PreviewBound: 2e-3}},
 		{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{Levels: 8, PreviewBound: 5e-3}},
-		{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{Levels: 2}, Blocks: BlockSpec{Enable: true}},
 	}
 	for i, opts := range cases {
 		if _, err := CompressBaseline(field, opts); err == nil {

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	crossfield "repro"
-	"repro/internal/container"
-	"repro/internal/core"
 	"repro/internal/nn"
 )
 
@@ -26,34 +24,18 @@ type InferenceBenchRow struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
-// ChunkDecodeRow is one timed configuration of the single-chunk
-// decompress-latency ladder: a hybrid chunk decoded from a sequential
-// payload versus a block-coded (CFC2 v3) payload at increasing worker
-// counts. Every row is measured, so a row asking for more workers than
-// GOMAXPROCS (recorded on the report's inference rows) cannot speed up
-// past it. SpeedupX compares against the sequential payload's latency.
-type ChunkDecodeRow struct {
-	Payload    string  `json:"payload"` // "sequential" or "blocks"
-	BlockMode  string  `json:"block_mode,omitempty"`
-	Workers    int     `json:"workers"`
-	MeasuredMS float64 `json:"measured_ms"`
-	SpeedupX   float64 `json:"speedup_x"`
-}
-
 // InferenceBenchReport is the machine-readable output of InferenceBench,
 // written as BENCH_inference.json so the inference hot path's latency and
 // allocation behavior can be tracked across PRs alongside the end-to-end
 // throughput reports.
 type InferenceBenchReport struct {
-	Dataset    string              `json:"dataset"`
-	Field      string              `json:"field"`
-	Dims       []int               `json:"dims"`
-	MB         float64             `json:"mb"`
-	Features   int                 `json:"features"`
-	Anchors    int                 `json:"anchors"`
-	Rows       []InferenceBenchRow `json:"rows"`
-	ChunkDims  []int               `json:"chunk_dims,omitempty"`
-	DecodeRows []ChunkDecodeRow    `json:"decode_rows,omitempty"`
+	Dataset  string              `json:"dataset"`
+	Field    string              `json:"field"`
+	Dims     []int               `json:"dims"`
+	MB       float64             `json:"mb"`
+	Features int                 `json:"features"`
+	Anchors  int                 `json:"anchors"`
+	Rows     []InferenceBenchRow `json:"rows"`
 }
 
 // InferenceBench times the CFNN full-field forward pass (PredictDiffs) on
@@ -126,10 +108,6 @@ func InferenceBench(w io.Writer, s Sizes, jsonPath string) error {
 		}
 	}
 
-	if err := chunkDecodeLadder(w, p, report); err != nil {
-		return err
-	}
-
 	if jsonPath != "" {
 		enc, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -139,91 +117,6 @@ func InferenceBench(w io.Writer, s Sizes, jsonPath string) error {
 			return err
 		}
 		fmt.Fprintf(w, "  wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-// chunkDecodeLadder times one hybrid chunk's decompress latency from a
-// sequential CFC2 v2 payload and from a block-coded CFC2 v3 payload at
-// 1, 2, and 4 workers, verifying in-bench that every configuration
-// reconstructs byte-identical floats.
-func chunkDecodeLadder(w io.Writer, p *preparedPlan, report *InferenceBenchReport) error {
-	fmt.Fprintf(w, "single-chunk hybrid decompress, sequential vs block-coded payload:\n")
-	bound := crossfield.Rel(1e-3)
-	anchorsDec, err := decompressedAnchors(p.anchors, bound)
-	if err != nil {
-		return err
-	}
-	anchorT := fieldTensorsOf(anchorsDec)
-	dims := p.target.Dims()
-	slab := p.target.Len() / dims[0]
-	chunkVox := (dims[0] / 2) * slab // two chunks along the slowest axis
-	seqRes, err := core.CompressChunked(p.target.Tensor(), p.codec.Model(), anchorT, core.ChunkedOptions{
-		Options: core.Options{Bound: bound}, ChunkVoxels: chunkVox,
-	})
-	if err != nil {
-		return err
-	}
-	blkRes, err := core.CompressChunked(p.target.Tensor(), p.codec.Model(), anchorT, core.ChunkedOptions{
-		Options:     core.Options{Bound: bound, Blocks: core.BlockSpec{Enable: true, Edge: 12}},
-		ChunkVoxels: chunkVox,
-	})
-	if err != nil {
-		return err
-	}
-	mode := "wavefront"
-	if blkRes.Stats.BlockMode == container.BlockIndependent {
-		mode = "independent"
-	}
-
-	const ci = 0
-	timeDecode := func(blob []byte, nw int) (float64, []float32, error) {
-		// Warm-up pass, then best-of over a fixed window: latency, not
-		// throughput, is what cold p99 cares about.
-		t, _, err := core.DecompressChunkWith(blob, ci, anchorT, nw)
-		if err != nil {
-			return 0, nil, err
-		}
-		best := 0.0
-		start := time.Now()
-		for iters := 0; time.Since(start) < 300*time.Millisecond || iters < 3; iters++ {
-			t0 := time.Now()
-			if _, _, err := core.DecompressChunkWith(blob, ci, anchorT, nw); err != nil {
-				return 0, nil, err
-			}
-			if d := time.Since(t0).Seconds(); iters == 0 || d < best {
-				best = d
-			}
-		}
-		return best * 1000, t.Data(), nil
-	}
-
-	seqMS, seqVals, err := timeDecode(seqRes.Blob, 1)
-	if err != nil {
-		return err
-	}
-	report.ChunkDims = append([]int{dims[0] / 2}, dims[1:]...)
-	report.DecodeRows = append(report.DecodeRows, ChunkDecodeRow{
-		Payload: "sequential", Workers: 1, MeasuredMS: seqMS, SpeedupX: 1,
-	})
-	fmt.Fprintf(w, "  %-11s w=%-2d  %8.2f ms\n", "sequential", 1, seqMS)
-
-	for _, nw := range []int{1, 2, 4} {
-		ms, vals, err := timeDecode(blkRes.Blob, nw)
-		if err != nil {
-			return err
-		}
-		for i, v := range vals {
-			if v != seqVals[i] {
-				return fmt.Errorf("block decode at %d workers differs from sequential at %d", nw, i)
-			}
-		}
-		row := ChunkDecodeRow{
-			Payload: "blocks", BlockMode: mode, Workers: nw,
-			MeasuredMS: ms, SpeedupX: seqMS / ms,
-		}
-		fmt.Fprintf(w, "  %-11s w=%-2d  %8.2f ms  %5.2fx vs sequential\n", mode, nw, ms, row.SpeedupX)
-		report.DecodeRows = append(report.DecodeRows, row)
 	}
 	return nil
 }

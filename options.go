@@ -20,16 +20,9 @@ type compressConfig struct {
 	chunked     bool
 	chunkVoxels int
 	workers     int
-	blocks      bool
-	blockEdge   int
 	progressive *core.ProgressiveSpec
 	fieldBounds map[string]ErrorBound
 	timings     *DatasetTimings
-}
-
-// blockSpec translates the resolved block options into the core spec.
-func (c *compressConfig) blockSpec() core.BlockSpec {
-	return core.BlockSpec{Enable: c.blocks, Edge: c.blockEdge}
 }
 
 // progSpec returns the resolved progressive spec (nil when not layered).
@@ -68,26 +61,6 @@ func WithWorkers(n int) Option {
 	})
 }
 
-// WithDecodeBlocks enables block-coded payloads: the prequant grid is
-// split into fixed decode blocks (edge per axis; 0 picks the rank default
-// of 64³/256²/4096¹) and each block's residuals are entropy-coded into
-// its own segment, so decompression reconstructs blocks in parallel —
-// wavefront-scheduled when seam-crossing prediction was kept, fully
-// independently when compression measured that resetting prediction at
-// block borders cost nothing. Reconstructed floats are byte-identical to
-// the sequential decoder either way; only decode latency changes.
-// Containers become CFC1 v2 / CFC2 v3 (older readers reject them).
-func WithDecodeBlocks(edge int) Option {
-	return optionFunc(func(c *compressConfig) error {
-		if edge < 0 {
-			return fmt.Errorf("crossfield: WithDecodeBlocks(%d): edge must be >= 0 (0 = default)", edge)
-		}
-		c.blocks = true
-		c.blockEdge = edge
-		return nil
-	})
-}
-
 // WithProgressive writes layered payloads for progressive multi-resolution
 // retrieval: the quantized integers split into a base layer at a relaxed
 // bound plus levels-1 refinement bit-plane layers, each independently
@@ -97,8 +70,7 @@ func WithDecodeBlocks(edge int) Option {
 // layer and must be in [2,8]; each extra level adds two refinement bits
 // (quartering the preview bound). Containers become CFC1 v3 / CFC2 v4 /
 // CFC3 v3 (older readers reject them up front). Decode any level with
-// DecompressAtLevel or Archive.DecodeFieldAtLevel. Mutually exclusive with
-// WithDecodeBlocks.
+// DecompressAtLevel or Archive.DecodeFieldAtLevel.
 func WithProgressive(levels int) Option {
 	return optionFunc(func(c *compressConfig) error {
 		if levels < 2 || levels > 8 {
