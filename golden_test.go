@@ -13,6 +13,10 @@ import (
 	"testing"
 
 	crossfield "repro"
+	"repro/internal/cfnn"
+	"repro/internal/chunk"
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // The golden fixtures under testdata/golden pin every container format
@@ -78,6 +82,56 @@ func goldenDataset() (target *crossfield.Field, anchors []*crossfield.Field) {
 		crossfield.MustNewField("PRES", p, nz, ny, nx),
 	}
 	return target, anchors
+}
+
+// goldenDataset2D is the 2D archive fixture's field set, CESM-style: three
+// cloud-cover anchors and the total cloud cover their random overlap
+// implies. Both sides are odd and a row is 49 wide, so the 3×3 row
+// kernels run full vectors plus a scalar tail on the 47-element
+// interior, and the pointwise kernels' 637-element plane ends in a
+// partial strip.
+func goldenDataset2D() (target *crossfield.Field, anchors []*crossfield.Field) {
+	const ny, nx = 13, 49
+	n := ny * nx
+	low := make([]float32, n)
+	med := make([]float32, n)
+	hgh := make([]float32, n)
+	tot := make([]float32, n)
+	for i := 0; i < ny; i++ {
+		for j := 0; j < nx; j++ {
+			x, y := float64(j)/float64(nx), float64(i)/float64(ny)
+			l := 0.5 + 0.4*math.Sin(2*math.Pi*(1.3*x+0.7*y))
+			m := 0.45 + 0.35*math.Cos(2*math.Pi*(0.8*x-1.1*y))
+			h := 0.3 + 0.25*math.Sin(2*math.Pi*(2.1*x))*math.Cos(2*math.Pi*y)
+			k := i*nx + j
+			low[k], med[k], hgh[k] = float32(l), float32(m), float32(h)
+			tot[k] = float32(1 - (1-l)*(1-m)*(1-h))
+		}
+	}
+	target = crossfield.MustNewField("CLDTOT", tot, ny, nx)
+	anchors = []*crossfield.Field{
+		crossfield.MustNewField("CLDLOW", low, ny, nx),
+		crossfield.MustNewField("CLDMED", med, ny, nx),
+		crossfield.MustNewField("CLDHGH", hgh, ny, nx),
+	}
+	return target, anchors
+}
+
+// buildSpecs2D trains the 2D fixture's CFNN at the 2D production width
+// and lists the archive's fields, the hybrid dependent last.
+func buildSpecs2D(t *testing.T) []crossfield.FieldSpec {
+	t.Helper()
+	target, anchors := goldenDataset2D()
+	codec, err := crossfield.Train(target, anchors, crossfield.Training{
+		Features: 20, Epochs: 4, StepsPerEpoch: 8, Batch: 1, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []crossfield.FieldSpec{
+		{Field: anchors[0]}, {Field: anchors[1]}, {Field: anchors[2]},
+		{Field: target, Codec: codec},
+	}
 }
 
 func goldenPath(name string) string { return filepath.Join(goldenDir, name) }
@@ -280,6 +334,28 @@ func regenGoldenArchive(t *testing.T) {
 	}
 }
 
+// regenGoldenArchive2D writes the 2D archive (chunks of four rows) and
+// the reconstruction of each of its fields.
+func regenGoldenArchive2D(t *testing.T) {
+	res, err := crossfield.CompressDataset(buildSpecs2D(t), crossfield.Rel(1e-3),
+		crossfield.WithChunks(4*49))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeGolden(t, "archive2d_cfc3.cfc", res.Blob)
+	ar, err := crossfield.OpenArchive(res.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range ar.Fields() {
+		f, err := ar.Field(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeGolden(t, fmt.Sprintf("archive2d_cfc3_%s.f32", name), floatsToBytes(f.Data()))
+	}
+}
+
 func TestGoldenCFC1Baseline(t *testing.T) {
 	if *update {
 		regenGoldenBaseline(t)
@@ -352,6 +428,95 @@ func TestGoldenCFC3Archive(t *testing.T) {
 	fi, ok := ar.FieldInfoFor("W")
 	if !ok || fi.Role != "dependent" || len(fi.Anchors) != 3 {
 		t.Fatalf("W manifest entry = %+v", fi)
+	}
+}
+
+// TestGoldenCFC3Archive2D pins a 2D archive with a CFNN-hybrid
+// dependent, the only fixture whose network runs the 2D layers.
+func TestGoldenCFC3Archive2D(t *testing.T) {
+	if *update {
+		regenGoldenArchive2D(t)
+	}
+	ar, err := crossfield.OpenArchive(readGolden(t, "archive2d_cfc3.cfc"))
+	if err != nil {
+		t.Fatalf("2D golden archive no longer opens: %v", err)
+	}
+	fi, ok := ar.FieldInfoFor("CLDTOT")
+	if !ok || fi.Role != "dependent" || len(fi.Anchors) != 3 || fi.Container != "CFC2" {
+		t.Fatalf("CLDTOT manifest entry = %+v", fi)
+	}
+	if n := len(ar.Fields()); n != 4 {
+		t.Fatalf("2D archive holds %d fields, want 4", n)
+	}
+	target, _ := goldenDataset2D()
+	back := goldenExpectation(t, "archive2d_cfc3_CLDTOT.f32", fi.Dims)
+	if maxErr, ok, err := crossfield.Verify(target, back, fi.AbsEB); err != nil || !ok {
+		t.Fatalf("CLDTOT bound violated: maxErr=%g bound=%g ok=%v err=%v", maxErr, fi.AbsEB, ok, err)
+	}
+}
+
+// TestGoldenPredictDiffs pins the CFNN's raw output, the golden check of
+// the predicted diffs: each archive's embedded hybrid model, run over
+// the committed reconstructions of its anchors, must predict the
+// committed per-axis difference fields bit for bit, through PredictDiffs
+// and through a serial arena pass. Decoded bytes see the diffs only
+// through the quantizer, so a one-ulp change in the network can leave
+// the decode fixtures passing; this test cannot miss it.
+func TestGoldenPredictDiffs(t *testing.T) {
+	for _, fx := range []struct {
+		archive, prefix, field string
+		regen                  func(*testing.T)
+	}{
+		{"archive_cfc3.cfc", "archive_cfc3", "W", nil},
+		{"archive2d_cfc3.cfc", "archive2d_cfc3", "CLDTOT", regenGoldenArchive2D},
+	} {
+		if *update && fx.regen != nil {
+			fx.regen(t)
+		}
+		ar, err := crossfield.OpenArchive(readGolden(t, fx.archive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, _ := ar.FieldInfoFor(fx.field)
+		payload, err := ar.FieldPayload(fx.field)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := chunk.Decode(payload)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", fx.archive, fx.field, err)
+		}
+		model, err := cfnn.Load(bytes.NewReader(c.Model))
+		if err != nil {
+			t.Fatalf("%s/%s: %v", fx.archive, fx.field, err)
+		}
+		anchors := make([]*tensor.Tensor, len(fi.Anchors))
+		for k, dep := range fi.Anchors {
+			anchors[k] = goldenExpectation(t, fx.prefix+"_"+dep+".f32", fi.Dims).Tensor()
+		}
+		file := fx.prefix + "_" + fx.field + "_diffs.f32"
+		for _, serial := range []bool{false, true} {
+			var diffs []*tensor.Tensor
+			if serial {
+				diffs, err = model.PredictDiffsWith(anchors, nil, nn.NewArena(), 1)
+			} else {
+				diffs, err = model.PredictDiffs(anchors)
+			}
+			if err != nil {
+				t.Fatalf("%s/%s: %v", fx.archive, fx.field, err)
+			}
+			var got []byte
+			for _, d := range diffs {
+				got = append(got, floatsToBytes(d.Data())...)
+			}
+			if *update {
+				writeGolden(t, file, got)
+				break
+			}
+			if want := readGolden(t, file); !bytes.Equal(got, want) {
+				t.Fatalf("%s/%s (serial=%v): predicted diffs differ from %s", fx.archive, fx.field, serial, file)
+			}
+		}
 	}
 }
 
@@ -513,7 +678,11 @@ func TestGoldenRoutesAgree(t *testing.T) {
 			requirePayloadRoutes(t, file, readGolden(t, file), nil, dims, l, readGolden(t, previewFile(file, l)))
 		}
 	}
-	for _, file := range []string{"archive_cfc3.cfc", "archive_cfc3v3.cfc", "archive_cfc3_blocks.cfc"} {
+	for _, fx := range []struct{ file, prefix string }{
+		{"archive_cfc3.cfc", "archive_cfc3"}, {"archive_cfc3v3.cfc", "archive_cfc3"},
+		{"archive_cfc3_blocks.cfc", "archive_cfc3"}, {"archive2d_cfc3.cfc", "archive2d_cfc3"},
+	} {
+		file := fx.file
 		blob := readGolden(t, file)
 		ar, err := crossfield.OpenArchive(blob)
 		if err != nil {
@@ -524,10 +693,10 @@ func TestGoldenRoutesAgree(t *testing.T) {
 			t.Fatalf("%s no longer opens through a ReaderAt: %v", file, err)
 		}
 		for _, fi := range ar.Manifest() {
-			label, want := file+"/"+fi.Name, readGolden(t, "archive_cfc3_"+fi.Name+".f32")
+			label, want := file+"/"+fi.Name, readGolden(t, fx.prefix+"_"+fi.Name+".f32")
 			anchors := make([]*crossfield.Field, len(fi.Anchors))
 			for k, dep := range fi.Anchors {
-				anchors[k] = goldenExpectation(t, "archive_cfc3_"+dep+".f32", fi.Dims)
+				anchors[k] = goldenExpectation(t, fx.prefix+"_"+dep+".f32", fi.Dims)
 			}
 			payload, err := ar.FieldPayload(fi.Name)
 			if err != nil {
@@ -660,6 +829,7 @@ func TestFormatsSpecAgainstGoldenFixtures(t *testing.T) {
 		{"archive_cfc3.cfc", "CFC3", 1},
 		{"archive_cfc3v3.cfc", "CFC3", 3},
 		{"archive_cfc3_blocks.cfc", "CFC3", 2},
+		{"archive2d_cfc3.cfc", "CFC3", 2},
 	} {
 		b := readGolden(t, tc.file)
 		if string(b[:4]) != tc.magic || b[4] != tc.version {
@@ -767,6 +937,9 @@ func TestGoldenFixturesCommitted(t *testing.T) {
 		"baseline_cfc1v3_level0.f32", "baseline_cfc1v3_level1.f32",
 		"chunked_cfc2v4_level0.f32", "chunked_cfc2v4_level1.f32",
 		"archive_cfc3v3_W_level0.f32", "archive_cfc3v3_W_level1.f32",
+		"archive2d_cfc3.cfc", "archive2d_cfc3_CLDLOW.f32", "archive2d_cfc3_CLDMED.f32",
+		"archive2d_cfc3_CLDHGH.f32", "archive2d_cfc3_CLDTOT.f32",
+		"archive_cfc3_W_diffs.f32", "archive2d_cfc3_CLDTOT_diffs.f32",
 	} {
 		found := false
 		for _, n := range names {

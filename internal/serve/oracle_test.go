@@ -49,6 +49,9 @@ var oracleFixtures = []struct {
 	{"archive_cfc3_blocks.cfc", map[string]string{
 		"U/full": "archive_cfc3_U.f32", "V/full": "archive_cfc3_V.f32",
 		"PRES/full": "archive_cfc3_PRES.f32", "W/full": "archive_cfc3_W.f32"}},
+	{"archive2d_cfc3.cfc", map[string]string{
+		"CLDLOW/full": "archive2d_cfc3_CLDLOW.f32", "CLDMED/full": "archive2d_cfc3_CLDMED.f32",
+		"CLDHGH/full": "archive2d_cfc3_CLDHGH.f32", "CLDTOT/full": "archive2d_cfc3_CLDTOT.f32"}},
 }
 
 // libraryDecoder decodes a mounted container's fields and chunks through
