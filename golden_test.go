@@ -28,7 +28,9 @@ import (
 //
 // after an intentional format change, and commit the new fixtures. The
 // expectations are exact reconstructed bytes, so these tests also pin the
-// decoder's numerics (amd64 CI; Go does not fuse float ops there).
+// decoder's numerics. They run on amd64, where Go never fuses float ops;
+// the codec's products carry explicit conversions so arm64 cannot fuse
+// them either (see the arm64 step in CI).
 var update = flag.Bool("update", false, "rewrite golden fixtures under testdata/golden")
 
 const goldenDir = "testdata/golden"

@@ -293,7 +293,7 @@ func captureMeans(chans []*tensor.Tensor, off, scale, mean []float32) {
 
 // netValue maps a physical value to the network's internal representation.
 func netValue(v, off, scale, mean float32) float32 {
-	return ((v-off)*scale - mean) / internalScale
+	return (float32((v-off)*scale) - mean) / internalScale
 }
 
 // stack assembles channels into one (C, spatial...) tensor in network
@@ -434,8 +434,8 @@ func (m *Model) PredictDiffsWith(anchors []*tensor.Tensor, segCounts []int, aren
 			inv := 1 / s
 			td := t.Data()
 			for i, v := range src {
-				norm := v*internalScale + mu
-				td[i] = norm*inv + o
+				norm := float32(v*internalScale) + mu
+				td[i] = float32(norm*inv) + o
 			}
 		}
 		outs[c] = t

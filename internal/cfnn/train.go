@@ -109,7 +109,7 @@ func (m *Model) Train(anchors []*tensor.Tensor, target *tensor.Tensor, tc TrainC
 				}
 				// Report the loss in the paper's normalized 0-300 units
 				// (the network computes on values scaled by internalScale).
-				epochLoss += loss * internalScale * internalScale
+				epochLoss += float64(loss * internalScale * internalScale)
 				samples++
 			}
 			nn.ScaleGrads(params, 1/float32(tc.Batch))

@@ -134,11 +134,11 @@ func hybridPredAt2D(q []int32, nx int, dq0, dq1 []float64, w []float64, bias flo
 	acc := bias
 	f := 0
 	if hasLor {
-		acc += w[0] * float64(predictor.LorenzoPred2DFrom(q, nx, i, j, org[0], org[1]))
+		acc += float64(w[0] * float64(predictor.LorenzoPred2DFrom(q, nx, i, j, org[0], org[1])))
 		f = 1
 	}
-	acc += w[f] * predictor.CrossFieldPredFrom(q, p, nx, i, org[0], dq0[p])
-	acc += w[f+1] * predictor.CrossFieldPredFrom(q, p, 1, j, org[1], dq1[p])
+	acc += float64(w[f] * predictor.CrossFieldPredFrom(q, p, nx, i, org[0], dq0[p]))
+	acc += float64(w[f+1] * predictor.CrossFieldPredFrom(q, p, 1, j, org[1], dq1[p]))
 	return int32(roundHalfAway(clampPred(acc)))
 }
 
@@ -147,12 +147,12 @@ func hybridPredAt3D(q []int32, ny, nx int, dq0, dq1, dq2 []float64, w []float64,
 	acc := bias
 	f := 0
 	if hasLor {
-		acc += w[0] * float64(predictor.LorenzoPred3DFrom(q, ny, nx, k, i, j, org[0], org[1], org[2]))
+		acc += float64(w[0] * float64(predictor.LorenzoPred3DFrom(q, ny, nx, k, i, j, org[0], org[1], org[2])))
 		f = 1
 	}
-	acc += w[f] * predictor.CrossFieldPredFrom(q, p, ny*nx, k, org[0], dq0[p])
-	acc += w[f+1] * predictor.CrossFieldPredFrom(q, p, nx, i, org[1], dq1[p])
-	acc += w[f+2] * predictor.CrossFieldPredFrom(q, p, 1, j, org[2], dq2[p])
+	acc += float64(w[f] * predictor.CrossFieldPredFrom(q, p, ny*nx, k, org[0], dq0[p]))
+	acc += float64(w[f+1] * predictor.CrossFieldPredFrom(q, p, nx, i, org[1], dq1[p]))
+	acc += float64(w[f+2] * predictor.CrossFieldPredFrom(q, p, 1, j, org[2], dq2[p]))
 	return int32(roundHalfAway(clampPred(acc)))
 }
 
@@ -454,10 +454,10 @@ func reconstructCrossBlock(q, codes []int32, dims, lo, hi, org []int, dq [][]flo
 					acc := bias
 					if hasLor {
 						lor := int64(q[p-nx]) + int64(q[p-1]) - int64(q[p-nx-1])
-						acc += w0 * float64(lor)
+						acc += float64(w0 * float64(lor))
 					}
-					acc += w1 * (float64(q[p-nx]) + dq0[p])
-					acc += w2 * (float64(q[p-1]) + dq1[p])
+					acc += float64(w1 * (float64(q[p-nx]) + dq0[p]))
+					acc += float64(w2 * (float64(q[p-1]) + dq1[p]))
 					q[p] = codes[c] + int32(roundHalfAway(clampPred(acc)))
 					c++
 				}
@@ -499,11 +499,11 @@ func reconstructCrossBlock(q, codes []int32, dims, lo, hi, org []int, dq [][]flo
 						lor := int64(q[p-snynx]) + int64(q[p-nx]) + int64(q[p-1]) -
 							int64(q[p-snynx-nx]) - int64(q[p-snynx-1]) - int64(q[p-nx-1]) +
 							int64(q[p-snynx-nx-1])
-						acc += w0 * float64(lor)
+						acc += float64(w0 * float64(lor))
 					}
-					acc += w1 * (float64(q[p-snynx]) + dq0[p])
-					acc += w2 * (float64(q[p-nx]) + dq1[p])
-					acc += w3 * (float64(q[p-1]) + dq2[p])
+					acc += float64(w1 * (float64(q[p-snynx]) + dq0[p]))
+					acc += float64(w2 * (float64(q[p-nx]) + dq1[p]))
+					acc += float64(w3 * (float64(q[p-1]) + dq2[p]))
 					q[p] = codes[c] + int32(roundHalfAway(clampPred(acc)))
 					c++
 				}

@@ -189,7 +189,7 @@ func aggregateChunkStats(field *tensor.Tensor, chunkStats []Stats, method contai
 	for _, cs := range chunkStats {
 		st.TableBytes += cs.TableBytes
 		st.PayloadBytes += cs.PayloadBytes
-		entropy += cs.CodeEntropy * float64(cs.OriginalBytes)
+		entropy += float64(cs.CodeEntropy * float64(cs.OriginalBytes))
 		if cs.MaxErr > st.MaxErr {
 			st.MaxErr = cs.MaxErr
 		}

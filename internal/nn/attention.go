@@ -136,7 +136,7 @@ func (a *ChannelAttention) mlpInto(s, h1, z []float64) {
 	for h := 0; h < hid; h++ {
 		acc := float64(b1[h])
 		for c := 0; c < a.C; c++ {
-			acc += float64(w1[h*a.C+c]) * s[c]
+			acc += float64(float64(w1[h*a.C+c]) * s[c])
 		}
 		if acc < 0 {
 			acc = 0
@@ -146,7 +146,7 @@ func (a *ChannelAttention) mlpInto(s, h1, z []float64) {
 	for c := 0; c < a.C; c++ {
 		acc := float64(b2[c])
 		for h := 0; h < hid; h++ {
-			acc += float64(w2[c*hid+h]) * h1[h]
+			acc += float64(float64(w2[c*hid+h]) * h1[h])
 		}
 		z[c] = acc
 	}
@@ -173,7 +173,7 @@ func (a *ChannelAttention) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
 		w := float32(a.attn[c])
 		var acc float64
 		for i := base; i < base+spatial; i++ {
-			acc += float64(gyd[i]) * float64(xd[i])
+			acc += float64(float64(gyd[i]) * float64(xd[i]))
 			gxd[i] = gyd[i] * w
 		}
 		dAttn[c] = acc
@@ -213,7 +213,7 @@ func (a *ChannelAttention) mlpBackward(s, h1, dz []float64) []float64 {
 		gb2[c] += float32(dz[c])
 		for h := 0; h < hid; h++ {
 			gw2[c*hid+h] += float32(dz[c] * h1[h])
-			dh1[h] += dz[c] * float64(w2[c*hid+h])
+			dh1[h] += float64(dz[c] * float64(w2[c*hid+h]))
 		}
 	}
 	ds := make([]float64, a.C)
@@ -224,7 +224,7 @@ func (a *ChannelAttention) mlpBackward(s, h1, dz []float64) []float64 {
 		gb1[h] += float32(dh1[h])
 		for c := 0; c < a.C; c++ {
 			gw1[h*a.C+c] += float32(dh1[h] * s[c])
-			ds[c] += dh1[h] * float64(w1[h*a.C+c])
+			ds[c] += float64(dh1[h] * float64(w1[h*a.C+c]))
 		}
 	}
 	return ds

@@ -96,7 +96,7 @@ func (c *Conv2D) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
 						xrow := xbase + (i+ki-p)*w + (kj - p)
 						gyrow := gybase + i*w
 						for j := j0; j < j1; j++ {
-							acc += float64(gyd[gyrow+j]) * float64(xd[xrow+j])
+							acc += float64(float64(gyd[gyrow+j]) * float64(xd[xrow+j]))
 						}
 					}
 					gwd[wbase+ki*c.K+kj] += float32(acc)
@@ -126,7 +126,7 @@ func (c *Conv2D) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
 							if j < 0 || j >= w {
 								continue
 							}
-							acc += float64(wd[wbase+ki*c.K+kj]) * float64(gyd[gybase+i*w+j])
+							acc += float64(float64(wd[wbase+ki*c.K+kj]) * float64(gyd[gybase+i*w+j]))
 						}
 					}
 				}

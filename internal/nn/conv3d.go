@@ -101,7 +101,7 @@ func (c *Conv3D) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
 								xrow := xz + (i+ki-p)*w + (kj - p)
 								gyrow := gyz + i*w
 								for j := j0; j < j1; j++ {
-									acc += float64(gyd[gyrow+j]) * float64(xd[xrow+j])
+									acc += float64(float64(gyd[gyrow+j]) * float64(xd[xrow+j]))
 								}
 							}
 						}
@@ -138,7 +138,7 @@ func (c *Conv3D) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
 									if j < 0 || j >= w {
 										continue
 									}
-									acc += float64(wd[wbase+kz*c.K*c.K+ki*c.K+kj]) * float64(gyd[gybase+z*h*w+i*w+j])
+									acc += float64(float64(wd[wbase+kz*c.K*c.K+ki*c.K+kj]) * float64(gyd[gybase+z*h*w+i*w+j]))
 								}
 							}
 						}

@@ -48,7 +48,7 @@ func (d *Dense) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		acc := float64(bd[o])
 		row := o * d.In
 		for i := 0; i < d.In; i++ {
-			acc += float64(wd[row+i]) * float64(xd[i])
+			acc += float64(float64(wd[row+i]) * float64(xd[i]))
 		}
 		od[o] = float32(acc)
 	}

@@ -91,7 +91,7 @@ func (l *DepthwiseConv2D) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
 					xrow := base + (i+ki-p)*w + (kj - p)
 					gyrow := base + i*w
 					for j := j0; j < j1; j++ {
-						acc += float64(gyd[gyrow+j]) * float64(xd[xrow+j])
+						acc += float64(float64(gyd[gyrow+j]) * float64(xd[xrow+j]))
 					}
 				}
 				gwd[wbase+ki*l.K+kj] += float32(acc)
@@ -110,7 +110,7 @@ func (l *DepthwiseConv2D) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
 						if j < 0 || j >= w {
 							continue
 						}
-						acc += float64(wd[wbase+ki*l.K+kj]) * float64(gyd[base+i*w+j])
+						acc += float64(float64(wd[wbase+ki*l.K+kj]) * float64(gyd[base+i*w+j]))
 					}
 				}
 				gxd[base+a*w+b] = float32(acc)
@@ -207,7 +207,7 @@ func (l *DepthwiseConv3D) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
 							xrow := xz + (i+ki-p)*w + (kj - p)
 							gyrow := gyz + i*w
 							for j := j0; j < j1; j++ {
-								acc += float64(gyd[gyrow+j]) * float64(xd[xrow+j])
+								acc += float64(float64(gyd[gyrow+j]) * float64(xd[xrow+j]))
 							}
 						}
 					}
@@ -234,7 +234,7 @@ func (l *DepthwiseConv3D) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
 								if j < 0 || j >= w {
 									continue
 								}
-								acc += float64(wd[wbase+kz*l.K*l.K+ki*l.K+kj]) * float64(gyd[base+z*h*w+i*w+j])
+								acc += float64(float64(wd[wbase+kz*l.K*l.K+ki*l.K+kj]) * float64(gyd[base+z*h*w+i*w+j]))
 							}
 						}
 					}

@@ -200,7 +200,7 @@ func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0
 			wrow := wrowBase + ki*K
 			xrow := xrowBase + ki*rowStride + j
 			for kj := kj0; kj < kj1; kj++ {
-				a += wd[wrow+kj] * xd[xrow+kj]
+				a += float64(wd[wrow+kj] * xd[xrow+kj])
 			}
 		}
 		acc[j] = a
@@ -231,40 +231,40 @@ func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0
 				a := acc[j]
 				b := acc[j+1]
 				x0, x1, x2, x3 := xd[r0+j], xd[r0+j+1], xd[r0+j+2], xd[r0+j+3]
-				a += w00 * x0
-				b += w00 * x1
-				a += w01 * x1
-				b += w01 * x2
-				a += w02 * x2
-				b += w02 * x3
+				a += float64(w00 * x0)
+				b += float64(w00 * x1)
+				a += float64(w01 * x1)
+				b += float64(w01 * x2)
+				a += float64(w02 * x2)
+				b += float64(w02 * x3)
 				x0, x1, x2, x3 = xd[r1+j], xd[r1+j+1], xd[r1+j+2], xd[r1+j+3]
-				a += w10 * x0
-				b += w10 * x1
-				a += w11 * x1
-				b += w11 * x2
-				a += w12 * x2
-				b += w12 * x3
+				a += float64(w10 * x0)
+				b += float64(w10 * x1)
+				a += float64(w11 * x1)
+				b += float64(w11 * x2)
+				a += float64(w12 * x2)
+				b += float64(w12 * x3)
 				x0, x1, x2, x3 = xd[r2+j], xd[r2+j+1], xd[r2+j+2], xd[r2+j+3]
-				a += w20 * x0
-				b += w20 * x1
-				a += w21 * x1
-				b += w21 * x2
-				a += w22 * x2
-				b += w22 * x3
+				a += float64(w20 * x0)
+				b += float64(w20 * x1)
+				a += float64(w21 * x1)
+				b += float64(w21 * x2)
+				a += float64(w22 * x2)
+				b += float64(w22 * x3)
 				acc[j] = a
 				acc[j+1] = b
 			}
 			for ; j < hi; j++ {
 				a := acc[j]
-				a += w00 * xd[r0+j]
-				a += w01 * xd[r0+j+1]
-				a += w02 * xd[r0+j+2]
-				a += w10 * xd[r1+j]
-				a += w11 * xd[r1+j+1]
-				a += w12 * xd[r1+j+2]
-				a += w20 * xd[r2+j]
-				a += w21 * xd[r2+j+1]
-				a += w22 * xd[r2+j+2]
+				a += float64(w00 * xd[r0+j])
+				a += float64(w01 * xd[r0+j+1])
+				a += float64(w02 * xd[r0+j+2])
+				a += float64(w10 * xd[r1+j])
+				a += float64(w11 * xd[r1+j+1])
+				a += float64(w12 * xd[r1+j+2])
+				a += float64(w20 * xd[r2+j])
+				a += float64(w21 * xd[r2+j+1])
+				a += float64(w22 * xd[r2+j+2])
 				acc[j] = a
 			}
 		}
@@ -284,9 +284,9 @@ func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0
 				for j := lo; j < hi; j++ {
 					xb := xrow + j
 					a := acc[j]
-					a += w0 * xd[xb]
-					a += w1 * xd[xb+1]
-					a += w2 * xd[xb+2]
+					a += float64(w0 * xd[xb])
+					a += float64(w1 * xd[xb+1])
+					a += float64(w2 * xd[xb+2])
 					acc[j] = a
 				}
 			case 1:
@@ -297,14 +297,14 @@ func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0
 				}
 				w0 := wd[wrow]
 				for j := lo; j < hi; j++ {
-					acc[j] += w0 * xd[xrow+j]
+					acc[j] += float64(w0 * xd[xrow+j])
 				}
 			default:
 				for j := lo; j < hi; j++ {
 					xb := xrow + j
 					a := acc[j]
 					for kj := 0; kj < K; kj++ {
-						a += wd[wrow+kj] * xd[xb+kj]
+						a += float64(wd[wrow+kj] * xd[xb+kj])
 					}
 					acc[j] = a
 				}
@@ -318,7 +318,7 @@ func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0
 			wrow := wrowBase + ki*K
 			xrow := xrowBase + ki*rowStride + j
 			for kj := kj0; kj < kj1; kj++ {
-				a += wd[wrow+kj] * xd[xrow+kj]
+				a += float64(wd[wrow+kj] * xd[xrow+kj])
 			}
 		}
 		acc[j] = a
@@ -415,7 +415,7 @@ func depthwise2dRows(od []float32, xd, wd []float64, bd []float32, K, H, W int, 
 				xs := xd[xrow+kj+j0 : xrow+kj+j1]
 				ar := acc[j0:j1]
 				for q, xv := range xs {
-					ar[q] += wv * float64(xv)
+					ar[q] += float64(wv * float64(xv))
 				}
 			}
 		}

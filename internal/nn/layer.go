@@ -142,7 +142,10 @@ func xavierInit(rng *rand.Rand, w *tensor.Tensor, fanIn, fanOut int) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	d := w.Data()
 	for i := range d {
-		d[i] = float32((rng.Float64()*2 - 1) * limit)
+		// u+u is u*2 exactly; the conversion stops arm64 fusing the
+		// inlined Float64 scaling into the add.
+		u := float64(rng.Float64())
+		d[i] = float32((u + u - 1) * limit)
 	}
 }
 

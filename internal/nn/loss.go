@@ -22,7 +22,7 @@ func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor, error) {
 	scale := 2 / float64(n)
 	for i := range pd {
 		d := float64(pd[i]) - float64(td[i])
-		sum += d * d
+		sum += float64(d * d)
 		gd[i] = float32(d * scale)
 	}
 	return sum / float64(n), grad, nil

@@ -43,7 +43,7 @@ func (s *SGD) Step(params []*Param) {
 		}
 		m := float32(s.Momentum)
 		for i := range w {
-			v[i] = m*v[i] + g[i]
+			v[i] = float32(m*v[i]) + g[i]
 			w[i] -= float32(s.LR * float64(v[i]))
 		}
 	}
@@ -88,8 +88,8 @@ func (a *Adam) Step(params []*Param) {
 		}
 		for i := range w {
 			gi := float64(g[i])
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
+			m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*gi)
+			v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*gi*gi)
 			mh := m[i] / bc1
 			vh := v[i] / bc2
 			w[i] -= float32(a.LR * mh / (math.Sqrt(vh) + a.Eps))

@@ -31,7 +31,7 @@ func (h *Hybrid) NumParams() int { return len(h.W) + 1 }
 func (h *Hybrid) Apply(preds []float64) float64 {
 	acc := h.Bias
 	for k, w := range h.W {
-		acc += w * preds[k]
+		acc += float64(w * preds[k])
 	}
 	return acc
 }
@@ -71,10 +71,10 @@ func Fit(preds [][]float64, target []float64) (*Hybrid, error) {
 			if a < m-1 {
 				ca = preds[a][i]
 			}
-			aty[a] += ca * ti
+			aty[a] += float64(ca * ti)
 			row := ata[a]
 			for b := a; b < m-1; b++ {
-				row[b] += ca * preds[b][i]
+				row[b] += float64(ca * preds[b][i])
 			}
 			row[m-1] += ca
 		}
@@ -87,7 +87,7 @@ func Fit(preds [][]float64, target []float64) (*Hybrid, error) {
 	// Tikhonov damping keeps collinear predictors (e.g. two cross-field
 	// directions that nearly agree) solvable.
 	for a := 0; a < m; a++ {
-		ata[a][a] += 1e-8 * (ata[a][a] + 1)
+		ata[a][a] += float64(1e-8 * (ata[a][a] + 1))
 	}
 	w, err := solveSPD(ata, aty)
 	if err != nil {
@@ -121,16 +121,16 @@ func solveSPD(a [][]float64, b []float64) ([]float64, error) {
 				continue
 			}
 			for c := i; c < m; c++ {
-				a[r][c] -= f * a[i][c]
+				a[r][c] -= float64(f * a[i][c])
 			}
-			b[r] -= f * b[i]
+			b[r] -= float64(f * b[i])
 		}
 	}
 	x := make([]float64, m)
 	for i := m - 1; i >= 0; i-- {
 		acc := b[i]
 		for c := i + 1; c < m; c++ {
-			acc -= a[i][c] * x[c]
+			acc -= float64(a[i][c] * x[c])
 		}
 		x[i] = acc / a[i][i]
 	}
@@ -165,7 +165,7 @@ func TrainGD(preds [][]float64, target []float64, cfg GDConfig) (*Hybrid, []floa
 	// the unit).
 	var rms float64
 	for _, v := range target {
-		rms += v * v
+		rms += float64(v * v)
 	}
 	rms = math.Sqrt(rms/float64(n)) + 1e-12
 	inv := 1 / rms
@@ -191,19 +191,19 @@ func TrainGD(preds [][]float64, target []float64, cfg GDConfig) (*Hybrid, []floa
 				i := rng.Intn(n)
 				pred := bias
 				for k := 0; k < m; k++ {
-					pred += w[k] * preds[k][i] * inv
+					pred += float64(w[k] * preds[k][i] * inv)
 				}
-				err := pred - target[i]*inv
+				err := pred - float64(target[i]*inv)
 				for k := 0; k < m; k++ {
-					gw[k] += err * preds[k][i] * inv
+					gw[k] += float64(err * preds[k][i] * inv)
 				}
 				gb += err
 			}
 			scale := cfg.LR * 2 / batch
 			for k := 0; k < m; k++ {
-				w[k] -= scale * gw[k]
+				w[k] -= float64(scale * gw[k])
 			}
-			bias -= scale * gb
+			bias -= float64(scale * gb)
 		}
 		// Epoch loss over the full sample set (un-normalized units, as the
 		// paper reports prequantized-value MSE).
@@ -211,10 +211,10 @@ func TrainGD(preds [][]float64, target []float64, cfg GDConfig) (*Hybrid, []floa
 		for i := 0; i < n; i++ {
 			pred := bias * rms
 			for k := 0; k < m; k++ {
-				pred += w[k] * preds[k][i]
+				pred += float64(w[k] * preds[k][i])
 			}
 			d := pred - target[i]
-			loss += d * d
+			loss += float64(d * d)
 		}
 		losses = append(losses, loss/float64(n))
 	}

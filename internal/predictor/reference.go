@@ -40,9 +40,9 @@ func RegressionAll(q []int32, dims []int) ([]float64, error) {
 					x := [3]float64{1, float64(i - i0), float64(j - j0)}
 					v := float64(q[i*nx+j])
 					for a := 0; a < 3; a++ {
-						rhs[a] += x[a] * v
+						rhs[a] += float64(x[a] * v)
 						for c := 0; c < 3; c++ {
-							s[a][c] += x[a] * x[c]
+							s[a][c] += float64(x[a] * x[c])
 						}
 					}
 				}
@@ -50,7 +50,7 @@ func RegressionAll(q []int32, dims []int) ([]float64, error) {
 			coef := solve3(s, rhs)
 			for i := i0; i < i1; i++ {
 				for j := j0; j < j1; j++ {
-					out[i*nx+j] = coef[0] + coef[1]*float64(i-i0) + coef[2]*float64(j-j0)
+					out[i*nx+j] = coef[0] + float64(coef[1]*float64(i-i0)) + float64(coef[2]*float64(j-j0))
 				}
 			}
 		})
@@ -76,9 +76,9 @@ func RegressionAll(q []int32, dims []int) ([]float64, error) {
 						x := [4]float64{1, float64(k - k0), float64(i - i0), float64(j - j0)}
 						v := float64(q[(k*ny+i)*nx+j])
 						for a := 0; a < 4; a++ {
-							rhs[a] += x[a] * v
+							rhs[a] += float64(x[a] * v)
 							for c := 0; c < 4; c++ {
-								s[a][c] += x[a] * x[c]
+								s[a][c] += float64(x[a] * x[c])
 							}
 						}
 					}
@@ -88,7 +88,7 @@ func RegressionAll(q []int32, dims []int) ([]float64, error) {
 			for k := k0; k < k1; k++ {
 				for i := i0; i < i1; i++ {
 					for j := j0; j < j1; j++ {
-						out[(k*ny+i)*nx+j] = coef[0] + coef[1]*float64(k-k0) + coef[2]*float64(i-i0) + coef[3]*float64(j-j0)
+						out[(k*ny+i)*nx+j] = coef[0] + float64(coef[1]*float64(k-k0)) + float64(coef[2]*float64(i-i0)) + float64(coef[3]*float64(j-j0))
 					}
 				}
 			}
@@ -136,7 +136,7 @@ func InterpolationAll(q []int32, dims []int) ([]float64, error) {
 			jm3, jp3 := j-3, j+3
 			switch {
 			case jm3 >= 0 && jp3 < nx:
-				out[idx] = (-float64(q[base+jm3]) + 9*float64(q[base+jm1]) + 9*float64(q[base+jp1]) - float64(q[base+jp3])) / 16
+				out[idx] = (-float64(q[base+jm3]) + float64(9*float64(q[base+jm1])) + float64(9*float64(q[base+jp1])) - float64(q[base+jp3])) / 16
 			case jp1 < nx:
 				out[idx] = (float64(q[base+jm1]) + float64(q[base+jp1])) / 2
 			default:

@@ -100,7 +100,7 @@ const MaxPrequant = maxPrequant
 // negligible; it only matters when eb approaches float32 resolution.
 func Tolerance(eb, maxAbsValue float64) float64 {
 	const ulp32 = 1.2e-7 // 2^-23, relative ulp of float32
-	return eb + maxAbsValue*ulp32
+	return eb + float64(maxAbsValue*ulp32)
 }
 
 // Prequantize maps data to prequant integers: q = round(v/(2·eb)).
