@@ -52,6 +52,10 @@ func (c *Conv3D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	toF64(xd64, x.Data())
 	wd64 := make([]float64, c.weight.W.Len())
 	toF64(wd64, c.weight.W.Data())
+	if c.K == 1 {
+		pointwiseConv(od, xd64, wd64, bd, c.InC, c.OutC, d*h*w, parallel.Workers())
+		return out, nil
+	}
 	eff := clampWorkers(parallel.Workers(), c.OutC*d)
 	dispatchScratch(eff, c.OutC*d, w, make([]float64, eff*w), func(lo, hi int, acc []float64) {
 		conv3dPlanes(od, xd64, wd64, bd, c.InC, c.K, d, h, w, nil, nil, acc, lo, hi)

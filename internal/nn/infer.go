@@ -11,14 +11,32 @@
 // weights, one set of scratch buffers, and one parallel dispatch.
 //
 // Bit-identity with Forward is load-bearing (compressed streams embed the
-// predictions), so the kernels here preserve Forward's exact per-element
-// float semantics: a float64 accumulator initialized with the bias, taps
-// added in ascending (inChannel, kz, ki, kj) order, and a single final
-// rounding to float32. The speed comes from restructuring around that
-// invariant: a per-row float64 accumulator turns the innermost loop into a
-// contiguous saxpy whose bounds checks hoist, per-element kernel-range
-// clamping moves out of the interior, and work is dispatched across
-// (channel × plane) work items when workers > 1.
+// predictions), so every kernel here keeps one per-element contract: a
+// float64 accumulator starts at the bias, adds each tap's product in
+// ascending (inChannel, kz, ki, kj) order over the taps inside the
+// segment, with a separate rounding for the multiply and the add (never a
+// fused multiply-add; the products sit in explicit conversions so no
+// architecture's compiler fuses them), and is rounded once to float32.
+// The pure-Go loops, the AVX2 kernels and the AVX-512 kernels all keep
+// it, so they agree bit for bit; vector lanes are distinct output
+// elements, which is why the vector width changes no result.
+//
+// Three kernel families implement it:
+//
+//   - tapRows adds a bundle of K-tap rows into a float64 accumulator row,
+//     the 3×3 interior in one register pass (tap9/tap9z); conv2dRows and
+//     conv3dPlanes drive it per (output channel, row or plane).
+//   - Depthwise convolutions run each channel as a one-channel
+//     conv2dRows/conv3dPlanes on that channel's slices.
+//   - pointwiseConv runs every 1×1 convolution, 2D or 3D, over the
+//     flattened spatial volume: work items are (strip of pwStrip elements
+//     × output channel), and the SIMD kernels (pointwise/pointwisez) keep
+//     the accumulators in registers across all input channels and store
+//     float32 results directly.
+//
+// Conv2D and Conv3D use the same kernels in Forward, so training and
+// inference agree by construction. Work is dispatched across contiguous
+// ranges of work items when workers > 1.
 package nn
 
 import (
@@ -289,16 +307,6 @@ func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0
 					a += float64(w2 * xd[xb+2])
 					acc[j] = a
 				}
-			case 1:
-				// Pointwise taps: a single broadcast multiply-accumulate.
-				if haveTap9 && hi-lo >= 4 {
-					tap1(&acc[lo], &xd[xrow+lo], &wd[wrow], hi-lo)
-					continue
-				}
-				w0 := wd[wrow]
-				for j := lo; j < hi; j++ {
-					acc[j] += float64(w0 * xd[xrow+j])
-				}
 			default:
 				for j := lo; j < hi; j++ {
 					xb := xrow + j
@@ -387,75 +395,93 @@ func conv3dPlanes(od []float32, xd, wd []float64, bd []float32, inC, K, D, H, W 
 	}
 }
 
-// depthwise2dRows is conv2dRows for a depthwise convolution: one K×K
-// filter per channel, no cross-channel mixing. Work items are (C × H).
+// depthwise2dRows is conv2dRows for a depthwise convolution: output
+// channel c is a one-channel convolution of input channel c with filter
+// c, so each channel's rows run conv2dRows on that channel's slices, on
+// the same tapRows kernels. Work items are (C × H).
 func depthwise2dRows(od []float32, xd, wd []float64, bd []float32, K, H, W int, segLo, segHi []int, acc []float64, lo, hi int) {
-	p := K / 2
-	hw := H * W
-	acc = acc[:W]
+	hw, kk := H*W, K*K
+	for lo < hi {
+		c := lo / H
+		end := min(hi, (c+1)*H)
+		conv2dRows(od[c*hw:(c+1)*hw], xd[c*hw:(c+1)*hw], wd[c*kk:(c+1)*kk], bd[c:c+1], 1, K, H, W, segLo, segHi, acc, lo-c*H, end-c*H)
+		lo = end
+	}
+}
+
+// depthwise3dPlanes is conv3dPlanes for a depthwise convolution, one
+// channel at a time like depthwise2dRows. Work items are (C × D).
+func depthwise3dPlanes(od []float32, xd, wd []float64, bd []float32, K, D, H, W int, segLo, segHi []int, acc []float64, lo, hi int) {
+	vol, kkk := D*H*W, K*K*K
+	for lo < hi {
+		c := lo / D
+		end := min(hi, (c+1)*D)
+		conv3dPlanes(od[c*vol:(c+1)*vol], xd[c*vol:(c+1)*vol], wd[c*kkk:(c+1)*kkk], bd[c:c+1], 1, K, D, H, W, segLo, segHi, acc, lo-c*D, end-c*D)
+		lo = end
+	}
+}
+
+// pwStrip is the element count of one pointwise work item: long enough
+// that a kernel call amortizes its setup over many register blocks,
+// short enough that a strip's inC input rows stay cache-resident while
+// every output channel reads them.
+const pwStrip = 512
+
+// pointwiseConv runs a 1×1 convolution of xd (inC channels of n
+// elements, any spatial rank flattened) into od on up to workers
+// goroutines. Conv2D and Conv3D use it in both Forward and Infer, so the
+// four agree bit for bit by construction. A 1×1 kernel never reads
+// across a segment boundary, so segmented inference needs no case here.
+func pointwiseConv(od []float32, xd, wd []float64, bd []float32, inC, outC, n, workers int) {
+	items := (n + pwStrip - 1) / pwStrip * outC
+	if eff := clampWorkers(workers, items); eff <= 1 {
+		pointwiseItems(od, xd, wd, bd, inC, outC, n, 0, items)
+	} else {
+		parallel.ForRangeWith(eff, items, func(lo, hi int) {
+			pointwiseItems(od, xd, wd, bd, inC, outC, n, lo, hi)
+		})
+	}
+}
+
+// pointwiseItems computes work items [lo, hi) of pointwiseConv. Item t is
+// output channel t%outC over strip t/outC, so consecutive items reuse one
+// strip of input rows.
+func pointwiseItems(od []float32, xd, wd []float64, bd []float32, inC, outC, n, lo, hi int) {
 	for t := lo; t < hi; t++ {
-		c, i := t/H, t%H
-		ilo, ihi := segBounds(i, H, segLo, segHi)
-		ki0, ki1 := kernelRange(i-ilo, ihi-ilo, K, p)
-		bias := float64(bd[c])
-		for j := range acc {
-			acc[j] = bias
-		}
-		cbase := c * hw
-		wbase := c * K * K
-		for ki := ki0; ki < ki1; ki++ {
-			xrow := cbase + (i+ki-p)*W - p
-			wrow := wbase + ki*K
-			for kj := 0; kj < K; kj++ {
-				j0, j1 := outRange(kj, W, p)
-				if j0 >= j1 {
-					continue
-				}
-				wv := float64(wd[wrow+kj])
-				xs := xd[xrow+kj+j0 : xrow+kj+j1]
-				ar := acc[j0:j1]
-				for q, xv := range xs {
-					ar[q] += float64(wv * float64(xv))
-				}
-			}
-		}
-		orow := od[cbase+i*W : cbase+i*W+W]
-		for j, v := range acc {
-			orow[j] = float32(v)
+		s, oc := t/outC, t%outC
+		j0 := s * pwStrip
+		m := min(pwStrip, n-j0)
+		dst := od[oc*n+j0 : oc*n+j0+m]
+		x := xd[j0 : (inC-1)*n+j0+m]
+		w := wd[oc*inC : (oc+1)*inC]
+		bias := float64(bd[oc])
+		switch {
+		case haveTap9Z:
+			pointwisez(&dst[0], &x[0], &w[0], bias, inC, n, m)
+		case haveTap9:
+			pointwise(&dst[0], &x[0], &w[0], bias, inC, n, m)
+		default:
+			pointwiseGo(dst, x, w, bias, n)
 		}
 	}
 }
 
-// depthwise3dPlanes is conv3dPlanes for a depthwise convolution. Work
-// items are (C × D).
-func depthwise3dPlanes(od []float32, xd, wd []float64, bd []float32, K, D, H, W int, segLo, segHi []int, acc []float64, lo, hi int) {
-	p := K / 2
-	hw := H * W
-	vol := D * hw
-	acc = acc[:W]
-	for t := lo; t < hi; t++ {
-		c, z := t/D, t%D
-		zlo, zhi := segBounds(z, D, segLo, segHi)
-		kz0, kz1 := kernelRange(z-zlo, zhi-zlo, K, p)
-		bias := float64(bd[c])
-		cbase := c * vol
-		wcbase := c * K * K * K
-		obase := cbase + z*hw
-		for i := 0; i < H; i++ {
-			ki0, ki1 := kernelRange(i, H, K, p)
-			for j := range acc {
-				acc[j] = bias
-			}
-			for kz := kz0; kz < kz1; kz++ {
-				xzbase := cbase + (z+kz-p)*hw
-				wzbase := wcbase + kz*K*K
-				tapRows(acc, xd, wd, wzbase, xzbase+(i-p)*W-p, W, ki0, ki1, W, K, p)
-			}
-			orow := od[obase+i*W : obase+i*W+W]
-			for j, v := range acc {
-				orow[j] = float32(v)
-			}
+// pointwiseGo is the pure-Go pointwise strip, the reference the SIMD
+// kernels match bit for bit: dst[j] = float32(acc) where acc starts at
+// bias and adds w[ic]*x[ic*stride+j] for ic ascending. len(dst) <= pwStrip.
+func pointwiseGo(dst []float32, x, w []float64, bias float64, stride int) {
+	var buf [pwStrip]float64
+	acc := buf[:len(dst)]
+	for j := range acc {
+		acc[j] = bias
+	}
+	for ic, wv := range w {
+		for j, xv := range x[ic*stride : ic*stride+len(acc)] {
+			acc[j] += float64(wv * xv)
 		}
+	}
+	for j, v := range acc {
+		dst[j] = float32(v)
 	}
 }
 
@@ -471,13 +497,17 @@ func (c *Conv2D) Infer(x *tensor.Tensor, dstKey string, segLo, segHi []int, a *A
 	}
 	h, w := x.Dim(1), x.Dim(2)
 	out := a.Tensor(dstKey, c.OutC, h, w)
-	eff := clampWorkers(workers, c.OutC*h)
-	scratch := a.F64(convScratchKey, eff*w)
 	xd, od, bd := x.Data(), out.Data(), c.bias.W.Data()
 	xd64 := a.F64("conv.x64", len(xd))
 	toF64(xd64, xd)
 	wd64 := a.F64("conv.w64", c.weight.W.Len())
 	toF64(wd64, c.weight.W.Data())
+	if c.K == 1 {
+		pointwiseConv(od, xd64, wd64, bd, c.InC, c.OutC, h*w, workers)
+		return out, nil
+	}
+	eff := clampWorkers(workers, c.OutC*h)
+	scratch := a.F64(convScratchKey, eff*w)
 	if eff <= 1 {
 		conv2dRows(od, xd64, wd64, bd, c.InC, c.K, h, w, segLo, segHi, scratch, 0, c.OutC*h)
 	} else {
@@ -495,13 +525,17 @@ func (c *Conv3D) Infer(x *tensor.Tensor, dstKey string, segLo, segHi []int, a *A
 	}
 	d, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
 	out := a.Tensor(dstKey, c.OutC, d, h, w)
-	eff := clampWorkers(workers, c.OutC*d)
-	scratch := a.F64(convScratchKey, eff*w)
 	xd, od, bd := x.Data(), out.Data(), c.bias.W.Data()
 	xd64 := a.F64("conv.x64", len(xd))
 	toF64(xd64, xd)
 	wd64 := a.F64("conv.w64", c.weight.W.Len())
 	toF64(wd64, c.weight.W.Data())
+	if c.K == 1 {
+		pointwiseConv(od, xd64, wd64, bd, c.InC, c.OutC, d*h*w, workers)
+		return out, nil
+	}
+	eff := clampWorkers(workers, c.OutC*d)
+	scratch := a.F64(convScratchKey, eff*w)
 	if eff <= 1 {
 		conv3dPlanes(od, xd64, wd64, bd, c.InC, c.K, d, h, w, segLo, segHi, scratch, 0, c.OutC*d)
 	} else {

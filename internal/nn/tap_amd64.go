@@ -35,11 +35,19 @@ func tap9z(acc, x0, x1, x2, w *float64, n int)
 //go:noescape
 func tap3(acc, x, w *float64, n int)
 
-// tap1 is the AVX2 kernel for a 1-tap (pointwise) row:
-// acc[j] += w[0]*x[j] for j in [0, n) — the K==1 path of tapRows.
+// pointwise is the AVX2 kernel for one strip of a 1×1 convolution: for j
+// in [0, n) it starts a float64 accumulator at bias, adds w[ic]*x[ic*stride+j]
+// for ic ascending in [0, inC) with separate multiply and add roundings,
+// and stores float32(acc) to dst[j] — bit-identical to pointwiseGo. The
+// accumulators stay in registers across all input channels. inC >= 1.
 //
 //go:noescape
-func tap1(acc, x, w *float64, n int)
+func pointwise(dst *float32, x, w *float64, bias float64, inC, stride, n int)
+
+// pointwisez is pointwise with 8-wide AVX-512 vectors.
+//
+//go:noescape
+func pointwisez(dst *float32, x, w *float64, bias float64, inC, stride, n int)
 
 // haveTap9 gates the AVX2 kernels; haveTap9Z additionally gates the
 // AVX-512 ones. Both honor GODEBUG cpu flags (cpu.avx2=off,

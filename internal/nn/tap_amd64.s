@@ -1,6 +1,7 @@
-// SIMD kernels for the convolution tap bundles (see tapRows in infer.go):
-// tap9 (AVX2) and tap9z (AVX-512) for the fused 3×3 interior bundle,
-// tap3/tap1 (AVX2) for clipped single-row bundles and pointwise taps.
+// SIMD kernels for the convolutions (see infer.go): tap9 (AVX2) and tap9z
+// (AVX-512) for the fused 3×3 interior bundle of tapRows, tap3 (AVX2) for
+// its clipped single-row bundles, and pointwise (AVX2) and pointwisez
+// (AVX-512) for whole 1×1 convolution strips.
 //
 // Bit-identity contract: every output element j computes its taps as
 // sequential multiply-then-add steps in ascending tap order —
@@ -309,43 +310,208 @@ t3done:
 	VZEROUPPER
 	RET
 
-// func tap1(acc, x, w *float64, n int)
-// Pointwise tap: acc[j] += w[0]*x[j].
-TEXT ·tap1(SB), NOSPLIT, $0-32
-	MOVQ acc+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ w+16(FP), R8
-	MOVQ n+24(FP), R9
+// func pointwisez(dst *float32, x, w *float64, bias float64, inC, stride, n int)
+// AVX-512 pointwise (1×1) kernel: for j in [0, n),
+//     a = bias ; a += w[ic]*x[ic*stride+j] for ic ascending ; dst[j] = float32(a)
+// The accumulators stay in registers across every input channel: blocks
+// of 32 elements in four ZMM registers, then 8-element blocks, then a
+// scalar tail. VCVTPD2PS rounds to nearest even like Go's float32().
+// Requires inC >= 1.
+TEXT ·pointwisez(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         w+16(FP), R8
+	VBROADCASTSD bias+24(FP), Z31
+	MOVQ         inC+32(FP), R9
+	MOVQ         stride+40(FP), R10
+	SHLQ         $3, R10
+	MOVQ         n+48(FP), R11
+	XORQ         AX, AX
 
-	VBROADCASTSD 0(R8), Y0
+pz32:
+	LEAQ    32(AX), BX
+	CMPQ    BX, R11
+	JGT     pz8
+	VMOVAPD Z31, Z0
+	VMOVAPD Z31, Z1
+	VMOVAPD Z31, Z2
+	VMOVAPD Z31, Z3
+	LEAQ    (SI)(AX*8), CX
+	MOVQ    R8, DX
+	MOVQ    R9, BX
 
-	XORQ AX, AX
+pz32ic:
+	VBROADCASTSD (DX), Z4
+	VMULPD       (CX), Z4, Z5
+	VADDPD       Z5, Z0, Z0
+	VMULPD       64(CX), Z4, Z6
+	VADDPD       Z6, Z1, Z1
+	VMULPD       128(CX), Z4, Z7
+	VADDPD       Z7, Z2, Z2
+	VMULPD       192(CX), Z4, Z8
+	VADDPD       Z8, Z3, Z3
+	ADDQ         R10, CX
+	ADDQ         $8, DX
+	DECQ         BX
+	JNZ          pz32ic
 
-t1loop4:
-	LEAQ 4(AX), R10
-	CMPQ R10, R9
-	JGT  t1tail
+	VCVTPD2PS Z0, Y0
+	VMOVUPS   Y0, (DI)(AX*4)
+	VCVTPD2PS Z1, Y1
+	VMOVUPS   Y1, 32(DI)(AX*4)
+	VCVTPD2PS Z2, Y2
+	VMOVUPS   Y2, 64(DI)(AX*4)
+	VCVTPD2PS Z3, Y3
+	VMOVUPS   Y3, 96(DI)(AX*4)
+	ADDQ      $32, AX
+	JMP       pz32
 
-	VMOVUPD (DI)(AX*8), Y9
-	VMOVUPD (SI)(AX*8), Y10
-	VMULPD  Y10, Y0, Y11
-	VADDPD  Y11, Y9, Y9
-	VMOVUPD Y9, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     t1loop4
+pz8:
+	LEAQ    8(AX), BX
+	CMPQ    BX, R11
+	JGT     pz1
+	VMOVAPD Z31, Z0
+	LEAQ    (SI)(AX*8), CX
+	MOVQ    R8, DX
+	MOVQ    R9, BX
 
-t1tail:
-	CMPQ AX, R9
-	JGE  t1done
+pz8ic:
+	VBROADCASTSD (DX), Z4
+	VMULPD       (CX), Z4, Z5
+	VADDPD       Z5, Z0, Z0
+	ADDQ         R10, CX
+	ADDQ         $8, DX
+	DECQ         BX
+	JNZ          pz8ic
 
-	VMOVSD (DI)(AX*8), X9
-	VMOVSD (SI)(AX*8), X10
-	VMULSD X10, X0, X11
-	VADDSD X11, X9, X9
-	VMOVSD X9, (DI)(AX*8)
-	INCQ   AX
-	JMP    t1tail
+	VCVTPD2PS Z0, Y0
+	VMOVUPS   Y0, (DI)(AX*4)
+	ADDQ      $8, AX
+	JMP       pz8
 
-t1done:
+pz1:
+	CMPQ    AX, R11
+	JGE     pzdone
+	VMOVSD  bias+24(FP), X0
+	LEAQ    (SI)(AX*8), CX
+	MOVQ    R8, DX
+	MOVQ    R9, BX
+
+pz1ic:
+	VMOVSD (DX), X4
+	VMULSD (CX), X4, X5
+	VADDSD X5, X0, X0
+	ADDQ   R10, CX
+	ADDQ   $8, DX
+	DECQ   BX
+	JNZ    pz1ic
+
+	VCVTSD2SS X0, X0, X0
+	VMOVSS    X0, (DI)(AX*4)
+	INCQ      AX
+	JMP       pz1
+
+pzdone:
+	VZEROUPPER
+	RET
+
+// func pointwise(dst *float32, x, w *float64, bias float64, inC, stride, n int)
+// AVX2 variant of pointwisez: 16-element blocks in four YMM registers,
+// then 4-element blocks, then a scalar tail. Requires inC >= 1.
+TEXT ·pointwise(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         w+16(FP), R8
+	VBROADCASTSD bias+24(FP), Y13
+	MOVQ         inC+32(FP), R9
+	MOVQ         stride+40(FP), R10
+	SHLQ         $3, R10
+	MOVQ         n+48(FP), R11
+	XORQ         AX, AX
+
+py16:
+	LEAQ    16(AX), BX
+	CMPQ    BX, R11
+	JGT     py4
+	VMOVAPD Y13, Y0
+	VMOVAPD Y13, Y1
+	VMOVAPD Y13, Y2
+	VMOVAPD Y13, Y3
+	LEAQ    (SI)(AX*8), CX
+	MOVQ    R8, DX
+	MOVQ    R9, BX
+
+py16ic:
+	VBROADCASTSD (DX), Y4
+	VMULPD       (CX), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(CX), Y4, Y6
+	VADDPD       Y6, Y1, Y1
+	VMULPD       64(CX), Y4, Y7
+	VADDPD       Y7, Y2, Y2
+	VMULPD       96(CX), Y4, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         R10, CX
+	ADDQ         $8, DX
+	DECQ         BX
+	JNZ          py16ic
+
+	VCVTPD2PSY Y0, X0
+	VMOVUPS    X0, (DI)(AX*4)
+	VCVTPD2PSY Y1, X1
+	VMOVUPS    X1, 16(DI)(AX*4)
+	VCVTPD2PSY Y2, X2
+	VMOVUPS    X2, 32(DI)(AX*4)
+	VCVTPD2PSY Y3, X3
+	VMOVUPS    X3, 48(DI)(AX*4)
+	ADDQ       $16, AX
+	JMP        py16
+
+py4:
+	LEAQ    4(AX), BX
+	CMPQ    BX, R11
+	JGT     py1
+	VMOVAPD Y13, Y0
+	LEAQ    (SI)(AX*8), CX
+	MOVQ    R8, DX
+	MOVQ    R9, BX
+
+py4ic:
+	VBROADCASTSD (DX), Y4
+	VMULPD       (CX), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         R10, CX
+	ADDQ         $8, DX
+	DECQ         BX
+	JNZ          py4ic
+
+	VCVTPD2PSY Y0, X0
+	VMOVUPS    X0, (DI)(AX*4)
+	ADDQ       $4, AX
+	JMP        py4
+
+py1:
+	CMPQ    AX, R11
+	JGE     pydone
+	VMOVSD  bias+24(FP), X0
+	LEAQ    (SI)(AX*8), CX
+	MOVQ    R8, DX
+	MOVQ    R9, BX
+
+py1ic:
+	VMOVSD (DX), X4
+	VMULSD (CX), X4, X5
+	VADDSD X5, X0, X0
+	ADDQ   R10, CX
+	ADDQ   $8, DX
+	DECQ   BX
+	JNZ    py1ic
+
+	VCVTSD2SS X0, X0, X0
+	VMOVSS    X0, (DI)(AX*4)
+	INCQ      AX
+	JMP       py1
+
+pydone:
 	VZEROUPPER
 	RET

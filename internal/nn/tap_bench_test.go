@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -73,36 +74,121 @@ func TestTap9ZMatchesGo(t *testing.T) {
 	}
 }
 
-func TestTap3Tap1MatchGo(t *testing.T) {
+func TestTap3MatchesGo(t *testing.T) {
 	if !haveTap9 {
 		t.Skip("no AVX2")
 	}
 	for _, w := range []int{4, 5, 7, 16, 46, 127} {
 		acc, xd, wr := tapData(w + 4)
-		ref3 := append([]float64(nil), acc...)
+		ref := append([]float64(nil), acc...)
 		for j := 0; j < w; j++ {
-			a := ref3[j]
+			a := ref[j]
 			a += wr[0] * xd[j]
 			a += wr[1] * xd[j+1]
 			a += wr[2] * xd[j+2]
-			ref3[j] = a
+			ref[j] = a
 		}
-		acc3 := append([]float64(nil), acc...)
-		tap3(&acc3[0], &xd[0], &wr[0], w)
+		tap3(&acc[0], &xd[0], &wr[0], w)
 		for j := 0; j < w; j++ {
-			if acc3[j] != ref3[j] {
-				t.Fatalf("tap3 w=%d j=%d: asm %v != go %v", w, j, acc3[j], ref3[j])
+			if acc[j] != ref[j] {
+				t.Fatalf("tap3 w=%d j=%d: asm %v != go %v", w, j, acc[j], ref[j])
 			}
 		}
-		ref1 := append([]float64(nil), acc...)
-		for j := 0; j < w; j++ {
-			ref1[j] += wr[0] * xd[j]
+	}
+}
+
+// pointwiseData returns random pointwise operands: inC channels of n
+// inputs, outC×inC weights and outC biases, all float32 values. Products
+// of float32 values are exact in float64, so only the order of the adds
+// can change a result, and only where the running sum cancels: every odd
+// channel repeats the previous channel's inputs under the negated weight,
+// and half of those inputs are huge. Such a pair cancels exactly while
+// the running sum drops the low bits of what came before it, so a kernel
+// that adds in any other order (the bias last, say) changes float32 bits.
+func pointwiseData(rng *rand.Rand, inC, outC, n int) (xd, wd []float64, bd []float32) {
+	val := func() float64 { return float64(float32(rng.NormFloat64())) }
+	xd = make([]float64, inC*n)
+	for ic := 0; ic < inC; ic++ {
+		row := xd[ic*n : (ic+1)*n]
+		for j := range row {
+			switch {
+			case ic%2 == 1:
+				row[j] = xd[(ic-1)*n+j]
+			case rng.Intn(2) == 0:
+				row[j] = val() * (1 << 36)
+			default:
+				row[j] = val()
+			}
 		}
-		acc1 := append([]float64(nil), acc...)
-		tap1(&acc1[0], &xd[0], &wr[0], w)
-		for j := 0; j < w; j++ {
-			if acc1[j] != ref1[j] {
-				t.Fatalf("tap1 w=%d j=%d: asm %v != go %v", w, j, acc1[j], ref1[j])
+	}
+	wd = make([]float64, outC*inC)
+	for i := range wd {
+		if i%inC%2 == 1 {
+			wd[i] = -wd[i-1]
+		} else {
+			wd[i] = val()
+		}
+	}
+	bd = make([]float32, outC)
+	for i := range bd {
+		bd[i] = float32(val())
+	}
+	return xd, wd, bd
+}
+
+// withKernels runs fn with the SIMD kernel tiers forced to z (AVX-512)
+// and v2 (AVX2), restoring the detected tiers afterwards.
+func withKernels(z, v2 bool, fn func()) {
+	savedZ, saved9 := haveTap9Z, haveTap9
+	defer func() { setTap9Z(savedZ); setTap9(saved9) }()
+	setTap9Z(z)
+	setTap9(v2)
+	fn()
+}
+
+// TestPointwiseMatchesGo is the SIMD-vs-Go property of the pointwise
+// kernels: for random operands, every available tier writes the bits a
+// plain per-element loop (bias, then each channel's product added in
+// ascending order, one float32 rounding) computes. It covers every
+// input-channel count from 1 to 24 against element counts below one
+// vector, inside one register block, and odd counts past a strip, so
+// every vector block and scalar tail runs, at one and three workers.
+func TestPointwiseMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for inC := 1; inC <= 24; inC++ {
+		for _, n := range []int{1 + rng.Intn(7), 8 + rng.Intn(24), pwStrip*(1+rng.Intn(3)) + 2*rng.Intn(pwStrip/2) + 1} {
+			outC := 1 + rng.Intn(5)
+			xd, wd, bd := pointwiseData(rng, inC, outC, n)
+			want := make([]float32, outC*n)
+			for oc := 0; oc < outC; oc++ {
+				for j := 0; j < n; j++ {
+					a := float64(bd[oc])
+					for ic := 0; ic < inC; ic++ {
+						a += float64(wd[oc*inC+ic] * xd[ic*n+j])
+					}
+					want[oc*n+j] = float32(a)
+				}
+			}
+			for _, tier := range []struct {
+				name  string
+				z, v2 bool
+				ok    bool
+			}{{"go", false, false, true}, {"avx2", false, true, haveTap9}, {"avx512", true, true, haveTap9Z}} {
+				if !tier.ok {
+					continue
+				}
+				for _, workers := range []int{1, 3} {
+					got := make([]float32, outC*n)
+					withKernels(tier.z, tier.v2, func() {
+						pointwiseConv(got, xd, wd, bd, inC, outC, n, workers)
+					})
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s inC=%d outC=%d n=%d workers=%d: element %d = %v, want %v",
+								tier.name, inC, outC, n, workers, i, got[i], want[i])
+						}
+					}
+				}
 			}
 		}
 	}
@@ -121,7 +207,7 @@ func TestTapRowsKernelToggles(t *testing.T) {
 		setTap9(v2)
 		acc, xd, wr := tapData(w + 4)
 		tapRows(acc, xd, wr, 0, -1, w+2, 0, 3, w, 3, 1)
-		// Clipped bundle (single ki) and K==1 paths too.
+		// Clipped bundle (single ki) and generic-K paths too.
 		tapRows(acc, xd, wr, 0, -1, w+2, 0, 1, w, 3, 1)
 		tapRows(acc, xd, wr[:1], 0, 0, w, 0, 1, w, 1, 0)
 		return acc
@@ -140,6 +226,47 @@ func TestTapRowsKernelToggles(t *testing.T) {
 		for j := range ref {
 			if got[j] != ref[j] {
 				t.Fatalf("AVX-512 j=%d: %v != %v", j, got[j], ref[j])
+			}
+		}
+	}
+}
+
+// TestDepthwise2DKernelToggles runs a segmented 2D depthwise Infer pass
+// (odd height and width, segments of 5 and 6 rows) under every kernel
+// tier and demands bitwise equal outputs.
+func TestDepthwise2DKernelToggles(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	l, err := NewDepthwiseConv2D(rng, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randTensor(rng, 3, 11, 53)
+	segLo := []int{0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5}
+	segHi := []int{5, 5, 5, 5, 5, 11, 11, 11, 11, 11, 11}
+	run := func(z, v2 bool) []float32 {
+		var out []float32
+		withKernels(z, v2, func() {
+			y, err := l.Infer(x, "out", segLo, segHi, NewArena(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = y.Data()
+		})
+		return out
+	}
+	ref := run(false, false)
+	for _, tier := range []struct {
+		name  string
+		z, v2 bool
+		ok    bool
+	}{{"avx2", false, true, haveTap9}, {"avx512", true, true, haveTap9Z}} {
+		if !tier.ok {
+			continue
+		}
+		got := run(tier.z, tier.v2)
+		for i := range ref {
+			if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
+				t.Fatalf("%s: element %d = %v, pure Go %v", tier.name, i, got[i], ref[i])
 			}
 		}
 	}
@@ -172,3 +299,32 @@ func benchTapRows(b *testing.B, mode string) {
 func BenchmarkTap9AVX512(b *testing.B) { benchTapRows(b, "avx512") }
 func BenchmarkTap9ASM(b *testing.B)    { benchTapRows(b, "avx2") }
 func BenchmarkTap9Go(b *testing.B)     { benchTapRows(b, "go") }
+
+// benchPointwise times one serial 1×1 convolution at the 2D CFNN width
+// (20 channels in and out) over a 128×160 plane.
+func benchPointwise(b *testing.B, mode string) {
+	switch mode {
+	case "avx512":
+		if !haveTap9Z {
+			b.Skip("no AVX-512")
+		}
+	case "avx2":
+		if !haveTap9 {
+			b.Skip("no AVX2")
+		}
+	}
+	const inC, outC, n = 20, 20, 128 * 160
+	xd, wd, bd := pointwiseData(rand.New(rand.NewSource(1)), inC, outC, n)
+	out := make([]float32, outC*n)
+	withKernels(mode == "avx512", mode != "go", func() {
+		b.SetBytes(int64(n * inC * outC * 8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pointwiseConv(out, xd, wd, bd, inC, outC, n, 1)
+		}
+	})
+}
+
+func BenchmarkPointwiseAVX512(b *testing.B) { benchPointwise(b, "avx512") }
+func BenchmarkPointwiseAVX2(b *testing.B)   { benchPointwise(b, "avx2") }
+func BenchmarkPointwiseGo(b *testing.B)     { benchPointwise(b, "go") }

@@ -22,6 +22,10 @@ func tap3(acc, x, w *float64, n int) {
 	panic("nn: tap3 without AVX2 support")
 }
 
-func tap1(acc, x, w *float64, n int) {
-	panic("nn: tap1 without AVX2 support")
+func pointwise(dst *float32, x, w *float64, bias float64, inC, stride, n int) {
+	panic("nn: pointwise without AVX2 support")
+}
+
+func pointwisez(dst *float32, x, w *float64, bias float64, inC, stride, n int) {
+	panic("nn: pointwisez without AVX-512 support")
 }
