@@ -194,79 +194,52 @@ func TestPointwiseMatchesGo(t *testing.T) {
 	}
 }
 
-// TestTapRowsKernelToggles runs the same tapRows call with every kernel
-// tier (pure Go, AVX2, AVX-512 when available) and demands bitwise equal
-// accumulators — the contract that lets compressed streams decode
-// identically on any hardware.
+// TestTapRowsKernelToggles runs the same tapRows calls, and a segmented
+// 2D depthwise Infer pass (odd height and width, segments of 5 and 6
+// rows), with every kernel tier (pure Go, AVX2, AVX-512 when available)
+// and demands bitwise equal results — the contract that lets compressed
+// streams decode identically on any hardware.
 func TestTapRowsKernelToggles(t *testing.T) {
 	const w = 53
-	savedZ, saved9 := haveTap9Z, haveTap9
-	defer func() { setTap9Z(savedZ); setTap9(saved9) }()
-	run := func(z, v2 bool) []float64 {
-		setTap9Z(z)
-		setTap9(v2)
-		acc, xd, wr := tapData(w + 4)
-		tapRows(acc, xd, wr, 0, -1, w+2, 0, 3, w, 3, 1)
-		// Clipped bundle (single ki) and generic-K paths too.
-		tapRows(acc, xd, wr, 0, -1, w+2, 0, 1, w, 3, 1)
-		tapRows(acc, xd, wr[:1], 0, 0, w, 0, 1, w, 1, 0)
-		return acc
-	}
-	ref := run(false, false)
-	if saved9 {
-		got := run(false, true)
-		for j := range ref {
-			if got[j] != ref[j] {
-				t.Fatalf("AVX2 j=%d: %v != %v", j, got[j], ref[j])
-			}
-		}
-	}
-	if savedZ {
-		got := run(true, true)
-		for j := range ref {
-			if got[j] != ref[j] {
-				t.Fatalf("AVX-512 j=%d: %v != %v", j, got[j], ref[j])
-			}
-		}
-	}
-}
-
-// TestDepthwise2DKernelToggles runs a segmented 2D depthwise Infer pass
-// (odd height and width, segments of 5 and 6 rows) under every kernel
-// tier and demands bitwise equal outputs.
-func TestDepthwise2DKernelToggles(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	l, err := NewDepthwiseConv2D(rng, 3, 3)
+	dw, err := NewDepthwiseConv2D(rng, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := randTensor(rng, 3, 11, 53)
+	x := randTensor(rng, 3, 11, w)
 	segLo := []int{0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5}
 	segHi := []int{5, 5, 5, 5, 5, 11, 11, 11, 11, 11, 11}
-	run := func(z, v2 bool) []float32 {
-		var out []float32
+	run := func(z, v2 bool) (acc []float64) {
 		withKernels(z, v2, func() {
-			y, err := l.Infer(x, "out", segLo, segHi, NewArena(), 1)
+			var xd, wr []float64
+			acc, xd, wr = tapData(w + 4)
+			tapRows(acc, xd, wr, 0, -1, w+2, 0, 3, w, 3, 1)
+			// Clipped bundle (single ki) and generic-K paths too.
+			tapRows(acc, xd, wr, 0, -1, w+2, 0, 1, w, 3, 1)
+			tapRows(acc, xd, wr[:1], 0, 0, w, 0, 1, w, 1, 0)
+			y, err := dw.Infer(x, "out", segLo, segHi, NewArena(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = y.Data()
+			for _, v := range y.Data() {
+				acc = append(acc, float64(v))
+			}
 		})
-		return out
+		return acc
 	}
 	ref := run(false, false)
 	for _, tier := range []struct {
 		name  string
 		z, v2 bool
 		ok    bool
-	}{{"avx2", false, true, haveTap9}, {"avx512", true, true, haveTap9Z}} {
+	}{{"AVX2", false, true, haveTap9}, {"AVX-512", true, true, haveTap9Z}} {
 		if !tier.ok {
 			continue
 		}
 		got := run(tier.z, tier.v2)
-		for i := range ref {
-			if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
-				t.Fatalf("%s: element %d = %v, pure Go %v", tier.name, i, got[i], ref[i])
+		for j := range ref {
+			if math.Float64bits(got[j]) != math.Float64bits(ref[j]) {
+				t.Fatalf("%s j=%d: %v != %v", tier.name, j, got[j], ref[j])
 			}
 		}
 	}
