@@ -219,8 +219,9 @@ func cfc2ToV1(t *testing.T, blob []byte) []byte {
 
 // Each decode test regenerates its own fixtures when -update is set, so
 // one `go test -run TestGolden -update` run rewrites everything without
-// depending on test execution order. The block-coded fixtures are the
-// exception: nothing writes them any more (see TestGoldenCFC1V2Blocks).
+// depending on test execution order. The block-coded fixtures and the
+// CFC3 v1 archive are the exception: nothing writes them any more (see
+// TestGoldenCFC1V2Blocks and regenGoldenArchive).
 func regenGoldenBaseline(t *testing.T) {
 	f := goldenField()
 	res, err := crossfield.CompressBaseline(f, crossfield.Abs(0.05))
@@ -316,14 +317,12 @@ func regenGoldenLayeredArchive(t *testing.T) {
 	}
 }
 
+// regenGoldenArchive rewrites the field expectations of the CFC3 v1
+// archive by decoding the committed blob. The blob itself is frozen like
+// the block-coded fixtures: the encoder writes CFC3 v2, so -update leaves
+// archive_cfc3.cfc, the only v1 archive fixture, as committed.
 func regenGoldenArchive(t *testing.T) {
-	res, err := crossfield.CompressDataset(buildStreamSpecs(t), crossfield.Rel(1e-3),
-		crossfield.WithChunks(2*10*12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeGolden(t, "archive_cfc3.cfc", res.Blob)
-	ar, err := crossfield.OpenArchive(res.Blob)
+	ar, err := crossfield.OpenArchive(readGolden(t, "archive_cfc3.cfc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,6 +418,9 @@ func TestGoldenCFC3Archive(t *testing.T) {
 		regenGoldenArchive(t)
 	}
 	blob := readGolden(t, "archive_cfc3.cfc")
+	if blob[4] != 1 {
+		t.Fatalf("fixture version byte = %d, want 1", blob[4])
+	}
 	ar, err := crossfield.OpenArchive(blob)
 	if err != nil {
 		t.Fatalf("CFC3 golden archive no longer opens: %v", err)

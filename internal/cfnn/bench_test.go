@@ -1,0 +1,56 @@
+package cfnn
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
+
+// benchInference trains a small-budget model at the given width on smooth
+// synthetic anchors and times segmented PredictDiffsWith passes through one
+// warmed arena on two workers, the way the chunked engine runs a field.
+func benchInference(b *testing.B, features int, spatial, segs []int) {
+	mk := func(phase float64) *tensor.Tensor {
+		t := tensor.New(spatial...)
+		d := t.Data()
+		plane := len(d) / spatial[0]
+		for i := range d {
+			z, r := float64(i/plane), float64(i%plane)
+			d[i] = float32(math.Sin(0.05*r+phase) + 0.3*math.Cos(0.2*z+0.01*r*phase))
+		}
+		return t
+	}
+	anchors := []*tensor.Tensor{mk(0.3), mk(1.1), mk(2.3)}
+	m, err := New(Config{SpatialRank: len(spatial), NumAnchors: len(anchors), Features: features, Seed: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Train(anchors, mk(0.7), TrainConfig{Epochs: 1, StepsPerEpoch: 2, Batch: 1}); err != nil {
+		b.Fatal(err)
+	}
+	arena := nn.NewArena()
+	if _, err := m.PredictDiffsWith(anchors, segs, arena, 2); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(anchors[0].Len() * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.PredictDiffsWith(anchors, segs, arena, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPredictDiffs2D is one CESM field of perfbench's pack workload:
+// 160×320, width 20, three anchors, four 40-row chunks.
+func BenchmarkPredictDiffs2D(b *testing.B) {
+	benchInference(b, 20, []int{160, 320}, []int{40, 40, 40, 40})
+}
+
+// BenchmarkPredictDiffs3D is the Hurricane dependent of perfbench's read
+// workloads: 24×64×64, width 14, three anchors, four 6-slab chunks.
+func BenchmarkPredictDiffs3D(b *testing.B) {
+	benchInference(b, 14, []int{24, 64, 64}, []int{6, 6, 6, 6})
+}

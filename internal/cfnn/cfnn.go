@@ -374,27 +374,26 @@ func (m *Model) PredictDiffsWith(anchors []*tensor.Tensor, segCounts []int, aren
 		}
 	}
 
-	// Build the stacked network input in place: each channel plane gets the
-	// backward differences of one (anchor, axis) pair, boundary hyperplanes
-	// zeroed per segment, then normalized to network units. This fuses the
-	// per-channel diff → zero → stack → normalize passes of the legacy path
-	// into arena-owned storage with identical element-wise arithmetic.
+	// Build the stacked network input: each channel plane gets the
+	// backward differences of one (anchor, axis) pair in a float32 scratch
+	// plane, boundary hyperplanes zeroed per segment, then normalized to
+	// network units and widened into the float64 input — the one widening
+	// of the pass (the activations stay float64 through every layer).
 	inShape := arena.Ints("cfnn.inshape", r+1)
 	inShape[0] = m.Cfg.InChannels()
 	copy(inShape[1:], spatial)
-	x := arena.Tensor("cfnn.in", inShape...)
-	xd := x.Data()
+	x := m.net.InferInput(arena, inShape...)
+	ch := arena.Tensor("cfnn.ch", spatial...)
+	chd := ch.Data()
 	c := 0
 	for _, a := range anchors {
 		for axis := 0; axis < r; axis++ {
-			ch := arena.View("cfnn.ch", xd[c*per:(c+1)*per], spatial...)
 			if err := diff.AlongInto(ch, a, axis, diff.Backward); err != nil {
 				return nil, err
 			}
 			if axis == 0 {
 				// Each segment is its own field: its first slab plays the
 				// role the coordinate-0 boundary plays for the whole field.
-				chd := ch.Data()
 				if segCounts == nil {
 					zeroPlane(chd, 0, plane)
 				} else {
@@ -408,9 +407,9 @@ func (m *Model) PredictDiffsWith(anchors []*tensor.Tensor, segCounts []int, aren
 				zeroBoundary(ch, axis)
 			}
 			o, s, mu := m.inOff[c], m.inScale[c], m.inMean[c]
-			chd := ch.Data()
+			dst := x.Data[c*per : (c+1)*per]
 			for i, v := range chd {
-				chd[i] = netValue(v, o, s, mu)
+				dst[i] = float64(netValue(v, o, s, mu))
 			}
 			c++
 		}
@@ -421,20 +420,20 @@ func (m *Model) PredictDiffsWith(anchors []*tensor.Tensor, segCounts []int, aren
 		return nil, err
 	}
 
+	// Narrow once: every output value is float32-exact.
 	outC := m.Cfg.OutChannels()
 	outs := arena.Tensors("cfnn.outs", outC)
-	yd := y.Data()
 	for c := range outs {
 		t := arena.Tensor(outKeys[c], spatial...)
 		o, s, mu := m.outOff[c], m.outScale[c], m.outMean[c]
-		src := yd[c*per : (c+1)*per]
+		src := y.Data[c*per : (c+1)*per]
 		if s == 0 {
 			t.Fill(o)
 		} else {
 			inv := 1 / s
 			td := t.Data()
 			for i, v := range src {
-				norm := float32(v*internalScale) + mu
+				norm := float32(float32(v)*internalScale) + mu
 				td[i] = float32(norm*inv) + o
 			}
 		}

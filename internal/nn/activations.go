@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -71,7 +70,7 @@ func (s *Sigmoid) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	out := tensor.New(x.Shape()...)
 	xd, od := x.Data(), out.Data()
 	for i, v := range xd {
-		od[i] = float32(1 / (1 + math.Exp(-float64(v))))
+		od[i] = float32(sigmoid(float64(v)))
 	}
 	s.lastOut = out
 	return out, nil

@@ -5,11 +5,11 @@ import (
 )
 
 // Arena is a reusable scratch-memory pool for repeated inference. Every
-// buffer — float32 tensor storage, float64 accumulator rows, int segment
-// tables, and the tensor headers themselves — is keyed by a caller-chosen
-// constant string and grown once, so a steady-state inference pass that
-// threads one Arena through Sequential.Infer (or cfnn's PredictDiffsWith)
-// performs zero heap allocations after warmup.
+// buffer — float32 tensor storage, float64 activations and accumulator
+// rows, int segment tables, and the tensor headers themselves — is keyed
+// by a caller-chosen constant string and grown once, so a steady-state
+// inference pass that threads one Arena through Sequential.Infer (or
+// cfnn's PredictDiffsWith) performs zero heap allocations after warmup.
 //
 // An Arena is NOT safe for concurrent use: it is mutable scratch owned by
 // exactly one inference pass at a time. Concurrent inference on a shared
@@ -18,11 +18,10 @@ import (
 // requested again; callers that need results to outlive the next pass must
 // copy them out.
 type Arena struct {
-	bufs  map[string]*arenaBuf
-	f64s  map[string][]float64
-	ints  map[string][]int
-	ptrs  map[string][]*tensor.Tensor
-	views map[string][]*tensor.Tensor
+	bufs map[string]*arenaBuf
+	f64s map[string][]float64
+	ints map[string][]int
+	ptrs map[string][]*tensor.Tensor
 }
 
 // arenaBuf is one named float32 buffer plus the cached tensor headers that
@@ -35,11 +34,10 @@ type arenaBuf struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena {
 	return &Arena{
-		bufs:  make(map[string]*arenaBuf),
-		f64s:  make(map[string][]float64),
-		ints:  make(map[string][]int),
-		ptrs:  make(map[string][]*tensor.Tensor),
-		views: make(map[string][]*tensor.Tensor),
+		bufs: make(map[string]*arenaBuf),
+		f64s: make(map[string][]float64),
+		ints: make(map[string][]int),
+		ptrs: make(map[string][]*tensor.Tensor),
 	}
 }
 
@@ -80,27 +78,6 @@ func (a *Arena) Tensor(key string, shape ...int) *tensor.Tensor {
 	return t
 }
 
-// View returns a cached tensor header over caller-owned storage, so
-// repeated passes that slice the same underlying arrays (e.g. channel
-// planes of a stacked input) do not re-allocate headers. data must exactly
-// cover the shape's volume.
-func (a *Arena) View(key string, data []float32, shape ...int) *tensor.Tensor {
-	for _, h := range a.views[key] {
-		hd := h.Data()
-		if len(hd) == len(data) && &hd[0] == &data[0] && shapeEq(h, shape...) {
-			return h
-		}
-	}
-	owned := make([]int, len(shape))
-	copy(owned, shape)
-	t, err := tensor.FromSlice(data, owned...)
-	if err != nil {
-		panic(err)
-	}
-	a.views[key] = append(a.views[key], t)
-	return t
-}
-
 // F64 returns a float64 scratch slice of length n under the given key.
 // Contents are unspecified.
 func (a *Arena) F64(key string, n int) []float64 {
@@ -135,4 +112,14 @@ func (a *Arena) Tensors(key string, n int) []*tensor.Tensor {
 		return s
 	}
 	return s[:n]
+}
+
+// Act returns a scratch activation of the given shape backed by the named
+// float64 buffer (see F64). Contents are unspecified.
+func (a *Arena) Act(key string, shape ...int) Act {
+	vol := 1
+	for _, d := range shape {
+		vol *= d
+	}
+	return newAct(a.F64(key, vol), shape...)
 }

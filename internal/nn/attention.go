@@ -104,7 +104,7 @@ func (a *ChannelAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	a.attn = resizeF64(a.attn, a.C)
 	for c := 0; c < a.C; c++ {
 		a.zSum[c] = zAvg[c] + zMax[c]
-		a.attn[c] = 1 / (1 + math.Exp(-a.zSum[c]))
+		a.attn[c] = sigmoid(a.zSum[c])
 	}
 
 	out := tensor.New(x.Shape()...)

@@ -38,29 +38,14 @@ func (c *Conv2D) Name() string { return fmt.Sprintf("conv2d(%d->%d,k=%d)", c.InC
 func (c *Conv2D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
 // Forward implements Layer. x is (InC, H, W); output is (OutC, H, W).
-// It shares the row-accumulator kernel with the Infer fast path, so the
-// two are bit-identical by construction.
+// It runs Infer (see forwardInfer), so the two are bit-identical by
+// construction.
 func (c *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Rank() != 3 || x.Dim(0) != c.InC {
 		return nil, fmt.Errorf("nn: conv2d wants (%d,H,W), got %v", c.InC, x.Shape())
 	}
 	c.lastIn = x
-	h, w := x.Dim(1), x.Dim(2)
-	out := tensor.New(c.OutC, h, w)
-	od, bd := out.Data(), c.bias.W.Data()
-	xd64 := make([]float64, x.Len())
-	toF64(xd64, x.Data())
-	wd64 := make([]float64, c.weight.W.Len())
-	toF64(wd64, c.weight.W.Data())
-	if c.K == 1 {
-		pointwiseConv(od, xd64, wd64, bd, c.InC, c.OutC, h*w, parallel.Workers())
-		return out, nil
-	}
-	eff := clampWorkers(parallel.Workers(), c.OutC*h)
-	dispatchScratch(eff, c.OutC*h, w, make([]float64, eff*w), func(lo, hi int, acc []float64) {
-		conv2dRows(od, xd64, wd64, bd, c.InC, c.K, h, w, nil, nil, acc, lo, hi)
-	})
-	return out, nil
+	return forwardInfer(c, x)
 }
 
 // Backward implements Layer.

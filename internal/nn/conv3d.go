@@ -38,29 +38,14 @@ func (c *Conv3D) Name() string { return fmt.Sprintf("conv3d(%d->%d,k=%d)", c.InC
 func (c *Conv3D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
 // Forward implements Layer. x is (InC, D, H, W); output is (OutC, D, H, W).
-// It shares the row-accumulator kernel with the Infer fast path, so the
-// two are bit-identical by construction.
+// It runs Infer (see forwardInfer), so the two are bit-identical by
+// construction.
 func (c *Conv3D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Rank() != 4 || x.Dim(0) != c.InC {
 		return nil, fmt.Errorf("nn: conv3d wants (%d,D,H,W), got %v", c.InC, x.Shape())
 	}
 	c.lastIn = x
-	d, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
-	out := tensor.New(c.OutC, d, h, w)
-	od, bd := out.Data(), c.bias.W.Data()
-	xd64 := make([]float64, x.Len())
-	toF64(xd64, x.Data())
-	wd64 := make([]float64, c.weight.W.Len())
-	toF64(wd64, c.weight.W.Data())
-	if c.K == 1 {
-		pointwiseConv(od, xd64, wd64, bd, c.InC, c.OutC, d*h*w, parallel.Workers())
-		return out, nil
-	}
-	eff := clampWorkers(parallel.Workers(), c.OutC*d)
-	dispatchScratch(eff, c.OutC*d, w, make([]float64, eff*w), func(lo, hi int, acc []float64) {
-		conv3dPlanes(od, xd64, wd64, bd, c.InC, c.K, d, h, w, nil, nil, acc, lo, hi)
-	})
-	return out, nil
+	return forwardInfer(c, x)
 }
 
 // Backward implements Layer.

@@ -38,26 +38,14 @@ func (l *DepthwiseConv2D) Name() string { return fmt.Sprintf("depthwise2d(c=%d,k
 // Params implements Layer.
 func (l *DepthwiseConv2D) Params() []*Param { return []*Param{l.weight, l.bias} }
 
-// Forward implements Layer. x is (C, H, W). It shares the row-accumulator
-// kernel with the Infer fast path, so the two are bit-identical by
-// construction.
+// Forward implements Layer. x is (C, H, W). It runs Infer (see
+// forwardInfer), so the two are bit-identical by construction.
 func (l *DepthwiseConv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Rank() != 3 || x.Dim(0) != l.C {
 		return nil, fmt.Errorf("nn: depthwise2d wants (%d,H,W), got %v", l.C, x.Shape())
 	}
 	l.lastIn = x
-	h, w := x.Dim(1), x.Dim(2)
-	out := tensor.New(l.C, h, w)
-	od, bd := out.Data(), l.bias.W.Data()
-	xd64 := make([]float64, x.Len())
-	toF64(xd64, x.Data())
-	wd64 := make([]float64, l.weight.W.Len())
-	toF64(wd64, l.weight.W.Data())
-	eff := clampWorkers(parallel.Workers(), l.C*h)
-	dispatchScratch(eff, l.C*h, w, make([]float64, eff*w), func(lo, hi int, acc []float64) {
-		depthwise2dRows(od, xd64, wd64, bd, l.K, h, w, nil, nil, acc, lo, hi)
-	})
-	return out, nil
+	return forwardInfer(l, x)
 }
 
 // Backward implements Layer.
@@ -148,26 +136,14 @@ func (l *DepthwiseConv3D) Name() string { return fmt.Sprintf("depthwise3d(c=%d,k
 // Params implements Layer.
 func (l *DepthwiseConv3D) Params() []*Param { return []*Param{l.weight, l.bias} }
 
-// Forward implements Layer. x is (C, D, H, W). It shares the
-// row-accumulator kernel with the Infer fast path, so the two are
-// bit-identical by construction.
+// Forward implements Layer. x is (C, D, H, W). It runs Infer (see
+// forwardInfer), so the two are bit-identical by construction.
 func (l *DepthwiseConv3D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Rank() != 4 || x.Dim(0) != l.C {
 		return nil, fmt.Errorf("nn: depthwise3d wants (%d,D,H,W), got %v", l.C, x.Shape())
 	}
 	l.lastIn = x
-	d, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
-	out := tensor.New(l.C, d, h, w)
-	od, bd := out.Data(), l.bias.W.Data()
-	xd64 := make([]float64, x.Len())
-	toF64(xd64, x.Data())
-	wd64 := make([]float64, l.weight.W.Len())
-	toF64(wd64, l.weight.W.Data())
-	eff := clampWorkers(parallel.Workers(), l.C*d)
-	dispatchScratch(eff, l.C*d, w, make([]float64, eff*w), func(lo, hi int, acc []float64) {
-		depthwise3dPlanes(od, xd64, wd64, bd, l.K, d, h, w, nil, nil, acc, lo, hi)
-	})
-	return out, nil
+	return forwardInfer(l, x)
 }
 
 // Backward implements Layer.

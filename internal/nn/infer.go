@@ -21,22 +21,41 @@
 // it, so they agree bit for bit; vector lanes are distinct output
 // elements, which is why the vector width changes no result.
 //
-// Three kernel families implement it:
+// Activations are float64 from end to end (Act), and every value they
+// hold is float32-exact: a layer rounds each result to float32 exactly
+// where Forward rounds it, then stores it widened, which is lossless. The
+// caller widens the network input once when it builds it (InferInput) and
+// narrows the output once, so no layer converts its input and the kernels
+// read their operands directly. Element-wise steps keep their float32
+// arithmetic on the rounded values:
+//
+//   - a ReLU that follows a convolution is folded into that
+//     convolution's store (Sequential.Infer): each result is rounded to
+//     float32, then clamped branchlessly, so NaN, −0 and negatives store
+//     +0, exactly what the separate ReLU pass would compute;
+//   - channel attention pools and rescales per (segment, channel) work
+//     item on the workers; the rescale is a float32 multiply, and the
+//     shared MLP and its sigmoid (a portable exp, see exp.go) run serially
+//     per segment.
+//
+// Three kernel families implement the convolutions:
 //
 //   - tapRows adds a bundle of K-tap rows into a float64 accumulator row,
 //     the 3×3 interior in one register pass (tap9/tap9z); conv2dRows and
-//     conv3dPlanes drive it per (output channel, row or plane).
+//     conv3dPlanes drive it per (output channel, row or plane) and store
+//     each finished row through storeRow.
 //   - Depthwise convolutions run each channel as a one-channel
 //     conv2dRows/conv3dPlanes on that channel's slices.
 //   - pointwiseConv runs every 1×1 convolution, 2D or 3D, over the
 //     flattened spatial volume: work items are (strip of pwStrip elements
 //     × output channel), and the SIMD kernels (pointwise/pointwisez) keep
 //     the accumulators in registers across all input channels and store
-//     float32 results directly.
+//     the rounded (and, when folded, clamped) results directly.
 //
-// Conv2D and Conv3D use the same kernels in Forward, so training and
-// inference agree by construction. Work is dispatched across contiguous
-// ranges of work items when workers > 1.
+// Every convolution's Forward runs its Infer on a private arena, so
+// training and inference share one kernel per family and agree by
+// construction. Work is dispatched across contiguous ranges of work items
+// when workers > 1.
 package nn
 
 import (
@@ -48,38 +67,114 @@ import (
 	"repro/internal/tensor"
 )
 
+// maxActRank bounds an activation's rank: (C, D, H, W) for 3D networks.
+const maxActRank = 4
+
+// Act is a channel-major float64 activation, (C, H, W) or (C, D, H, W),
+// whose values are all float32-exact. It is a value type: copying it
+// copies the header, not the data. Callers get one from Arena.Act or
+// Sequential.InferInput.
+type Act struct {
+	Data  []float64
+	shape [maxActRank]int
+	rank  int
+}
+
+// newAct wraps data as an activation of the given shape. It panics on a
+// rank above 4 or a shape whose volume is not len(data): both are caller
+// bugs, as for tensor.New.
+func newAct(data []float64, shape ...int) Act {
+	if len(shape) == 0 || len(shape) > maxActRank {
+		panic(fmt.Sprintf("nn: activation rank %d outside [1, %d]", len(shape), maxActRank))
+	}
+	x := Act{Data: data, rank: len(shape)}
+	vol := 1
+	for i, d := range shape {
+		x.shape[i] = d
+		vol *= d
+	}
+	if vol != len(data) {
+		panic(fmt.Sprintf("nn: activation shape volume %d != data length %d", vol, len(data)))
+	}
+	return x
+}
+
+// Rank returns the number of dimensions.
+func (x Act) Rank() int { return x.rank }
+
+// Dim returns the size of dimension i.
+func (x Act) Dim(i int) int { return x.shape[i] }
+
+// Shape returns a copy of the dimensions.
+func (x Act) Shape() []int { return append([]int(nil), x.shape[:x.rank]...) }
+
+// actOf widens a float32 tensor into a new activation (exactly).
+func actOf(t *tensor.Tensor) Act {
+	return newAct(toF64(make([]float64, t.Len()), t.Data()), t.Shape()...)
+}
+
+// tensorOf narrows an activation into a new float32 tensor. Its values
+// are float32-exact, so this is exact too.
+func tensorOf(x Act) *tensor.Tensor {
+	t := tensor.New(x.shape[:x.rank]...)
+	td := t.Data()
+	for i, v := range x.Data {
+		td[i] = float32(v)
+	}
+	return t
+}
+
 // InferLayer is implemented by layers that support the fast inference
 // path. Infer computes the same output as Forward but
 //
 //   - caches no backward state, and mutates no layer state at all, so one
 //     model can run concurrent inference from many goroutines as long as
 //     each uses its own Arena;
-//   - draws all scratch (including the output tensor) from the Arena, so
-//     steady-state passes allocate nothing;
+//   - draws all scratch (including the output activation) from the Arena,
+//     so steady-state passes allocate nothing;
 //   - honors segment boundaries along the leading spatial axis: segLo/segHi
 //     map each plane index to its segment's [lo, hi) bounds (nil means one
 //     segment spanning the whole axis).
 //
 // Element-wise layers may compute in place and return x itself; layers
-// that produce a new tensor take it from the arena under dstKey, which the
-// caller guarantees is not x's backing buffer. Parallel kernels use up to
-// `workers` goroutines (<= 1 means serial, which is also the zero-alloc
-// mode — parallel dispatch inherently allocates goroutine frames).
+// that produce a new activation take it from the arena under dstKey,
+// which the caller guarantees is not x's backing buffer. Parallel kernels
+// use up to `workers` goroutines (<= 1 means serial, which is also the
+// zero-alloc mode — parallel dispatch inherently allocates goroutine
+// frames).
 type InferLayer interface {
-	Infer(x *tensor.Tensor, dstKey string, segLo, segHi []int, a *Arena, workers int) (*tensor.Tensor, error)
+	Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error)
+}
+
+// convLayer is implemented by the convolutions: infer is their Infer
+// with a following ReLU folded into the store when relu is set.
+type convLayer interface {
+	infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error)
+}
+
+// inferKeys are the arena buffers Sequential.Infer ping-pongs between.
+var inferKeys = [2]string{"seq.ping", "seq.pong"}
+
+// InferInput returns an arena activation of the given shape for the
+// caller to build an Infer input in. It lives in the ping-pong buffer the
+// pass's first output does not use, so the input needs no buffer of its
+// own; the pass overwrites it.
+func (s *Sequential) InferInput(a *Arena, shape ...int) Act {
+	return a.Act(inferKeys[1], shape...)
 }
 
 // Infer runs the layer stack with the fast inference path, threading the
-// arena's ping-pong buffers through the layers. segCounts partitions the
-// leading spatial axis (dimension 1 of the channel-major input) into
-// segments processed as independent fields; nil or a single count means
-// the whole axis. Layers that do not implement InferLayer fall back to
-// Forward — correct only unsegmented, so segmented inference over such a
-// layer is an error rather than a silent halo break.
+// arena's ping-pong buffers through the layers and folding every ReLU
+// that follows a convolution into that convolution's store. segCounts
+// partitions the leading spatial axis (dimension 1 of the channel-major
+// input) into segments processed as independent fields; nil or a single
+// count means the whole axis. Layers that do not implement InferLayer
+// fall back to Forward — correct only unsegmented, so segmented inference
+// over such a layer is an error rather than a silent halo break.
 //
-// The returned tensor is arena-owned: valid until the arena's next use.
-// Infer may also use x itself as scratch for element-wise layers.
-func (s *Sequential) Infer(x *tensor.Tensor, segCounts []int, a *Arena, workers int) (*tensor.Tensor, error) {
+// The returned activation is arena-owned: valid until the arena's next
+// use. Infer may also use x itself as scratch.
+func (s *Sequential) Infer(x Act, segCounts []int, a *Arena, workers int) (Act, error) {
 	if a == nil {
 		a = NewArena()
 	}
@@ -89,7 +184,7 @@ func (s *Sequential) Infer(x *tensor.Tensor, segCounts []int, a *Arena, workers 
 	var segLo, segHi []int
 	if len(segCounts) > 1 {
 		if x.Rank() < 2 {
-			return nil, fmt.Errorf("nn: segmented inference needs a (C, spatial...) input, got %v", x.Shape())
+			return Act{}, fmt.Errorf("nn: segmented inference needs a (C, spatial...) input, got %v", x.Shape())
 		}
 		n := x.Dim(1)
 		segLo = a.Ints("seq.seglo", n)
@@ -97,7 +192,7 @@ func (s *Sequential) Infer(x *tensor.Tensor, segCounts []int, a *Arena, workers 
 		pos := 0
 		for _, c := range segCounts {
 			if c <= 0 || pos+c > n {
-				return nil, fmt.Errorf("nn: segment counts %v do not partition axis of length %d", segCounts, n)
+				return Act{}, fmt.Errorf("nn: segment counts %v do not partition axis of length %d", segCounts, n)
 			}
 			for z := pos; z < pos+c; z++ {
 				segLo[z], segHi[z] = pos, pos+c
@@ -105,34 +200,49 @@ func (s *Sequential) Infer(x *tensor.Tensor, segCounts []int, a *Arena, workers 
 			pos += c
 		}
 		if pos != n {
-			return nil, fmt.Errorf("nn: segment counts %v sum to %d, axis is %d", segCounts, pos, n)
+			return Act{}, fmt.Errorf("nn: segment counts %v sum to %d, axis is %d", segCounts, pos, n)
 		}
 	}
-	keys := [2]string{"seq.ping", "seq.pong"}
 	next := 0
-	for i, nl := range s.Layers {
-		il, ok := nl.Layer.(InferLayer)
-		if !ok {
+	for i := 0; i < len(s.Layers); i++ {
+		l := s.Layers[i].Layer
+		var y Act
+		var err error
+		fold := false
+		switch il := l.(type) {
+		case convLayer:
+			if i+1 < len(s.Layers) {
+				_, fold = s.Layers[i+1].Layer.(*ReLU)
+			}
+			y, err = il.infer(x, inferKeys[next], segLo, segHi, a, workers, fold)
+		case InferLayer:
+			y, err = il.Infer(x, inferKeys[next], segLo, segHi, a, workers)
+		default:
 			if segLo != nil {
-				return nil, fmt.Errorf("nn: layer %d (%s) does not support segmented inference", i, nl.Layer.Name())
+				return Act{}, fmt.Errorf("nn: layer %d (%s) does not support segmented inference", i, l.Name())
 			}
-			y, err := nl.Layer.Forward(x)
-			if err != nil {
-				return nil, fmt.Errorf("nn: layer %d (%s): %w", i, nl.Layer.Name(), err)
+			var t *tensor.Tensor
+			if t, err = l.Forward(tensorOf(x)); err == nil {
+				y = actOf(t)
 			}
-			x = y
-			continue
 		}
-		y, err := il.Infer(x, keys[next], segLo, segHi, a, workers)
 		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, nl.Layer.Name(), err)
+			return Act{}, fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
 		}
-		if y != x {
+		if fold {
+			i++ // the ReLU ran in the convolution's store
+		}
+		if !sameBuffer(x.Data, y.Data) {
 			next = 1 - next
 		}
 		x = y
 	}
 	return x, nil
+}
+
+// sameBuffer reports whether two non-empty slices start at one address.
+func sameBuffer(a, b []float64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // clampWorkers bounds the worker count by the number of work items.
@@ -183,13 +293,56 @@ func segBounds(i, n int, segLo, segHi []int) (int, int) {
 	return segLo[i], segHi[i]
 }
 
-// toF64 widens a float32 slice into dst exactly (float32 → float64 is
-// lossless, so pre-widening inputs and weights once per layer changes no
-// result bits while halving the FP-port pressure of the inner loops).
-func toF64(dst []float64, src []float32) {
+// toF64 widens a float32 slice into dst exactly and returns dst. Layers
+// widen their weights with it once per pass; activations arrive widened.
+func toF64(dst []float64, src []float32) []float64 {
 	for i, v := range src {
 		dst[i] = float64(v)
 	}
+	return dst
+}
+
+// fillAcc sets every accumulator of a row to bias.
+func fillAcc(acc []float64, bias float64) {
+	if haveTap9 && len(acc) >= 4 {
+		fillRow(&acc[0], bias, len(acc))
+		return
+	}
+	for j := range acc {
+		acc[j] = bias
+	}
+}
+
+// storeRow rounds each accumulator to float32 and stores it widened into
+// dst, through relu32 when a ReLU is folded into the store.
+func storeRow(dst, acc []float64, relu bool) {
+	dst = dst[:len(acc)]
+	if haveTap9 && len(acc) >= 4 {
+		roundRow(&dst[0], &acc[0], len(acc), relu)
+		return
+	}
+	if relu {
+		for j, v := range acc {
+			dst[j] = relu32(float32(v))
+		}
+		return
+	}
+	for j, v := range acc {
+		dst[j] = float64(float32(v))
+	}
+}
+
+// relu32 is ReLU on a float32 value, widened. The clamp is branchless —
+// the sign of post-conv activations is close to a coin flip, so a branch
+// mispredicts constantly. The keep condition v > 0 is exactly the bit
+// condition 1 <= bits <= +Inf; both operand checks fold into one sign OR,
+// giving an all-ones/all-zero mask. NaN, −0 and negative inputs map to +0,
+// matching ReLU.Forward bit for bit.
+func relu32(v float32) float64 {
+	const posInf = 0x7F800000
+	u := int64(math.Float32bits(v))
+	mask := ^(((u - 1) | (posInf - u)) >> 63)
+	return float64(math.Float32frombits(uint32(u & mask)))
 }
 
 // tapRows accumulates a bundle of kernel tap-rows into the accumulator
@@ -336,7 +489,7 @@ func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0
 // conv2dRows computes output rows [lo, hi) of the work-item space
 // (outC × H) for a stride-1 same-padded 2D convolution. acc is a W-long
 // float64 accumulator row owned by the calling worker.
-func conv2dRows(od []float32, xd, wd []float64, bd []float32, inC, K, H, W int, segLo, segHi []int, acc []float64, lo, hi int) {
+func conv2dRows(od, xd, wd []float64, bd []float32, inC, K, H, W int, relu bool, segLo, segHi []int, acc []float64, lo, hi int) {
 	p := K / 2
 	hw := H * W
 	acc = acc[:W]
@@ -344,25 +497,19 @@ func conv2dRows(od []float32, xd, wd []float64, bd []float32, inC, K, H, W int, 
 		oc, i := t/H, t%H
 		ilo, ihi := segBounds(i, H, segLo, segHi)
 		ki0, ki1 := kernelRange(i-ilo, ihi-ilo, K, p)
-		bias := float64(bd[oc])
-		for j := range acc {
-			acc[j] = bias
-		}
+		fillAcc(acc, float64(bd[oc]))
 		for ic := 0; ic < inC; ic++ {
 			xcbase := ic * hw
 			wbase := ((oc*inC + ic) * K) * K
 			tapRows(acc, xd, wd, wbase, xcbase+(i-p)*W-p, W, ki0, ki1, W, K, p)
 		}
-		orow := od[oc*hw+i*W : oc*hw+i*W+W]
-		for j, v := range acc {
-			orow[j] = float32(v)
-		}
+		storeRow(od[oc*hw+i*W:], acc, relu)
 	}
 }
 
 // conv3dPlanes computes output planes [lo, hi) of the work-item space
 // (outC × D) for a stride-1 same-padded 3D convolution.
-func conv3dPlanes(od []float32, xd, wd []float64, bd []float32, inC, K, D, H, W int, segLo, segHi []int, acc []float64, lo, hi int) {
+func conv3dPlanes(od, xd, wd []float64, bd []float32, inC, K, D, H, W int, relu bool, segLo, segHi []int, acc []float64, lo, hi int) {
 	p := K / 2
 	hw := H * W
 	vol := D * hw
@@ -375,9 +522,7 @@ func conv3dPlanes(od []float32, xd, wd []float64, bd []float32, inC, K, D, H, W 
 		obase := oc*vol + z*hw
 		for i := 0; i < H; i++ {
 			ki0, ki1 := kernelRange(i, H, K, p)
-			for j := range acc {
-				acc[j] = bias
-			}
+			fillAcc(acc, bias)
 			for ic := 0; ic < inC; ic++ {
 				xcbase := ic * vol
 				wcbase := (((oc*inC + ic) * K) * K) * K
@@ -387,10 +532,7 @@ func conv3dPlanes(od []float32, xd, wd []float64, bd []float32, inC, K, D, H, W 
 					tapRows(acc, xd, wd, wzbase, xzbase+(i-p)*W-p, W, ki0, ki1, W, K, p)
 				}
 			}
-			orow := od[obase+i*W : obase+i*W+W]
-			for j, v := range acc {
-				orow[j] = float32(v)
-			}
+			storeRow(od[obase+i*W:], acc, relu)
 		}
 	}
 }
@@ -399,24 +541,24 @@ func conv3dPlanes(od []float32, xd, wd []float64, bd []float32, inC, K, D, H, W 
 // channel c is a one-channel convolution of input channel c with filter
 // c, so each channel's rows run conv2dRows on that channel's slices, on
 // the same tapRows kernels. Work items are (C × H).
-func depthwise2dRows(od []float32, xd, wd []float64, bd []float32, K, H, W int, segLo, segHi []int, acc []float64, lo, hi int) {
+func depthwise2dRows(od, xd, wd []float64, bd []float32, K, H, W int, relu bool, segLo, segHi []int, acc []float64, lo, hi int) {
 	hw, kk := H*W, K*K
 	for lo < hi {
 		c := lo / H
 		end := min(hi, (c+1)*H)
-		conv2dRows(od[c*hw:(c+1)*hw], xd[c*hw:(c+1)*hw], wd[c*kk:(c+1)*kk], bd[c:c+1], 1, K, H, W, segLo, segHi, acc, lo-c*H, end-c*H)
+		conv2dRows(od[c*hw:(c+1)*hw], xd[c*hw:(c+1)*hw], wd[c*kk:(c+1)*kk], bd[c:c+1], 1, K, H, W, relu, segLo, segHi, acc, lo-c*H, end-c*H)
 		lo = end
 	}
 }
 
 // depthwise3dPlanes is conv3dPlanes for a depthwise convolution, one
 // channel at a time like depthwise2dRows. Work items are (C × D).
-func depthwise3dPlanes(od []float32, xd, wd []float64, bd []float32, K, D, H, W int, segLo, segHi []int, acc []float64, lo, hi int) {
+func depthwise3dPlanes(od, xd, wd []float64, bd []float32, K, D, H, W int, relu bool, segLo, segHi []int, acc []float64, lo, hi int) {
 	vol, kkk := D*H*W, K*K*K
 	for lo < hi {
 		c := lo / D
 		end := min(hi, (c+1)*D)
-		conv3dPlanes(od[c*vol:(c+1)*vol], xd[c*vol:(c+1)*vol], wd[c*kkk:(c+1)*kkk], bd[c:c+1], 1, K, D, H, W, segLo, segHi, acc, lo-c*D, end-c*D)
+		conv3dPlanes(od[c*vol:(c+1)*vol], xd[c*vol:(c+1)*vol], wd[c*kkk:(c+1)*kkk], bd[c:c+1], 1, K, D, H, W, relu, segLo, segHi, acc, lo-c*D, end-c*D)
 		lo = end
 	}
 }
@@ -429,16 +571,15 @@ const pwStrip = 512
 
 // pointwiseConv runs a 1×1 convolution of xd (inC channels of n
 // elements, any spatial rank flattened) into od on up to workers
-// goroutines. Conv2D and Conv3D use it in both Forward and Infer, so the
-// four agree bit for bit by construction. A 1×1 kernel never reads
-// across a segment boundary, so segmented inference needs no case here.
-func pointwiseConv(od []float32, xd, wd []float64, bd []float32, inC, outC, n, workers int) {
+// goroutines. A 1×1 kernel never reads across a segment boundary, so
+// segmented inference needs no case here.
+func pointwiseConv(od, xd, wd []float64, bd []float32, inC, outC, n int, relu bool, workers int) {
 	items := (n + pwStrip - 1) / pwStrip * outC
 	if eff := clampWorkers(workers, items); eff <= 1 {
-		pointwiseItems(od, xd, wd, bd, inC, outC, n, 0, items)
+		pointwiseItems(od, xd, wd, bd, inC, outC, n, relu, 0, items)
 	} else {
 		parallel.ForRangeWith(eff, items, func(lo, hi int) {
-			pointwiseItems(od, xd, wd, bd, inC, outC, n, lo, hi)
+			pointwiseItems(od, xd, wd, bd, inC, outC, n, relu, lo, hi)
 		})
 	}
 }
@@ -446,7 +587,7 @@ func pointwiseConv(od []float32, xd, wd []float64, bd []float32, inC, outC, n, w
 // pointwiseItems computes work items [lo, hi) of pointwiseConv. Item t is
 // output channel t%outC over strip t/outC, so consecutive items reuse one
 // strip of input rows.
-func pointwiseItems(od []float32, xd, wd []float64, bd []float32, inC, outC, n, lo, hi int) {
+func pointwiseItems(od, xd, wd []float64, bd []float32, inC, outC, n int, relu bool, lo, hi int) {
 	for t := lo; t < hi; t++ {
 		s, oc := t/outC, t%outC
 		j0 := s * pwStrip
@@ -457,19 +598,20 @@ func pointwiseItems(od []float32, xd, wd []float64, bd []float32, inC, outC, n, 
 		bias := float64(bd[oc])
 		switch {
 		case haveTap9Z:
-			pointwisez(&dst[0], &x[0], &w[0], bias, inC, n, m)
+			pointwisez(&dst[0], &x[0], &w[0], bias, inC, n, m, relu)
 		case haveTap9:
-			pointwise(&dst[0], &x[0], &w[0], bias, inC, n, m)
+			pointwise(&dst[0], &x[0], &w[0], bias, inC, n, m, relu)
 		default:
-			pointwiseGo(dst, x, w, bias, n)
+			pointwiseGo(dst, x, w, bias, n, relu)
 		}
 	}
 }
 
 // pointwiseGo is the pure-Go pointwise strip, the reference the SIMD
-// kernels match bit for bit: dst[j] = float32(acc) where acc starts at
-// bias and adds w[ic]*x[ic*stride+j] for ic ascending. len(dst) <= pwStrip.
-func pointwiseGo(dst []float32, x, w []float64, bias float64, stride int) {
+// kernels match bit for bit: acc starts at bias and adds
+// w[ic]*x[ic*stride+j] for ic ascending, and storeRow rounds (and, with
+// relu, clamps) it into dst[j]. len(dst) <= pwStrip.
+func pointwiseGo(dst, x, w []float64, bias float64, stride int, relu bool) {
 	var buf [pwStrip]float64
 	acc := buf[:len(dst)]
 	for j := range acc {
@@ -480,183 +622,233 @@ func pointwiseGo(dst []float32, x, w []float64, bias float64, stride int) {
 			acc[j] += float64(wv * xv)
 		}
 	}
-	for j, v := range acc {
-		dst[j] = float32(v)
-	}
+	storeRow(dst, acc, relu)
 }
 
-// convScratchKey is the shared accumulator-row buffer all conv kernels
-// draw from; layers run strictly one at a time within a pass, so sharing
-// one key keeps the arena footprint at max(workers×W) floats.
-const convScratchKey = "conv.acc"
+// Arena keys of the convolutions' scratch. Layers run strictly one at a
+// time within a pass, so they share one accumulator-row buffer, sized
+// max(workers×W), and one widened-weights buffer.
+const (
+	convScratchKey = "conv.acc"
+	convWeightKey  = "conv.w64"
+)
 
 // Infer implements InferLayer.
-func (c *Conv2D) Infer(x *tensor.Tensor, dstKey string, segLo, segHi []int, a *Arena, workers int) (*tensor.Tensor, error) {
+func (c *Conv2D) Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
+	return c.infer(x, dstKey, segLo, segHi, a, workers, false)
+}
+
+func (c *Conv2D) infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error) {
 	if x.Rank() != 3 || x.Dim(0) != c.InC {
-		return nil, fmt.Errorf("nn: conv2d wants (%d,H,W), got %v", c.InC, x.Shape())
+		return Act{}, fmt.Errorf("nn: conv2d wants (%d,H,W), got %v", c.InC, x.Shape())
 	}
 	h, w := x.Dim(1), x.Dim(2)
-	out := a.Tensor(dstKey, c.OutC, h, w)
-	xd, od, bd := x.Data(), out.Data(), c.bias.W.Data()
-	xd64 := a.F64("conv.x64", len(xd))
-	toF64(xd64, xd)
-	wd64 := a.F64("conv.w64", c.weight.W.Len())
-	toF64(wd64, c.weight.W.Data())
+	out := a.Act(dstKey, c.OutC, h, w)
+	xd, od, bd := x.Data, out.Data, c.bias.W.Data()
+	wd := toF64(a.F64(convWeightKey, c.weight.W.Len()), c.weight.W.Data())
 	if c.K == 1 {
-		pointwiseConv(od, xd64, wd64, bd, c.InC, c.OutC, h*w, workers)
+		pointwiseConv(od, xd, wd, bd, c.InC, c.OutC, h*w, relu, workers)
 		return out, nil
 	}
 	eff := clampWorkers(workers, c.OutC*h)
 	scratch := a.F64(convScratchKey, eff*w)
 	if eff <= 1 {
-		conv2dRows(od, xd64, wd64, bd, c.InC, c.K, h, w, segLo, segHi, scratch, 0, c.OutC*h)
+		conv2dRows(od, xd, wd, bd, c.InC, c.K, h, w, relu, segLo, segHi, scratch, 0, c.OutC*h)
 	} else {
 		dispatchScratch(eff, c.OutC*h, w, scratch, func(lo, hi int, acc []float64) {
-			conv2dRows(od, xd64, wd64, bd, c.InC, c.K, h, w, segLo, segHi, acc, lo, hi)
+			conv2dRows(od, xd, wd, bd, c.InC, c.K, h, w, relu, segLo, segHi, acc, lo, hi)
 		})
 	}
 	return out, nil
 }
 
 // Infer implements InferLayer.
-func (c *Conv3D) Infer(x *tensor.Tensor, dstKey string, segLo, segHi []int, a *Arena, workers int) (*tensor.Tensor, error) {
+func (c *Conv3D) Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
+	return c.infer(x, dstKey, segLo, segHi, a, workers, false)
+}
+
+func (c *Conv3D) infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error) {
 	if x.Rank() != 4 || x.Dim(0) != c.InC {
-		return nil, fmt.Errorf("nn: conv3d wants (%d,D,H,W), got %v", c.InC, x.Shape())
+		return Act{}, fmt.Errorf("nn: conv3d wants (%d,D,H,W), got %v", c.InC, x.Shape())
 	}
 	d, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
-	out := a.Tensor(dstKey, c.OutC, d, h, w)
-	xd, od, bd := x.Data(), out.Data(), c.bias.W.Data()
-	xd64 := a.F64("conv.x64", len(xd))
-	toF64(xd64, xd)
-	wd64 := a.F64("conv.w64", c.weight.W.Len())
-	toF64(wd64, c.weight.W.Data())
+	out := a.Act(dstKey, c.OutC, d, h, w)
+	xd, od, bd := x.Data, out.Data, c.bias.W.Data()
+	wd := toF64(a.F64(convWeightKey, c.weight.W.Len()), c.weight.W.Data())
 	if c.K == 1 {
-		pointwiseConv(od, xd64, wd64, bd, c.InC, c.OutC, d*h*w, workers)
+		pointwiseConv(od, xd, wd, bd, c.InC, c.OutC, d*h*w, relu, workers)
 		return out, nil
 	}
 	eff := clampWorkers(workers, c.OutC*d)
 	scratch := a.F64(convScratchKey, eff*w)
 	if eff <= 1 {
-		conv3dPlanes(od, xd64, wd64, bd, c.InC, c.K, d, h, w, segLo, segHi, scratch, 0, c.OutC*d)
+		conv3dPlanes(od, xd, wd, bd, c.InC, c.K, d, h, w, relu, segLo, segHi, scratch, 0, c.OutC*d)
 	} else {
 		dispatchScratch(eff, c.OutC*d, w, scratch, func(lo, hi int, acc []float64) {
-			conv3dPlanes(od, xd64, wd64, bd, c.InC, c.K, d, h, w, segLo, segHi, acc, lo, hi)
+			conv3dPlanes(od, xd, wd, bd, c.InC, c.K, d, h, w, relu, segLo, segHi, acc, lo, hi)
 		})
 	}
 	return out, nil
 }
 
 // Infer implements InferLayer.
-func (l *DepthwiseConv2D) Infer(x *tensor.Tensor, dstKey string, segLo, segHi []int, a *Arena, workers int) (*tensor.Tensor, error) {
+func (l *DepthwiseConv2D) Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
+	return l.infer(x, dstKey, segLo, segHi, a, workers, false)
+}
+
+func (l *DepthwiseConv2D) infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error) {
 	if x.Rank() != 3 || x.Dim(0) != l.C {
-		return nil, fmt.Errorf("nn: depthwise2d wants (%d,H,W), got %v", l.C, x.Shape())
+		return Act{}, fmt.Errorf("nn: depthwise2d wants (%d,H,W), got %v", l.C, x.Shape())
 	}
 	h, w := x.Dim(1), x.Dim(2)
-	out := a.Tensor(dstKey, l.C, h, w)
+	out := a.Act(dstKey, l.C, h, w)
+	xd, od, bd := x.Data, out.Data, l.bias.W.Data()
+	wd := toF64(a.F64(convWeightKey, l.weight.W.Len()), l.weight.W.Data())
 	eff := clampWorkers(workers, l.C*h)
 	scratch := a.F64(convScratchKey, eff*w)
-	xd, od, bd := x.Data(), out.Data(), l.bias.W.Data()
-	xd64 := a.F64("conv.x64", len(xd))
-	toF64(xd64, xd)
-	wd64 := a.F64("conv.w64", l.weight.W.Len())
-	toF64(wd64, l.weight.W.Data())
 	if eff <= 1 {
-		depthwise2dRows(od, xd64, wd64, bd, l.K, h, w, segLo, segHi, scratch, 0, l.C*h)
+		depthwise2dRows(od, xd, wd, bd, l.K, h, w, relu, segLo, segHi, scratch, 0, l.C*h)
 	} else {
 		dispatchScratch(eff, l.C*h, w, scratch, func(lo, hi int, acc []float64) {
-			depthwise2dRows(od, xd64, wd64, bd, l.K, h, w, segLo, segHi, acc, lo, hi)
+			depthwise2dRows(od, xd, wd, bd, l.K, h, w, relu, segLo, segHi, acc, lo, hi)
 		})
 	}
 	return out, nil
 }
 
 // Infer implements InferLayer.
-func (l *DepthwiseConv3D) Infer(x *tensor.Tensor, dstKey string, segLo, segHi []int, a *Arena, workers int) (*tensor.Tensor, error) {
+func (l *DepthwiseConv3D) Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
+	return l.infer(x, dstKey, segLo, segHi, a, workers, false)
+}
+
+func (l *DepthwiseConv3D) infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error) {
 	if x.Rank() != 4 || x.Dim(0) != l.C {
-		return nil, fmt.Errorf("nn: depthwise3d wants (%d,D,H,W), got %v", l.C, x.Shape())
+		return Act{}, fmt.Errorf("nn: depthwise3d wants (%d,D,H,W), got %v", l.C, x.Shape())
 	}
 	d, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
-	out := a.Tensor(dstKey, l.C, d, h, w)
+	out := a.Act(dstKey, l.C, d, h, w)
+	xd, od, bd := x.Data, out.Data, l.bias.W.Data()
+	wd := toF64(a.F64(convWeightKey, l.weight.W.Len()), l.weight.W.Data())
 	eff := clampWorkers(workers, l.C*d)
 	scratch := a.F64(convScratchKey, eff*w)
-	xd, od, bd := x.Data(), out.Data(), l.bias.W.Data()
-	xd64 := a.F64("conv.x64", len(xd))
-	toF64(xd64, xd)
-	wd64 := a.F64("conv.w64", l.weight.W.Len())
-	toF64(wd64, l.weight.W.Data())
 	if eff <= 1 {
-		depthwise3dPlanes(od, xd64, wd64, bd, l.K, d, h, w, segLo, segHi, scratch, 0, l.C*d)
+		depthwise3dPlanes(od, xd, wd, bd, l.K, d, h, w, relu, segLo, segHi, scratch, 0, l.C*d)
 	} else {
 		dispatchScratch(eff, l.C*d, w, scratch, func(lo, hi int, acc []float64) {
-			depthwise3dPlanes(od, xd64, wd64, bd, l.K, d, h, w, segLo, segHi, acc, lo, hi)
+			depthwise3dPlanes(od, xd, wd, bd, l.K, d, h, w, relu, segLo, segHi, acc, lo, hi)
 		})
 	}
 	return out, nil
 }
 
-// Infer implements InferLayer. ReLU clamps in place: segment boundaries
-// are irrelevant for an element-wise op. The clamp is branchless — the
-// sign of post-conv activations is close to a coin flip, so the naive
-// branch mispredicts constantly. The keep condition v > 0 is exactly the
-// bit condition 1 <= bits <= +Inf; both operand checks fold into one sign
-// OR, giving an all-ones/all-zero mask. Non-positive and NaN inputs map
-// to +0, matching Forward bit for bit.
-func (r *ReLU) Infer(x *tensor.Tensor, _ string, _, _ []int, _ *Arena, _ int) (*tensor.Tensor, error) {
-	d := x.Data()
-	const posInf = 0x7F800000
-	for i, v := range d {
-		u := int64(math.Float32bits(v))
-		mask := ^(((u - 1) | (posInf - u)) >> 63)
-		d[i] = math.Float32frombits(uint32(u & mask))
+// forwardInfer is the Forward of a convolution: its Infer, unsegmented,
+// on a private arena, with the float32 input widened and the output
+// narrowed (both exact).
+func forwardInfer(l convLayer, x *tensor.Tensor) (*tensor.Tensor, error) {
+	y, err := l.infer(actOf(x), "out", nil, nil, NewArena(), parallel.Workers(), false)
+	if err != nil {
+		return nil, err
+	}
+	return tensorOf(y), nil
+}
+
+// Infer implements InferLayer. ReLU clamps in place (segment boundaries
+// are irrelevant for an element-wise op) with the same relu32 a folded
+// store uses. Sequential.Infer only runs it for a ReLU that does not
+// follow a convolution.
+func (r *ReLU) Infer(x Act, _ string, _, _ []int, _ *Arena, _ int) (Act, error) {
+	for i, v := range x.Data {
+		x.Data[i] = relu32(float32(v))
 	}
 	return x, nil
 }
 
 // Infer implements InferLayer. Pooling, the shared MLP, and the sigmoid
 // rescale all run per segment — each slab sees exactly the attention
-// weights a standalone Forward over that slab would compute.
-func (at *ChannelAttention) Infer(x *tensor.Tensor, _ string, segLo, segHi []int, a *Arena, _ int) (*tensor.Tensor, error) {
+// weights a standalone Forward over that slab would compute. Pooling and
+// the rescale run per (segment, channel) work item on the workers; the
+// MLP and sigmoid, C×hidden multiply-adds per segment, run serially.
+func (at *ChannelAttention) Infer(x Act, _ string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
 	if x.Rank() < 2 || x.Dim(0) != at.C {
-		return nil, fmt.Errorf("nn: channel attention wants (%d, spatial...), got %v", at.C, x.Shape())
+		return Act{}, fmt.Errorf("nn: channel attention wants (%d, spatial...), got %v", at.C, x.Shape())
 	}
-	spatial := x.Len() / at.C
+	C := at.C
+	spatial := len(x.Data) / C
 	n1 := x.Dim(1)
 	plane := spatial / n1
-	xd := x.Data()
-	hid := at.Hidden()
-	avg := a.F64("attn.avg", at.C)
-	mx := a.F64("attn.mx", at.C)
-	h1a := a.F64("attn.h1a", hid)
-	h1b := a.F64("attn.h1b", hid)
-	za := a.F64("attn.za", at.C)
-	zb := a.F64("attn.zb", at.C)
-	for s := 0; s < n1; {
-		lo, hi := segBounds(s, n1, segLo, segHi)
-		segVox := (hi - lo) * plane
-		for c := 0; c < at.C; c++ {
-			base := c*spatial + lo*plane
-			sum := 0.0
-			best := math.Inf(-1)
-			for i := base; i < base+segVox; i++ {
-				v := float64(xd[i])
-				sum += v
-				if v > best {
-					best = v
-				}
-			}
-			avg[c] = sum / float64(segVox)
-			mx[c] = best
+	starts := a.Ints("attn.starts", n1+1)
+	nseg := 0
+	for s := 0; s < n1; nseg++ {
+		starts[nseg] = s
+		_, s = segBounds(s, n1, segLo, segHi)
+	}
+	starts[nseg] = n1
+	starts = starts[:nseg+1]
+	items := nseg * C
+	xd := x.Data
+	avg := a.F64("attn.avg", items)
+	mx := a.F64("attn.mx", items)
+	wts := a.F64("attn.w", items)
+	eff := clampWorkers(workers, items)
+	if eff <= 1 {
+		attnPool(xd, avg, mx, starts, C, spatial, plane, 0, items)
+	} else {
+		parallel.ForRangeWith(eff, items, func(lo, hi int) {
+			attnPool(xd, avg, mx, starts, C, spatial, plane, lo, hi)
+		})
+	}
+	h1 := a.F64("attn.h1", at.Hidden())
+	za := a.F64("attn.za", C)
+	zb := a.F64("attn.zb", C)
+	for s := 0; s < nseg; s++ {
+		at.mlpInto(avg[s*C:(s+1)*C], h1, za)
+		at.mlpInto(mx[s*C:(s+1)*C], h1, zb)
+		for c := range za {
+			wts[s*C+c] = float64(float32(sigmoid(za[c] + zb[c])))
 		}
-		at.mlpInto(avg, h1a, za)
-		at.mlpInto(mx, h1b, zb)
-		for c := 0; c < at.C; c++ {
-			w := float32(1 / (1 + math.Exp(-(za[c] + zb[c]))))
-			base := c*spatial + lo*plane
-			for i := base; i < base+segVox; i++ {
-				xd[i] *= w
-			}
-		}
-		s = hi
+	}
+	if eff <= 1 {
+		attnScale(xd, wts, starts, C, spatial, plane, 0, items)
+	} else {
+		parallel.ForRangeWith(eff, items, func(lo, hi int) {
+			attnScale(xd, wts, starts, C, spatial, plane, lo, hi)
+		})
 	}
 	return x, nil
+}
+
+// attnPool computes the average and max of work items [lo, hi) of
+// ChannelAttention.Infer: item t is channel t%C of segment t/C, whose
+// planes are [starts[t/C], starts[t/C+1]).
+func attnPool(xd, avg, mx []float64, starts []int, C, spatial, plane, lo, hi int) {
+	for t := lo; t < hi; t++ {
+		s, c := t/C, t%C
+		base := c*spatial + starts[s]*plane
+		seg := xd[base : base+(starts[s+1]-starts[s])*plane]
+		sum := 0.0
+		best := math.Inf(-1)
+		for _, v := range seg {
+			sum += v
+			if v > best {
+				best = v
+			}
+		}
+		avg[t] = sum / float64(len(seg))
+		mx[t] = best
+	}
+}
+
+// attnScale multiplies work items [lo, hi) of ChannelAttention.Infer
+// (laid out as in attnPool) by their float32 attention weights, in
+// float32 arithmetic as Forward does.
+func attnScale(xd, wts []float64, starts []int, C, spatial, plane, lo, hi int) {
+	for t := lo; t < hi; t++ {
+		s, c := t/C, t%C
+		base := c*spatial + starts[s]*plane
+		seg := xd[base : base+(starts[s+1]-starts[s])*plane]
+		w := float32(wts[t])
+		for i, v := range seg {
+			seg[i] = float64(float32(v) * w)
+		}
+	}
 }

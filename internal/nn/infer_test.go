@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -89,15 +90,15 @@ func TestInferMatchesForward(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3} {
-			got, err := net.Infer(x.Clone(), nil, NewArena(), workers)
+			got, err := net.Infer(actOf(x), nil, NewArena(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.SameShape(want) {
+			if !slices.Equal(got.Shape(), want.Shape()) {
 				t.Fatalf("rank %d: Infer shape %v != Forward %v", tc.rank, got.Shape(), want.Shape())
 			}
-			for i, v := range got.Data() {
-				if v != want.Data()[i] {
+			for i, v := range got.Data {
+				if v != float64(want.Data()[i]) {
 					t.Fatalf("rank %d shape %v workers %d: Infer differs from Forward at %d: %v != %v",
 						tc.rank, tc.shape, workers, i, v, want.Data()[i])
 				}
@@ -128,41 +129,54 @@ func TestInferSegmentedMatchesPerSegmentForward(t *testing.T) {
 		const inC = 3
 		net := inferNet(t, rng, tc.rank, inC, 5, 2)
 		x := randTensor(rng, append([]int{inC}, tc.shape...)...)
-		got, err := net.Infer(x.Clone(), tc.counts, NewArena(), 2)
+		got, err := net.Infer(actOf(x), tc.counts, NewArena(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// Reference: Forward on each segment's crop, laid out contiguously.
-		outC := got.Dim(0)
-		plane := x.Len() / inC / tc.shape[0]
-		outPlane := got.Len() / outC / tc.shape[0]
-		pos := 0
-		for _, cnt := range tc.counts {
-			segShape := append([]int{inC}, tc.shape...)
-			segShape[1] = cnt
-			seg := tensor.New(segShape...)
-			for c := 0; c < inC; c++ {
-				src := x.Data()[c*tc.shape[0]*plane+pos*plane:]
-				copy(seg.Data()[c*cnt*plane:(c+1)*cnt*plane], src[:cnt*plane])
+		want := segmentedForward(t, net, x, tc.counts)
+		for i, v := range want.Data() {
+			if got.Data[i] != float64(v) {
+				t.Fatalf("rank %d counts %v: elem %d: segmented %v != per-segment Forward %v",
+					tc.rank, tc.counts, i, got.Data[i], v)
 			}
-			want, err := net.Forward(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c := 0; c < outC; c++ {
-				gd := got.Data()[c*tc.shape[0]*outPlane+pos*outPlane:]
-				wd := want.Data()[c*cnt*outPlane : (c+1)*cnt*outPlane]
-				for i, v := range wd {
-					if gd[i] != v {
-						t.Fatalf("rank %d counts %v: segment at slab %d, channel %d, elem %d: segmented %v != per-segment Forward %v",
-							tc.rank, tc.counts, pos, c, i, gd[i], v)
-					}
-				}
-			}
-			pos += cnt
 		}
 	}
+}
+
+// segmentedForward is the reference of segmented inference: Forward on
+// each segment's crop of x (split along dimension 1 by counts), laid out
+// contiguously as one (C, spatial...) tensor.
+func segmentedForward(t *testing.T, net Layer, x *tensor.Tensor, counts []int) *tensor.Tensor {
+	t.Helper()
+	inC, n1 := x.Dim(0), x.Dim(1)
+	plane := x.Len() / inC / n1
+	var out *tensor.Tensor
+	pos := 0
+	for _, cnt := range counts {
+		segShape := slices.Clone(x.Shape())
+		segShape[1] = cnt
+		seg := tensor.New(segShape...)
+		for c := 0; c < inC; c++ {
+			src := x.Data()[c*n1*plane+pos*plane:]
+			copy(seg.Data()[c*cnt*plane:(c+1)*cnt*plane], src[:cnt*plane])
+		}
+		y, err := net.Forward(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out == nil {
+			outShape := slices.Clone(y.Shape())
+			outShape[1] = n1
+			out = tensor.New(outShape...)
+		}
+		outC := y.Dim(0)
+		outPlane := y.Len() / outC / cnt
+		for c := 0; c < outC; c++ {
+			copy(out.Data()[c*n1*outPlane+pos*outPlane:], y.Data()[c*cnt*outPlane:(c+1)*cnt*outPlane])
+		}
+		pos += cnt
+	}
+	return out
 }
 
 // TestInferSegmentErrors pins the failure modes: malformed partitions and
@@ -173,7 +187,7 @@ func TestInferSegmentErrors(t *testing.T) {
 	net := inferNet(t, rng, 2, 2, 4, 1)
 	x := randTensor(rng, 2, 8, 6)
 	for _, counts := range [][]int{{3, 3}, {0, 8}, {-1, 9}, {5, 5}} {
-		if _, err := net.Infer(x.Clone(), counts, NewArena(), 1); err == nil {
+		if _, err := net.Infer(actOf(x), counts, NewArena(), 1); err == nil {
 			t.Fatalf("counts %v: expected partition error", counts)
 		}
 	}
@@ -182,7 +196,7 @@ func TestInferSegmentErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd := NewSequential(dense)
-	if _, err := nd.Infer(randTensor(rng, 2, 2, 4), []int{1, 1}, NewArena(), 1); err == nil {
+	if _, err := nd.Infer(actOf(randTensor(rng, 2, 2, 4)), []int{1, 1}, NewArena(), 1); err == nil {
 		t.Fatal("expected segmented-inference error for a layer without InferLayer support")
 	}
 }

@@ -38,16 +38,29 @@ func tap3(acc, x, w *float64, n int)
 // pointwise is the AVX2 kernel for one strip of a 1×1 convolution: for j
 // in [0, n) it starts a float64 accumulator at bias, adds w[ic]*x[ic*stride+j]
 // for ic ascending in [0, inC) with separate multiply and add roundings,
-// and stores float32(acc) to dst[j] — bit-identical to pointwiseGo. The
+// rounds the sum to float32 and stores it widened to dst[j], clamped as
+// relu32 clamps when relu is set — bit-identical to pointwiseGo. The
 // accumulators stay in registers across all input channels. inC >= 1.
 //
 //go:noescape
-func pointwise(dst *float32, x, w *float64, bias float64, inC, stride, n int)
+func pointwise(dst, x, w *float64, bias float64, inC, stride, n int, relu bool)
 
 // pointwisez is pointwise with 8-wide AVX-512 vectors.
 //
 //go:noescape
-func pointwisez(dst *float32, x, w *float64, bias float64, inC, stride, n int)
+func pointwisez(dst, x, w *float64, bias float64, inC, stride, n int, relu bool)
+
+// fillRow is the AVX2 row fill of conv2dRows and conv3dPlanes: acc[j] = v
+// for j in [0, n).
+//
+//go:noescape
+func fillRow(acc *float64, v float64, n int)
+
+// roundRow is the AVX2 row store of storeRow: for j in [0, n), dst[j] =
+// float64(float32(acc[j])), clamped as relu32 clamps when relu is set.
+//
+//go:noescape
+func roundRow(dst, acc *float64, n int, relu bool)
 
 // haveTap9 gates the AVX2 kernels; haveTap9Z additionally gates the
 // AVX-512 ones. Both honor GODEBUG cpu flags (cpu.avx2=off,

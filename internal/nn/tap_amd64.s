@@ -1,7 +1,8 @@
 // SIMD kernels for the convolutions (see infer.go): tap9 (AVX2) and tap9z
 // (AVX-512) for the fused 3×3 interior bundle of tapRows, tap3 (AVX2) for
-// its clipped single-row bundles, and pointwise (AVX2) and pointwisez
-// (AVX-512) for whole 1×1 convolution strips.
+// its clipped single-row bundles, pointwise (AVX2) and pointwisez
+// (AVX-512) for whole 1×1 convolution strips, and fillRow and roundRow
+// (AVX2) for the bias fill and the store of conv2dRows/conv3dPlanes rows.
 //
 // Bit-identity contract: every output element j computes its taps as
 // sequential multiply-then-add steps in ascending tap order —
@@ -10,7 +11,12 @@
 // change results). Vector lanes are distinct output elements, which are
 // independent accumulators, so 4- or 8-wide execution preserves
 // per-element semantics exactly; IEEE mul/add are bitwise commutative for
-// the finite operands this codec produces.
+// the finite operands this codec produces. Every store rounds the float64
+// sum to float32 (VCVTPD2PS, round to nearest even like Go's float32())
+// and widens it back exactly (VCVTPS2PD): activations are float64 arrays
+// of float32-exact values. A folded ReLU then clamps with VMAXPD against
+// +0, which returns its second source unless the first is greater, so
+// NaN, −0 and negatives store +0 exactly as ReLU does.
 
 //go:build amd64
 
@@ -310,14 +316,17 @@ t3done:
 	VZEROUPPER
 	RET
 
-// func pointwisez(dst *float32, x, w *float64, bias float64, inC, stride, n int)
+// func pointwisez(dst, x, w *float64, bias float64, inC, stride, n int, relu bool)
 // AVX-512 pointwise (1×1) kernel: for j in [0, n),
-//     a = bias ; a += w[ic]*x[ic*stride+j] for ic ascending ; dst[j] = float32(a)
+//     a = bias ; a += w[ic]*x[ic*stride+j] for ic ascending
+//     dst[j] = float64(float32(a)), then max(dst[j], +0) if relu
 // The accumulators stay in registers across every input channel: blocks
 // of 32 elements in four ZMM registers, then 8-element blocks, then a
-// scalar tail. VCVTPD2PS rounds to nearest even like Go's float32().
+// scalar tail. VCVTPD2PS rounds to nearest even like Go's float32(), and
+// VCVTPS2PD widens exactly. VMAXPD returns its second source (Z9, +0)
+// unless the first is greater, so NaN, −0 and negatives store +0: ReLU.
 // Requires inC >= 1.
-TEXT ·pointwisez(SB), NOSPLIT, $0-56
+TEXT ·pointwisez(SB), NOSPLIT, $0-57
 	MOVQ         dst+0(FP), DI
 	MOVQ         x+8(FP), SI
 	MOVQ         w+16(FP), R8
@@ -326,6 +335,8 @@ TEXT ·pointwisez(SB), NOSPLIT, $0-56
 	MOVQ         stride+40(FP), R10
 	SHLQ         $3, R10
 	MOVQ         n+48(FP), R11
+	MOVBQZX      relu+56(FP), R12
+	VXORPD       X9, X9, X9
 	XORQ         AX, AX
 
 pz32:
@@ -356,15 +367,27 @@ pz32ic:
 	JNZ          pz32ic
 
 	VCVTPD2PS Z0, Y0
-	VMOVUPS   Y0, (DI)(AX*4)
+	VCVTPS2PD Y0, Z0
 	VCVTPD2PS Z1, Y1
-	VMOVUPS   Y1, 32(DI)(AX*4)
+	VCVTPS2PD Y1, Z1
 	VCVTPD2PS Z2, Y2
-	VMOVUPS   Y2, 64(DI)(AX*4)
+	VCVTPS2PD Y2, Z2
 	VCVTPD2PS Z3, Y3
-	VMOVUPS   Y3, 96(DI)(AX*4)
-	ADDQ      $32, AX
-	JMP       pz32
+	VCVTPS2PD Y3, Z3
+	TESTQ     R12, R12
+	JZ        pz32st
+	VMAXPD    Z9, Z0, Z0
+	VMAXPD    Z9, Z1, Z1
+	VMAXPD    Z9, Z2, Z2
+	VMAXPD    Z9, Z3, Z3
+
+pz32st:
+	VMOVUPD Z0, (DI)(AX*8)
+	VMOVUPD Z1, 64(DI)(AX*8)
+	VMOVUPD Z2, 128(DI)(AX*8)
+	VMOVUPD Z3, 192(DI)(AX*8)
+	ADDQ    $32, AX
+	JMP     pz32
 
 pz8:
 	LEAQ    8(AX), BX
@@ -385,9 +408,15 @@ pz8ic:
 	JNZ          pz8ic
 
 	VCVTPD2PS Z0, Y0
-	VMOVUPS   Y0, (DI)(AX*4)
-	ADDQ      $8, AX
-	JMP       pz8
+	VCVTPS2PD Y0, Z0
+	TESTQ     R12, R12
+	JZ        pz8st
+	VMAXPD    Z9, Z0, Z0
+
+pz8st:
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+	JMP     pz8
 
 pz1:
 	CMPQ    AX, R11
@@ -407,18 +436,25 @@ pz1ic:
 	JNZ    pz1ic
 
 	VCVTSD2SS X0, X0, X0
-	VMOVSS    X0, (DI)(AX*4)
-	INCQ      AX
-	JMP       pz1
+	VCVTSS2SD X0, X0, X0
+	TESTQ     R12, R12
+	JZ        pz1st
+	VMAXSD    X9, X0, X0
+
+pz1st:
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    pz1
 
 pzdone:
 	VZEROUPPER
 	RET
 
-// func pointwise(dst *float32, x, w *float64, bias float64, inC, stride, n int)
+// func pointwise(dst, x, w *float64, bias float64, inC, stride, n int, relu bool)
 // AVX2 variant of pointwisez: 16-element blocks in four YMM registers,
-// then 4-element blocks, then a scalar tail. Requires inC >= 1.
-TEXT ·pointwise(SB), NOSPLIT, $0-56
+// then 4-element blocks, then a scalar tail; Y12 holds the +0 of the
+// clamp. Requires inC >= 1.
+TEXT ·pointwise(SB), NOSPLIT, $0-57
 	MOVQ         dst+0(FP), DI
 	MOVQ         x+8(FP), SI
 	MOVQ         w+16(FP), R8
@@ -427,6 +463,8 @@ TEXT ·pointwise(SB), NOSPLIT, $0-56
 	MOVQ         stride+40(FP), R10
 	SHLQ         $3, R10
 	MOVQ         n+48(FP), R11
+	MOVBQZX      relu+56(FP), R12
+	VXORPD       Y12, Y12, Y12
 	XORQ         AX, AX
 
 py16:
@@ -457,15 +495,27 @@ py16ic:
 	JNZ          py16ic
 
 	VCVTPD2PSY Y0, X0
-	VMOVUPS    X0, (DI)(AX*4)
+	VCVTPS2PD  X0, Y0
 	VCVTPD2PSY Y1, X1
-	VMOVUPS    X1, 16(DI)(AX*4)
+	VCVTPS2PD  X1, Y1
 	VCVTPD2PSY Y2, X2
-	VMOVUPS    X2, 32(DI)(AX*4)
+	VCVTPS2PD  X2, Y2
 	VCVTPD2PSY Y3, X3
-	VMOVUPS    X3, 48(DI)(AX*4)
-	ADDQ       $16, AX
-	JMP        py16
+	VCVTPS2PD  X3, Y3
+	TESTQ      R12, R12
+	JZ         py16st
+	VMAXPD     Y12, Y0, Y0
+	VMAXPD     Y12, Y1, Y1
+	VMAXPD     Y12, Y2, Y2
+	VMAXPD     Y12, Y3, Y3
+
+py16st:
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ    $16, AX
+	JMP     py16
 
 py4:
 	LEAQ    4(AX), BX
@@ -486,9 +536,15 @@ py4ic:
 	JNZ          py4ic
 
 	VCVTPD2PSY Y0, X0
-	VMOVUPS    X0, (DI)(AX*4)
-	ADDQ       $4, AX
-	JMP        py4
+	VCVTPS2PD  X0, Y0
+	TESTQ      R12, R12
+	JZ         py4st
+	VMAXPD     Y12, Y0, Y0
+
+py4st:
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     py4
 
 py1:
 	CMPQ    AX, R11
@@ -508,10 +564,90 @@ py1ic:
 	JNZ    py1ic
 
 	VCVTSD2SS X0, X0, X0
-	VMOVSS    X0, (DI)(AX*4)
-	INCQ      AX
-	JMP       py1
+	VCVTSS2SD X0, X0, X0
+	TESTQ     R12, R12
+	JZ        py1st
+	VMAXSD    X12, X0, X0
+
+py1st:
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    py1
 
 pydone:
+	VZEROUPPER
+	RET
+
+// func fillRow(acc *float64, v float64, n int)
+// AVX2 row fill: acc[j] = v for j in [0, n), four per store, then a
+// scalar tail.
+TEXT ·fillRow(SB), NOSPLIT, $0-24
+	MOVQ         acc+0(FP), DI
+	VBROADCASTSD v+8(FP), Y0
+	MOVQ         n+16(FP), CX
+	XORQ         AX, AX
+
+fr4:
+	LEAQ    4(AX), BX
+	CMPQ    BX, CX
+	JGT     fr1
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     fr4
+
+fr1:
+	CMPQ   AX, CX
+	JGE    frdone
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    fr1
+
+frdone:
+	VZEROUPPER
+	RET
+
+// func roundRow(dst, acc *float64, n int, relu bool)
+// AVX2 row store: for j in [0, n), dst[j] = float64(float32(acc[j])),
+// then max(dst[j], +0) if relu — the epilogue of pointwise, four at a
+// time, then a scalar tail; Y12 holds the +0 of the clamp.
+TEXT ·roundRow(SB), NOSPLIT, $0-25
+	MOVQ    dst+0(FP), DI
+	MOVQ    acc+8(FP), SI
+	MOVQ    n+16(FP), CX
+	MOVBQZX relu+24(FP), R12
+	VXORPD  Y12, Y12, Y12
+	XORQ    AX, AX
+
+rr4:
+	LEAQ       4(AX), BX
+	CMPQ       BX, CX
+	JGT        rr1
+	VCVTPD2PSY (SI)(AX*8), X0
+	VCVTPS2PD  X0, Y0
+	TESTQ      R12, R12
+	JZ         rr4st
+	VMAXPD     Y12, Y0, Y0
+
+rr4st:
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     rr4
+
+rr1:
+	CMPQ      AX, CX
+	JGE       rrdone
+	VMOVSD    (SI)(AX*8), X0
+	VCVTSD2SS X0, X0, X0
+	VCVTSS2SD X0, X0, X0
+	TESTQ     R12, R12
+	JZ        rr1st
+	VMAXSD    X12, X0, X0
+
+rr1st:
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    rr1
+
+rrdone:
 	VZEROUPPER
 	RET

@@ -159,14 +159,14 @@ func TestPointwiseMatchesGo(t *testing.T) {
 		for _, n := range []int{1 + rng.Intn(7), 8 + rng.Intn(24), pwStrip*(1+rng.Intn(3)) + 2*rng.Intn(pwStrip/2) + 1} {
 			outC := 1 + rng.Intn(5)
 			xd, wd, bd := pointwiseData(rng, inC, outC, n)
-			want := make([]float32, outC*n)
+			want := make([]float64, outC*n)
 			for oc := 0; oc < outC; oc++ {
 				for j := 0; j < n; j++ {
 					a := float64(bd[oc])
 					for ic := 0; ic < inC; ic++ {
 						a += float64(wd[oc*inC+ic] * xd[ic*n+j])
 					}
-					want[oc*n+j] = float32(a)
+					want[oc*n+j] = float64(float32(a))
 				}
 			}
 			for _, tier := range []struct {
@@ -178,12 +178,12 @@ func TestPointwiseMatchesGo(t *testing.T) {
 					continue
 				}
 				for _, workers := range []int{1, 3} {
-					got := make([]float32, outC*n)
+					got := make([]float64, outC*n)
 					withKernels(tier.z, tier.v2, func() {
-						pointwiseConv(got, xd, wd, bd, inC, outC, n, workers)
+						pointwiseConv(got, xd, wd, bd, inC, outC, n, false, workers)
 					})
 					for i := range want {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 							t.Fatalf("%s inC=%d outC=%d n=%d workers=%d: element %d = %v, want %v",
 								tier.name, inC, outC, n, workers, i, got[i], want[i])
 						}
@@ -217,13 +217,11 @@ func TestTapRowsKernelToggles(t *testing.T) {
 			// Clipped bundle (single ki) and generic-K paths too.
 			tapRows(acc, xd, wr, 0, -1, w+2, 0, 1, w, 3, 1)
 			tapRows(acc, xd, wr[:1], 0, 0, w, 0, 1, w, 1, 0)
-			y, err := dw.Infer(x, "out", segLo, segHi, NewArena(), 1)
+			y, err := dw.Infer(actOf(x), "out", segLo, segHi, NewArena(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range y.Data() {
-				acc = append(acc, float64(v))
-			}
+			acc = append(acc, y.Data...)
 		})
 		return acc
 	}
@@ -288,12 +286,12 @@ func benchPointwise(b *testing.B, mode string) {
 	}
 	const inC, outC, n = 20, 20, 128 * 160
 	xd, wd, bd := pointwiseData(rand.New(rand.NewSource(1)), inC, outC, n)
-	out := make([]float32, outC*n)
+	out := make([]float64, outC*n)
 	withKernels(mode == "avx512", mode != "go", func() {
 		b.SetBytes(int64(n * inC * outC * 8))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pointwiseConv(out, xd, wd, bd, inC, outC, n, 1)
+			pointwiseConv(out, xd, wd, bd, inC, outC, n, false, 1)
 		}
 	})
 }

@@ -22,10 +22,18 @@ func tap3(acc, x, w *float64, n int) {
 	panic("nn: tap3 without AVX2 support")
 }
 
-func pointwise(dst *float32, x, w *float64, bias float64, inC, stride, n int) {
+func pointwise(dst, x, w *float64, bias float64, inC, stride, n int, relu bool) {
 	panic("nn: pointwise without AVX2 support")
 }
 
-func pointwisez(dst *float32, x, w *float64, bias float64, inC, stride, n int) {
+func pointwisez(dst, x, w *float64, bias float64, inC, stride, n int, relu bool) {
 	panic("nn: pointwisez without AVX-512 support")
+}
+
+func fillRow(acc *float64, v float64, n int) {
+	panic("nn: fillRow without AVX2 support")
+}
+
+func roundRow(dst, acc *float64, n int, relu bool) {
+	panic("nn: roundRow without AVX2 support")
 }
