@@ -519,13 +519,11 @@ func compress(dataDir, field, outPath string, rel, abs float64, modelPath, ancho
 		if anchors == "" {
 			fatal(fmt.Errorf("-model requires -anchors"))
 		}
-		mf, merr := os.Open(modelPath)
+		blob, merr := os.ReadFile(modelPath)
 		if merr != nil {
 			fatal(merr)
 		}
-		m, merr = cfnn.Load(mf)
-		mf.Close()
-		if merr != nil {
+		if m, merr = cfnn.Load(blob); merr != nil {
 			fatal(merr)
 		}
 		if anchorTensors, names, err = loadAnchors(dataDir, anchors, b); err != nil {

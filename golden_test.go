@@ -490,7 +490,7 @@ func TestGoldenPredictDiffs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: %v", fx.archive, fx.field, err)
 		}
-		model, err := cfnn.Load(bytes.NewReader(c.Model))
+		model, err := cfnn.Load(c.Model)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", fx.archive, fx.field, err)
 		}

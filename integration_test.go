@@ -6,6 +6,8 @@ package crossfield_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -63,12 +65,11 @@ func TestFileWorkflowRoundTrip(t *testing.T) {
 
 	// cfc: reload model, round-trip anchors through the baseline, compress
 	// hybrid, write the blob, reload, decompress, verify.
-	mf2, err := os.Open(modelPath)
+	blob2, err := os.ReadFile(modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model2, err := cfnn.Load(mf2)
-	mf2.Close()
+	model2, err := cfnn.Load(blob2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,30 +130,50 @@ func TestCompressionDeterministic(t *testing.T) {
 	}
 }
 
-// Training with the same seed must be bit-reproducible.
+// Training with the same seed must be bit-reproducible: twice in one
+// process, and against a pinned SHA-256 of the saved 2D and 3D models, so
+// that every kernel tier, FMA setting and worker count (CI runs this
+// under each) trains the same bits.
 func TestTrainingDeterministic(t *testing.T) {
-	ds, err := crossfield.GenerateHurricane(6, 24, 24, 25)
+	hur, err := crossfield.GenerateHurricane(6, 24, 24, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := ds.MustField("Wf")
-	anchors, err := ds.Fieldset("Uf", "Vf", "Pf")
+	cesm, err := crossfield.GenerateCESM(32, 48, 27)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := crossfield.Training{Features: 4, Epochs: 2, StepsPerEpoch: 3, Batch: 1, Seed: 26}
-	c1, err := crossfield.Train(target, anchors, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := crossfield.Train(target, anchors, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1, l2 := c1.TrainingLosses(), c2.TrainingLosses()
-	for i := range l1 {
-		if l1[i] != l2[i] {
-			t.Fatalf("training not deterministic: %v vs %v", l1, l2)
+	for _, tc := range []struct {
+		ds      *crossfield.Dataset
+		target  string
+		anchors []string
+		sha256  string
+	}{
+		{hur, "Wf", []string{"Uf", "Vf", "Pf"}, "c73195605f592896381dded0f9881d073a2ff8ba3f2975aa454a89ccf598e8a8"},
+		{cesm, "LWCF", []string{"FLUTC", "FLNT"}, "236086f86ca05ab69baaa9edb3889506f5b0c1c6906d640979336e7ea264cf90"},
+	} {
+		anchors, err := tc.ds.Fieldset(tc.anchors...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := crossfield.Training{Features: 4, Epochs: 2, StepsPerEpoch: 3, Batch: 1, Seed: 26}
+		var blobs [2][]byte
+		for i := range blobs {
+			c, err := crossfield.Train(tc.ds.MustField(tc.target), anchors, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := c.Model().Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			blobs[i] = buf.Bytes()
+		}
+		if !bytes.Equal(blobs[0], blobs[1]) {
+			t.Fatalf("%s: training not deterministic", tc.target)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(blobs[0])); got != tc.sha256 {
+			t.Errorf("%s: trained model SHA-256 %s, pinned %s", tc.target, got, tc.sha256)
 		}
 	}
 }

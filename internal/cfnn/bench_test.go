@@ -8,10 +8,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// benchInference trains a small-budget model at the given width on smooth
-// synthetic anchors and times segmented PredictDiffsWith passes through one
-// warmed arena on two workers, the way the chunked engine runs a field.
-func benchInference(b *testing.B, features int, spatial, segs []int) {
+// benchFields returns three smooth synthetic anchors and a target of the
+// given shape.
+func benchFields(spatial []int) (anchors []*tensor.Tensor, target *tensor.Tensor) {
 	mk := func(phase float64) *tensor.Tensor {
 		t := tensor.New(spatial...)
 		d := t.Data()
@@ -22,12 +21,19 @@ func benchInference(b *testing.B, features int, spatial, segs []int) {
 		}
 		return t
 	}
-	anchors := []*tensor.Tensor{mk(0.3), mk(1.1), mk(2.3)}
+	return []*tensor.Tensor{mk(0.3), mk(1.1), mk(2.3)}, mk(0.7)
+}
+
+// benchInference trains a small-budget model at the given width on
+// benchFields and times segmented PredictDiffsWith passes through one
+// warmed arena on two workers, the way the chunked engine runs a field.
+func benchInference(b *testing.B, features int, spatial, segs []int) {
+	anchors, target := benchFields(spatial)
 	m, err := New(Config{SpatialRank: len(spatial), NumAnchors: len(anchors), Features: features, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := m.Train(anchors, mk(0.7), TrainConfig{Epochs: 1, StepsPerEpoch: 2, Batch: 1}); err != nil {
+	if _, err := m.Train(anchors, target, TrainConfig{Epochs: 1, StepsPerEpoch: 2, Batch: 1}); err != nil {
 		b.Fatal(err)
 	}
 	arena := nn.NewArena()
@@ -38,6 +44,21 @@ func benchInference(b *testing.B, features int, spatial, segs []int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.PredictDiffsWith(anchors, segs, arena, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchTrain times a fresh model's Train at the default budget on
+// benchFields, as the codec trains one dependent field.
+func benchTrain(b *testing.B, features int, spatial []int) {
+	anchors, target := benchFields(spatial)
+	for i := 0; i < b.N; i++ {
+		m, err := New(Config{SpatialRank: len(spatial), NumAnchors: len(anchors), Features: features, Seed: 5})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Train(anchors, target, TrainConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,3 +75,12 @@ func BenchmarkPredictDiffs2D(b *testing.B) {
 func BenchmarkPredictDiffs3D(b *testing.B) {
 	benchInference(b, 14, []int{24, 64, 64}, []int{6, 6, 6, 6})
 }
+
+// BenchmarkTrain2D trains the CESM-shaped model of BenchmarkPredictDiffs2D
+// (160×320, width 20, three anchors) at the default budget.
+func BenchmarkTrain2D(b *testing.B) { benchTrain(b, 20, []int{160, 320}) }
+
+// BenchmarkTrain3D trains the Hurricane-shaped model of
+// BenchmarkPredictDiffs3D (24×64×64, width 14, three anchors) at the
+// default budget.
+func BenchmarkTrain3D(b *testing.B) { benchTrain(b, 14, []int{24, 64, 64}) }

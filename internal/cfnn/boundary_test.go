@@ -109,7 +109,7 @@ func TestNoAttentionVariant(t *testing.T) {
 	if err := without.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(bytes.NewReader(buf.Bytes()))
+	back, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ package cfnn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/diff"
@@ -76,6 +77,22 @@ func (c Config) validate() error {
 	return nil
 }
 
+// floats is the number of float32 values a saved model of this
+// configuration holds: six normalization arrays and every layer's
+// parameters, as New builds them. It is a float64 so that no header
+// value can overflow it; the products sit in explicit conversions so
+// that no compiler fuses them into the adds.
+func (c Config) floats() float64 {
+	f, in, out := float64(c.Features), float64(c.InChannels()), float64(c.OutChannels())
+	taps := math.Pow(float64(c.Kernel), float64(c.SpatialRank))
+	n := float64(3*(in+out)) + float64(in*taps*f) + float64(taps*f) + float64(f*f) + float64(taps*f*out) + float64(3*f) + out
+	if !c.NoAttention {
+		hid := float64(max(1, c.Features/c.Reduction))
+		n += float64(2*hid*f) + hid + f
+	}
+	return n
+}
+
 // Model is a CFNN plus the per-channel normalization captured at training
 // time.
 type Model struct {
@@ -99,58 +116,30 @@ func New(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var layers []nn.Layer
-	inC, outC, f, k := cfg.InChannels(), cfg.OutChannels(), cfg.Features, cfg.Kernel
-	if cfg.SpatialRank == 3 {
-		c1, err := nn.NewConv3D(rng, inC, f, k)
-		if err != nil {
-			return nil, err
-		}
-		dw, err := nn.NewDepthwiseConv3D(rng, f, k)
-		if err != nil {
-			return nil, err
-		}
-		pw, err := nn.NewConv3D(rng, f, f, 1)
-		if err != nil {
-			return nil, err
-		}
-		attn, err := nn.NewChannelAttention(rng, f, cfg.Reduction)
-		if err != nil {
-			return nil, err
-		}
-		c2, err := nn.NewConv3D(rng, f, outC, k)
-		if err != nil {
-			return nil, err
-		}
-		layers = []nn.Layer{c1, nn.NewReLU(), dw, pw, nn.NewReLU(), attn, c2}
-		if cfg.NoAttention {
-			layers = []nn.Layer{c1, nn.NewReLU(), dw, pw, nn.NewReLU(), c2}
-		}
-	} else {
-		c1, err := nn.NewConv2D(rng, inC, f, k)
-		if err != nil {
-			return nil, err
-		}
-		dw, err := nn.NewDepthwiseConv2D(rng, f, k)
-		if err != nil {
-			return nil, err
-		}
-		pw, err := nn.NewConv2D(rng, f, f, 1)
-		if err != nil {
-			return nil, err
-		}
-		attn, err := nn.NewChannelAttention(rng, f, cfg.Reduction)
-		if err != nil {
-			return nil, err
-		}
-		c2, err := nn.NewConv2D(rng, f, outC, k)
-		if err != nil {
-			return nil, err
-		}
-		layers = []nn.Layer{c1, nn.NewReLU(), dw, pw, nn.NewReLU(), attn, c2}
-		if cfg.NoAttention {
-			layers = []nn.Layer{c1, nn.NewReLU(), dw, pw, nn.NewReLU(), c2}
-		}
+	inC, outC, f, k, r := cfg.InChannels(), cfg.OutChannels(), cfg.Features, cfg.Kernel, cfg.SpatialRank
+	c1, err := nn.NewConv(rng, r, inC, f, k)
+	if err != nil {
+		return nil, err
+	}
+	dw, err := nn.NewDepthwise(rng, r, f, k)
+	if err != nil {
+		return nil, err
+	}
+	pw, err := nn.NewConv(rng, r, f, f, 1)
+	if err != nil {
+		return nil, err
+	}
+	attn, err := nn.NewChannelAttention(rng, f, cfg.Reduction)
+	if err != nil {
+		return nil, err
+	}
+	c2, err := nn.NewConv(rng, r, f, outC, k)
+	if err != nil {
+		return nil, err
+	}
+	layers := []nn.Layer{c1, nn.NewReLU(), dw, pw, nn.NewReLU(), attn, c2}
+	if cfg.NoAttention {
+		layers = []nn.Layer{c1, nn.NewReLU(), dw, pw, nn.NewReLU(), c2}
 	}
 	m := &Model{
 		Cfg:      cfg,

@@ -2,9 +2,11 @@ package cfnn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -244,7 +246,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if buf.Len() != m.SizeBytes() {
 		t.Fatalf("SizeBytes = %d, actual blob %d", m.SizeBytes(), buf.Len())
 	}
-	m2, err := Load(bytes.NewReader(buf.Bytes()))
+	m2, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +274,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadCorrupt(t *testing.T) {
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, err := Load(nil); err == nil {
 		t.Fatal("empty blob")
 	}
-	if _, err := Load(bytes.NewReader([]byte("XXXX0000"))); err == nil {
+	if _, err := Load([]byte("XXXX0000")); err == nil {
 		t.Fatal("bad magic")
 	}
 	m, _ := New(Config{SpatialRank: 2, NumAnchors: 1, Features: 4, Seed: 1})
@@ -283,8 +285,46 @@ func TestLoadCorrupt(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
+	if _, err := Load(buf.Bytes()[:buf.Len()/2]); err == nil {
 		t.Fatal("truncated blob")
+	}
+}
+
+// TestLoadBoundsAllocation feeds Load an 11-byte header that declares a
+// 3D model of width 2^13 (about 200 MiB of weights): it must fail before
+// allocating the model, in memory proportional to the header. It also
+// checks that the size Load bounds a header by is the saved model's.
+func TestLoadBoundsAllocation(t *testing.T) {
+	hdr := append([]byte("CFN1"), 3, 1)
+	hdr = binary.AppendUvarint(hdr, 1<<13)
+	hdr = append(hdr, 3, 4, 1)
+	var before, after runtime.MemStats
+	minAlloc := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		_, err := Load(hdr)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("huge-width header loaded")
+		}
+		minAlloc = min(minAlloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	if minAlloc > uint64(64*len(hdr)) {
+		t.Fatalf("rejecting a %d-byte header allocated %d bytes", len(hdr), minAlloc)
+	}
+
+	for _, cfg := range []Config{
+		{SpatialRank: 2, NumAnchors: 3, Features: 20},
+		{SpatialRank: 3, NumAnchors: 2, Features: 14, Reduction: 8},
+		{SpatialRank: 3, NumAnchors: 1, Features: 3, Kernel: 5, NoAttention: true},
+	} {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.Cfg.floats(), float64(3*(m.Cfg.InChannels()+m.Cfg.OutChannels())+m.ParamCount()); got != want {
+			t.Fatalf("%+v: floats() = %v, model holds %v", cfg, got, want)
+		}
 	}
 }
 

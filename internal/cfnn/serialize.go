@@ -26,15 +26,16 @@ import (
 var modelMagic = [4]byte{'C', 'F', 'N', '1'}
 
 // Clone returns an independent copy of the model sharing no mutable state
-// (a Save/Load round-trip in memory). Layer Forward passes cache their
-// inputs for backprop, so one Model must never run inference from multiple
-// goroutines — concurrent pipelines clone the model per worker instead.
+// (a Save/Load round-trip in memory). Inference never mutates a model, so
+// concurrent PredictDiffsWith calls need only one arena each, not a clone;
+// Train mutates it, so a model is trained by one goroutine, with no
+// inference running on it at the time.
 func (m *Model) Clone() (*Model, error) {
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		return nil, err
 	}
-	return Load(&buf)
+	return Load(buf.Bytes())
 }
 
 // Save serializes the model (architecture, normalization, weights).
@@ -85,9 +86,11 @@ func (m *Model) Save(w io.Writer) error {
 	return nn.SaveParams(w, m.net.Params())
 }
 
-// Load reconstructs a model saved by Save.
-func Load(r io.Reader) (*Model, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+// Load reconstructs a model saved by Save. The blob may be hostile: a
+// header that declares more values than the blob holds is rejected before
+// any model memory is allocated.
+func Load(blob []byte) (*Model, error) {
+	br := bytes.NewReader(blob)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("cfnn: load: %w", err)
@@ -127,6 +130,13 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("cfnn: load: %w", err)
 	}
 	cfg.NoAttention = flag&2 != 0
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if need := 4 * cfg.floats(); need > float64(br.Len()) {
+		return nil, fmt.Errorf("cfnn: load: header declares %.0f bytes of model values, blob holds %d", need, br.Len())
+	}
 	m, err := New(cfg)
 	if err != nil {
 		return nil, err

@@ -83,6 +83,10 @@ func (m *Model) Train(anchors []*tensor.Tensor, target *tensor.Tensor, tc TrainC
 	rng := rand.New(rand.NewSource(tc.Seed))
 	opt := nn.NewAdam(tc.LR)
 	params := m.net.Params()
+	arena := nn.NewArena()
+	x := arena.Act("cfnn.patch.in", append([]int{len(inChans)}, patch...)...)
+	y := arena.Act("cfnn.patch.out", append([]int{len(outChans)}, patch...)...)
+	origin := make([]int, len(spatial))
 	losses := make([]float64, 0, tc.Epochs)
 	for e := 0; e < tc.Epochs; e++ {
 		var epochLoss float64
@@ -90,21 +94,20 @@ func (m *Model) Train(anchors []*tensor.Tensor, target *tensor.Tensor, tc TrainC
 		for s := 0; s < tc.StepsPerEpoch; s++ {
 			nn.ZeroGrads(params)
 			for b := 0; b < tc.Batch; b++ {
-				origin := make([]int, len(spatial))
 				for ax := range origin {
 					origin[ax] = rng.Intn(spatial[ax] - patch[ax] + 1)
 				}
-				x := extractPatch(inChans, m.inOff, m.inScale, m.inMean, origin, patch)
-				y := extractPatch(outChans, m.outOff, m.outScale, m.outMean, origin, patch)
-				pred, err := m.net.Forward(x)
+				extractPatch(x, inChans, m.inOff, m.inScale, m.inMean, spatial, origin)
+				extractPatch(y, outChans, m.outOff, m.outScale, m.outMean, spatial, origin)
+				pred, err := m.net.Forward(x, arena)
 				if err != nil {
 					return nil, err
 				}
-				loss, grad, err := nn.MSELoss(pred, y)
+				loss, grad, err := nn.MSELoss(pred, y, arena)
 				if err != nil {
 					return nil, err
 				}
-				if _, err := m.net.Backward(grad); err != nil {
+				if err := m.net.Backward(grad, arena); err != nil {
 					return nil, err
 				}
 				// Report the loss in the paper's normalized 0-300 units
@@ -121,37 +124,29 @@ func (m *Model) Train(anchors []*tensor.Tensor, target *tensor.Tensor, tc TrainC
 	return losses, nil
 }
 
-// extractPatch copies a (C, patch...) window from full-field channels in
-// network units.
-func extractPatch(chans []*tensor.Tensor, off, scale, mean []float32, origin, patch []int) *tensor.Tensor {
-	shape := append([]int{len(chans)}, patch...)
-	out := tensor.New(shape...)
-	od := out.Data()
-	per := 1
-	for _, p := range patch {
-		per *= p
+// extractPatch fills dst, a (C, patch...) activation, with the window at
+// origin of full-field channels of the given spatial shape, in network
+// units. A 2D field is one plane of a 3D one.
+func extractPatch(dst nn.Act, chans []*tensor.Tensor, off, scale, mean []float32, spatial, origin []int) {
+	r := len(spatial)
+	pd, pz := 1, 0
+	if r == 3 {
+		pd, pz = dst.Dim(1), origin[0]
 	}
+	ph, pw := dst.Dim(r-1), dst.Dim(r)
+	fh, fw := spatial[r-2], spatial[r-1]
+	i := 0
 	for c, ch := range chans {
 		o, s, mu := off[c], scale[c], mean[c]
-		dst := od[c*per : (c+1)*per]
-		switch len(patch) {
-		case 2:
-			w := patch[1]
-			for i := 0; i < patch[0]; i++ {
-				for j := 0; j < w; j++ {
-					dst[i*w+j] = netValue(ch.At2(origin[0]+i, origin[1]+j), o, s, mu)
-				}
-			}
-		case 3:
-			h, w := patch[1], patch[2]
-			for k := 0; k < patch[0]; k++ {
-				for i := 0; i < h; i++ {
-					for j := 0; j < w; j++ {
-						dst[(k*h+i)*w+j] = netValue(ch.At3(origin[0]+k, origin[1]+i, origin[2]+j), o, s, mu)
-					}
+		src := ch.Data()
+		for z := pz; z < pz+pd; z++ {
+			for row := origin[r-2]; row < origin[r-2]+ph; row++ {
+				base := (z*fh+row)*fw + origin[r-1]
+				for _, v := range src[base : base+pw] {
+					dst.Data[i] = float64(netValue(v, o, s, mu))
+					i++
 				}
 			}
 		}
 	}
-	return out
 }

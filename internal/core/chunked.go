@@ -558,7 +558,7 @@ func loadArchiveModel(h *chunk.Header) (*cfnn.Model, error) {
 	case container.MethodBaseline:
 		return nil, nil
 	case container.MethodHybrid, container.MethodCrossOnly:
-		return cfnn.Load(bytes.NewReader(h.Model))
+		return cfnn.Load(h.Model)
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", h.Method)
 	}

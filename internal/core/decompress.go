@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -163,7 +162,7 @@ func resolveDQ(b *container.Blob, anchors []*tensor.Tensor, ext *cfnn.Model, dqE
 		model := ext
 		if len(b.Model) > 0 {
 			var err error
-			if model, err = cfnn.Load(bytes.NewReader(b.Model)); err != nil {
+			if model, err = cfnn.Load(b.Model); err != nil {
 				return nil, err
 			}
 		}

@@ -123,3 +123,11 @@ func (a *Arena) Act(key string, shape ...int) Act {
 	}
 	return newAct(a.F64(key, vol), shape...)
 }
+
+// actLike returns a scratch activation of c channels over x's spatial
+// shape, under the given key.
+func (a *Arena) actLike(key string, c int, x Act) Act {
+	shape := x.shape
+	shape[0] = c
+	return a.Act(key, shape[:x.rank]...)
+}

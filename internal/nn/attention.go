@@ -2,10 +2,9 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
-	"repro/internal/tensor"
+	"repro/internal/parallel"
 )
 
 // ChannelAttention is the CBAM-style channel-attention block the CFNN uses
@@ -22,15 +21,7 @@ type ChannelAttention struct {
 	w2   *Param // (C, C/R)
 	b2   *Param // (C)
 
-	// Forward caches.
-	lastIn *tensor.Tensor
-	avg    []float64
-	mx     []float64
-	argmax []int
-	h1Avg  []float64 // post-ReLU hidden, avg path
-	h1Max  []float64
-	zSum   []float64 // pre-sigmoid sum of both paths
-	attn   []float64 // sigmoid output
+	in Act // training input, kept by Forward
 }
 
 // NewChannelAttention builds the block; reduction r must divide into at
@@ -64,71 +55,8 @@ func (a *ChannelAttention) Name() string { return fmt.Sprintf("chan-attn(c=%d,r=
 // Params implements Layer.
 func (a *ChannelAttention) Params() []*Param { return []*Param{a.w1, a.b1, a.w2, a.b2} }
 
-// Forward implements Layer.
-func (a *ChannelAttention) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Rank() < 2 || x.Dim(0) != a.C {
-		return nil, fmt.Errorf("nn: channel attention wants (%d, spatial...), got %v", a.C, x.Shape())
-	}
-	a.lastIn = x
-	spatial := x.Len() / a.C
-	xd := x.Data()
-
-	a.avg = resizeF64(a.avg, a.C)
-	a.mx = resizeF64(a.mx, a.C)
-	a.argmax = resizeInt(a.argmax, a.C)
-	for c := 0; c < a.C; c++ {
-		base := c * spatial
-		sum := 0.0
-		best := math.Inf(-1)
-		bestIdx := base
-		for i := base; i < base+spatial; i++ {
-			v := float64(xd[i])
-			sum += v
-			if v > best {
-				best = v
-				bestIdx = i
-			}
-		}
-		a.avg[c] = sum / float64(spatial)
-		a.mx[c] = best
-		a.argmax[c] = bestIdx
-	}
-
-	hid := a.Hidden()
-	a.h1Avg = resizeF64(a.h1Avg, hid)
-	a.h1Max = resizeF64(a.h1Max, hid)
-	zAvg := a.mlpForward(a.avg, a.h1Avg)
-	zMax := a.mlpForward(a.mx, a.h1Max)
-
-	a.zSum = resizeF64(a.zSum, a.C)
-	a.attn = resizeF64(a.attn, a.C)
-	for c := 0; c < a.C; c++ {
-		a.zSum[c] = zAvg[c] + zMax[c]
-		a.attn[c] = sigmoid(a.zSum[c])
-	}
-
-	out := tensor.New(x.Shape()...)
-	od := out.Data()
-	for c := 0; c < a.C; c++ {
-		w := float32(a.attn[c])
-		base := c * spatial
-		for i := base; i < base+spatial; i++ {
-			od[i] = xd[i] * w
-		}
-	}
-	return out, nil
-}
-
-// mlpForward runs the shared MLP on descriptor s, storing the post-ReLU
-// hidden activations in h1 and returning the output logits.
-func (a *ChannelAttention) mlpForward(s, h1 []float64) []float64 {
-	z := make([]float64, a.C)
-	a.mlpInto(s, h1, z)
-	return z
-}
-
-// mlpInto is mlpForward writing the logits into caller-owned z, for the
-// alloc-free inference path.
+// mlpInto runs the shared MLP on descriptor s, storing the post-ReLU
+// hidden activations in h1 and the output logits in z.
 func (a *ChannelAttention) mlpInto(s, h1, z []float64) {
 	hid := a.Hidden()
 	w1, b1 := a.w1.W.Data(), a.b1.W.Data()
@@ -152,52 +80,73 @@ func (a *ChannelAttention) mlpInto(s, h1, z []float64) {
 	}
 }
 
-// Backward implements Layer.
-func (a *ChannelAttention) Backward(gy *tensor.Tensor) (*tensor.Tensor, error) {
-	x := a.lastIn
-	if x == nil {
-		return nil, fmt.Errorf("nn: channel attention backward before forward")
+// Forward implements Layer. It rescales a copy of x under dstKey and
+// keeps x for Backward.
+func (at *ChannelAttention) Forward(x Act, dstKey string, a *Arena) (Act, error) {
+	out := a.actLike(dstKey, x.Dim(0), x)
+	copy(out.Data, x.Data)
+	y, err := at.Infer(out, "", nil, nil, a, parallel.Workers())
+	if err == nil {
+		at.in = x
 	}
-	if !gy.SameShape(x) {
-		return nil, fmt.Errorf("nn: channel attention gradOut shape %v != input %v", gy.Shape(), x.Shape())
-	}
-	spatial := x.Len() / a.C
-	xd, gyd := x.Data(), gy.Data()
+	return y, err
+}
 
-	// dL/dattn[c] = sum_s gy[c,s]*x[c,s]; dL/dx (direct path) = gy*attn.
-	gx := tensor.New(x.Shape()...)
-	gxd := gx.Data()
-	dAttn := make([]float64, a.C)
-	for c := 0; c < a.C; c++ {
-		base := c * spatial
-		w := float32(a.attn[c])
-		var acc float64
-		for i := base; i < base+spatial; i++ {
-			acc += float64(float64(gyd[i]) * float64(xd[i]))
-			gxd[i] = gyd[i] * w
+// Backward implements Layer. It recomputes the pooled descriptors, the
+// hidden activations and the attention weights from the kept input, and
+// writes dL/dx over gy.
+func (at *ChannelAttention) Backward(gy Act, _ string, a *Arena) (Act, error) {
+	x := at.in
+	if x.Data == nil {
+		return Act{}, fmt.Errorf("nn: channel attention backward before forward")
+	}
+	if gy.rank != x.rank || gy.shape != x.shape {
+		return Act{}, fmt.Errorf("nn: channel attention gradOut shape %v != input %v", gy.Shape(), x.Shape())
+	}
+	C, hid := at.C, at.Hidden()
+	spatial := len(x.Data) / C
+	avg, mx := a.F64("attn.avg", C), a.F64("attn.mx", C)
+	attnPool(x.Data, avg, mx, []int{0, 1}, C, spatial, spatial, 0, C)
+	h1Avg, h1Max := a.F64("attn.h1a", hid), a.F64("attn.h1m", hid)
+	zAvg, zMax := a.F64("attn.za", C), a.F64("attn.zb", C)
+	at.mlpInto(avg, h1Avg, zAvg)
+	at.mlpInto(mx, h1Max, zMax)
+
+	// dL/dattn[c] = Σ gy[c]·x[c]; through the sigmoid, dz = dattn·a(1−a),
+	// and the same dz feeds both MLP paths (they were summed). The direct
+	// path is dL/dx = gy·w, with w the float32 weight Infer scales by.
+	dz := a.F64("attn.dz", C)
+	for c := 0; c < C; c++ {
+		attn := sigmoid(zAvg[c] + zMax[c])
+		w := float32(attn)
+		xc, g := x.Data[c*spatial:(c+1)*spatial], gy.Data[c*spatial:(c+1)*spatial]
+		var dAttn float64
+		for i, v := range xc {
+			dAttn += float64(g[i] * v)
+			g[i] = float64(float32(g[i]) * w)
 		}
-		dAttn[c] = acc
+		dz[c] = dAttn * attn * (1 - attn)
 	}
-	// Through the sigmoid: dz = dAttn * a(1-a); the same dz feeds both MLP
-	// paths (they were summed).
-	dz := make([]float64, a.C)
-	for c := 0; c < a.C; c++ {
-		dz[c] = dAttn[c] * a.attn[c] * (1 - a.attn[c])
-	}
-	dsAvg := a.mlpBackward(a.avg, a.h1Avg, dz)
-	dsMax := a.mlpBackward(a.mx, a.h1Max, dz)
+	dsAvg := at.mlpBackward(avg, h1Avg, dz)
+	dsMax := at.mlpBackward(mx, h1Max, dz)
 
-	// Pooling gradients: average spreads evenly; max routes to the argmax.
+	// Pooling gradients: average spreads evenly; max routes to the first
+	// maximal element, the one the pooling scan keeps.
 	inv := 1 / float64(spatial)
-	for c := 0; c < a.C; c++ {
-		base := c * spatial
-		g := float32(dsAvg[c] * inv)
-		for i := base; i < base+spatial; i++ {
-			gxd[i] += g
+	for c := 0; c < C; c++ {
+		xc, g := x.Data[c*spatial:(c+1)*spatial], gy.Data[c*spatial:(c+1)*spatial]
+		ga := float32(dsAvg[c] * inv)
+		for i, v := range g {
+			g[i] = float64(float32(v) + ga)
 		}
-		gxd[a.argmax[c]] += float32(dsMax[c])
+		for i, v := range xc {
+			if v == mx[c] {
+				g[i] = float64(float32(g[i]) + float32(dsMax[c]))
+				break
+			}
+		}
 	}
-	return gx, nil
+	return gy, nil
 }
 
 // mlpBackward backpropagates dz through the shared MLP for one path,
@@ -228,26 +177,4 @@ func (a *ChannelAttention) mlpBackward(s, h1, dz []float64) []float64 {
 		}
 	}
 	return ds
-}
-
-func resizeF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }

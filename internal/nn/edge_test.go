@@ -4,19 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/tensor"
 )
-
-func TestConv3DKernel1Pointwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	l, err := NewConv3D(rng, 3, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randInput(rng, 3, 2, 3, 3)
-	gradCheck(t, l, x, []int{2, 2, 3, 3}, 22)
-}
 
 func TestAttentionReductionLargerThanChannels(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -28,28 +16,31 @@ func TestAttentionReductionLargerThanChannels(t *testing.T) {
 	if a.Hidden() != 1 {
 		t.Fatalf("hidden = %d, want 1", a.Hidden())
 	}
-	x := randInput(rng, 3, 4, 4)
-	y, err := a.Forward(x)
+	x := randAct(rng, 3, 4, 4)
+	y, err := a.Forward(x, "y", NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !y.SameShape(x) {
+	if y.shape != x.shape || y.rank != x.rank {
 		t.Fatal("shape changed")
 	}
 }
 
+// TestSequentialCompositeGradCheck gradient-checks a full mini-CFNN stack
+// end to end. Sequential.Backward does not compute the first layer's
+// input gradient, so the check covers every parameter gradient, the
+// first layer's included.
 func TestSequentialCompositeGradCheck(t *testing.T) {
-	// Gradient-check a full mini-CFNN stack end to end.
 	rng := rand.New(rand.NewSource(24))
-	c1, err := NewConv2D(rng, 2, 4, 3)
+	c1, err := NewConv(rng, 2, 2, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := NewDepthwiseConv2D(rng, 4, 3)
+	dw, err := NewDepthwise(rng, 2, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw, err := NewConv2D(rng, 4, 4, 1)
+	pw, err := NewConv(rng, 2, 4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,52 +48,53 @@ func TestSequentialCompositeGradCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NewConv2D(rng, 4, 1, 3)
+	c2, err := NewConv(rng, 2, 4, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := NewSequential(c1, NewReLU(), dw, pw, NewReLU(), attn, c2)
-	x := randInput(rng, 2, 5, 5)
+	x := randAct(rng, 2, 5, 5)
 	// Stabilize ReLU kinks and attention argmaxes for finite differences.
-	for i, v := range x.Data() {
+	for i, v := range x.Data {
 		if v > -0.08 && v < 0.08 {
-			x.Data()[i] = 0.35
+			x.Data[i] = 0.35
 		}
 	}
-	gradCheck(t, seq, x, []int{1, 5, 5}, 25)
+	gradCheck(t, seqTarget(seq), x, 25)
 }
 
 func TestAdamConvergesOnConv(t *testing.T) {
 	// A 1->1 conv must learn to reproduce a fixed 3x3 stencil applied to
 	// random inputs.
 	rng := rand.New(rand.NewSource(26))
-	teacher, err := NewConv2D(rng, 1, 1, 3)
+	teacher, err := NewConv(rng, 2, 1, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	student, err := NewConv2D(rand.New(rand.NewSource(27)), 1, 1, 3)
+	student, err := NewConv(rand.New(rand.NewSource(27)), 2, 1, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := NewAdam(0.02)
+	a := NewArena()
 	var last float64
 	for step := 0; step < 300; step++ {
 		ZeroGrads(student.Params())
-		x := randInput(rng, 1, 8, 8)
-		want, err := teacher.Forward(x)
+		x := randAct(rng, 1, 8, 8)
+		want, err := teacher.Forward(x, "teacher", a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := student.Forward(x)
+		got, err := student.Forward(x, "student", a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loss, grad, err := MSELoss(got, want)
+		loss, grad, err := MSELoss(got, want, a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		last = loss
-		if _, err := student.Backward(grad); err != nil {
+		if _, err := student.Backward(grad, "", a); err != nil {
 			t.Fatal(err)
 		}
 		opt.Step(student.Params())
@@ -112,95 +104,14 @@ func TestAdamConvergesOnConv(t *testing.T) {
 	}
 }
 
-func TestMAELossGradientDirection(t *testing.T) {
-	// Following the MAE subgradient must reduce the loss.
-	pred := tensor.MustFromSlice([]float32{2, -3}, 2)
-	target := tensor.MustFromSlice([]float32{0, 0}, 2)
-	l0, grad, err := MAELoss(pred, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pred.Data() {
-		pred.Data()[i] -= 0.5 * grad.Data()[i] / float32(math.Abs(float64(grad.Data()[i])))
-	}
-	l1, _, err := MAELoss(pred, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(l1 < l0) {
-		t.Fatalf("loss did not decrease: %v -> %v", l0, l1)
-	}
-}
-
-func TestSGDMomentumAccelerates(t *testing.T) {
-	// On a quadratic bowl, momentum should reach lower loss than plain SGD
-	// in the same number of steps with the same learning rate.
-	run := func(momentum float64) float64 {
-		rng := rand.New(rand.NewSource(28))
-		l, err := NewDense(rng, 3, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := NewSGD(0.01, momentum)
-		var last float64
-		for step := 0; step < 150; step++ {
-			ZeroGrads(l.Params())
-			x := randInput(rng, 3)
-			want := tensor.MustFromSlice([]float32{x.Data()[0] - 2*x.Data()[1] + 0.5*x.Data()[2]}, 1)
-			y, err := l.Forward(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loss, grad, err := MSELoss(y, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			last = loss
-			if _, err := l.Backward(grad); err != nil {
-				t.Fatal(err)
-			}
-			opt.Step(l.Params())
-		}
-		return last
-	}
-	plain := run(0)
-	mom := run(0.9)
-	if !(mom < plain) {
-		t.Fatalf("momentum (%v) not faster than plain SGD (%v)", mom, plain)
-	}
-}
-
-func TestOptimizerNames(t *testing.T) {
-	if NewSGD(0.1, 0.9).Name() == "" || NewAdam(0.1).Name() == "" {
-		t.Fatal("optimizer names empty")
-	}
-}
-
-func TestDenseBackwardShapeError(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	d, err := NewDense(rng, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Forward(randInput(rng, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Backward(tensor.New(5)); err == nil {
-		t.Fatal("expected gradOut shape error")
-	}
-	if _, err := d.Forward(tensor.New(2, 2)); err == nil {
-		t.Fatal("expected rank error")
-	}
-}
-
 func TestAttentionWeightsBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	a, err := NewChannelAttention(rng, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := randInput(rng, 4, 6, 6)
-	y, err := a.Forward(x)
+	x := randAct(rng, 4, 6, 6)
+	y, err := a.Forward(x, "y", NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,19 +119,17 @@ func TestAttentionWeightsBounded(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		var ratio float64
 		set := false
-		for i := 0; i < 6; i++ {
-			for j := 0; j < 6; j++ {
-				xv := float64(x.At(c, i, j))
-				if math.Abs(xv) < 1e-6 {
-					continue
-				}
-				r := float64(y.At(c, i, j)) / xv
-				if !set {
-					ratio = r
-					set = true
-				} else if math.Abs(r-ratio) > 1e-4 {
-					t.Fatalf("channel %d ratio not constant: %v vs %v", c, r, ratio)
-				}
+		for i := c * 36; i < (c+1)*36; i++ {
+			xv := x.Data[i]
+			if math.Abs(xv) < 1e-6 {
+				continue
+			}
+			r := y.Data[i] / xv
+			if !set {
+				ratio = r
+				set = true
+			} else if math.Abs(r-ratio) > 1e-4 {
+				t.Fatalf("channel %d ratio not constant: %v vs %v", c, r, ratio)
 			}
 		}
 		if !set || ratio <= 0 || ratio >= 1 {

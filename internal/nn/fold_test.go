@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 // foldClasses are the input classes of foldData. Under foldData's
@@ -37,7 +35,7 @@ func sign(v float32, neg bool) float32 {
 // neighborhoods as well as vector bodies, tails and halos. It sets l's
 // weights to positive values near 1e-20 and its biases to −0 and +0
 // alternately.
-func foldData(rng *rand.Rand, l Layer, x *tensor.Tensor) {
+func foldData(rng *rand.Rand, l Layer, x Act) {
 	const bands = 2
 	n1, w := x.Dim(1), x.Dim(x.Rank()-1)
 	combo := make([]int, bands*w) // class*2 + sign per (band, column)
@@ -48,12 +46,12 @@ func foldData(rng *rand.Rand, l Layer, x *tensor.Tensor) {
 		}
 		j += run
 	}
-	xd := x.Data()
+	xd := x.Data
 	plane := len(xd) / x.Dim(0) / n1
 	for i := range xd {
 		band := i / plane % n1 * bands / n1
 		cs := combo[band*w+i%w]
-		xd[i] = foldClasses[cs/2](rng, cs%2 == 1)
+		xd[i] = float64(foldClasses[cs/2](rng, cs%2 == 1))
 	}
 	ps := l.Params()
 	for i := range ps[0].W.Data() {
@@ -66,8 +64,8 @@ func foldData(rng *rand.Rand, l Layer, x *tensor.Tensor) {
 
 // TestFoldedReLUMatchesForward pins the folded store: a convolution
 // followed by a ReLU, run through Sequential.Infer (which folds the ReLU
-// into the convolution's store), must equal the convolution's Forward
-// followed by ReLU's Forward bit for bit, for 2D and 3D, 3×3 and 1×1 and
+// into the convolution's store), must equal the training Forward, which
+// runs the convolution and then the ReLU, bit for bit, for 2D and 3D, 3×3 and 1×1 and
 // depthwise convolutions, segmented and not, on every kernel tier, at
 // one and three workers. foldData makes the convolution emit every edge
 // of the clamp; the test checks that it did.
@@ -85,26 +83,26 @@ func TestFoldedReLUMatchesForward(t *testing.T) {
 		shape  []int
 		counts []int
 	}{
-		{"conv2d 3x3", must(NewConv2D(rng, 3, 4, 3)), []int{3, 11, 53}, nil},
-		{"conv2d 3x3 segmented", must(NewConv2D(rng, 3, 4, 3)), []int{3, 11, 53}, []int{5, 6}},
-		{"conv2d 1x1", must(NewConv2D(rng, 3, 4, 1)), []int{3, 11, 53}, nil},
-		{"conv2d 1x1 segmented", must(NewConv2D(rng, 3, 4, 1)), []int{3, 11, 53}, []int{5, 6}},
-		{"depthwise2d segmented", must(NewDepthwiseConv2D(rng, 3, 3)), []int{3, 11, 53}, []int{5, 6}},
-		{"conv3d 3x3", must(NewConv3D(rng, 2, 3, 3)), []int{2, 5, 6, 53}, nil},
-		{"conv3d 3x3 segmented", must(NewConv3D(rng, 2, 3, 3)), []int{2, 5, 6, 53}, []int{2, 3}},
-		{"conv3d 1x1", must(NewConv3D(rng, 2, 3, 1)), []int{2, 5, 6, 53}, nil},
-		{"conv3d 1x1 segmented", must(NewConv3D(rng, 2, 3, 1)), []int{2, 5, 6, 53}, []int{2, 3}},
-		{"depthwise3d segmented", must(NewDepthwiseConv3D(rng, 2, 3)), []int{2, 5, 6, 53}, []int{2, 3}},
+		{"conv2d 3x3", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, nil},
+		{"conv2d 3x3 segmented", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, []int{5, 6}},
+		{"conv2d 1x1", must(NewConv(rng, 2, 3, 4, 1)), []int{3, 11, 53}, nil},
+		{"conv2d 1x1 segmented", must(NewConv(rng, 2, 3, 4, 1)), []int{3, 11, 53}, []int{5, 6}},
+		{"depthwise2d segmented", must(NewDepthwise(rng, 2, 3, 3)), []int{3, 11, 53}, []int{5, 6}},
+		{"conv3d 3x3", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, nil},
+		{"conv3d 3x3 segmented", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, []int{2, 3}},
+		{"conv3d 1x1", must(NewConv(rng, 3, 2, 3, 1)), []int{2, 5, 6, 53}, nil},
+		{"conv3d 1x1 segmented", must(NewConv(rng, 3, 2, 3, 1)), []int{2, 5, 6, 53}, []int{2, 3}},
+		{"depthwise3d segmented", must(NewDepthwise(rng, 3, 2, 3)), []int{2, 5, 6, 53}, []int{2, 3}},
 	}
 	for _, tc := range cases {
-		x := tensor.New(tc.shape...)
+		x := randAct(rng, tc.shape...)
 		foldData(rng, tc.conv, x)
 		net := NewSequential(tc.conv, NewReLU())
 		counts := tc.counts
 		if counts == nil {
 			counts = []int{tc.shape[1]}
 		}
-		var pre, want *tensor.Tensor
+		var pre, want []float64
 		for _, tier := range []struct {
 			name  string
 			z, v2 bool
@@ -114,17 +112,17 @@ func TestFoldedReLUMatchesForward(t *testing.T) {
 				continue
 			}
 			withKernels(tier.z, tier.v2, func() {
-				pre = segmentedForward(t, tc.conv, x, counts)
+				pre = segmentedForward(t, NewSequential(tc.conv), x, counts)
 				want = segmentedForward(t, net, x, counts)
 				for _, workers := range []int{1, 3} {
-					got, err := net.Infer(actOf(x), tc.counts, NewArena(), workers)
+					got, err := net.Infer(cloneAct(x), tc.counts, NewArena(), workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i, v := range want.Data() {
-						if math.Float64bits(got.Data[i]) != math.Float64bits(float64(v)) {
+					for i, v := range want {
+						if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
 							t.Fatalf("%s, %s kernels, %d workers: element %d = %v, want ReLU(%v) = %v",
-								tc.name, tier.name, workers, i, got.Data[i], pre.Data()[i], v)
+								tc.name, tier.name, workers, i, got.Data[i], pre[i], v)
 						}
 					}
 				}
@@ -136,10 +134,11 @@ func TestFoldedReLUMatchesForward(t *testing.T) {
 
 // requireFoldEdges fails unless the pre-ReLU output holds every edge the
 // folded clamp must handle.
-func requireFoldEdges(t *testing.T, name string, pre *tensor.Tensor) {
+func requireFoldEdges(t *testing.T, name string, pre []float64) {
 	t.Helper()
 	var nan, negZero, posZero, negSub, posSub, neg, pos int
-	for _, v := range pre.Data() {
+	for _, w := range pre {
+		v := float32(w)
 		bits := math.Float32bits(v)
 		abs := bits &^ (1 << 31)
 		switch {

@@ -6,12 +6,12 @@
 // slabs, and every layer treats each slab boundary exactly as it would a
 // field boundary — convolutions zero-pad at segment edges, channel
 // attention pools per segment. The segmented output is therefore
-// bit-identical to running the plain Forward pass on each slab
+// bit-identical to running the unsegmented pass on each slab
 // independently, laid out contiguously, while sharing one pass over the
 // weights, one set of scratch buffers, and one parallel dispatch.
 //
-// Bit-identity with Forward is load-bearing (compressed streams embed the
-// predictions), so every kernel here keeps one per-element contract: a
+// Bit-identity across passes is load-bearing (compressed streams embed
+// the predictions), so every kernel here keeps one per-element contract: a
 // float64 accumulator starts at the bias, adds each tap's product in
 // ascending (inChannel, kz, ki, kj) order over the taps inside the
 // segment, with a separate rounding for the multiply and the add (never a
@@ -22,12 +22,12 @@
 // elements, which is why the vector width changes no result.
 //
 // Activations are float64 from end to end (Act), and every value they
-// hold is float32-exact: a layer rounds each result to float32 exactly
-// where Forward rounds it, then stores it widened, which is lossless. The
-// caller widens the network input once when it builds it (InferInput) and
-// narrows the output once, so no layer converts its input and the kernels
-// read their operands directly. Element-wise steps keep their float32
-// arithmetic on the rounded values:
+// hold is float32-exact: a layer rounds each result to float32, then
+// stores it widened, which is lossless. The caller widens the network
+// input once when it builds it (InferInput) and narrows the output once,
+// so no layer converts its input and the kernels read their operands
+// directly. Element-wise steps keep their float32 arithmetic on the
+// rounded values:
 //
 //   - a ReLU that follows a convolution is folded into that
 //     convolution's store (Sequential.Infer): each result is rounded to
@@ -52,10 +52,10 @@
 //     the accumulators in registers across all input channels and store
 //     the rounded (and, when folded, clamped) results directly.
 //
-// Every convolution's Forward runs its Infer on a private arena, so
-// training and inference share one kernel per family and agree by
-// construction. Work is dispatched across contiguous ranges of work items
-// when workers > 1.
+// Training runs on the same kernels: a layer's Forward is its
+// unsegmented Infer, and the input gradient of a convolution is another
+// convolution (see convBackward), so it runs on these drivers too. Work
+// is dispatched across contiguous ranges of work items when workers > 1.
 package nn
 
 import (
@@ -64,7 +64,6 @@ import (
 	"sync"
 
 	"repro/internal/parallel"
-	"repro/internal/tensor"
 )
 
 // maxActRank bounds an activation's rank: (C, D, H, W) for 3D networks.
@@ -108,44 +107,6 @@ func (x Act) Dim(i int) int { return x.shape[i] }
 // Shape returns a copy of the dimensions.
 func (x Act) Shape() []int { return append([]int(nil), x.shape[:x.rank]...) }
 
-// actOf widens a float32 tensor into a new activation (exactly).
-func actOf(t *tensor.Tensor) Act {
-	return newAct(toF64(make([]float64, t.Len()), t.Data()), t.Shape()...)
-}
-
-// tensorOf narrows an activation into a new float32 tensor. Its values
-// are float32-exact, so this is exact too.
-func tensorOf(x Act) *tensor.Tensor {
-	t := tensor.New(x.shape[:x.rank]...)
-	td := t.Data()
-	for i, v := range x.Data {
-		td[i] = float32(v)
-	}
-	return t
-}
-
-// InferLayer is implemented by layers that support the fast inference
-// path. Infer computes the same output as Forward but
-//
-//   - caches no backward state, and mutates no layer state at all, so one
-//     model can run concurrent inference from many goroutines as long as
-//     each uses its own Arena;
-//   - draws all scratch (including the output activation) from the Arena,
-//     so steady-state passes allocate nothing;
-//   - honors segment boundaries along the leading spatial axis: segLo/segHi
-//     map each plane index to its segment's [lo, hi) bounds (nil means one
-//     segment spanning the whole axis).
-//
-// Element-wise layers may compute in place and return x itself; layers
-// that produce a new activation take it from the arena under dstKey,
-// which the caller guarantees is not x's backing buffer. Parallel kernels
-// use up to `workers` goroutines (<= 1 means serial, which is also the
-// zero-alloc mode — parallel dispatch inherently allocates goroutine
-// frames).
-type InferLayer interface {
-	Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error)
-}
-
 // convLayer is implemented by the convolutions: infer is their Infer
 // with a following ReLU folded into the store when relu is set.
 type convLayer interface {
@@ -168,9 +129,7 @@ func (s *Sequential) InferInput(a *Arena, shape ...int) Act {
 // that follows a convolution into that convolution's store. segCounts
 // partitions the leading spatial axis (dimension 1 of the channel-major
 // input) into segments processed as independent fields; nil or a single
-// count means the whole axis. Layers that do not implement InferLayer
-// fall back to Forward — correct only unsegmented, so segmented inference
-// over such a layer is an error rather than a silent halo break.
+// count means the whole axis.
 //
 // The returned activation is arena-owned: valid until the arena's next
 // use. Infer may also use x itself as scratch.
@@ -205,26 +164,17 @@ func (s *Sequential) Infer(x Act, segCounts []int, a *Arena, workers int) (Act, 
 	}
 	next := 0
 	for i := 0; i < len(s.Layers); i++ {
-		l := s.Layers[i].Layer
+		l := s.Layers[i]
 		var y Act
 		var err error
 		fold := false
-		switch il := l.(type) {
-		case convLayer:
+		if cl, ok := l.(convLayer); ok {
 			if i+1 < len(s.Layers) {
-				_, fold = s.Layers[i+1].Layer.(*ReLU)
+				_, fold = s.Layers[i+1].(*ReLU)
 			}
-			y, err = il.infer(x, inferKeys[next], segLo, segHi, a, workers, fold)
-		case InferLayer:
-			y, err = il.Infer(x, inferKeys[next], segLo, segHi, a, workers)
-		default:
-			if segLo != nil {
-				return Act{}, fmt.Errorf("nn: layer %d (%s) does not support segmented inference", i, l.Name())
-			}
-			var t *tensor.Tensor
-			if t, err = l.Forward(tensorOf(x)); err == nil {
-				y = actOf(t)
-			}
+			y, err = cl.infer(x, inferKeys[next], segLo, segHi, a, workers, fold)
+		} else {
+			y, err = l.Infer(x, inferKeys[next], segLo, segHi, a, workers)
 		}
 		if err != nil {
 			return Act{}, fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
@@ -336,8 +286,7 @@ func storeRow(dst, acc []float64, relu bool) {
 // the sign of post-conv activations is close to a coin flip, so a branch
 // mispredicts constantly. The keep condition v > 0 is exactly the bit
 // condition 1 <= bits <= +Inf; both operand checks fold into one sign OR,
-// giving an all-ones/all-zero mask. NaN, −0 and negative inputs map to +0,
-// matching ReLU.Forward bit for bit.
+// giving an all-ones/all-zero mask. NaN, −0 and negative inputs map to +0.
 func relu32(v float32) float64 {
 	const posInf = 0x7F800000
 	u := int64(math.Float32bits(v))
@@ -625,147 +574,9 @@ func pointwiseGo(dst, x, w []float64, bias float64, stride int, relu bool) {
 	storeRow(dst, acc, relu)
 }
 
-// Arena keys of the convolutions' scratch. Layers run strictly one at a
-// time within a pass, so they share one accumulator-row buffer, sized
-// max(workers×W), and one widened-weights buffer.
-const (
-	convScratchKey = "conv.acc"
-	convWeightKey  = "conv.w64"
-)
-
-// Infer implements InferLayer.
-func (c *Conv2D) Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
-	return c.infer(x, dstKey, segLo, segHi, a, workers, false)
-}
-
-func (c *Conv2D) infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error) {
-	if x.Rank() != 3 || x.Dim(0) != c.InC {
-		return Act{}, fmt.Errorf("nn: conv2d wants (%d,H,W), got %v", c.InC, x.Shape())
-	}
-	h, w := x.Dim(1), x.Dim(2)
-	out := a.Act(dstKey, c.OutC, h, w)
-	xd, od, bd := x.Data, out.Data, c.bias.W.Data()
-	wd := toF64(a.F64(convWeightKey, c.weight.W.Len()), c.weight.W.Data())
-	if c.K == 1 {
-		pointwiseConv(od, xd, wd, bd, c.InC, c.OutC, h*w, relu, workers)
-		return out, nil
-	}
-	eff := clampWorkers(workers, c.OutC*h)
-	scratch := a.F64(convScratchKey, eff*w)
-	if eff <= 1 {
-		conv2dRows(od, xd, wd, bd, c.InC, c.K, h, w, relu, segLo, segHi, scratch, 0, c.OutC*h)
-	} else {
-		dispatchScratch(eff, c.OutC*h, w, scratch, func(lo, hi int, acc []float64) {
-			conv2dRows(od, xd, wd, bd, c.InC, c.K, h, w, relu, segLo, segHi, acc, lo, hi)
-		})
-	}
-	return out, nil
-}
-
-// Infer implements InferLayer.
-func (c *Conv3D) Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
-	return c.infer(x, dstKey, segLo, segHi, a, workers, false)
-}
-
-func (c *Conv3D) infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error) {
-	if x.Rank() != 4 || x.Dim(0) != c.InC {
-		return Act{}, fmt.Errorf("nn: conv3d wants (%d,D,H,W), got %v", c.InC, x.Shape())
-	}
-	d, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
-	out := a.Act(dstKey, c.OutC, d, h, w)
-	xd, od, bd := x.Data, out.Data, c.bias.W.Data()
-	wd := toF64(a.F64(convWeightKey, c.weight.W.Len()), c.weight.W.Data())
-	if c.K == 1 {
-		pointwiseConv(od, xd, wd, bd, c.InC, c.OutC, d*h*w, relu, workers)
-		return out, nil
-	}
-	eff := clampWorkers(workers, c.OutC*d)
-	scratch := a.F64(convScratchKey, eff*w)
-	if eff <= 1 {
-		conv3dPlanes(od, xd, wd, bd, c.InC, c.K, d, h, w, relu, segLo, segHi, scratch, 0, c.OutC*d)
-	} else {
-		dispatchScratch(eff, c.OutC*d, w, scratch, func(lo, hi int, acc []float64) {
-			conv3dPlanes(od, xd, wd, bd, c.InC, c.K, d, h, w, relu, segLo, segHi, acc, lo, hi)
-		})
-	}
-	return out, nil
-}
-
-// Infer implements InferLayer.
-func (l *DepthwiseConv2D) Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
-	return l.infer(x, dstKey, segLo, segHi, a, workers, false)
-}
-
-func (l *DepthwiseConv2D) infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error) {
-	if x.Rank() != 3 || x.Dim(0) != l.C {
-		return Act{}, fmt.Errorf("nn: depthwise2d wants (%d,H,W), got %v", l.C, x.Shape())
-	}
-	h, w := x.Dim(1), x.Dim(2)
-	out := a.Act(dstKey, l.C, h, w)
-	xd, od, bd := x.Data, out.Data, l.bias.W.Data()
-	wd := toF64(a.F64(convWeightKey, l.weight.W.Len()), l.weight.W.Data())
-	eff := clampWorkers(workers, l.C*h)
-	scratch := a.F64(convScratchKey, eff*w)
-	if eff <= 1 {
-		depthwise2dRows(od, xd, wd, bd, l.K, h, w, relu, segLo, segHi, scratch, 0, l.C*h)
-	} else {
-		dispatchScratch(eff, l.C*h, w, scratch, func(lo, hi int, acc []float64) {
-			depthwise2dRows(od, xd, wd, bd, l.K, h, w, relu, segLo, segHi, acc, lo, hi)
-		})
-	}
-	return out, nil
-}
-
-// Infer implements InferLayer.
-func (l *DepthwiseConv3D) Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
-	return l.infer(x, dstKey, segLo, segHi, a, workers, false)
-}
-
-func (l *DepthwiseConv3D) infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error) {
-	if x.Rank() != 4 || x.Dim(0) != l.C {
-		return Act{}, fmt.Errorf("nn: depthwise3d wants (%d,D,H,W), got %v", l.C, x.Shape())
-	}
-	d, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
-	out := a.Act(dstKey, l.C, d, h, w)
-	xd, od, bd := x.Data, out.Data, l.bias.W.Data()
-	wd := toF64(a.F64(convWeightKey, l.weight.W.Len()), l.weight.W.Data())
-	eff := clampWorkers(workers, l.C*d)
-	scratch := a.F64(convScratchKey, eff*w)
-	if eff <= 1 {
-		depthwise3dPlanes(od, xd, wd, bd, l.K, d, h, w, relu, segLo, segHi, scratch, 0, l.C*d)
-	} else {
-		dispatchScratch(eff, l.C*d, w, scratch, func(lo, hi int, acc []float64) {
-			depthwise3dPlanes(od, xd, wd, bd, l.K, d, h, w, relu, segLo, segHi, acc, lo, hi)
-		})
-	}
-	return out, nil
-}
-
-// forwardInfer is the Forward of a convolution: its Infer, unsegmented,
-// on a private arena, with the float32 input widened and the output
-// narrowed (both exact).
-func forwardInfer(l convLayer, x *tensor.Tensor) (*tensor.Tensor, error) {
-	y, err := l.infer(actOf(x), "out", nil, nil, NewArena(), parallel.Workers(), false)
-	if err != nil {
-		return nil, err
-	}
-	return tensorOf(y), nil
-}
-
-// Infer implements InferLayer. ReLU clamps in place (segment boundaries
-// are irrelevant for an element-wise op) with the same relu32 a folded
-// store uses. Sequential.Infer only runs it for a ReLU that does not
-// follow a convolution.
-func (r *ReLU) Infer(x Act, _ string, _, _ []int, _ *Arena, _ int) (Act, error) {
-	for i, v := range x.Data {
-		x.Data[i] = relu32(float32(v))
-	}
-	return x, nil
-}
-
-// Infer implements InferLayer. Pooling, the shared MLP, and the sigmoid
+// Infer implements Layer. Pooling, the shared MLP, and the sigmoid
 // rescale all run per segment — each slab sees exactly the attention
-// weights a standalone Forward over that slab would compute. Pooling and
+// weights an unsegmented pass over that slab would compute. Pooling and
 // the rescale run per (segment, channel) work item on the workers; the
 // MLP and sigmoid, C×hidden multiply-adds per segment, run serially.
 func (at *ChannelAttention) Infer(x Act, _ string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
@@ -840,7 +651,7 @@ func attnPool(xd, avg, mx []float64, starts []int, C, spatial, plane, lo, hi int
 
 // attnScale multiplies work items [lo, hi) of ChannelAttention.Infer
 // (laid out as in attnPool) by their float32 attention weights, in
-// float32 arithmetic as Forward does.
+// float32 arithmetic.
 func attnScale(xd, wts []float64, starts []int, C, spatial, plane, lo, hi int) {
 	for t := lo; t < hi; t++ {
 		s, c := t/C, t%C

@@ -1,12 +1,14 @@
 // Package nn is a from-scratch neural-network substrate sufficient to
-// implement, train, and run the paper's CFNN on the CPU: 2D/3D convolutions,
-// depthwise separable convolutions, a CBAM-style channel-attention block,
-// dense layers, ReLU/Sigmoid, MSE loss, SGD/Adam optimizers, and weight
+// implement, train, and run the paper's CFNN on the CPU: 2D/3D
+// convolutions (Conv), depthwise convolutions (Depthwise), a CBAM-style
+// channel-attention block, ReLU, MSE loss, the Adam optimizer, and weight
 // serialization.
 //
-// Layout conventions: feature maps are channel-major tensors — rank-3
-// (C, H, W) for 2D networks and rank-4 (C, D, H, W) for 3D networks.
-// Training processes one sample at a time; minibatches accumulate gradients
+// Layout conventions: feature maps are channel-major float64 activations
+// (Act) — (C, H, W) for 2D networks and (C, D, H, W) for 3D networks —
+// whose values are float32-exact; parameters are float32 tensors.
+// Training and inference run on the same kernels (infer.go). Training
+// processes one sample at a time; minibatches accumulate gradients
 // across samples before an optimizer step, which is equivalent to (and
 // simpler than) a batch dimension for the tiny models involved.
 package nn
@@ -36,74 +38,104 @@ func (p *Param) ZeroGrad() { p.G.Zero() }
 // Size returns the number of scalar weights.
 func (p *Param) Size() int { return p.W.Len() }
 
-// Layer is a differentiable module.
+// Layer is one differentiable module of a Sequential. Every method
+// works on arena-owned float64 activations (Act).
 //
-// Forward consumes an input tensor and returns the output; the layer caches
-// whatever it needs for the following Backward. Backward consumes dL/dout,
-// accumulates parameter gradients (+=), and returns dL/din. A layer must be
-// used in strict Forward-then-Backward alternation (per sample), which the
-// Trainer guarantees.
+// Infer is the inference pass (see infer.go). It
+//
+//   - mutates no layer state, so one model can run concurrent inference
+//     from many goroutines as long as each uses its own Arena;
+//   - draws all scratch (including the output activation) from the Arena,
+//     so steady-state passes allocate nothing;
+//   - honors segment boundaries along the leading spatial axis: segLo/segHi
+//     map each plane index to its segment's [lo, hi) bounds (nil means one
+//     segment spanning the whole axis).
+//
+// Element-wise layers may compute in place and return x itself; layers
+// that produce a new activation take it from the arena under dstKey,
+// which the caller guarantees is not x's backing buffer. Parallel kernels
+// use up to workers goroutines (<= 1 means serial, which is also the
+// zero-alloc mode — parallel dispatch allocates goroutine frames).
+//
+// Forward is the training pass: the unsegmented Infer on the same
+// kernels, keeping what Backward needs. A layer whose Backward needs its
+// input x writes its output into the arena under dstKey, and x must then
+// stay unchanged until Backward; a layer whose Backward needs only its
+// output (ReLU) may compute in place.
+//
+// Backward takes dL/dy, accumulates the parameter gradients (+=), and
+// returns dL/dx under gxKey, which the caller guarantees is not gy's
+// buffer; it may also overwrite gy and return it. An empty gxKey means
+// the caller does not read dL/dx, so the layer may skip it. A layer runs
+// in strict Forward-then-Backward alternation, which Sequential keeps.
 type Layer interface {
-	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
-	Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error)
+	Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error)
+	Forward(x Act, dstKey string, a *Arena) (Act, error)
+	Backward(gy Act, gxKey string, a *Arena) (Act, error)
 	Params() []*Param
 	Name() string
 }
 
 // Sequential chains layers.
 type Sequential struct {
-	Layers []*NamedLayer
-}
-
-// NamedLayer pairs a layer with its position for error messages.
-type NamedLayer struct {
-	Layer Layer
+	Layers []Layer
 }
 
 // NewSequential builds a sequential container.
 func NewSequential(layers ...Layer) *Sequential {
-	s := &Sequential{}
-	for _, l := range layers {
-		s.Layers = append(s.Layers, &NamedLayer{Layer: l})
-	}
-	return s
+	return &Sequential{Layers: layers}
 }
 
-// Forward implements Layer.
-func (s *Sequential) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	var err error
-	for i, nl := range s.Layers {
-		x, err = nl.Layer.Forward(x)
+// Forward runs the training pass. Each layer's output lives in the arena
+// under its own key, so every layer's input stays there for Backward. The
+// returned activation is valid until the arena's next Forward.
+func (s *Sequential) Forward(x Act, a *Arena) (Act, error) {
+	for i, l := range s.Layers {
+		y, err := l.Forward(x, fmt.Sprintf("seq.fwd%d", i), a)
 		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, nl.Layer.Name(), err)
+			return Act{}, fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
 		}
+		x = y
 	}
 	return x, nil
 }
 
-// Backward implements Layer.
-func (s *Sequential) Backward(g *tensor.Tensor) (*tensor.Tensor, error) {
-	var err error
+// Backward backpropagates gy, dL/d(output of the last Forward), through
+// every layer, accumulating the parameter gradients and ping-ponging the
+// activation gradients between two arena buffers. Nothing reads the
+// first layer's input gradient, so it is not computed. gy may be
+// overwritten.
+func (s *Sequential) Backward(gy Act, a *Arena) error {
+	next := 0
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		g, err = s.Layers[i].Layer.Backward(g)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d (%s) backward: %w", i, s.Layers[i].Layer.Name(), err)
+		key := backwardKeys[next]
+		if i == 0 {
+			key = ""
 		}
+		gx, err := s.Layers[i].Backward(gy, key, a)
+		if err != nil {
+			return fmt.Errorf("nn: layer %d (%s) backward: %w", i, s.Layers[i].Name(), err)
+		}
+		if !sameBuffer(gy.Data, gx.Data) {
+			next = 1 - next
+		}
+		gy = gx
 	}
-	return g, nil
+	return nil
 }
 
-// Params implements Layer.
+// backwardKeys are the arena buffers Sequential.Backward ping-pongs
+// between.
+var backwardKeys = [2]string{"seq.gping", "seq.gpong"}
+
+// Params returns every layer's parameters in order.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param
-	for _, nl := range s.Layers {
-		ps = append(ps, nl.Layer.Params()...)
+	for _, l := range s.Layers {
+		ps = append(ps, l.Params()...)
 	}
 	return ps
 }
-
-// Name implements Layer.
-func (s *Sequential) Name() string { return "sequential" }
 
 // ParamCount sums scalar weights across params.
 func ParamCount(ps []*Param) int {

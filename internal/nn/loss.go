@@ -1,56 +1,26 @@
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "fmt"
 
 // MSELoss computes mean squared error and its gradient with respect to the
-// prediction: L = mean((pred-target)^2), dL/dpred = 2(pred-target)/N.
-func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor, error) {
-	if !pred.SameShape(target) {
-		return 0, nil, fmt.Errorf("nn: mse shape mismatch %v vs %v", pred.Shape(), target.Shape())
+// prediction: L = mean((pred-target)^2), dL/dpred = 2(pred-target)/N,
+// each gradient rounded to float32. The gradient is an arena activation
+// under its own key.
+func MSELoss(pred, target Act, a *Arena) (float64, Act, error) {
+	if pred.rank != target.rank || pred.shape != target.shape {
+		return 0, Act{}, fmt.Errorf("nn: mse shape mismatch %v vs %v", pred.Shape(), target.Shape())
 	}
-	n := pred.Len()
+	n := len(pred.Data)
 	if n == 0 {
-		return 0, nil, fmt.Errorf("nn: mse on empty tensors")
+		return 0, Act{}, fmt.Errorf("nn: mse on empty activations")
 	}
-	grad := tensor.New(pred.Shape()...)
-	pd, td, gd := pred.Data(), target.Data(), grad.Data()
+	grad := a.actLike("mse.grad", pred.Dim(0), pred)
 	var sum float64
 	scale := 2 / float64(n)
-	for i := range pd {
-		d := float64(pd[i]) - float64(td[i])
+	for i, p := range pred.Data {
+		d := p - target.Data[i]
 		sum += float64(d * d)
-		gd[i] = float32(d * scale)
-	}
-	return sum / float64(n), grad, nil
-}
-
-// MAELoss computes mean absolute error and its (sub)gradient — provided for
-// loss-function ablations.
-func MAELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor, error) {
-	if !pred.SameShape(target) {
-		return 0, nil, fmt.Errorf("nn: mae shape mismatch %v vs %v", pred.Shape(), target.Shape())
-	}
-	n := pred.Len()
-	if n == 0 {
-		return 0, nil, fmt.Errorf("nn: mae on empty tensors")
-	}
-	grad := tensor.New(pred.Shape()...)
-	pd, td, gd := pred.Data(), target.Data(), grad.Data()
-	var sum float64
-	scale := 1 / float64(n)
-	for i := range pd {
-		d := float64(pd[i]) - float64(td[i])
-		if d > 0 {
-			sum += d
-			gd[i] = float32(scale)
-		} else {
-			sum -= d
-			gd[i] = float32(-scale)
-		}
+		grad.Data[i] = float64(float32(d * scale))
 	}
 	return sum / float64(n), grad, nil
 }

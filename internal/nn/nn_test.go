@@ -5,187 +5,179 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
-// lossOf computes a deterministic scalar "loss" = sum(forward(x) .* mask).
-func lossOf(t *testing.T, l Layer, x, mask *tensor.Tensor) float64 {
-	t.Helper()
-	y, err := l.Forward(x)
-	if err != nil {
-		t.Fatal(err)
+// randAct returns an activation of float32-exact values uniform in
+// [-1, 1).
+func randAct(rng *rand.Rand, shape ...int) Act {
+	vol := 1
+	for _, d := range shape {
+		vol *= d
 	}
-	if !y.SameShape(mask) {
-		t.Fatalf("mask shape %v != output %v", mask.Shape(), y.Shape())
-	}
-	var sum float64
-	for i, v := range y.Data() {
-		sum += float64(v) * float64(mask.Data()[i])
-	}
-	return sum
-}
-
-// gradCheck verifies analytic gradients (input + params) against central
-// finite differences. Tolerances are loose because arithmetic is float32.
-func gradCheck(t *testing.T, l Layer, x *tensor.Tensor, outShape []int, seed int64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	mask := tensor.New(outShape...)
-	for i := range mask.Data() {
-		mask.Data()[i] = rng.Float32()*2 - 1
-	}
-	// Analytic pass.
-	ZeroGrads(l.Params())
-	_ = lossOf(t, l, x, mask)
-	gx, err := l.Backward(mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const eps = 1e-2
-	checkOne := func(name string, data []float32, analytic []float32, idx int) {
-		orig := data[idx]
-		data[idx] = orig + eps
-		lp := lossOf(t, l, x, mask)
-		data[idx] = orig - eps
-		lm := lossOf(t, l, x, mask)
-		data[idx] = orig
-		numeric := (lp - lm) / (2 * eps)
-		got := float64(analytic[idx])
-		diff := math.Abs(numeric - got)
-		scale := math.Max(1, math.Max(math.Abs(numeric), math.Abs(got)))
-		if diff/scale > 0.05 {
-			t.Fatalf("%s[%d]: analytic %v vs numeric %v", name, idx, got, numeric)
-		}
-	}
-	// Spot-check a sample of input positions.
-	for s := 0; s < 12; s++ {
-		idx := rng.Intn(x.Len())
-		checkOne("dL/dx", x.Data(), gx.Data(), idx)
-	}
-	// And of each parameter tensor.
-	for _, p := range l.Params() {
-		for s := 0; s < 8; s++ {
-			idx := rng.Intn(p.W.Len())
-			checkOne("dL/d"+p.Name, p.W.Data(), p.G.Data(), idx)
-		}
-	}
-}
-
-func randInput(rng *rand.Rand, shape ...int) *tensor.Tensor {
-	x := tensor.New(shape...)
-	for i := range x.Data() {
-		x.Data()[i] = rng.Float32()*2 - 1
+	x := newAct(make([]float64, vol), shape...)
+	for i := range x.Data {
+		x.Data[i] = float64(rng.Float32()*2 - 1)
 	}
 	return x
 }
 
-func TestConv2DGradients(t *testing.T) {
+// cloneAct copies x into fresh memory.
+func cloneAct(x Act) Act {
+	return newAct(append([]float64(nil), x.Data...), x.Shape()...)
+}
+
+// gradTarget is what gradCheck differentiates: a layer, or a Sequential
+// (whose first input gradient is not computed, so backward returns an
+// empty Act).
+type gradTarget struct {
+	forward  func(x Act) (Act, error)
+	backward func(gy Act) (Act, error)
+	params   []*Param
+}
+
+// layerTarget drives one layer through its Forward and Backward, on a
+// copy of the input (ReLU clamps its input in place).
+func layerTarget(l Layer) gradTarget {
+	a := NewArena()
+	return gradTarget{
+		forward: func(x Act) (Act, error) {
+			in := a.actLike("test.x", x.Dim(0), x)
+			copy(in.Data, x.Data)
+			return l.Forward(in, "test.y", a)
+		},
+		backward: func(gy Act) (Act, error) { return l.Backward(gy, "test.gx", a) },
+		params:   l.Params(),
+	}
+}
+
+// seqTarget drives a Sequential through its Forward and Backward.
+func seqTarget(s *Sequential) gradTarget {
+	a := NewArena()
+	return gradTarget{
+		forward:  func(x Act) (Act, error) { return s.Forward(cloneAct(x), a) },
+		backward: func(gy Act) (Act, error) { return Act{}, s.Backward(gy, a) },
+		params:   s.Params(),
+	}
+}
+
+// lossOf computes a deterministic scalar "loss" = sum(forward(x) .* mask).
+func lossOf(t *testing.T, g gradTarget, x Act, mask []float64) float64 {
+	t.Helper()
+	y, err := g.forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(y.Data) != len(mask) {
+		t.Fatalf("mask length %d != output %v", len(mask), y.Shape())
+	}
+	var sum float64
+	for i, v := range y.Data {
+		sum += v * mask[i]
+	}
+	return sum
+}
+
+// gradCheck verifies analytic gradients (input, when the target computes
+// it, and params) against central finite differences. Tolerances are
+// loose because every layer rounds to float32.
+func gradCheck(t *testing.T, g gradTarget, x Act, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	y, err := g.forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := make([]float64, len(y.Data))
+	for i := range mask {
+		mask[i] = float64(rng.Float32()*2 - 1)
+	}
+	// Analytic pass.
+	ZeroGrads(g.params)
+	_ = lossOf(t, g, x, mask)
+	gx, err := g.backward(newAct(append([]float64(nil), mask...), y.Shape()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 1e-2
+	check := func(name string, idx int, analytic float64, set func(float64), orig float64) {
+		set(orig + eps)
+		lp := lossOf(t, g, x, mask)
+		set(orig - eps)
+		lm := lossOf(t, g, x, mask)
+		set(orig)
+		numeric := (lp - lm) / (2 * eps)
+		diff := math.Abs(numeric - analytic)
+		scale := math.Max(1, math.Max(math.Abs(numeric), math.Abs(analytic)))
+		if diff/scale > 0.05 {
+			t.Fatalf("%s[%d]: analytic %v vs numeric %v", name, idx, analytic, numeric)
+		}
+	}
+	// Spot-check a sample of input positions.
+	if gx.Data != nil {
+		gxd := append([]float64(nil), gx.Data...)
+		for s := 0; s < 12; s++ {
+			idx := rng.Intn(len(x.Data))
+			check("dL/dx", idx, gxd[idx], func(v float64) { x.Data[idx] = v }, x.Data[idx])
+		}
+	}
+	// And of each parameter tensor.
+	for _, p := range g.params {
+		w, gw := p.W.Data(), append([]float32(nil), p.G.Data()...)
+		for s := 0; s < 8; s++ {
+			idx := rng.Intn(len(w))
+			check("dL/d"+p.Name, idx, float64(gw[idx]), func(v float64) { w[idx] = float32(v) }, float64(w[idx]))
+		}
+	}
+}
+
+// TestLayerGradients checks every layer's input and parameter gradients
+// against finite differences: dense convolutions with 3×3 and 1×1
+// kernels and depthwise convolutions in 2D and 3D, ReLU, and channel
+// attention.
+func TestLayerGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	l, err := NewConv2D(rng, 2, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randInput(rng, 2, 5, 6)
-	gradCheck(t, l, x, []int{3, 5, 6}, 11)
-}
-
-func TestConv2DKernel1(t *testing.T) {
-	// Pointwise convolution (k=1) is the separable-conv mixing stage.
-	rng := rand.New(rand.NewSource(2))
-	l, err := NewConv2D(rng, 3, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randInput(rng, 3, 4, 4)
-	gradCheck(t, l, x, []int{2, 4, 4}, 12)
-}
-
-func TestConv3DGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	l, err := NewConv3D(rng, 2, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randInput(rng, 2, 3, 4, 5)
-	gradCheck(t, l, x, []int{2, 3, 4, 5}, 13)
-}
-
-func TestDepthwise2DGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	l, err := NewDepthwiseConv2D(rng, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randInput(rng, 3, 5, 5)
-	gradCheck(t, l, x, []int{3, 5, 5}, 14)
-}
-
-func TestDepthwise3DGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	l, err := NewDepthwiseConv3D(rng, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randInput(rng, 2, 3, 4, 4)
-	gradCheck(t, l, x, []int{2, 3, 4, 4}, 15)
-}
-
-func TestDenseGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	l, err := NewDense(rng, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randInput(rng, 5)
-	gradCheck(t, l, x, []int{3}, 16)
-}
-
-func TestReLUGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	l := NewReLU()
-	x := randInput(rng, 2, 4, 4)
-	// Keep values away from the kink for finite differences.
-	for i, v := range x.Data() {
-		if v > -0.05 && v < 0.05 {
-			x.Data()[i] = 0.3
+	must := func(l Layer, err error) Layer {
+		if err != nil {
+			t.Fatal(err)
 		}
+		return l
 	}
-	gradCheck(t, l, x, []int{2, 4, 4}, 17)
-}
-
-func TestLeakyReLUGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	l := NewLeakyReLU(0.1)
-	x := randInput(rng, 2, 3, 3)
-	for i, v := range x.Data() {
-		if v > -0.05 && v < 0.05 {
-			x.Data()[i] = -0.3
-		}
+	cases := []struct {
+		name  string
+		layer Layer
+		shape []int
+	}{
+		{"conv2d_k3", must(NewConv(rng, 2, 2, 3, 3)), []int{2, 5, 6}},
+		{"conv2d_k1", must(NewConv(rng, 2, 3, 2, 1)), []int{3, 4, 4}},
+		{"conv3d_k3", must(NewConv(rng, 3, 2, 2, 3)), []int{2, 3, 4, 5}},
+		{"conv3d_k1", must(NewConv(rng, 3, 3, 2, 1)), []int{3, 2, 3, 3}},
+		{"depthwise2d", must(NewDepthwise(rng, 2, 3, 3)), []int{3, 5, 5}},
+		{"depthwise3d", must(NewDepthwise(rng, 3, 2, 3)), []int{2, 3, 4, 4}},
+		{"relu", NewReLU(), []int{2, 4, 4}},
+		{"attention", must(NewChannelAttention(rng, 4, 2)), []int{4, 5, 5}},
 	}
-	gradCheck(t, l, x, []int{2, 3, 3}, 18)
-}
-
-func TestSigmoidGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	l := NewSigmoid()
-	x := randInput(rng, 3, 3)
-	gradCheck(t, l, x, []int{3, 3}, 19)
-}
-
-func TestChannelAttentionGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	l, err := NewChannelAttention(rng, 4, 2)
-	if err != nil {
-		t.Fatal(err)
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			x := randAct(rng, tc.shape...)
+			switch tc.layer.(type) {
+			case *ReLU:
+				// Keep values away from the kink for finite differences.
+				for i, v := range x.Data {
+					if v > -0.05 && v < 0.05 {
+						x.Data[i] = 0.3
+					}
+				}
+			case *ChannelAttention:
+				// Max-pool argmax must be stable under the eps
+				// perturbation: make each channel's max clearly unique.
+				spatial := len(x.Data) / x.Dim(0)
+				for c := 0; c < x.Dim(0); c++ {
+					x.Data[c*spatial+(c*7)%spatial] = 2.5 + float64(float32(c)*0.1)
+				}
+			}
+			gradCheck(t, layerTarget(tc.layer), x, int64(11+i))
+		})
 	}
-	x := randInput(rng, 4, 5, 5)
-	// Max-pool argmax must be stable under the eps perturbation: make each
-	// channel's max clearly unique.
-	for c := 0; c < 4; c++ {
-		x.Set(2.5+float32(c)*0.1, c, c%5, (c*2)%5)
-	}
-	gradCheck(t, l, x, []int{4, 5, 5}, 20)
 }
 
 func TestChannelAttention3DInput(t *testing.T) {
@@ -194,17 +186,17 @@ func TestChannelAttention3DInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := randInput(rng, 3, 2, 4, 4)
-	y, err := l.Forward(x)
+	x := randAct(rng, 3, 2, 4, 4)
+	y, err := l.Forward(x, "y", NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !y.SameShape(x) {
+	if y.shape != x.shape || y.rank != x.rank {
 		t.Fatalf("attention output shape %v", y.Shape())
 	}
 	// Attention weights are in (0,1): output magnitude never exceeds input.
-	for i := range y.Data() {
-		if math.Abs(float64(y.Data()[i])) > math.Abs(float64(x.Data()[i]))+1e-6 {
+	for i, v := range y.Data {
+		if math.Abs(v) > math.Abs(x.Data[i])+1e-6 {
 			t.Fatal("attention amplified beyond sigmoid range")
 		}
 	}
@@ -212,61 +204,74 @@ func TestChannelAttention3DInput(t *testing.T) {
 
 func TestSequentialChainsAndParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	c1, _ := NewConv2D(rng, 1, 2, 3)
-	c2, _ := NewConv2D(rng, 2, 1, 1)
+	c1, _ := NewConv(rng, 2, 1, 2, 3)
+	c2, _ := NewConv(rng, 2, 2, 1, 1)
 	seq := NewSequential(c1, NewReLU(), c2)
 	if got := len(seq.Params()); got != 4 {
 		t.Fatalf("params = %d, want 4", got)
 	}
-	x := randInput(rng, 1, 6, 6)
-	y, err := seq.Forward(x)
+	a := NewArena()
+	x := randAct(rng, 1, 6, 6)
+	y, err := seq.Forward(x, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !shapeEq(y, 1, 6, 6) {
+	if y.Rank() != 3 || y.Dim(0) != 1 || y.Dim(1) != 6 || y.Dim(2) != 6 {
 		t.Fatalf("output shape %v", y.Shape())
 	}
-	_, grad, err := MSELoss(y, tensor.New(1, 6, 6))
+	_, grad, err := MSELoss(y, newAct(make([]float64, 36), 1, 6, 6), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gx, err := seq.Backward(grad)
-	if err != nil {
+	ZeroGrads(seq.Params())
+	if err := seq.Backward(grad, a); err != nil {
 		t.Fatal(err)
 	}
-	if !gx.SameShape(x) {
-		t.Fatalf("input grad shape %v", gx.Shape())
+	for i, p := range seq.Params() {
+		nonzero := false
+		for _, v := range p.G.Data() {
+			nonzero = nonzero || v != 0
+		}
+		if !nonzero {
+			t.Fatalf("param %d (%s) got no gradient", i, p.Name)
+		}
 	}
 }
 
 func TestSequentialShapeErrorPropagates(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	c1, _ := NewConv2D(rng, 2, 2, 3)
+	c1, _ := NewConv(rng, 2, 2, 2, 3)
 	seq := NewSequential(c1)
-	if _, err := seq.Forward(tensor.New(3, 4, 4)); err == nil {
+	if _, err := seq.Forward(randAct(rng, 3, 4, 4), NewArena()); err == nil {
 		t.Fatal("expected channel mismatch error")
+	}
+	if _, err := seq.Forward(randAct(rng, 2, 2, 4, 4), NewArena()); err == nil {
+		t.Fatal("expected rank mismatch error")
 	}
 }
 
 func TestInvalidLayerConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	if _, err := NewConv2D(rng, 0, 1, 3); err == nil {
+	if _, err := NewConv(rng, 2, 0, 1, 3); err == nil {
 		t.Fatal("conv2d inC=0")
 	}
-	if _, err := NewConv2D(rng, 1, 1, 2); err == nil {
+	if _, err := NewConv(rng, 2, 1, 1, 2); err == nil {
 		t.Fatal("conv2d even kernel")
 	}
-	if _, err := NewConv3D(rng, 1, 0, 3); err == nil {
+	if _, err := NewConv(rng, 3, 1, 0, 3); err == nil {
 		t.Fatal("conv3d outC=0")
 	}
-	if _, err := NewDepthwiseConv2D(rng, 0, 3); err == nil {
+	if _, err := NewConv(rng, 4, 1, 1, 3); err == nil {
+		t.Fatal("conv rank 4")
+	}
+	if _, err := NewDepthwise(rng, 2, 0, 3); err == nil {
 		t.Fatal("dw2d c=0")
 	}
-	if _, err := NewDepthwiseConv3D(rng, 1, 4); err == nil {
+	if _, err := NewDepthwise(rng, 3, 1, 4); err == nil {
 		t.Fatal("dw3d even kernel")
 	}
-	if _, err := NewDense(rng, 0, 1); err == nil {
-		t.Fatal("dense in=0")
+	if _, err := NewDepthwise(rng, 1, 1, 3); err == nil {
+		t.Fatal("depthwise rank 1")
 	}
 	if _, err := NewChannelAttention(rng, 0, 2); err == nil {
 		t.Fatal("attention c=0")
@@ -275,104 +280,90 @@ func TestInvalidLayerConfigs(t *testing.T) {
 
 func TestBackwardBeforeForwardErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	g := tensor.New(1, 3, 3)
-	c, _ := NewConv2D(rng, 1, 1, 3)
-	if _, err := c.Backward(g); err == nil {
+	a := NewArena()
+	g := randAct(rng, 1, 3, 3)
+	c, _ := NewConv(rng, 2, 1, 1, 3)
+	if _, err := c.Backward(g, "gx", a); err == nil {
 		t.Fatal("conv2d")
 	}
-	d, _ := NewDepthwiseConv2D(rng, 1, 3)
-	if _, err := d.Backward(g); err == nil {
+	d, _ := NewDepthwise(rng, 2, 1, 3)
+	if _, err := d.Backward(g, "gx", a); err == nil {
 		t.Fatal("dw2d")
 	}
-	if _, err := NewReLU().Backward(g); err == nil {
+	if _, err := NewReLU().Backward(g, "gx", a); err == nil {
 		t.Fatal("relu")
 	}
-	if _, err := NewSigmoid().Backward(g); err == nil {
-		t.Fatal("sigmoid")
+	at, _ := NewChannelAttention(rng, 1, 1)
+	if _, err := at.Backward(g, "gx", a); err == nil {
+		t.Fatal("attention")
+	}
+	// A gradient of the wrong shape after a Forward errors too.
+	if _, err := c.Forward(randAct(rng, 1, 3, 3), "y", a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Backward(randAct(rng, 1, 3, 4), "gx", a); err == nil {
+		t.Fatal("conv2d gradOut shape")
 	}
 }
 
 func TestMSELossValueAndGrad(t *testing.T) {
-	pred := tensor.MustFromSlice([]float32{1, 2}, 2)
-	target := tensor.MustFromSlice([]float32{0, 4}, 2)
-	loss, grad, err := MSELoss(pred, target)
+	a := NewArena()
+	pred := newAct([]float64{1, 2}, 2)
+	target := newAct([]float64{0, 4}, 2)
+	loss, grad, err := MSELoss(pred, target, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(loss-2.5) > 1e-9 { // (1 + 4)/2
 		t.Fatalf("loss = %v", loss)
 	}
-	if math.Abs(float64(grad.Data()[0])-1) > 1e-6 || math.Abs(float64(grad.Data()[1])+2) > 1e-6 {
-		t.Fatalf("grad = %v", grad.Data())
+	if math.Abs(grad.Data[0]-1) > 1e-6 || math.Abs(grad.Data[1]+2) > 1e-6 {
+		t.Fatalf("grad = %v", grad.Data)
 	}
-	if _, _, err := MSELoss(pred, tensor.New(3)); err == nil {
+	if _, _, err := MSELoss(pred, newAct(make([]float64, 3), 3), a); err == nil {
 		t.Fatal("expected shape error")
 	}
 }
 
-func TestMAELoss(t *testing.T) {
-	pred := tensor.MustFromSlice([]float32{1, -2}, 2)
-	target := tensor.MustFromSlice([]float32{0, 0}, 2)
-	loss, grad, err := MAELoss(pred, target)
+// A 1×1 convolution over one pixel is a linear map; Adam must fit one.
+func TestOptimizersFitLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	l, err := NewConv(rng, 2, 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(loss-1.5) > 1e-9 {
-		t.Fatalf("loss = %v", loss)
-	}
-	if grad.Data()[0] <= 0 || grad.Data()[1] >= 0 {
-		t.Fatalf("grad signs = %v", grad.Data())
-	}
-}
-
-// A 1-layer dense net must fit a linear map with either optimizer.
-func TestOptimizersFitLinear(t *testing.T) {
-	for _, optName := range []string{"sgd", "sgdm", "adam"} {
-		rng := rand.New(rand.NewSource(16))
-		l, err := NewDense(rng, 2, 1)
+	opt := NewAdam(0.05)
+	a := NewArena()
+	// Target: y = 3a - 2b + 1.
+	var last float64
+	for step := 0; step < 400; step++ {
+		ZeroGrads(l.Params())
+		u := float64(rng.Float32()*2 - 1)
+		v := float64(rng.Float32()*2 - 1)
+		x := newAct([]float64{u, v}, 2, 1, 1)
+		want := newAct([]float64{float64(float32(3*u - 2*v + 1))}, 1, 1, 1)
+		y, err := l.Forward(x, "y", a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var opt Optimizer
-		switch optName {
-		case "sgd":
-			opt = NewSGD(0.05, 0)
-		case "sgdm":
-			opt = NewSGD(0.02, 0.9)
-		case "adam":
-			opt = NewAdam(0.05)
+		loss, grad, err := MSELoss(y, want, a)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Target: y = 3a - 2b + 1.
-		var last float64
-		for step := 0; step < 400; step++ {
-			ZeroGrads(l.Params())
-			a := rng.Float32()*2 - 1
-			b := rng.Float32()*2 - 1
-			x := tensor.MustFromSlice([]float32{a, b}, 2)
-			want := tensor.MustFromSlice([]float32{3*a - 2*b + 1}, 1)
-			y, err := l.Forward(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loss, grad, err := MSELoss(y, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			last = loss
-			if _, err := l.Backward(grad); err != nil {
-				t.Fatal(err)
-			}
-			opt.Step(l.Params())
+		last = loss
+		if _, err := l.Backward(grad, "", a); err != nil {
+			t.Fatal(err)
 		}
-		if last > 0.05 {
-			t.Fatalf("%s: final loss %v, want < 0.05", optName, last)
-		}
+		opt.Step(l.Params())
+	}
+	if last > 0.05 {
+		t.Fatalf("final loss %v, want < 0.05", last)
 	}
 }
 
 func TestSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	c1, _ := NewConv2D(rng, 2, 3, 3)
+	c1, _ := NewConv(rng, 2, 2, 3, 3)
 	att, _ := NewChannelAttention(rng, 3, 2)
 	seq := NewSequential(c1, att)
 	var buf bytes.Buffer
@@ -384,7 +375,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	// Fresh model with same shapes, different weights.
 	rng2 := rand.New(rand.NewSource(99))
-	c1b, _ := NewConv2D(rng2, 2, 3, 3)
+	c1b, _ := NewConv(rng2, 2, 2, 3, 3)
 	attb, _ := NewChannelAttention(rng2, 3, 2)
 	seqb := NewSequential(c1b, attb)
 	if err := LoadParams(bytes.NewReader(buf.Bytes()), seqb.Params()); err != nil {
@@ -402,16 +393,20 @@ func TestSerializationRoundTrip(t *testing.T) {
 
 func TestSerializationShapeMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	a, _ := NewDense(rng, 4, 2)
+	a, _ := NewConv(rng, 2, 4, 2, 1)
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, a.Params()); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := NewDense(rng, 3, 2) // wrong input width
+	b, _ := NewConv(rng, 2, 3, 2, 1) // wrong input width
 	if err := LoadParams(bytes.NewReader(buf.Bytes()), b.Params()); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
-	c, _ := NewConv2D(rng, 1, 1, 3) // wrong param count
+	c3, _ := NewConv(rng, 3, 4, 2, 1) // wrong rank
+	if err := LoadParams(bytes.NewReader(buf.Bytes()), c3.Params()); err == nil {
+		t.Fatal("expected rank mismatch error")
+	}
+	c, _ := NewConv(rng, 2, 1, 1, 3) // wrong param count
 	if err := LoadParams(bytes.NewReader(buf.Bytes()), append(c.Params(), a.Params()...)); err == nil {
 		t.Fatal("expected count mismatch error")
 	}
@@ -428,7 +423,7 @@ func TestSerializationShapeMismatch(t *testing.T) {
 
 func TestParamCountAndScaleGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	c, _ := NewConv2D(rng, 2, 3, 3)
+	c, _ := NewConv(rng, 2, 2, 3, 3)
 	// weights 3*2*3*3=54 + bias 3 = 57.
 	if n := ParamCount(c.Params()); n != 57 {
 		t.Fatalf("param count = %d, want 57", n)
@@ -459,7 +454,7 @@ func TestParamCountAndScaleGrads(t *testing.T) {
 // is "a masked CNN with fixed parameters".
 func TestConv2DEncodesLorenzoStencil(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	l, err := NewConv2D(rng, 1, 1, 3)
+	l, err := NewConv(rng, 2, 1, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,15 +467,16 @@ func TestConv2DEncodesLorenzoStencil(t *testing.T) {
 	wd[1*3+0] = 1
 	wd[0*3+0] = -1
 	l.bias.W.Data()[0] = 0
-	x := randInput(rng, 1, 6, 6)
-	y, err := l.Forward(x)
+	x := randAct(rng, 1, 6, 6)
+	y, err := l.Forward(x, "y", NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
+	at := func(d []float64, i, j int) float64 { return d[i*6+j] }
 	for i := 1; i < 6; i++ {
 		for j := 1; j < 6; j++ {
-			want := x.At(0, i-1, j) + x.At(0, i, j-1) - x.At(0, i-1, j-1)
-			if math.Abs(float64(y.At(0, i, j)-want)) > 1e-5 {
+			want := at(x.Data, i-1, j) + at(x.Data, i, j-1) - at(x.Data, i-1, j-1)
+			if math.Abs(at(y.Data, i, j)-want) > 1e-5 {
 				t.Fatalf("Lorenzo stencil mismatch at (%d,%d)", i, j)
 			}
 		}

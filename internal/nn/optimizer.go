@@ -1,53 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
-
-// Optimizer updates parameters from accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-	Name() string
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Param][]float32
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param][]float32)}
-}
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return fmt.Sprintf("sgd(lr=%g,m=%g)", s.LR, s.Momentum) }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		w, g := p.W.Data(), p.G.Data()
-		if s.Momentum == 0 {
-			for i := range w {
-				w[i] -= float32(s.LR * float64(g[i]))
-			}
-			continue
-		}
-		v, ok := s.vel[p]
-		if !ok {
-			v = make([]float32, len(w))
-			s.vel[p] = v
-		}
-		m := float32(s.Momentum)
-		for i := range w {
-			v[i] = float32(m*v[i]) + g[i]
-			w[i] -= float32(s.LR * float64(v[i]))
-		}
-	}
-}
+import "math"
 
 // Adam is the Adam optimizer (Kingma & Ba 2015).
 type Adam struct {
@@ -66,10 +19,7 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Name implements Optimizer.
-func (a *Adam) Name() string { return fmt.Sprintf("adam(lr=%g)", a.LR) }
-
-// Step implements Optimizer.
+// Step applies one update from the accumulated gradients.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))

@@ -202,11 +202,11 @@ func TestPointwiseMatchesGo(t *testing.T) {
 func TestTapRowsKernelToggles(t *testing.T) {
 	const w = 53
 	rng := rand.New(rand.NewSource(5))
-	dw, err := NewDepthwiseConv2D(rng, 3, 3)
+	dw, err := NewDepthwise(rng, 2, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := randTensor(rng, 3, 11, w)
+	x := randNormAct(rng, 3, 11, w)
 	segLo := []int{0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5}
 	segHi := []int{5, 5, 5, 5, 5, 11, 11, 11, 11, 11, 11}
 	run := func(z, v2 bool) (acc []float64) {
@@ -217,7 +217,7 @@ func TestTapRowsKernelToggles(t *testing.T) {
 			// Clipped bundle (single ki) and generic-K paths too.
 			tapRows(acc, xd, wr, 0, -1, w+2, 0, 1, w, 3, 1)
 			tapRows(acc, xd, wr[:1], 0, 0, w, 0, 1, w, 1, 0)
-			y, err := dw.Infer(actOf(x), "out", segLo, segHi, NewArena(), 1)
+			y, err := dw.Infer(x, "out", segLo, segHi, NewArena(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
