@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,11 +65,12 @@ func foldData(rng *rand.Rand, l Layer, x Act) {
 
 // TestFoldedReLUMatchesForward pins the folded store: a convolution
 // followed by a ReLU, run through Sequential.Infer (which folds the ReLU
-// into the convolution's store), must equal the training Forward, which
-// runs the convolution and then the ReLU, bit for bit, for 2D and 3D, 3×3 and 1×1 and
-// depthwise convolutions, segmented and not, on every kernel tier, at
-// one and three workers. foldData makes the convolution emit every edge
-// of the clamp; the test checks that it did.
+// into the convolution's store) and through the training Forward (which
+// runs the convolution and then the ReLU layer), must equal an explicit
+// float32 ReLU of the convolution's output bit for bit, for 2D and 3D,
+// 3×3 and 1×1 and depthwise convolutions, segmented and not, on every
+// kernel tier, at one and three workers. foldData makes the convolution
+// emit every edge of the clamp; the test checks that it did.
 func TestFoldedReLUMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	must := func(l Layer, err error) Layer {
@@ -113,18 +115,27 @@ func TestFoldedReLUMatchesForward(t *testing.T) {
 			}
 			withKernels(tier.z, tier.v2, func() {
 				pre = segmentedForward(t, NewSequential(tc.conv), x, counts)
-				want = segmentedForward(t, net, x, counts)
+				want = make([]float64, len(pre))
+				for i, p := range pre {
+					if v := float32(p); v > 0 {
+						want[i] = float64(v)
+					} // NaN, ±0 and negatives: +0
+				}
+				check := func(pass string, got []float64) {
+					for i, v := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(v) {
+							t.Fatalf("%s, %s kernels, %s: element %d = %v, want ReLU(%v) = %v",
+								tc.name, tier.name, pass, i, got[i], pre[i], v)
+						}
+					}
+				}
+				check("training Forward", segmentedForward(t, net, x, counts))
 				for _, workers := range []int{1, 3} {
 					got, err := net.Infer(cloneAct(x), tc.counts, NewArena(), workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i, v := range want {
-						if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
-							t.Fatalf("%s, %s kernels, %d workers: element %d = %v, want ReLU(%v) = %v",
-								tc.name, tier.name, workers, i, got.Data[i], pre[i], v)
-						}
-					}
+					check(fmt.Sprintf("Infer on %d workers", workers), got.Data)
 				}
 			})
 		}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/tensor"
 )
@@ -78,7 +79,8 @@ type Layer interface {
 
 // Sequential chains layers.
 type Sequential struct {
-	Layers []Layer
+	Layers  []Layer
+	fwdKeys []string // Forward's per-layer arena keys
 }
 
 // NewSequential builds a sequential container.
@@ -90,8 +92,11 @@ func NewSequential(layers ...Layer) *Sequential {
 // under its own key, so every layer's input stays there for Backward. The
 // returned activation is valid until the arena's next Forward.
 func (s *Sequential) Forward(x Act, a *Arena) (Act, error) {
+	for len(s.fwdKeys) < len(s.Layers) {
+		s.fwdKeys = append(s.fwdKeys, "seq.fwd"+strconv.Itoa(len(s.fwdKeys)))
+	}
 	for i, l := range s.Layers {
-		y, err := l.Forward(x, fmt.Sprintf("seq.fwd%d", i), a)
+		y, err := l.Forward(x, s.fwdKeys[i], a)
 		if err != nil {
 			return Act{}, fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
 		}
