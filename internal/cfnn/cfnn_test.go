@@ -290,6 +290,37 @@ func TestLoadCorrupt(t *testing.T) {
 	}
 }
 
+// TestLoadAllocatesAboutTheBlob pins what decoding a model costs: every
+// hybrid decode that carries its model loads it, so one Load of the
+// width-14 3D Hurricane model (three anchors) may allocate at most twice
+// the blob's bytes — the weights themselves, not a read buffer or the
+// gradients a decode-only model never uses.
+func TestLoadAllocatesAboutTheBlob(t *testing.T) {
+	m, err := New(Config{SpatialRank: 3, NumAnchors: 3, Features: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	var before, after runtime.MemStats
+	minAlloc := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		_, err := Load(blob)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minAlloc = min(minAlloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	if minAlloc > uint64(2*len(blob)) {
+		t.Fatalf("loading a %d-byte model allocated %d bytes, want <= %d", len(blob), minAlloc, 2*len(blob))
+	}
+}
+
 // TestLoadBoundsAllocation feeds Load an 11-byte header that declares a
 // 3D model of width 2^13 (about 200 MiB of weights): it must fail before
 // allocating the model, in memory proportional to the header. It also

@@ -154,8 +154,8 @@ func (at *ChannelAttention) Backward(gy Act, _ string, a *Arena) (Act, error) {
 func (a *ChannelAttention) mlpBackward(s, h1, dz []float64) []float64 {
 	hid := a.Hidden()
 	w1, w2 := a.w1.W.Data(), a.w2.W.Data()
-	gw1, gb1 := a.w1.G.Data(), a.b1.G.Data()
-	gw2, gb2 := a.w2.G.Data(), a.b2.G.Data()
+	gw1, gb1 := a.w1.grad(), a.b1.grad()
+	gw2, gb2 := a.w2.grad(), a.b2.grad()
 
 	dh1 := make([]float64, hid)
 	for c := 0; c < a.C; c++ {

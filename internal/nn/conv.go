@@ -84,7 +84,7 @@ func convBackward(in, gy Act, weight, bias *Param, K int, depthwise bool, gxKey 
 	if err := checkGrad(in, gy, outC); err != nil {
 		return Act{}, err
 	}
-	paramGrads(weight.G.Data(), bias.G.Data(), in, gy, K, depthwise)
+	paramGrads(weight.grad(), bias.grad(), in, gy, K, depthwise)
 	if gxKey == "" {
 		return Act{}, nil
 	}
@@ -133,8 +133,9 @@ func zeroBias(a *Arena, n int) []float32 {
 }
 
 // Arena keys of the convolutions' scratch. Layers run strictly one at a
-// time within a pass, so they share one accumulator-row buffer, sized
-// max(workers×W), and one widened-weights buffer.
+// time within a pass, so they share one scratch buffer (per worker, an
+// accumulator row, or conv3dPadded's padded and accumulator planes) and
+// one widened-weights buffer.
 const (
 	convScratchKey = "conv.acc"
 	convWeightKey  = "conv.w64"
@@ -151,6 +152,10 @@ func runConv(out, x Act, wd []float64, bd []float32, K int, depthwise, relu bool
 		pointwiseConv(out.Data, x.Data, wd, bd, x.Dim(0), out.Dim(0), len(x.Data)/x.Dim(0), relu, workers)
 		return
 	}
+	if x.Rank() == 4 && K == 3 && haveTap9 && padSafe(wd, bd) {
+		runPadded(out, x, wd, bd, depthwise, relu, segLo, segHi, a, workers)
+		return
+	}
 	items := out.Dim(0) * x.Dim(1)
 	w := x.Dim(x.Rank() - 1)
 	eff := clampWorkers(workers, items)
@@ -161,6 +166,28 @@ func runConv(out, x Act, wd []float64, bd []float32, K int, depthwise, relu bool
 	}
 	dispatchScratch(eff, items, w, scratch, func(lo, hi int, acc []float64) {
 		convItems(out.Data, x, wd, bd, K, depthwise, relu, segLo, segHi, acc, lo, hi)
+	})
+}
+
+// runPadded is runConv for a 3×3×3 layer on conv3dPadded: work items
+// are (plane, row band), and each worker's scratch holds three padded
+// bands and its accumulator bands.
+func runPadded(out, x Act, wd []float64, bd []float32, depthwise, relu bool, segLo, segHi []int, a *Arena, workers int) {
+	inC, outC, d, h, w := x.Dim(0), out.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	accC := outC
+	if depthwise {
+		accC = 1
+	}
+	n := padScratchLen(accC, h, w)
+	items := d * padBands(h)
+	eff := clampWorkers(workers, items)
+	scratch := a.F64(convScratchKey, eff*n)
+	if eff <= 1 {
+		conv3dPadded(out.Data, x.Data, wd, bd, inC, outC, d, h, w, depthwise, relu, segLo, segHi, scratch, 0, items)
+		return
+	}
+	dispatchScratch(eff, items, n, scratch, func(lo, hi int, buf []float64) {
+		conv3dPadded(out.Data, x.Data, wd, bd, inC, outC, d, h, w, depthwise, relu, segLo, segHi, buf, lo, hi)
 	})
 }
 

@@ -40,11 +40,23 @@
 //
 // Three kernel families implement the convolutions:
 //
+//   - conv3dPadded runs every 3×3×3 convolution, dense or depthwise, on
+//     the SIMD tiers. A work item is one band of up to padRows rows of a
+//     z-plane, for every output channel. For each input channel the
+//     worker copies that band of the (up to three) planes the kz taps
+//     read into a local buffer with a one-element zero border, and makes
+//     one tap9z/tap9 call (tap9Rows) per (kz, output channel) over the
+//     whole flattened padded band, into that output channel's
+//     accumulator band; then it stores each row through storeRow. The border's zeros stand in for the taps the per-row
+//     drivers clip, which changes no bit unless a bias is −0 or a weight
+//     is not finite (padSafe); such a layer takes the per-row path.
 //   - tapRows adds a bundle of K-tap rows into a float64 accumulator row,
-//     the 3×3 interior in one register pass (tap9/tap9z); conv2dRows and
-//     conv3dPlanes drive it per (output channel, row or plane) and store
-//     each finished row through storeRow.
-//   - Depthwise convolutions run each channel as a one-channel
+//     the 3×3 interior in one register pass (tap9Rows), its halo in a
+//     clipped per-element loop; conv2dRows and conv3dPlanes drive it per
+//     (output channel, row or plane) and store each finished row through
+//     storeRow. It runs every 2D convolution, and 3D ones only on the
+//     pure-Go tier, for kernel sizes other than 3, and for layers padSafe
+//     rejects. Depthwise convolutions run each channel as a one-channel
 //     conv2dRows/conv3dPlanes on that channel's slices.
 //   - pointwiseConv runs every 1×1 convolution, 2D or 3D, over the
 //     flattened spatial volume: work items are (strip of pwStrip elements
@@ -326,68 +338,8 @@ func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0
 		acc[j] = a
 	}
 	if K == 3 && ki1-ki0 == 3 {
-		wr := wd[wrowBase+ki0*3 : wrowBase+ki0*3+9]
-		w00, w01, w02 := wr[0], wr[1], wr[2]
-		w10, w11, w12 := wr[3], wr[4], wr[5]
-		w20, w21, w22 := wr[6], wr[7], wr[8]
 		r0 := xrowBase + ki0*rowStride
-		r1 := r0 + rowStride
-		r2 := r1 + rowStride
-		if haveTap9Z && hi-lo >= 8 {
-			// AVX-512 fast path: identical tap order and rounding, eight
-			// output elements per vector (see tap_amd64.s).
-			tap9z(&acc[lo], &xd[r0+lo], &xd[r1+lo], &xd[r2+lo], &wr[0], hi-lo)
-		} else if haveTap9 && hi-lo >= 4 {
-			// AVX2 fast path: identical tap order and rounding, four
-			// output elements per vector (see tap_amd64.s).
-			tap9(&acc[lo], &xd[r0+lo], &xd[r1+lo], &xd[r2+lo], &wr[0], hi-lo)
-		} else {
-			// Two elements per iteration: each accumulator is a serial
-			// dependency chain of nine adds, so interleaving two
-			// independent chains doubles the instruction-level parallelism
-			// the core can extract. Element-wise order is untouched.
-			j := lo
-			for ; j+2 <= hi; j += 2 {
-				a := acc[j]
-				b := acc[j+1]
-				x0, x1, x2, x3 := xd[r0+j], xd[r0+j+1], xd[r0+j+2], xd[r0+j+3]
-				a += float64(w00 * x0)
-				b += float64(w00 * x1)
-				a += float64(w01 * x1)
-				b += float64(w01 * x2)
-				a += float64(w02 * x2)
-				b += float64(w02 * x3)
-				x0, x1, x2, x3 = xd[r1+j], xd[r1+j+1], xd[r1+j+2], xd[r1+j+3]
-				a += float64(w10 * x0)
-				b += float64(w10 * x1)
-				a += float64(w11 * x1)
-				b += float64(w11 * x2)
-				a += float64(w12 * x2)
-				b += float64(w12 * x3)
-				x0, x1, x2, x3 = xd[r2+j], xd[r2+j+1], xd[r2+j+2], xd[r2+j+3]
-				a += float64(w20 * x0)
-				b += float64(w20 * x1)
-				a += float64(w21 * x1)
-				b += float64(w21 * x2)
-				a += float64(w22 * x2)
-				b += float64(w22 * x3)
-				acc[j] = a
-				acc[j+1] = b
-			}
-			for ; j < hi; j++ {
-				a := acc[j]
-				a += float64(w00 * xd[r0+j])
-				a += float64(w01 * xd[r0+j+1])
-				a += float64(w02 * xd[r0+j+2])
-				a += float64(w10 * xd[r1+j])
-				a += float64(w11 * xd[r1+j+1])
-				a += float64(w12 * xd[r1+j+2])
-				a += float64(w20 * xd[r2+j])
-				a += float64(w21 * xd[r2+j+1])
-				a += float64(w22 * xd[r2+j+2])
-				acc[j] = a
-			}
-		}
+		tap9Rows(acc, xd, wd[wrowBase+ki0*3:wrowBase+ki0*3+9], r0, r0+rowStride, r0+2*rowStride, lo, hi)
 	} else {
 		for ki := ki0; ki < ki1; ki++ {
 			wrow := wrowBase + ki*K
@@ -431,6 +383,72 @@ func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0
 				a += float64(wd[wrow+kj] * xd[xrow+kj])
 			}
 		}
+		acc[j] = a
+	}
+}
+
+// tap9Rows adds the nine taps wr of one 3×3 bundle into acc[j] for j in
+// [lo, hi), reading xd[r0+j..r0+j+2], xd[r1+j..] and xd[r2+j..] in
+// ascending (ki, kj) order.
+func tap9Rows(acc, xd, wr []float64, r0, r1, r2, lo, hi int) {
+	if haveTap9Z && hi-lo >= 8 {
+		// AVX-512 fast path: identical tap order and rounding, eight
+		// output elements per vector (see tap_amd64.s).
+		tap9z(&acc[lo], &xd[r0+lo], &xd[r1+lo], &xd[r2+lo], &wr[0], hi-lo)
+		return
+	}
+	if haveTap9 && hi-lo >= 4 {
+		// AVX2 fast path: identical tap order and rounding, four
+		// output elements per vector (see tap_amd64.s).
+		tap9(&acc[lo], &xd[r0+lo], &xd[r1+lo], &xd[r2+lo], &wr[0], hi-lo)
+		return
+	}
+	w00, w01, w02 := wr[0], wr[1], wr[2]
+	w10, w11, w12 := wr[3], wr[4], wr[5]
+	w20, w21, w22 := wr[6], wr[7], wr[8]
+	// Two elements per iteration: each accumulator is a serial dependency
+	// chain of nine adds, so interleaving two independent chains doubles
+	// the instruction-level parallelism the core can extract. Element-wise
+	// order is untouched.
+	j := lo
+	for ; j+2 <= hi; j += 2 {
+		a := acc[j]
+		b := acc[j+1]
+		x0, x1, x2, x3 := xd[r0+j], xd[r0+j+1], xd[r0+j+2], xd[r0+j+3]
+		a += float64(w00 * x0)
+		b += float64(w00 * x1)
+		a += float64(w01 * x1)
+		b += float64(w01 * x2)
+		a += float64(w02 * x2)
+		b += float64(w02 * x3)
+		x0, x1, x2, x3 = xd[r1+j], xd[r1+j+1], xd[r1+j+2], xd[r1+j+3]
+		a += float64(w10 * x0)
+		b += float64(w10 * x1)
+		a += float64(w11 * x1)
+		b += float64(w11 * x2)
+		a += float64(w12 * x2)
+		b += float64(w12 * x3)
+		x0, x1, x2, x3 = xd[r2+j], xd[r2+j+1], xd[r2+j+2], xd[r2+j+3]
+		a += float64(w20 * x0)
+		b += float64(w20 * x1)
+		a += float64(w21 * x1)
+		b += float64(w21 * x2)
+		a += float64(w22 * x2)
+		b += float64(w22 * x3)
+		acc[j] = a
+		acc[j+1] = b
+	}
+	for ; j < hi; j++ {
+		a := acc[j]
+		a += float64(w00 * xd[r0+j])
+		a += float64(w01 * xd[r0+j+1])
+		a += float64(w02 * xd[r0+j+2])
+		a += float64(w10 * xd[r1+j])
+		a += float64(w11 * xd[r1+j+1])
+		a += float64(w12 * xd[r1+j+2])
+		a += float64(w20 * xd[r2+j])
+		a += float64(w21 * xd[r2+j+1])
+		a += float64(w22 * xd[r2+j+2])
 		acc[j] = a
 	}
 }
@@ -509,6 +527,111 @@ func depthwise3dPlanes(od, xd, wd []float64, bd []float32, K, D, H, W int, relu 
 		end := min(hi, (c+1)*D)
 		conv3dPlanes(od[c*vol:(c+1)*vol], xd[c*vol:(c+1)*vol], wd[c*kkk:(c+1)*kkk], bd[c:c+1], 1, K, D, H, W, relu, segLo, segHi, acc, lo-c*D, end-c*D)
 		lo = end
+	}
+}
+
+// padSafe reports whether a 3×3×3 layer may run on conv3dPadded: adding
+// a padded tap's w·(+0) = ±0 leaves every accumulator but −0 unchanged,
+// and an accumulator that starts at a bias other than −0 never becomes
+// −0, so the padded taps change no bit unless a bias is −0 or a weight
+// is not finite (Inf·0 is NaN).
+func padSafe(wd []float64, bd []float32) bool {
+	for _, b := range bd {
+		if math.Float32bits(b) == 1<<31 {
+			return false
+		}
+	}
+	for _, w := range wd {
+		if math.IsInf(w, 0) || math.IsNaN(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// padRows is the height of conv3dPadded's row bands. A band of 16 rows
+// keeps each tap9Rows call long (16 padded rows) while a worker's scratch
+// stays a few hundred KiB at the CFNN's widths, whatever the plane size:
+// the scratch is allocated per inference pass, so it adds to every cold
+// decode's memory.
+const padRows = 16
+
+// padBands returns the number of row bands of an H-row plane.
+func padBands(H int) int { return (H + padRows - 1) / padRows }
+
+// padScratchLen is the per-worker scratch of conv3dPadded: three
+// zero-bordered band planes of (R+2)×(W+2), then accC R×(W+2) accumulator
+// bands (one per output channel of a dense layer, one for a depthwise
+// layer), where R = min(H, padRows).
+func padScratchLen(accC, H, W int) int {
+	r := min(H, padRows)
+	return (3*(r+2) + accC*r) * (W + 2)
+}
+
+// conv3dPadded computes work items [lo, hi) of a 3×3×3 convolution,
+// dense or depthwise, over zero-padded row bands. Item t is band
+// t%padBands(H) of plane t/padBands(H), for every output channel. For
+// each input channel it copies the band's rows, plus one halo row above
+// and below, of the planes the kz taps read (inside the plane's segment,
+// as conv3dPlanes clips them) into buf with a one-element zero border;
+// a halo row outside the plane is zeros. It then adds each kz's nine taps
+// to every output channel's accumulator band in one tap9Rows call over
+// n = r·(W+2)−2 elements for a band of r rows: reading the flattened
+// padded band at offsets 0, W+2 and 2(W+2) gives every element its nine
+// neighbours, and the two wrapped columns after each row are never
+// stored. Each output still adds its taps in ascending (input channel,
+// kz, ki, kj) order, and the taps the clipped drivers skip read zeros,
+// so when padSafe holds the result is theirs bit for bit. A depthwise
+// layer runs each channel as a one-channel dense one.
+func conv3dPadded(od, xd, wd []float64, bd []float32, inC, outC, D, H, W int, depthwise, relu bool, segLo, segHi []int, buf []float64, lo, hi int) {
+	hw, vol := H*W, D*H*W
+	ws, nb := W+2, padBands(H)
+	R := min(H, padRows)
+	p2, ap := (R+2)*ws, R*ws
+	slots := buf[:3*p2]
+	clear(slots)
+	groups, accC, inPer := 1, outC, inC
+	if depthwise {
+		groups, accC, inPer = outC, 1, 1
+	}
+	accs := buf[3*p2 : 3*p2+accC*ap]
+	for t := lo; t < hi; t++ {
+		z, i0 := t/nb, t%nb*padRows
+		r := min(padRows, H-i0)
+		n := r*ws - 2
+		zlo, zhi := segBounds(z, D, segLo, segHi)
+		kz0, kz1 := kernelRange(z-zlo, zhi-zlo, 3, 1)
+		for g := 0; g < groups; g++ {
+			oc0, ic0 := g*accC, g*inPer
+			for o := 0; o < accC; o++ {
+				fillAcc(accs[o*ap:o*ap+n], float64(bd[oc0+o]))
+			}
+			for ic := ic0; ic < ic0+inPer; ic++ {
+				for kz := kz0; kz < kz1; kz++ {
+					pl, src := slots[kz*p2:], xd[ic*vol+(z+kz-1)*hw:]
+					for pr := 0; pr < r+2; pr++ {
+						row := pl[pr*ws+1 : pr*ws+1+W]
+						if i := i0 + pr - 1; i >= 0 && i < H {
+							copy(row, src[i*W:(i+1)*W])
+						} else {
+							clear(row)
+						}
+					}
+				}
+				for kz := kz0; kz < kz1; kz++ {
+					for o := 0; o < accC; o++ {
+						w := ((oc0+o)*inPer+ic-ic0)*27 + kz*9
+						tap9Rows(accs[o*ap:], slots[kz*p2:], wd[w:w+9], 0, ws, 2*ws, 0, n)
+					}
+				}
+			}
+			for o := 0; o < accC; o++ {
+				dst := od[(oc0+o)*vol+z*hw+i0*W:]
+				for i := 0; i < r; i++ {
+					storeRow(dst[i*W:], accs[o*ap+i*ws:o*ap+i*ws+W], relu)
+				}
+			}
+		}
 	}
 }
 

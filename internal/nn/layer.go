@@ -22,7 +22,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Param is one learnable tensor and its gradient accumulator.
+// Param is one learnable tensor and its gradient accumulator. G is nil
+// until the first ZeroGrad or Backward, so a model that only runs
+// inference never allocates it.
 type Param struct {
 	Name string
 	W    *tensor.Tensor
@@ -30,11 +32,26 @@ type Param struct {
 }
 
 func newParam(name string, shape ...int) *Param {
-	return &Param{Name: name, W: tensor.New(shape...), G: tensor.New(shape...)}
+	return &Param{Name: name, W: tensor.New(shape...)}
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.G.Zero() }
+// ZeroGrad clears the gradient accumulator, allocating it on first use.
+func (p *Param) ZeroGrad() {
+	if p.G == nil {
+		p.G = tensor.New(p.W.Shape()...)
+		return
+	}
+	p.G.Zero()
+}
+
+// grad returns the gradient accumulator's data, allocating it zeroed on
+// first use.
+func (p *Param) grad() []float32 {
+	if p.G == nil {
+		p.ZeroGrad()
+	}
+	return p.G.Data()
+}
 
 // Size returns the number of scalar weights.
 func (p *Param) Size() int { return p.W.Len() }
@@ -161,7 +178,9 @@ func ZeroGrads(ps []*Param) {
 // ScaleGrads multiplies all gradients by s (e.g. 1/batchSize).
 func ScaleGrads(ps []*Param, s float32) {
 	for _, p := range ps {
-		p.G.Scale(s)
+		if p.G != nil {
+			p.G.Scale(s)
+		}
 	}
 }
 

@@ -429,6 +429,12 @@ func TestParamCountAndScaleGrads(t *testing.T) {
 		t.Fatalf("param count = %d, want 57", n)
 	}
 	for _, p := range c.Params() {
+		if p.G != nil {
+			t.Fatalf("%s: gradient allocated before its first use", p.Name)
+		}
+	}
+	ZeroGrads(c.Params())
+	for _, p := range c.Params() {
 		p.G.Fill(2)
 	}
 	ScaleGrads(c.Params(), 0.5)

@@ -25,7 +25,7 @@ func (a *Adam) Step(params []*Param) {
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
-		w, g := p.W.Data(), p.G.Data()
+		w, g := p.W.Data(), p.grad()
 		m, ok := a.m[p]
 		if !ok {
 			m = make([]float64, len(w))

@@ -53,10 +53,21 @@ func SaveParams(w io.Writer, params []*Param) error {
 	return bw.Flush()
 }
 
+// byteReader is what LoadParams reads: a reader with ReadByte for the
+// uvarints.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 // LoadParams fills params (shape-checked) from a stream written by
-// SaveParams.
+// SaveParams. A reader that already reads bytes (a bytes.Reader, say) is
+// read directly; any other is buffered.
 func LoadParams(r io.Reader, params []*Param) error {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br, ok := r.(byteReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return fmt.Errorf("nn: load params: %w", err)

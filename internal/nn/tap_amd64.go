@@ -11,10 +11,10 @@ import (
 func cpuid(op, subop uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-// tap9 is the AVX2 inner kernel for the 3×3 interior tap bundle: for j in
-// [0, n), acc[j] accumulates the nine taps w[0..9) against x0/x1/x2[j..j+2]
-// in ascending tap order with separate multiply and add roundings —
-// bit-identical to the pure-Go loop in tapRows. Implemented in
+// tap9 is the AVX2 inner kernel for a 3×3 tap bundle: for j in [0, n),
+// acc[j] accumulates the nine taps w[0..9) against x0/x1/x2[j..j+2] in
+// ascending tap order with separate multiply and add roundings —
+// bit-identical to the pure-Go loop in tap9Rows. Implemented in
 // tap_amd64.s.
 //
 //go:noescape
@@ -50,7 +50,7 @@ func pointwise(dst, x, w *float64, bias float64, inC, stride, n int, relu bool)
 //go:noescape
 func pointwisez(dst, x, w *float64, bias float64, inC, stride, n int, relu bool)
 
-// fillRow is the AVX2 row fill of conv2dRows and conv3dPlanes: acc[j] = v
+// fillRow is the AVX2 accumulator fill of the convolutions: acc[j] = v
 // for j in [0, n).
 //
 //go:noescape

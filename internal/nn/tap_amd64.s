@@ -1,8 +1,12 @@
 // SIMD kernels for the convolutions (see infer.go): tap9 (AVX2) and tap9z
-// (AVX-512) for the fused 3×3 interior bundle of tapRows, tap3 (AVX2) for
-// its clipped single-row bundles, pointwise (AVX2) and pointwisez
-// (AVX-512) for whole 1×1 convolution strips, and fillRow and roundRow
-// (AVX2) for the bias fill and the store of conv2dRows/conv3dPlanes rows.
+// (AVX-512) for a fused 3×3 tap bundle (the interior of a tapRows row, or
+// a whole zero-padded plane of conv3dPadded), tap3 (AVX2) for tapRows'
+// clipped single-row bundles, pointwise (AVX2) and pointwisez (AVX-512)
+// for whole 1×1 convolution strips, and fillRow and roundRow (AVX2) for
+// the bias fill and the store of every convolution row. tap9 and tap9z
+// start their vector loop and their scalar tail on 64-byte boundaries
+// (PCALIGN), so where the linker places them does not change how the loop
+// body is fetched.
 //
 // Bit-identity contract: every output element j computes its taps as
 // sequential multiply-then-add steps in ascending tap order —
@@ -63,6 +67,7 @@ TEXT ·tap9(SB), NOSPLIT, $0-48
 
 	XORQ AX, AX
 
+	PCALIGN $64
 loop4:
 	LEAQ 4(AX), R10
 	CMPQ R10, R9
@@ -104,6 +109,7 @@ loop4:
 	ADDQ    $4, AX
 	JMP     loop4
 
+	PCALIGN $64
 tail:
 	CMPQ AX, R9
 	JGE  done
@@ -172,6 +178,7 @@ TEXT ·tap9z(SB), NOSPLIT, $0-48
 
 	XORQ AX, AX
 
+	PCALIGN $64
 zloop8:
 	LEAQ 8(AX), R10
 	CMPQ R10, R9
@@ -213,6 +220,7 @@ zloop8:
 	ADDQ    $8, AX
 	JMP     zloop8
 
+	PCALIGN $64
 ztail:
 	CMPQ AX, R9
 	JGE  zdone

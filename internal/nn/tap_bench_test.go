@@ -169,11 +169,7 @@ func TestPointwiseMatchesGo(t *testing.T) {
 					want[oc*n+j] = float64(float32(a))
 				}
 			}
-			for _, tier := range []struct {
-				name  string
-				z, v2 bool
-				ok    bool
-			}{{"go", false, false, true}, {"avx2", false, true, haveTap9}, {"avx512", true, true, haveTap9Z}} {
+			for _, tier := range kernelTiers {
 				if !tier.ok {
 					continue
 				}
