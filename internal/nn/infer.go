@@ -14,12 +14,18 @@
 // the predictions), so every kernel here keeps one per-element contract: a
 // float64 accumulator starts at the bias, adds each tap's product in
 // ascending (inChannel, kz, ki, kj) order over the taps inside the
-// segment, with a separate rounding for the multiply and the add (never a
-// fused multiply-add; the products sit in explicit conversions so no
-// architecture's compiler fuses them), and is rounded once to float32.
-// The pure-Go loops, the AVX2 kernels and the AVX-512 kernels all keep
-// it, so they agree bit for bit; vector lanes are distinct output
-// elements, which is why the vector width changes no result.
+// segment, and is rounded once to float32. Every operand of a product is
+// float32-exact (activations by the invariant below, weights because
+// they are widened float32 parameters), and two 24-bit significands
+// multiply into at most 48 bits, so every product is exact in float64:
+// rounding the product and then the sum, and rounding acc + w·x once in a
+// fused multiply-add, give the same bits. The SIMD kernels therefore fuse
+// each tap into one FMA, while the pure-Go loops keep the products in
+// explicit conversions (a separate rounding, on every architecture's
+// compiler). The pure-Go loops, the AVX2 kernels and the AVX-512 kernels
+// all keep the contract, so they agree bit for bit; vector lanes are
+// distinct output elements, which is why the vector width changes no
+// result.
 //
 // Activations are float64 from end to end (Act), and every value they
 // hold is float32-exact: a layer rounds each result to float32, then
@@ -44,12 +50,15 @@
 //     the SIMD tiers. A work item is one band of up to padRows rows of a
 //     z-plane, for every output channel. For each input channel the
 //     worker copies that band of the (up to three) planes the kz taps
-//     read into a local buffer with a one-element zero border, and makes
-//     one tap9z/tap9 call (tap9Rows) per (kz, output channel) over the
-//     whole flattened padded band, into that output channel's
-//     accumulator band; then it stores each row through storeRow. The border's zeros stand in for the taps the per-row
-//     drivers clip, which changes no bit unless a bias is −0 or a weight
-//     is not finite (padSafe); such a layer takes the per-row path.
+//     read into a local buffer with a one-element zero border. Then, per
+//     kz, it adds the nine taps over the whole flattened padded band into
+//     the output channels' accumulator bands: on the AVX-512 tier one
+//     tap9z3 call per triple of output channels, so one input load feeds
+//     three accumulators, and one tap9z/tap9 call (tap9Rows) per leftover
+//     or depthwise channel. Last it stores each row through storeRow. The
+//     border's zeros stand in for the taps the per-row drivers clip,
+//     which changes no bit unless a bias is −0 or a weight is not finite
+//     (padSafe); such a layer takes the per-row path.
 //   - tapRows adds a bundle of K-tap rows into a float64 accumulator row,
 //     the 3×3 interior in one register pass (tap9Rows), its halo in a
 //     clipped per-element loop; conv2dRows and conv3dPlanes drive it per
@@ -393,7 +402,8 @@ func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0
 func tap9Rows(acc, xd, wr []float64, r0, r1, r2, lo, hi int) {
 	if haveTap9Z && hi-lo >= 8 {
 		// AVX-512 fast path: identical tap order and rounding, eight
-		// output elements per vector (see tap_amd64.s).
+		// output elements per vector and a masked tail (see
+		// tap_amd64.s).
 		tap9z(&acc[lo], &xd[r0+lo], &xd[r1+lo], &xd[r2+lo], &wr[0], hi-lo)
 		return
 	}
@@ -581,8 +591,10 @@ func padScratchLen(accC, H, W int) int {
 // neighbours, and the two wrapped columns after each row are never
 // stored. Each output still adds its taps in ascending (input channel,
 // kz, ki, kj) order, and the taps the clipped drivers skip read zeros,
-// so when padSafe holds the result is theirs bit for bit. A depthwise
-// layer runs each channel as a one-channel dense one.
+// so when padSafe holds the result is theirs bit for bit. On the AVX-512
+// tier output channels go three to a tap9z3 call and the leftovers to
+// tap9Rows. A depthwise layer runs each channel as a one-channel dense
+// one.
 func conv3dPadded(od, xd, wd []float64, bd []float32, inC, outC, D, H, W int, depthwise, relu bool, segLo, segHi []int, buf []float64, lo, hi int) {
 	hw, vol := H*W, D*H*W
 	ws, nb := W+2, padBands(H)
@@ -619,7 +631,17 @@ func conv3dPadded(od, xd, wd []float64, bd []float32, inC, outC, D, H, W int, de
 					}
 				}
 				for kz := kz0; kz < kz1; kz++ {
-					for o := 0; o < accC; o++ {
+					o := 0
+					if haveTap9Z {
+						// Three output channels per call, so one input
+						// load feeds three accumulators.
+						for ; o+3 <= accC; o += 3 {
+							w := ((oc0+o)*inPer+ic-ic0)*27 + kz*9
+							_, _ = accs[(o+2)*ap+n-1], wd[w+2*inPer*27+8]
+							tap9z3(&accs[o*ap], &slots[kz*p2], &wd[w], ap, ws, inPer*27, n)
+						}
+					}
+					for ; o < accC; o++ {
 						w := ((oc0+o)*inPer+ic-ic0)*27 + kz*9
 						tap9Rows(accs[o*ap:], slots[kz*p2:], wd[w:w+9], 0, ws, 2*ws, 0, n)
 					}

@@ -138,7 +138,10 @@ func firstDiff(got, want []float64) int {
 // several row bands, unsegmented and segmented depth, dense and
 // depthwise, with and without a folded ReLU and with a zero plane, it
 // writes the clipped drivers' bits, and runConv, which routes there on
-// the SIMD tiers, does too.
+// the SIMD tiers, does too. A second sweep takes dense layers through
+// every split of their output channels into tap9z3 triples and tap9Rows
+// leftovers (outC 1 to 5, 7 and the CFNN's 14), over a band shorter than
+// one vector, a band of one vector and a masked tail, and two bands.
 func TestPaddedConvMatchesClipped(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type layer struct {
@@ -156,6 +159,16 @@ func TestPaddedConvMatchesClipped(t *testing.T) {
 						checkPadded(t, name, &c, true)
 					}
 				}
+			}
+		}
+	}
+	for _, outC := range []int{1, 2, 3, 4, 5, 7, 14} {
+		for _, wh := range [][2]int{{7, 1}, {9, 1}, {65, 17}} {
+			for _, counts := range [][]int{nil, {1, 4, 2}} {
+				c := paddedCase{inC: 3, outC: outC, D: 7, H: wh[1], W: wh[0], relu: rng.Intn(2) == 0, counts: counts}
+				paddedData(rng, &c, rng.Intn(c.D+1)-1)
+				name := fmt.Sprintf("outC=%d W=%d H=%d counts=%v relu=%v", outC, c.W, c.H, counts, c.relu)
+				checkPadded(t, name, &c, true)
 			}
 		}
 	}
@@ -218,5 +231,30 @@ func TestPaddedConvUnsafeLayersClip(t *testing.T) {
 			t.Fatalf("%s: padSafe accepts the layer", name)
 		}
 		checkPadded(t, name, c, false)
+	}
+}
+
+// BenchmarkConv3dPadded times one serial pass of each 3×3×3 layer of the
+// Hurricane CFNN (three anchors of three channels in, width 14, one
+// output field) over one 6×64×64 chunk slab, through runConv on the
+// detected kernel tier: conv3dPadded on the SIMD tiers, the per-row
+// drivers in pure Go.
+func BenchmarkConv3dPadded(b *testing.B) {
+	for _, l := range []struct {
+		name      string
+		inC, outC int
+		depthwise bool
+	}{{"dense9to14", 9, 14, false}, {"depthwise14", 14, 14, true}, {"dense14to3", 14, 3, false}} {
+		b.Run(l.name, func(b *testing.B) {
+			c := paddedCase{inC: l.inC, outC: l.outC, D: 6, H: 64, W: 64, depthwise: l.depthwise}
+			paddedData(rand.New(rand.NewSource(1)), &c, -1)
+			x := newAct(c.xd, c.inC, c.D, c.H, c.W)
+			out := newAct(make([]float64, c.outC*c.D*c.H*c.W), c.outC, c.D, c.H, c.W)
+			a := NewArena()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runConv(out, x, c.wd, c.bd, 3, c.depthwise, false, nil, nil, a, 1)
+			}
+		})
 	}
 }

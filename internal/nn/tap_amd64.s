@@ -1,26 +1,31 @@
 // SIMD kernels for the convolutions (see infer.go): tap9 (AVX2) and tap9z
 // (AVX-512) for a fused 3×3 tap bundle (the interior of a tapRows row, or
-// a whole zero-padded plane of conv3dPadded), tap3 (AVX2) for tapRows'
-// clipped single-row bundles, pointwise (AVX2) and pointwisez (AVX-512)
-// for whole 1×1 convolution strips, and fillRow and roundRow (AVX2) for
-// the bias fill and the store of every convolution row. tap9 and tap9z
-// start their vector loop and their scalar tail on 64-byte boundaries
-// (PCALIGN), so where the linker places them does not change how the loop
-// body is fetched.
+// a whole zero-padded band of conv3dPadded), tap9z3 (AVX-512) for the
+// same bundle into three output channels at once, tap3 (AVX2) for
+// tapRows' clipped single-row bundles, pointwise (AVX2) and pointwisez
+// (AVX-512) for whole 1×1 convolution strips, and fillRow and roundRow
+// (AVX2) for the bias fill and the store of every convolution row. tap9,
+// tap9z and tap9z3 start their vector loop and their tail on 64-byte
+// boundaries (PCALIGN), so where the linker places them does not change
+// how the loop body is fetched.
 //
 // Bit-identity contract: every output element j computes its taps as
-// sequential multiply-then-add steps in ascending tap order —
+// sequential multiply-add steps in ascending tap order —
 //     acc[j] += w[0]*x0[j] ; acc[j] += w[1]*x0[j+1] ; ... ; acc[j] += w[8]*x2[j+2]
-// VMULPD followed by VADDPD per tap, never VFMADD (fused rounding would
-// change results). Vector lanes are distinct output elements, which are
-// independent accumulators, so 4- or 8-wide execution preserves
-// per-element semantics exactly; IEEE mul/add are bitwise commutative for
-// the finite operands this codec produces. Every store rounds the float64
-// sum to float32 (VCVTPD2PS, round to nearest even like Go's float32())
-// and widens it back exactly (VCVTPS2PD): activations are float64 arrays
-// of float32-exact values. A folded ReLU then clamps with VMAXPD against
-// +0, which returns its second source unless the first is greater, so
-// NaN, −0 and negatives store +0 exactly as ReLU does.
+// one fused VFMADD231 per tap. Every weight and every input is
+// float32-exact (weights are widened float32 parameters, activations are
+// stored rounded to float32), so each product has at most 48 significant
+// bits and is exact in float64; a fused op, which rounds acc + w·x once,
+// then rounds exactly what a separate multiply and add round, and the
+// kernels agree bit for bit with the pure-Go loops, which keep their
+// explicit conversions. Vector lanes are distinct output elements, which
+// are independent accumulators, so 4- or 8-wide execution preserves
+// per-element semantics exactly. Every store rounds the float64 sum to
+// float32 (VCVTPD2PS, round to nearest even like Go's float32()) and
+// widens it back exactly (VCVTPS2PD): activations are float64 arrays of
+// float32-exact values. A folded ReLU then clamps with VMAXPD against +0,
+// which returns its second source unless the first is greater, so NaN,
+// −0 and negatives store +0 exactly as ReLU does.
 
 //go:build amd64
 
@@ -75,35 +80,17 @@ loop4:
 
 	VMOVUPD (DI)(AX*8), Y9
 
-	VMOVUPD (SI)(AX*8), Y10
-	VMULPD  Y10, Y0, Y11
-	VADDPD  Y11, Y9, Y9
-	VMOVUPD 8(SI)(AX*8), Y10
-	VMULPD  Y10, Y1, Y11
-	VADDPD  Y11, Y9, Y9
-	VMOVUPD 16(SI)(AX*8), Y10
-	VMULPD  Y10, Y2, Y11
-	VADDPD  Y11, Y9, Y9
+	VFMADD231PD (SI)(AX*8), Y0, Y9
+	VFMADD231PD 8(SI)(AX*8), Y1, Y9
+	VFMADD231PD 16(SI)(AX*8), Y2, Y9
 
-	VMOVUPD (DX)(AX*8), Y10
-	VMULPD  Y10, Y3, Y11
-	VADDPD  Y11, Y9, Y9
-	VMOVUPD 8(DX)(AX*8), Y10
-	VMULPD  Y10, Y4, Y11
-	VADDPD  Y11, Y9, Y9
-	VMOVUPD 16(DX)(AX*8), Y10
-	VMULPD  Y10, Y5, Y11
-	VADDPD  Y11, Y9, Y9
+	VFMADD231PD (DX)(AX*8), Y3, Y9
+	VFMADD231PD 8(DX)(AX*8), Y4, Y9
+	VFMADD231PD 16(DX)(AX*8), Y5, Y9
 
-	VMOVUPD (CX)(AX*8), Y10
-	VMULPD  Y10, Y6, Y11
-	VADDPD  Y11, Y9, Y9
-	VMOVUPD 8(CX)(AX*8), Y10
-	VMULPD  Y10, Y7, Y11
-	VADDPD  Y11, Y9, Y9
-	VMOVUPD 16(CX)(AX*8), Y10
-	VMULPD  Y10, Y8, Y11
-	VADDPD  Y11, Y9, Y9
+	VFMADD231PD (CX)(AX*8), Y6, Y9
+	VFMADD231PD 8(CX)(AX*8), Y7, Y9
+	VFMADD231PD 16(CX)(AX*8), Y8, Y9
 
 	VMOVUPD Y9, (DI)(AX*8)
 	ADDQ    $4, AX
@@ -116,35 +103,17 @@ tail:
 
 	VMOVSD (DI)(AX*8), X9
 
-	VMOVSD (SI)(AX*8), X10
-	VMULSD X10, X0, X11
-	VADDSD X11, X9, X9
-	VMOVSD 8(SI)(AX*8), X10
-	VMULSD X10, X1, X11
-	VADDSD X11, X9, X9
-	VMOVSD 16(SI)(AX*8), X10
-	VMULSD X10, X2, X11
-	VADDSD X11, X9, X9
+	VFMADD231SD (SI)(AX*8), X0, X9
+	VFMADD231SD 8(SI)(AX*8), X1, X9
+	VFMADD231SD 16(SI)(AX*8), X2, X9
 
-	VMOVSD (DX)(AX*8), X10
-	VMULSD X10, X3, X11
-	VADDSD X11, X9, X9
-	VMOVSD 8(DX)(AX*8), X10
-	VMULSD X10, X4, X11
-	VADDSD X11, X9, X9
-	VMOVSD 16(DX)(AX*8), X10
-	VMULSD X10, X5, X11
-	VADDSD X11, X9, X9
+	VFMADD231SD (DX)(AX*8), X3, X9
+	VFMADD231SD 8(DX)(AX*8), X4, X9
+	VFMADD231SD 16(DX)(AX*8), X5, X9
 
-	VMOVSD (CX)(AX*8), X10
-	VMULSD X10, X6, X11
-	VADDSD X11, X9, X9
-	VMOVSD 8(CX)(AX*8), X10
-	VMULSD X10, X7, X11
-	VADDSD X11, X9, X9
-	VMOVSD 16(CX)(AX*8), X10
-	VMULSD X10, X8, X11
-	VADDSD X11, X9, X9
+	VFMADD231SD (CX)(AX*8), X6, X9
+	VFMADD231SD 8(CX)(AX*8), X7, X9
+	VFMADD231SD 16(CX)(AX*8), X8, X9
 
 	VMOVSD X9, (DI)(AX*8)
 	INCQ   AX
@@ -156,12 +125,15 @@ done:
 
 // func tap9z(acc, x0, x1, x2, w *float64, n int)
 // AVX-512 variant of tap9: identical tap order and rounding, eight output
-// elements per vector. Guarded by haveTap9Z (AVX512F + OS ZMM state).
+// elements per vector, and the last n mod 8 elements in one k-masked
+// step. The masked loads zero the lanes past n and suppress their faults,
+// and the masked store leaves acc past n untouched. Guarded by haveTap9Z
+// (AVX512F + OS ZMM state).
 TEXT ·tap9z(SB), NOSPLIT, $0-48
 	MOVQ acc+0(FP), DI
 	MOVQ x0+8(FP), SI
 	MOVQ x1+16(FP), DX
-	MOVQ x2+24(FP), CX
+	MOVQ x2+24(FP), R11
 	MOVQ w+32(FP), R8
 	MOVQ n+40(FP), R9
 
@@ -186,35 +158,17 @@ zloop8:
 
 	VMOVUPD (DI)(AX*8), Z9
 
-	VMOVUPD (SI)(AX*8), Z10
-	VMULPD  Z10, Z0, Z11
-	VADDPD  Z11, Z9, Z9
-	VMOVUPD 8(SI)(AX*8), Z10
-	VMULPD  Z10, Z1, Z11
-	VADDPD  Z11, Z9, Z9
-	VMOVUPD 16(SI)(AX*8), Z10
-	VMULPD  Z10, Z2, Z11
-	VADDPD  Z11, Z9, Z9
+	VFMADD231PD (SI)(AX*8), Z0, Z9
+	VFMADD231PD 8(SI)(AX*8), Z1, Z9
+	VFMADD231PD 16(SI)(AX*8), Z2, Z9
 
-	VMOVUPD (DX)(AX*8), Z10
-	VMULPD  Z10, Z3, Z11
-	VADDPD  Z11, Z9, Z9
-	VMOVUPD 8(DX)(AX*8), Z10
-	VMULPD  Z10, Z4, Z11
-	VADDPD  Z11, Z9, Z9
-	VMOVUPD 16(DX)(AX*8), Z10
-	VMULPD  Z10, Z5, Z11
-	VADDPD  Z11, Z9, Z9
+	VFMADD231PD (DX)(AX*8), Z3, Z9
+	VFMADD231PD 8(DX)(AX*8), Z4, Z9
+	VFMADD231PD 16(DX)(AX*8), Z5, Z9
 
-	VMOVUPD (CX)(AX*8), Z10
-	VMULPD  Z10, Z6, Z11
-	VADDPD  Z11, Z9, Z9
-	VMOVUPD 8(CX)(AX*8), Z10
-	VMULPD  Z10, Z7, Z11
-	VADDPD  Z11, Z9, Z9
-	VMOVUPD 16(CX)(AX*8), Z10
-	VMULPD  Z10, Z8, Z11
-	VADDPD  Z11, Z9, Z9
+	VFMADD231PD (R11)(AX*8), Z6, Z9
+	VFMADD231PD 8(R11)(AX*8), Z7, Z9
+	VFMADD231PD 16(R11)(AX*8), Z8, Z9
 
 	VMOVUPD Z9, (DI)(AX*8)
 	ADDQ    $8, AX
@@ -222,46 +176,215 @@ zloop8:
 
 	PCALIGN $64
 ztail:
-	CMPQ AX, R9
-	JGE  zdone
+	// K1 = the low n-AX (0 to 7) lanes.
+	MOVQ  R9, CX
+	SUBQ  AX, CX
+	JLE   zdone
+	MOVL  $1, R10
+	SHLL  CX, R10
+	DECL  R10
+	KMOVW R10, K1
 
-	VMOVSD (DI)(AX*8), X9
+	VMOVUPD.Z (DI)(AX*8), K1, Z9
 
-	VMOVSD (SI)(AX*8), X10
-	VMULSD X10, X0, X11
-	VADDSD X11, X9, X9
-	VMOVSD 8(SI)(AX*8), X10
-	VMULSD X10, X1, X11
-	VADDSD X11, X9, X9
-	VMOVSD 16(SI)(AX*8), X10
-	VMULSD X10, X2, X11
-	VADDSD X11, X9, X9
+	VMOVUPD.Z   (SI)(AX*8), K1, Z10
+	VFMADD231PD Z10, Z0, Z9
+	VMOVUPD.Z   8(SI)(AX*8), K1, Z10
+	VFMADD231PD Z10, Z1, Z9
+	VMOVUPD.Z   16(SI)(AX*8), K1, Z10
+	VFMADD231PD Z10, Z2, Z9
 
-	VMOVSD (DX)(AX*8), X10
-	VMULSD X10, X3, X11
-	VADDSD X11, X9, X9
-	VMOVSD 8(DX)(AX*8), X10
-	VMULSD X10, X4, X11
-	VADDSD X11, X9, X9
-	VMOVSD 16(DX)(AX*8), X10
-	VMULSD X10, X5, X11
-	VADDSD X11, X9, X9
+	VMOVUPD.Z   (DX)(AX*8), K1, Z10
+	VFMADD231PD Z10, Z3, Z9
+	VMOVUPD.Z   8(DX)(AX*8), K1, Z10
+	VFMADD231PD Z10, Z4, Z9
+	VMOVUPD.Z   16(DX)(AX*8), K1, Z10
+	VFMADD231PD Z10, Z5, Z9
 
-	VMOVSD (CX)(AX*8), X10
-	VMULSD X10, X6, X11
-	VADDSD X11, X9, X9
-	VMOVSD 8(CX)(AX*8), X10
-	VMULSD X10, X7, X11
-	VADDSD X11, X9, X9
-	VMOVSD 16(CX)(AX*8), X10
-	VMULSD X10, X8, X11
-	VADDSD X11, X9, X9
+	VMOVUPD.Z   (R11)(AX*8), K1, Z10
+	VFMADD231PD Z10, Z6, Z9
+	VMOVUPD.Z   8(R11)(AX*8), K1, Z10
+	VFMADD231PD Z10, Z7, Z9
+	VMOVUPD.Z   16(R11)(AX*8), K1, Z10
+	VFMADD231PD Z10, Z8, Z9
 
-	VMOVSD X9, (DI)(AX*8)
-	INCQ   AX
-	JMP    ztail
+	VMOVUPD Z9, K1, (DI)(AX*8)
 
 zdone:
+	VZEROUPPER
+	RET
+
+// func tap9z3(acc, x, w *float64, accStride, rowStride, wStride, n int)
+// tap9z for three output channels at once: for o in 0..2 and j in [0, n),
+//     acc[o*accStride+j] += Σ w[o*wStride+3ki+kj] * x[ki*rowStride+j+kj]
+// over (ki, kj) ascending. The 27 weights stay in Z0–Z26 and the three
+// accumulators in Z27–Z29; each tap loads its eight inputs once into Z30
+// and feeds them to three FMAs, so each output keeps tap9z's order and
+// rounding. The last n mod 8 elements take one k-masked step, as in
+// tap9z. Guarded by haveTap9Z.
+TEXT ·tap9z3(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), R8
+	MOVQ accStride+24(FP), R10
+	MOVQ rowStride+32(FP), R11
+	MOVQ wStride+40(FP), R12
+	MOVQ n+48(FP), R9
+
+	// Accumulator rows DI, BX, R13; input rows SI, DX, R11.
+	LEAQ (DI)(R10*8), BX
+	LEAQ (BX)(R10*8), R13
+	LEAQ (SI)(R11*8), DX
+	LEAQ (DX)(R11*8), R11
+
+	// Broadcast the three outputs' nine weights into Z0–Z8, Z9–Z17 and
+	// Z18–Z26.
+	SHLQ $3, R12
+	VBROADCASTSD 0(R8), Z0
+	VBROADCASTSD 8(R8), Z1
+	VBROADCASTSD 16(R8), Z2
+	VBROADCASTSD 24(R8), Z3
+	VBROADCASTSD 32(R8), Z4
+	VBROADCASTSD 40(R8), Z5
+	VBROADCASTSD 48(R8), Z6
+	VBROADCASTSD 56(R8), Z7
+	VBROADCASTSD 64(R8), Z8
+	ADDQ         R12, R8
+	VBROADCASTSD 0(R8), Z9
+	VBROADCASTSD 8(R8), Z10
+	VBROADCASTSD 16(R8), Z11
+	VBROADCASTSD 24(R8), Z12
+	VBROADCASTSD 32(R8), Z13
+	VBROADCASTSD 40(R8), Z14
+	VBROADCASTSD 48(R8), Z15
+	VBROADCASTSD 56(R8), Z16
+	VBROADCASTSD 64(R8), Z17
+	ADDQ         R12, R8
+	VBROADCASTSD 0(R8), Z18
+	VBROADCASTSD 8(R8), Z19
+	VBROADCASTSD 16(R8), Z20
+	VBROADCASTSD 24(R8), Z21
+	VBROADCASTSD 32(R8), Z22
+	VBROADCASTSD 40(R8), Z23
+	VBROADCASTSD 48(R8), Z24
+	VBROADCASTSD 56(R8), Z25
+	VBROADCASTSD 64(R8), Z26
+
+	XORQ AX, AX
+
+	PCALIGN $64
+z3loop8:
+	LEAQ 8(AX), R10
+	CMPQ R10, R9
+	JGT  z3tail
+
+	VMOVUPD (DI)(AX*8), Z27
+	VMOVUPD (BX)(AX*8), Z28
+	VMOVUPD (R13)(AX*8), Z29
+
+	VMOVUPD     (SI)(AX*8), Z30
+	VFMADD231PD Z30, Z0, Z27
+	VFMADD231PD Z30, Z9, Z28
+	VFMADD231PD Z30, Z18, Z29
+	VMOVUPD     8(SI)(AX*8), Z30
+	VFMADD231PD Z30, Z1, Z27
+	VFMADD231PD Z30, Z10, Z28
+	VFMADD231PD Z30, Z19, Z29
+	VMOVUPD     16(SI)(AX*8), Z30
+	VFMADD231PD Z30, Z2, Z27
+	VFMADD231PD Z30, Z11, Z28
+	VFMADD231PD Z30, Z20, Z29
+
+	VMOVUPD     (DX)(AX*8), Z30
+	VFMADD231PD Z30, Z3, Z27
+	VFMADD231PD Z30, Z12, Z28
+	VFMADD231PD Z30, Z21, Z29
+	VMOVUPD     8(DX)(AX*8), Z30
+	VFMADD231PD Z30, Z4, Z27
+	VFMADD231PD Z30, Z13, Z28
+	VFMADD231PD Z30, Z22, Z29
+	VMOVUPD     16(DX)(AX*8), Z30
+	VFMADD231PD Z30, Z5, Z27
+	VFMADD231PD Z30, Z14, Z28
+	VFMADD231PD Z30, Z23, Z29
+
+	VMOVUPD     (R11)(AX*8), Z30
+	VFMADD231PD Z30, Z6, Z27
+	VFMADD231PD Z30, Z15, Z28
+	VFMADD231PD Z30, Z24, Z29
+	VMOVUPD     8(R11)(AX*8), Z30
+	VFMADD231PD Z30, Z7, Z27
+	VFMADD231PD Z30, Z16, Z28
+	VFMADD231PD Z30, Z25, Z29
+	VMOVUPD     16(R11)(AX*8), Z30
+	VFMADD231PD Z30, Z8, Z27
+	VFMADD231PD Z30, Z17, Z28
+	VFMADD231PD Z30, Z26, Z29
+
+	VMOVUPD Z27, (DI)(AX*8)
+	VMOVUPD Z28, (BX)(AX*8)
+	VMOVUPD Z29, (R13)(AX*8)
+	ADDQ    $8, AX
+	JMP     z3loop8
+
+	PCALIGN $64
+z3tail:
+	MOVQ  R9, CX
+	SUBQ  AX, CX
+	JLE   z3done
+	MOVL  $1, R10
+	SHLL  CX, R10
+	DECL  R10
+	KMOVW R10, K1
+
+	VMOVUPD.Z (DI)(AX*8), K1, Z27
+	VMOVUPD.Z (BX)(AX*8), K1, Z28
+	VMOVUPD.Z (R13)(AX*8), K1, Z29
+
+	VMOVUPD.Z   (SI)(AX*8), K1, Z30
+	VFMADD231PD Z30, Z0, Z27
+	VFMADD231PD Z30, Z9, Z28
+	VFMADD231PD Z30, Z18, Z29
+	VMOVUPD.Z   8(SI)(AX*8), K1, Z30
+	VFMADD231PD Z30, Z1, Z27
+	VFMADD231PD Z30, Z10, Z28
+	VFMADD231PD Z30, Z19, Z29
+	VMOVUPD.Z   16(SI)(AX*8), K1, Z30
+	VFMADD231PD Z30, Z2, Z27
+	VFMADD231PD Z30, Z11, Z28
+	VFMADD231PD Z30, Z20, Z29
+
+	VMOVUPD.Z   (DX)(AX*8), K1, Z30
+	VFMADD231PD Z30, Z3, Z27
+	VFMADD231PD Z30, Z12, Z28
+	VFMADD231PD Z30, Z21, Z29
+	VMOVUPD.Z   8(DX)(AX*8), K1, Z30
+	VFMADD231PD Z30, Z4, Z27
+	VFMADD231PD Z30, Z13, Z28
+	VFMADD231PD Z30, Z22, Z29
+	VMOVUPD.Z   16(DX)(AX*8), K1, Z30
+	VFMADD231PD Z30, Z5, Z27
+	VFMADD231PD Z30, Z14, Z28
+	VFMADD231PD Z30, Z23, Z29
+
+	VMOVUPD.Z   (R11)(AX*8), K1, Z30
+	VFMADD231PD Z30, Z6, Z27
+	VFMADD231PD Z30, Z15, Z28
+	VFMADD231PD Z30, Z24, Z29
+	VMOVUPD.Z   8(R11)(AX*8), K1, Z30
+	VFMADD231PD Z30, Z7, Z27
+	VFMADD231PD Z30, Z16, Z28
+	VFMADD231PD Z30, Z25, Z29
+	VMOVUPD.Z   16(R11)(AX*8), K1, Z30
+	VFMADD231PD Z30, Z8, Z27
+	VFMADD231PD Z30, Z17, Z28
+	VFMADD231PD Z30, Z26, Z29
+
+	VMOVUPD Z27, K1, (DI)(AX*8)
+	VMOVUPD Z28, K1, (BX)(AX*8)
+	VMOVUPD Z29, K1, (R13)(AX*8)
+
+z3done:
 	VZEROUPPER
 	RET
 
@@ -286,15 +409,9 @@ t3loop4:
 
 	VMOVUPD (DI)(AX*8), Y9
 
-	VMOVUPD (SI)(AX*8), Y10
-	VMULPD  Y10, Y0, Y11
-	VADDPD  Y11, Y9, Y9
-	VMOVUPD 8(SI)(AX*8), Y10
-	VMULPD  Y10, Y1, Y11
-	VADDPD  Y11, Y9, Y9
-	VMOVUPD 16(SI)(AX*8), Y10
-	VMULPD  Y10, Y2, Y11
-	VADDPD  Y11, Y9, Y9
+	VFMADD231PD (SI)(AX*8), Y0, Y9
+	VFMADD231PD 8(SI)(AX*8), Y1, Y9
+	VFMADD231PD 16(SI)(AX*8), Y2, Y9
 
 	VMOVUPD Y9, (DI)(AX*8)
 	ADDQ    $4, AX
@@ -306,15 +423,9 @@ t3tail:
 
 	VMOVSD (DI)(AX*8), X9
 
-	VMOVSD (SI)(AX*8), X10
-	VMULSD X10, X0, X11
-	VADDSD X11, X9, X9
-	VMOVSD 8(SI)(AX*8), X10
-	VMULSD X10, X1, X11
-	VADDSD X11, X9, X9
-	VMOVSD 16(SI)(AX*8), X10
-	VMULSD X10, X2, X11
-	VADDSD X11, X9, X9
+	VFMADD231SD (SI)(AX*8), X0, X9
+	VFMADD231SD 8(SI)(AX*8), X1, X9
+	VFMADD231SD 16(SI)(AX*8), X2, X9
 
 	VMOVSD X9, (DI)(AX*8)
 	INCQ   AX
@@ -361,14 +472,10 @@ pz32:
 
 pz32ic:
 	VBROADCASTSD (DX), Z4
-	VMULPD       (CX), Z4, Z5
-	VADDPD       Z5, Z0, Z0
-	VMULPD       64(CX), Z4, Z6
-	VADDPD       Z6, Z1, Z1
-	VMULPD       128(CX), Z4, Z7
-	VADDPD       Z7, Z2, Z2
-	VMULPD       192(CX), Z4, Z8
-	VADDPD       Z8, Z3, Z3
+	VFMADD231PD  (CX), Z4, Z0
+	VFMADD231PD  64(CX), Z4, Z1
+	VFMADD231PD  128(CX), Z4, Z2
+	VFMADD231PD  192(CX), Z4, Z3
 	ADDQ         R10, CX
 	ADDQ         $8, DX
 	DECQ         BX
@@ -408,8 +515,7 @@ pz8:
 
 pz8ic:
 	VBROADCASTSD (DX), Z4
-	VMULPD       (CX), Z4, Z5
-	VADDPD       Z5, Z0, Z0
+	VFMADD231PD  (CX), Z4, Z0
 	ADDQ         R10, CX
 	ADDQ         $8, DX
 	DECQ         BX
@@ -436,8 +542,7 @@ pz1:
 
 pz1ic:
 	VMOVSD (DX), X4
-	VMULSD (CX), X4, X5
-	VADDSD X5, X0, X0
+	VFMADD231SD (CX), X4, X0
 	ADDQ   R10, CX
 	ADDQ   $8, DX
 	DECQ   BX
@@ -489,14 +594,10 @@ py16:
 
 py16ic:
 	VBROADCASTSD (DX), Y4
-	VMULPD       (CX), Y4, Y5
-	VADDPD       Y5, Y0, Y0
-	VMULPD       32(CX), Y4, Y6
-	VADDPD       Y6, Y1, Y1
-	VMULPD       64(CX), Y4, Y7
-	VADDPD       Y7, Y2, Y2
-	VMULPD       96(CX), Y4, Y8
-	VADDPD       Y8, Y3, Y3
+	VFMADD231PD  (CX), Y4, Y0
+	VFMADD231PD  32(CX), Y4, Y1
+	VFMADD231PD  64(CX), Y4, Y2
+	VFMADD231PD  96(CX), Y4, Y3
 	ADDQ         R10, CX
 	ADDQ         $8, DX
 	DECQ         BX
@@ -536,8 +637,7 @@ py4:
 
 py4ic:
 	VBROADCASTSD (DX), Y4
-	VMULPD       (CX), Y4, Y5
-	VADDPD       Y5, Y0, Y0
+	VFMADD231PD  (CX), Y4, Y0
 	ADDQ         R10, CX
 	ADDQ         $8, DX
 	DECQ         BX
@@ -564,8 +664,7 @@ py1:
 
 py1ic:
 	VMOVSD (DX), X4
-	VMULSD (CX), X4, X5
-	VADDSD X5, X0, X0
+	VFMADD231SD (CX), X4, X0
 	ADDQ   R10, CX
 	ADDQ   $8, DX
 	DECQ   BX

@@ -6,21 +6,60 @@ import (
 	"testing"
 )
 
-func tapData(w int) (acc []float64, xd []float64, wr []float64) {
+// tapData returns tap-kernel operands: an accumulator row of n elements,
+// input rows at stride n-2 and nine weights. The SIMD kernels fuse each
+// multiply-add, which rounds as the separate multiply and add of the Go
+// loops only because every product is exact, so inputs and weights are
+// float32 values, as activations and widened weights are; the
+// accumulators are running float64 sums and need not be. Half of the
+// inputs are scaled by 2^36, the second input row repeats the first, and
+// the middle weight row negates the first: the two rows' huge terms cancel
+// exactly after the running sum has dropped the low bits of what came
+// before them, so a kernel that adds the taps in another order changes
+// bits.
+func tapData(n int) (acc []float64, xd []float64, wr []float64) {
 	rng := rand.New(rand.NewSource(1))
-	acc = make([]float64, w)
-	xd = make([]float64, 3*w+4)
+	val := func() float64 { return float64(float32(rng.NormFloat64())) }
+	stride := n - 2
+	acc = make([]float64, n)
+	xd = make([]float64, 3*n+4)
 	wr = make([]float64, 9)
 	for i := range acc {
 		acc[i] = rng.NormFloat64()
 	}
 	for i := range xd {
-		xd[i] = rng.NormFloat64()
+		switch {
+		case i >= stride && i < 2*stride:
+			xd[i] = xd[i-stride]
+		case rng.Intn(2) == 0:
+			xd[i] = val() * (1 << 36)
+		default:
+			xd[i] = val()
+		}
 	}
 	for i := range wr {
-		wr[i] = rng.NormFloat64()
+		if i >= 3 && i < 6 {
+			wr[i] = -wr[i-3]
+		} else {
+			wr[i] = val()
+		}
 	}
 	return
+}
+
+// tap9Ref is the reference 3×3 bundle: for j in [0, w) it adds the nine
+// taps against rows at stride w+2 in ascending (ki, kj) order, with a
+// separate multiply and add rounding each.
+func tap9Ref(acc, xd, wr []float64, w int) {
+	for j := 0; j < w; j++ {
+		a := acc[j]
+		for ki := 0; ki < 3; ki++ {
+			for kj := 0; kj < 3; kj++ {
+				a += float64(wr[ki*3+kj] * xd[ki*(w+2)+j+kj])
+			}
+		}
+		acc[j] = a
+	}
 }
 
 func TestTap9MatchesGo(t *testing.T) {
@@ -30,45 +69,67 @@ func TestTap9MatchesGo(t *testing.T) {
 	for _, w := range []int{4, 5, 7, 16, 46, 127} {
 		acc, xd, wr := tapData(w + 4)
 		ref := append([]float64(nil), acc...)
-		// Go reference: fused 9-tap in order.
-		for j := 0; j < w; j++ {
-			a := ref[j]
-			for ki := 0; ki < 3; ki++ {
-				for kj := 0; kj < 3; kj++ {
-					a += wr[ki*3+kj] * xd[ki*(w+2)+j+kj]
-				}
-			}
-			ref[j] = a
-		}
+		tap9Ref(ref, xd, wr, w)
 		tap9(&acc[0], &xd[0], &xd[w+2], &xd[2*(w+2)], &wr[0], w)
-		for j := 0; j < w; j++ {
-			if acc[j] != ref[j] {
+		for j := range acc {
+			if math.Float64bits(acc[j]) != math.Float64bits(ref[j]) {
 				t.Fatalf("w=%d j=%d: asm %v != go %v", w, j, acc[j], ref[j])
 			}
 		}
 	}
 }
 
+// TestTap9ZMatchesGo covers tap9z's vector loop and every length of its
+// masked tail (w mod 8 from 0 to 7, and w below one vector); acc is
+// compared past w too, where the masked store must write nothing.
 func TestTap9ZMatchesGo(t *testing.T) {
 	if !haveTap9Z {
 		t.Skip("no AVX-512")
 	}
-	for _, w := range []int{8, 9, 11, 16, 46, 127} {
+	for _, w := range []int{1, 2, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 46, 127} {
 		acc, xd, wr := tapData(w + 4)
 		ref := append([]float64(nil), acc...)
-		for j := 0; j < w; j++ {
-			a := ref[j]
-			for ki := 0; ki < 3; ki++ {
-				for kj := 0; kj < 3; kj++ {
-					a += wr[ki*3+kj] * xd[ki*(w+2)+j+kj]
-				}
-			}
-			ref[j] = a
-		}
+		tap9Ref(ref, xd, wr, w)
 		tap9z(&acc[0], &xd[0], &xd[w+2], &xd[2*(w+2)], &wr[0], w)
-		for j := 0; j < w; j++ {
-			if acc[j] != ref[j] {
+		for j := range acc {
+			if math.Float64bits(acc[j]) != math.Float64bits(ref[j]) {
 				t.Fatalf("w=%d j=%d: asm %v != go %v", w, j, acc[j], ref[j])
+			}
+		}
+	}
+}
+
+// TestTap9Z3MatchesGo runs tap9z3 against three tap9Ref bundles: output o
+// reads the weights at o*wStride and writes the accumulators at
+// o*accStride, over the vector loop and every masked-tail length. The
+// three outputs' weights differ (tapData's, negated, halved), so an
+// output that read another's weights shows, and the accumulators between
+// and past the three rows must stay untouched.
+func TestTap9Z3MatchesGo(t *testing.T) {
+	if !haveTap9Z {
+		t.Skip("no AVX-512")
+	}
+	for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 46, 127} {
+		_, xd, wr := tapData(w + 4)
+		const wStride = 13
+		ws := make([]float64, 2*wStride+9)
+		for i, v := range wr {
+			ws[i], ws[wStride+i], ws[2*wStride+i] = v, -v, v/2
+		}
+		accStride := w + 5
+		acc := make([]float64, 3*accStride)
+		rng := rand.New(rand.NewSource(int64(w)))
+		for i := range acc {
+			acc[i] = rng.NormFloat64()
+		}
+		ref := append([]float64(nil), acc...)
+		for o := 0; o < 3; o++ {
+			tap9Ref(ref[o*accStride:], xd, ws[o*wStride:o*wStride+9], w)
+		}
+		tap9z3(&acc[0], &xd[0], &ws[0], accStride, w+2, wStride, w)
+		for j := range acc {
+			if math.Float64bits(acc[j]) != math.Float64bits(ref[j]) {
+				t.Fatalf("w=%d element %d (output %d, j=%d): asm %v != go %v", w, j, j/accStride, j%accStride, acc[j], ref[j])
 			}
 		}
 	}
@@ -83,14 +144,14 @@ func TestTap3MatchesGo(t *testing.T) {
 		ref := append([]float64(nil), acc...)
 		for j := 0; j < w; j++ {
 			a := ref[j]
-			a += wr[0] * xd[j]
-			a += wr[1] * xd[j+1]
-			a += wr[2] * xd[j+2]
+			a += float64(wr[0] * xd[j])
+			a += float64(wr[1] * xd[j+1])
+			a += float64(wr[2] * xd[j+2])
 			ref[j] = a
 		}
 		tap3(&acc[0], &xd[0], &wr[0], w)
-		for j := 0; j < w; j++ {
-			if acc[j] != ref[j] {
+		for j := range acc {
+			if math.Float64bits(acc[j]) != math.Float64bits(ref[j]) {
 				t.Fatalf("tap3 w=%d j=%d: asm %v != go %v", w, j, acc[j], ref[j])
 			}
 		}
@@ -295,3 +356,16 @@ func benchPointwise(b *testing.B, mode string) {
 func BenchmarkPointwiseAVX512(b *testing.B) { benchPointwise(b, "avx512") }
 func BenchmarkPointwiseAVX2(b *testing.B)   { benchPointwise(b, "avx2") }
 func BenchmarkPointwiseGo(b *testing.B)     { benchPointwise(b, "go") }
+
+// TestKernelTier logs the kernel tier this machine runs, so a CI log (go
+// test -v) shows whether the AVX-512 checks ran or skipped.
+func TestKernelTier(t *testing.T) {
+	switch {
+	case haveTap9Z:
+		t.Log("kernel tier: AVX-512 (tap9z, tap9z3, pointwisez)")
+	case haveTap9:
+		t.Log("kernel tier: AVX2+FMA (tap9, tap3, pointwise); the AVX-512 checks (tap9z, tap9z3) skip")
+	default:
+		t.Log("kernel tier: pure Go; the SIMD checks skip")
+	}
+}

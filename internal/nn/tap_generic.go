@@ -18,6 +18,10 @@ func tap9z(acc, x0, x1, x2, w *float64, n int) {
 	panic("nn: tap9z without AVX-512 support")
 }
 
+func tap9z3(acc, x, w *float64, accStride, rowStride, wStride, n int) {
+	panic("nn: tap9z3 without AVX-512 support")
+}
+
 func tap3(acc, x, w *float64, n int) {
 	panic("nn: tap3 without AVX2 support")
 }
