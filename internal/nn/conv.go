@@ -133,77 +133,154 @@ func zeroBias(a *Arena, n int) []float32 {
 }
 
 // Arena keys of the convolutions' scratch. Layers run strictly one at a
-// time within a pass, so they share one scratch buffer (per worker, an
-// accumulator row, or conv3dPadded's padded and accumulator planes) and
-// one widened-weights buffer.
+// time within a pass, so they share one scratch buffer (per worker,
+// convPadded's padded and accumulator bands), one band table and one
+// widened-weights buffer.
 const (
 	convScratchKey = "conv.acc"
+	convBandsKey   = "conv.bands"
 	convWeightKey  = "conv.w64"
 )
 
 // runConv computes the same-padded stride-1 convolution of x into out
 // (both channel-major, one spatial shape) with widened weights wd and
 // biases bd, on up to workers goroutines: a dense convolution (weights
-// out.Dim(0) × x.Dim(0) × K^rank; 1×1 ones run on pointwiseConv) or, with
-// depthwise, one K^rank filter per channel. relu folds a ReLU into the
-// store.
+// out.Dim(0) × x.Dim(0) × K^rank) or, with depthwise, one K^rank filter
+// per channel. relu folds a ReLU into the store. A dense 1×1 layer runs
+// on pointwiseConv, a 3×3 layer padSafe accepts on convPadded, and every
+// other layer on convDirect.
 func runConv(out, x Act, wd []float64, bd []float32, K int, depthwise, relu bool, segLo, segHi []int, a *Arena, workers int) {
 	if K == 1 && !depthwise {
 		pointwiseConv(out.Data, x.Data, wd, bd, x.Dim(0), out.Dim(0), len(x.Data)/x.Dim(0), relu, workers)
 		return
 	}
-	if x.Rank() == 4 && K == 3 && haveTap9 && padSafe(wd, bd) {
-		runPadded(out, x, wd, bd, depthwise, relu, segLo, segHi, a, workers)
+	s := newConvShape(out, x, K, depthwise, relu, segLo, segHi)
+	if K == 3 && padSafe(wd, bd) {
+		runPadded(out.Data, x.Data, wd, bd, s, a, workers)
 		return
 	}
-	items := out.Dim(0) * x.Dim(1)
-	w := x.Dim(x.Rank() - 1)
-	eff := clampWorkers(workers, items)
-	scratch := a.F64(convScratchKey, eff*w)
-	if eff <= 1 {
-		convItems(out.Data, x, wd, bd, K, depthwise, relu, segLo, segHi, scratch, 0, items)
-		return
-	}
-	dispatchScratch(eff, items, w, scratch, func(lo, hi int, acc []float64) {
-		convItems(out.Data, x, wd, bd, K, depthwise, relu, segLo, segHi, acc, lo, hi)
-	})
+	runDirect(out.Data, x.Data, wd, bd, s, workers)
 }
 
-// runPadded is runConv for a 3×3×3 layer on conv3dPadded: work items
-// are (plane, row band), and each worker's scratch holds three padded
-// bands and its accumulator bands.
-func runPadded(out, x Act, wd []float64, bd []float32, depthwise, relu bool, segLo, segHi []int, a *Arena, workers int) {
-	inC, outC, d, h, w := x.Dim(0), out.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	accC := outC
-	if depthwise {
+// runPadded is runConv on convPadded: work items are (plane, row band),
+// and each worker's scratch holds kd padded bands and its accumulator
+// bands.
+func runPadded(od, xd, wd []float64, bd []float32, s convShape, a *Arena, workers int) {
+	accC := s.outC
+	if s.depthwise {
 		accC = 1
 	}
-	n := padScratchLen(accC, h, w)
-	items := d * padBands(h)
+	bands := padBandTable(s, a)
+	n := padScratchLen(s.kd, accC, s.H, s.W)
+	items := s.D * len(bands) / 4
 	eff := clampWorkers(workers, items)
 	scratch := a.F64(convScratchKey, eff*n)
 	if eff <= 1 {
-		conv3dPadded(out.Data, x.Data, wd, bd, inC, outC, d, h, w, depthwise, relu, segLo, segHi, scratch, 0, items)
+		convPadded(od, xd, wd, bd, s, bands, scratch, 0, items)
 		return
 	}
 	dispatchScratch(eff, items, n, scratch, func(lo, hi int, buf []float64) {
-		conv3dPadded(out.Data, x.Data, wd, bd, inC, outC, d, h, w, depthwise, relu, segLo, segHi, buf, lo, hi)
+		convPadded(od, xd, wd, bd, s, bands, buf, lo, hi)
 	})
 }
 
-// convItems computes work items [lo, hi) of runConv: (output channel ×
-// row) in 2D, (output channel × plane) in 3D.
-func convItems(od []float64, x Act, wd []float64, bd []float32, K int, depthwise, relu bool, segLo, segHi []int, acc []float64, lo, hi int) {
-	inC, w := x.Dim(0), x.Dim(x.Rank()-1)
-	switch {
-	case x.Rank() == 3 && depthwise:
-		depthwise2dRows(od, x.Data, wd, bd, K, x.Dim(1), w, relu, segLo, segHi, acc, lo, hi)
-	case x.Rank() == 3:
-		conv2dRows(od, x.Data, wd, bd, inC, K, x.Dim(1), w, relu, segLo, segHi, acc, lo, hi)
-	case depthwise:
-		depthwise3dPlanes(od, x.Data, wd, bd, K, x.Dim(1), x.Dim(2), w, relu, segLo, segHi, acc, lo, hi)
-	default:
-		conv3dPlanes(od, x.Data, wd, bd, inC, K, x.Dim(1), x.Dim(2), w, relu, segLo, segHi, acc, lo, hi)
+// convShape is the geometry of one same-padded stride-1 convolution that
+// runConv does not send to pointwiseConv. A 2D map is one plane (D = 1)
+// with a one-tap depth kernel (kd = 1), as paramGrads treats it; a 3D map
+// has kd = K. Segments partition the leading spatial axis: the rows of a
+// 2D map (rowSegs), the planes of a 3D one.
+type convShape struct {
+	inC, outC, D, H, W, K, kd int
+	depthwise, relu, rowSegs  bool
+	segLo, segHi              []int
+}
+
+// newConvShape returns the geometry of convolving x into out.
+func newConvShape(out, x Act, K int, depthwise, relu bool, segLo, segHi []int) convShape {
+	s := convShape{inC: x.Dim(0), outC: out.Dim(0), D: 1, K: K, kd: 1, depthwise: depthwise, relu: relu, rowSegs: true, segLo: segLo, segHi: segHi}
+	if x.Rank() == 4 {
+		s.D, s.kd, s.rowSegs = x.Dim(1), K, false
+	}
+	s.H, s.W = x.Dim(x.Rank()-2), x.Dim(x.Rank()-1)
+	return s
+}
+
+// inPer returns the input channels each output channel reads.
+func (s *convShape) inPer() int {
+	if s.depthwise {
+		return 1
+	}
+	return s.inC
+}
+
+// planeSeg and rowSeg return the segment [lo, hi) of plane z and of row i.
+func (s *convShape) planeSeg(z int) (int, int) {
+	if s.rowSegs {
+		return 0, s.D
+	}
+	return segBounds(z, s.D, s.segLo, s.segHi)
+}
+
+func (s *convShape) rowSeg(i int) (int, int) {
+	if !s.rowSegs {
+		return 0, s.H
+	}
+	return segBounds(i, s.H, s.segLo, s.segHi)
+}
+
+// runDirect is runConv on convDirect, on up to workers goroutines.
+func runDirect(od, xd, wd []float64, bd []float32, s convShape, workers int) {
+	items := s.outC * s.D * s.H
+	if eff := clampWorkers(workers, items); eff <= 1 {
+		convDirect(od, xd, wd, bd, s, 0, items)
+	} else {
+		parallel.ForRangeWith(eff, items, func(lo, hi int) {
+			convDirect(od, xd, wd, bd, s, lo, hi)
+		})
+	}
+}
+
+// convDirect computes work items [lo, hi) of a convolution one element at
+// a time: item t is row t%H of plane t/H%D of output channel t/(D·H). Each
+// element is the per-element contract itself, its taps clipped to the
+// plane's and row's segments and to the row; the row's sums are then
+// stored in place through storeRow, convPadded's store. It runs the layers
+// the padded driver does not take (kernel sizes other than 1 and 3,
+// depthwise 1×1, and layers padSafe rejects), and it is the reference the
+// padded driver is tested against.
+func convDirect(od, xd, wd []float64, bd []float32, s convShape, lo, hi int) {
+	hw, K, W := s.H*s.W, s.K, s.W
+	vol, p, pz := s.D*hw, K/2, s.kd/2
+	inPer, taps := s.inPer(), s.kd*K*K
+	for t := lo; t < hi; t++ {
+		oc, z, i := t/(s.D*s.H), t/s.H%s.D, t%s.H
+		zlo, zhi := s.planeSeg(z)
+		ilo, ihi := s.rowSeg(i)
+		kz0, kz1 := kernelRange(z-zlo, zhi-zlo, s.kd, pz)
+		ki0, ki1 := kernelRange(i-ilo, ihi-ilo, K, p)
+		ic0 := 0
+		if s.depthwise {
+			ic0 = oc
+		}
+		dst := od[oc*vol+z*hw+i*W : oc*vol+z*hw+(i+1)*W]
+		for j := range dst {
+			kj0, kj1 := kernelRange(j, W, K, p)
+			a := float64(bd[oc])
+			for ic := ic0; ic < ic0+inPer; ic++ {
+				f := wd[(oc*inPer+ic-ic0)*taps:]
+				for kz := kz0; kz < kz1; kz++ {
+					for ki := ki0; ki < ki1; ki++ {
+						wr := f[(kz*K+ki)*K:]
+						xb := ic*vol + (z+kz-pz)*hw + (i+ki-p)*W + j - p
+						for kj := kj0; kj < kj1; kj++ {
+							a += float64(wr[kj] * xd[xb+kj])
+						}
+					}
+				}
+			}
+			dst[j] = a
+		}
+		storeRow(dst, dst, s.relu)
 	}
 }
 

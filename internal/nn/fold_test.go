@@ -67,10 +67,12 @@ func foldData(rng *rand.Rand, l Layer, x Act) {
 // followed by a ReLU, run through Sequential.Infer (which folds the ReLU
 // into the convolution's store) and through the training Forward (which
 // runs the convolution and then the ReLU layer), must equal an explicit
-// float32 ReLU of the convolution's output bit for bit, for 2D and 3D,
-// 3×3 and 1×1 and depthwise convolutions, segmented and not, on every
-// kernel tier, at one and three workers. foldData makes the convolution
-// emit every edge of the clamp; the test checks that it did.
+// float32 ReLU of the convolution's output on convDirect bit for bit, for
+// 2D and 3D, 3×3 and 1×1 and depthwise convolutions, segmented and not,
+// on every kernel tier, at one and three workers. foldData makes the
+// convolution emit every edge of the clamp; the test checks that it did.
+// Its −0 biases, and the Inf weight of the "Inf weight" cases, are the
+// layers padSafe keeps off the padded driver.
 func TestFoldedReLUMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	must := func(l Layer, err error) Layer {
@@ -84,43 +86,45 @@ func TestFoldedReLUMatchesForward(t *testing.T) {
 		conv   Layer
 		shape  []int
 		counts []int
+		inf    bool // one weight of output channel 0 is +Inf
 	}{
-		{"conv2d 3x3", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, nil},
-		{"conv2d 3x3 segmented", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, []int{5, 6}},
-		{"conv2d 1x1", must(NewConv(rng, 2, 3, 4, 1)), []int{3, 11, 53}, nil},
-		{"conv2d 1x1 segmented", must(NewConv(rng, 2, 3, 4, 1)), []int{3, 11, 53}, []int{5, 6}},
-		{"depthwise2d segmented", must(NewDepthwise(rng, 2, 3, 3)), []int{3, 11, 53}, []int{5, 6}},
-		{"conv3d 3x3", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, nil},
-		{"conv3d 3x3 segmented", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, []int{2, 3}},
-		{"conv3d 1x1", must(NewConv(rng, 3, 2, 3, 1)), []int{2, 5, 6, 53}, nil},
-		{"conv3d 1x1 segmented", must(NewConv(rng, 3, 2, 3, 1)), []int{2, 5, 6, 53}, []int{2, 3}},
-		{"depthwise3d segmented", must(NewDepthwise(rng, 3, 2, 3)), []int{2, 5, 6, 53}, []int{2, 3}},
+		{"conv2d 3x3", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, nil, false},
+		{"conv2d 3x3 segmented", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, []int{5, 6}, false},
+		{"conv2d 1x1", must(NewConv(rng, 2, 3, 4, 1)), []int{3, 11, 53}, nil, false},
+		{"conv2d 1x1 segmented", must(NewConv(rng, 2, 3, 4, 1)), []int{3, 11, 53}, []int{5, 6}, false},
+		{"depthwise2d segmented", must(NewDepthwise(rng, 2, 3, 3)), []int{3, 11, 53}, []int{5, 6}, false},
+		{"conv2d 3x3 Inf weight", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, []int{5, 6}, true},
+		{"depthwise2d Inf weight", must(NewDepthwise(rng, 2, 3, 3)), []int{3, 11, 53}, nil, true},
+		{"conv3d 3x3", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, nil, false},
+		{"conv3d 3x3 segmented", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, []int{2, 3}, false},
+		{"conv3d 1x1", must(NewConv(rng, 3, 2, 3, 1)), []int{2, 5, 6, 53}, nil, false},
+		{"conv3d 1x1 segmented", must(NewConv(rng, 3, 2, 3, 1)), []int{2, 5, 6, 53}, []int{2, 3}, false},
+		{"depthwise3d segmented", must(NewDepthwise(rng, 3, 2, 3)), []int{2, 5, 6, 53}, []int{2, 3}, false},
+		{"conv3d 3x3 Inf weight", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, []int{2, 3}, true},
 	}
 	for _, tc := range cases {
 		x := randAct(rng, tc.shape...)
 		foldData(rng, tc.conv, x)
+		if tc.inf {
+			tc.conv.Params()[0].W.Data()[4] = float32(math.Inf(1))
+		}
 		net := NewSequential(tc.conv, NewReLU())
 		counts := tc.counts
 		if counts == nil {
 			counts = []int{tc.shape[1]}
 		}
-		var pre, want []float64
-		for _, tier := range []struct {
-			name  string
-			z, v2 bool
-			ok    bool
-		}{{"go", false, false, true}, {"avx2", false, true, haveTap9}, {"avx512", true, true, haveTap9Z}} {
+		pre := directConv(tc.conv, x, tc.counts)
+		want := make([]float64, len(pre))
+		for i, p := range pre {
+			if v := float32(p); v > 0 {
+				want[i] = float64(v)
+			} // NaN, ±0 and negatives: +0
+		}
+		for _, tier := range kernelTiers {
 			if !tier.ok {
 				continue
 			}
 			withKernels(tier.z, tier.v2, func() {
-				pre = segmentedForward(t, NewSequential(tc.conv), x, counts)
-				want = make([]float64, len(pre))
-				for i, p := range pre {
-					if v := float32(p); v > 0 {
-						want[i] = float64(v)
-					} // NaN, ±0 and negatives: +0
-				}
 				check := func(pass string, got []float64) {
 					for i, v := range want {
 						if math.Float64bits(got[i]) != math.Float64bits(v) {
@@ -141,6 +145,27 @@ func TestFoldedReLUMatchesForward(t *testing.T) {
 		}
 		requireFoldEdges(t, tc.name, pre)
 	}
+}
+
+// directConv runs the convolution l (a *Conv or *Depthwise) of x on
+// convDirect, segmented by counts along x's leading spatial axis.
+func directConv(l Layer, x Act, counts []int) []float64 {
+	var K int
+	depthwise := false
+	switch c := l.(type) {
+	case *Conv:
+		K = c.K
+	case *Depthwise:
+		K, depthwise = c.K, true
+	}
+	w, b := l.Params()[0].W.Data(), l.Params()[1].W.Data()
+	shape := x.Shape()
+	shape[0] = len(b)
+	out := newAct(make([]float64, len(x.Data)/x.Dim(0)*len(b)), shape...)
+	segLo, segHi := segTables(counts, x.Dim(1))
+	s := newConvShape(out, x, K, depthwise, false, segLo, segHi)
+	convDirect(out.Data, x.Data, toF64(make([]float64, len(w)), w), b, s, 0, s.outC*s.D*s.H)
+	return out.Data
 }
 
 // requireFoldEdges fails unless the pre-ReLU output holds every edge the

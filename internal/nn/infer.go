@@ -44,30 +44,29 @@
 //     shared MLP and its sigmoid (a portable exp, see exp.go) run serially
 //     per segment.
 //
-// Three kernel families implement the convolutions:
+// Three drivers implement the convolutions, the same on every kernel
+// tier:
 //
-//   - conv3dPadded runs every 3×3×3 convolution, dense or depthwise, on
-//     the SIMD tiers. A work item is one band of up to padRows rows of a
-//     z-plane, for every output channel. For each input channel the
-//     worker copies that band of the (up to three) planes the kz taps
-//     read into a local buffer with a one-element zero border. Then, per
-//     kz, it adds the nine taps over the whole flattened padded band into
-//     the output channels' accumulator bands: on the AVX-512 tier one
-//     tap9z3 call per triple of output channels, so one input load feeds
-//     three accumulators, and one tap9z/tap9 call (tap9Rows) per leftover
-//     or depthwise channel. Last it stores each row through storeRow. The
-//     border's zeros stand in for the taps the per-row drivers clip,
-//     which changes no bit unless a bias is −0 or a weight is not finite
-//     (padSafe); such a layer takes the per-row path.
-//   - tapRows adds a bundle of K-tap rows into a float64 accumulator row,
-//     the 3×3 interior in one register pass (tap9Rows), its halo in a
-//     clipped per-element loop; conv2dRows and conv3dPlanes drive it per
-//     (output channel, row or plane) and store each finished row through
-//     storeRow. It runs every 2D convolution, and 3D ones only on the
-//     pure-Go tier, for kernel sizes other than 3, and for layers padSafe
-//     rejects. Depthwise convolutions run each channel as a one-channel
-//     conv2dRows/conv3dPlanes on that channel's slices.
-//   - pointwiseConv runs every 1×1 convolution, 2D or 3D, over the
+//   - convPadded runs every 3×3 and 3×3×3 convolution, dense or
+//     depthwise; a 2D map is one plane with a one-tap depth kernel. A
+//     work item is one band of up to padRows rows of a plane, for every
+//     output channel; in 2D, where segments partition the rows, no band
+//     crosses a segment boundary. For each input channel the worker
+//     copies that band of the (up to three) planes the kz taps read into
+//     a local buffer with a one-element zero border. Then, per kz, it
+//     adds the nine taps over the whole flattened padded band into the
+//     output channels' accumulator bands: on the AVX-512 tier one tap9z3
+//     call per triple of output channels, so one input load feeds three
+//     accumulators, and one tap9Rows call (tap9z, tap9 or its Go loop)
+//     per leftover or depthwise channel. Last it stores each row through
+//     storeRow. The border's zeros stand in for the taps convDirect
+//     clips, which changes no bit unless a bias is −0 or a weight is not
+//     finite (padSafe).
+//   - convDirect runs every other layer that is not a dense 1×1 one:
+//     kernel sizes other than 1 and 3, depthwise 1×1 layers and layers
+//     padSafe rejects. It is a scalar per-element loop over the taps
+//     inside the segment, and the reference convPadded is tested against.
+//   - pointwiseConv runs every dense 1×1 convolution, 2D or 3D, over the
 //     flattened spatial volume: work items are (strip of pwStrip elements
 //     × output channel), and the SIMD kernels (pointwise/pointwisez) keep
 //     the accumulators in registers across all input channels and store
@@ -315,87 +314,6 @@ func relu32(v float32) float64 {
 	return float64(math.Float32frombits(uint32(u & mask)))
 }
 
-// tapRows accumulates a bundle of kernel tap-rows into the accumulator
-// row: for every output element j it adds, for each height-axis tap ki in
-// [ki0, ki1), the K width-axis taps of weight row wd[wrowBase+ki*K:] read
-// against input row xd[xrowBase+ki*rowStride+j+kj] — in ascending (ki, kj)
-// order, exactly the order the reference per-element loop uses, so results
-// are bit-identical. Interior elements ([p, W-p)) take all their taps in
-// one fused register pass (one accumulator load/store per ki-bundle — the
-// halo branch hoisted out of the inner loop); edge elements fall back to
-// the clamped per-element loop. The dominant 3×3 case runs with all nine
-// weights preloaded.
-func tapRows(acc []float64, xd, wd []float64, wrowBase, xrowBase, rowStride, ki0, ki1, W, K, p int) {
-	lo := p
-	if lo > W {
-		lo = W
-	}
-	hi := W - p
-	if hi < lo {
-		hi = lo
-	}
-	for j := 0; j < lo; j++ { // left halo
-		kj0, kj1 := kernelRange(j, W, K, p)
-		a := acc[j]
-		for ki := ki0; ki < ki1; ki++ {
-			wrow := wrowBase + ki*K
-			xrow := xrowBase + ki*rowStride + j
-			for kj := kj0; kj < kj1; kj++ {
-				a += float64(wd[wrow+kj] * xd[xrow+kj])
-			}
-		}
-		acc[j] = a
-	}
-	if K == 3 && ki1-ki0 == 3 {
-		r0 := xrowBase + ki0*rowStride
-		tap9Rows(acc, xd, wd[wrowBase+ki0*3:wrowBase+ki0*3+9], r0, r0+rowStride, r0+2*rowStride, lo, hi)
-	} else {
-		for ki := ki0; ki < ki1; ki++ {
-			wrow := wrowBase + ki*K
-			xrow := xrowBase + ki*rowStride
-			switch K {
-			case 3:
-				// Clipped 3-tap row bundle (edge ki rows, 3D kz rows):
-				// vectorized with the same per-element tap order.
-				if haveTap9 && hi-lo >= 4 {
-					tap3(&acc[lo], &xd[xrow+lo], &wd[wrow], hi-lo)
-					continue
-				}
-				w0, w1, w2 := wd[wrow], wd[wrow+1], wd[wrow+2]
-				for j := lo; j < hi; j++ {
-					xb := xrow + j
-					a := acc[j]
-					a += float64(w0 * xd[xb])
-					a += float64(w1 * xd[xb+1])
-					a += float64(w2 * xd[xb+2])
-					acc[j] = a
-				}
-			default:
-				for j := lo; j < hi; j++ {
-					xb := xrow + j
-					a := acc[j]
-					for kj := 0; kj < K; kj++ {
-						a += float64(wd[wrow+kj] * xd[xb+kj])
-					}
-					acc[j] = a
-				}
-			}
-		}
-	}
-	for j := hi; j < W; j++ { // right halo
-		kj0, kj1 := kernelRange(j, W, K, p)
-		a := acc[j]
-		for ki := ki0; ki < ki1; ki++ {
-			wrow := wrowBase + ki*K
-			xrow := xrowBase + ki*rowStride + j
-			for kj := kj0; kj < kj1; kj++ {
-				a += float64(wd[wrow+kj] * xd[xrow+kj])
-			}
-		}
-		acc[j] = a
-	}
-}
-
 // tap9Rows adds the nine taps wr of one 3×3 bundle into acc[j] for j in
 // [lo, hi), reading xd[r0+j..r0+j+2], xd[r1+j..] and xd[r2+j..] in
 // ascending (ki, kj) order.
@@ -463,88 +381,12 @@ func tap9Rows(acc, xd, wr []float64, r0, r1, r2, lo, hi int) {
 	}
 }
 
-// conv2dRows computes output rows [lo, hi) of the work-item space
-// (outC × H) for a stride-1 same-padded 2D convolution. acc is a W-long
-// float64 accumulator row owned by the calling worker.
-func conv2dRows(od, xd, wd []float64, bd []float32, inC, K, H, W int, relu bool, segLo, segHi []int, acc []float64, lo, hi int) {
-	p := K / 2
-	hw := H * W
-	acc = acc[:W]
-	for t := lo; t < hi; t++ {
-		oc, i := t/H, t%H
-		ilo, ihi := segBounds(i, H, segLo, segHi)
-		ki0, ki1 := kernelRange(i-ilo, ihi-ilo, K, p)
-		fillAcc(acc, float64(bd[oc]))
-		for ic := 0; ic < inC; ic++ {
-			xcbase := ic * hw
-			wbase := ((oc*inC + ic) * K) * K
-			tapRows(acc, xd, wd, wbase, xcbase+(i-p)*W-p, W, ki0, ki1, W, K, p)
-		}
-		storeRow(od[oc*hw+i*W:], acc, relu)
-	}
-}
-
-// conv3dPlanes computes output planes [lo, hi) of the work-item space
-// (outC × D) for a stride-1 same-padded 3D convolution.
-func conv3dPlanes(od, xd, wd []float64, bd []float32, inC, K, D, H, W int, relu bool, segLo, segHi []int, acc []float64, lo, hi int) {
-	p := K / 2
-	hw := H * W
-	vol := D * hw
-	acc = acc[:W]
-	for t := lo; t < hi; t++ {
-		oc, z := t/D, t%D
-		zlo, zhi := segBounds(z, D, segLo, segHi)
-		kz0, kz1 := kernelRange(z-zlo, zhi-zlo, K, p)
-		bias := float64(bd[oc])
-		obase := oc*vol + z*hw
-		for i := 0; i < H; i++ {
-			ki0, ki1 := kernelRange(i, H, K, p)
-			fillAcc(acc, bias)
-			for ic := 0; ic < inC; ic++ {
-				xcbase := ic * vol
-				wcbase := (((oc*inC + ic) * K) * K) * K
-				for kz := kz0; kz < kz1; kz++ {
-					xzbase := xcbase + (z+kz-p)*hw
-					wzbase := wcbase + kz*K*K
-					tapRows(acc, xd, wd, wzbase, xzbase+(i-p)*W-p, W, ki0, ki1, W, K, p)
-				}
-			}
-			storeRow(od[obase+i*W:], acc, relu)
-		}
-	}
-}
-
-// depthwise2dRows is conv2dRows for a depthwise convolution: output
-// channel c is a one-channel convolution of input channel c with filter
-// c, so each channel's rows run conv2dRows on that channel's slices, on
-// the same tapRows kernels. Work items are (C × H).
-func depthwise2dRows(od, xd, wd []float64, bd []float32, K, H, W int, relu bool, segLo, segHi []int, acc []float64, lo, hi int) {
-	hw, kk := H*W, K*K
-	for lo < hi {
-		c := lo / H
-		end := min(hi, (c+1)*H)
-		conv2dRows(od[c*hw:(c+1)*hw], xd[c*hw:(c+1)*hw], wd[c*kk:(c+1)*kk], bd[c:c+1], 1, K, H, W, relu, segLo, segHi, acc, lo-c*H, end-c*H)
-		lo = end
-	}
-}
-
-// depthwise3dPlanes is conv3dPlanes for a depthwise convolution, one
-// channel at a time like depthwise2dRows. Work items are (C × D).
-func depthwise3dPlanes(od, xd, wd []float64, bd []float32, K, D, H, W int, relu bool, segLo, segHi []int, acc []float64, lo, hi int) {
-	vol, kkk := D*H*W, K*K*K
-	for lo < hi {
-		c := lo / D
-		end := min(hi, (c+1)*D)
-		conv3dPlanes(od[c*vol:(c+1)*vol], xd[c*vol:(c+1)*vol], wd[c*kkk:(c+1)*kkk], bd[c:c+1], 1, K, D, H, W, relu, segLo, segHi, acc, lo-c*D, end-c*D)
-		lo = end
-	}
-}
-
-// padSafe reports whether a 3×3×3 layer may run on conv3dPadded: adding
-// a padded tap's w·(+0) = ±0 leaves every accumulator but −0 unchanged,
+// padSafe reports whether a 3×3 layer may run on convPadded: adding a
+// padded tap's w·(+0) = ±0 leaves every accumulator but −0 unchanged,
 // and an accumulator that starts at a bias other than −0 never becomes
 // −0, so the padded taps change no bit unless a bias is −0 or a weight
-// is not finite (Inf·0 is NaN).
+// is not finite (Inf·0 is NaN). A loaded model may carry either, so such
+// a layer runs on convDirect.
 func padSafe(wd []float64, bd []float32) bool {
 	for _, b := range bd {
 		if math.Float32bits(b) == 1<<31 {
@@ -559,60 +401,77 @@ func padSafe(wd []float64, bd []float32) bool {
 	return true
 }
 
-// padRows is the height of conv3dPadded's row bands. A band of 16 rows
+// padRows is the height of convPadded's row bands. A band of 16 rows
 // keeps each tap9Rows call long (16 padded rows) while a worker's scratch
-// stays a few hundred KiB at the CFNN's widths, whatever the plane size:
-// the scratch is allocated per inference pass, so it adds to every cold
+// stays under a MiB at the CFNN's widths, whatever the plane size: the
+// scratch is allocated per inference pass, so it adds to every cold
 // decode's memory.
 const padRows = 16
 
-// padBands returns the number of row bands of an H-row plane.
-func padBands(H int) int { return (H + padRows - 1) / padRows }
-
-// padScratchLen is the per-worker scratch of conv3dPadded: three
-// zero-bordered band planes of (R+2)×(W+2), then accC R×(W+2) accumulator
-// bands (one per output channel of a dense layer, one for a depthwise
-// layer), where R = min(H, padRows).
-func padScratchLen(accC, H, W int) int {
-	r := min(H, padRows)
-	return (3*(r+2) + accC*r) * (W + 2)
+// padBandTable returns convPadded's row bands, four ints each: first row,
+// row count, and the [lo, hi) rows of the band's segment. Each row
+// segment of a 2D map (the whole [0, H) otherwise) splits into bands of
+// up to padRows rows, so no band crosses a segment boundary.
+func padBandTable(s convShape, a *Arena) []int {
+	n := 0
+	for i := 0; i < s.H; n++ {
+		_, hi := s.rowSeg(i)
+		i += min(padRows, hi-i)
+	}
+	bands := a.Ints(convBandsKey, 4*n)
+	for i, k := 0, 0; i < s.H; k += 4 {
+		lo, hi := s.rowSeg(i)
+		r := min(padRows, hi-i)
+		bands[k], bands[k+1], bands[k+2], bands[k+3] = i, r, lo, hi
+		i += r
+	}
+	return bands
 }
 
-// conv3dPadded computes work items [lo, hi) of a 3×3×3 convolution,
-// dense or depthwise, over zero-padded row bands. Item t is band
-// t%padBands(H) of plane t/padBands(H), for every output channel. For
-// each input channel it copies the band's rows, plus one halo row above
-// and below, of the planes the kz taps read (inside the plane's segment,
-// as conv3dPlanes clips them) into buf with a one-element zero border;
-// a halo row outside the plane is zeros. It then adds each kz's nine taps
-// to every output channel's accumulator band in one tap9Rows call over
-// n = r·(W+2)−2 elements for a band of r rows: reading the flattened
-// padded band at offsets 0, W+2 and 2(W+2) gives every element its nine
-// neighbours, and the two wrapped columns after each row are never
-// stored. Each output still adds its taps in ascending (input channel,
-// kz, ki, kj) order, and the taps the clipped drivers skip read zeros,
-// so when padSafe holds the result is theirs bit for bit. On the AVX-512
-// tier output channels go three to a tap9z3 call and the leftovers to
-// tap9Rows. A depthwise layer runs each channel as a one-channel dense
-// one.
-func conv3dPadded(od, xd, wd []float64, bd []float32, inC, outC, D, H, W int, depthwise, relu bool, segLo, segHi []int, buf []float64, lo, hi int) {
-	hw, vol := H*W, D*H*W
-	ws, nb := W+2, padBands(H)
-	R := min(H, padRows)
+// padScratchLen is the per-worker scratch of convPadded: kd zero-bordered
+// band planes of (R+2)×(W+2), then accC R×(W+2) accumulator bands (one
+// per output channel of a dense layer, one for a depthwise layer), where
+// R = min(H, padRows).
+func padScratchLen(kd, accC, H, W int) int {
+	r := min(H, padRows)
+	return (kd*(r+2) + accC*r) * (W + 2)
+}
+
+// convPadded computes work items [lo, hi) of a 3×3 or 3×3×3 convolution,
+// dense or depthwise, over zero-padded row bands. Item t is band t%nb of
+// plane t/nb, for every output channel, where bands (padBandTable) holds
+// nb bands. For each input channel it copies the band's rows, plus one
+// halo row above and below, of the (up to kd) planes the kz taps read
+// (inside the plane's segment) into buf with a one-element zero border; a
+// halo row outside the band's row segment is zeros. It then adds each
+// kz's nine taps to every output channel's accumulator band in one
+// tap9Rows call over n = r·(W+2)−2 elements for a band of r rows: reading
+// the flattened padded band at offsets 0, W+2 and 2(W+2) gives every
+// element its nine neighbours, and the two wrapped columns after each
+// row are never stored. Each output still adds its taps in ascending
+// (input channel, kz, ki, kj) order, and the taps convDirect skips read
+// zeros, so when padSafe holds the result is convDirect's bit for bit.
+// On the AVX-512 tier output channels go three to a tap9z3 call and the
+// leftovers to tap9Rows. A depthwise layer runs each channel as a
+// one-channel dense one.
+func convPadded(od, xd, wd []float64, bd []float32, s convShape, bands []int, buf []float64, lo, hi int) {
+	W, hw := s.W, s.H*s.W
+	vol, ws, nb := s.D*hw, W+2, len(bands)/4
+	R, pz, taps := min(s.H, padRows), s.kd/2, s.kd*9
 	p2, ap := (R+2)*ws, R*ws
-	slots := buf[:3*p2]
+	slots := buf[:s.kd*p2]
 	clear(slots)
-	groups, accC, inPer := 1, outC, inC
-	if depthwise {
-		groups, accC, inPer = outC, 1, 1
+	groups, accC, inPer := 1, s.outC, s.inPer()
+	if s.depthwise {
+		groups, accC = s.outC, 1
 	}
-	accs := buf[3*p2 : 3*p2+accC*ap]
+	accs := buf[s.kd*p2 : s.kd*p2+accC*ap]
 	for t := lo; t < hi; t++ {
-		z, i0 := t/nb, t%nb*padRows
-		r := min(padRows, H-i0)
+		z, b := t/nb, bands[t%nb*4:t%nb*4+4]
+		i0, r, ilo, ihi := b[0], b[1], b[2], b[3]
 		n := r*ws - 2
-		zlo, zhi := segBounds(z, D, segLo, segHi)
-		kz0, kz1 := kernelRange(z-zlo, zhi-zlo, 3, 1)
+		zlo, zhi := s.planeSeg(z)
+		kz0, kz1 := kernelRange(z-zlo, zhi-zlo, s.kd, pz)
 		for g := 0; g < groups; g++ {
 			oc0, ic0 := g*accC, g*inPer
 			for o := 0; o < accC; o++ {
@@ -620,10 +479,10 @@ func conv3dPadded(od, xd, wd []float64, bd []float32, inC, outC, D, H, W int, de
 			}
 			for ic := ic0; ic < ic0+inPer; ic++ {
 				for kz := kz0; kz < kz1; kz++ {
-					pl, src := slots[kz*p2:], xd[ic*vol+(z+kz-1)*hw:]
+					pl, src := slots[kz*p2:], xd[ic*vol+(z+kz-pz)*hw:]
 					for pr := 0; pr < r+2; pr++ {
 						row := pl[pr*ws+1 : pr*ws+1+W]
-						if i := i0 + pr - 1; i >= 0 && i < H {
+						if i := i0 + pr - 1; i >= ilo && i < ihi {
 							copy(row, src[i*W:(i+1)*W])
 						} else {
 							clear(row)
@@ -636,13 +495,13 @@ func conv3dPadded(od, xd, wd []float64, bd []float32, inC, outC, D, H, W int, de
 						// Three output channels per call, so one input
 						// load feeds three accumulators.
 						for ; o+3 <= accC; o += 3 {
-							w := ((oc0+o)*inPer+ic-ic0)*27 + kz*9
-							_, _ = accs[(o+2)*ap+n-1], wd[w+2*inPer*27+8]
-							tap9z3(&accs[o*ap], &slots[kz*p2], &wd[w], ap, ws, inPer*27, n)
+							w := ((oc0+o)*inPer+ic-ic0)*taps + kz*9
+							_, _ = accs[(o+2)*ap+n-1], wd[w+2*inPer*taps+8]
+							tap9z3(&accs[o*ap], &slots[kz*p2], &wd[w], ap, ws, inPer*taps, n)
 						}
 					}
 					for ; o < accC; o++ {
-						w := ((oc0+o)*inPer+ic-ic0)*27 + kz*9
+						w := ((oc0+o)*inPer+ic-ic0)*taps + kz*9
 						tap9Rows(accs[o*ap:], slots[kz*p2:], wd[w:w+9], 0, ws, 2*ws, 0, n)
 					}
 				}
@@ -650,7 +509,7 @@ func conv3dPadded(od, xd, wd []float64, bd []float32, inC, outC, D, H, W int, de
 			for o := 0; o < accC; o++ {
 				dst := od[(oc0+o)*vol+z*hw+i0*W:]
 				for i := 0; i < r; i++ {
-					storeRow(dst[i*W:], accs[o*ap+i*ws:o*ap+i*ws+W], relu)
+					storeRow(dst[i*W:], accs[o*ap+i*ws:o*ap+i*ws+W], s.relu)
 				}
 			}
 		}

@@ -37,14 +37,6 @@ func tap9z(acc, x0, x1, x2, w *float64, n int)
 //go:noescape
 func tap9z3(acc, x, w *float64, accStride, rowStride, wStride, n int)
 
-// tap3 is the AVX2 kernel for one 3-tap row bundle: for j in [0, n),
-// acc[j] += w[0]*x[j]; acc[j] += w[1]*x[j+1]; acc[j] += w[2]*x[j+2], in
-// that order, each a fused multiply-add — the per-ki K==3 path of tapRows
-// (2D row taps whose height-axis bundle is clipped, and 3D kz rows).
-//
-//go:noescape
-func tap3(acc, x, w *float64, n int)
-
 // pointwise is the AVX2 kernel for one strip of a 1×1 convolution: for j
 // in [0, n) it starts a float64 accumulator at bias, adds w[ic]*x[ic*stride+j]
 // for ic ascending in [0, inC) with one fused multiply-add each, rounds

@@ -1,13 +1,12 @@
 // SIMD kernels for the convolutions (see infer.go): tap9 (AVX2) and tap9z
-// (AVX-512) for a fused 3×3 tap bundle (the interior of a tapRows row, or
-// a whole zero-padded band of conv3dPadded), tap9z3 (AVX-512) for the
-// same bundle into three output channels at once, tap3 (AVX2) for
-// tapRows' clipped single-row bundles, pointwise (AVX2) and pointwisez
-// (AVX-512) for whole 1×1 convolution strips, and fillRow and roundRow
-// (AVX2) for the bias fill and the store of every convolution row. tap9,
-// tap9z and tap9z3 start their vector loop and their tail on 64-byte
-// boundaries (PCALIGN), so where the linker places them does not change
-// how the loop body is fetched.
+// (AVX-512) for a fused 3×3 tap bundle over a whole zero-padded band of
+// convPadded, tap9z3 (AVX-512) for the same bundle into three output
+// channels at once, pointwise (AVX2) and pointwisez (AVX-512) for whole
+// 1×1 convolution strips, and fillRow and roundRow (AVX2) for the bias
+// fill and the store of every convolution row. tap9, tap9z and tap9z3
+// start their vector loop and their tail on 64-byte boundaries (PCALIGN),
+// so where the linker places them does not change how the loop body is
+// fetched.
 //
 // Bit-identity contract: every output element j computes its taps as
 // sequential multiply-add steps in ascending tap order —
@@ -385,53 +384,6 @@ z3tail:
 	VMOVUPD Z29, K1, (R13)(AX*8)
 
 z3done:
-	VZEROUPPER
-	RET
-
-// func tap3(acc, x, w *float64, n int)
-// One 3-tap row bundle: acc[j] += w[0]*x[j]; += w[1]*x[j+1]; += w[2]*x[j+2].
-TEXT ·tap3(SB), NOSPLIT, $0-32
-	MOVQ acc+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ w+16(FP), R8
-	MOVQ n+24(FP), R9
-
-	VBROADCASTSD 0(R8), Y0
-	VBROADCASTSD 8(R8), Y1
-	VBROADCASTSD 16(R8), Y2
-
-	XORQ AX, AX
-
-t3loop4:
-	LEAQ 4(AX), R10
-	CMPQ R10, R9
-	JGT  t3tail
-
-	VMOVUPD (DI)(AX*8), Y9
-
-	VFMADD231PD (SI)(AX*8), Y0, Y9
-	VFMADD231PD 8(SI)(AX*8), Y1, Y9
-	VFMADD231PD 16(SI)(AX*8), Y2, Y9
-
-	VMOVUPD Y9, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     t3loop4
-
-t3tail:
-	CMPQ AX, R9
-	JGE  t3done
-
-	VMOVSD (DI)(AX*8), X9
-
-	VFMADD231SD (SI)(AX*8), X0, X9
-	VFMADD231SD 8(SI)(AX*8), X1, X9
-	VFMADD231SD 16(SI)(AX*8), X2, X9
-
-	VMOVSD X9, (DI)(AX*8)
-	INCQ   AX
-	JMP    t3tail
-
-t3done:
 	VZEROUPPER
 	RET
 

@@ -47,15 +47,15 @@ func tapData(n int) (acc []float64, xd []float64, wr []float64) {
 	return
 }
 
-// tap9Ref is the reference 3×3 bundle: for j in [0, w) it adds the nine
-// taps against rows at stride w+2 in ascending (ki, kj) order, with a
-// separate multiply and add rounding each.
-func tap9Ref(acc, xd, wr []float64, w int) {
-	for j := 0; j < w; j++ {
+// tap9Ref is the reference 3×3 bundle: for j in [0, n) it adds the nine
+// taps against rows at the given stride in ascending (ki, kj) order, with
+// a separate multiply and add rounding each.
+func tap9Ref(acc, xd, wr []float64, n, stride int) {
+	for j := 0; j < n; j++ {
 		a := acc[j]
 		for ki := 0; ki < 3; ki++ {
 			for kj := 0; kj < 3; kj++ {
-				a += float64(wr[ki*3+kj] * xd[ki*(w+2)+j+kj])
+				a += float64(wr[ki*3+kj] * xd[ki*stride+j+kj])
 			}
 		}
 		acc[j] = a
@@ -69,7 +69,7 @@ func TestTap9MatchesGo(t *testing.T) {
 	for _, w := range []int{4, 5, 7, 16, 46, 127} {
 		acc, xd, wr := tapData(w + 4)
 		ref := append([]float64(nil), acc...)
-		tap9Ref(ref, xd, wr, w)
+		tap9Ref(ref, xd, wr, w, w+2)
 		tap9(&acc[0], &xd[0], &xd[w+2], &xd[2*(w+2)], &wr[0], w)
 		for j := range acc {
 			if math.Float64bits(acc[j]) != math.Float64bits(ref[j]) {
@@ -89,7 +89,7 @@ func TestTap9ZMatchesGo(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 46, 127} {
 		acc, xd, wr := tapData(w + 4)
 		ref := append([]float64(nil), acc...)
-		tap9Ref(ref, xd, wr, w)
+		tap9Ref(ref, xd, wr, w, w+2)
 		tap9z(&acc[0], &xd[0], &xd[w+2], &xd[2*(w+2)], &wr[0], w)
 		for j := range acc {
 			if math.Float64bits(acc[j]) != math.Float64bits(ref[j]) {
@@ -124,35 +124,12 @@ func TestTap9Z3MatchesGo(t *testing.T) {
 		}
 		ref := append([]float64(nil), acc...)
 		for o := 0; o < 3; o++ {
-			tap9Ref(ref[o*accStride:], xd, ws[o*wStride:o*wStride+9], w)
+			tap9Ref(ref[o*accStride:], xd, ws[o*wStride:o*wStride+9], w, w+2)
 		}
 		tap9z3(&acc[0], &xd[0], &ws[0], accStride, w+2, wStride, w)
 		for j := range acc {
 			if math.Float64bits(acc[j]) != math.Float64bits(ref[j]) {
 				t.Fatalf("w=%d element %d (output %d, j=%d): asm %v != go %v", w, j, j/accStride, j%accStride, acc[j], ref[j])
-			}
-		}
-	}
-}
-
-func TestTap3MatchesGo(t *testing.T) {
-	if !haveTap9 {
-		t.Skip("no AVX2")
-	}
-	for _, w := range []int{4, 5, 7, 16, 46, 127} {
-		acc, xd, wr := tapData(w + 4)
-		ref := append([]float64(nil), acc...)
-		for j := 0; j < w; j++ {
-			a := ref[j]
-			a += float64(wr[0] * xd[j])
-			a += float64(wr[1] * xd[j+1])
-			a += float64(wr[2] * xd[j+2])
-			ref[j] = a
-		}
-		tap3(&acc[0], &xd[0], &wr[0], w)
-		for j := range acc {
-			if math.Float64bits(acc[j]) != math.Float64bits(ref[j]) {
-				t.Fatalf("tap3 w=%d j=%d: asm %v != go %v", w, j, acc[j], ref[j])
 			}
 		}
 	}
@@ -251,56 +228,58 @@ func TestPointwiseMatchesGo(t *testing.T) {
 	}
 }
 
-// TestTapRowsKernelToggles runs the same tapRows calls, and a segmented
-// 2D depthwise Infer pass (odd height and width, segments of 5 and 6
-// rows), with every kernel tier (pure Go, AVX2, AVX-512 when available)
-// and demands bitwise equal results — the contract that lets compressed
-// streams decode identically on any hardware.
-func TestTapRowsKernelToggles(t *testing.T) {
-	const w = 53
-	rng := rand.New(rand.NewSource(5))
-	dw, err := NewDepthwise(rng, 2, 3, 3)
-	if err != nil {
-		t.Fatal(err)
+// padBandData returns tap9Rows operands over one zero-bordered band of r
+// rows of width w, as convPadded lays it out: n = r·(w+2)−2 accumulators
+// and (r+2)·(w+2) inputs whose border is zero, from tapData's values.
+func padBandData(r, w int) (acc, xd, wr []float64) {
+	ws := w + 2
+	acc, src, wr := tapData((r+2)*ws + 2)
+	xd = make([]float64, (r+2)*ws)
+	for i := 0; i < r+2; i++ {
+		copy(xd[i*ws+1:i*ws+1+w], src[i*ws:])
 	}
-	x := randNormAct(rng, 3, 11, w)
-	segLo := []int{0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5}
-	segHi := []int{5, 5, 5, 5, 5, 11, 11, 11, 11, 11, 11}
-	run := func(z, v2 bool) (acc []float64) {
-		withKernels(z, v2, func() {
-			var xd, wr []float64
-			acc, xd, wr = tapData(w + 4)
-			tapRows(acc, xd, wr, 0, -1, w+2, 0, 3, w, 3, 1)
-			// Clipped bundle (single ki) and generic-K paths too.
-			tapRows(acc, xd, wr, 0, -1, w+2, 0, 1, w, 3, 1)
-			tapRows(acc, xd, wr[:1], 0, 0, w, 0, 1, w, 1, 0)
-			y, err := dw.Infer(x, "out", segLo, segHi, NewArena(), 1)
-			if err != nil {
-				t.Fatal(err)
+	return acc[:r*ws-2], xd, wr
+}
+
+// TestTap9RowsKernelToggles runs tap9Rows over zero-bordered bands, as
+// convPadded calls it, on every kernel tier against tap9Ref: every length
+// runs the Go loop on the pure-Go tier (odd lengths end in its one-element
+// tail), lengths below 4 on every tier, lengths from 4 to 7 tap9 on the
+// SIMD tiers, and longer ones tap9z on AVX-512. Each bundle is added and
+// then subtracted (negated weights), so every element ends at its
+// starting accumulator plus the rounding residue of the two passes, where
+// a change in the order of any tap's add shows.
+func TestTap9RowsKernelToggles(t *testing.T) {
+	for r := 1; r <= 3; r++ {
+		for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 30, 48} {
+			acc, xd, wr := padBandData(r, w)
+			n, ws := len(acc), w+2
+			neg := make([]float64, len(wr))
+			for i, v := range wr {
+				neg[i] = -v
 			}
-			acc = append(acc, y.Data...)
-		})
-		return acc
-	}
-	ref := run(false, false)
-	for _, tier := range []struct {
-		name  string
-		z, v2 bool
-		ok    bool
-	}{{"AVX2", false, true, haveTap9}, {"AVX-512", true, true, haveTap9Z}} {
-		if !tier.ok {
-			continue
-		}
-		got := run(tier.z, tier.v2)
-		for j := range ref {
-			if math.Float64bits(got[j]) != math.Float64bits(ref[j]) {
-				t.Fatalf("%s j=%d: %v != %v", tier.name, j, got[j], ref[j])
+			want := append([]float64(nil), acc...)
+			tap9Ref(want, xd, wr, n, ws)
+			tap9Ref(want, xd, neg, n, ws)
+			for _, tier := range kernelTiers {
+				if !tier.ok {
+					continue
+				}
+				got := append([]float64(nil), acc...)
+				withKernels(tier.z, tier.v2, func() {
+					tap9Rows(got, xd, wr, 0, ws, 2*ws, 0, n)
+					tap9Rows(got, xd, neg, 0, ws, 2*ws, 0, n)
+				})
+				if i := firstDiff(got, want); i >= 0 {
+					t.Fatalf("%s r=%d w=%d: element %d = %v, want %v", tier.name, r, w, i, got[i], want[i])
+				}
 			}
 		}
 	}
 }
 
-func benchTapRows(b *testing.B, mode string) {
+// benchTap9Rows times tap9Rows over one 16-row padded band of width 48.
+func benchTap9Rows(b *testing.B, mode string) {
 	switch mode {
 	case "avx512":
 		if !haveTap9Z {
@@ -311,22 +290,20 @@ func benchTapRows(b *testing.B, mode string) {
 			b.Skip("no AVX2")
 		}
 	}
-	const w = 48
-	acc, xd, wr := tapData(w + 4)
-	savedZ, saved9 := haveTap9Z, haveTap9
-	setTap9Z(mode == "avx512")
-	setTap9(mode != "go")
-	defer func() { setTap9Z(savedZ); setTap9(saved9) }()
-	b.SetBytes(int64(w * 9 * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tapRows(acc, xd, wr, 0, -1, w+2, 0, 3, w, 3, 1)
-	}
+	acc, xd, wr := padBandData(padRows, 48)
+	ws := 48 + 2
+	withKernels(mode == "avx512", mode != "go", func() {
+		b.SetBytes(int64(len(acc) * 9 * 8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tap9Rows(acc, xd, wr, 0, ws, 2*ws, 0, len(acc))
+		}
+	})
 }
 
-func BenchmarkTap9AVX512(b *testing.B) { benchTapRows(b, "avx512") }
-func BenchmarkTap9ASM(b *testing.B)    { benchTapRows(b, "avx2") }
-func BenchmarkTap9Go(b *testing.B)     { benchTapRows(b, "go") }
+func BenchmarkTap9AVX512(b *testing.B) { benchTap9Rows(b, "avx512") }
+func BenchmarkTap9ASM(b *testing.B)    { benchTap9Rows(b, "avx2") }
+func BenchmarkTap9Go(b *testing.B)     { benchTap9Rows(b, "go") }
 
 // benchPointwise times one serial 1×1 convolution at the 2D CFNN width
 // (20 channels in and out) over a 128×160 plane.
@@ -364,7 +341,7 @@ func TestKernelTier(t *testing.T) {
 	case haveTap9Z:
 		t.Log("kernel tier: AVX-512 (tap9z, tap9z3, pointwisez)")
 	case haveTap9:
-		t.Log("kernel tier: AVX2+FMA (tap9, tap3, pointwise); the AVX-512 checks (tap9z, tap9z3) skip")
+		t.Log("kernel tier: AVX2+FMA (tap9, pointwise); the AVX-512 checks (tap9z, tap9z3) skip")
 	default:
 		t.Log("kernel tier: pure Go; the SIMD checks skip")
 	}

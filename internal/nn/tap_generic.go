@@ -2,8 +2,9 @@
 
 package nn
 
-// Off amd64 the SIMD kernels are compiled out; tapRows uses its pure-Go
-// loops, which compute identical results.
+// Off amd64 the SIMD kernels are compiled out; tap9Rows, fillAcc,
+// storeRow and pointwiseItems use their pure-Go loops, which compute
+// identical results.
 const (
 	haveTap9  = false
 	haveTap9Z = false
@@ -20,10 +21,6 @@ func tap9z(acc, x0, x1, x2, w *float64, n int) {
 
 func tap9z3(acc, x, w *float64, accStride, rowStride, wStride, n int) {
 	panic("nn: tap9z3 without AVX-512 support")
-}
-
-func tap3(acc, x, w *float64, n int) {
-	panic("nn: tap3 without AVX2 support")
 }
 
 func pointwise(dst, x, w *float64, bias float64, inC, stride, n int, relu bool) {
