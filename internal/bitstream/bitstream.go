@@ -1,8 +1,18 @@
 // Package bitstream provides MSB-first bit-level writers and readers for
 // the entropy-coded payloads produced by internal/huffman.
+//
+// Both sides work a machine word at a time. The Writer gathers bits in a
+// 64-bit accumulator and appends them 4 bytes at a time; the Reader
+// refills its 64-bit window with one big-endian 8-byte load while at
+// least 8 bytes remain, and byte by byte over the tail. PeekBits plus
+// Skip is therefore a shift and a subtraction on the common path, which
+// is what the table-driven Huffman decoder relies on. The byte layout is
+// the plain MSB-first one: the first bit written is the top bit of the
+// first byte, and the last byte is zero-padded on the right.
 package bitstream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -14,8 +24,8 @@ var ErrOverrun = errors.New("bitstream: read past end")
 // The zero value is ready to use.
 type Writer struct {
 	buf  []byte
-	cur  uint64 // pending bits, left-aligned within nbit
-	nbit uint   // number of pending bits (< 8 after flushes)
+	cur  uint64 // pending bits, right-aligned in the low nbit bits
+	nbit uint   // number of pending bits (< 32 between calls)
 }
 
 // WriteBits appends the low n bits of v, most significant first.
@@ -24,46 +34,48 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	if n > 64 {
 		panic(fmt.Sprintf("bitstream: WriteBits n=%d > 64", n))
 	}
-	if n == 0 {
-		return
+	if n > 32 {
+		// Two halves keep nbit+n <= 63, so the accumulator never drops
+		// a pending bit.
+		w.put(v>>32, n-32)
+		n = 32
 	}
-	if n < 64 {
-		v &= (1 << n) - 1
-	}
-	// Emit high bits first.
-	for n > 0 {
-		take := 8 - w.nbit
-		if take > n {
-			take = n
-		}
-		chunk := (v >> (n - take)) & ((1 << take) - 1)
-		w.cur = (w.cur << take) | chunk
-		w.nbit += take
-		n -= take
-		if w.nbit == 8 {
-			w.buf = append(w.buf, byte(w.cur))
-			w.cur, w.nbit = 0, 0
-		}
+	w.put(v, n)
+}
+
+// put appends the low n <= 32 bits of v and flushes a whole 32-bit word
+// once one is pending.
+func (w *Writer) put(v uint64, n uint) {
+	w.cur = w.cur<<n | v&(1<<n-1)
+	w.nbit += n
+	if w.nbit >= 32 {
+		w.nbit -= 32
+		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(w.cur>>w.nbit))
 	}
 }
 
 // WriteBit appends a single bit (any nonzero v writes 1).
 func (w *Writer) WriteBit(v uint) {
 	if v != 0 {
-		w.WriteBits(1, 1)
+		w.put(1, 1)
 	} else {
-		w.WriteBits(0, 1)
+		w.put(0, 1)
 	}
 }
 
-// Bytes flushes any partial byte (zero-padded on the right) and returns the
-// encoded stream. The writer can keep being used afterwards only if the bit
-// count was a multiple of 8; callers normally finish with Bytes.
+// Bytes flushes the pending whole bytes and then any partial byte
+// (zero-padded on the right) and returns the encoded stream. The writer
+// can keep being used afterwards only if the bit count was a multiple
+// of 8; callers normally finish with Bytes.
 func (w *Writer) Bytes() []byte {
+	for w.nbit >= 8 {
+		w.nbit -= 8
+		w.buf = append(w.buf, byte(w.cur>>w.nbit))
+	}
 	if w.nbit > 0 {
 		w.buf = append(w.buf, byte(w.cur<<(8-w.nbit)))
-		w.cur, w.nbit = 0, 0
 	}
+	w.cur, w.nbit = 0, 0
 	return w.buf
 }
 
@@ -75,8 +87,12 @@ func (w *Writer) Reset() { w.buf, w.cur, w.nbit = w.buf[:0], 0, 0 }
 
 // Reader consumes bits MSB-first from a byte slice.
 type Reader struct {
-	buf  []byte
-	pos  int // next byte index
+	buf []byte
+	pos int // next byte index not yet counted in nbit
+	// cur holds the next nbit unread bits left-aligned. The bits below
+	// them are either zero or the stream's own next bits (a word refill
+	// loads more bytes than it counts), so refilling ORs over them
+	// without changing anything.
 	cur  uint64
 	nbit uint
 }
@@ -84,53 +100,86 @@ type Reader struct {
 // NewReader wraps data (not copied).
 func NewReader(data []byte) *Reader { return &Reader{buf: data} }
 
+// refill tops the window up to at least 57 bits, or to every bit left.
+// Callers refill only a window that is short of a request of at most 57
+// bits, so nbit <= 56 here.
+func (r *Reader) refill() {
+	if r.pos+8 <= len(r.buf) {
+		r.cur |= binary.BigEndian.Uint64(r.buf[r.pos:]) >> r.nbit
+		k := (63 - r.nbit) >> 3
+		r.pos += int(k)
+		r.nbit += k << 3
+	}
+	for r.nbit <= 56 && r.pos < len(r.buf) {
+		r.cur |= uint64(r.buf[r.pos]) << (56 - r.nbit)
+		r.pos++
+		r.nbit += 8
+	}
+}
+
 // ReadBits reads n bits (n in [0,57]) and returns them right-aligned.
 func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if n > 57 {
 		return 0, fmt.Errorf("bitstream: ReadBits n=%d > 57", n)
 	}
-	for r.nbit < n {
-		if r.pos >= len(r.buf) {
+	if r.nbit < n {
+		r.refill()
+		if r.nbit < n {
 			return 0, ErrOverrun
 		}
-		r.cur = (r.cur << 8) | uint64(r.buf[r.pos])
-		r.pos++
-		r.nbit += 8
 	}
-	v := (r.cur >> (r.nbit - n)) & ((1 << n) - 1)
+	v := r.cur >> (64 - n)
+	r.cur <<= n
 	r.nbit -= n
 	return v, nil
 }
 
 // ReadBit reads a single bit.
 func (r *Reader) ReadBit() (uint, error) {
-	v, err := r.ReadBits(1)
-	return uint(v), err
+	if r.nbit == 0 {
+		r.refill()
+		if r.nbit == 0 {
+			return 0, ErrOverrun
+		}
+	}
+	v := uint(r.cur >> 63)
+	r.cur <<= 1
+	r.nbit--
+	return v, nil
 }
 
 // PeekBits returns up to n bits without consuming them. If fewer bits
 // remain, the result is zero-padded on the right; got reports how many real
-// bits were available (<= n).
+// bits were available (<= n). n above 57 peeks 57 bits.
 func (r *Reader) PeekBits(n uint) (v uint64, got uint) {
-	if n > 57 {
-		n = 57
+	n = min(n, 57)
+	if n > r.nbit {
+		r.refillSlow()
 	}
-	for r.nbit < n && r.pos < len(r.buf) {
-		r.cur = (r.cur << 8) | uint64(r.buf[r.pos])
-		r.pos++
-		r.nbit += 8
-	}
-	got = n
-	if r.nbit < n {
-		got = r.nbit
-		return (r.cur & ((1 << r.nbit) - 1)) << (n - r.nbit), got
-	}
-	return (r.cur >> (r.nbit - n)) & ((1 << n) - 1), got
+	// A window still short of n holds the stream's last bits, so the
+	// bits below them are zero: the shift alone pads.
+	return r.cur >> (64 - n), min(n, r.nbit)
 }
+
+// refillSlow is refill kept out of line, so PeekBits stays small enough
+// to inline into decode loops.
+//
+//go:noinline
+func (r *Reader) refillSlow() { r.refill() }
 
 // Skip consumes n bits previously peeked. It returns ErrOverrun if fewer
 // bits are buffered or available.
 func (r *Reader) Skip(n uint) error {
+	if n > min(r.nbit, 57) {
+		return r.skipSlow(n)
+	}
+	r.cur <<= n
+	r.nbit -= n
+	return nil
+}
+
+//go:noinline
+func (r *Reader) skipSlow(n uint) error {
 	_, err := r.ReadBits(n)
 	return err
 }

@@ -6,6 +6,13 @@
 // symbol followed by the raw 32-bit value, mirroring SZ's "unpredictable
 // data" path. Code tables are serialized canonically (symbol, bit-length)
 // so the decoder reconstructs identical codes.
+//
+// Decoding is table-driven: every codec carries a primary lookup table
+// indexed by the next min(maxLen, 11) bits of the stream, so a code that
+// fits the table costs one peek, one load and one skip. Codes longer than
+// the table, and invalid or truncated input, fall back to the canonical
+// walk, which reads one bit at a time and reports ErrCorrupt exactly where
+// a bit-serial decoder would.
 package huffman
 
 import (
@@ -25,6 +32,11 @@ const escSym = int64(math.MaxInt64)
 
 // maxCodeLen is bounded by the bitstream reader's 57-bit peek window.
 const maxCodeLen = 48
+
+// maxLUTBits caps the primary decode table at 2^11 uint32 entries (8 KiB).
+// Quantization-code streams run about 1.5–8 bits per code, so nearly
+// every code resolves in one lookup.
+const maxLUTBits = 11
 
 // denseWorthIt decides whether a span-indexed dense table beats a hash
 // map for n occupied symbols spread over the given span: the span must be
@@ -64,6 +76,11 @@ type Codec struct {
 	countLen  [maxCodeLen + 1]int
 	minLen    uint8
 	maxLen    uint8
+	// Primary decode table over the next lutBits bits: entry index<<8 |
+	// code length for every code of at most lutBits bits, 0 where the
+	// code is longer than the table or the prefix is invalid.
+	lut     []uint32
+	lutBits uint
 }
 
 // Build constructs a codec from the code stream's histogram. maxSymbols
@@ -302,7 +319,29 @@ func newCanonical(entries []entry) (*Codec, error) {
 		c.firstCode[l] = first
 		c.countLen[l] = cnt
 	}
+	c.buildLUT()
 	return c, nil
+}
+
+// buildLUT fills the primary decode table. Each code of length l <=
+// lutBits owns the 2^(lutBits-l) slots its bits prefix; the canonical
+// codes are prefix-free (newCanonical's Kraft check), so no two codes
+// claim a slot.
+func (c *Codec) buildLUT() {
+	c.lutBits = uint(min(c.maxLen, maxLUTBits))
+	c.lut = make([]uint32, 1<<c.lutBits)
+	for i, e := range c.entries {
+		l := uint(e.length)
+		if l > c.lutBits {
+			break // canonical order: every later code is longer still
+		}
+		lo := e.code << (c.lutBits - l)
+		span := uint64(1) << (c.lutBits - l)
+		v := uint32(i)<<8 | uint32(l)
+		for j := lo; j < lo+span; j++ {
+			c.lut[j] = v
+		}
+	}
 }
 
 // NumSymbols returns the alphabet size including the escape symbol.
@@ -399,11 +438,22 @@ func (c *Codec) Decode(r *bitstream.Reader, n int) ([]int32, error) {
 // buffer per worker. A Codec is immutable after construction, so
 // concurrent DecodeInto calls with distinct readers and buffers are safe.
 func (c *Codec) DecodeInto(r *bitstream.Reader, out []int32) error {
-	n := len(out)
-	for i := 0; i < n; i++ {
-		sym, err := c.decodeOne(r)
-		if err != nil {
-			return err
+	lut, bits := c.lut, c.lutBits
+	for i := range out {
+		// A code found in the table is consumed only if all of its bits
+		// are real; one that runs into the zero padding past the end,
+		// like a prefix the table does not hold, takes the walk, which
+		// fails on the same bit a bit-serial decoder would.
+		var sym int64
+		v, got := r.PeekBits(bits)
+		if e := lut[v]; e != 0 && uint(e&0xff) <= got {
+			_ = r.Skip(uint(e & 0xff))
+			sym = c.entries[e>>8].sym
+		} else {
+			var err error
+			if sym, err = c.decodeWalk(r); err != nil {
+				return err
+			}
 		}
 		if sym == escSym {
 			raw, err := r.ReadBits(32)
@@ -418,7 +468,8 @@ func (c *Codec) DecodeInto(r *bitstream.Reader, out []int32) error {
 	return nil
 }
 
-func (c *Codec) decodeOne(r *bitstream.Reader) (int64, error) {
+// decodeWalk decodes one code by the canonical walk, one bit per step.
+func (c *Codec) decodeWalk(r *bitstream.Reader) (int64, error) {
 	var code uint64
 	for l := uint8(1); l <= c.maxLen; l++ {
 		b, err := r.ReadBit()
@@ -455,7 +506,9 @@ func UnmarshalCodec(data []byte) (*Codec, int, error) {
 	if k <= 0 {
 		return nil, 0, fmt.Errorf("%w: table header", ErrCorrupt)
 	}
-	if n == 0 || n > 1<<24 {
+	// Every entry takes at least two bytes (a varint symbol and a length
+	// byte), so the bytes left bound the alphabet before it is allocated.
+	if n == 0 || n > 1<<24 || n > uint64(len(data)-k)/2 {
 		return nil, 0, fmt.Errorf("%w: absurd alphabet size %d", ErrCorrupt, n)
 	}
 	off := k
