@@ -534,6 +534,10 @@ func (a *Archive) decode(i int, anchors []*tensor.Tensor, level int) (*Field, fl
 }
 
 func (a *Archive) decodeTensor(i int, anchors []*tensor.Tensor, level int) (*tensor.Tensor, float64, error) {
+	decode := func(r io.ReaderAt, size int64) (*tensor.Tensor, float64, error) {
+		t, _, achieved, err := core.Decode(context.Background(), r, size, core.Request{Chunk: core.Whole, Level: level, Anchors: anchors})
+		return t, achieved, err
+	}
 	if level >= 0 {
 		sec, err := a.arc.PayloadSection(i)
 		if err != nil {
@@ -544,12 +548,12 @@ func (a *Archive) decodeTensor(i int, anchors []*tensor.Tensor, level int) (*ten
 			return nil, 0, err
 		}
 		if level < spec.Levels-1 {
-			return core.DecompressAtLevelReader(sec, sec.Size(), anchors, level, 0)
+			return decode(sec, sec.Size())
 		}
 	}
 	payload, err := a.arc.Payload(i)
 	if err != nil {
 		return nil, 0, err
 	}
-	return core.DecompressAtLevel(context.Background(), payload, anchors, level)
+	return decode(bytes.NewReader(payload), int64(len(payload)))
 }

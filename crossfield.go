@@ -81,6 +81,13 @@
 //	n, _ := crossfield.ChunkCount(res.Blob)
 //	part, start, _ := crossfield.DecompressChunk("W", res.Blob, 2, nil)
 //
+// Every decode route is one call, Decode, whose DecodeRequest picks the
+// chunk (or Whole), the level, whole or slab anchors and the worker
+// bound; Decompress and DecompressChunk are its full-fidelity shorthands:
+//
+//	prev, _, achieved, _ := crossfield.Decode(ctx, "W", res.Blob,
+//	    crossfield.DecodeRequest{Chunk: crossfield.Whole, Level: 0})
+//
 // The legacy ChunkOptions struct still satisfies Option, so pre-existing
 // call sites keep compiling; new code should use the With* options.
 // Decompress accepts every container format transparently (monolithic
@@ -89,6 +96,7 @@
 package crossfield
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -208,7 +216,7 @@ func ChunkCount(blob []byte) (int, error) { return core.ChunkCount(blob) }
 // level.
 type LevelSpec = core.LevelSpec
 
-// LevelFull selects the deepest (bit-exact) level in the *AtLevel APIs.
+// LevelFull selects the deepest (bit-exact) level in a DecodeRequest.
 const LevelFull = core.LevelFull
 
 // ErrLayerChecksum reports a progressive layer whose payload bytes fail
@@ -218,7 +226,9 @@ var ErrLayerChecksum = core.ErrLayerChecksum
 
 // PayloadLevels inspects a compressed blob's progressive layering without
 // decoding any payload data. Non-progressive blobs report Levels == 1.
-func PayloadLevels(blob []byte) (*LevelSpec, error) { return core.PayloadLevelSpec(blob) }
+func PayloadLevels(blob []byte) (*LevelSpec, error) {
+	return core.PayloadLevelSpecReader(bytes.NewReader(blob), int64(len(blob)))
+}
 
 // PayloadLevelBytes reports, per level, how many compressed bytes a
 // prefix reader must fetch to reconstruct levels 0..l of a layered blob
@@ -226,64 +236,58 @@ func PayloadLevels(blob []byte) (*LevelSpec, error) { return core.PayloadLevelSp
 // entry equals len(blob); non-layered blobs report that single entry.
 func PayloadLevelBytes(blob []byte) ([]int64, error) { return core.PayloadLevelBytes(blob) }
 
-// DecompressAtLevel reconstructs a field from a layered blob at the given
-// level — 0 is the base (coarsest) layer, LevelFull the deepest — reading
-// the same blob a plain Decompress would but consuming only the layers the
-// level needs. It returns the reconstruction and the achieved max error
-// the compressor recorded for that level (NaN for non-layered blobs, which
-// accept only level 0 and decode in full). The full level is bit-identical
-// to Decompress of the same blob.
-func DecompressAtLevel(name string, blob []byte, anchors []*Field, level int) (*Field, float64, error) {
-	t, achieved, err := core.DecompressAtLevel(context.Background(), blob, fieldTensors(anchors), level)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &Field{Name: name, t: t}, achieved, nil
+// Whole is the DecodeRequest.Chunk that selects every chunk of a blob.
+const Whole = core.Whole
+
+// DecodeRequest selects what Decode reconstructs from a blob.
+type DecodeRequest struct {
+	// Chunk is Whole, or the index of the one chunk to decode without
+	// reading any other chunk's payload; a monolithic CFC1 blob is
+	// chunk 0.
+	Chunk int
+	// Level is LevelFull for the bit-exact reconstruction, or a preview
+	// level of a layered blob: 0 is the base (coarsest) layer, and only
+	// the layers the level needs are read and CRC-verified. A non-layered
+	// blob decodes in full at level 0 and has no other level.
+	Level int
+	// Anchors are the decompressed anchor fields a cross-field blob
+	// predicts from, in the order used at compression time; nil for a
+	// baseline blob.
+	Anchors []*Field
+	// Slabs marks anchors that cover only the chunk's slab range, each
+	// with the chunk's dims (the field dims with axis 0 cut to the chunk's
+	// slab count), instead of whole fields. The reconstruction is
+	// bit-identical either way — random access consults exactly that
+	// region — which is what lets serving layers answer a dependent-chunk
+	// request by decoding only the anchor chunks it touches.
+	Slabs bool
+	// Workers bounds the decode pool (chunks of a whole decode, then
+	// blocks and refinement planes inside each chunk); <= 0 means
+	// GOMAXPROCS. The result is byte-identical at any worker count.
+	Workers int
 }
 
-// DecompressChunkAtLevel is DecompressChunk at a progressive level: only
-// chunk i's layers 0..level are consumed. Returns the chunk field, its
-// starting slab along axis 0, and the chunk's recorded achieved max error
-// at that level.
-func DecompressChunkAtLevel(name string, blob []byte, i, level int, anchors []*Field) (*Field, int, float64, error) {
-	t, start, achieved, err := core.DecompressChunkAtLevel(blob, i, level, fieldTensors(anchors))
+// Decode is the one decode call behind every library route: a whole
+// field or one chunk, at full fidelity or at a preview level, with whole
+// or slab anchors, on a bounded worker pool. It returns the field named
+// name, its starting slab along axis 0 (rows for 2D, z-planes for 3D; 0
+// for Whole), and the achieved max error the compressor recorded for the
+// level (NaN for non-layered blobs). The full level is bit-identical to
+// Decompress of the same blob. Decoding checks ctx at chunk, block and
+// wavefront-front boundaries, so a request whose client has gone away
+// stops at the next boundary and returns ctx.Err().
+func Decode(ctx context.Context, name string, blob []byte, req DecodeRequest) (*Field, int, float64, error) {
+	t, start, achieved, err := core.Decode(ctx, bytes.NewReader(blob), int64(len(blob)), core.Request{
+		Chunk:   req.Chunk,
+		Level:   req.Level,
+		Anchors: fieldTensors(req.Anchors),
+		Slabs:   req.Slabs,
+		Workers: req.Workers,
+	})
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	return &Field{Name: name, t: t}, start, achieved, nil
-}
-
-// DecompressChunkSlabAtLevelCtx is DecompressChunkAtLevel for callers
-// that hold anchor data covering only chunk i's slab range rather than
-// whole anchor fields: each anchorSlab must have the chunk's dims (the
-// field dims with axis 0 cut to the chunk's slab count). Reconstruction is
-// bit-identical to DecompressChunkAtLevel with full anchors — random access
-// consults exactly that region — which is what lets serving layers answer
-// a dependent-chunk request by decoding only the anchor chunks it touches.
-// LevelFull is the bit-exact decode; a preview level consumes and
-// CRC-verifies only the layers it needs. Every payload checks ctx at its
-// decode blocks and wavefront fronts (a payload without block coding is
-// one block), so a request whose client has gone away stops decoding at
-// the next boundary and returns ctx.Err().
-func DecompressChunkSlabAtLevelCtx(ctx context.Context, name string, blob []byte, i, level int, anchorSlabs []*Field) (*Field, int, float64, error) {
-	t, start, achieved, err := core.DecompressChunkAtLevelWithAnchorSlabsCtx(ctx, blob, i, level, fieldTensors(anchorSlabs))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return &Field{Name: name, t: t}, start, achieved, nil
-}
-
-// DecompressChunked is Decompress with an explicit bound on how many
-// chunks decompress concurrently (workers <= 0 means GOMAXPROCS). Plain
-// Decompress already handles CFC2 at full width; this exists for callers
-// that must cap decode parallelism. Monolithic CFC1 blobs are accepted
-// and decode on one goroutine as usual.
-func DecompressChunked(name string, blob []byte, anchors []*Field, workers int) (*Field, error) {
-	t, err := core.DecompressChunkedWith(blob, fieldTensors(anchors), workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Field{Name: name, t: t}, nil
 }
 
 // DecompressChunk reconstructs only chunk i of a chunked CFC2 container,
@@ -292,25 +296,8 @@ func DecompressChunked(name string, blob []byte, anchors []*Field, workers int) 
 // 3D). Hybrid containers need the same full-field decompressed anchors
 // used at compression time; only the chunk's region of them is consulted.
 func DecompressChunk(name string, blob []byte, i int, anchors []*Field) (*Field, int, error) {
-	t, start, err := core.DecompressChunk(blob, i, fieldTensors(anchors))
-	if err != nil {
-		return nil, 0, err
-	}
-	return &Field{Name: name, t: t}, start, nil
-}
-
-// DecompressChunkWith is DecompressChunk with an explicit bound on the
-// worker pool used to decode block-coded (CFC2 v3 / CFC1 v2) payloads,
-// which are no longer written but still decode; workers <= 0 means
-// GOMAXPROCS. Every other payload decodes sequentially regardless:
-// parallel decode comes from chunks. The result is byte-identical at any
-// worker count.
-func DecompressChunkWith(name string, blob []byte, i int, anchors []*Field, workers int) (*Field, int, error) {
-	t, start, err := core.DecompressChunkWith(blob, i, fieldTensors(anchors), workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &Field{Name: name, t: t}, start, nil
+	f, start, _, err := Decode(context.Background(), name, blob, DecodeRequest{Chunk: i, Level: LevelFull, Anchors: anchors})
+	return f, start, err
 }
 
 // Training configures CFNN training.

@@ -276,7 +276,7 @@ func regenGoldenLayered(t *testing.T) {
 			file string
 			blob []byte
 		}{{"baseline_cfc1v3.cfc", res.Blob}, {"chunked_cfc2v4.cfc", resC.Blob}} {
-			back, _, err := crossfield.DecompressAtLevel("W", fx.blob, nil, l)
+			back, _, _, err := crossfield.Decode(context.Background(), "W", fx.blob, crossfield.DecodeRequest{Chunk: crossfield.Whole, Level: l})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -545,7 +545,7 @@ func TestGoldenCFC1V3Layered(t *testing.T) {
 	// against the deterministic source field (absolute bound 0.05).
 	src := goldenField()
 	for l := 0; l < spec.Levels; l++ {
-		part, achieved, err := crossfield.DecompressAtLevel("W", blob, nil, l)
+		part, _, achieved, err := crossfield.Decode(context.Background(), "W", blob, crossfield.DecodeRequest{Chunk: crossfield.Whole, Level: l})
 		if err != nil {
 			t.Fatalf("level %d no longer decodes: %v", l, err)
 		}
@@ -579,7 +579,7 @@ func TestGoldenCFC2V4Layered(t *testing.T) {
 	}
 	// Base-level random access stays within the base layer's advertised
 	// bound over the chunk's slab range of the source field.
-	part, start, achieved, err := crossfield.DecompressChunkAtLevel("W", blob, 1, 0, nil)
+	part, start, achieved, err := crossfield.Decode(context.Background(), "W", blob, crossfield.DecodeRequest{Chunk: 1, Level: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -731,63 +731,61 @@ func TestGoldenRoutesAgree(t *testing.T) {
 }
 
 // requirePayloadRoutes decodes one payload (a CFC1 or CFC2 blob) at
-// level through every level-aware whole-field and single-chunk library
-// entry, and at LevelFull also through the entries without a level.
+// level through every DecodeRequest: the whole field and every chunk,
+// the chunks with whole anchors and with anchors cut to their slab range
+// (as the serving layer does), on 1, 2 and 3 workers. At LevelFull it
+// also decodes through Decompress and DecompressChunk.
 func requirePayloadRoutes(t *testing.T, label string, blob []byte, anchors []*crossfield.Field, dims []int, level int, want []byte) {
 	t.Helper()
 	label = fmt.Sprintf("%s@%d", label, level)
-	f, _, err := crossfield.DecompressAtLevel("W", blob, anchors, level)
-	requireRouteBytes(t, label+" DecompressAtLevel", f, err, want)
-	slab := len(want) / 4 / dims[0]
-	chunked := map[string]func(i int) (*crossfield.Field, int, error){
-		"DecompressChunkAtLevel": func(i int) (*crossfield.Field, int, error) {
-			f, start, _, err := crossfield.DecompressChunkAtLevel("W", blob, i, level, anchors)
-			return f, start, err
-		},
-		// Anchors cut to the chunk's slab range, as the serving layer
-		// does, the range taken from a full-anchor decode of the chunk.
-		"DecompressChunkSlabAtLevelCtx": func(i int) (*crossfield.Field, int, error) {
-			ref, start, _, err := crossfield.DecompressChunkAtLevel("W", blob, i, level, anchors)
-			if err != nil {
-				return nil, 0, err
-			}
-			slabs := make([]*crossfield.Field, len(anchors))
-			for k, a := range anchors {
-				slabs[k] = crossfield.MustNewField(a.Name, a.Data()[start*slab:start*slab+ref.Len()], ref.Dims()...)
-			}
-			f, start, _, err := crossfield.DecompressChunkSlabAtLevelCtx(context.Background(), "W", blob, i, level, slabs)
-			return f, start, err
-		},
-	}
-	if level == crossfield.LevelFull {
-		f, err = crossfield.Decompress("W", blob, anchors)
-		requireRouteBytes(t, label+" Decompress", f, err, want)
-		chunked["DecompressChunk"] = func(i int) (*crossfield.Field, int, error) {
-			return crossfield.DecompressChunk("W", blob, i, anchors)
-		}
-		for _, w := range []int{1, 4} {
-			f, err := crossfield.DecompressChunked("W", blob, anchors, w)
-			requireRouteBytes(t, fmt.Sprintf("%s DecompressChunked/w=%d", label, w), f, err, want)
-			chunked[fmt.Sprintf("DecompressChunkWith/w=%d", w)] = func(i int) (*crossfield.Field, int, error) {
-				return crossfield.DecompressChunkWith("W", blob, i, anchors, w)
-			}
-		}
-	}
 	n, err := crossfield.ChunkCount(blob)
 	if err != nil {
 		t.Fatalf("%s: ChunkCount: %v", label, err)
 	}
-	for name, route := range chunked {
-		out := make([]float32, len(want)/4)
-		for i := 0; i < n; i++ {
-			f, start, err := route(i)
-			if err != nil {
-				t.Fatalf("%s %s chunk %d: %v", label, name, i, err)
-			}
-			copy(out[start*slab:], f.Data())
+	slab := len(want) / 4 / dims[0]
+	decode := func(route string, req crossfield.DecodeRequest) (*crossfield.Field, int) {
+		t.Helper()
+		f, start, _, err := crossfield.Decode(context.Background(), "W", blob, req)
+		if err != nil {
+			t.Fatalf("%s %s no longer decodes: %v", label, route, err)
 		}
-		requireRouteBytes(t, label+" "+name, crossfield.MustNewField("W", out, dims...), nil, want)
+		return f, start
 	}
+	for _, w := range []int{1, 2, 3} {
+		req := crossfield.DecodeRequest{Chunk: crossfield.Whole, Level: level, Anchors: anchors, Workers: w}
+		f, _ := decode(fmt.Sprintf("Whole/w=%d", w), req)
+		requireRouteBytes(t, fmt.Sprintf("%s Whole/w=%d", label, w), f, nil, want)
+		byChunk, bySlabs := make([]float32, len(want)/4), make([]float32, len(want)/4)
+		for i := 0; i < n; i++ {
+			route := fmt.Sprintf("chunk %d/w=%d", i, w)
+			req := req
+			req.Chunk = i
+			f, start := decode(route, req)
+			copy(byChunk[start*slab:], f.Data())
+			req.Slabs, req.Anchors = true, make([]*crossfield.Field, len(anchors))
+			for k, a := range anchors {
+				req.Anchors[k] = crossfield.MustNewField(a.Name, a.Data()[start*slab:start*slab+f.Len()], f.Dims()...)
+			}
+			f, start = decode(route+" slabs", req)
+			copy(bySlabs[start*slab:], f.Data())
+		}
+		requireRouteBytes(t, fmt.Sprintf("%s chunks/w=%d", label, w), crossfield.MustNewField("W", byChunk, dims...), nil, want)
+		requireRouteBytes(t, fmt.Sprintf("%s slab chunks/w=%d", label, w), crossfield.MustNewField("W", bySlabs, dims...), nil, want)
+	}
+	if level != crossfield.LevelFull {
+		return
+	}
+	f, err := crossfield.Decompress("W", blob, anchors)
+	requireRouteBytes(t, label+" Decompress", f, err, want)
+	out := make([]float32, len(want)/4)
+	for i := 0; i < n; i++ {
+		f, start, err := crossfield.DecompressChunk("W", blob, i, anchors)
+		if err != nil {
+			t.Fatalf("%s DecompressChunk %d: %v", label, i, err)
+		}
+		copy(out[start*slab:], f.Data())
+	}
+	requireRouteBytes(t, label+" DecompressChunk", crossfield.MustNewField("W", out, dims...), nil, want)
 }
 
 // requireRouteBytes compares one route's reconstruction with the

@@ -26,7 +26,7 @@
 // Each payload is a self-contained single-chunk CFC1 blob with its model
 // section stripped (the model lives once in this header), so a chunk can
 // be decoded knowing only the shared header and its own payload bytes —
-// the basis for both random access and streaming reassembly. Chunk byte
+// the basis for random access. Chunk byte
 // offsets are not stored: they are the running sum of the payload lengths,
 // recomputed into IndexEntry.Offset at decode time.
 package chunk
@@ -252,37 +252,11 @@ func Decode(data []byte) (*Archive, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Archive{Header: *h, data: data}
-	if _, err := FromCounts(h.Dims, idx.counts); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	index, err := idx.entries(h, r.Off(), int64(len(data)))
+	if err != nil {
+		return nil, err
 	}
-	a.Index = make([]IndexEntry, len(idx.counts))
-	slab := 1
-	for _, d := range h.Dims[1:] {
-		slab *= d
-	}
-	start, off := 0, r.Off()
-	for i := range a.Index {
-		if idx.lens[i] < 0 || off+idx.lens[i] > len(data) {
-			return nil, fmt.Errorf("%w: chunk %d payload (%d bytes at %d) exceeds blob size %d",
-				ErrCorrupt, i, idx.lens[i], off, len(data))
-		}
-		a.Index[i] = IndexEntry{
-			Start:      start,
-			Count:      idx.counts[i],
-			Offset:     off,
-			RawBytes:   idx.counts[i] * slab * 4,
-			PayloadLen: idx.lens[i],
-			Checksum:   idx.sums[i],
-			MaxErr:     idx.errs[i],
-		}
-		start += idx.counts[i]
-		off += idx.lens[i]
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-off)
-	}
-	return a, nil
+	return &Archive{Header: *h, Index: index, data: data}, nil
 }
 
 // fields is the cursor abstraction decodeHeader parses through: the
@@ -302,6 +276,43 @@ type indexData struct {
 	lens   []int
 	sums   []uint32
 	errs   []float64
+}
+
+// entries lays the parsed index out over a size-byte container whose
+// first payload starts at off. The slab counts must tile the dims, and
+// the payloads must end exactly at size: none may run past it, and no
+// trailing bytes may follow the last.
+func (idx *indexData) entries(h *Header, off int, size int64) ([]IndexEntry, error) {
+	if _, err := FromCounts(h.Dims, idx.counts); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	slab := 1
+	for _, d := range h.Dims[1:] {
+		slab *= d
+	}
+	index := make([]IndexEntry, len(idx.counts))
+	start := 0
+	for i := range index {
+		if int64(off)+int64(idx.lens[i]) > size {
+			return nil, fmt.Errorf("%w: chunk %d payload (%d bytes at %d) exceeds blob size %d",
+				ErrCorrupt, i, idx.lens[i], off, size)
+		}
+		index[i] = IndexEntry{
+			Start:      start,
+			Count:      idx.counts[i],
+			Offset:     off,
+			RawBytes:   idx.counts[i] * slab * 4,
+			PayloadLen: idx.lens[i],
+			Checksum:   idx.sums[i],
+			MaxErr:     idx.errs[i],
+		}
+		start += idx.counts[i]
+		off += idx.lens[i]
+	}
+	if int64(off) != size {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, size-int64(off))
+	}
+	return index, nil
 }
 
 // decodeHeader parses everything up to and including the index, leaving
@@ -433,47 +444,28 @@ func decodeHeader(r fields) (*Header, *indexData, error) {
 	return h, idx, nil
 }
 
-// Reader decodes a CFC2 container from a stream, yielding one verified
-// chunk payload at a time so a multi-GB field can be reassembled without
-// holding the compressed container in memory.
+// Reader is a container's header and chunk index parsed through an
+// io.ReaderAt: the payload bytes stay on the source, so a multi-GB field
+// is indexed without holding the compressed container in memory.
 type Reader struct {
 	header Header
 	index  []IndexEntry
-	src    *container.StreamCursor
-	next   int
 }
 
-// NewReader parses the header and chunk index from r. Payloads are then
-// consumed in order with Next.
-func NewReader(r io.Reader) (*Reader, error) {
-	sr := container.NewStreamCursor(r, ErrCorrupt)
+// NewReader parses the header and chunk index of the size-byte container
+// at the start of r, as strictly as Decode: the payloads must end exactly
+// at size.
+func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
+	sr := container.NewStreamCursor(io.NewSectionReader(r, 0, size), ErrCorrupt)
 	h, idx, err := decodeHeader(sr)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := FromCounts(h.Dims, idx.counts); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	index, err := idx.entries(h, sr.Off(), size)
+	if err != nil {
+		return nil, err
 	}
-	slab := 1
-	for _, d := range h.Dims[1:] {
-		slab *= d
-	}
-	index := make([]IndexEntry, len(idx.counts))
-	start, off := 0, sr.Off()
-	for i := range index {
-		index[i] = IndexEntry{
-			Start:      start,
-			Count:      idx.counts[i],
-			Offset:     off,
-			RawBytes:   idx.counts[i] * slab * 4,
-			PayloadLen: idx.lens[i],
-			Checksum:   idx.sums[i],
-			MaxErr:     idx.errs[i],
-		}
-		start += idx.counts[i]
-		off += idx.lens[i]
-	}
-	return &Reader{header: *h, index: index, src: sr}, nil
+	return &Reader{header: *h, index: index}, nil
 }
 
 // Header returns the shared container header.
@@ -481,22 +473,3 @@ func (r *Reader) Header() *Header { return &r.header }
 
 // Index returns the chunk index.
 func (r *Reader) Index() []IndexEntry { return r.index }
-
-// Next returns the next chunk's ordinal and checksum-verified payload, or
-// io.EOF after the last chunk.
-func (r *Reader) Next() (int, []byte, error) {
-	if r.next >= len(r.index) {
-		return 0, nil, io.EOF
-	}
-	i := r.next
-	e := r.index[i]
-	p, err := r.src.Bytes(e.PayloadLen)
-	if err != nil {
-		return 0, nil, fmt.Errorf("chunk %d payload: %w", i, err)
-	}
-	if crc32.ChecksumIEEE(p) != e.Checksum {
-		return 0, nil, fmt.Errorf("%w: chunk %d", ErrChecksum, i)
-	}
-	r.next++
-	return i, p, nil
-}

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,7 +131,7 @@ func TestIndexCarriesMaxErrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(blob2))
+	r, err := NewReader(bytes.NewReader(blob2), int64(len(blob2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,41 +199,42 @@ func TestDecodeAcceptsVersion1(t *testing.T) {
 			t.Fatalf("v1 chunk %d payload mismatch", i)
 		}
 	}
-	r, err := NewReader(bytes.NewReader(blob))
+	r, err := NewReader(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		t.Fatalf("v1 stream rejected: %v", err)
 	}
-	for i := range payloads {
-		j, p, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j != i || !bytes.Equal(p, payloads[i]) {
+	for i, e := range r.Index() {
+		if !bytes.Equal(blob[e.Offset:e.Offset+e.PayloadLen], payloads[i]) {
 			t.Fatalf("v1 stream chunk %d mismatch", i)
 		}
 	}
 }
 
+// The index a Reader parses through an io.ReaderAt locates the same
+// payloads as Decode's, and it is as strict about the container's size.
 func TestReaderStreamsSamePayloads(t *testing.T) {
 	_, _, payloads, blob := testArchive(t)
-	r, err := NewReader(bytes.NewReader(blob))
+	r, err := NewReader(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Index()) != len(payloads) {
-		t.Fatalf("index len %d, want %d", len(r.Index()), len(payloads))
+	a, err := Decode(blob)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range payloads {
-		j, p, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j != i || !bytes.Equal(p, payloads[i]) {
-			t.Fatalf("chunk %d: got ordinal %d, payload match %v", i, j, bytes.Equal(p, payloads[i]))
+	if fmt.Sprint(r.Index()) != fmt.Sprint(a.Index) { // NaN max errors compare as text
+		t.Fatalf("Reader index %+v, Decode index %+v", r.Index(), a.Index)
+	}
+	for i, e := range r.Index() {
+		if !bytes.Equal(blob[e.Offset:e.Offset+e.PayloadLen], payloads[i]) {
+			t.Fatalf("chunk %d: index does not locate its payload", i)
 		}
 	}
-	if _, _, err := r.Next(); err != io.EOF {
-		t.Fatalf("after last chunk err = %v, want io.EOF", err)
+	long := append(append([]byte(nil), blob...), 0xAA)
+	for _, src := range [][]byte{blob[:len(blob)-1], long} {
+		if _, err := NewReader(bytes.NewReader(src), int64(len(src))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%d-byte container of %d: err = %v, want ErrCorrupt", len(src), len(blob), err)
+		}
 	}
 }
 
@@ -255,17 +256,6 @@ func TestDecodeRejectsChecksumMismatch(t *testing.T) {
 	// Other chunks stay readable: corruption is contained.
 	if _, err := ab.Payload(0); err != nil {
 		t.Fatalf("Payload(0) err = %v", err)
-	}
-	// The streaming reader refuses the corrupt chunk too.
-	r, err := NewReader(bytes.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.Next(); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("stream Next err = %v, want ErrChecksum", err)
 	}
 }
 
@@ -320,7 +310,7 @@ func TestDecodeHugeModelLengthNoPanic(t *testing.T) {
 	if _, err := Decode(blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
-	if _, err := NewReader(bytes.NewReader(blob)); !errors.Is(err, ErrCorrupt) {
+	if _, err := NewReader(bytes.NewReader(blob), int64(len(blob))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("stream err = %v, want ErrCorrupt", err)
 	}
 }
@@ -342,7 +332,7 @@ func TestDecodeDimsVolumeOverflowRejected(t *testing.T) {
 	if _, err := Decode(blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
-	if _, err := NewReader(bytes.NewReader(blob)); !errors.Is(err, ErrCorrupt) {
+	if _, err := NewReader(bytes.NewReader(blob), int64(len(blob))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("stream err = %v, want ErrCorrupt", err)
 	}
 }
@@ -397,13 +387,7 @@ func TestDecodeArbitraryBytesNeverPanics(t *testing.T) {
 					_, _ = a.Payload(i)
 				}
 			}
-			if r, err := NewReader(bytes.NewReader(blob)); err == nil {
-				for {
-					if _, _, err := r.Next(); err != nil {
-						break
-					}
-				}
-			}
+			_, _ = NewReader(bytes.NewReader(blob), int64(len(blob)))
 		}()
 	}
 }

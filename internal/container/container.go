@@ -343,26 +343,35 @@ func (c *StreamCursor) Byte() (byte, error) {
 	return b, nil
 }
 
-// Bytes reads n bytes into a fresh slice. The slice grows with the bytes
-// that arrive, doubling from 64 KiB, so a declared length the stream does
-// not back never becomes an allocation.
+// Bytes reads n bytes into a fresh slice (see ReadN).
 func (c *StreamCursor) Bytes(n int) ([]byte, error) {
 	if n < 0 || n > maxStreamSection {
 		return nil, fmt.Errorf("%w: section length %d at offset %d", c.corrupt, n, c.off)
 	}
-	b := make([]byte, min(n, 1<<16))
-	for got := 0; ; {
-		k, err := io.ReadFull(c.src, b[got:])
-		if got += k; err != nil {
-			return nil, fmt.Errorf("%w: need %d bytes at offset %d: %v", c.corrupt, n, c.off, err)
-		}
-		if got == n {
-			break
-		}
-		b = slices.Grow(b, min(n-got, got))[:got+min(n-got, got)]
+	b, err := ReadN(c.src, n)
+	if err != nil {
+		return nil, fmt.Errorf("%w: need %d bytes at offset %d: %v", c.corrupt, n, c.off, err)
 	}
 	c.off += n
 	return b, nil
+}
+
+// ReadN reads exactly n >= 0 bytes from r into a fresh slice. The slice
+// grows with the bytes that arrive, doubling from 64 KiB, so a declared
+// length the source does not back never becomes an allocation, and a
+// section of up to 64 KiB costs one allocation of its own size.
+func ReadN(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, min(n, 1<<16))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, b[got:])
+		if got += k; err != nil {
+			return nil, err
+		}
+		if got == n {
+			return b, nil
+		}
+		b = slices.Grow(b, min(n-got, got))[:got+min(n-got, got)]
+	}
 }
 
 // Uvarint reads one varint.

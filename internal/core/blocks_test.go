@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -322,11 +323,11 @@ func TestBlockDecodeHonorsCancellation(t *testing.T) {
 			chunk int
 		}{{tc.mono, 0}, {tc.chunked, 1}} {
 			for _, level := range tc.levels {
-				if _, _, _, err := decompressChunk(ctx, c.blob, c.chunk, level, nil, true, 2); !errors.Is(err, context.Canceled) {
-					t.Errorf("%s chunk %d level %d: decode under canceled ctx = %v, want context.Canceled", tc.name, c.chunk, level, err)
-				}
-				if _, _, err := decompressBlob(ctx, c.blob, nil, level, 2); !errors.Is(err, context.Canceled) {
-					t.Errorf("%s whole decode of the chunk-%d blob, level %d: decode under canceled ctx = %v, want context.Canceled", tc.name, c.chunk, level, err)
+				for _, i := range []int{c.chunk, Whole} {
+					r := bytes.NewReader(c.blob)
+					if _, _, _, err := Decode(ctx, r, r.Size(), Request{Chunk: i, Level: level, Workers: 2}); !errors.Is(err, context.Canceled) {
+						t.Errorf("%s chunk %d of the chunk-%d blob, level %d: decode under canceled ctx = %v, want context.Canceled", tc.name, i, c.chunk, level, err)
+					}
 				}
 			}
 		}

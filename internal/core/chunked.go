@@ -26,8 +26,8 @@ type ChunkedOptions struct {
 	ChunkVoxels int
 	// Workers bounds how many chunks are compressed concurrently;
 	// 0 means parallel.Workers() (GOMAXPROCS). Negative values are
-	// rejected with an error. The decompression side takes its bound via
-	// DecompressChunkedWith.
+	// rejected with an error. The decompression side takes its bound in
+	// Request.Workers.
 	Workers int
 }
 
@@ -202,76 +202,82 @@ func aggregateChunkStats(field *tensor.Tensor, chunkStats []Stats, method contai
 	return st
 }
 
-// DecompressChunked reconstructs a field from a CFC2 container, running
-// the per-chunk reconstructions on a GOMAXPROCS-wide worker pool. Hybrid
-// containers need the same decompressed anchors used at compression time.
-func DecompressChunked(blob []byte, anchors []*tensor.Tensor) (*tensor.Tensor, error) {
-	return DecompressChunkedWith(blob, anchors, 0)
-}
-
-// DecompressChunkedWith is DecompressChunked with an explicit bound on how
-// many chunks decompress concurrently; workers <= 0 means
-// parallel.Workers(). A monolithic CFC1 blob is accepted too (it has a
-// single sequential chunk, so workers only bounds block-parallel decode).
-func DecompressChunkedWith(blob []byte, anchors []*tensor.Tensor, workers int) (*tensor.Tensor, error) {
-	t, _, err := decompressBlob(context.Background(), blob, anchors, LevelFull, workers)
-	return t, err
-}
-
-// decompressBlob reconstructs a whole in-memory blob (CFC1 or CFC2) at
-// level, returning the achieved max error recorded for the level. ctx
-// cancels the decode at its next chunk, block or front boundary.
-func decompressBlob(ctx context.Context, blob []byte, anchors []*tensor.Tensor, level, workers int) (*tensor.Tensor, float64, error) {
-	if !chunk.IsChunked(blob) {
-		b, err := parsePayload(blob, level)
-		if err != nil {
-			return nil, 0, err
+// decodeContainer is Decode over a CFC2 container: it parses the index
+// through r, checks the anchors against the container (before the model
+// is loaded, so a request that cannot decode never pays for or trusts the
+// stored model), and decodes req.Chunk, or every chunk for Whole. Each
+// chunk's payload is read through readPayload under its index checksum.
+func decodeContainer(ctx context.Context, r io.ReaderAt, size int64, req Request) (*tensor.Tensor, int, float64, error) {
+	cr, err := chunk.NewReader(r, size)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	a := &chunk.Archive{Header: *cr.Header(), Index: cr.Index()}
+	one := req.Chunk != Whole
+	if one && (req.Chunk < 0 || req.Chunk >= a.NumChunks()) {
+		return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,%d)", req.Chunk, a.NumChunks())
+	}
+	g, err := a.Grid()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	anchors := req.Anchors
+	if crossField(a.Method) {
+		dims := a.Dims
+		if one && req.Slabs {
+			dims = g.ChunkDims(req.Chunk)
 		}
-		return decodePayload(ctx, b, level, anchors, nil, nil, workers)
+		if err := checkAnchors(&a.Header, anchors, dims); err != nil {
+			return nil, 0, 0, err
+		}
+		if one && !req.Slabs {
+			if anchors, err = g.Views(anchors, req.Chunk); err != nil {
+				return nil, 0, 0, err
+			}
+		}
 	}
-	a, err := chunk.Decode(blob)
+	model, err := loadArchiveModel(&a.Header)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return decodeChunks(ctx, a, anchors, level, workers, func(i int) (*container.Blob, error) {
-		return chunkPayload(a, i, level)
-	})
-}
-
-// chunkPayload CRC-checks chunk i of an in-memory container and parses
-// it for a decode at level.
-func chunkPayload(a *chunk.Archive, i, level int) (*container.Blob, error) {
-	p, err := a.Payload(i)
-	if err != nil {
-		return nil, err
+	payload := func(i int) (*container.Blob, error) {
+		e := a.Index[i]
+		b, err := readPayload(r, int64(e.Offset), int64(e.PayloadLen), req.Level, &e.Checksum)
+		if err != nil {
+			return nil, fmt.Errorf("core: chunk %d: %w", i, err)
+		}
+		return b, nil
 	}
-	b, err := parsePayload(p, level)
-	if err != nil {
-		return nil, fmt.Errorf("core: chunk %d: %w", i, err)
+	if one {
+		b, err := payload(req.Chunk)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		t, achieved, err := decodeChunk(ctx, b, g, req.Chunk, req.Level, anchors, model, nil, req.Workers)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return t, a.Index[req.Chunk].Start, achieved, nil
 	}
-	return b, nil
+	t, achieved, err := decodeChunks(ctx, a, g, model, anchors, req.Level, req.Workers, payload)
+	return t, 0, achieved, err
 }
 
 // decodeChunks is the one whole-container chunk loop: the shared CFNN
-// inference runs once per field, then every chunk decodes in parallel
-// into its region of the output, and the per-chunk achieved errors fold
-// into the field's. payload yields chunk i's parsed payload at level —
-// from the in-memory container, or read through an io.ReaderAt.
-// Chunk-level parallelism comes first; leftover workers go to
-// block-parallel decode inside each chunk. ctx is checked after the
-// shared inference pass and before every chunk, and each chunk's decode
-// checks it at its block and front boundaries.
-func decodeChunks(ctx context.Context, a *chunk.Archive, anchors []*tensor.Tensor, level, workers int, payload func(i int) (*container.Blob, error)) (*tensor.Tensor, float64, error) {
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, 0, err
-	}
-	inf, err := archiveInference(a, g, model, anchors, workers)
-	if err != nil {
-		return nil, 0, err
+// inference (the one place decompression still pays CFNN cost, once per
+// field instead of once per chunk) runs first, then every chunk decodes
+// in parallel into its region of the output, and the per-chunk achieved
+// errors fold into the field's. Chunk-level parallelism comes first;
+// leftover workers go to block-parallel decode inside each chunk. ctx is
+// checked after the shared inference pass and before every chunk, and
+// each chunk's decode checks it at its block and front boundaries.
+func decodeChunks(ctx context.Context, a *chunk.Archive, g *chunk.Grid, model *cfnn.Model, anchors []*tensor.Tensor, level, workers int, payload func(i int) (*container.Blob, error)) (*tensor.Tensor, float64, error) {
+	var inf *fieldInference
+	if model != nil {
+		var err error
+		if inf, err = newFieldInference(model, anchors, a.AbsEB, g, nil, workers); err != nil {
+			return nil, 0, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -279,7 +285,7 @@ func decodeChunks(ctx context.Context, a *chunk.Archive, anchors []*tensor.Tenso
 	inner := max(1, workers/a.NumChunks())
 	out := make([]float32, a.NumPoints())
 	achieved := make([]float64, a.NumChunks())
-	err = parallel.ForErr(workers, a.NumChunks(), func(i int) error {
+	err := parallel.ForErr(workers, a.NumChunks(), func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -308,7 +314,7 @@ func decodeChunks(ctx context.Context, a *chunk.Archive, anchors []*tensor.Tenso
 // decodeChunk reverses chunk i's parsed payload and checks its dims
 // against the grid. Hybrid payloads take exactly one prediction source:
 // dq slab views from the shared inference pass (whole-container decodes),
-// or the chunk's anchor views plus the container model (random access).
+// or the chunk's anchor views plus the container model (one chunk).
 func decodeChunk(ctx context.Context, b *container.Blob, g *chunk.Grid, i, level int, anchors []*tensor.Tensor, model *cfnn.Model, dq [][]float64, workers int) (*tensor.Tensor, float64, error) {
 	t, ach, err := decodePayload(ctx, b, level, anchors, model, dq, workers)
 	if err != nil {
@@ -318,160 +324,6 @@ func decodeChunk(ctx context.Context, b *container.Blob, g *chunk.Grid, i, level
 		return nil, 0, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
 	}
 	return t, ach, nil
-}
-
-// archiveInference runs the container-level shared inference pass for a
-// hybrid CFC2 archive (nil for baseline containers): the one place
-// decompression still pays CFNN cost, once per field instead of once per
-// chunk.
-func archiveInference(a *chunk.Archive, g *chunk.Grid, model *cfnn.Model, anchors []*tensor.Tensor, workers int) (*fieldInference, error) {
-	if model == nil {
-		return nil, nil
-	}
-	return newFieldInference(model, anchors, a.AbsEB, g, nil, workers)
-}
-
-// DecompressChunkedFrom reconstructs a field from a CFC2 stream, handing
-// each chunk payload to a decoder goroutine as soon as it is read — the
-// compressed container never needs to be fully resident.
-func DecompressChunkedFrom(r io.Reader, anchors []*tensor.Tensor) (*tensor.Tensor, error) {
-	cr, err := chunk.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	a := &chunk.Archive{Header: *cr.Header(), Index: cr.Index()}
-	g, model, err := prepareArchive(a, anchors)
-	if err != nil {
-		return nil, err
-	}
-	workers := parallel.Workers()
-	inf, err := archiveInference(a, g, model, anchors, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, a.NumPoints())
-	sem := make(chan struct{}, workers)
-	errs := make([]error, a.NumChunks())
-	for {
-		i, payload, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Drain in-flight workers before reporting the stream error.
-			for w := 0; w < workers; w++ {
-				sem <- struct{}{}
-			}
-			return nil, err
-		}
-		sem <- struct{}{}
-		go func(i int, payload []byte) {
-			defer func() { <-sem }()
-			b, err := parsePayload(payload, LevelFull)
-			if err == nil {
-				var t *tensor.Tensor
-				if t, _, err = decodeChunk(context.Background(), b, g, i, LevelFull, nil, nil, inf.chunkDQ(i), 1); err == nil {
-					copy(out[g.Offset(i):], t.Data())
-				}
-			}
-			errs[i] = err
-		}(i, payload)
-	}
-	for w := 0; w < workers; w++ {
-		sem <- struct{}{}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return tensor.FromSlice(out, a.Dims...)
-}
-
-// DecompressChunk reconstructs only chunk i of a CFC2 container without
-// reading any other chunk's payload, returning the chunk tensor and its
-// starting slab along axis 0 (multiply by the slab voxel count for the
-// flat offset). Hybrid containers need the full-field decompressed
-// anchors; only the chunk's region of them is consulted — this is the
-// per-chunk-view inference path the shared-inference engine is
-// bit-identical to. A monolithic CFC1 blob is accepted as a single-chunk
-// container: chunk 0 is the whole field, consistent with ChunkCount and
-// ChunkIndex. Block-coded payloads decode on a GOMAXPROCS-wide worker
-// pool; use DecompressChunkWith for an explicit bound.
-func DecompressChunk(blob []byte, i int, anchors []*tensor.Tensor) (*tensor.Tensor, int, error) {
-	return DecompressChunkWith(blob, i, anchors, 0)
-}
-
-// DecompressChunkWith is DecompressChunk with an explicit bound on the
-// decode worker pool (blocks of block-coded CFC2 v3 payloads, refinement
-// planes of layered ones); workers <= 0 means parallel.Workers(). A plain
-// payload is one block and decodes on one worker regardless — the bound
-// only governs intra-chunk parallelism, which is the single-chunk
-// decode-latency lever.
-func DecompressChunkWith(blob []byte, i int, anchors []*tensor.Tensor, workers int) (*tensor.Tensor, int, error) {
-	t, start, _, err := decompressChunk(context.Background(), blob, i, LevelFull, anchors, true, workers)
-	return t, start, err
-}
-
-// decompressChunk is the one single-chunk path: it decodes only chunk i
-// at level, returning the chunk, its starting slab along axis 0, and the
-// achieved max error recorded for the level. With whole set, anchors are
-// full anchor fields and only chunk i's views of them are consulted;
-// otherwise they are slabs covering just chunk i's range, each with the
-// chunk's dims — the serving layer's form, which never materializes whole
-// anchors. Both give bit-identical predictions: inference runs over
-// exactly the same chunk region. A monolithic CFC1 blob is a single
-// chunk spanning every slab. ctx cancels the decode at its next block or
-// front boundary.
-func decompressChunk(ctx context.Context, blob []byte, i, level int, anchors []*tensor.Tensor, whole bool, workers int) (*tensor.Tensor, int, float64, error) {
-	if !chunk.IsChunked(blob) {
-		if i != 0 {
-			return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,1) (monolithic blob)", i)
-		}
-		b, err := parsePayload(blob, level)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		t, ach, err := decodePayload(ctx, b, level, anchors, nil, nil, workers)
-		return t, 0, ach, err
-	}
-	a, err := chunk.Decode(blob)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if i < 0 || i >= a.NumChunks() {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,%d)", i, a.NumChunks())
-	}
-	g, err := a.Grid()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if crossField(a.Method) {
-		if whole {
-			if err := checkAnchors(&a.Header, anchors, a.Dims); err != nil {
-				return nil, 0, 0, err
-			}
-			if anchors, err = g.Views(anchors, i); err != nil {
-				return nil, 0, 0, err
-			}
-		}
-		if err := checkAnchors(&a.Header, anchors, g.ChunkDims(i)); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	model, err := loadArchiveModel(&a.Header)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	b, err := chunkPayload(a, i, level)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	t, ach, err := decodeChunk(ctx, b, g, i, level, anchors, model, nil, workers)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return t, a.Index[i].Start, ach, nil
 }
 
 // ChunkCount returns the number of chunks in a CFC2 container (1 for a
@@ -562,27 +414,6 @@ func loadArchiveModel(h *chunk.Header) (*cfnn.Model, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", h.Method)
 	}
-}
-
-// prepareArchive validates anchors against the container header, loads the
-// shared CFNN model (if any), and rebuilds the chunk grid. Anchors are
-// checked before the model is loaded, so a request that cannot decode
-// never pays for (or trusts) the stored model.
-func prepareArchive(a *chunk.Archive, anchors []*tensor.Tensor) (*chunk.Grid, *cfnn.Model, error) {
-	g, err := a.Grid()
-	if err != nil {
-		return nil, nil, err
-	}
-	if crossField(a.Method) {
-		if err := checkAnchors(&a.Header, anchors, a.Dims); err != nil {
-			return nil, nil, err
-		}
-	}
-	model, err := loadArchiveModel(&a.Header)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, model, nil
 }
 
 // crossField reports whether a container method predicts from anchors.

@@ -86,11 +86,11 @@ func TestChunkedDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 	// Decompression worker count must not change the reconstruction either.
-	one, err := DecompressChunkedWith(blobs[0], nil, 1)
+	one, _, _, err := decodeBlob(blobs[0], Request{Chunk: Whole, Level: LevelFull, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := DecompressChunkedWith(blobs[0], nil, 4)
+	many, _, _, err := decodeBlob(blobs[0], Request{Chunk: Whole, Level: LevelFull, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestDecompressChunkMatchesRegion(t *testing.T) {
 	}
 	slab := 14 * 18
 	for i := 0; i < nc; i++ {
-		part, start, err := DecompressChunk(res.Blob, i, anchors)
+		part, start, err := decompressChunk(res.Blob, i, anchors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,12 +208,12 @@ func TestDecompressChunkMatchesRegion(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := DecompressChunk(res.Blob, nc, anchors); err == nil {
+	if _, _, err := decompressChunk(res.Blob, nc, anchors); err == nil {
 		t.Fatal("out-of-range chunk index accepted")
 	}
 }
 
-// The slab-anchored single-chunk path must reproduce DecompressChunk exactly
+// A slab-anchored single-chunk request must reproduce the full-anchored one exactly
 // when fed only the chunk's slab range of each anchor — the contract the
 // serving layer relies on to avoid whole-anchor decodes.
 func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
@@ -234,7 +234,7 @@ func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 	}
 	slab := 14 * 18
 	for i, ci := range infos {
-		want, wantStart, err := DecompressChunk(res.Blob, i, anchors)
+		want, wantStart, err := decompressChunk(res.Blob, i, anchors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 			}
 			slabs[k] = s
 		}
-		got, start, _, err := DecompressChunkAtLevelWithAnchorSlabsCtx(context.Background(), res.Blob, i, LevelFull, slabs)
+		got, start, _, err := decodeBlob(res.Blob, Request{Chunk: i, Level: LevelFull, Anchors: slabs, Slabs: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := DecompressChunkAtLevelWithAnchorSlabsCtx(context.Background(), res.Blob, 0, LevelFull, []*tensor.Tensor{bad}); err == nil {
+	if _, _, _, err := decodeBlob(res.Blob, Request{Chunk: 0, Level: LevelFull, Anchors: []*tensor.Tensor{bad}, Slabs: true}); err == nil {
 		t.Fatal("wrong-shaped anchor slab accepted")
 	}
 }
@@ -299,7 +299,7 @@ func TestDecompressChunkIsolatedFromOtherPayloads(t *testing.T) {
 			bad[p] ^= 0xff
 		}
 	}
-	part, start, err := DecompressChunk(bad, keep, nil)
+	part, start, err := decompressChunk(bad, keep, nil)
 	if err != nil {
 		t.Fatalf("isolated chunk failed despite untouched payload: %v", err)
 	}
@@ -322,7 +322,7 @@ func TestDecompressChunkIsolatedFromOtherPayloads(t *testing.T) {
 		t.Fatalf("isolated chunk out of bound: %v", maxErr)
 	}
 	// The corrupted chunks must be rejected, not silently decoded.
-	if _, _, err := DecompressChunk(bad, keep+1, nil); err == nil {
+	if _, _, err := decompressChunk(bad, keep+1, nil); err == nil {
 		t.Fatal("corrupt chunk accepted")
 	}
 	if _, err := Decompress(bad, nil); err == nil {
@@ -355,7 +355,7 @@ func TestChunkedStreamingMatchesInMemory(t *testing.T) {
 	if !bytes.Equal(mem.Blob, buf.Bytes()) {
 		t.Fatal("streamed container differs from in-memory container")
 	}
-	fromStream, err := DecompressChunkedFrom(bytes.NewReader(buf.Bytes()), anchors)
+	fromStream, _, _, err := Decode(context.Background(), bytes.NewReader(buf.Bytes()), int64(buf.Len()), Request{Chunk: Whole, Level: LevelFull, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +364,20 @@ func TestChunkedStreamingMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(float32Bytes(fromStream.Data()), float32Bytes(fromMem.Data())) {
-		t.Fatal("streaming decompression differs from in-memory decompression")
+		t.Fatal("decompression of the streamed container differs from in-memory decompression")
 	}
 	checkBound(t, target, fromStream, 0.05)
+}
+
+// decodeBlob is Decode over an in-memory blob.
+func decodeBlob(blob []byte, req Request) (*tensor.Tensor, int, float64, error) {
+	return Decode(context.Background(), bytes.NewReader(blob), int64(len(blob)), req)
+}
+
+// decompressChunk decodes chunk i at full fidelity against whole anchors.
+func decompressChunk(blob []byte, i int, anchors []*tensor.Tensor) (*tensor.Tensor, int, error) {
+	t, start, _, err := decodeBlob(blob, Request{Chunk: i, Level: LevelFull, Anchors: anchors})
+	return t, start, err
 }
 
 func float32Bytes(f []float32) []byte {
@@ -415,8 +426,10 @@ func TestChunkedRejectsCorruptIndex(t *testing.T) {
 		if _, err := Decompress(res.Blob[:cut], nil); err == nil {
 			t.Fatalf("truncated container (%d bytes) accepted", cut)
 		}
-		if _, err := DecompressChunkedFrom(bytes.NewReader(res.Blob[:cut]), nil); err == nil {
-			t.Fatalf("truncated stream (%d bytes) accepted", cut)
+		// A ReaderAt shorter than the size it claims.
+		short := bytes.NewReader(res.Blob[:cut])
+		if _, _, _, err := Decode(context.Background(), short, int64(len(res.Blob)), Request{Chunk: Whole, Level: LevelFull}); err == nil {
+			t.Fatalf("truncated source (%d bytes) accepted", cut)
 		}
 	}
 }
@@ -441,13 +454,13 @@ func TestCFC1StillDecompresses(t *testing.T) {
 	if nc != 1 {
 		t.Fatalf("CFC1 chunk count = %d, want 1", nc)
 	}
-	// The worker-capped entry point accepts monolithic blobs too.
-	viaChunked, err := DecompressChunkedWith(res.Blob, nil, 2)
+	// A worker-capped request accepts monolithic blobs too.
+	viaChunked, _, _, err := decodeBlob(res.Blob, Request{Chunk: Whole, Level: LevelFull, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(float32Bytes(viaChunked.Data()), float32Bytes(back.Data())) {
-		t.Fatal("DecompressChunkedWith differs on a CFC1 blob")
+		t.Fatal("a worker-capped decode differs on a CFC1 blob")
 	}
 }
 

@@ -17,25 +17,27 @@
 // and is charged to the compressed size.
 //
 // On top of the monolithic pipeline sits the chunked engine
-// (CompressChunked/CompressChunkedTo and the Decompress* counterparts):
-// fields split into independent slabs, compressed in parallel into a
-// random-access CFC2 container, with CFNN inference run once per field by
-// a shared segmented pass (see inference.go). Random access comes in two
-// flavors: DecompressChunk takes full anchor fields and consults only the
-// chunk's region; DecompressChunkAtLevelWithAnchorSlabsCtx takes anchor
-// data covering just the chunk's slab range — the serving layer's entry
-// point for decoding dependent chunks without materializing whole anchors.
+// (CompressChunked/CompressChunkedTo): fields split into independent
+// slabs, compressed in parallel into a random-access CFC2 container, with
+// CFNN inference run once per field by a shared segmented pass (see
+// inference.go).
 //
-// Every decode entry is a thin call into one of three level-aware paths,
-// a full-fidelity decode being simply LevelFull: decodePayload (one
-// parsed CFC1 payload), decodeChunks (every chunk of a CFC2 container,
-// in memory or through an io.ReaderAt) and decompressChunk (one chunk).
-// All of them end in one reconstruct engine, reconstructBlocks
-// (blocks.go): every payload version parses into one descriptor, a plain
-// sequential payload being one block and a layered payload's level a
-// plan for the per-block dequantize step. On the encode side, one
-// prediction step (predict) and one container assembly (assemble) serve
-// plain and layered payloads; block-coded payloads are decode-only.
+// Decoding is one call, Decode, over an io.ReaderAt; an in-memory blob is
+// a bytes.Reader, and Decompress is Decode's whole-field, full-fidelity
+// request. A Request picks the chunk (Whole, or one chunk read without
+// any other chunk's payload), the level (LevelFull, or a preview of a
+// layered payload), whole or slab anchors (the serving layer's form,
+// which never materializes whole anchors) and the worker bound. Under it
+// runs one parse route: a CFC2 index parsed to end exactly at the
+// payload's size, and readPayload, which reads a chunk whole under its
+// index checksum or, for a preview, only the prefix its layer CRCs cover.
+// Every payload then ends in one reconstruct engine, decodePayload →
+// reconstructBlocks (blocks.go): every payload version parses into one
+// descriptor, a plain sequential payload being one block and a layered
+// payload's level a plan for the per-block dequantize step. On the encode
+// side, one prediction step (predict) and one container assembly
+// (assemble) serve plain and layered payloads; block-coded payloads are
+// decode-only.
 package core
 
 import (

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -255,20 +253,16 @@ func TestDecompressCorruptBlob(t *testing.T) {
 	}
 	cbad := append([]byte(nil), cres.Blob...)
 	cbad[len(cbad)-3] ^= 0x10
-	routes := map[string]func() error{
-		"Decompress": func() error { _, err := Decompress(cbad, nil); return err },
-		"DecompressAtLevel": func() error {
-			_, _, err := DecompressAtLevel(context.Background(), cbad, nil, LevelFull)
-			return err
-		},
-		"DecompressAtLevelReader": func() error {
-			_, _, err := DecompressAtLevelReader(bytes.NewReader(cbad), int64(len(cbad)), nil, LevelFull, 0)
-			return err
-		},
+	n, err := ChunkCount(cbad)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, route := range routes {
-		if err := route(); !errors.Is(err, chunk.ErrChecksum) {
-			t.Errorf("%s of a flipped chunk byte: err = %v, want chunk.ErrChecksum", name, err)
+	if _, err := Decompress(cbad, nil); !errors.Is(err, chunk.ErrChecksum) {
+		t.Errorf("Decompress of a flipped chunk byte: err = %v, want chunk.ErrChecksum", err)
+	}
+	for _, i := range []int{Whole, n - 1} {
+		if _, _, _, err := decodeBlob(cbad, Request{Chunk: i, Level: LevelFull}); !errors.Is(err, chunk.ErrChecksum) {
+			t.Errorf("chunk %d of a flipped chunk byte: err = %v, want chunk.ErrChecksum", i, err)
 		}
 	}
 }

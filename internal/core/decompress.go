@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"slices"
 
 	"repro/internal/cfnn"
+	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/huffman"
 	"repro/internal/lossless"
@@ -13,18 +17,156 @@ import (
 	"repro/internal/tensor"
 )
 
-// Decompress reconstructs a field from a compressed blob. Baseline blobs
-// need no anchors (pass nil); hybrid/cross-only blobs require the same
-// decompressed anchor fields used at compression time, in the same order.
-// Both container formats are accepted: monolithic CFC1 blobs and chunked
-// CFC2 containers.
-//
-// Within one CFC1 blob, decompression is sequential in raster order — the
-// Lorenzo dependency the paper describes — while the CFNN inference that
-// produces the cross-field difference estimates runs up front in parallel.
-// CFC2 containers additionally decompress chunk-parallel.
+// Decompress reconstructs a whole field at full fidelity from an
+// in-memory blob, monolithic CFC1 or chunked CFC2: Decode over the blob
+// with the default request. Baseline blobs need no anchors (pass nil);
+// hybrid/cross-only blobs require the same decompressed anchor fields
+// used at compression time, in the same order.
 func Decompress(blob []byte, anchors []*tensor.Tensor) (*tensor.Tensor, error) {
-	return DecompressChunkedWith(blob, anchors, 0)
+	t, _, _, err := Decode(context.Background(), bytes.NewReader(blob), int64(len(blob)), Request{Chunk: Whole, Level: LevelFull, Anchors: anchors})
+	return t, err
+}
+
+// Whole is the Request.Chunk that selects every chunk of a payload.
+const Whole = -1
+
+// Request selects what Decode reconstructs from one compressed payload.
+type Request struct {
+	// Chunk is Whole, or the index of the one chunk to decode; a
+	// monolithic CFC1 payload is chunk 0.
+	Chunk int
+	// Level is LevelFull for the bit-exact reconstruction, or a preview
+	// level of a layered payload (a non-layered payload decodes in full
+	// at level 0 and has no other level).
+	Level int
+	// Anchors are the decompressed anchor fields a cross-field payload
+	// predicts from, in the order used at compression time; nil for a
+	// baseline payload.
+	Anchors []*tensor.Tensor
+	// Slabs marks anchors that cover only the chunk's slab range, each
+	// with the chunk's dims, instead of whole fields — the serving
+	// layer's form, which never materializes whole anchors. The
+	// predictions are bit-identical either way: inference runs over
+	// exactly the chunk's region.
+	Slabs bool
+	// Workers bounds the decode pool: chunks of a whole-container decode,
+	// then blocks and refinement planes inside each chunk; <= 0 means
+	// GOMAXPROCS. The result is byte-identical at any worker count.
+	Workers int
+}
+
+// Decode is the one decode call. It reconstructs req's chunk (or the
+// whole field) of the size-byte payload at the start of r at req.Level,
+// and returns it with its starting slab along axis 0 (0 for Whole) and
+// the achieved max error the compressor recorded for that level (NaN when
+// the payload is not layered).
+//
+// Every route parses the same way. A CFC2 index must end exactly at
+// size. A chunk read whole (LevelFull, or a non-layered chunk) is
+// verified against its index checksum; a preview of a layered payload
+// reads only the prefix its level needs, which the layer CRCs it reads
+// cover, so a corrupt deeper layer leaves every lower level decodable. A
+// CFC1 payload has no whole-payload checksum of its own: callers holding
+// one (an archive manifest) verify it before decoding. An in-memory blob
+// is a bytes.Reader. Whole decodes run the CFNN once per field and the
+// chunks in parallel; a single chunk reads no other chunk's payload. The
+// decode stops at its next chunk, block or front boundary once ctx is
+// done and returns ctx.Err().
+func Decode(ctx context.Context, r io.ReaderAt, size int64, req Request) (*tensor.Tensor, int, float64, error) {
+	if req.Workers <= 0 {
+		req.Workers = parallel.Workers()
+	}
+	var head [4]byte
+	if size >= int64(len(head)) {
+		if _, err := r.ReadAt(head[:], 0); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	if chunk.IsChunked(head[:]) {
+		return decodeContainer(ctx, r, size, req)
+	}
+	if req.Chunk != Whole && req.Chunk != 0 {
+		return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,1) (monolithic blob)", req.Chunk)
+	}
+	b, err := readPayload(r, 0, size, req.Level, nil)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	t, achieved, err := decodePayload(ctx, b, req.Level, req.Anchors, nil, nil, req.Workers)
+	return t, 0, achieved, err
+}
+
+// readPayload reads the CFC1 payload at [off, off+length) of r for a
+// decode at level. A preview of a layered payload reads only the prefix
+// the level needs, which the per-layer CRCs cover. Every other decode
+// reads the whole payload, verifies it against crc when the caller has
+// one (a CFC2 index checksum), and parses it as strictly as an in-memory
+// payload.
+func readPayload(r io.ReaderAt, off, length int64, level int, crc *uint32) (*container.Blob, error) {
+	var head [5]byte
+	if length < int64(len(head)) {
+		return nil, fmt.Errorf("%w: %d-byte payload", container.ErrCorrupt, length)
+	}
+	if _, err := r.ReadAt(head[:], off); err != nil {
+		return nil, err
+	}
+	if level != LevelFull && container.IsLayered(head[:]) {
+		b, _, err := readLayeredPrefix(r, off, length, level)
+		return b, err
+	}
+	// Sized by the bytes that arrive, not by the index's claim.
+	buf, err := container.ReadN(io.NewSectionReader(r, off, length), int(length))
+	if err != nil {
+		return nil, err
+	}
+	if crc != nil && crc32.ChecksumIEEE(buf) != *crc {
+		return nil, chunk.ErrChecksum
+	}
+	return parsePayload(buf, level)
+}
+
+// readLayeredPrefix reads the smallest practical prefix of the payload at
+// [off, off+length) of r that parses with at least level+1 complete
+// layers, growing geometrically. The returned blob references the prefix
+// bytes read.
+func readLayeredPrefix(r io.ReaderAt, off, length int64, level int) (*container.Blob, []byte, error) {
+	sz := int64(1 << 16)
+	for {
+		if sz > length {
+			sz = length
+		}
+		buf := make([]byte, sz)
+		n, err := io.ReadFull(io.NewSectionReader(r, off, sz), buf)
+		atEnd := sz == length
+		if err == io.ErrUnexpectedEOF || err == io.EOF {
+			// The source itself is shorter than the recorded payload length
+			// (e.g. a truncated file): whatever arrived is all there is.
+			buf = buf[:n]
+			atEnd = true
+		} else if err != nil {
+			return nil, nil, err
+		}
+		b, avail, err := container.DecodePrefix(buf)
+		if err == nil && avail > level {
+			return b, buf, nil
+		}
+		if atEnd {
+			if err == nil {
+				return nil, nil, fmt.Errorf("%w: level %d needs %d layers, payload holds %d",
+					container.ErrCorrupt, level, level+1, avail)
+			}
+			return nil, nil, err
+		}
+		// Parse one growth step ahead when the table is already known:
+		// jump straight to the exact prefix the level needs.
+		if err == nil && b.Layers != nil {
+			if want := int64(b.LayerPrefixLen(level)); want > sz {
+				sz = want
+				continue
+			}
+		}
+		sz *= 4
+	}
 }
 
 // parsePayload parses a whole in-memory CFC1 payload for a decode at

@@ -18,23 +18,25 @@ import (
 	"repro/internal/quant"
 )
 
-// FuzzDecodePayload drives the payload dispatcher at LevelFull and at the
-// base level: malformed input must error, never panic. Each input goes
-// through decompressBlob, which routes CFC1 and CFC2 alike (without
-// anchors, so a CFC2 model is never loaded), and, when it parses as a
-// CFC1 payload, straight into decodePayload with zero-valued cross-field
-// predictions, so the hybrid reconstruction runs too. The corpus is
-// seeded by addGoldenSeeds.
+// FuzzDecode drives the one decode call over CFC1 and CFC2 alike:
+// whole and chunk 0, at LevelFull and at the first two preview levels,
+// without anchors (so a CFC2 model is never loaded). Malformed input must
+// error, never panic. Input that parses as a CFC1 payload also goes
+// straight into decodePayload with zero-valued cross-field predictions,
+// so the hybrid reconstruction runs too. The corpus is seeded by
+// addGoldenSeeds.
 //
-//	go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 30s ./internal/core
-func FuzzDecodePayload(f *testing.F) {
+//	go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 60s ./internal/core
+func FuzzDecode(f *testing.F) {
 	addGoldenSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !fuzzSized(data) {
 			t.Skip("headers declare an oversized decode")
 		}
-		for _, level := range []int{LevelFull, 0} {
-			_, _, _ = decompressBlob(context.Background(), data, nil, level, 2)
+		for _, level := range []int{LevelFull, 0, 1} {
+			for _, i := range []int{Whole, 0} {
+				_, _, _, _ = decodeBlob(data, Request{Chunk: i, Level: level, Workers: 2})
+			}
 			if b, err := parsePayload(data, level); err == nil {
 				var dq [][]float64
 				if b.Method != container.MethodBaseline {
@@ -45,24 +47,6 @@ func FuzzDecodePayload(f *testing.F) {
 				}
 				_, _, _ = decodePayload(context.Background(), b, level, nil, nil, dq, 2)
 			}
-		}
-	})
-}
-
-// FuzzDecodeAtLevelReader drives the ReaderAt prefix path — the one that
-// reads only the bytes a level needs, growing its read geometrically —
-// at LevelFull and at the first two preview levels, over the same corpus
-// and size filter as FuzzDecodePayload.
-//
-//	go test -run '^$' -fuzz '^FuzzDecodeAtLevelReader$' -fuzztime 30s ./internal/core
-func FuzzDecodeAtLevelReader(f *testing.F) {
-	addGoldenSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !fuzzSized(data) {
-			t.Skip("headers declare an oversized decode")
-		}
-		for _, level := range []int{LevelFull, 0, 1} {
-			_, _, _ = DecompressAtLevelReader(bytes.NewReader(data), int64(len(data)), nil, level, 2)
 		}
 	})
 }
@@ -114,11 +98,6 @@ func fuzzSized(data []byte) bool {
 	small := func(dims []int) bool {
 		n, err := container.CheckVolume(dims)
 		return err == nil && n <= maxVoxels
-	}
-	// The ReaderAt path parses a CFC2 header as a stream, before any
-	// index entry is checked against the data.
-	if cr, err := chunk.NewReader(bytes.NewReader(data)); err == nil && !small(cr.Header().Dims) {
-		return false
 	}
 	payloads := [][]byte{data}
 	if a, err := chunk.Decode(data); err == nil {
@@ -247,7 +226,7 @@ func TestCFC2V3CorruptBlockTablesNeverPanic(t *testing.T) {
 	if blob[4] != 3 {
 		t.Fatalf("fixture is CFC2 v%d, want v3", blob[4])
 	}
-	want, err := DecompressChunked(blob, nil)
+	want, err := Decompress(blob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +236,7 @@ func TestCFC2V3CorruptBlockTablesNeverPanic(t *testing.T) {
 				t.Fatalf("panic on %s: %v", label, r)
 			}
 		}()
-		recon, err := DecompressChunked(blob, nil)
+		recon, err := Decompress(blob, nil)
 		if err == nil && recon != nil && recon.Len() != want.Len() {
 			t.Fatalf("%s: wrong-size reconstruction accepted", label)
 		}

@@ -7,9 +7,7 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
@@ -19,10 +17,9 @@ import (
 	"repro/internal/huffman"
 	"repro/internal/lossless"
 	"repro/internal/parallel"
-	"repro/internal/tensor"
 )
 
-// LevelFull selects the deepest (bit-exact) level in the *AtLevel APIs.
+// LevelFull selects the deepest (bit-exact) level in a Request.
 const LevelFull = -1
 
 // ErrLayerChecksum re-exports the container-level per-layer CRC failure so
@@ -126,17 +123,6 @@ func decodePlanes(b *container.Blob, backend lossless.Backend, level, workers in
 	return planes, shifts, err
 }
 
-// DecompressAtLevel reconstructs a field from a compressed blob at the
-// given level (LevelFull = bit-exact), returning the reconstruction and
-// the achieved max error the compressor recorded for that level (NaN when
-// the payload is not layered). Chunked (CFC2) containers decode
-// chunk-parallel; hybrid payloads need the same decompressed anchors as
-// Decompress. The decode stops at its next chunk, block or front
-// boundary once ctx is done and returns ctx.Err().
-func DecompressAtLevel(ctx context.Context, blob []byte, anchors []*tensor.Tensor, level int) (*tensor.Tensor, float64, error) {
-	return decompressBlob(ctx, blob, anchors, level, 0)
-}
-
 // maxAchieved folds per-chunk achieved errors; any NaN (unknown) makes the
 // aggregate NaN.
 func maxAchieved(errs []float64) float64 {
@@ -152,37 +138,11 @@ func maxAchieved(errs []float64) float64 {
 	return out
 }
 
-// DecompressChunkAtLevel reconstructs only chunk i of a container at the
-// given level, returning the chunk tensor, its starting slab along axis 0,
-// and the recorded achieved max error for that level. Hybrid containers
-// need the full-field decompressed anchors, exactly as DecompressChunk.
-func DecompressChunkAtLevel(blob []byte, i, level int, anchors []*tensor.Tensor) (*tensor.Tensor, int, float64, error) {
-	return decompressChunk(context.Background(), blob, i, level, anchors, true, 0)
-}
-
-// DecompressChunkAtLevelWithAnchorSlabsCtx is the serving layer's chunk
-// decode: anchor data covers only chunk i's slab range — each slab tensor
-// has the chunk's dims (the field dims with axis 0 cut to the chunk's slab
-// count) — and the payload reconstructs at the requested level. A
-// dependent-chunk request thus decodes only the anchor chunks
-// intersecting its slab range, never whole anchor fields; predictions are
-// bit-identical to DecompressChunkAtLevel with full anchors. The decode
-// gets a GOMAXPROCS-wide pool and checks ctx at every block and
-// wavefront-front boundary, so a canceled request releases its workers
-// at the next barrier.
-func DecompressChunkAtLevelWithAnchorSlabsCtx(ctx context.Context, blob []byte, i, level int, anchorSlabs []*tensor.Tensor) (*tensor.Tensor, int, float64, error) {
-	return decompressChunk(ctx, blob, i, level, anchorSlabs, false, 0)
-}
-
-// PayloadLevelSpec reports the progressive layering of an in-memory
-// compressed blob (CFC1 or CFC2). Non-layered payloads report Levels == 1.
-func PayloadLevelSpec(blob []byte) (*LevelSpec, error) {
-	return PayloadLevelSpecReader(bytes.NewReader(blob), int64(len(blob)))
-}
-
-// PayloadLevelSpecReader is PayloadLevelSpec over an io.ReaderAt: only the
-// container index and the first chunk's layer table are read, never a full
-// payload — the mount-time introspection path for file-backed archives.
+// PayloadLevelSpecReader reports the progressive layering of the
+// size-byte payload (CFC1 or CFC2) at the start of r; non-layered
+// payloads report Levels == 1. Only the container index and the first
+// chunk's layer table are read, never a full payload — the mount-time
+// introspection path for file-backed archives.
 func PayloadLevelSpecReader(r io.ReaderAt, size int64) (*LevelSpec, error) {
 	var head [5]byte
 	if size < int64(len(head)) {
@@ -192,7 +152,7 @@ func PayloadLevelSpecReader(r io.ReaderAt, size int64) (*LevelSpec, error) {
 		return nil, err
 	}
 	if chunk.IsChunked(head[:4]) {
-		cr, err := chunk.NewReader(io.NewSectionReader(r, 0, size))
+		cr, err := chunk.NewReader(r, size)
 		if err != nil {
 			return nil, err
 		}
@@ -230,119 +190,6 @@ func cfc1LevelSpec(r io.ReaderAt, off, length int64) (*LevelSpec, error) {
 	return specFromSection(b.Layers), nil
 }
 
-// readLayeredPrefix reads the smallest practical prefix of the payload at
-// [off, off+length) of r that parses with at least level+1 complete
-// layers, growing geometrically. The returned blob references the prefix
-// bytes read.
-func readLayeredPrefix(r io.ReaderAt, off, length int64, level int) (*container.Blob, []byte, error) {
-	sz := int64(1 << 16)
-	for {
-		if sz > length {
-			sz = length
-		}
-		buf := make([]byte, sz)
-		n, err := io.ReadFull(io.NewSectionReader(r, off, sz), buf)
-		atEnd := sz == length
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			// The source itself is shorter than the recorded payload length
-			// (e.g. a truncated file): whatever arrived is all there is.
-			buf = buf[:n]
-			atEnd = true
-		} else if err != nil {
-			return nil, nil, err
-		}
-		b, avail, err := container.DecodePrefix(buf)
-		if err == nil && avail > level {
-			return b, buf, nil
-		}
-		if atEnd {
-			if err == nil {
-				return nil, nil, fmt.Errorf("%w: level %d needs %d layers, payload holds %d",
-					container.ErrCorrupt, level, level+1, avail)
-			}
-			return nil, nil, err
-		}
-		// Parse one growth step ahead when the table is already known:
-		// jump straight to the exact prefix the level needs.
-		if err == nil && b.Layers != nil {
-			if want := int64(b.LayerPrefixLen(level)); want > sz {
-				sz = want
-				continue
-			}
-		}
-		sz *= 4
-	}
-}
-
-// DecompressAtLevelReader reconstructs a field at a level from a
-// ReaderAt-backed payload, reading only the byte prefix that level needs:
-// the container header/index plus layers 0..level of each chunk. This is
-// the bounded-memory path behind Archive.DecodeFieldAtLevel. Layer CRCs
-// cover the prefixes read; a chunk read whole (LevelFull, or a
-// non-layered chunk) is verified against its index checksum. A CFC1
-// payload carries no whole-payload checksum of its own, so callers
-// holding one (an archive manifest) should decode whole reads in memory.
-func DecompressAtLevelReader(r io.ReaderAt, size int64, anchors []*tensor.Tensor, level, workers int) (*tensor.Tensor, float64, error) {
-	var head [4]byte
-	if size >= 4 {
-		if _, err := r.ReadAt(head[:], 0); err != nil {
-			return nil, 0, err
-		}
-	}
-	if !chunk.IsChunked(head[:]) {
-		b, err := readPayload(r, 0, size, level, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		return decodePayload(context.Background(), b, level, anchors, nil, nil, workers)
-	}
-	cr, err := chunk.NewReader(io.NewSectionReader(r, 0, size))
-	if err != nil {
-		return nil, 0, err
-	}
-	a := &chunk.Archive{Header: *cr.Header(), Index: cr.Index()}
-	return decodeChunks(context.Background(), a, anchors, level, workers, func(i int) (*container.Blob, error) {
-		e := a.Index[i]
-		b, err := readPayload(r, int64(e.Offset), int64(e.PayloadLen), level, &e.Checksum)
-		if err != nil {
-			return nil, fmt.Errorf("core: chunk %d: %w", i, err)
-		}
-		return b, nil
-	})
-}
-
-// readPayload reads the CFC1 payload at [off, off+length) of r for a
-// decode at level. A preview of a layered payload reads only the prefix
-// the level needs, which the per-layer CRCs cover. Every other decode
-// reads the whole payload, verifies it against crc when the caller has
-// one (a CFC2 index checksum), and parses it as strictly as an in-memory
-// payload.
-func readPayload(r io.ReaderAt, off, length int64, level int, crc *uint32) (*container.Blob, error) {
-	var head [5]byte
-	if length < int64(len(head)) {
-		return nil, fmt.Errorf("%w: %d-byte payload", container.ErrCorrupt, length)
-	}
-	if _, err := r.ReadAt(head[:], off); err != nil {
-		return nil, err
-	}
-	if level != LevelFull && container.IsLayered(head[:]) {
-		b, _, err := readLayeredPrefix(r, off, length, level)
-		return b, err
-	}
-	// Sized by the bytes that arrive, not by the index's claim.
-	buf, err := io.ReadAll(io.NewSectionReader(r, off, length))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(buf)) != length {
-		return nil, io.ErrUnexpectedEOF
-	}
-	if crc != nil && crc32.ChecksumIEEE(buf) != *crc {
-		return nil, chunk.ErrChecksum
-	}
-	return parsePayload(buf, level)
-}
-
 // PayloadLevelBytes reports, per level, how many compressed payload bytes
 // a prefix reader must fetch to reconstruct levels 0..l: the container
 // header and layer table plus the first l+1 layer payloads, summed over
@@ -356,7 +203,7 @@ func PayloadLevelBytes(blob []byte) ([]int64, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec, err := PayloadLevelSpec(blob)
+		spec, err := PayloadLevelSpecReader(bytes.NewReader(blob), int64(len(blob)))
 		if err != nil {
 			return nil, err
 		}

@@ -56,7 +56,7 @@ func progCase(t *testing.T, field *tensor.Tensor, opts Options, chunked bool, ch
 		}
 		blob, st = res.Blob, res.Stats
 	}
-	spec, err := PayloadLevelSpec(blob)
+	spec, err := PayloadLevelSpecReader(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		t.Fatalf("level spec: %v", err)
 	}
@@ -100,7 +100,7 @@ func progCase(t *testing.T, field *tensor.Tensor, opts Options, chunked bool, ch
 	}
 	errs := make([]float64, spec.Levels)
 	for l := 0; l < spec.Levels; l++ {
-		recon, ach, err := DecompressAtLevel(context.Background(), blob, nil, l)
+		recon, _, ach, err := decodeBlob(blob, Request{Chunk: Whole, Level: l})
 		if err != nil {
 			t.Fatalf("decode level %d: %v", l, err)
 		}
@@ -218,7 +218,7 @@ func TestProgressiveHybrid(t *testing.T) {
 			}
 			blob, st = res.Blob, res.Stats
 		}
-		spec, err := PayloadLevelSpec(blob)
+		spec, err := PayloadLevelSpecReader(bytes.NewReader(blob), int64(len(blob)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestProgressiveHybrid(t *testing.T) {
 		}
 		prev := math.Inf(1)
 		for l := 0; l < spec.Levels; l++ {
-			recon, _, err := DecompressAtLevel(context.Background(), blob, anchors, l)
+			recon, _, _, err := decodeBlob(blob, Request{Chunk: Whole, Level: l, Anchors: anchors})
 			if err != nil {
 				t.Fatalf("chunked=%v level %d: %v", chunked, l, err)
 			}
@@ -259,7 +259,7 @@ func TestProgressiveHybrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, _, err := DecompressAtLevel(context.Background(), blob, anchors, LevelFull)
+		full, _, _, err := decodeBlob(blob, Request{Chunk: Whole, Level: LevelFull, Anchors: anchors})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,8 @@ func TestProgressivePrefixReads(t *testing.T) {
 	}
 	for l := 0; l < 4; l++ {
 		// Truncate every chunk payload to exactly the bytes level l needs;
-		// the container index stays intact so the reader can find chunks.
+		// the container index stays intact, and the source claims the
+		// container's full size, so the reader can find chunks.
 		maxEnd := 0
 		for i := 0; i < a.NumChunks(); i++ {
 			p, err := a.Payload(i)
@@ -312,11 +313,11 @@ func TestProgressivePrefixReads(t *testing.T) {
 			t.Fatalf("level %d prefix %d not smaller than blob %d", l, maxEnd, len(blob))
 		}
 		trunc := blob[:maxEnd]
-		got, ach, err := DecompressAtLevelReader(bytes.NewReader(trunc), int64(len(trunc)), nil, l, 0)
+		got, _, ach, err := Decode(context.Background(), bytes.NewReader(trunc), int64(len(blob)), Request{Chunk: Whole, Level: l})
 		if err != nil {
 			t.Fatalf("level %d prefix decode: %v", l, err)
 		}
-		want, wantAch, err := DecompressAtLevel(context.Background(), blob, nil, l)
+		want, _, wantAch, err := decodeBlob(blob, Request{Chunk: Whole, Level: l})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,10 +351,10 @@ func TestProgressiveOptionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecompressAtLevel(context.Background(), res.Blob, nil, 1); err == nil {
+	if _, _, _, err := decodeBlob(res.Blob, Request{Chunk: Whole, Level: 1}); err == nil {
 		t.Error("expected error decoding level 1 of a non-layered blob")
 	}
-	spec, err := PayloadLevelSpec(res.Blob)
+	spec, err := PayloadLevelSpecReader(bytes.NewReader(res.Blob), int64(len(res.Blob)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestHybridChunkedSharedSlabRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			outs[g], errs[g] = DecompressChunkedWith(res.Blob, anchors, 4)
+			outs[g], _, _, errs[g] = decodeBlob(res.Blob, Request{Chunk: Whole, Level: LevelFull, Anchors: anchors, Workers: 4})
 		}(g)
 	}
 	wg.Wait()
@@ -74,7 +74,7 @@ func TestHybridChunkedSharedSlabRace(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			part, start, err := DecompressChunk(res.Blob, ci, anchors)
+			part, start, err := decompressChunk(res.Blob, ci, anchors)
 			if err != nil {
 				cerrs[ci] = err
 				return

@@ -126,7 +126,7 @@ func TestSharedInferenceByteIdentical(t *testing.T) {
 			// Decompression cross-check: the shared-inference full decode
 			// must agree bit-for-bit with per-chunk random access, which
 			// still runs reference per-chunk-view inference.
-			full, err := DecompressChunked(res.Blob, anchors)
+			full, err := Decompress(res.Blob, anchors)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestSharedInferenceByteIdentical(t *testing.T) {
 				slab *= d
 			}
 			for ci := 0; ci < nc; ci++ {
-				part, start, err := DecompressChunk(res.Blob, ci, anchors)
+				part, start, err := decompressChunk(res.Blob, ci, anchors)
 				if err != nil {
 					t.Fatal(err)
 				}

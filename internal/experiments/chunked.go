@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -98,18 +99,14 @@ func ChunkedThroughput(w io.Writer, s Sizes, jsonPath string) error {
 	}
 
 	// timeRoundTrip times compress and decompress over benchRounds rounds
-	// (after one warmup) and reports the per-direction minima. nw == 0
-	// uses the monolithic decoder path; nw > 0 decompresses chunked with
-	// exactly nw workers, so the per-worker decompress rows measure what
-	// they claim.
+	// (after one warmup) and reports the per-direction minima. nw > 0
+	// decompresses with exactly nw workers, so the per-worker decompress
+	// rows measure what they claim; nw == 0 means GOMAXPROCS.
 	timeRoundTrip := func(compress func() (*crossfield.Compressed, error), anchors []*crossfield.Field, nw int) (time.Duration, time.Duration, *crossfield.Compressed, error) {
 		decompress := func(res *crossfield.Compressed) error {
-			var err error
-			if nw > 0 {
-				_, err = crossfield.DecompressChunked(p.target.Name, res.Blob, anchors, nw)
-			} else {
-				_, err = crossfield.Decompress(p.target.Name, res.Blob, anchors)
-			}
+			_, _, _, err := crossfield.Decode(context.Background(), p.target.Name, res.Blob, crossfield.DecodeRequest{
+				Chunk: crossfield.Whole, Level: crossfield.LevelFull, Anchors: anchors, Workers: nw,
+			})
 			return err
 		}
 		res, err := compress() // warmup round, untimed

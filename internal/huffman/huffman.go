@@ -16,11 +16,13 @@
 package huffman
 
 import (
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/bitstream"
@@ -63,13 +65,14 @@ type entry struct {
 // Codec is an immutable canonical Huffman code for one field's quantization
 // codes.
 type Codec struct {
-	entries []entry         // canonical order: (length, sym) ascending
-	encode  map[int64]entry // symbol -> code
-	hasEsc  bool
-	// Dense encode fast path for small symbol spans (see buildDense);
-	// nil when the span is too wide.
+	entries []entry // canonical order: (length, sym) ascending
+	esc     entry   // the escape code; length 0 when the table has none
+	// Encode lookup, built by Build only (see buildEncoder): a dense
+	// table for small symbol spans, else a map. A codec decoded from a
+	// table has neither and cannot encode.
 	dense    []entry
 	denseMin int64
+	encode   map[int64]entry
 	// Canonical decode tables indexed by length.
 	firstCode [maxCodeLen + 1]uint64
 	firstIdx  [maxCodeLen + 1]int
@@ -169,8 +172,8 @@ func Build(codes []int32, maxSymbols int) (*Codec, error) {
 		return nil, err
 	}
 	// Only freshly-built codecs are about to encode; table decodes
-	// (UnmarshalCodec) skip the dense encode LUT entirely.
-	c.buildDense()
+	// (UnmarshalCodec) skip the encode lookup entirely.
+	c.buildEncoder()
 	return c, nil
 }
 
@@ -264,19 +267,16 @@ func huffmanLengths(counts []int64) []uint8 {
 	return lengths
 }
 
-// newCanonical assigns canonical codes given (sym, length) entries and
-// builds encode/decode tables.
+// newCanonical assigns canonical codes given (sym, length) entries with
+// distinct symbols and builds the decode tables.
 func newCanonical(entries []entry) (*Codec, error) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].length != entries[j].length {
-			return entries[i].length < entries[j].length
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.length != b.length {
+			return cmp.Compare(a.length, b.length)
 		}
-		return entries[i].sym < entries[j].sym
+		return cmp.Compare(a.sym, b.sym)
 	})
-	c := &Codec{
-		entries: entries,
-		encode:  make(map[int64]entry, len(entries)),
-	}
+	c := &Codec{entries: entries}
 	var code uint64
 	var prevLen uint8
 	for i := range entries {
@@ -289,12 +289,8 @@ func newCanonical(entries []entry) (*Codec, error) {
 		code++
 		prevLen = e.length
 		if e.sym == escSym {
-			c.hasEsc = true
+			c.esc = *e
 		}
-		if _, dup := c.encode[e.sym]; dup {
-			return nil, fmt.Errorf("%w: duplicate symbol %d", ErrCorrupt, e.sym)
-		}
-		c.encode[e.sym] = *e
 	}
 	// Kraft check: the last code must fit in its length.
 	if prevLen > 0 && code > (1<<prevLen) {
@@ -350,12 +346,12 @@ func (c *Codec) NumSymbols() int { return len(c.entries) }
 // MaxLength returns the longest codeword in bits.
 func (c *Codec) MaxLength() int { return int(c.maxLen) }
 
-// buildDense constructs the flat symbol→code lookup used on the encode
-// hot path when the alphabet's symbol span is small (the normal case for
-// quantization codes, which cluster around zero). Entries with length 0
-// mark symbols outside the alphabet. Encoding output is identical to the
-// map path — this is purely a lookup-cost optimization.
-func (c *Codec) buildDense() {
+// buildEncoder constructs the symbol→code lookup Encode needs: a flat
+// table when the alphabet's symbol span is small (the normal case for
+// quantization codes, which cluster around zero), with length 0 marking
+// symbols outside the alphabet, and a map otherwise. Both give identical
+// output; the table is purely a lookup-cost optimization.
+func (c *Codec) buildEncoder() {
 	mn, mx := int64(math.MaxInt64), int64(math.MinInt64)
 	n := 0
 	for _, e := range c.entries {
@@ -370,13 +366,15 @@ func (c *Codec) buildDense() {
 		}
 		n++
 	}
-	// The span must be computed overflow-safely before sizing anything
-	// (symbols here came from a decoded table and can be arbitrary), and a
-	// sparse alphabet spread over a wide span keeps the map.
-	if n == 0 {
-		return
-	}
-	if span := uint64(mx) - uint64(mn); span > 1<<62 || !denseWorthIt(int64(span), n) {
+	// The span must be computed overflow-safely before sizing anything,
+	// and a sparse alphabet spread over a wide span takes the map.
+	if span := uint64(mx) - uint64(mn); n == 0 || span > 1<<62 || !denseWorthIt(int64(span), n) {
+		c.encode = make(map[int64]entry, n)
+		for _, e := range c.entries {
+			if e.sym != escSym {
+				c.encode[e.sym] = e
+			}
+		}
 		return
 	}
 	c.denseMin = mn
@@ -389,9 +387,13 @@ func (c *Codec) buildDense() {
 }
 
 // Encode appends the bitstream encoding of codes to w. Codes absent from
-// the alphabet use the escape path (escape codeword + 32 raw bits).
+// the alphabet use the escape path (escape codeword + 32 raw bits). Only
+// a codec from Build encodes; one decoded from a table returns an error.
 func (c *Codec) Encode(w *bitstream.Writer, codes []int32) error {
-	esc, hasEsc := c.encode[escSym]
+	if c.dense == nil && c.encode == nil {
+		return errors.New("huffman: a codec decoded from a table cannot encode")
+	}
+	esc, hasEsc := c.esc, c.esc.length > 0
 	if c.dense != nil {
 		mn := c.denseMin
 		span := int64(len(c.dense))
@@ -527,6 +529,17 @@ func UnmarshalCodec(data []byte) (*Codec, int, error) {
 		}
 		entries[i] = entry{sym: sym, length: data[off]}
 		off++
+	}
+	// Sorted, a repeated symbol sits next to its first copy.
+	syms := make([]int64, len(entries))
+	for i, e := range entries {
+		syms[i] = e.sym
+	}
+	slices.Sort(syms)
+	for i := 1; i < len(syms); i++ {
+		if syms[i] == syms[i-1] {
+			return nil, 0, fmt.Errorf("%w: duplicate symbol %d", ErrCorrupt, syms[i])
+		}
 	}
 	c, err := newCanonical(entries)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -156,12 +157,16 @@ func TestTableSerializationRoundTrip(t *testing.T) {
 	if consumed != len(blob) {
 		t.Fatalf("consumed %d of %d", consumed, len(blob))
 	}
-	// Encoding with the deserialized codec must decode with the original.
+	// A decoded table only decodes: what the built codec encodes, the
+	// deserialized one decodes.
 	var w bitstream.Writer
-	if err := c2.Encode(&w, codes); err != nil {
+	if err := c2.Encode(&w, codes); err == nil {
+		t.Fatal("a codec decoded from a table encoded")
+	}
+	if err := c.Encode(&w, codes); err != nil {
 		t.Fatal(err)
 	}
-	back, err := c.Decode(bitstream.NewReader(w.Bytes()), len(codes))
+	back, err := c2.Decode(bitstream.NewReader(w.Bytes()), len(codes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +189,12 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	blob, _ := c.MarshalBinary()
 	if _, _, err := UnmarshalCodec(blob[:len(blob)-1]); err == nil {
 		t.Fatal("expected truncation error")
+	}
+	// A symbol listed twice, at different lengths so the copies are not
+	// neighbors in canonical order.
+	dup := tableBytes([]int64{4, escSym, -1, 4}, []uint8{1, 2, 3, 3})
+	if _, _, err := UnmarshalCodec(dup); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "duplicate symbol 4") {
+		t.Fatalf("duplicate symbol: %v", err)
 	}
 }
 
@@ -412,6 +423,7 @@ func referenceCases(t testing.TB) (names []string, codecs []*Codec, payloads [][
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		c.buildEncoder() // a decoded table has no encode lookup of its own
 		// Every symbol, then a random draw weighted toward the long codes.
 		var codes []int32
 		for _, s := range syms {

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -70,7 +71,7 @@ func (d *libraryDecoder) field(t *testing.T, name string, level int) []byte {
 	if d.ar != nil {
 		f, _, err = d.ar.DecodeFieldAtLevel(name, level)
 	} else {
-		f, _, err = crossfield.DecompressAtLevel(name, d.blob, nil, level)
+		f, _, _, err = crossfield.Decode(context.Background(), name, d.blob, crossfield.DecodeRequest{Chunk: crossfield.Whole, Level: level})
 	}
 	if err != nil {
 		t.Fatalf("library decode %s level %d: %v", name, level, err)
@@ -95,7 +96,7 @@ func (d *libraryDecoder) chunk(t *testing.T, name string, ci, level int) []byte 
 			anchors = append(anchors, af)
 		}
 	}
-	f, _, _, err := crossfield.DecompressChunkAtLevel(name, payload, ci, level, anchors)
+	f, _, _, err := crossfield.Decode(context.Background(), name, payload, crossfield.DecodeRequest{Chunk: ci, Level: level, Anchors: anchors})
 	if err != nil {
 		t.Fatalf("library decode %s chunk %d level %d: %v", name, ci, level, err)
 	}

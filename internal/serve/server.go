@@ -440,15 +440,11 @@ func archiveChunkIndex(ar *crossfield.Archive, fi crossfield.FieldInfo) ([]core.
 		return nil, err
 	}
 	var prefix [4]byte
-	if _, err := io.ReadFull(pr, prefix[:]); err != nil {
+	if _, err := pr.ReadAt(prefix[:], 0); err != nil {
 		return nil, fmt.Errorf("payload magic read: %w", err)
 	}
 	if chunk.IsChunked(prefix[:]) {
-		pr, err := ar.PayloadReader(fi.Name) // fresh section: NewReader parses from byte 0
-		if err != nil {
-			return nil, err
-		}
-		cr, err := chunk.NewReader(pr)
+		cr, err := chunk.NewReader(pr, pr.Size())
 		if err != nil {
 			return nil, err
 		}
@@ -492,7 +488,7 @@ func mountBlob(name string, src io.ReaderAt, size int64) (*mount, error) {
 	if chunk.IsChunked(prefix[:]) {
 		// Stream-parse the CFC2 header and index; payload bytes stay on
 		// the reader until a request needs them.
-		cr, err := chunk.NewReader(io.NewSectionReader(src, 0, size))
+		cr, err := chunk.NewReader(src, size)
 		if err != nil {
 			return nil, fmt.Errorf("serve: mount %q: %w", name, err)
 		}
@@ -633,7 +629,7 @@ type region struct {
 }
 
 // wholeField is the chunk index of a whole-field region.
-const wholeField = -1
+const wholeField = core.Whole
 
 // whole is fv's whole-field region.
 func (fv *fieldView) whole() region { return region{chunk: wholeField, slabs: fv.info.Dims[0]} }
@@ -828,15 +824,10 @@ func (s *Server) decodeRegion(ctx context.Context, m *mount, fv *fieldView, rg r
 	}
 	_, endDecode := s.metrics.stage(ctx, stage, hist)
 	start := time.Now()
-	var (
-		t        *tensor.Tensor
-		achieved float64
-	)
-	if rg.chunk == wholeField {
-		t, achieved, err = core.DecompressAtLevel(ctx, payload, anchors, level)
-	} else {
-		t, _, achieved, err = core.DecompressChunkAtLevelWithAnchorSlabsCtx(ctx, payload, rg.chunk, level, anchors)
-	}
+	// A chunk region's anchors are that region of each anchor: slabs.
+	t, _, achieved, err := core.Decode(ctx, bytes.NewReader(payload), int64(len(payload)), core.Request{
+		Chunk: rg.chunk, Level: level, Anchors: anchors, Slabs: rg.chunk != wholeField,
+	})
 	s.metrics.observeDecode(time.Since(start))
 	endDecode()
 	if err != nil {

@@ -4,6 +4,8 @@ package crossfield_test
 // into where the codec spends time and allocations.
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -249,7 +251,8 @@ func BenchmarkHybridChunkedDecompress(b *testing.B) {
 	b.SetBytes(int64(target.Len() * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DecompressChunkedWith(res.Blob, anchors, 1); err != nil {
+		r := bytes.NewReader(res.Blob)
+		if _, _, _, err := core.Decode(context.Background(), r, r.Size(), core.Request{Chunk: core.Whole, Level: core.LevelFull, Anchors: anchors, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,7 +70,7 @@ func WithWorkers(n int) Option {
 // layer and must be in [2,8]; each extra level adds two refinement bits
 // (quartering the preview bound). Containers become CFC1 v3 / CFC2 v4 /
 // CFC3 v3 (older readers reject them up front). Decode any level with
-// DecompressAtLevel or Archive.DecodeFieldAtLevel.
+// Decode (DecodeRequest.Level) or Archive.DecodeFieldAtLevel.
 func WithProgressive(levels int) Option {
 	return optionFunc(func(c *compressConfig) error {
 		if levels < 2 || levels > 8 {
