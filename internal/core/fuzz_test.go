@@ -18,16 +18,44 @@ import (
 	"repro/internal/quant"
 )
 
-// FuzzDecode drives the one decode call over CFC1 and CFC2 alike:
-// whole and chunk 0, at LevelFull and at the first two preview levels,
-// without anchors (so a CFC2 model is never loaded). Malformed input must
-// error, never panic. Input that parses as a CFC1 payload also goes
+// FuzzDecodePayload drives the payload engine itself at LevelFull and at
+// the first two preview levels: input that parses as a CFC1 payload goes
 // straight into decodePayload with zero-valued cross-field predictions,
-// so the hybrid reconstruction runs too. The corpus is seeded by
-// addGoldenSeeds.
+// so the hybrid reconstruction runs too. Malformed input must error,
+// never panic. The corpus is seeded by addGoldenSeeds.
 //
-//	go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 60s ./internal/core
-func FuzzDecode(f *testing.F) {
+//	go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 30s ./internal/core
+func FuzzDecodePayload(f *testing.F) {
+	addGoldenSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !fuzzSized(data) {
+			t.Skip("headers declare an oversized decode")
+		}
+		for _, level := range []int{LevelFull, 0, 1} {
+			b, err := parsePayload(data, level)
+			if err != nil {
+				continue
+			}
+			var dq [][]float64
+			if b.Method != container.MethodBaseline {
+				dq = make([][]float64, len(b.Dims))
+				for k := range dq {
+					dq[k] = make([]float64, b.NumPoints())
+				}
+			}
+			_, _, _ = decodePayload(context.Background(), b, level, nil, nil, dq, 2)
+		}
+	})
+}
+
+// FuzzDecodeAtLevelReader drives the one decode call through an
+// io.ReaderAt over CFC1 and CFC2 alike: whole and chunk 0, at LevelFull
+// and at the first two preview levels, without anchors (so a CFC2 model
+// is never loaded), over the same corpus and size filter as
+// FuzzDecodePayload. Malformed input must error, never panic.
+//
+//	go test -run '^$' -fuzz '^FuzzDecodeAtLevelReader$' -fuzztime 30s ./internal/core
+func FuzzDecodeAtLevelReader(f *testing.F) {
 	addGoldenSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !fuzzSized(data) {
@@ -36,16 +64,6 @@ func FuzzDecode(f *testing.F) {
 		for _, level := range []int{LevelFull, 0, 1} {
 			for _, i := range []int{Whole, 0} {
 				_, _, _, _ = decodeBlob(data, Request{Chunk: i, Level: level, Workers: 2})
-			}
-			if b, err := parsePayload(data, level); err == nil {
-				var dq [][]float64
-				if b.Method != container.MethodBaseline {
-					dq = make([][]float64, len(b.Dims))
-					for k := range dq {
-						dq[k] = make([]float64, b.NumPoints())
-					}
-				}
-				_, _, _ = decodePayload(context.Background(), b, level, nil, nil, dq, 2)
 			}
 		}
 	})
