@@ -267,6 +267,7 @@ type fields interface {
 	Bytes(n int) ([]byte, error)
 	Uvarint() (uint64, error)
 	Float64() (float64, error)
+	Uint32() (uint32, error)
 }
 
 // indexData is the parsed per-chunk index: slab counts, payload lengths,
@@ -429,11 +430,9 @@ func decodeHeader(r fields) (*Header, *indexData, error) {
 			return nil, nil, fmt.Errorf("%w: chunk %d payload length %d", ErrCorrupt, i, l)
 		}
 		idx.lens[i] = int(l)
-		s4, err := r.Bytes(4)
-		if err != nil {
+		if idx.sums[i], err = r.Uint32(); err != nil {
 			return nil, nil, err
 		}
-		idx.sums[i] = binary.LittleEndian.Uint32(s4)
 		idx.errs[i] = math.NaN()
 		if ver >= versionV2 {
 			if idx.errs[i], err = r.Float64(); err != nil {

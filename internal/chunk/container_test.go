@@ -238,6 +238,36 @@ func TestReaderStreamsSamePayloads(t *testing.T) {
 	}
 }
 
+// TestReaderAllocsIndependentOfChunkCount pins NewReader's index parse:
+// the fixed-width fields of each index entry (checksum, max error) read
+// through the cursor's scratch, so 64 chunks cost no more allocations
+// than 4.
+func TestReaderAllocsIndependentOfChunkCount(t *testing.T) {
+	allocs := func(chunks int) float64 {
+		h := &Header{Method: container.MethodBaseline, AbsEB: 0.5, Dims: []int{64, 4, 6}}
+		g, err := Plan(h.Dims, 64/chunks*4*6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads := make([][]byte, g.NumChunks())
+		for i := range payloads {
+			payloads[i] = []byte{byte(i), 1, 2, 3}
+		}
+		blob, err := Encode(h, g, payloads, make([]float64, g.NumChunks()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := NewReader(bytes.NewReader(blob), int64(len(blob))); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(4), allocs(64); many != few {
+		t.Fatalf("NewReader allocations: %v at 4 chunks, %v at 64", few, many)
+	}
+}
+
 func TestDecodeRejectsChecksumMismatch(t *testing.T) {
 	_, _, _, blob := testArchive(t)
 	a, err := Decode(blob)

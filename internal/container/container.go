@@ -311,6 +311,15 @@ func (c *Cursor) Float64() (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
+// Uint32 reads one little-endian uint32.
+func (c *Cursor) Uint32() (uint32, error) {
+	b, err := c.Bytes(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
 // maxStreamSection bounds a single allocation while parsing an untrusted
 // stream header (in-memory cursors are bounded by the input length).
 const maxStreamSection = 1 << 30
@@ -323,6 +332,7 @@ type StreamCursor struct {
 	src     *bufio.Reader
 	off     int
 	corrupt error
+	fixed   [8]byte // fixed-width reads land here, not in a fresh slice
 }
 
 // NewStreamCursor returns a cursor over r whose errors wrap corrupt.
@@ -385,11 +395,31 @@ func (c *StreamCursor) Uvarint() (uint64, error) {
 
 // Float64 reads one little-endian float64.
 func (c *StreamCursor) Float64() (float64, error) {
-	b, err := c.Bytes(8)
+	b, err := c.fixedBytes(8)
 	if err != nil {
 		return 0, err
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
+}
+
+// Uint32 reads one little-endian uint32.
+func (c *StreamCursor) Uint32() (uint32, error) {
+	b, err := c.fixedBytes(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+// fixedBytes reads n <= 8 bytes into the cursor's scratch array; the
+// result is valid until the next fixed-width read.
+func (c *StreamCursor) fixedBytes(n int) ([]byte, error) {
+	b := c.fixed[:n]
+	if _, err := io.ReadFull(c.src, b); err != nil {
+		return nil, fmt.Errorf("%w: need %d bytes at offset %d: %v", c.corrupt, n, c.off, err)
+	}
+	c.off += n
+	return b, nil
 }
 
 // countingByteReader lets binary.ReadUvarint advance the stream offset.

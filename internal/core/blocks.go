@@ -186,10 +186,11 @@ type payloadPlan struct {
 // newPlan checks a base code stream against the blob's block table — or,
 // for a payload without one, against the one block spanning the dims —
 // and the prediction parameters against the method, and returns the
-// descriptor of a non-layered decode.
-func newPlan(b *container.Blob, raw []byte, codec *huffman.Codec, dq [][]float64) (*payloadPlan, error) {
+// descriptor of a non-layered decode, still without its cross-field
+// predictions (reconstruct takes them).
+func newPlan(b *container.Blob, raw []byte, codec *huffman.Codec) (*payloadPlan, error) {
 	p := &payloadPlan{dims: b.Dims, method: b.Method, hybrid: b.Hybrid, eb: b.AbsEB,
-		codec: codec, raw: raw, dq: dq, achieved: math.NaN()}
+		codec: codec, raw: raw, achieved: math.NaN()}
 	edges, segLens := b.Dims, []int{len(raw)}
 	if bs := b.Blocks; bs != nil {
 		edges, segLens = bs.Edges, bs.SegLens
@@ -217,9 +218,6 @@ func newPlan(b *container.Blob, raw []byte, codec *huffman.Codec, dq [][]float64
 		if rank != 2 && rank != 3 {
 			return nil, fmt.Errorf("core: cross-field rank %d unsupported", rank)
 		}
-		if len(dq) != rank {
-			return nil, fmt.Errorf("core: %d dq fields for rank %d", len(dq), rank)
-		}
 		numFeats := rank
 		if b.Method == container.MethodHybrid {
 			numFeats++
@@ -231,6 +229,20 @@ func newPlan(b *container.Blob, raw []byte, codec *huffman.Codec, dq [][]float64
 		return nil, fmt.Errorf("core: unknown method %v", b.Method)
 	}
 	return p, nil
+}
+
+// reconstruct runs the engine over the plan into out with the
+// cross-field predictions dq (prequant units; nil for a baseline
+// payload), scaled to the base layer of a layered payload.
+func (p *payloadPlan) reconstruct(ctx context.Context, dq [][]float64, out []float32, workers int) error {
+	if p.method != container.MethodBaseline && len(dq) != len(p.dims) {
+		return fmt.Errorf("core: %d dq fields for rank %d", len(dq), len(p.dims))
+	}
+	if p.shift > 0 {
+		dq = scaleDQ(dq, p.shift)
+	}
+	p.dq = dq
+	return reconstructBlocks(ctx, make([]int32, len(out)), out, p, workers)
 }
 
 // zeroOrigin is the causal horizon of wavefront blocks: the grid origin.

@@ -138,10 +138,11 @@ func TestBlockDecodeParityProperty(t *testing.T) {
 				},
 				Blocks: &container.BlockSection{Mode: mode.mode, Edges: g.edges, SegLens: segs},
 			}
-			p, err := newPlan(blob, raw, codec, dq)
+			p, err := newPlan(blob, raw, codec)
 			if err != nil {
 				t.Fatalf("iter %d: plan: %v", iter, err)
 			}
+			p.dq = dq
 			workers := 1 + rng.Intn(4)
 			q2 := make([]int32, n)
 			vals := make([]float32, n)

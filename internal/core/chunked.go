@@ -12,6 +12,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/container"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -205,125 +206,117 @@ func aggregateChunkStats(field *tensor.Tensor, chunkStats []Stats, method contai
 // decodeContainer is Decode over a CFC2 container: it parses the index
 // through r, checks the anchors against the container (before the model
 // is loaded, so a request that cannot decode never pays for or trusts the
-// stored model), and decodes req.Chunk, or every chunk for Whole. Each
-// chunk's payload is read through readPayload under its index checksum.
+// stored model), and decodes req.Chunk, or every chunk for Whole, through
+// decodeChunks. Each chunk's payload is read through readPayload under its
+// index checksum and checked against the grid's chunk dims before it
+// decodes into its region of the output.
 func decodeContainer(ctx context.Context, r io.ReaderAt, size int64, req Request) (*tensor.Tensor, int, float64, error) {
 	cr, err := chunk.NewReader(r, size)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	a := &chunk.Archive{Header: *cr.Header(), Index: cr.Index()}
-	one := req.Chunk != Whole
-	if one && (req.Chunk < 0 || req.Chunk >= a.NumChunks()) {
-		return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,%d)", req.Chunk, a.NumChunks())
+	lo, hi := 0, a.NumChunks()
+	if req.Chunk != Whole {
+		if req.Chunk < 0 || req.Chunk >= a.NumChunks() {
+			return nil, 0, 0, fmt.Errorf("core: chunk %d out of [0,%d)", req.Chunk, a.NumChunks())
+		}
+		lo, hi = req.Chunk, req.Chunk+1
 	}
 	g, err := a.Grid()
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	anchors := req.Anchors
+	slabs := req.Chunk != Whole && req.Slabs
 	if crossField(a.Method) {
 		dims := a.Dims
-		if one && req.Slabs {
+		if slabs {
 			dims = g.ChunkDims(req.Chunk)
 		}
-		if err := checkAnchors(&a.Header, anchors, dims); err != nil {
+		if err := checkAnchors(&a.Header, req.Anchors, dims); err != nil {
 			return nil, 0, 0, err
-		}
-		if one && !req.Slabs {
-			if anchors, err = g.Views(anchors, req.Chunk); err != nil {
-				return nil, 0, 0, err
-			}
 		}
 	}
 	model, err := loadArchiveModel(&a.Header)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	payload := func(i int) (*container.Blob, error) {
+	decode := func(i int, out []float32, arena *nn.Arena, workers int) ([]float32, float64, error) {
 		e := a.Index[i]
 		b, err := readPayload(r, int64(e.Offset), int64(e.PayloadLen), req.Level, &e.Checksum)
 		if err != nil {
-			return nil, fmt.Errorf("core: chunk %d: %w", i, err)
+			return nil, 0, fmt.Errorf("core: chunk %d: %w", i, err)
 		}
-		return b, nil
-	}
-	if one {
-		b, err := payload(req.Chunk)
+		if !slices.Equal(b.Dims, g.ChunkDims(i)) {
+			return nil, 0, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, b.Dims, g.ChunkDims(i))
+		}
+		anchors := req.Anchors
+		if crossField(a.Method) && !slabs {
+			if anchors, err = g.Views(anchors, i); err != nil {
+				return nil, 0, err
+			}
+		}
+		out, ach, err := decodePayload(ctx, b, req.Level, anchors, model, arena, out, workers)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, fmt.Errorf("core: chunk %d: %w", i, err)
 		}
-		t, achieved, err := decodeChunk(ctx, b, g, req.Chunk, req.Level, anchors, model, nil, req.Workers)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return t, a.Index[req.Chunk].Start, achieved, nil
+		return out, ach, nil
 	}
-	t, achieved, err := decodeChunks(ctx, a, g, model, anchors, req.Level, req.Workers, payload)
-	return t, 0, achieved, err
+	t, achieved, err := decodeChunks(ctx, g, lo, hi, req.Workers, decode)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return t, a.Index[lo].Start, achieved, nil
 }
 
-// decodeChunks is the one whole-container chunk loop: the shared CFNN
-// inference (the one place decompression still pays CFNN cost, once per
-// field instead of once per chunk) runs first, then every chunk decodes
-// in parallel into its region of the output, and the per-chunk achieved
-// errors fold into the field's. Chunk-level parallelism comes first;
-// leftover workers go to block-parallel decode inside each chunk. ctx is
-// checked after the shared inference pass and before every chunk, and
-// each chunk's decode checks it at its block and front boundaries.
-func decodeChunks(ctx context.Context, a *chunk.Archive, g *chunk.Grid, model *cfnn.Model, anchors []*tensor.Tensor, level, workers int, payload func(i int) (*container.Blob, error)) (*tensor.Tensor, float64, error) {
-	var inf *fieldInference
-	if model != nil {
-		var err error
-		if inf, err = newFieldInference(model, anchors, a.AbsEB, g, nil, workers); err != nil {
-			return nil, 0, err
-		}
+// decodeChunks is the one chunk loop: decode reconstructs chunk i of
+// [lo, hi) into out, its region of one output over their slabs (nil for a
+// lone chunk: allocated once its payload parses), running its CFNN
+// inference in arena on workers kernel workers. At most min(workers,
+// chunks) chunks are in flight, each in-flight worker reusing one arena
+// for the call; leftover workers go to each chunk's kernels and blocks.
+// ctx is checked before every chunk and at its block and front boundaries.
+func decodeChunks(ctx context.Context, g *chunk.Grid, lo, hi, workers int, decode func(i int, out []float32, arena *nn.Arena, workers int) ([]float32, float64, error)) (*tensor.Tensor, float64, error) {
+	n := hi - lo
+	inFlight := min(workers, n)
+	arenas := make(chan *nn.Arena, inFlight)
+	for range inFlight {
+		arenas <- nn.NewArena()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+	base := g.Offset(lo)
+	var out []float32
+	if n > 1 {
+		out = make([]float32, g.Offset(hi-1)+g.Voxels(hi-1)-base)
 	}
-	inner := max(1, workers/a.NumChunks())
-	out := make([]float32, a.NumPoints())
-	achieved := make([]float64, a.NumChunks())
-	err := parallel.ForErr(workers, a.NumChunks(), func(i int) error {
+	achieved := make([]float64, n)
+	err := parallel.ForErr(inFlight, n, func(k int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		b, err := payload(i)
-		if err != nil {
-			return err
+		arena := <-arenas
+		defer func() { arenas <- arena }()
+		i := lo + k
+		var dst []float32
+		if n > 1 {
+			dst = out[g.Offset(i)-base : g.Offset(i)-base+g.Voxels(i)]
 		}
-		t, ach, err := decodeChunk(ctx, b, g, i, level, nil, nil, inf.chunkDQ(i), inner)
-		if err != nil {
-			return err
+		vals, ach, err := decode(i, dst, arena, max(1, workers/inFlight))
+		if n == 1 {
+			out = vals
 		}
-		achieved[i] = ach
-		copy(out[g.Offset(i):], t.Data())
-		return nil
+		achieved[k] = ach
+		return err
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	t, err := tensor.FromSlice(out, a.Dims...)
+	dims := slices.Clone(g.Dims())
+	dims[0] = g.Start(hi-1) + g.Count(hi-1) - g.Start(lo)
+	t, err := tensor.FromSlice(out, dims...)
 	if err != nil {
 		return nil, 0, err
 	}
 	return t, maxAchieved(achieved), nil
-}
-
-// decodeChunk reverses chunk i's parsed payload and checks its dims
-// against the grid. Hybrid payloads take exactly one prediction source:
-// dq slab views from the shared inference pass (whole-container decodes),
-// or the chunk's anchor views plus the container model (one chunk).
-func decodeChunk(ctx context.Context, b *container.Blob, g *chunk.Grid, i, level int, anchors []*tensor.Tensor, model *cfnn.Model, dq [][]float64, workers int) (*tensor.Tensor, float64, error) {
-	t, ach, err := decodePayload(ctx, b, level, anchors, model, dq, workers)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: chunk %d: %w", i, err)
-	}
-	if !slices.Equal(t.Shape(), g.ChunkDims(i)) {
-		return nil, 0, fmt.Errorf("core: chunk %d payload dims %v, index says %v", i, t.Shape(), g.ChunkDims(i))
-	}
-	return t, ach, nil
 }
 
 // ChunkCount returns the number of chunks in a CFC2 container (1 for a

@@ -20,7 +20,8 @@
 // (CompressChunked/CompressChunkedTo): fields split into independent
 // slabs, compressed in parallel into a random-access CFC2 container, with
 // CFNN inference run once per field by a shared segmented pass (see
-// inference.go).
+// inference.go). Decode runs each chunk's inference inside that chunk's
+// decode, in one chunk-sized arena per worker, to the same bits.
 //
 // Decoding is one call, Decode, over an io.ReaderAt; an in-memory blob is
 // a bytes.Reader, and Decompress is Decode's whole-field, full-fidelity
@@ -45,7 +46,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cfnn"
 	"repro/internal/container"
 	"repro/internal/lossless"
 	"repro/internal/metrics"
@@ -192,20 +192,13 @@ func achievedMaxErr(data []float32, q []int32, eb float64, r int) float64 {
 }
 
 // diffToPrequantUnits converts a CFNN difference field (physical units)
-// into prequant units: dq = d̂ / (2·eb).
-func diffToPrequantUnits(d *tensor.Tensor, eb float64) []float64 {
-	out := make([]float64, d.Len())
+// into prequant units, dq = d̂ / (2·eb), in dst, and returns dst.
+func diffToPrequantUnits(dst []float64, d *tensor.Tensor, eb float64) []float64 {
 	inv := 1 / (2 * eb)
 	for i, v := range d.Data() {
-		out[i] = float64(v) * inv
+		dst[i] = float64(v) * inv
 	}
-	return out
-}
-
-// predictedDQ runs whole-field CFNN inference on the anchors and converts
-// each axis' difference field to prequant units.
-func predictedDQ(model *cfnn.Model, anchors []*tensor.Tensor, eb float64) ([][]float64, error) {
-	return predictedDQWith(model, anchors, eb, nil, nil, 0)
+	return dst
 }
 
 // VerifyBound checks the reconstruction against the absolute error bound

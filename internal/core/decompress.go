@@ -13,6 +13,7 @@ import (
 	"repro/internal/container"
 	"repro/internal/huffman"
 	"repro/internal/lossless"
+	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -50,8 +51,9 @@ type Request struct {
 	// exactly the chunk's region.
 	Slabs bool
 	// Workers bounds the decode pool: chunks of a whole-container decode,
-	// then blocks and refinement planes inside each chunk; <= 0 means
-	// GOMAXPROCS. The result is byte-identical at any worker count.
+	// then the inference kernels, blocks and refinement planes inside
+	// each chunk; <= 0 means GOMAXPROCS. The result is byte-identical at
+	// any worker count.
 	Workers int
 }
 
@@ -68,10 +70,10 @@ type Request struct {
 // cover, so a corrupt deeper layer leaves every lower level decodable. A
 // CFC1 payload has no whole-payload checksum of its own: callers holding
 // one (an archive manifest) verify it before decoding. An in-memory blob
-// is a bytes.Reader. Whole decodes run the CFNN once per field and the
-// chunks in parallel; a single chunk reads no other chunk's payload. The
-// decode stops at its next chunk, block or front boundary once ctx is
-// done and returns ctx.Err().
+// is a bytes.Reader. Whole decodes run the chunks in parallel, each
+// chunk's CFNN inference inside its own decode; a single chunk reads no
+// other chunk's payload. The decode stops at its next chunk, block or
+// front boundary once ctx is done and returns ctx.Err().
 func Decode(ctx context.Context, r io.ReaderAt, size int64, req Request) (*tensor.Tensor, int, float64, error) {
 	if req.Workers <= 0 {
 		req.Workers = parallel.Workers()
@@ -92,7 +94,11 @@ func Decode(ctx context.Context, r io.ReaderAt, size int64, req Request) (*tenso
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	t, achieved, err := decodePayload(ctx, b, req.Level, req.Anchors, nil, nil, req.Workers)
+	vals, achieved, err := decodePayload(ctx, b, req.Level, req.Anchors, nil, nn.NewArena(), nil, req.Workers)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	t, err := tensor.FromSlice(vals, b.Dims...)
 	return t, 0, achieved, err
 }
 
@@ -181,43 +187,37 @@ func parsePayload(p []byte, level int) (*container.Blob, error) {
 }
 
 // decodePayload is the one payload dispatcher: it parses one CFC1
-// payload into the engine's descriptor (planPayload) and runs the one
-// reconstruct engine on it, returning the reconstruction at level and the
-// achieved max error the compressor recorded for that level (NaN when the
-// payload is not layered). Non-layered payloads accept only level 0 /
-// LevelFull and decode in full.
-//
-// For hybrid payloads, dq supplies the predicted-diff fields (prequant
-// units) directly — the shared-inference chunked path computes them once
-// per field and hands each chunk its slab views. Otherwise inference runs
-// over anchors with the payload's embedded model, or ext for chunk
-// payloads whose model is stored once at the CFC2 level. workers bounds
-// the refinement-plane and block decode pools (<= 0 means GOMAXPROCS);
-// ctx cancels every payload kind at block and front boundaries.
-func decodePayload(ctx context.Context, b *container.Blob, level int, anchors []*tensor.Tensor, ext *cfnn.Model, dqExt [][]float64, workers int) (*tensor.Tensor, float64, error) {
+// payload into the engine's descriptor (planPayload), runs its CFNN
+// inference (resolveDQ) and the reconstruct engine, and returns the
+// reconstruction at level — in out, or when out is nil in a slice
+// allocated once the payload has parsed — with the achieved max error
+// recorded for that level (NaN when the payload is not layered).
+// Non-layered payloads accept only level 0 / LevelFull. workers bounds
+// the inference kernels and the plane and block decode pools (<= 0 means
+// GOMAXPROCS); ctx cancels it at block and front boundaries.
+func decodePayload(ctx context.Context, b *container.Blob, level int, anchors []*tensor.Tensor, ext *cfnn.Model, arena *nn.Arena, out []float32, workers int) ([]float32, float64, error) {
 	if workers <= 0 {
 		workers = parallel.Workers()
 	}
-	p, err := planPayload(b, level, anchors, ext, dqExt, workers)
+	p, err := planPayload(b, level, workers)
 	if err != nil {
 		return nil, 0, err
 	}
-	n := b.NumPoints()
-	q := make([]int32, n)
-	vals := make([]float32, n)
-	if err := reconstructBlocks(ctx, q, vals, p, workers); err != nil {
+	dq, err := resolveDQ(b, anchors, ext, arena, workers)
+	if err != nil {
 		return nil, 0, err
 	}
-	t, err := tensor.FromSlice(vals, b.Dims...)
-	return t, p.achieved, err
+	if out == nil {
+		out = make([]float32, b.NumPoints())
+	}
+	return out, p.achieved, p.reconstruct(ctx, dq, out, workers)
 }
 
 // planPayload turns one parsed CFC1 payload — plain, block-coded or
 // layered, whole or a prefix — into the descriptor of a decode at level.
-// A layered payload's base layer is a plain payload over dq scaled by
-// 2^-shift; its refinement planes through level decode here, on at most
-// workers goroutines, for the engine's dequantize step.
-func planPayload(b *container.Blob, level int, anchors []*tensor.Tensor, ext *cfnn.Model, dqExt [][]float64, workers int) (*payloadPlan, error) {
+// A layered payload's refinement planes through level decode here, on at
+// most workers goroutines, for the engine's dequantize step.
+func planPayload(b *container.Blob, level, workers int) (*payloadPlan, error) {
 	ls := b.Layers
 	enc, rawLen := b.Payload, b.PayloadRaw
 	if ls == nil {
@@ -253,14 +253,7 @@ func planPayload(b *container.Blob, level int, anchors []*tensor.Tensor, ext *cf
 	if err != nil {
 		return nil, err
 	}
-	dq, err := resolveDQ(b, anchors, ext, dqExt)
-	if err != nil {
-		return nil, err
-	}
-	if ls != nil {
-		dq = scaleDQ(dq, ls.Shift)
-	}
-	p, err := newPlan(b, raw, codec, dq)
+	p, err := newPlan(b, raw, codec)
 	if err != nil || ls == nil {
 		return p, err
 	}
@@ -285,19 +278,20 @@ func inflate(backend lossless.Backend, enc []byte, rawLen, n int) ([]byte, error
 	return backend.Decompress(enc, rawLen)
 }
 
-// resolveDQ produces the cross-field difference predictions (prequant
-// units) a blob's reconstruction needs: the externally-supplied slabs when
-// the shared-inference pass computed them, otherwise a fresh CFNN
-// inference over the supplied anchors using the blob's embedded model or
-// the container-level ext model. Baseline blobs return nil.
-func resolveDQ(b *container.Blob, anchors []*tensor.Tensor, ext *cfnn.Model, dqExt [][]float64) ([][]float64, error) {
+// dqKeys name the arena buffers a decode's predictions live in, one per
+// axis.
+var dqKeys = [3]string{"core.dq0", "core.dq1", "core.dq2"}
+
+// resolveDQ runs the CFNN inference a cross-field blob's reconstruction
+// needs: over anchors of the blob's dims, with the blob's embedded model
+// or the container-level ext model, in arena on workers kernel workers. It returns the predicted differences in
+// prequant units, held in arena until its next use. Baseline blobs
+// return nil.
+func resolveDQ(b *container.Blob, anchors []*tensor.Tensor, ext *cfnn.Model, arena *nn.Arena, workers int) ([][]float64, error) {
 	switch b.Method {
 	case container.MethodBaseline:
 		return nil, nil
 	case container.MethodHybrid, container.MethodCrossOnly:
-		if dqExt != nil {
-			return dqExt, nil
-		}
 		if len(anchors) == 0 {
 			return nil, fmt.Errorf("%w: method %v, anchors %v", ErrNeedAnchors, b.Method, b.Anchors)
 		}
@@ -316,7 +310,15 @@ func resolveDQ(b *container.Blob, anchors []*tensor.Tensor, ext *cfnn.Model, dqE
 				return nil, fmt.Errorf("core: anchor %d shape %v != field dims %v", i, a.Shape(), b.Dims)
 			}
 		}
-		return predictedDQ(model, anchors, b.AbsEB)
+		diffs, err := model.PredictDiffsWith(anchors, nil, arena, workers)
+		if err != nil {
+			return nil, err
+		}
+		dq := make([][]float64, len(diffs))
+		for a, d := range diffs {
+			dq[a] = diffToPrequantUnits(arena.F64(dqKeys[a], d.Len()), d, b.AbsEB)
+		}
+		return dq, nil
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", b.Method)
 	}

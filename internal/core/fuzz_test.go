@@ -19,9 +19,9 @@ import (
 )
 
 // FuzzDecodePayload drives the payload engine itself at LevelFull and at
-// the first two preview levels: input that parses as a CFC1 payload goes
-// straight into decodePayload with zero-valued cross-field predictions,
-// so the hybrid reconstruction runs too. Malformed input must error,
+// the first two preview levels: input that parses as a CFC1 payload is
+// planned (planPayload) and reconstructed with zero-valued cross-field
+// predictions, so the hybrid reconstruction runs too. Malformed input must error,
 // never panic. The corpus is seeded by addGoldenSeeds.
 //
 //	go test -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 30s ./internal/core
@@ -43,7 +43,9 @@ func FuzzDecodePayload(f *testing.F) {
 					dq[k] = make([]float64, b.NumPoints())
 				}
 			}
-			_, _, _ = decodePayload(context.Background(), b, level, nil, nil, dq, 2)
+			if p, err := planPayload(b, level, 2); err == nil {
+				_ = p.reconstruct(context.Background(), dq, make([]float32, b.NumPoints()), 2)
+			}
 		}
 	})
 }
@@ -166,7 +168,7 @@ func TestDecodeAllocationsBoundedByInput(t *testing.T) {
 		decode func() error
 	}{
 		{"16M codes in a 10-byte stream", func() error {
-			_, _, err := decodePayload(context.Background(), b, LevelFull, nil, nil, nil, 1)
+			_, _, err := decodePayload(context.Background(), b, LevelFull, nil, nil, nil, nil, 1)
 			return err
 		}},
 		{"2 GiB payload over a 100-byte source", func() error {

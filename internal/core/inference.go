@@ -1,13 +1,12 @@
 package core
 
-// The shared-inference stage: chunked hybrid compression and decompression
-// run CFNN inference exactly once per field, not once per chunk. One
-// segmented PredictDiffsWith pass (segment = chunk slab, so every chunk's
-// predictions are bit-identical to inference over that chunk's anchor
-// views alone) produces full-field predicted-diff slabs in prequant units;
-// chunk workers then receive read-only slab views sliced out of those
-// arrays. This deletes the per-chunk model clones and the N redundant
-// forward passes the per-chunk design paid for.
+// The shared-inference stage of chunked hybrid compression (encode only):
+// one segmented PredictDiffsWith pass per field (segment = chunk slab, so
+// every chunk's predictions are bit-identical to inference over that
+// chunk's anchor views alone) produces full-field predicted-diff slabs in
+// prequant units, and chunk workers receive read-only slab views of them.
+// Decode runs each chunk's inference inside that chunk's decode instead,
+// in a chunk-sized arena per worker (decodeChunks), to the same bits.
 
 import (
 	"repro/internal/cfnn"
@@ -67,7 +66,7 @@ func predictedDQWith(model *cfnn.Model, anchors []*tensor.Tensor, eb float64, se
 	}
 	dq := make([][]float64, len(diffs))
 	for a, d := range diffs {
-		dq[a] = diffToPrequantUnits(d, eb)
+		dq[a] = diffToPrequantUnits(make([]float64, d.Len()), d, eb)
 	}
 	return dq, nil
 }

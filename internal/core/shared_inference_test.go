@@ -47,7 +47,7 @@ func referenceChunkedHybrid(t *testing.T, field *tensor.Tensor, model *cfnn.Mode
 		if err != nil {
 			t.Fatal(err)
 		}
-		dq, err := predictedDQ(m, subAnchors, eb)
+		dq, err := predictedDQWith(m, subAnchors, eb, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,9 +123,9 @@ func TestSharedInferenceByteIdentical(t *testing.T) {
 					len(res.Blob), len(want))
 			}
 
-			// Decompression cross-check: the shared-inference full decode
-			// must agree bit-for-bit with per-chunk random access, which
-			// still runs reference per-chunk-view inference.
+			// Decompression cross-check: the whole decode, whose workers
+			// carry one arena from chunk to chunk, must agree bit for bit
+			// with random access to each chunk in a fresh arena.
 			full, err := Decompress(res.Blob, anchors)
 			if err != nil {
 				t.Fatal(err)
@@ -146,7 +146,7 @@ func TestSharedInferenceByteIdentical(t *testing.T) {
 				off := start * slab
 				for i, v := range part.Data() {
 					if v != full.Data()[off+i] {
-						t.Fatalf("chunk %d: random-access decode differs from shared-inference decode at %d", ci, i)
+						t.Fatalf("chunk %d: random-access decode differs from whole decode at %d", ci, i)
 					}
 				}
 			}

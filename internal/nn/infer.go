@@ -139,9 +139,31 @@ var inferKeys = [2]string{"seq.ping", "seq.pong"}
 // InferInput returns an arena activation of the given shape for the
 // caller to build an Infer input in. It lives in the ping-pong buffer the
 // pass's first output does not use, so the input needs no buffer of its
-// own; the pass overwrites it.
+// own; the pass overwrites it. Both buffers are reserved here at the
+// widest activation the pass writes, so a fresh arena allocates each once.
 func (s *Sequential) InferInput(a *Arena, shape ...int) Act {
+	vol := s.widest(shape[0])
+	for _, d := range shape[1:] {
+		vol *= d
+	}
+	for _, k := range inferKeys {
+		a.F64(k, vol)
+	}
 	return a.Act(inferKeys[1], shape...)
+}
+
+// widest returns the most channels an activation of a pass over c input
+// channels holds. Only convolutions change the channel count.
+func (s *Sequential) widest(c int) int {
+	for _, l := range s.Layers {
+		switch l := l.(type) {
+		case *Conv:
+			c = max(c, l.OutC)
+		case *Depthwise:
+			c = max(c, l.C)
+		}
+	}
+	return c
 }
 
 // Infer runs the layer stack with the fast inference path, threading the

@@ -82,6 +82,34 @@ func TestInferMatchesForward(t *testing.T) {
 	}
 }
 
+// TestInferPingPongAllocatedOnce pins the sizing of a fresh arena's
+// ping-pong buffers: InferInput reserves both at the widest activation
+// of the pass (here the 14-channel hidden layers over a 9-channel input),
+// so no layer of the pass reallocates either.
+func TestInferPingPongAllocatedOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	net := inferNet(t, rng, 3, 9, 14, 3)
+	a := NewArena()
+	x := net.InferInput(a, 9, 6, 8, 8)
+	before := make(map[string]*float64)
+	for _, k := range inferKeys {
+		buf, ok := a.f64s[k]
+		if !ok {
+			t.Fatalf("InferInput did not reserve %s", k)
+		}
+		before[k] = &buf[:1][0]
+	}
+	copy(x.Data, randNormAct(rng, x.Shape()...).Data)
+	if _, err := net.Infer(x, nil, a, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range inferKeys {
+		if &a.f64s[k][:1][0] != before[k] {
+			t.Errorf("%s was reallocated during the pass", k)
+		}
+	}
+}
+
 // TestInferSegmentedMatchesPerSegmentForward is the halo-correctness
 // property: segmented Infer over the full input must be bit-identical to
 // running plain Forward on each segment's crop independently —
