@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/core"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -123,12 +122,6 @@ func CompressDatasetTo(w io.Writer, specs []FieldSpec, bound ErrorBound, opts ..
 	}
 	recon := make(map[string]*tensor.Tensor, len(depended))
 	stats := make(map[string]Stats, len(specs))
-	// One inference arena serves every dependent in the dataset: fields
-	// sharing the same anchors (and therefore shapes) reuse the same
-	// warmed scratch buffers, so only the first hybrid field pays
-	// allocation cost. Fields compress sequentially in topo order, which
-	// is what makes sharing the mutable arena safe.
-	arena := nn.NewArena()
 	var totalOrig int
 	for _, i := range order {
 		s := specs[i]
@@ -156,60 +149,23 @@ func CompressDatasetTo(w io.Writer, specs []FieldSpec, bound ErrorBound, opts ..
 			if payloadCopy != nil {
 				pw = io.MultiWriter(pw, payloadCopy)
 			}
-			var st Stats
-			if s.Codec == nil {
-				if cfg.chunked {
-					cst, err := core.CompressChunkedTo(pw, s.Field.t, nil, nil, core.ChunkedOptions{
-						Options:     core.Options{Bound: b, Stages: fieldStages, Progressive: cfg.progSpec()},
-						ChunkVoxels: cfg.chunkVoxels,
-						Workers:     cfg.workers,
-					})
-					if err != nil {
-						return err
-					}
-					st = *cst
-				} else {
-					res, err := core.CompressBaseline(s.Field.t, core.Options{Bound: b, Stages: fieldStages, Progressive: cfg.progSpec()})
-					if err != nil {
-						return err
-					}
-					if _, err := pw.Write(res.Blob); err != nil {
-						return err
-					}
-					st = res.Stats
-				}
-			} else {
-				anchors := make([]*tensor.Tensor, len(s.Codec.names))
+			req := core.EncodeRequest{Bound: b, Stages: fieldStages}
+			if s.Codec != nil {
+				req.Model, req.AnchorNames = s.Codec.model, s.Codec.names
+				req.Anchors = make([]*tensor.Tensor, len(s.Codec.names))
 				for k, dep := range s.Codec.names {
 					t, ok := recon[dep]
 					if !ok {
 						return fmt.Errorf("internal: anchor %q not materialized", dep)
 					}
-					anchors[k] = t
-				}
-				o := core.Options{Bound: b, AnchorNames: s.Codec.names, Arena: arena, Stages: fieldStages, Progressive: cfg.progSpec()}
-				if cfg.chunked {
-					cst, err := core.CompressChunkedTo(pw, s.Field.t, s.Codec.model, anchors, core.ChunkedOptions{
-						Options:     o,
-						ChunkVoxels: cfg.chunkVoxels,
-						Workers:     cfg.workers,
-					})
-					if err != nil {
-						return err
-					}
-					st = *cst
-				} else {
-					res, err := core.CompressHybrid(s.Field.t, s.Codec.model, anchors, o)
-					if err != nil {
-						return err
-					}
-					if _, err := pw.Write(res.Blob); err != nil {
-						return err
-					}
-					st = res.Stats
+					req.Anchors[k] = t
 				}
 			}
-			stats[name] = st
+			st, err := cfg.encode(pw, s.Field.t, req)
+			if err != nil {
+				return err
+			}
+			stats[name] = *st
 			totalOrig += st.OriginalBytes
 			e.BoundMode = byte(b.Mode)
 			e.BoundValue = b.Value

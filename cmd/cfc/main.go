@@ -41,6 +41,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -483,11 +485,11 @@ func loadAnchors(dataDir, anchors string, b quant.Bound) ([]*tensor.Tensor, []st
 		}
 		// Round-trip through the baseline codec: compressor and
 		// decompressor must see identical anchor data.
-		res, err := core.CompressBaseline(a, core.Options{Bound: b})
-		if err != nil {
+		var blob bytes.Buffer
+		if _, err := core.Encode(context.Background(), &blob, a, core.EncodeRequest{Bound: b}); err != nil {
 			return nil, nil, err
 		}
-		dec, err := core.Decompress(res.Blob, nil)
+		dec, err := core.Decompress(blob.Bytes(), nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -530,33 +532,28 @@ func compress(dataDir, field, outPath string, rel, abs float64, modelPath, ancho
 			fatal(err)
 		}
 	}
-	var res *core.Result
-	switch {
-	case chunks > 0:
-		res, err = core.CompressChunked(f, m, anchorTensors, core.ChunkedOptions{
-			Options:     core.Options{Bound: b, AnchorNames: names},
-			ChunkVoxels: chunks,
-			Workers:     workers,
-		})
-	case m == nil:
-		res, err = core.CompressBaseline(f, core.Options{Bound: b})
-	default:
-		res, err = core.CompressHybrid(f, m, anchorTensors, core.Options{Bound: b, AnchorNames: names})
-	}
+	var blob bytes.Buffer
+	st, err := core.Encode(context.Background(), &blob, f, core.EncodeRequest{
+		Bound:       b,
+		Model:       m,
+		Anchors:     anchorTensors,
+		AnchorNames: names,
+		ChunkVoxels: max(chunks, 0),
+		Workers:     workers,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	if err := os.WriteFile(outPath, res.Blob, 0o644); err != nil {
+	if err := os.WriteFile(outPath, blob.Bytes(), 0o644); err != nil {
 		fatal(err)
 	}
-	st := res.Stats
 	fmt.Printf("%s: %d -> %d bytes (ratio %.2fx, %.3f bits/val, eb %s=%g abs=%g, method %v)\n",
 		field, st.OriginalBytes, st.CompressedBytes, st.Ratio, st.BitRate, b.Mode, b.Value, st.AbsEB, st.Method)
 	if st.ModelBytes > 0 {
 		fmt.Printf("  model %d B, table %d B, payload %d B\n", st.ModelBytes, st.TableBytes, st.PayloadBytes)
 	}
 	if chunks > 0 {
-		if n, err := core.ChunkCount(res.Blob); err == nil {
+		if n, err := core.ChunkCount(blob.Bytes()); err == nil {
 			fmt.Printf("  chunked CFC2 container: %d chunks of ~%d values\n", n, chunks)
 		}
 	}

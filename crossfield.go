@@ -175,22 +175,7 @@ func CompressBaseline(f *Field, bound ErrorBound, opts ...Option) (*Compressed, 
 	if err != nil {
 		return nil, err
 	}
-	if cfg.chunked {
-		res, err := core.CompressChunked(f.t, nil, nil, core.ChunkedOptions{
-			Options:     core.Options{Bound: bound, Progressive: cfg.progSpec()},
-			ChunkVoxels: cfg.chunkVoxels,
-			Workers:     cfg.workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Compressed{Blob: res.Blob, Stats: res.Stats}, nil
-	}
-	res, err := core.CompressBaseline(f.t, core.Options{Bound: bound, Progressive: cfg.progSpec()})
-	if err != nil {
-		return nil, err
-	}
-	return &Compressed{Blob: res.Blob, Stats: res.Stats}, nil
+	return cfg.compress(f.t, core.EncodeRequest{Bound: bound})
 }
 
 // Decompress reconstructs a field from a blob. Baseline blobs take nil
@@ -382,26 +367,12 @@ func (c *Codec) Compress(target *Field, anchors []*Field, bound ErrorBound, opts
 	if err != nil {
 		return nil, err
 	}
-	if cfg.chunked {
-		res, err := core.CompressChunked(target.t, c.model, fieldTensors(anchors), core.ChunkedOptions{
-			Options:     core.Options{Bound: bound, AnchorNames: c.names, Progressive: cfg.progSpec()},
-			ChunkVoxels: cfg.chunkVoxels,
-			Workers:     cfg.workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Compressed{Blob: res.Blob, Stats: res.Stats}, nil
-	}
-	res, err := core.CompressHybrid(target.t, c.model, fieldTensors(anchors), core.Options{
+	return cfg.compress(target.t, core.EncodeRequest{
 		Bound:       bound,
+		Model:       c.model,
+		Anchors:     fieldTensors(anchors),
 		AnchorNames: c.names,
-		Progressive: cfg.progSpec(),
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Compressed{Blob: res.Blob, Stats: res.Stats}, nil
 }
 
 // Decompress reconstructs a hybrid-compressed field.

@@ -222,14 +222,59 @@ func cfc2ToV1(t *testing.T, blob []byte) []byte {
 // depending on test execution order. The block-coded fixtures and the
 // CFC3 v1 archive are the exception: nothing writes them any more (see
 // TestGoldenCFC1V2Blocks and regenGoldenArchive).
-func regenGoldenBaseline(t *testing.T) {
-	f := goldenField()
-	res, err := crossfield.CompressBaseline(f, crossfield.Abs(0.05))
+
+// goldenEncoders are the calls that write each fixture the current
+// encoder still writes. The regen functions commit their bytes, and
+// TestEncodeReproducesGolden holds the encoder to the committed files.
+var goldenEncoders = map[string]func(t *testing.T) (*crossfield.Compressed, error){
+	"baseline_cfc1.cfc": func(*testing.T) (*crossfield.Compressed, error) {
+		return crossfield.CompressBaseline(goldenField(), crossfield.Abs(0.05))
+	},
+	"chunked_cfc2v2.cfc": func(*testing.T) (*crossfield.Compressed, error) {
+		return crossfield.CompressBaseline(goldenField(), crossfield.Abs(0.05),
+			crossfield.WithChunks(2*10*12)) // 3 chunks of 2 slabs
+	},
+	"baseline_cfc1v3.cfc": func(*testing.T) (*crossfield.Compressed, error) {
+		return crossfield.CompressBaseline(goldenField(), crossfield.Abs(0.05),
+			crossfield.WithProgressive(3))
+	},
+	"chunked_cfc2v4.cfc": func(*testing.T) (*crossfield.Compressed, error) {
+		return crossfield.CompressBaseline(goldenField(), crossfield.Abs(0.05),
+			crossfield.WithChunks(2*10*12), crossfield.WithProgressive(3))
+	},
+	"archive_cfc3v3.cfc": func(t *testing.T) (*crossfield.Compressed, error) {
+		return datasetBlob(crossfield.CompressDataset(buildStreamSpecs(t), crossfield.Rel(1e-3),
+			crossfield.WithChunks(2*10*12), crossfield.WithProgressive(3)))
+	},
+	// The 2D archive, in chunks of four rows.
+	"archive2d_cfc3.cfc": func(t *testing.T) (*crossfield.Compressed, error) {
+		return datasetBlob(crossfield.CompressDataset(buildSpecs2D(t), crossfield.Rel(1e-3),
+			crossfield.WithChunks(4*49)))
+	},
+}
+
+// datasetBlob carries an archive's bytes as a Compressed.
+func datasetBlob(ds *crossfield.CompressedDataset, err error) (*crossfield.Compressed, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &crossfield.Compressed{Blob: ds.Blob}, nil
+}
+
+// encodeGolden re-encodes fixture file through its goldenEncoders call.
+func encodeGolden(t *testing.T, file string) []byte {
+	t.Helper()
+	res, err := goldenEncoders[file](t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeGolden(t, "baseline_cfc1.cfc", res.Blob)
-	back, err := crossfield.Decompress("W", res.Blob, nil)
+	return res.Blob
+}
+
+func regenGoldenBaseline(t *testing.T) {
+	blob := encodeGolden(t, "baseline_cfc1.cfc")
+	writeGolden(t, "baseline_cfc1.cfc", blob)
+	back, err := crossfield.Decompress("W", blob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,15 +282,10 @@ func regenGoldenBaseline(t *testing.T) {
 }
 
 func regenGoldenChunked(t *testing.T) {
-	f := goldenField()
-	res, err := crossfield.CompressBaseline(f, crossfield.Abs(0.05),
-		crossfield.WithChunks(2*10*12)) // 3 chunks of 2 slabs
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeGolden(t, "chunked_cfc2v2.cfc", res.Blob)
-	writeGolden(t, "chunked_cfc2v1.cfc", cfc2ToV1(t, res.Blob))
-	back, err := crossfield.Decompress("W", res.Blob, nil)
+	blob := encodeGolden(t, "chunked_cfc2v2.cfc")
+	writeGolden(t, "chunked_cfc2v2.cfc", blob)
+	writeGolden(t, "chunked_cfc2v1.cfc", cfc2ToV1(t, blob))
+	back, err := crossfield.Decompress("W", blob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,29 +298,15 @@ func regenGoldenChunked(t *testing.T) {
 // level gets its own expectation (previewFile), which pins the preview
 // bytes as well as their advertised bounds.
 func regenGoldenLayered(t *testing.T) {
-	f := goldenField()
-	res, err := crossfield.CompressBaseline(f, crossfield.Abs(0.05),
-		crossfield.WithProgressive(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeGolden(t, "baseline_cfc1v3.cfc", res.Blob)
-	resC, err := crossfield.CompressBaseline(f, crossfield.Abs(0.05),
-		crossfield.WithChunks(2*10*12), crossfield.WithProgressive(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeGolden(t, "chunked_cfc2v4.cfc", resC.Blob)
-	for _, l := range previewLevels {
-		for _, fx := range []struct {
-			file string
-			blob []byte
-		}{{"baseline_cfc1v3.cfc", res.Blob}, {"chunked_cfc2v4.cfc", resC.Blob}} {
-			back, _, _, err := crossfield.Decode(context.Background(), "W", fx.blob, crossfield.DecodeRequest{Chunk: crossfield.Whole, Level: l})
+	for _, file := range []string{"baseline_cfc1v3.cfc", "chunked_cfc2v4.cfc"} {
+		blob := encodeGolden(t, file)
+		writeGolden(t, file, blob)
+		for _, l := range previewLevels {
+			back, _, _, err := crossfield.Decode(context.Background(), "W", blob, crossfield.DecodeRequest{Chunk: crossfield.Whole, Level: l})
 			if err != nil {
 				t.Fatal(err)
 			}
-			writeGolden(t, previewFile(fx.file, l), floatsToBytes(back.Data()))
+			writeGolden(t, previewFile(file, l), floatsToBytes(back.Data()))
 		}
 	}
 }
@@ -298,13 +324,9 @@ func previewFile(fixture string, level int) string {
 }
 
 func regenGoldenLayeredArchive(t *testing.T) {
-	res, err := crossfield.CompressDataset(buildStreamSpecs(t), crossfield.Rel(1e-3),
-		crossfield.WithChunks(2*10*12), crossfield.WithProgressive(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeGolden(t, "archive_cfc3v3.cfc", res.Blob)
-	ar, err := crossfield.OpenArchive(res.Blob)
+	blob := encodeGolden(t, "archive_cfc3v3.cfc")
+	writeGolden(t, "archive_cfc3v3.cfc", blob)
+	ar, err := crossfield.OpenArchive(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,16 +357,12 @@ func regenGoldenArchive(t *testing.T) {
 	}
 }
 
-// regenGoldenArchive2D writes the 2D archive (chunks of four rows) and
-// the reconstruction of each of its fields.
+// regenGoldenArchive2D writes the 2D archive and the reconstruction of
+// each of its fields.
 func regenGoldenArchive2D(t *testing.T) {
-	res, err := crossfield.CompressDataset(buildSpecs2D(t), crossfield.Rel(1e-3),
-		crossfield.WithChunks(4*49))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeGolden(t, "archive2d_cfc3.cfc", res.Blob)
-	ar, err := crossfield.OpenArchive(res.Blob)
+	blob := encodeGolden(t, "archive2d_cfc3.cfc")
+	writeGolden(t, "archive2d_cfc3.cfc", blob)
+	ar, err := crossfield.OpenArchive(blob)
 	if err != nil {
 		t.Fatal(err)
 	}

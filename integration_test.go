@@ -6,6 +6,7 @@ package crossfield_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -76,22 +77,23 @@ func TestFileWorkflowRoundTrip(t *testing.T) {
 	bound := quant.RelBound(1e-3)
 	var anchorsDec []*tensor.Tensor
 	for _, a := range anchorFields {
-		res, err := core.CompressBaseline(a, core.Options{Bound: bound})
-		if err != nil {
+		var blob bytes.Buffer
+		if _, err := core.Encode(context.Background(), &blob, a, core.EncodeRequest{Bound: bound}); err != nil {
 			t.Fatal(err)
 		}
-		dec, err := core.Decompress(res.Blob, nil)
+		dec, err := core.Decompress(blob.Bytes(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		anchorsDec = append(anchorsDec, dec)
 	}
-	res, err := core.CompressHybrid(target, model2, anchorsDec, core.Options{Bound: bound})
+	var hybrid bytes.Buffer
+	st, err := core.Encode(context.Background(), &hybrid, target, core.EncodeRequest{Bound: bound, Model: model2, Anchors: anchorsDec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	blobPath := filepath.Join(dir, "wf.cfc")
-	if err := os.WriteFile(blobPath, res.Blob, 0o644); err != nil {
+	if err := os.WriteFile(blobPath, hybrid.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(blobPath)
@@ -102,7 +104,7 @@ func TestFileWorkflowRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxErr, ok, err := core.VerifyBound(target, recon, res.Stats.AbsEB)
+	maxErr, ok, err := core.VerifyBound(target, recon, st.AbsEB)
 	if err != nil || !ok {
 		t.Fatalf("file workflow bound violated: %v (err %v)", maxErr, err)
 	}

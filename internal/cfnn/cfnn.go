@@ -319,14 +319,13 @@ func (m *Model) PredictDiffs(anchors []*tensor.Tensor) ([]*tensor.Tensor, error)
 var outKeys = [3]string{"cfnn.out0", "cfnn.out1", "cfnn.out2"}
 
 // PredictDiffsWith is PredictDiffs with the performance knobs of the
-// shared-inference hot path exposed:
+// inference hot path exposed:
 //
 //   - segCounts, when non-nil, partitions the anchors' slowest axis into
 //     slabs inferred as independent fields (halo-correct boundaries: each
 //     slab's output is bit-identical to PredictDiffs run on that slab's
-//     anchor views alone). This is how the chunked engine runs one pass
-//     per field instead of one per chunk. nil means whole-field inference,
-//     bit-identical to PredictDiffs.
+//     anchor views alone). nil means whole-field inference, bit-identical
+//     to PredictDiffs; core's chunk loop passes nil, one chunk per call.
 //   - arena supplies all scratch, including the returned tensors; a
 //     steady-state call with a warmed arena performs zero heap
 //     allocations (at workers <= 1 — parallel dispatch allocates

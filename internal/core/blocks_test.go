@@ -297,19 +297,20 @@ func TestBlockDecodeHonorsCancellation(t *testing.T) {
 	bound := quant.RelBound(1e-3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	compressed := func(opts Options) (mono, chunked []byte) {
-		m, err := CompressBaseline(field, opts)
+	compressed := func(req EncodeRequest) (mono, chunked []byte) {
+		m, err := compress(field, req)
 		if err != nil {
 			t.Fatalf("compress: %v", err)
 		}
-		c, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: opts, ChunkVoxels: 4 * 21 * 37})
+		req.ChunkVoxels = 4 * 21 * 37
+		c, err := compress(field, req)
 		if err != nil {
 			t.Fatalf("chunked compress: %v", err)
 		}
 		return m.Blob, c.Blob
 	}
-	plainMono, plainChunked := compressed(Options{Bound: bound})
-	layeredMono, layeredChunked := compressed(Options{Bound: bound, Progressive: &ProgressiveSpec{Levels: 3}})
+	plainMono, plainChunked := compressed(EncodeRequest{Bound: bound})
+	layeredMono, layeredChunked := compressed(EncodeRequest{Bound: bound, Progressive: &ProgressiveSpec{Levels: 3}})
 	for _, tc := range []struct {
 		name          string
 		mono, chunked []byte

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -11,197 +10,11 @@ import (
 	"repro/internal/cfnn"
 	"repro/internal/chunk"
 	"repro/internal/container"
-	"repro/internal/metrics"
+	"repro/internal/lossless"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
-
-// ChunkedOptions configures the chunked compression engine.
-type ChunkedOptions struct {
-	Options
-	// ChunkVoxels is the target number of values per chunk; 0 selects
-	// chunk.DefaultChunkVoxels. Chunks are slabs along the slowest axis,
-	// so the realized size is rounded to whole slabs (minimum one).
-	// Negative values are rejected with an error.
-	ChunkVoxels int
-	// Workers bounds how many chunks are compressed concurrently;
-	// 0 means parallel.Workers() (GOMAXPROCS). Negative values are
-	// rejected with an error. The decompression side takes its bound in
-	// Request.Workers.
-	Workers int
-}
-
-// validate rejects option values that would otherwise be silently treated
-// as defaults — a negative count is always a caller bug.
-func (o ChunkedOptions) validate() error {
-	if o.ChunkVoxels < 0 {
-		return fmt.Errorf("core: ChunkVoxels must be >= 0 (0 = default), got %d", o.ChunkVoxels)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: Workers must be >= 0 (0 = GOMAXPROCS), got %d", o.Workers)
-	}
-	return nil
-}
-
-func (o ChunkedOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return parallel.Workers()
-}
-
-// CompressChunked compresses a field into a chunked CFC2 container. A nil
-// model selects the Lorenzo baseline (anchors ignored); a trained model
-// selects the hybrid cross-field pipeline, with anchors being the
-// *decompressed* anchor fields, as for CompressHybrid.
-//
-// The error bound is resolved once over the full field, so every chunk —
-// and therefore every point, including chunk seams — honors the same
-// absolute bound the monolithic pipeline would. Each chunk then runs the
-// full predict→quantize→Huffman→lossless pipeline independently on a
-// bounded worker pool: dual quantization leaves no read-after-write hazard
-// between chunks, which is what makes both sides embarrassingly parallel
-// and every chunk independently decodable.
-func CompressChunked(field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts ChunkedOptions) (*Result, error) {
-	var buf bytes.Buffer
-	st, err := CompressChunkedTo(&buf, field, model, anchors, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Blob: buf.Bytes(), Stats: *st}, nil
-}
-
-// CompressChunkedTo is CompressChunked streaming the container to w:
-// header and chunk index first, then the per-chunk payloads. Only the
-// compressed payloads are ever resident, never a second copy of the raw
-// field, so multi-GB fields stream through a bounded footprint.
-func CompressChunkedTo(w io.Writer, field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts ChunkedOptions) (*Stats, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	opts.Options = opts.Options.withDefaults()
-	// Resolve the layer plan once so every chunk worker shares identical
-	// layer geometry (and bad progressive options fail before any work).
-	if err := opts.Options.resolveProg(); err != nil {
-		return nil, err
-	}
-	method := container.MethodBaseline
-	if model != nil {
-		method = container.MethodHybrid
-		if field.Rank() != 2 && field.Rank() != 3 {
-			return nil, fmt.Errorf("core: cross-field compression needs rank 2 or 3, got %d", field.Rank())
-		}
-		if len(anchors) == 0 {
-			return nil, fmt.Errorf("core: chunked hybrid compression needs anchors")
-		}
-		for i, a := range anchors {
-			if !a.SameShape(field) {
-				return nil, fmt.Errorf("core: anchor %d shape %v != field shape %v", i, a.Shape(), field.Shape())
-			}
-		}
-	}
-	eb, err := resolveEB(field, opts.Bound)
-	if err != nil {
-		return nil, err
-	}
-	g, err := chunk.Plan(field.Shape(), opts.ChunkVoxels)
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumChunks()
-	payloads := make([][]byte, n)
-	chunkStats := make([]Stats, n)
-	// Anchor names live once in the CFC2 header; keep them out of every
-	// per-chunk payload. The arena is scratch for the single shared
-	// inference pass below, never for the concurrent chunk workers.
-	chunkOpts := opts.Options
-	chunkOpts.AnchorNames = nil
-	chunkOpts.Arena = nil
-	// Shared-inference stage: one segmented CFNN pass over the full anchor
-	// set (segment = chunk slab, so every chunk's predictions are
-	// bit-identical to per-chunk inference) replaces N per-chunk passes on
-	// N model clones. Workers below receive read-only slab views.
-	var inf *fieldInference
-	if model != nil {
-		endInfer := opts.Stages.Timer("inference")
-		inf, err = newFieldInference(model, anchors, eb, g, opts.Arena, opts.workers())
-		endInfer()
-		if err != nil {
-			return nil, err
-		}
-	}
-	err = parallel.ForErr(opts.workers(), n, func(i int) error {
-		sub, err := g.View(field, i)
-		if err != nil {
-			return err
-		}
-		res, err := compressCrossFieldDQ(sub, inf.chunkDQ(i), nil, chunkOpts, method, eb)
-		if err != nil {
-			return fmt.Errorf("core: chunk %d: %w", i, err)
-		}
-		payloads[i] = res.Blob
-		chunkStats[i] = res.Stats
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var modelBlob []byte
-	if model != nil {
-		var mb bytes.Buffer
-		if err := model.Save(&mb); err != nil {
-			return nil, err
-		}
-		modelBlob = mb.Bytes()
-	}
-	hdr := &chunk.Header{
-		Method:     method,
-		BoundMode:  byte(opts.Bound.Mode),
-		BoundValue: opts.Bound.Value,
-		AbsEB:      eb,
-		Dims:       append([]int(nil), field.Shape()...),
-		Anchors:    append([]string(nil), opts.AnchorNames...),
-		Model:      modelBlob,
-		Layered:    opts.Options.prog != nil,
-	}
-	maxErrs := make([]float64, n)
-	for i, cs := range chunkStats {
-		maxErrs[i] = cs.MaxErr
-	}
-	total, err := chunk.EncodeTo(w, hdr, g, payloads, maxErrs)
-	if err != nil {
-		return nil, err
-	}
-	st := aggregateChunkStats(field, chunkStats, method, eb, total, len(modelBlob))
-	return &st, nil
-}
-
-// aggregateChunkStats folds per-chunk stats into one field-level Stats.
-func aggregateChunkStats(field *tensor.Tensor, chunkStats []Stats, method container.Method, eb float64, totalBytes, modelBytes int) Stats {
-	st := Stats{
-		Method:          method,
-		OriginalBytes:   field.Len() * 4,
-		CompressedBytes: totalBytes,
-		ModelBytes:      modelBytes,
-		AbsEB:           eb,
-	}
-	var entropy float64
-	for _, cs := range chunkStats {
-		st.TableBytes += cs.TableBytes
-		st.PayloadBytes += cs.PayloadBytes
-		entropy += float64(cs.CodeEntropy * float64(cs.OriginalBytes))
-		if cs.MaxErr > st.MaxErr {
-			st.MaxErr = cs.MaxErr
-		}
-	}
-	if st.OriginalBytes > 0 {
-		st.CodeEntropy = entropy / float64(st.OriginalBytes)
-	}
-	st.Ratio = metrics.CompressionRatio(st.OriginalBytes, totalBytes)
-	st.BitRate = metrics.BitRate(field.Len(), totalBytes)
-	return st
-}
 
 // decodeContainer is Decode over a CFC2 container: it parses the index
 // through r, checks the anchors against the container (before the model
@@ -226,6 +39,17 @@ func decodeContainer(ctx context.Context, r io.ReaderAt, size int64, req Request
 	g, err := a.Grid()
 	if err != nil {
 		return nil, 0, 0, err
+	}
+	// Every value takes at least one Huffman bit, which the lossless stage
+	// holds in at most 1/MaxRatio of a byte: a chunk declaring more values
+	// than its payload can hold is corrupt, and is rejected before any
+	// output is allocated for it.
+	for i := lo; i < hi; i++ {
+		const perByte = 8 * lossless.MaxRatio
+		if n, size := g.Voxels(i), a.Index[i].PayloadLen; (n+perByte-1)/perByte > size {
+			return nil, 0, 0, fmt.Errorf("%w: chunk %d declares %d values, its %d-byte payload holds at most %d",
+				container.ErrCorrupt, i, n, size, size*perByte)
+		}
 	}
 	slabs := req.Chunk != Whole && req.Slabs
 	if crossField(a.Method) {
@@ -269,38 +93,26 @@ func decodeContainer(ctx context.Context, r io.ReaderAt, size int64, req Request
 	return t, a.Index[lo].Start, achieved, nil
 }
 
-// decodeChunks is the one chunk loop: decode reconstructs chunk i of
-// [lo, hi) into out, its region of one output over their slabs (nil for a
+// decodeChunks decodes chunks [lo, hi) on eachChunk: decode reconstructs
+// chunk i into out, its region of one output over their slabs (nil for a
 // lone chunk: allocated once its payload parses), running its CFNN
-// inference in arena on workers kernel workers. At most min(workers,
-// chunks) chunks are in flight, each in-flight worker reusing one arena
-// for the call; leftover workers go to each chunk's kernels and blocks.
-// ctx is checked before every chunk and at its block and front boundaries.
+// inference in arena on workers kernel workers. ctx is also checked at
+// each chunk's block and front boundaries.
 func decodeChunks(ctx context.Context, g *chunk.Grid, lo, hi, workers int, decode func(i int, out []float32, arena *nn.Arena, workers int) ([]float32, float64, error)) (*tensor.Tensor, float64, error) {
 	n := hi - lo
-	inFlight := min(workers, n)
-	arenas := make(chan *nn.Arena, inFlight)
-	for range inFlight {
-		arenas <- nn.NewArena()
-	}
 	base := g.Offset(lo)
 	var out []float32
 	if n > 1 {
 		out = make([]float32, g.Offset(hi-1)+g.Voxels(hi-1)-base)
 	}
 	achieved := make([]float64, n)
-	err := parallel.ForErr(inFlight, n, func(k int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		arena := <-arenas
-		defer func() { arenas <- arena }()
+	err := eachChunk(ctx, n, workers, func(k int, arena *nn.Arena, workers int) error {
 		i := lo + k
 		var dst []float32
 		if n > 1 {
 			dst = out[g.Offset(i)-base : g.Offset(i)-base+g.Voxels(i)]
 		}
-		vals, ach, err := decode(i, dst, arena, max(1, workers/inFlight))
+		vals, ach, err := decode(i, dst, arena, workers)
 		if n == 1 {
 			out = vals
 		}
@@ -317,6 +129,27 @@ func decodeChunks(ctx context.Context, g *chunk.Grid, lo, hi, workers int, decod
 		return nil, 0, err
 	}
 	return t, maxAchieved(achieved), nil
+}
+
+// eachChunk is the one chunk loop, shared by encode and decode: it runs
+// fn(k) for every k in [0, n) with at most min(workers, n) chunks in
+// flight. Each in-flight worker owns one arena for the length of the call
+// and hands fn max(1, workers/inFlight) kernel workers. ctx is checked
+// before every chunk; the first error (the lowest chunk's) stops it.
+func eachChunk(ctx context.Context, n, workers int, fn func(k int, arena *nn.Arena, workers int) error) error {
+	inFlight := min(workers, n)
+	arenas := make(chan *nn.Arena, inFlight)
+	for range inFlight {
+		arenas <- nn.NewArena()
+	}
+	return parallel.ForErr(inFlight, n, func(k int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		arena := <-arenas
+		defer func() { arenas <- arena }()
+		return fn(k, arena, max(1, workers/inFlight))
+	})
 }
 
 // ChunkCount returns the number of chunks in a CFC2 container (1 for a

@@ -16,11 +16,7 @@ import (
 // generic Decompress entry point, and checks the bound everywhere.
 func chunkedBaselineRoundTrip(t *testing.T, f *tensor.Tensor, chunkVoxels, workers int) *Result {
 	t.Helper()
-	res, err := CompressChunked(f, nil, nil, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05)},
-		ChunkVoxels: chunkVoxels,
-		Workers:     workers,
-	})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.05), ChunkVoxels: chunkVoxels, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +66,7 @@ func TestChunkedDeterministicAcrossWorkerCounts(t *testing.T) {
 	f := smoothField3D(10, 20, 20, 65)
 	var blobs [][]byte
 	for _, w := range []int{1, 2, 5} {
-		res, err := CompressChunked(f, nil, nil, ChunkedOptions{
-			Options:     Options{Bound: quant.AbsBound(0.02)},
-			ChunkVoxels: 2 * 20 * 20,
-			Workers:     w,
-		})
+		res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.02), ChunkVoxels: 2 * 20 * 20, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,8 +105,11 @@ func TestChunkedHybridRoundTrip(t *testing.T) {
 		}
 		anchors := []*tensor.Tensor{target.Clone()}
 		model := trainTinyModel(t, anchors, target)
-		res, err := CompressChunked(target, model, anchors, ChunkedOptions{
-			Options:     Options{Bound: quant.AbsBound(0.05), AnchorNames: []string{"self"}},
+		res, err := compress(target, EncodeRequest{
+			Bound:       quant.AbsBound(0.05),
+			Model:       model,
+			Anchors:     anchors,
+			AnchorNames: []string{"self"},
 			ChunkVoxels: chunkVoxels,
 			Workers:     4,
 		})
@@ -154,14 +149,11 @@ func TestChunkedRelBoundMatchesMonolithic(t *testing.T) {
 	for i := range f.Data()[:16*16] {
 		f.Data()[i] *= 20
 	}
-	mono, err := CompressBaseline(f, Options{Bound: quant.RelBound(1e-3)})
+	mono, err := compress(f, EncodeRequest{Bound: quant.RelBound(1e-3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk, err := CompressChunked(f, nil, nil, ChunkedOptions{
-		Options:     Options{Bound: quant.RelBound(1e-3)},
-		ChunkVoxels: 16 * 16,
-	})
+	chk, err := compress(f, EncodeRequest{Bound: quant.RelBound(1e-3), ChunkVoxels: 16 * 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +171,7 @@ func TestDecompressChunkMatchesRegion(t *testing.T) {
 	target := smoothField3D(10, 14, 18, 73)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressChunked(target, model, anchors, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05)},
-		ChunkVoxels: 3 * 14 * 18,
-		Workers:     2,
-	})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors, ChunkVoxels: 3 * 14 * 18, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +208,7 @@ func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 	target := smoothField3D(10, 14, 18, 74)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressChunked(target, model, anchors, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05)},
-		ChunkVoxels: 3 * 14 * 18,
-		Workers:     2,
-	})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors, ChunkVoxels: 3 * 14 * 18, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +259,7 @@ func TestDecompressChunkWithAnchorSlabsMatches(t *testing.T) {
 // one and show that chunk still reconstructs.
 func TestDecompressChunkIsolatedFromOtherPayloads(t *testing.T) {
 	f := smoothField2D(40, 30, 74)
-	res, err := CompressChunked(f, nil, nil, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05)},
-		ChunkVoxels: 8 * 30,
-	})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.05), ChunkVoxels: 8 * 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +316,10 @@ func TestChunkedStreamingMatchesInMemory(t *testing.T) {
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
 	var buf bytes.Buffer
-	st, err := CompressChunkedTo(&buf, target, model, anchors, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05)},
+	st, err := Encode(context.Background(), &buf, target, EncodeRequest{
+		Bound:       quant.AbsBound(0.05),
+		Model:       model,
+		Anchors:     anchors,
 		ChunkVoxels: 2 * 16 * 16,
 	})
 	if err != nil {
@@ -345,10 +328,7 @@ func TestChunkedStreamingMatchesInMemory(t *testing.T) {
 	if st.CompressedBytes != buf.Len() {
 		t.Fatalf("stats bytes %d != written %d", st.CompressedBytes, buf.Len())
 	}
-	mem, err := CompressChunked(target, model, anchors, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05)},
-		ChunkVoxels: 2 * 16 * 16,
-	})
+	mem, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors, ChunkVoxels: 2 * 16 * 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,10 +373,7 @@ func TestChunkedHybridNeedsAnchors(t *testing.T) {
 	target := smoothField2D(24, 24, 76)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressChunked(target, model, anchors, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05)},
-		ChunkVoxels: 6 * 24,
-	})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors, ChunkVoxels: 6 * 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,19 +383,14 @@ func TestChunkedHybridNeedsAnchors(t *testing.T) {
 	if _, err := Decompress(res.Blob, []*tensor.Tensor{tensor.New(8, 8)}); err == nil {
 		t.Fatal("wrong-shape anchors accepted")
 	}
-	if _, err := CompressChunked(target, model, nil, ChunkedOptions{
-		Options: Options{Bound: quant.AbsBound(0.05)},
-	}); err == nil {
+	if _, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model}); err == nil {
 		t.Fatal("chunked hybrid compression without anchors accepted")
 	}
 }
 
 func TestChunkedRejectsCorruptIndex(t *testing.T) {
 	f := smoothField2D(30, 30, 77)
-	res, err := CompressChunked(f, nil, nil, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05)},
-		ChunkVoxels: 10 * 30,
-	})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.05), ChunkVoxels: 10 * 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +410,7 @@ func TestChunkedRejectsCorruptIndex(t *testing.T) {
 // the CFC2 routing was added.
 func TestCFC1StillDecompresses(t *testing.T) {
 	f := smoothField2D(32, 32, 78)
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,10 +441,7 @@ func TestCFC1StillDecompresses(t *testing.T) {
 // either errors or yields a right-sized field.
 func TestChunkedSingleByteFlips(t *testing.T) {
 	f := smoothField2D(16, 16, 79)
-	res, err := CompressChunked(f, nil, nil, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05)},
-		ChunkVoxels: 4 * 16,
-	})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.05), ChunkVoxels: 4 * 16})
 	if err != nil {
 		t.Fatal(err)
 	}

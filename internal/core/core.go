@@ -3,42 +3,38 @@
 // cross-field prediction) → canonical Huffman coding → lossless backend →
 // self-describing container.
 //
-// Two compression entry points exist:
-//
-//   - CompressBaseline: the paper's baseline — SZ3 with the Lorenzo
-//     predictor, modified to dual quantization (Section IV-A2).
-//   - CompressHybrid: the paper's contribution — CFNN cross-field difference
-//     predictions fused with Lorenzo by the learned hybrid model
-//     (Sections III-B/C/D).
-//
-// Decompress reverses either. For hybrid blobs the caller must supply the
-// same decompressed anchor fields the compressor used; everything else
-// (model weights, hybrid weights, Huffman table) travels inside the blob
-// and is charged to the compressed size.
-//
-// On top of the monolithic pipeline sits the chunked engine
-// (CompressChunked/CompressChunkedTo): fields split into independent
-// slabs, compressed in parallel into a random-access CFC2 container, with
-// CFNN inference run once per field by a shared segmented pass (see
-// inference.go). Decode runs each chunk's inference inside that chunk's
-// decode, in one chunk-sized arena per worker, to the same bits.
+// Encoding is one call, Encode, whose EncodeRequest picks the method (a
+// nil Model is the paper's baseline, SZ3's Lorenzo predictor modified to
+// dual quantization, Section IV-A2; a trained CFNN is the paper's hybrid,
+// Sections III-B/C/D), the layout (ChunkVoxels 0 writes a monolithic CFC1
+// payload with the model embedded, a positive value a random-access CFC2
+// container of independent slabs with the model stored once), layered
+// payloads and the worker bound. A monolithic payload is one chunk: every
+// chunk runs its CFNN inference over its own anchor views, then quantize,
+// predict and assemble, at most Workers chunks in flight, each in-flight
+// worker reusing one inference arena (eachChunk, the chunk loop decode
+// shares). The model weights, hybrid weights and Huffman tables travel
+// inside the container and are charged to the compressed size.
+// CompressCrossOnly runs the same loop with the CFNN predictions alone,
+// for the ablation benches.
 //
 // Decoding is one call, Decode, over an io.ReaderAt; an in-memory blob is
 // a bytes.Reader, and Decompress is Decode's whole-field, full-fidelity
-// request. A Request picks the chunk (Whole, or one chunk read without
-// any other chunk's payload), the level (LevelFull, or a preview of a
-// layered payload), whole or slab anchors (the serving layer's form,
-// which never materializes whole anchors) and the worker bound. Under it
-// runs one parse route: a CFC2 index parsed to end exactly at the
-// payload's size, and readPayload, which reads a chunk whole under its
-// index checksum or, for a preview, only the prefix its layer CRCs cover.
-// Every payload then ends in one reconstruct engine, decodePayload →
-// reconstructBlocks (blocks.go): every payload version parses into one
-// descriptor, a plain sequential payload being one block and a layered
-// payload's level a plan for the per-block dequantize step. On the encode
-// side, one prediction step (predict) and one container assembly
-// (assemble) serve plain and layered payloads; block-coded payloads are
-// decode-only.
+// request. For hybrid payloads the caller must supply the same
+// decompressed anchor fields the encoder used. A Request picks the chunk
+// (Whole, or one chunk read without any other chunk's payload), the level
+// (LevelFull, or a preview of a layered payload), whole or slab anchors
+// (the serving layer's form, which never materializes whole anchors) and
+// the worker bound. Under it runs one parse route: a CFC2 index parsed to
+// end exactly at the payload's size, and readPayload, which reads a chunk
+// whole under its index checksum or, for a preview, only the prefix its
+// layer CRCs cover. Every payload then ends in one reconstruct engine,
+// decodePayload → reconstructBlocks (blocks.go): every payload version
+// parses into one descriptor, a plain sequential payload being one block
+// and a layered payload's level a plan for the per-block dequantize step.
+// On the encode side, one prediction step (predict) and one payload
+// assembly (assemble) serve plain and layered payloads; block-coded
+// payloads are decode-only.
 package core
 
 import (
@@ -47,60 +43,11 @@ import (
 	"math"
 
 	"repro/internal/container"
-	"repro/internal/lossless"
 	"repro/internal/metrics"
-	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
-
-// Options configures compression.
-type Options struct {
-	// Bound is the error bound (required).
-	Bound quant.Bound
-	// Backend is the lossless stage; nil means lossless.Default() (flate).
-	Backend lossless.Backend
-	// MaxSymbols caps the Huffman alphabet; 0 means the SZ-style default.
-	MaxSymbols int
-	// HybridSamples is the sample count for the hybrid least-squares fit;
-	// 0 means 20000.
-	HybridSamples int
-	// Seed drives hybrid-fit sampling (deterministic for any fixed value).
-	Seed int64
-	// AnchorNames are recorded in the container for bookkeeping.
-	AnchorNames []string
-	// Arena, when non-nil, supplies reusable CFNN inference scratch so
-	// repeated compressions (e.g. the fields of one dataset archive)
-	// allocate buffers once. It never affects output bytes. An arena is
-	// mutable scratch: do not share one across concurrent compressions.
-	Arena *nn.Arena
-	// Stages, when non-nil, accumulates per-stage wall time (inference,
-	// quantize, predict, huffman, flate) across the compression. It is
-	// safe to share one Stages across the concurrent chunk workers of a
-	// chunked compression; it never affects output bytes.
-	Stages *obs.Stages
-	// Progressive, when non-nil, writes layered payloads for progressive
-	// multi-resolution retrieval (see progressive.go). Containers become
-	// CFC1 v3 / CFC2 v4.
-	Progressive *ProgressiveSpec
-
-	// prog is the resolved layering plan, derived once per field from
-	// Progressive and the resolved error bound so every chunk of a chunked
-	// compression shares identical layer geometry.
-	prog *progPlan
-}
-
-func (o Options) withDefaults() Options {
-	if o.Backend == nil {
-		o.Backend = lossless.Default()
-	}
-	if o.HybridSamples <= 0 {
-		o.HybridSamples = 20000
-	}
-	return o
-}
 
 // Stats reports the outcome of one compression.
 type Stats struct {
@@ -120,12 +67,6 @@ type Stats struct {
 	BitRate       float64
 	CodeEntropy   float64 // Shannon entropy of the quantization codes
 	HybridWeights []float64
-}
-
-// Result is a compressed field.
-type Result struct {
-	Blob  []byte
-	Stats Stats
 }
 
 // ErrNeedAnchors is returned when decompressing a cross-field blob without

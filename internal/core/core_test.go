@@ -56,8 +56,7 @@ func checkBound(t *testing.T, orig, recon *tensor.Tensor, eb float64) {
 
 func TestBaselineRoundTrip2D(t *testing.T) {
 	f := smoothField2D(48, 56, 1)
-	opts := Options{Bound: quant.AbsBound(0.05)}
-	res, err := CompressBaseline(f, opts)
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +72,7 @@ func TestBaselineRoundTrip2D(t *testing.T) {
 
 func TestBaselineRoundTrip3D(t *testing.T) {
 	f := smoothField3D(8, 24, 24, 2)
-	opts := Options{Bound: quant.RelBound(1e-3)}
-	res, err := CompressBaseline(f, opts)
+	res, err := compress(f, EncodeRequest{Bound: quant.RelBound(1e-3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +88,7 @@ func TestBaselineRoundTrip1D(t *testing.T) {
 	for i := range f.Data() {
 		f.Data()[i] = float32(math.Sin(float64(i) / 20))
 	}
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(1e-3)})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(1e-3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +101,7 @@ func TestBaselineRoundTrip1D(t *testing.T) {
 
 func TestBaselineStatsConsistency(t *testing.T) {
 	f := smoothField2D(32, 32, 3)
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0.01)})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.01)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +147,7 @@ func TestHybridRoundTrip2D(t *testing.T) {
 	anchors := []*tensor.Tensor{anchor}
 	model := trainTinyModel(t, anchors, target)
 
-	opts := Options{Bound: quant.AbsBound(0.02), AnchorNames: []string{"A"}}
-	res, err := CompressHybrid(target, model, anchors, opts)
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.02), Model: model, Anchors: anchors, AnchorNames: []string{"A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +171,7 @@ func TestHybridRoundTrip3D(t *testing.T) {
 	anchors := []*tensor.Tensor{anchor}
 	model := trainTinyModel(t, anchors, target)
 
-	opts := Options{Bound: quant.RelBound(1e-3)}
-	res, err := CompressHybrid(target, model, anchors, opts)
+	res, err := compress(target, EncodeRequest{Bound: quant.RelBound(1e-3), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +190,7 @@ func TestCrossOnlyRoundTrip(t *testing.T) {
 	anchor := target.Clone()
 	anchors := []*tensor.Tensor{anchor}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressCrossOnly(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compressCrossOnly(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +211,7 @@ func TestHybridNeedsAnchorsAtDecompress(t *testing.T) {
 	target := smoothField2D(32, 32, 7)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressHybrid(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +225,7 @@ func TestDecompressCorruptBlob(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	f := smoothField2D(16, 16, 8)
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0.1)})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +243,7 @@ func TestDecompressCorruptBlob(t *testing.T) {
 	}
 	// A flipped byte inside a CFC2 chunk payload is caught by the chunk
 	// CRC on every whole-field route, the ReaderAt route included.
-	cres, err := CompressChunked(f, nil, nil, ChunkedOptions{Options: Options{Bound: quant.AbsBound(0.1)}, ChunkVoxels: 4 * 8})
+	cres, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.1), ChunkVoxels: 4 * 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +265,14 @@ func TestDecompressCorruptBlob(t *testing.T) {
 
 func TestCompressInvalidBound(t *testing.T) {
 	f := smoothField2D(16, 16, 9)
-	if _, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0)}); err == nil {
+	if _, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0)}); err == nil {
 		t.Fatal("expected invalid-bound error")
 	}
 }
 
 func TestBaselineBeatsStoreOnSmoothData(t *testing.T) {
 	f := smoothField2D(64, 64, 10)
-	flate, err := CompressBaseline(f, Options{Bound: quant.RelBound(1e-3)})
+	flate, err := compress(f, EncodeRequest{Bound: quant.RelBound(1e-3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,13 +281,28 @@ func TestBaselineBeatsStoreOnSmoothData(t *testing.T) {
 	}
 }
 
+// TestStoreBackendRoundTrip: the encoder always writes flate, but a
+// payload whose lossless stage is the store backend still decodes. The
+// test rewrites an encoded payload's entropy-coded stream as stored bytes.
 func TestStoreBackendRoundTrip(t *testing.T) {
 	f := smoothField2D(24, 24, 11)
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0.05), Backend: lossless.Store{}})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decompress(res.Blob, nil)
+	b, err := container.Decode(res.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Payload, err = lossless.Default().Decompress(b.Payload, b.PayloadRaw); err != nil {
+		t.Fatal(err)
+	}
+	b.BackendID = lossless.Store{}.ID()
+	stored, err := container.Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decompress(stored, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +335,11 @@ func TestHybridImprovesEntropyWithInformativeAnchor(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Bound: quant.RelBound(1e-3)}
-	base, err := CompressBaseline(target, opts)
+	base, err := compress(target, EncodeRequest{Bound: quant.RelBound(1e-3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := CompressHybrid(target, m, anchors, opts)
+	hyb, err := compress(target, EncodeRequest{Bound: quant.RelBound(1e-3), Model: m, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +397,7 @@ func TestBaselineBoundProperty(t *testing.T) {
 				field.Set2(float32(5*math.Sin(float64(i+j)/4)+rng.NormFloat64()), i, j)
 			}
 		}
-		res, err := CompressBaseline(field, Options{Bound: quant.AbsBound(eb)})
+		res, err := compress(field, EncodeRequest{Bound: quant.AbsBound(eb)})
 		if err != nil {
 			return false
 		}
@@ -409,7 +419,7 @@ func TestDecompressDeterministic(t *testing.T) {
 	target := smoothField2D(32, 32, 20)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressHybrid(target, model, anchors, Options{Bound: quant.AbsBound(0.03)})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.03), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +440,7 @@ func TestDecompressDeterministic(t *testing.T) {
 
 func TestPeekStats(t *testing.T) {
 	f := smoothField2D(16, 16, 21)
-	res, err := CompressBaseline(f, Options{Bound: quant.RelBound(1e-2)})
+	res, err := compress(f, EncodeRequest{Bound: quant.RelBound(1e-2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,21 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/cfnn"
+	"repro/internal/chunk"
+	"repro/internal/container"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
-// chunkedHybrid compresses a smooth nz×ny×nx field against three anchors
-// with a freshly trained width-features CFNN into a CFC2 container of
-// chunkSlabs-slab chunks, and returns the container and the anchors.
-func chunkedHybrid(tb testing.TB, nz, ny, nx, features, chunkSlabs int) ([]byte, []*tensor.Tensor) {
+// memoryFixture is a smooth nz×ny×nx target, three anchors and a freshly
+// trained width-features CFNN over them.
+func memoryFixture(tb testing.TB, nz, ny, nx, features int) (*tensor.Tensor, []*tensor.Tensor, *cfnn.Model) {
 	tb.Helper()
 	target := smoothField3D(nz, ny, nx, 41)
 	anchors := []*tensor.Tensor{smoothField3D(nz, ny, nx, 42), smoothField3D(nz, ny, nx, 43), smoothField3D(nz, ny, nx, 44)}
@@ -26,8 +28,18 @@ func chunkedHybrid(tb testing.TB, nz, ny, nx, features, chunkSlabs int) ([]byte,
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	res, err := CompressChunked(target, model, anchors, ChunkedOptions{
-		Options:     Options{Bound: quant.RelBound(1e-3)},
+	return target, anchors, model
+}
+
+// chunkedHybrid compresses memoryFixture's target into a CFC2 container
+// of chunkSlabs-slab chunks, and returns the container and the anchors.
+func chunkedHybrid(tb testing.TB, nz, ny, nx, features, chunkSlabs int) ([]byte, []*tensor.Tensor) {
+	tb.Helper()
+	target, anchors, model := memoryFixture(tb, nz, ny, nx, features)
+	res, err := compress(target, EncodeRequest{
+		Bound:       quant.RelBound(1e-3),
+		Model:       model,
+		Anchors:     anchors,
 		ChunkVoxels: chunkSlabs * ny * nx,
 	})
 	if err != nil {
@@ -91,5 +103,36 @@ func BenchmarkDecodeWhole3D(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecodeRejectsOversizedChunks: a CFC2 index whose chunks declare more
+// values than their payloads can hold (one Huffman bit per value, expanded
+// at most lossless.MaxRatio-fold) is rejected before the decode allocates
+// its output. The container is under 100 bytes and declares 4096×64×64
+// values in two chunks, a 64 MiB output.
+func TestDecodeRejectsOversizedChunks(t *testing.T) {
+	dims := []int{4096, 64, 64}
+	g, err := chunk.FromCounts(dims, []int{2048, 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := chunk.Encode(&chunk.Header{
+		Method: container.MethodBaseline, BoundMode: byte(quant.Abs), BoundValue: 0.01, AbsEB: 0.01, Dims: dims,
+	}, g, [][]byte{make([]byte, 8), make([]byte, 8)}, []float64{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{Whole, 1} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := decodeBlob(blob, Request{Chunk: i, Level: LevelFull, Workers: 2})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, container.ErrCorrupt) {
+			t.Errorf("chunk %d of the %d-byte container: err = %v, want ErrCorrupt", i, len(blob), err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("chunk %d of the %d-byte container: decode allocated %d B, want under 1 MiB", i, len(blob), n)
+		}
 	}
 }

@@ -278,15 +278,14 @@ func inflate(backend lossless.Backend, enc []byte, rawLen, n int) ([]byte, error
 	return backend.Decompress(enc, rawLen)
 }
 
-// dqKeys name the arena buffers a decode's predictions live in, one per
+// dqKeys name the arena buffers a chunk's predictions live in, one per
 // axis.
 var dqKeys = [3]string{"core.dq0", "core.dq1", "core.dq2"}
 
 // resolveDQ runs the CFNN inference a cross-field blob's reconstruction
-// needs: over anchors of the blob's dims, with the blob's embedded model
-// or the container-level ext model, in arena on workers kernel workers. It returns the predicted differences in
-// prequant units, held in arena until its next use. Baseline blobs
-// return nil.
+// needs (predictDQ): over anchors of the blob's dims, with the blob's
+// embedded model or the container-level ext model, in arena on workers
+// kernel workers. Baseline blobs return nil.
 func resolveDQ(b *container.Blob, anchors []*tensor.Tensor, ext *cfnn.Model, arena *nn.Arena, workers int) ([][]float64, error) {
 	switch b.Method {
 	case container.MethodBaseline:
@@ -310,18 +309,26 @@ func resolveDQ(b *container.Blob, anchors []*tensor.Tensor, ext *cfnn.Model, are
 				return nil, fmt.Errorf("core: anchor %d shape %v != field dims %v", i, a.Shape(), b.Dims)
 			}
 		}
-		diffs, err := model.PredictDiffsWith(anchors, nil, arena, workers)
-		if err != nil {
-			return nil, err
-		}
-		dq := make([][]float64, len(diffs))
-		for a, d := range diffs {
-			dq[a] = diffToPrequantUnits(arena.F64(dqKeys[a], d.Len()), d, b.AbsEB)
-		}
-		return dq, nil
+		return predictDQ(model, anchors, b.AbsEB, arena, workers)
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", b.Method)
 	}
+}
+
+// predictDQ runs model's CFNN inference over anchors in arena on workers
+// kernel workers, the one inference step of encode and decode, and
+// returns the predicted differences in prequant units (d̂ / 2·eb), held in
+// arena until its next use.
+func predictDQ(model *cfnn.Model, anchors []*tensor.Tensor, eb float64, arena *nn.Arena, workers int) ([][]float64, error) {
+	diffs, err := model.PredictDiffsWith(anchors, nil, arena, workers)
+	if err != nil {
+		return nil, err
+	}
+	dq := make([][]float64, len(diffs))
+	for a, d := range diffs {
+		dq[a] = diffToPrequantUnits(arena.F64(dqKeys[a], d.Len()), d, eb)
+	}
+	return dq, nil
 }
 
 // PeekStats decodes just the container header of a blob — used by tools to

@@ -18,7 +18,7 @@ func TestDecompressHybridWrongAnchorCount(t *testing.T) {
 	target := smoothField2D(24, 24, 30)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressHybrid(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestDecompressHybridWrongAnchorShape(t *testing.T) {
 	target := smoothField2D(24, 24, 31)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressHybrid(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestDecompressHybridWrongAnchorData(t *testing.T) {
 	target := smoothField2D(24, 24, 32)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressHybrid(target, model, anchors, Options{Bound: quant.AbsBound(0.01)})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.01), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestDecompressCorruptEmbeddedModel(t *testing.T) {
 	target := smoothField2D(24, 24, 33)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressHybrid(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDecompressTamperedHybridWeights(t *testing.T) {
 	target := smoothField2D(24, 24, 34)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressHybrid(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCompressHybridUntrainedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = CompressHybrid(target, m, anchors, Options{Bound: quant.AbsBound(0.05)})
+	_, err = compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: m, Anchors: anchors})
 	if !errors.Is(err, cfnn.ErrNotTrained) {
 		t.Fatalf("err = %v, want ErrNotTrained", err)
 	}
@@ -126,7 +126,7 @@ func TestCompressHybridUntrainedModel(t *testing.T) {
 func TestCompressHybridRank1Rejected(t *testing.T) {
 	f := tensor.New(128)
 	m, _ := cfnn.New(cfnn.Config{SpatialRank: 2, NumAnchors: 1, Features: 4})
-	if _, err := CompressHybrid(f, m, []*tensor.Tensor{f}, Options{Bound: quant.AbsBound(0.1)}); err == nil {
+	if _, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.1), Model: m, Anchors: []*tensor.Tensor{f}}); err == nil {
 		t.Fatal("expected rank error")
 	}
 }
@@ -135,7 +135,7 @@ func TestCompressValueRangeOverflow(t *testing.T) {
 	f := tensor.New(8, 8)
 	f.Fill(1e30)
 	f.Set2(-1e30, 0, 0) // huge range, tiny eb -> prequant overflow
-	_, err := CompressBaseline(f, Options{Bound: quant.AbsBound(1e-6)})
+	_, err := compress(f, EncodeRequest{Bound: quant.AbsBound(1e-6)})
 	if !errors.Is(err, quant.ErrRange) {
 		t.Fatalf("err = %v, want quant.ErrRange", err)
 	}
@@ -149,7 +149,7 @@ func TestVerifyBoundShapeMismatch(t *testing.T) {
 
 func TestDecompressTruncatedPayload(t *testing.T) {
 	f := smoothField2D(32, 32, 36)
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0.01)})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.01)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDecompressTruncatedPayload(t *testing.T) {
 
 func TestDecompressMismatchedPayloadRawLen(t *testing.T) {
 	f := smoothField2D(16, 16, 37)
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0.01)})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.01)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCrossOnlyNeedsAnchors(t *testing.T) {
 	target := smoothField2D(24, 24, 38)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressCrossOnly(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compressCrossOnly(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestContainerReencodeStable(t *testing.T) {
 	target := smoothField2D(24, 24, 39)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
-	res, err := CompressHybrid(target, model, anchors, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compress(target, EncodeRequest{Bound: quant.AbsBound(0.05), Model: model, Anchors: anchors})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func TestDecompressArbitraryBytesNeverPanics(t *testing.T) {
 // in Huffman padding). Never a panic.
 func TestDecompressSingleByteFlips(t *testing.T) {
 	field := smoothField2D(16, 16, 50)
-	res, err := CompressBaseline(field, Options{Bound: quant.AbsBound(0.05)})
+	res, err := compress(field, EncodeRequest{Bound: quant.AbsBound(0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}

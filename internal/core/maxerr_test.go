@@ -20,7 +20,7 @@ func TestStatsMaxErrMatchesReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompressBaseline(f, Options{Bound: quant.AbsBound(0.01)})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.01)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +55,7 @@ func TestChunkedStatsMaxErrPerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompressChunked(f, nil, nil, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.005)},
-		ChunkVoxels: 2 * ny * nx,
-	})
+	res, err := compress(f, EncodeRequest{Bound: quant.AbsBound(0.005), ChunkVoxels: 2 * ny * nx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +64,19 @@ func TestChunkedStatsMaxErrPerChunk(t *testing.T) {
 	}
 }
 
+// TestChunkedOptionsRejectNegative: Encode rejects a negative chunk size
+// or worker count instead of reading it as a default.
 func TestChunkedOptionsRejectNegative(t *testing.T) {
 	f, err := tensor.FromSlice(make([]float32, 64), 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []ChunkedOptions{
-		{Options: Options{Bound: quant.AbsBound(0.01)}, ChunkVoxels: -1},
-		{Options: Options{Bound: quant.AbsBound(0.01)}, Workers: -2},
+	for _, req := range []EncodeRequest{
+		{Bound: quant.AbsBound(0.01), ChunkVoxels: -1},
+		{Bound: quant.AbsBound(0.01), Workers: -2},
 	} {
-		if _, err := CompressChunked(f, nil, nil, opts); err == nil {
-			t.Fatalf("negative option %+v accepted", opts)
+		if _, err := compress(f, req); err == nil {
+			t.Fatalf("negative option %+v accepted", req)
 		}
 	}
 }

@@ -22,9 +22,10 @@ import (
 	"hash/crc32"
 	"math"
 
-	"repro/internal/cfnn"
 	"repro/internal/container"
+	"repro/internal/lossless"
 	"repro/internal/parallel"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -36,7 +37,7 @@ type ProgressiveSpec struct {
 	// refinement bits; at most 8 levels.
 	Levels int
 	// PreviewBound, when > 0, is the target error bound of the base layer,
-	// expressed in the same mode as Options.Bound (absolute or
+	// expressed in the same mode as EncodeRequest.Bound (absolute or
 	// range-relative). The layering drops the largest bit count whose
 	// provable base bound eb·(1+2^shift) still meets it; PreviewBound must
 	// exceed 3× the full bound for at least one droppable bit.
@@ -66,29 +67,27 @@ func (p *progPlan) remaining(level int) int {
 // no PreviewBound pins the shift: each level quarters the error interval.
 const defaultPlaneBits = 2
 
-// resolveProg derives the layer plan from opts.Progressive, once per
-// field. It is how every chunk of a chunked compression shares identical
-// layer geometry: the chunk workers receive the already-resolved plan.
-func (o *Options) resolveProg() error {
-	if o.prog != nil || o.Progressive == nil {
-		return nil
+// resolveProg derives the layer plan from p (nil when p is nil), once per
+// field, so every chunk shares identical layer geometry.
+func resolveProg(p *ProgressiveSpec, bound quant.Bound) (*progPlan, error) {
+	if p == nil {
+		return nil, nil
 	}
-	p := o.Progressive
 	levels := p.Levels
 	if levels == 0 && p.PreviewBound > 0 {
 		levels = 2
 	}
 	if levels < 2 || levels > 8 {
-		return fmt.Errorf("core: progressive levels %d out of [2,8]", levels)
+		return nil, fmt.Errorf("core: progressive levels %d out of [2,8]", levels)
 	}
 	shift := defaultPlaneBits * (levels - 1)
 	if p.PreviewBound > 0 {
 		// PreviewBound and Bound.Value share a mode, so their ratio equals
 		// the ratio of resolved absolute bounds — no field statistics
 		// needed. The provable base bound is eb·(1+2^shift) ≤ preview.
-		ratio := p.PreviewBound / o.Bound.Value
+		ratio := p.PreviewBound / bound.Value
 		if !(ratio > 3) || math.IsInf(ratio, 0) || math.IsNaN(ratio) {
-			return fmt.Errorf("core: preview bound %g must exceed 3x the full bound %g", p.PreviewBound, o.Bound.Value)
+			return nil, fmt.Errorf("core: preview bound %g must exceed 3x the full bound %g", p.PreviewBound, bound.Value)
 		}
 		shift = int(math.Floor(math.Log2(ratio - 1)))
 	}
@@ -96,7 +95,7 @@ func (o *Options) resolveProg() error {
 		shift = container.MaxLayerShift
 	}
 	if shift < levels-1 {
-		return fmt.Errorf("core: %d refinement bits cannot fill %d levels (preview bound too tight for Levels)", shift, levels-1)
+		return nil, fmt.Errorf("core: %d refinement bits cannot fill %d levels (preview bound too tight for Levels)", shift, levels-1)
 	}
 	// Split the shift across the refinement planes, extras to the
 	// most-significant planes (decoded first, so early refinements shrink
@@ -109,19 +108,18 @@ func (o *Options) resolveProg() error {
 			bits[i]++
 		}
 	}
-	o.prog = &progPlan{shift: shift, bits: bits}
-	return nil
+	return &progPlan{shift: shift, bits: bits}, nil
 }
 
 // encodeLayerCodes entropy-codes one refinement plane's symbol stream and
 // runs the lossless backend, returning the marshaled Huffman table, the
 // encoded payload, and the raw (pre-lossless) length.
-func encodeLayerCodes(codes []int32, opts Options) (table, enc []byte, rawLen int, err error) {
-	codec, raw, err := entropyCode(codes, opts.MaxSymbols)
+func encodeLayerCodes(codes []int32) (table, enc []byte, rawLen int, err error) {
+	codec, raw, err := entropyCode(codes)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if enc, err = opts.Backend.Compress(raw); err != nil {
+	if enc, err = lossless.Default().Compress(raw); err != nil {
 		return nil, nil, 0, err
 	}
 	if table, err = codec.MarshalBinary(); err != nil {
@@ -153,13 +151,13 @@ func scaleDQ(dq [][]float64, shift int) [][]float64 {
 	return out
 }
 
-// compressProgressive is the layered pipeline shared by the baseline and
-// cross-field paths: split the prequant integers q, run the one
-// prediction step on the base, bit-plane the remainder, and assemble a
-// CFC1 v3 blob. dq (non-nil only for cross-field methods) arrives in
-// full-scale prequant units.
-func compressProgressive(field *tensor.Tensor, q []int32, dq [][]float64, stored *cfnn.Model, opts Options, method container.Method, eb float64) (*Result, error) {
-	plan := opts.prog
+// layered is the layered pipeline shared by the baseline and
+// cross-field paths: split the prequant integers q of chunk field, run
+// the one prediction step on the base, bit-plane the remainder, and
+// assemble a CFC1 v3 payload. dq (non-nil only for cross-field methods)
+// arrives in full-scale prequant units.
+func (e *encoder) layered(field *tensor.Tensor, q []int32, dq [][]float64) ([]byte, Stats, error) {
+	plan := e.prog
 	shift := plan.shift
 	n := len(q)
 	qb := make([]int32, n)
@@ -173,16 +171,16 @@ func compressProgressive(field *tensor.Tensor, q []int32, dq [][]float64, stored
 		}
 	})
 
-	endPredict := opts.Stages.Timer("predict")
-	codes, hybrid, err := predict(qb, field.Shape(), scaleDQ(dq, shift), method, opts)
+	endPredict := e.req.Stages.Timer("predict")
+	codes, hybrid, err := predict(qb, field.Shape(), scaleDQ(dq, shift), e.method)
 	endPredict()
 	if err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
 
 	// Entropy-code each refinement plane independently; assemble codes
 	// the base layer.
-	endHuff := opts.Stages.Timer("huffman")
+	endHuff := e.req.Stages.Timer("huffman")
 	layers := &container.LayerSection{Shift: shift, Layers: make([]container.Layer, plan.levels())}
 	data := make([][]byte, plan.levels())
 	plane := make([]int32, n)
@@ -194,10 +192,10 @@ func compressProgressive(field *tensor.Tensor, q []int32, dq [][]float64, stored
 				plane[i] = (rem[i] >> r) & mask
 			}
 		})
-		table, enc, raw, err := encodeLayerCodes(plane, opts)
+		table, enc, raw, err := encodeLayerCodes(plane)
 		if err != nil {
 			endHuff()
-			return nil, err
+			return nil, Stats{}, err
 		}
 		layers.Layers[l+1] = container.Layer{Bits: b, Table: table, RawLen: raw, EncLen: len(enc), CRC: crc32.ChecksumIEEE(enc)}
 		data[l+1] = enc
@@ -207,8 +205,8 @@ func compressProgressive(field *tensor.Tensor, q []int32, dq [][]float64, stored
 	// Per-level achieved errors, recorded in the layer table so serving
 	// can advertise measured (not just provable) bounds per level.
 	for l := range layers.Layers {
-		layers.Layers[l].MaxErr = achievedMaxErr(field.Data(), q, eb, plan.remaining(l))
+		layers.Layers[l].MaxErr = achievedMaxErr(field.Data(), q, e.eb, plan.remaining(l))
 	}
 	maxErr := layers.Layers[len(layers.Layers)-1].MaxErr
-	return assemble(field, codes, stored, hybrid, method, eb, maxErr, opts, layers, data)
+	return e.assemble(field, codes, hybrid, maxErr, layers, data)
 }

@@ -37,30 +37,20 @@ func maxAbsDiff(a, b []float32) float64 {
 	return m
 }
 
-// progCase exercises one configuration end to end and returns the measured
-// per-level errors.
-func progCase(t *testing.T, field *tensor.Tensor, opts Options, chunked bool, chunkVoxels int) []float64 {
+// progCase exercises one configuration, monolithic or chunked by
+// req.ChunkVoxels, end to end and returns the measured per-level errors.
+func progCase(t *testing.T, field *tensor.Tensor, req EncodeRequest) []float64 {
 	t.Helper()
-	var blob []byte
-	var st Stats
-	if chunked {
-		res, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: opts, ChunkVoxels: chunkVoxels})
-		if err != nil {
-			t.Fatalf("compress chunked: %v", err)
-		}
-		blob, st = res.Blob, res.Stats
-	} else {
-		res, err := CompressBaseline(field, opts)
-		if err != nil {
-			t.Fatalf("compress: %v", err)
-		}
-		blob, st = res.Blob, res.Stats
+	res, err := compress(field, req)
+	if err != nil {
+		t.Fatalf("compress: %v", err)
 	}
+	blob, st := res.Blob, res.Stats
 	spec, err := PayloadLevelSpecReader(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		t.Fatalf("level spec: %v", err)
 	}
-	wantLevels := opts.Progressive.Levels
+	wantLevels := req.Progressive.Levels
 	if wantLevels == 0 {
 		wantLevels = 2
 	}
@@ -70,23 +60,13 @@ func progCase(t *testing.T, field *tensor.Tensor, opts Options, chunked bool, ch
 
 	// Reference: the same compression without layering must reconstruct
 	// bit-identically to the full-level progressive decode.
-	plain := opts
+	plain := req
 	plain.Progressive = nil
-	plain.prog = nil
-	var refBlob []byte
-	if chunked {
-		res, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: plain, ChunkVoxels: chunkVoxels})
-		if err != nil {
-			t.Fatalf("compress plain: %v", err)
-		}
-		refBlob = res.Blob
-	} else {
-		res, err := CompressBaseline(field, plain)
-		if err != nil {
-			t.Fatalf("compress plain: %v", err)
-		}
-		refBlob = res.Blob
+	ref0, err := compress(field, plain)
+	if err != nil {
+		t.Fatalf("compress plain: %v", err)
 	}
+	refBlob := ref0.Blob
 	ref, err := Decompress(refBlob, nil)
 	if err != nil {
 		t.Fatalf("decompress plain: %v", err)
@@ -154,25 +134,23 @@ func TestProgressivePropertySweep(t *testing.T) {
 	for c := 0; c < 60; c++ {
 		dims := dimsChoices[rng.Intn(len(dimsChoices))]
 		field := synthField(rng, dims...)
-		opts := Options{Seed: int64(c)}
+		var req EncodeRequest
 		switch rng.Intn(3) {
 		case 0:
-			opts.Bound = quant.AbsBound(math.Pow(10, -1-float64(rng.Intn(3))))
-			opts.Progressive = &ProgressiveSpec{Levels: 2 + rng.Intn(4)}
+			req.Bound = quant.AbsBound(math.Pow(10, -1-float64(rng.Intn(3))))
+			req.Progressive = &ProgressiveSpec{Levels: 2 + rng.Intn(4)}
 		case 1:
-			opts.Bound = quant.RelBound(math.Pow(10, -2-float64(rng.Intn(2))))
-			opts.Progressive = &ProgressiveSpec{Levels: 2 + rng.Intn(4)}
+			req.Bound = quant.RelBound(math.Pow(10, -2-float64(rng.Intn(2))))
+			req.Progressive = &ProgressiveSpec{Levels: 2 + rng.Intn(4)}
 		default:
 			eb := math.Pow(10, -2-float64(rng.Intn(2)))
-			opts.Bound = quant.AbsBound(eb)
-			opts.Progressive = &ProgressiveSpec{PreviewBound: eb * float64(5+rng.Intn(60))}
+			req.Bound = quant.AbsBound(eb)
+			req.Progressive = &ProgressiveSpec{PreviewBound: eb * float64(5+rng.Intn(60))}
 		}
-		chunked := rng.Intn(2) == 1
-		chunkVoxels := 0
-		if chunked {
-			chunkVoxels = 200 + rng.Intn(800)
+		if rng.Intn(2) == 1 {
+			req.ChunkVoxels = 200 + rng.Intn(800)
 		}
-		progCase(t, field, opts, chunked, chunkVoxels)
+		progCase(t, field, req)
 	}
 }
 
@@ -202,22 +180,15 @@ func TestProgressiveHybrid(t *testing.T) {
 	}
 	anchors := []*tensor.Tensor{anchor}
 	for _, chunked := range []bool{false, true} {
-		opts := Options{Bound: quant.RelBound(1e-3), Progressive: &ProgressiveSpec{Levels: 3}}
-		var blob []byte
-		var st Stats
+		req := EncodeRequest{Bound: quant.RelBound(1e-3), Model: m, Anchors: anchors, Progressive: &ProgressiveSpec{Levels: 3}}
 		if chunked {
-			res, err := CompressChunked(target, m, anchors, ChunkedOptions{Options: opts, ChunkVoxels: 120})
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, st = res.Blob, res.Stats
-		} else {
-			res, err := CompressHybrid(target, m, anchors, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, st = res.Blob, res.Stats
+			req.ChunkVoxels = 120
 		}
+		res, err := compress(target, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, st := res.Blob, res.Stats
 		spec, err := PayloadLevelSpecReader(bytes.NewReader(blob), int64(len(blob)))
 		if err != nil {
 			t.Fatal(err)
@@ -240,21 +211,12 @@ func TestProgressiveHybrid(t *testing.T) {
 			}
 			prev = measured
 		}
-		plainOpts := Options{Bound: quant.RelBound(1e-3)}
-		var refBlob []byte
-		if chunked {
-			res, err := CompressChunked(target, m, anchors, ChunkedOptions{Options: plainOpts, ChunkVoxels: 120})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refBlob = res.Blob
-		} else {
-			res, err := CompressHybrid(target, m, anchors, plainOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refBlob = res.Blob
+		req.Progressive = nil
+		ref0, err := compress(target, req)
+		if err != nil {
+			t.Fatal(err)
 		}
+		refBlob := ref0.Blob
 		ref, err := Decompress(refBlob, anchors)
 		if err != nil {
 			t.Fatal(err)
@@ -278,8 +240,7 @@ func TestProgressiveHybrid(t *testing.T) {
 func TestProgressivePrefixReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	field := synthField(rng, 8, 15, 11)
-	opts := Options{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{Levels: 4}}
-	res, err := CompressChunked(field, nil, nil, ChunkedOptions{Options: opts, ChunkVoxels: 300})
+	res, err := compress(field, EncodeRequest{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{Levels: 4}, ChunkVoxels: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,19 +296,19 @@ func TestProgressivePrefixReads(t *testing.T) {
 // TestProgressiveOptionErrors pins the option-validation surface.
 func TestProgressiveOptionErrors(t *testing.T) {
 	field := synthField(rand.New(rand.NewSource(1)), 16, 16)
-	cases := []Options{
+	cases := []EncodeRequest{
 		{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{Levels: 1}},
 		{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{Levels: 9}},
 		{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{PreviewBound: 2e-3}},
 		{Bound: quant.AbsBound(1e-3), Progressive: &ProgressiveSpec{Levels: 8, PreviewBound: 5e-3}},
 	}
-	for i, opts := range cases {
-		if _, err := CompressBaseline(field, opts); err == nil {
+	for i, req := range cases {
+		if _, err := compress(field, req); err == nil {
 			t.Errorf("case %d: expected option error, got none", i)
 		}
 	}
 	// Non-layered payloads refuse refinement levels.
-	res, err := CompressBaseline(field, Options{Bound: quant.AbsBound(1e-3)})
+	res, err := compress(field, EncodeRequest{Bound: quant.AbsBound(1e-3)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestHybridBoundProperty(t *testing.T) {
 			return false
 		}
 		eb := math.Pow(10, -float64(ebExp%3)-2) // 1e-2 .. 1e-4 relative
-		res, err := CompressHybrid(target, m, []*tensor.Tensor{anchor}, Options{Bound: quant.RelBound(eb)})
+		res, err := compress(target, EncodeRequest{Bound: quant.RelBound(eb), Model: m, Anchors: []*tensor.Tensor{anchor}})
 		if err != nil {
 			return false
 		}
@@ -67,7 +67,7 @@ func TestBlobHeaderProperty(t *testing.T) {
 			field.Data()[i] = rng.Float32() * 10
 		}
 		rel := math.Pow(10, -float64(relExp%4)-1)
-		res, err := CompressBaseline(field, Options{Bound: quant.RelBound(rel)})
+		res, err := compress(field, EncodeRequest{Bound: quant.RelBound(rel)})
 		if err != nil {
 			return false
 		}

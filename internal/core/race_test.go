@@ -9,25 +9,26 @@ import (
 )
 
 // TestHybridChunkedSharedSlabRace is the race regression test for the
-// shared-inference engine. The per-chunk model clones are gone: one
-// segmented CFNN pass writes the predicted-diff slabs up front, and every
-// concurrent chunk worker — compression and decompression alike — then
-// reads slab views of those arrays with no synchronization. Under -race
-// this asserts that sharing is sound: the slabs are written once before
-// the workers start and treated as immutable afterwards, and the model
-// itself is never touched from worker goroutines. Several whole-field
-// decodes run concurrently on top (each runs its own inference pass over
-// the same caller-supplied anchor tensors), plus concurrent random-access
-// chunk decodes, to widen the overlap window.
+// chunk loop. Every concurrent chunk worker, compression and
+// decompression alike, runs inference with the one shared model over slab
+// views of the same caller-supplied anchor tensors, in an arena it owns
+// while the chunk runs, with no synchronization. Under -race this asserts
+// that sharing is sound: the model and anchors are only read, and an arena
+// passes from chunk to chunk only through the loop's handoff. Several
+// whole-field decodes run concurrently on top, plus concurrent
+// random-access chunk decodes, to widen the overlap window.
 func TestHybridChunkedSharedSlabRace(t *testing.T) {
 	target := smoothField3D(12, 16, 16, 91)
 	anchors := []*tensor.Tensor{target.Clone()}
 	model := trainTinyModel(t, anchors, target)
 
-	// Compression side: one shared inference pass, four concurrent chunk
-	// workers reading its slabs.
-	res, err := CompressChunked(target, model, anchors, ChunkedOptions{
-		Options:     Options{Bound: quant.AbsBound(0.05), AnchorNames: []string{"self"}},
+	// Compression side: four concurrent chunk workers, each inferring
+	// over its own views of the shared anchor tensors.
+	res, err := compress(target, EncodeRequest{
+		Bound:       quant.AbsBound(0.05),
+		Model:       model,
+		Anchors:     anchors,
+		AnchorNames: []string{"self"},
 		ChunkVoxels: 2 * 16 * 16, // 6 chunks
 		Workers:     4,
 	})
@@ -64,10 +65,9 @@ func TestHybridChunkedSharedSlabRace(t *testing.T) {
 		}
 	}
 
-	// Random access on the same blob from many goroutines at once: this
-	// path runs reference per-chunk-view inference (each call loads its
-	// own model from the container), and must agree bit-for-bit with the
-	// shared-inference full decodes.
+	// Random access on the same blob from many goroutines at once: each
+	// call loads its own model from the container, and must agree
+	// bit-for-bit with the whole-field decodes.
 	wg = sync.WaitGroup{}
 	cerrs := make([]error, 6)
 	for ci := 0; ci < 6; ci++ {

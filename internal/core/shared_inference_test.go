@@ -4,85 +4,67 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/cfnn"
 	"repro/internal/chunk"
 	"repro/internal/container"
+	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
-// referenceChunkedHybrid reproduces the pre-shared-inference chunked
-// hybrid pipeline exactly: every chunk clones the model and runs CFNN
-// inference over its own anchor views, then feeds the per-chunk
-// predicted-diff fields through the common downstream pipeline. It is the
-// retained reference the shared-inference engine must match byte for
-// byte.
-func referenceChunkedHybrid(t *testing.T, field *tensor.Tensor, model *cfnn.Model, anchors []*tensor.Tensor, opts ChunkedOptions) []byte {
+// referenceChunkedHybrid encodes every chunk of a hybrid field on its
+// own, serially, each with a clone of the model in a fresh arena on one
+// kernel worker, and assembles the CFC2 container from those payloads.
+func referenceChunkedHybrid(t *testing.T, field *tensor.Tensor, req EncodeRequest) []byte {
 	t.Helper()
-	o := opts.Options.withDefaults()
-	eb, err := resolveEB(field, o.Bound)
-	if err != nil {
+	e := &encoder{req: req, method: container.MethodHybrid}
+	var err error
+	if e.eb, err = resolveEB(field, req.Bound); err != nil {
 		t.Fatal(err)
 	}
-	g, err := chunk.Plan(field.Shape(), opts.ChunkVoxels)
-	if err != nil {
+	if e.g, err = chunk.Plan(field.Shape(), req.ChunkVoxels); err != nil {
 		t.Fatal(err)
 	}
-	n := g.NumChunks()
+	n := e.g.NumChunks()
 	payloads := make([][]byte, n)
 	maxErrs := make([]float64, n)
-	chunkOpts := o
-	chunkOpts.AnchorNames = nil
-	chunkOpts.Arena = nil
 	for i := 0; i < n; i++ {
-		sub, err := g.View(field, i)
+		ce := *e
+		if ce.req.Model, err = req.Model.Clone(); err != nil {
+			t.Fatal(err)
+		}
+		payload, st, err := ce.chunk(field, i, nn.NewArena(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		subAnchors, err := g.Views(anchors, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := model.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dq, err := predictedDQWith(m, subAnchors, eb, nil, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := compressCrossFieldDQ(sub, dq, nil, chunkOpts, container.MethodHybrid, eb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads[i] = res.Blob
-		maxErrs[i] = res.Stats.MaxErr
+		payloads[i], maxErrs[i] = payload, st.MaxErr
 	}
 	var mb bytes.Buffer
-	if err := model.Save(&mb); err != nil {
+	if err := req.Model.Save(&mb); err != nil {
 		t.Fatal(err)
 	}
 	hdr := &chunk.Header{
 		Method:     container.MethodHybrid,
-		BoundMode:  byte(o.Bound.Mode),
-		BoundValue: o.Bound.Value,
-		AbsEB:      eb,
+		BoundMode:  byte(req.Bound.Mode),
+		BoundValue: req.Bound.Value,
+		AbsEB:      e.eb,
 		Dims:       append([]int(nil), field.Shape()...),
-		Anchors:    append([]string(nil), o.AnchorNames...),
+		Anchors:    append([]string(nil), req.AnchorNames...),
 		Model:      mb.Bytes(),
 	}
 	var buf bytes.Buffer
-	if _, err := chunk.EncodeTo(&buf, hdr, g, payloads, maxErrs); err != nil {
+	if _, err := chunk.EncodeTo(&buf, hdr, e.g, payloads, maxErrs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestSharedInferenceByteIdentical is the shared-inference equivalence
-// property test: the one-pass segmented inference engine must produce a
-// CFC2 container byte-identical to the reference per-chunk path, across
-// ranks, chunk geometries (including uneven tails and single-slab
-// chunks), and worker counts.
+// TestSharedInferenceByteIdentical pins the chunk loop's shared
+// inference arenas: Encode, whose in-flight workers carry one arena from
+// chunk to chunk and split the kernel workers between them, must write a
+// CFC2 container byte-identical to referenceChunkedHybrid's, which gives
+// every chunk a fresh arena and model clone, across ranks, chunk
+// geometries (including uneven tails and single-slab chunks), and worker
+// counts.
 func TestSharedInferenceByteIdentical(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -108,18 +90,21 @@ func TestSharedInferenceByteIdentical(t *testing.T) {
 			}
 			anchors := []*tensor.Tensor{target.Clone()}
 			model := trainTinyModel(t, anchors, target)
-			opts := ChunkedOptions{
-				Options:     Options{Bound: quant.AbsBound(0.04), AnchorNames: []string{"self"}},
+			req := EncodeRequest{
+				Bound:       quant.AbsBound(0.04),
+				Model:       model,
+				Anchors:     anchors,
+				AnchorNames: []string{"self"},
 				ChunkVoxels: c.chunkVoxels,
 				Workers:     c.workers,
 			}
-			res, err := CompressChunked(target, model, anchors, opts)
+			res, err := compress(target, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceChunkedHybrid(t, target, model, anchors, opts)
+			want := referenceChunkedHybrid(t, target, req)
 			if !bytes.Equal(res.Blob, want) {
-				t.Fatalf("shared-inference container (%d bytes) differs from reference per-chunk container (%d bytes)",
+				t.Fatalf("Encode container (%d bytes) differs from reference per-chunk container (%d bytes)",
 					len(res.Blob), len(want))
 			}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -65,11 +66,13 @@ func AblationPredictors(w io.Writer, s Sizes) error {
 	if err != nil {
 		return err
 	}
-	crossRes, err := core.CompressCrossOnly(p.target.Tensor(), p.codec.Model(), fieldTensorsOf(anchorsDec), core.Options{Bound: bound})
+	crossSt, err := core.CompressCrossOnly(context.Background(), io.Discard, p.target.Tensor(), core.EncodeRequest{
+		Bound: bound, Model: p.codec.Model(), Anchors: fieldTensorsOf(anchorsDec),
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  %-22s %8.4f bits/val\n", "cross-field only", crossRes.Stats.CodeEntropy)
+	fmt.Fprintf(w, "  %-22s %8.4f bits/val\n", "cross-field only", crossSt.CodeEntropy)
 
 	hybRes, err := p.codec.Compress(p.target, anchorsDec, bound)
 	if err != nil {
@@ -169,12 +172,14 @@ func AblationAttention(w io.Writer, s Sizes) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.CompressHybrid(target.Tensor(), m, fieldTensorsOf(anchorsDec), core.Options{Bound: bound})
+		st, err := core.Encode(context.Background(), io.Discard, target.Tensor(), core.EncodeRequest{
+			Bound: bound, Model: m, Anchors: fieldTensorsOf(anchorsDec),
+		})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "  %-16s params %6d | cross-pred PSNR %6.2f dB | hybrid CR %6.2f\n",
-			variant.name, m.ParamCount(), rep.PSNRCross, res.Stats.Ratio)
+			variant.name, m.ParamCount(), rep.PSNRCross, st.Ratio)
 	}
 	return nil
 }

@@ -40,8 +40,9 @@ type InferenceBenchReport struct {
 
 // InferenceBench times the CFNN full-field forward pass (PredictDiffs) on
 // the 3D hurricane target: cold (a fresh arena every pass, the legacy
-// allocation profile) versus warm (one arena reused, the shared-inference
-// hot path, which is allocation-free at workers=1), at one worker and at
+// allocation profile) versus warm (one arena reused, as each chunk worker
+// of an encode or decode reuses one, which is allocation-free at
+// workers=1), at one worker and at
 // GOMAXPROCS workers.
 func InferenceBench(w io.Writer, s Sizes, jsonPath string) error {
 	section(w, "CFNN inference: full-field forward pass")

@@ -117,10 +117,10 @@ func (f Flate) Compress(src []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// maxInflateRatio bounds how far a DEFLATE stream can expand: a
-// 258-byte match costs at least two bits, so no stream inflates more
-// than 1032:1.
-const maxInflateRatio = 1032
+// MaxRatio bounds how far any backend's stream can expand: a DEFLATE
+// 258-byte match costs at least two bits, so no stream inflates more than
+// 1032:1 (the store backend does not expand at all).
+const MaxRatio = 1032
 
 // Decompress implements Backend. expectedLen comes from a header that may
 // lie, so neither it nor the stream decides the allocation alone: the
@@ -146,7 +146,7 @@ func (Flate) Decompress(src []byte, expectedLen int) ([]byte, error) {
 	var out bytes.Buffer
 	in := io.Reader(r)
 	if expectedLen >= 0 {
-		out.Grow(min(expectedLen, maxInflateRatio*len(src)))
+		out.Grow(min(expectedLen, MaxRatio*len(src)))
 		in = io.LimitReader(r, int64(expectedLen)+1)
 	}
 	if _, err := io.Copy(&out, in); err != nil {

@@ -35,15 +35,13 @@ func TestAcquireQueuesFIFO(t *testing.T) {
 	var order []int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	for i := 1; i <= 3; i++ {
-		i := i
+		// Start waiter i only once the i-1 before it are queued, so the
+		// queue order is deterministic however the host schedules them.
+		waitDepth(t, c, i-1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-start
-			// Stagger entry so the queue order is deterministic.
-			time.Sleep(time.Duration(i) * 20 * time.Millisecond)
 			rel, err := c.Acquire(context.Background(), 100)
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
@@ -55,15 +53,7 @@ func TestAcquireQueuesFIFO(t *testing.T) {
 			rel()
 		}()
 	}
-	close(start)
-	// Wait until all three are queued, then release the holder.
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Stats().QueueDepth != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth = %d, want 3", c.Stats().QueueDepth)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitDepth(t, c, 3)
 	rel1()
 	wg.Wait()
 	mu.Lock()

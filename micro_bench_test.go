@@ -6,6 +6,7 @@ package crossfield_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -163,11 +164,11 @@ func benchModel(tb testing.TB, nz, ny, nx int) (*cfnn.Model, []*tensor.Tensor) {
 	return m, anchors
 }
 
-// TestPredictDiffsArenaZeroAlloc pins the shared-inference hot path's
+// TestPredictDiffsArenaZeroAlloc pins the inference hot path's
 // allocation contract: a steady-state PredictDiffsWith pass through a
-// warmed arena — segmented exactly as the chunked engine segments it —
-// performs zero heap allocations at workers=1 (parallel dispatch
-// necessarily allocates goroutine frames, so it is exercised elsewhere).
+// warmed arena, here segmented into four slabs, performs zero heap
+// allocations at workers=1 (parallel dispatch necessarily allocates
+// goroutine frames, so it is exercised elsewhere).
 func TestPredictDiffsArenaZeroAlloc(t *testing.T) {
 	m, anchors := benchModel(t, 8, 24, 24)
 	segs := []int{2, 2, 2, 2}
@@ -219,18 +220,20 @@ func BenchmarkHybridChunkedCompress(b *testing.B) {
 	const nz, ny, nx = 16, 48, 48
 	m, anchors := benchModel(b, nz, ny, nx)
 	target := anchors[0].Clone()
-	opts := core.ChunkedOptions{
-		Options:     core.Options{Bound: quant.RelBound(1e-3)},
+	req := core.EncodeRequest{
+		Bound:       quant.RelBound(1e-3),
+		Model:       m,
+		Anchors:     anchors,
 		ChunkVoxels: nz * ny * nx / 8,
 		Workers:     1,
 	}
-	if _, err := core.CompressChunked(target, m, anchors, opts); err != nil {
+	if _, err := core.Encode(context.Background(), io.Discard, target, req); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(target.Len() * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CompressChunked(target, m, anchors, opts); err != nil {
+		if _, err := core.Encode(context.Background(), io.Discard, target, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,18 +243,20 @@ func BenchmarkHybridChunkedDecompress(b *testing.B) {
 	const nz, ny, nx = 16, 48, 48
 	m, anchors := benchModel(b, nz, ny, nx)
 	target := anchors[0].Clone()
-	res, err := core.CompressChunked(target, m, anchors, core.ChunkedOptions{
-		Options:     core.Options{Bound: quant.RelBound(1e-3)},
+	var blob bytes.Buffer
+	if _, err := core.Encode(context.Background(), &blob, target, core.EncodeRequest{
+		Bound:       quant.RelBound(1e-3),
+		Model:       m,
+		Anchors:     anchors,
 		ChunkVoxels: nz * ny * nx / 8,
 		Workers:     1,
-	})
-	if err != nil {
+	}); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(target.Len() * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := bytes.NewReader(res.Blob)
+		r := bytes.NewReader(blob.Bytes())
 		if _, _, _, err := core.Decode(context.Background(), r, r.Size(), core.Request{Chunk: core.Whole, Level: core.LevelFull, Anchors: anchors, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,14 @@
 package crossfield
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 
+	"repro/internal/chunk"
 	"repro/internal/core"
+	"repro/internal/tensor"
 )
 
 // Option configures a compression call. Options are shared by the
@@ -18,15 +23,30 @@ type Option interface {
 // compressConfig is the resolved option set.
 type compressConfig struct {
 	chunked     bool
-	chunkVoxels int
+	chunkVoxels int // resolved: > 0 exactly when chunked
 	workers     int
 	progressive *core.ProgressiveSpec
 	fieldBounds map[string]ErrorBound
 	timings     *DatasetTimings
 }
 
-// progSpec returns the resolved progressive spec (nil when not layered).
-func (c *compressConfig) progSpec() *core.ProgressiveSpec { return c.progressive }
+// encode is the one core.Encode call behind every compression entry
+// point: req, which names the field's bound, model and stage sink, takes
+// the resolved layout, layering and worker bound.
+func (c *compressConfig) encode(w io.Writer, field *tensor.Tensor, req core.EncodeRequest) (*Stats, error) {
+	req.ChunkVoxels, req.Progressive, req.Workers = c.chunkVoxels, c.progressive, c.workers
+	return core.Encode(context.Background(), w, field, req)
+}
+
+// compress is encode into memory.
+func (c *compressConfig) compress(field *tensor.Tensor, req core.EncodeRequest) (*Compressed, error) {
+	var buf bytes.Buffer
+	st, err := c.encode(&buf, field, req)
+	if err != nil {
+		return nil, err
+	}
+	return &Compressed{Blob: buf.Bytes(), Stats: *st}, nil
+}
 
 // optionFunc adapts a closure to the Option interface.
 type optionFunc func(*compressConfig) error
@@ -183,6 +203,9 @@ func resolveOptions(caller string, opts []Option, dataset bool) (*compressConfig
 	}
 	if !dataset && c.timings != nil {
 		return nil, fmt.Errorf("crossfield: %s: WithStageTimings applies only to CompressDataset", caller)
+	}
+	if c.chunked && c.chunkVoxels == 0 {
+		c.chunkVoxels = chunk.DefaultChunkVoxels
 	}
 	return c, nil
 }

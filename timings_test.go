@@ -119,9 +119,13 @@ func TestWithStageTimingsChunked(t *testing.T) {
 			t.Errorf("field %q: huffman ran %d times, want 4", name, got)
 		}
 	}
-	// Shared inference runs once per dependent field, not per chunk.
-	if got := stagesByName(tm.For("W"))["inference"].Count; got != 1 {
-		t.Errorf("chunked hybrid field: inference ran %d times, want 1 shared pass", got)
+	// Each chunk of a dependent field runs its own inference, over its own
+	// anchor views; a baseline field runs none.
+	if got := stagesByName(tm.For("W"))["inference"].Count; got != 4 {
+		t.Errorf("chunked hybrid field: inference ran %d times, want once per chunk (4)", got)
+	}
+	if got := stagesByName(tm.For("U"))["inference"].Count; got != 0 {
+		t.Errorf("baseline field: inference ran %d times, want 0", got)
 	}
 }
 
