@@ -520,7 +520,7 @@ func TestGoldenPredictDiffs(t *testing.T) {
 		for _, serial := range []bool{false, true} {
 			var diffs []*tensor.Tensor
 			if serial {
-				diffs, err = model.PredictDiffsWith(anchors, nil, nn.NewArena(), 1)
+				diffs, err = model.PredictDiffsWith(anchors, nn.NewArena(), 1)
 			} else {
 				diffs, err = model.PredictDiffs(anchors)
 			}

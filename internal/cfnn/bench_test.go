@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/chunk"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -25,9 +26,10 @@ func benchFields(spatial []int) (anchors []*tensor.Tensor, target *tensor.Tensor
 }
 
 // benchInference trains a small-budget model at the given width on
-// benchFields and times segmented PredictDiffsWith passes through one
+// benchFields and times, per iteration, one PredictDiffsWith pass over
+// each chunk of counts, on the anchors' chunk.Grid views, through one
 // warmed arena on two workers, the way the chunked engine runs a field.
-func benchInference(b *testing.B, features int, spatial, segs []int) {
+func benchInference(b *testing.B, features int, spatial, counts []int) {
 	anchors, target := benchFields(spatial)
 	m, err := New(Config{SpatialRank: len(spatial), NumAnchors: len(anchors), Features: features, Seed: 5})
 	if err != nil {
@@ -36,16 +38,29 @@ func benchInference(b *testing.B, features int, spatial, segs []int) {
 	if _, err := m.Train(anchors, target, TrainConfig{Epochs: 1, StepsPerEpoch: 2, Batch: 1}); err != nil {
 		b.Fatal(err)
 	}
-	arena := nn.NewArena()
-	if _, err := m.PredictDiffsWith(anchors, segs, arena, 2); err != nil {
+	grid, err := chunk.FromCounts(spatial, counts)
+	if err != nil {
 		b.Fatal(err)
 	}
+	views := make([][]*tensor.Tensor, len(counts))
+	for k := range views {
+		if views[k], err = grid.Views(anchors, k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	arena := nn.NewArena()
+	pass := func() {
+		for _, v := range views {
+			if _, err := m.PredictDiffsWith(v, arena, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass()
 	b.SetBytes(int64(anchors[0].Len() * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.PredictDiffsWith(anchors, segs, arena, 2); err != nil {
-			b.Fatal(err)
-		}
+		pass()
 	}
 }
 

@@ -311,7 +311,7 @@ func stack(chans []*tensor.Tensor, off, scale, mean []float32) *tensor.Tensor {
 // Anchors should be the *decompressed* anchor fields so compressor and
 // decompressor see bit-identical inputs.
 func (m *Model) PredictDiffs(anchors []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return m.PredictDiffsWith(anchors, nil, nil, 0)
+	return m.PredictDiffsWith(anchors, nil, 0)
 }
 
 // outKeys names the arena buffers holding the denormalized per-axis
@@ -321,11 +321,6 @@ var outKeys = [3]string{"cfnn.out0", "cfnn.out1", "cfnn.out2"}
 // PredictDiffsWith is PredictDiffs with the performance knobs of the
 // inference hot path exposed:
 //
-//   - segCounts, when non-nil, partitions the anchors' slowest axis into
-//     slabs inferred as independent fields (halo-correct boundaries: each
-//     slab's output is bit-identical to PredictDiffs run on that slab's
-//     anchor views alone). nil means whole-field inference, bit-identical
-//     to PredictDiffs; core's chunk loop passes nil, one chunk per call.
 //   - arena supplies all scratch, including the returned tensors; a
 //     steady-state call with a warmed arena performs zero heap
 //     allocations (at workers <= 1 — parallel dispatch allocates
@@ -333,9 +328,10 @@ var outKeys = [3]string{"cfnn.out0", "cfnn.out1", "cfnn.out2"}
 //     are valid until the arena's next use.
 //   - workers bounds kernel parallelism (<= 0 means GOMAXPROCS).
 //
+// core's chunk loop calls it once per chunk, on the anchors' chunk views.
 // PredictDiffsWith never mutates the model, so concurrent calls on one
 // model are safe as long as each uses its own arena.
-func (m *Model) PredictDiffsWith(anchors []*tensor.Tensor, segCounts []int, arena *nn.Arena, workers int) ([]*tensor.Tensor, error) {
+func (m *Model) PredictDiffsWith(anchors []*tensor.Tensor, arena *nn.Arena, workers int) ([]*tensor.Tensor, error) {
 	if !m.trained {
 		return nil, ErrNotTrained
 	}
@@ -348,29 +344,16 @@ func (m *Model) PredictDiffsWith(anchors []*tensor.Tensor, segCounts []int, aren
 	spatial := anchors[0].Shape()
 	r := len(spatial)
 	per := anchors[0].Len()
-	plane := per / spatial[0]
-	if segCounts != nil {
-		total := 0
-		for _, c := range segCounts {
-			if c <= 0 {
-				return nil, fmt.Errorf("cfnn: non-positive segment count %d", c)
-			}
-			total += c
-		}
-		if total != spatial[0] {
-			return nil, fmt.Errorf("cfnn: segment counts %v sum to %d, axis 0 is %d", segCounts, total, spatial[0])
-		}
-	}
 
 	// Build the stacked network input: each channel plane gets the
 	// backward differences of one (anchor, axis) pair in a float32 scratch
-	// plane, boundary hyperplanes zeroed per segment, then normalized to
-	// network units and widened into the float64 input — the one widening
-	// of the pass (the activations stay float64 through every layer).
-	inShape := arena.Ints("cfnn.inshape", r+1)
+	// plane, boundary hyperplane zeroed, then normalized to network units
+	// and widened into the float64 input — the one widening of the pass
+	// (the activations stay float64 through every layer).
+	var inShape [4]int
 	inShape[0] = m.Cfg.InChannels()
 	copy(inShape[1:], spatial)
-	x := m.net.InferInput(arena, inShape...)
+	x := m.net.InferInput(arena, inShape[:r+1]...)
 	ch := arena.Tensor("cfnn.ch", spatial...)
 	chd := ch.Data()
 	c := 0
@@ -379,21 +362,7 @@ func (m *Model) PredictDiffsWith(anchors []*tensor.Tensor, segCounts []int, aren
 			if err := diff.AlongInto(ch, a, axis, diff.Backward); err != nil {
 				return nil, err
 			}
-			if axis == 0 {
-				// Each segment is its own field: its first slab plays the
-				// role the coordinate-0 boundary plays for the whole field.
-				if segCounts == nil {
-					zeroPlane(chd, 0, plane)
-				} else {
-					pos := 0
-					for _, n := range segCounts {
-						zeroPlane(chd, pos, plane)
-						pos += n
-					}
-				}
-			} else {
-				zeroBoundary(ch, axis)
-			}
+			zeroBoundary(ch, axis)
 			o, s, mu := m.inOff[c], m.inScale[c], m.inMean[c]
 			dst := x.Data[c*per : (c+1)*per]
 			for i, v := range chd {
@@ -403,7 +372,7 @@ func (m *Model) PredictDiffsWith(anchors []*tensor.Tensor, segCounts []int, aren
 		}
 	}
 
-	y, err := m.net.Infer(x, segCounts, arena, workers)
+	y, err := m.net.Infer(x, arena, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -428,12 +397,4 @@ func (m *Model) PredictDiffsWith(anchors []*tensor.Tensor, segCounts []int, aren
 		outs[c] = t
 	}
 	return outs, nil
-}
-
-// zeroPlane clears the axis-0 hyperplane starting at slab index.
-func zeroPlane(d []float32, slab, plane int) {
-	s := d[slab*plane : (slab+1)*plane]
-	for i := range s {
-		s[i] = 0
-	}
 }

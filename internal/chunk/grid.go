@@ -127,9 +127,6 @@ func (g *Grid) Start(i int) int { return g.starts[i] }
 // Count returns chunk i's slab count along axis 0.
 func (g *Grid) Count(i int) int { return g.counts[i] }
 
-// Counts returns the per-chunk slab counts (the index form).
-func (g *Grid) Counts() []int { return g.counts }
-
 // ChunkDims returns chunk i's dimensions.
 func (g *Grid) ChunkDims(i int) []int {
 	d := append([]int(nil), g.dims...)

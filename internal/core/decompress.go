@@ -320,7 +320,7 @@ func resolveDQ(b *container.Blob, anchors []*tensor.Tensor, ext *cfnn.Model, are
 // returns the predicted differences in prequant units (d̂ / 2·eb), held in
 // arena until its next use.
 func predictDQ(model *cfnn.Model, anchors []*tensor.Tensor, eb float64, arena *nn.Arena, workers int) ([][]float64, error) {
-	diffs, err := model.PredictDiffsWith(anchors, nil, arena, workers)
+	diffs, err := model.PredictDiffsWith(anchors, arena, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -54,5 +55,39 @@ func TestChunkedThroughputReport(t *testing.T) {
 	}
 	if !monolithic || !chunked {
 		t.Fatal("report missing a mode")
+	}
+}
+
+// TestInferenceBenchReport checks BENCH_inference.json at Small sizes:
+// every row records the GOMAXPROCS it ran under, and the warm one-worker
+// pass, which reuses one arena, allocates nothing.
+func TestInferenceBenchReport(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "BENCH_inference.json")
+	var buf bytes.Buffer
+	if err := InferenceBench(&buf, Small(), jsonPath); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report InferenceBenchReport
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatal(err)
+	}
+	warm1 := false
+	for _, r := range report.Rows {
+		if r.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+			t.Fatalf("row %+v: gomaxprocs %d, want %d", r, r.GOMAXPROCS, runtime.GOMAXPROCS(0))
+		}
+		if r.Mode == "warm" && r.Workers == 1 {
+			warm1 = true
+			if r.AllocsPerOp != 0 {
+				t.Fatalf("warm w=1 row allocated %v objects per pass, want 0", r.AllocsPerOp)
+			}
+		}
+	}
+	if !warm1 {
+		t.Fatalf("report has no warm w=1 row: %+v", report.Rows)
 	}
 }

@@ -64,7 +64,7 @@ func InferenceBench(w io.Writer, s Sizes, jsonPath string) error {
 
 	measure := func(mode string, nw int, arena *nn.Arena) error {
 		// Warm up once so arena growth and lazy init are excluded.
-		if _, err := model.PredictDiffsWith(anchors, nil, arena, nw); err != nil {
+		if _, err := model.PredictDiffsWith(anchors, arena, nw); err != nil {
 			return err
 		}
 		iters := 0
@@ -76,19 +76,24 @@ func InferenceBench(w io.Writer, s Sizes, jsonPath string) error {
 			if a == nil {
 				a = nn.NewArena()
 			}
-			if _, err := model.PredictDiffsWith(anchors, nil, a, nw); err != nil {
+			if _, err := model.PredictDiffsWith(anchors, a, nw); err != nil {
 				return err
 			}
 			iters++
 		}
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&m1)
+		// The counters are process-wide, so the per-pass figures are
+		// truncated as go test -benchmem truncates them: another
+		// goroutine's stray allocation over many passes reads 0, while a
+		// pass that allocates reads at least 1.
+		n := uint64(iters)
 		row := InferenceBenchRow{
-			Mode: mode, Workers: nw,
+			Mode: mode, Workers: nw, GOMAXPROCS: runtime.GOMAXPROCS(0),
 			PassMS:      elapsed.Seconds() * 1000 / float64(iters),
 			MBps:        mb * float64(iters) / elapsed.Seconds(),
-			AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(iters),
-			BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(iters),
+			AllocsPerOp: float64((m1.Mallocs - m0.Mallocs) / n),
+			BytesPerOp:  float64((m1.TotalAlloc - m0.TotalAlloc) / n),
 		}
 		report.Rows = append(report.Rows, row)
 		fmt.Fprintf(w, "  %-5s w=%-2d  %8.2f ms/pass  %8.2f MB/s  %10.1f allocs/op  %12.0f B/op\n",

@@ -16,11 +16,10 @@ func (r *ReLU) Name() string { return "relu" }
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 
-// Infer implements Layer. ReLU clamps in place (segment boundaries are
-// irrelevant for an element-wise op) with the same relu32 a folded store
-// uses. Sequential.Infer only runs it for a ReLU that does not follow a
+// Infer implements Layer. ReLU clamps in place with the same relu32 a
+// folded store uses. Sequential.Infer only runs it for a ReLU that does not follow a
 // convolution.
-func (r *ReLU) Infer(x Act, _ string, _, _ []int, _ *Arena, _ int) (Act, error) {
+func (r *ReLU) Infer(x Act, _ string, _ *Arena, _ int) (Act, error) {
 	for i, v := range x.Data {
 		x.Data[i] = relu32(float32(v))
 	}
@@ -30,7 +29,7 @@ func (r *ReLU) Infer(x Act, _ string, _, _ []int, _ *Arena, _ int) (Act, error) 
 // Forward implements Layer. It clamps in place: Backward needs only the
 // output, whose mask y > 0 is the input's x > 0.
 func (r *ReLU) Forward(x Act, _ string, a *Arena) (Act, error) {
-	y, err := r.Infer(x, "", nil, nil, a, 1)
+	y, err := r.Infer(x, "", a, 1)
 	r.out = y
 	return y, err
 }

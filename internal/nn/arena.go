@@ -6,10 +6,10 @@ import (
 
 // Arena is a reusable scratch-memory pool for repeated inference. Every
 // buffer — float32 tensor storage, float64 activations and accumulator
-// rows, int segment tables, and the tensor headers themselves — is keyed
-// by a caller-chosen constant string and grown once, so a steady-state
-// inference pass that threads one Arena through Sequential.Infer (or
-// cfnn's PredictDiffsWith) performs zero heap allocations after warmup.
+// rows, and the tensor headers themselves — is keyed by a caller-chosen
+// constant string and grown once, so a steady-state inference pass that
+// threads one Arena through Sequential.Infer (or cfnn's PredictDiffsWith)
+// performs zero heap allocations after warmup.
 //
 // An Arena is NOT safe for concurrent use: it is mutable scratch owned by
 // exactly one inference pass at a time. Concurrent inference on a shared
@@ -20,7 +20,6 @@ import (
 type Arena struct {
 	bufs map[string]*arenaBuf
 	f64s map[string][]float64
-	ints map[string][]int
 	ptrs map[string][]*tensor.Tensor
 }
 
@@ -36,7 +35,6 @@ func NewArena() *Arena {
 	return &Arena{
 		bufs: make(map[string]*arenaBuf),
 		f64s: make(map[string][]float64),
-		ints: make(map[string][]int),
 		ptrs: make(map[string][]*tensor.Tensor),
 	}
 }
@@ -85,18 +83,6 @@ func (a *Arena) F64(key string, n int) []float64 {
 	if cap(s) < n {
 		s = make([]float64, n)
 		a.f64s[key] = s
-		return s
-	}
-	return s[:n]
-}
-
-// Ints returns an int scratch slice of length n under the given key.
-// Contents are unspecified.
-func (a *Arena) Ints(key string, n int) []int {
-	s := a.ints[key]
-	if cap(s) < n {
-		s = make([]int, n)
-		a.ints[key] = s
 		return s
 	}
 	return s[:n]

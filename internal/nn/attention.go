@@ -85,7 +85,7 @@ func (a *ChannelAttention) mlpInto(s, h1, z []float64) {
 func (at *ChannelAttention) Forward(x Act, dstKey string, a *Arena) (Act, error) {
 	out := a.actLike(dstKey, x.Dim(0), x)
 	copy(out.Data, x.Data)
-	y, err := at.Infer(out, "", nil, nil, a, parallel.Workers())
+	y, err := at.Infer(out, "", a, parallel.Workers())
 	if err == nil {
 		at.in = x
 	}
@@ -106,7 +106,7 @@ func (at *ChannelAttention) Backward(gy Act, _ string, a *Arena) (Act, error) {
 	C, hid := at.C, at.Hidden()
 	spatial := len(x.Data) / C
 	avg, mx := a.F64("attn.avg", C), a.F64("attn.mx", C)
-	attnPool(x.Data, avg, mx, []int{0, 1}, C, spatial, spatial, 0, C)
+	attnPool(x.Data, avg, mx, spatial, 0, C)
 	h1Avg, h1Max := a.F64("attn.h1a", hid), a.F64("attn.h1m", hid)
 	zAvg, zMax := a.F64("attn.za", C), a.F64("attn.zb", C)
 	at.mlpInto(avg, h1Avg, zAvg)

@@ -42,23 +42,23 @@ func (c *Conv) Name() string {
 func (c *Conv) Params() []*Param { return []*Param{c.weight, c.bias} }
 
 // Infer implements Layer.
-func (c *Conv) Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
-	return c.infer(x, dstKey, segLo, segHi, a, workers, false)
+func (c *Conv) Infer(x Act, dstKey string, a *Arena, workers int) (Act, error) {
+	return c.infer(x, dstKey, a, workers, false)
 }
 
-func (c *Conv) infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error) {
+func (c *Conv) infer(x Act, dstKey string, a *Arena, workers int, relu bool) (Act, error) {
 	if x.Rank() != c.rank()+1 || x.Dim(0) != c.InC {
 		return Act{}, fmt.Errorf("nn: %s wants (%d, %d spatial dims), got %v", c.Name(), c.InC, c.rank(), x.Shape())
 	}
 	out := a.actLike(dstKey, c.OutC, x)
 	wd := toF64(a.F64(convWeightKey, c.weight.W.Len()), c.weight.W.Data())
-	runConv(out, x, wd, c.bias.W.Data(), c.K, false, relu, segLo, segHi, a, workers)
+	runConv(out, x, wd, c.bias.W.Data(), c.K, false, relu, a, workers)
 	return out, nil
 }
 
 // Forward implements Layer.
 func (c *Conv) Forward(x Act, dstKey string, a *Arena) (Act, error) {
-	y, err := c.infer(x, dstKey, nil, nil, a, parallel.Workers(), false)
+	y, err := c.infer(x, dstKey, a, parallel.Workers(), false)
 	if err == nil {
 		c.in = x
 	}
@@ -105,7 +105,7 @@ func convBackward(in, gy Act, weight, bias *Param, K int, depthwise bool, gxKey 
 		}
 	}
 	gx := a.actLike(gxKey, inC, gy)
-	runConv(gx, gy, wt, zeroBias(a, inC), K, depthwise, false, nil, nil, a, parallel.Workers())
+	runConv(gx, gy, wt, zeroBias(a, inC), K, depthwise, false, a, parallel.Workers())
 	return gx, nil
 }
 
@@ -134,11 +134,10 @@ func zeroBias(a *Arena, n int) []float32 {
 
 // Arena keys of the convolutions' scratch. Layers run strictly one at a
 // time within a pass, so they share one scratch buffer (per worker,
-// convPadded's padded and accumulator bands), one band table and one
-// widened-weights buffer.
+// convPadded's padded and accumulator bands) and one widened-weights
+// buffer.
 const (
 	convScratchKey = "conv.acc"
-	convBandsKey   = "conv.bands"
 	convWeightKey  = "conv.w64"
 )
 
@@ -149,12 +148,12 @@ const (
 // per channel. relu folds a ReLU into the store. A dense 1×1 layer runs
 // on pointwiseConv, a 3×3 layer padSafe accepts on convPadded, and every
 // other layer on convDirect.
-func runConv(out, x Act, wd []float64, bd []float32, K int, depthwise, relu bool, segLo, segHi []int, a *Arena, workers int) {
+func runConv(out, x Act, wd []float64, bd []float32, K int, depthwise, relu bool, a *Arena, workers int) {
 	if K == 1 && !depthwise {
 		pointwiseConv(out.Data, x.Data, wd, bd, x.Dim(0), out.Dim(0), len(x.Data)/x.Dim(0), relu, workers)
 		return
 	}
-	s := newConvShape(out, x, K, depthwise, relu, segLo, segHi)
+	s := newConvShape(out, x, K, depthwise, relu)
 	if K == 3 && padSafe(wd, bd) {
 		runPadded(out.Data, x.Data, wd, bd, s, a, workers)
 		return
@@ -170,36 +169,33 @@ func runPadded(od, xd, wd []float64, bd []float32, s convShape, a *Arena, worker
 	if s.depthwise {
 		accC = 1
 	}
-	bands := padBandTable(s, a)
 	n := padScratchLen(s.kd, accC, s.H, s.W)
-	items := s.D * len(bands) / 4
+	items := s.D * ((s.H + padRows - 1) / padRows)
 	eff := clampWorkers(workers, items)
 	scratch := a.F64(convScratchKey, eff*n)
 	if eff <= 1 {
-		convPadded(od, xd, wd, bd, s, bands, scratch, 0, items)
+		convPadded(od, xd, wd, bd, s, scratch, 0, items)
 		return
 	}
 	dispatchScratch(eff, items, n, scratch, func(lo, hi int, buf []float64) {
-		convPadded(od, xd, wd, bd, s, bands, buf, lo, hi)
+		convPadded(od, xd, wd, bd, s, buf, lo, hi)
 	})
 }
 
 // convShape is the geometry of one same-padded stride-1 convolution that
 // runConv does not send to pointwiseConv. A 2D map is one plane (D = 1)
 // with a one-tap depth kernel (kd = 1), as paramGrads treats it; a 3D map
-// has kd = K. Segments partition the leading spatial axis: the rows of a
-// 2D map (rowSegs), the planes of a 3D one.
+// has kd = K.
 type convShape struct {
 	inC, outC, D, H, W, K, kd int
-	depthwise, relu, rowSegs  bool
-	segLo, segHi              []int
+	depthwise, relu           bool
 }
 
 // newConvShape returns the geometry of convolving x into out.
-func newConvShape(out, x Act, K int, depthwise, relu bool, segLo, segHi []int) convShape {
-	s := convShape{inC: x.Dim(0), outC: out.Dim(0), D: 1, K: K, kd: 1, depthwise: depthwise, relu: relu, rowSegs: true, segLo: segLo, segHi: segHi}
+func newConvShape(out, x Act, K int, depthwise, relu bool) convShape {
+	s := convShape{inC: x.Dim(0), outC: out.Dim(0), D: 1, K: K, kd: 1, depthwise: depthwise, relu: relu}
 	if x.Rank() == 4 {
-		s.D, s.kd, s.rowSegs = x.Dim(1), K, false
+		s.D, s.kd = x.Dim(1), K
 	}
 	s.H, s.W = x.Dim(x.Rank()-2), x.Dim(x.Rank()-1)
 	return s
@@ -211,21 +207,6 @@ func (s *convShape) inPer() int {
 		return 1
 	}
 	return s.inC
-}
-
-// planeSeg and rowSeg return the segment [lo, hi) of plane z and of row i.
-func (s *convShape) planeSeg(z int) (int, int) {
-	if s.rowSegs {
-		return 0, s.D
-	}
-	return segBounds(z, s.D, s.segLo, s.segHi)
-}
-
-func (s *convShape) rowSeg(i int) (int, int) {
-	if !s.rowSegs {
-		return 0, s.H
-	}
-	return segBounds(i, s.H, s.segLo, s.segHi)
 }
 
 // runDirect is runConv on convDirect, on up to workers goroutines.
@@ -243,7 +224,7 @@ func runDirect(od, xd, wd []float64, bd []float32, s convShape, workers int) {
 // convDirect computes work items [lo, hi) of a convolution one element at
 // a time: item t is row t%H of plane t/H%D of output channel t/(D·H). Each
 // element is the per-element contract itself, its taps clipped to the
-// plane's and row's segments and to the row; the row's sums are then
+// input; the row's sums are then
 // stored in place through storeRow, convPadded's store. It runs the layers
 // the padded driver does not take (kernel sizes other than 1 and 3,
 // depthwise 1×1, and layers padSafe rejects), and it is the reference the
@@ -254,10 +235,8 @@ func convDirect(od, xd, wd []float64, bd []float32, s convShape, lo, hi int) {
 	inPer, taps := s.inPer(), s.kd*K*K
 	for t := lo; t < hi; t++ {
 		oc, z, i := t/(s.D*s.H), t/s.H%s.D, t%s.H
-		zlo, zhi := s.planeSeg(z)
-		ilo, ihi := s.rowSeg(i)
-		kz0, kz1 := kernelRange(z-zlo, zhi-zlo, s.kd, pz)
-		ki0, ki1 := kernelRange(i-ilo, ihi-ilo, K, p)
+		kz0, kz1 := kernelRange(z, s.D, s.kd, pz)
+		ki0, ki1 := kernelRange(i, s.H, K, p)
 		ic0 := 0
 		if s.depthwise {
 			ic0 = oc

@@ -42,23 +42,23 @@ func (l *Depthwise) Name() string { return fmt.Sprintf("depthwise%dd(c=%d,k=%d)"
 func (l *Depthwise) Params() []*Param { return []*Param{l.weight, l.bias} }
 
 // Infer implements Layer.
-func (l *Depthwise) Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
-	return l.infer(x, dstKey, segLo, segHi, a, workers, false)
+func (l *Depthwise) Infer(x Act, dstKey string, a *Arena, workers int) (Act, error) {
+	return l.infer(x, dstKey, a, workers, false)
 }
 
-func (l *Depthwise) infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error) {
+func (l *Depthwise) infer(x Act, dstKey string, a *Arena, workers int, relu bool) (Act, error) {
 	if x.Rank() != l.rank()+1 || x.Dim(0) != l.C {
 		return Act{}, fmt.Errorf("nn: %s wants (%d, %d spatial dims), got %v", l.Name(), l.C, l.rank(), x.Shape())
 	}
 	out := a.actLike(dstKey, l.C, x)
 	wd := toF64(a.F64(convWeightKey, l.weight.W.Len()), l.weight.W.Data())
-	runConv(out, x, wd, l.bias.W.Data(), l.K, true, relu, segLo, segHi, a, workers)
+	runConv(out, x, wd, l.bias.W.Data(), l.K, true, relu, a, workers)
 	return out, nil
 }
 
 // Forward implements Layer.
 func (l *Depthwise) Forward(x Act, dstKey string, a *Arena) (Act, error) {
-	y, err := l.infer(x, dstKey, nil, nil, a, parallel.Workers(), false)
+	y, err := l.infer(x, dstKey, a, parallel.Workers(), false)
 	if err == nil {
 		l.in = x
 	}

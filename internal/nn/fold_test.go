@@ -68,8 +68,8 @@ func foldData(rng *rand.Rand, l Layer, x Act) {
 // into the convolution's store) and through the training Forward (which
 // runs the convolution and then the ReLU layer), must equal an explicit
 // float32 ReLU of the convolution's output on convDirect bit for bit, for
-// 2D and 3D, 3×3 and 1×1 and depthwise convolutions, segmented and not,
-// on every kernel tier, at one and three workers. foldData makes the
+// 2D and 3D, 3×3 and 1×1 and depthwise convolutions, on every kernel
+// tier, at one and three workers. foldData makes the
 // convolution emit every edge of the clamp; the test checks that it did.
 // Its −0 biases, and the Inf weight of the "Inf weight" cases, are the
 // layers padSafe keeps off the padded driver.
@@ -82,25 +82,20 @@ func TestFoldedReLUMatchesForward(t *testing.T) {
 		return l
 	}
 	cases := []struct {
-		name   string
-		conv   Layer
-		shape  []int
-		counts []int
-		inf    bool // one weight of output channel 0 is +Inf
+		name  string
+		conv  Layer
+		shape []int
+		inf   bool // one weight of output channel 0 is +Inf
 	}{
-		{"conv2d 3x3", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, nil, false},
-		{"conv2d 3x3 segmented", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, []int{5, 6}, false},
-		{"conv2d 1x1", must(NewConv(rng, 2, 3, 4, 1)), []int{3, 11, 53}, nil, false},
-		{"conv2d 1x1 segmented", must(NewConv(rng, 2, 3, 4, 1)), []int{3, 11, 53}, []int{5, 6}, false},
-		{"depthwise2d segmented", must(NewDepthwise(rng, 2, 3, 3)), []int{3, 11, 53}, []int{5, 6}, false},
-		{"conv2d 3x3 Inf weight", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, []int{5, 6}, true},
-		{"depthwise2d Inf weight", must(NewDepthwise(rng, 2, 3, 3)), []int{3, 11, 53}, nil, true},
-		{"conv3d 3x3", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, nil, false},
-		{"conv3d 3x3 segmented", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, []int{2, 3}, false},
-		{"conv3d 1x1", must(NewConv(rng, 3, 2, 3, 1)), []int{2, 5, 6, 53}, nil, false},
-		{"conv3d 1x1 segmented", must(NewConv(rng, 3, 2, 3, 1)), []int{2, 5, 6, 53}, []int{2, 3}, false},
-		{"depthwise3d segmented", must(NewDepthwise(rng, 3, 2, 3)), []int{2, 5, 6, 53}, []int{2, 3}, false},
-		{"conv3d 3x3 Inf weight", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, []int{2, 3}, true},
+		{"conv2d 3x3", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, false},
+		{"conv2d 1x1", must(NewConv(rng, 2, 3, 4, 1)), []int{3, 11, 53}, false},
+		{"depthwise2d", must(NewDepthwise(rng, 2, 3, 3)), []int{3, 11, 53}, false},
+		{"conv2d 3x3 Inf weight", must(NewConv(rng, 2, 3, 4, 3)), []int{3, 11, 53}, true},
+		{"depthwise2d Inf weight", must(NewDepthwise(rng, 2, 3, 3)), []int{3, 11, 53}, true},
+		{"conv3d 3x3", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, false},
+		{"conv3d 1x1", must(NewConv(rng, 3, 2, 3, 1)), []int{2, 5, 6, 53}, false},
+		{"depthwise3d", must(NewDepthwise(rng, 3, 2, 3)), []int{2, 5, 6, 53}, false},
+		{"conv3d 3x3 Inf weight", must(NewConv(rng, 3, 2, 3, 3)), []int{2, 5, 6, 53}, true},
 	}
 	for _, tc := range cases {
 		x := randAct(rng, tc.shape...)
@@ -109,11 +104,7 @@ func TestFoldedReLUMatchesForward(t *testing.T) {
 			tc.conv.Params()[0].W.Data()[4] = float32(math.Inf(1))
 		}
 		net := NewSequential(tc.conv, NewReLU())
-		counts := tc.counts
-		if counts == nil {
-			counts = []int{tc.shape[1]}
-		}
-		pre := directConv(tc.conv, x, tc.counts)
+		pre := directConv(tc.conv, x)
 		want := make([]float64, len(pre))
 		for i, p := range pre {
 			if v := float32(p); v > 0 {
@@ -133,9 +124,13 @@ func TestFoldedReLUMatchesForward(t *testing.T) {
 						}
 					}
 				}
-				check("training Forward", segmentedForward(t, net, x, counts))
+				y, err := net.Forward(cloneAct(x), NewArena())
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("training Forward", y.Data)
 				for _, workers := range []int{1, 3} {
-					got, err := net.Infer(cloneAct(x), tc.counts, NewArena(), workers)
+					got, err := net.Infer(cloneAct(x), NewArena(), workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,8 +143,8 @@ func TestFoldedReLUMatchesForward(t *testing.T) {
 }
 
 // directConv runs the convolution l (a *Conv or *Depthwise) of x on
-// convDirect, segmented by counts along x's leading spatial axis.
-func directConv(l Layer, x Act, counts []int) []float64 {
+// convDirect.
+func directConv(l Layer, x Act) []float64 {
 	var K int
 	depthwise := false
 	switch c := l.(type) {
@@ -162,8 +157,7 @@ func directConv(l Layer, x Act, counts []int) []float64 {
 	shape := x.Shape()
 	shape[0] = len(b)
 	out := newAct(make([]float64, len(x.Data)/x.Dim(0)*len(b)), shape...)
-	segLo, segHi := segTables(counts, x.Dim(1))
-	s := newConvShape(out, x, K, depthwise, false, segLo, segHi)
+	s := newConvShape(out, x, K, depthwise, false)
 	convDirect(out.Data, x.Data, toF64(make([]float64, len(w)), w), b, s, 0, s.outC*s.D*s.H)
 	return out.Data
 }

@@ -1,20 +1,11 @@
-// Inference hot path: a zero-alloc, optionally *segmented* forward pass.
-//
-// Segmentation is what lets the chunked compression engine run CFNN
-// inference once per field instead of once per chunk: the leading spatial
-// axis (rows for 2D feature maps, z-planes for 3D) is partitioned into
-// slabs, and every layer treats each slab boundary exactly as it would a
-// field boundary — convolutions zero-pad at segment edges, channel
-// attention pools per segment. The segmented output is therefore
-// bit-identical to running the unsegmented pass on each slab
-// independently, laid out contiguously, while sharing one pass over the
-// weights, one set of scratch buffers, and one parallel dispatch.
+// Inference hot path: a zero-alloc forward pass over one whole input,
+// which the codec runs once per chunk.
 //
 // Bit-identity across passes is load-bearing (compressed streams embed
 // the predictions), so every kernel here keeps one per-element contract: a
 // float64 accumulator starts at the bias, adds each tap's product in
-// ascending (inChannel, kz, ki, kj) order over the taps inside the
-// segment, and is rounded once to float32. Every operand of a product is
+// ascending (inChannel, kz, ki, kj) order over the taps inside the input,
+// and is rounded once to float32. Every operand of a product is
 // float32-exact (activations by the invariant below, weights because
 // they are widened float32 parameters), and two 24-bit significands
 // multiply into at most 48 bits, so every product is exact in float64:
@@ -39,10 +30,9 @@
 //     convolution's store (Sequential.Infer): each result is rounded to
 //     float32, then clamped branchlessly, so NaN, −0 and negatives store
 //     +0, exactly what the separate ReLU pass would compute;
-//   - channel attention pools and rescales per (segment, channel) work
-//     item on the workers; the rescale is a float32 multiply, and the
-//     shared MLP and its sigmoid (a portable exp, see exp.go) run serially
-//     per segment.
+//   - channel attention pools and rescales one channel per work item on
+//     the workers; the rescale is a float32 multiply, and the shared MLP
+//     and its sigmoid (a portable exp, see exp.go) run serially, once.
 //
 // Three drivers implement the convolutions, the same on every kernel
 // tier:
@@ -50,32 +40,31 @@
 //   - convPadded runs every 3×3 and 3×3×3 convolution, dense or
 //     depthwise; a 2D map is one plane with a one-tap depth kernel. A
 //     work item is one band of up to padRows rows of a plane, for every
-//     output channel; in 2D, where segments partition the rows, no band
-//     crosses a segment boundary. For each input channel the worker
-//     copies that band of the (up to three) planes the kz taps read into
-//     a local buffer with a one-element zero border. Then, per kz, it
-//     adds the nine taps over the whole flattened padded band into the
-//     output channels' accumulator bands: on the AVX-512 tier one tap9z3
-//     call per triple of output channels, so one input load feeds three
-//     accumulators, and one tap9Rows call (tap9z, tap9 or its Go loop)
-//     per leftover or depthwise channel. Last it stores each row through
-//     storeRow. The border's zeros stand in for the taps convDirect
-//     clips, which changes no bit unless a bias is −0 or a weight is not
-//     finite (padSafe).
+//     output channel. For each input channel the worker copies that band
+//     of the (up to three) planes the kz taps read into a local buffer
+//     with a one-element zero border. Then, per kz, it adds the nine taps
+//     over the whole flattened padded band into the output channels'
+//     accumulator bands: on the AVX-512 tier one tap9z3 call per triple
+//     of output channels, so one input load feeds three accumulators, and
+//     one tap9Rows call (tap9z, tap9 or its Go loop) per leftover or
+//     depthwise channel. Last it stores each row through storeRow. The
+//     border's zeros stand in for the taps convDirect clips, which
+//     changes no bit unless a bias is −0 or a weight is not finite
+//     (padSafe).
 //   - convDirect runs every other layer that is not a dense 1×1 one:
 //     kernel sizes other than 1 and 3, depthwise 1×1 layers and layers
 //     padSafe rejects. It is a scalar per-element loop over the taps
-//     inside the segment, and the reference convPadded is tested against.
+//     inside the input, and the reference convPadded is tested against.
 //   - pointwiseConv runs every dense 1×1 convolution, 2D or 3D, over the
 //     flattened spatial volume: work items are (strip of pwStrip elements
 //     × output channel), and the SIMD kernels (pointwise/pointwisez) keep
 //     the accumulators in registers across all input channels and store
 //     the rounded (and, when folded, clamped) results directly.
 //
-// Training runs on the same kernels: a layer's Forward is its
-// unsegmented Infer, and the input gradient of a convolution is another
-// convolution (see convBackward), so it runs on these drivers too. Work
-// is dispatched across contiguous ranges of work items when workers > 1.
+// Training runs on the same kernels: a layer's Forward is its Infer, and
+// the input gradient of a convolution is another convolution (see
+// convBackward), so it runs on these drivers too. Work is dispatched
+// across contiguous ranges of work items when workers > 1.
 package nn
 
 import (
@@ -130,7 +119,7 @@ func (x Act) Shape() []int { return append([]int(nil), x.shape[:x.rank]...) }
 // convLayer is implemented by the convolutions: infer is their Infer
 // with a following ReLU folded into the store when relu is set.
 type convLayer interface {
-	infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int, relu bool) (Act, error)
+	infer(x Act, dstKey string, a *Arena, workers int, relu bool) (Act, error)
 }
 
 // inferKeys are the arena buffers Sequential.Infer ping-pongs between.
@@ -168,41 +157,16 @@ func (s *Sequential) widest(c int) int {
 
 // Infer runs the layer stack with the fast inference path, threading the
 // arena's ping-pong buffers through the layers and folding every ReLU
-// that follows a convolution into that convolution's store. segCounts
-// partitions the leading spatial axis (dimension 1 of the channel-major
-// input) into segments processed as independent fields; nil or a single
-// count means the whole axis.
+// that follows a convolution into that convolution's store.
 //
 // The returned activation is arena-owned: valid until the arena's next
 // use. Infer may also use x itself as scratch.
-func (s *Sequential) Infer(x Act, segCounts []int, a *Arena, workers int) (Act, error) {
+func (s *Sequential) Infer(x Act, a *Arena, workers int) (Act, error) {
 	if a == nil {
 		a = NewArena()
 	}
 	if workers < 1 {
 		workers = parallel.Workers()
-	}
-	var segLo, segHi []int
-	if len(segCounts) > 1 {
-		if x.Rank() < 2 {
-			return Act{}, fmt.Errorf("nn: segmented inference needs a (C, spatial...) input, got %v", x.Shape())
-		}
-		n := x.Dim(1)
-		segLo = a.Ints("seq.seglo", n)
-		segHi = a.Ints("seq.seghi", n)
-		pos := 0
-		for _, c := range segCounts {
-			if c <= 0 || pos+c > n {
-				return Act{}, fmt.Errorf("nn: segment counts %v do not partition axis of length %d", segCounts, n)
-			}
-			for z := pos; z < pos+c; z++ {
-				segLo[z], segHi[z] = pos, pos+c
-			}
-			pos += c
-		}
-		if pos != n {
-			return Act{}, fmt.Errorf("nn: segment counts %v sum to %d, axis is %d", segCounts, pos, n)
-		}
 	}
 	next := 0
 	for i := 0; i < len(s.Layers); i++ {
@@ -214,9 +178,9 @@ func (s *Sequential) Infer(x Act, segCounts []int, a *Arena, workers int) (Act, 
 			if i+1 < len(s.Layers) {
 				_, fold = s.Layers[i+1].(*ReLU)
 			}
-			y, err = cl.infer(x, inferKeys[next], segLo, segHi, a, workers, fold)
+			y, err = cl.infer(x, inferKeys[next], a, workers, fold)
 		} else {
-			y, err = l.Infer(x, inferKeys[next], segLo, segHi, a, workers)
+			y, err = l.Infer(x, inferKeys[next], a, workers)
 		}
 		if err != nil {
 			return Act{}, fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
@@ -274,15 +238,6 @@ func dispatchScratch(workers, n, rowLen int, scratch []float64, fn func(lo, hi i
 		}(lo, hi, scratch[w*rowLen:(w+1)*rowLen])
 	}
 	wg.Wait()
-}
-
-// segBounds returns the segment [lo, hi) containing plane i (the whole
-// [0, n) axis when unsegmented).
-func segBounds(i, n int, segLo, segHi []int) (int, int) {
-	if segLo == nil {
-		return 0, n
-	}
-	return segLo[i], segHi[i]
 }
 
 // toF64 widens a float32 slice into dst exactly and returns dst. Layers
@@ -430,26 +385,6 @@ func padSafe(wd []float64, bd []float32) bool {
 // decode's memory.
 const padRows = 16
 
-// padBandTable returns convPadded's row bands, four ints each: first row,
-// row count, and the [lo, hi) rows of the band's segment. Each row
-// segment of a 2D map (the whole [0, H) otherwise) splits into bands of
-// up to padRows rows, so no band crosses a segment boundary.
-func padBandTable(s convShape, a *Arena) []int {
-	n := 0
-	for i := 0; i < s.H; n++ {
-		_, hi := s.rowSeg(i)
-		i += min(padRows, hi-i)
-	}
-	bands := a.Ints(convBandsKey, 4*n)
-	for i, k := 0, 0; i < s.H; k += 4 {
-		lo, hi := s.rowSeg(i)
-		r := min(padRows, hi-i)
-		bands[k], bands[k+1], bands[k+2], bands[k+3] = i, r, lo, hi
-		i += r
-	}
-	return bands
-}
-
 // padScratchLen is the per-worker scratch of convPadded: kd zero-bordered
 // band planes of (R+2)×(W+2), then accC R×(W+2) accumulator bands (one
 // per output channel of a dense layer, one for a depthwise layer), where
@@ -461,11 +396,11 @@ func padScratchLen(kd, accC, H, W int) int {
 
 // convPadded computes work items [lo, hi) of a 3×3 or 3×3×3 convolution,
 // dense or depthwise, over zero-padded row bands. Item t is band t%nb of
-// plane t/nb, for every output channel, where bands (padBandTable) holds
-// nb bands. For each input channel it copies the band's rows, plus one
-// halo row above and below, of the (up to kd) planes the kz taps read
-// (inside the plane's segment) into buf with a one-element zero border; a
-// halo row outside the band's row segment is zeros. It then adds each
+// plane t/nb, for every output channel, where band b is rows
+// [b·padRows, min(H, (b+1)·padRows)) and nb = ⌈H/padRows⌉. For each input
+// channel it copies the band's rows, plus one halo row above and below,
+// of the (up to kd) planes the kz taps read into buf with a one-element
+// zero border; a halo row outside [0, H) is zeros. It then adds each
 // kz's nine taps to every output channel's accumulator band in one
 // tap9Rows call over n = r·(W+2)−2 elements for a band of r rows: reading
 // the flattened padded band at offsets 0, W+2 and 2(W+2) gives every
@@ -476,9 +411,9 @@ func padScratchLen(kd, accC, H, W int) int {
 // On the AVX-512 tier output channels go three to a tap9z3 call and the
 // leftovers to tap9Rows. A depthwise layer runs each channel as a
 // one-channel dense one.
-func convPadded(od, xd, wd []float64, bd []float32, s convShape, bands []int, buf []float64, lo, hi int) {
+func convPadded(od, xd, wd []float64, bd []float32, s convShape, buf []float64, lo, hi int) {
 	W, hw := s.W, s.H*s.W
-	vol, ws, nb := s.D*hw, W+2, len(bands)/4
+	vol, ws, nb := s.D*hw, W+2, (s.H+padRows-1)/padRows
 	R, pz, taps := min(s.H, padRows), s.kd/2, s.kd*9
 	p2, ap := (R+2)*ws, R*ws
 	slots := buf[:s.kd*p2]
@@ -489,11 +424,10 @@ func convPadded(od, xd, wd []float64, bd []float32, s convShape, bands []int, bu
 	}
 	accs := buf[s.kd*p2 : s.kd*p2+accC*ap]
 	for t := lo; t < hi; t++ {
-		z, b := t/nb, bands[t%nb*4:t%nb*4+4]
-		i0, r, ilo, ihi := b[0], b[1], b[2], b[3]
+		z, i0 := t/nb, t%nb*padRows
+		r := min(padRows, s.H-i0)
 		n := r*ws - 2
-		zlo, zhi := s.planeSeg(z)
-		kz0, kz1 := kernelRange(z-zlo, zhi-zlo, s.kd, pz)
+		kz0, kz1 := kernelRange(z, s.D, s.kd, pz)
 		for g := 0; g < groups; g++ {
 			oc0, ic0 := g*accC, g*inPer
 			for o := 0; o < accC; o++ {
@@ -504,7 +438,7 @@ func convPadded(od, xd, wd []float64, bd []float32, s convShape, bands []int, bu
 					pl, src := slots[kz*p2:], xd[ic*vol+(z+kz-pz)*hw:]
 					for pr := 0; pr < r+2; pr++ {
 						row := pl[pr*ws+1 : pr*ws+1+W]
-						if i := i0 + pr - 1; i >= ilo && i < ihi {
+						if i := i0 + pr - 1; i >= 0 && i < s.H {
 							copy(row, src[i*W:(i+1)*W])
 						} else {
 							clear(row)
@@ -546,8 +480,7 @@ const pwStrip = 512
 
 // pointwiseConv runs a 1×1 convolution of xd (inC channels of n
 // elements, any spatial rank flattened) into od on up to workers
-// goroutines. A 1×1 kernel never reads across a segment boundary, so
-// segmented inference needs no case here.
+// goroutines.
 func pointwiseConv(od, xd, wd []float64, bd []float32, inC, outC, n int, relu bool, workers int) {
 	items := (n + pwStrip - 1) / pwStrip * outC
 	if eff := clampWorkers(workers, items); eff <= 1 {
@@ -600,92 +533,69 @@ func pointwiseGo(dst, x, w []float64, bias float64, stride int, relu bool) {
 	storeRow(dst, acc, relu)
 }
 
-// Infer implements Layer. Pooling, the shared MLP, and the sigmoid
-// rescale all run per segment — each slab sees exactly the attention
-// weights an unsegmented pass over that slab would compute. Pooling and
-// the rescale run per (segment, channel) work item on the workers; the
-// MLP and sigmoid, C×hidden multiply-adds per segment, run serially.
-func (at *ChannelAttention) Infer(x Act, _ string, segLo, segHi []int, a *Arena, workers int) (Act, error) {
+// Infer implements Layer. Pooling and the rescale run one channel per
+// work item on the workers; the shared MLP and the sigmoid between them,
+// C×hidden multiply-adds, run serially.
+func (at *ChannelAttention) Infer(x Act, _ string, a *Arena, workers int) (Act, error) {
 	if x.Rank() < 2 || x.Dim(0) != at.C {
 		return Act{}, fmt.Errorf("nn: channel attention wants (%d, spatial...), got %v", at.C, x.Shape())
 	}
-	C := at.C
-	spatial := len(x.Data) / C
-	n1 := x.Dim(1)
-	plane := spatial / n1
-	starts := a.Ints("attn.starts", n1+1)
-	nseg := 0
-	for s := 0; s < n1; nseg++ {
-		starts[nseg] = s
-		_, s = segBounds(s, n1, segLo, segHi)
-	}
-	starts[nseg] = n1
-	starts = starts[:nseg+1]
-	items := nseg * C
-	xd := x.Data
-	avg := a.F64("attn.avg", items)
-	mx := a.F64("attn.mx", items)
-	wts := a.F64("attn.w", items)
-	eff := clampWorkers(workers, items)
+	C, xd := at.C, x.Data
+	spatial := len(xd) / C
+	avg := a.F64("attn.avg", C)
+	mx := a.F64("attn.mx", C)
+	eff := clampWorkers(workers, C)
 	if eff <= 1 {
-		attnPool(xd, avg, mx, starts, C, spatial, plane, 0, items)
+		attnPool(xd, avg, mx, spatial, 0, C)
 	} else {
-		parallel.ForRangeWith(eff, items, func(lo, hi int) {
-			attnPool(xd, avg, mx, starts, C, spatial, plane, lo, hi)
+		parallel.ForRangeWith(eff, C, func(lo, hi int) {
+			attnPool(xd, avg, mx, spatial, lo, hi)
 		})
 	}
 	h1 := a.F64("attn.h1", at.Hidden())
 	za := a.F64("attn.za", C)
 	zb := a.F64("attn.zb", C)
-	for s := 0; s < nseg; s++ {
-		at.mlpInto(avg[s*C:(s+1)*C], h1, za)
-		at.mlpInto(mx[s*C:(s+1)*C], h1, zb)
-		for c := range za {
-			wts[s*C+c] = float64(float32(sigmoid(za[c] + zb[c])))
-		}
+	at.mlpInto(avg, h1, za)
+	at.mlpInto(mx, h1, zb)
+	for c := range za {
+		za[c] = float64(float32(sigmoid(za[c] + zb[c])))
 	}
 	if eff <= 1 {
-		attnScale(xd, wts, starts, C, spatial, plane, 0, items)
+		attnScale(xd, za, spatial, 0, C)
 	} else {
-		parallel.ForRangeWith(eff, items, func(lo, hi int) {
-			attnScale(xd, wts, starts, C, spatial, plane, lo, hi)
+		parallel.ForRangeWith(eff, C, func(lo, hi int) {
+			attnScale(xd, za, spatial, lo, hi)
 		})
 	}
 	return x, nil
 }
 
-// attnPool computes the average and max of work items [lo, hi) of
-// ChannelAttention.Infer: item t is channel t%C of segment t/C, whose
-// planes are [starts[t/C], starts[t/C+1]).
-func attnPool(xd, avg, mx []float64, starts []int, C, spatial, plane, lo, hi int) {
-	for t := lo; t < hi; t++ {
-		s, c := t/C, t%C
-		base := c*spatial + starts[s]*plane
-		seg := xd[base : base+(starts[s+1]-starts[s])*plane]
+// attnPool computes the average and max of channels [lo, hi) of xd, each
+// of spatial elements.
+func attnPool(xd, avg, mx []float64, spatial, lo, hi int) {
+	for c := lo; c < hi; c++ {
+		ch := xd[c*spatial : (c+1)*spatial]
 		sum := 0.0
 		best := math.Inf(-1)
-		for _, v := range seg {
+		for _, v := range ch {
 			sum += v
 			if v > best {
 				best = v
 			}
 		}
-		avg[t] = sum / float64(len(seg))
-		mx[t] = best
+		avg[c] = sum / float64(spatial)
+		mx[c] = best
 	}
 }
 
-// attnScale multiplies work items [lo, hi) of ChannelAttention.Infer
-// (laid out as in attnPool) by their float32 attention weights, in
-// float32 arithmetic.
-func attnScale(xd, wts []float64, starts []int, C, spatial, plane, lo, hi int) {
-	for t := lo; t < hi; t++ {
-		s, c := t/C, t%C
-		base := c*spatial + starts[s]*plane
-		seg := xd[base : base+(starts[s+1]-starts[s])*plane]
-		w := float32(wts[t])
-		for i, v := range seg {
-			seg[i] = float64(float32(v) * w)
+// attnScale multiplies channels [lo, hi) of xd (laid out as in attnPool)
+// by their float32 attention weights wts, in float32 arithmetic.
+func attnScale(xd, wts []float64, spatial, lo, hi int) {
+	for c := lo; c < hi; c++ {
+		ch := xd[c*spatial : (c+1)*spatial]
+		w := float32(wts[c])
+		for i, v := range ch {
+			ch[i] = float64(float32(v) * w)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func inferNet(t *testing.T, rng *rand.Rand, rank, inC, f, outC int) *Sequential 
 	return NewSequential(c1, NewReLU(), dw, pw, NewReLU(), attn, c2)
 }
 
-// TestInferMatchesForward pins the unsegmented contract: Infer, with its
+// TestInferMatchesForward pins the inference contract: Infer, with its
 // ping-pong buffers, folded ReLUs and in-place attention, must equal the
 // training Forward bit for bit, so the model trains on the function it
 // infers.
@@ -65,7 +65,7 @@ func TestInferMatchesForward(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3} {
-			got, err := net.Infer(cloneAct(x), nil, NewArena(), workers)
+			got, err := net.Infer(cloneAct(x), NewArena(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,94 +100,12 @@ func TestInferPingPongAllocatedOnce(t *testing.T) {
 		before[k] = &buf[:1][0]
 	}
 	copy(x.Data, randNormAct(rng, x.Shape()...).Data)
-	if _, err := net.Infer(x, nil, a, 1); err != nil {
+	if _, err := net.Infer(x, a, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range inferKeys {
 		if &a.f64s[k][:1][0] != before[k] {
 			t.Errorf("%s was reallocated during the pass", k)
-		}
-	}
-}
-
-// TestInferSegmentedMatchesPerSegmentForward is the halo-correctness
-// property: segmented Infer over the full input must be bit-identical to
-// running plain Forward on each segment's crop independently —
-// convolution zero-padding and attention pooling both respect segment
-// boundaries exactly.
-func TestInferSegmentedMatchesPerSegmentForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	cases := []struct {
-		rank   int
-		shape  []int // spatial
-		counts []int
-	}{
-		{3, []int{8, 6, 7}, []int{2, 3, 1, 2}},
-		{3, []int{6, 5, 5}, []int{1, 1, 1, 1, 1, 1}}, // single-slab segments
-		{3, []int{7, 6, 6}, []int{7}},                // one segment == unsegmented
-		{2, []int{20, 9}, []int{5, 5, 10}},
-		{2, []int{10, 7}, []int{1, 9}},
-	}
-	for _, tc := range cases {
-		const inC = 3
-		net := inferNet(t, rng, tc.rank, inC, 5, 2)
-		x := randNormAct(rng, append([]int{inC}, tc.shape...)...)
-		got, err := net.Infer(cloneAct(x), tc.counts, NewArena(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := segmentedForward(t, net, x, tc.counts)
-		for i, v := range want {
-			if got.Data[i] != v {
-				t.Fatalf("rank %d counts %v: elem %d: segmented %v != per-segment Forward %v",
-					tc.rank, tc.counts, i, got.Data[i], v)
-			}
-		}
-	}
-}
-
-// segmentedForward is the reference of segmented inference: Forward on
-// each segment's crop of x (split along dimension 1 by counts), laid out
-// contiguously as one (C, spatial...) activation's data.
-func segmentedForward(t *testing.T, net *Sequential, x Act, counts []int) []float64 {
-	t.Helper()
-	inC, n1 := x.Dim(0), x.Dim(1)
-	plane := len(x.Data) / inC / n1
-	var out []float64
-	pos := 0
-	for _, cnt := range counts {
-		segShape := x.Shape()
-		segShape[1] = cnt
-		seg := newAct(make([]float64, inC*cnt*plane), segShape...)
-		for c := 0; c < inC; c++ {
-			src := x.Data[c*n1*plane+pos*plane:]
-			copy(seg.Data[c*cnt*plane:(c+1)*cnt*plane], src[:cnt*plane])
-		}
-		y, err := net.Forward(seg, NewArena())
-		if err != nil {
-			t.Fatal(err)
-		}
-		outC := y.Dim(0)
-		if out == nil {
-			out = make([]float64, outC*n1*plane)
-		}
-		for c := 0; c < outC; c++ {
-			copy(out[c*n1*plane+pos*plane:], y.Data[c*cnt*plane:(c+1)*cnt*plane])
-		}
-		pos += cnt
-	}
-	return out
-}
-
-// TestInferSegmentErrors pins the failure modes: malformed partitions
-// must error rather than silently break halos.
-func TestInferSegmentErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	net := inferNet(t, rng, 2, 2, 4, 1)
-	x := randNormAct(rng, 2, 8, 6)
-	for _, counts := range [][]int{{3, 3}, {0, 8}, {-1, 9}, {5, 5}} {
-		if _, err := net.Infer(cloneAct(x), counts, NewArena(), 1); err == nil {
-			t.Fatalf("counts %v: expected partition error", counts)
 		}
 	}
 }
@@ -209,7 +127,7 @@ func (p *exactProbe) check(pass string, x Act, a *Arena) {
 	p.calls++
 }
 
-func (p *exactProbe) Infer(x Act, _ string, _, _ []int, a *Arena, _ int) (Act, error) {
+func (p *exactProbe) Infer(x Act, _ string, a *Arena, _ int) (Act, error) {
 	p.check("Infer", x, a)
 	return x, nil
 }
@@ -271,7 +189,7 @@ func TestActsAreFloat32Exact(t *testing.T) {
 		}
 		net := NewSequential(layers...)
 		x := randNormAct(rng, tc.shape...)
-		if _, err := net.Infer(cloneAct(x), nil, NewArena(), 2); err != nil {
+		if _, err := net.Infer(cloneAct(x), NewArena(), 2); err != nil {
 			t.Fatal(err)
 		}
 		target := randNormAct(rng, append([]int{2}, tc.shape[1:]...)...)

@@ -64,10 +64,7 @@ func (p *Param) Size() int { return p.W.Len() }
 //   - mutates no layer state, so one model can run concurrent inference
 //     from many goroutines as long as each uses its own Arena;
 //   - draws all scratch (including the output activation) from the Arena,
-//     so steady-state passes allocate nothing;
-//   - honors segment boundaries along the leading spatial axis: segLo/segHi
-//     map each plane index to its segment's [lo, hi) bounds (nil means one
-//     segment spanning the whole axis).
+//     so steady-state passes allocate nothing.
 //
 // Element-wise layers may compute in place and return x itself; layers
 // that produce a new activation take it from the arena under dstKey,
@@ -75,8 +72,8 @@ func (p *Param) Size() int { return p.W.Len() }
 // use up to workers goroutines (<= 1 means serial, which is also the
 // zero-alloc mode — parallel dispatch allocates goroutine frames).
 //
-// Forward is the training pass: the unsegmented Infer on the same
-// kernels, keeping what Backward needs. A layer whose Backward needs its
+// Forward is the training pass: Infer on the same kernels, keeping what
+// Backward needs. A layer whose Backward needs its
 // input x writes its output into the arena under dstKey, and x must then
 // stay unchanged until Backward; a layer whose Backward needs only its
 // output (ReLU) may compute in place.
@@ -87,7 +84,7 @@ func (p *Param) Size() int { return p.W.Len() }
 // the caller does not read dL/dx, so the layer may skip it. A layer runs
 // in strict Forward-then-Backward alternation, which Sequential keeps.
 type Layer interface {
-	Infer(x Act, dstKey string, segLo, segHi []int, a *Arena, workers int) (Act, error)
+	Infer(x Act, dstKey string, a *Arena, workers int) (Act, error)
 	Forward(x Act, dstKey string, a *Arena) (Act, error)
 	Backward(gy Act, gxKey string, a *Arena) (Act, error)
 	Params() []*Param

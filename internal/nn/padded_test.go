@@ -20,12 +20,11 @@ var kernelTiers = []struct {
 type paddedCase struct {
 	rank, inC, outC, K, D, H, W int
 	depthwise, relu             bool
-	counts                      []int // segment counts along the leading spatial axis; nil is one segment
 	xd, wd                      []float64
 	bd                          []float32
 }
 
-// n1 is the length of the leading spatial axis, which segments partition.
+// n1 is the length of the leading spatial axis: planes in 3D, rows in 2D.
 func (c *paddedCase) n1() int {
 	if c.rank == 2 {
 		return c.H
@@ -89,27 +88,9 @@ func paddedData(rng *rand.Rand, c *paddedCase, zero int) {
 	}
 }
 
-// segTables returns the segLo/segHi tables of counts over an axis of n
-// planes (nil for one segment).
-func segTables(counts []int, n int) (lo, hi []int) {
-	if counts == nil {
-		return nil, nil
-	}
-	lo, hi = make([]int, n), make([]int, n)
-	pos := 0
-	for _, cnt := range counts {
-		for z := pos; z < pos+cnt; z++ {
-			lo[z], hi[z] = pos, pos+cnt
-		}
-		pos += cnt
-	}
-	return lo, hi
-}
-
 // shape returns c's convShape.
 func (c *paddedCase) shape() convShape {
-	segLo, segHi := segTables(c.counts, c.n1())
-	return newConvShape(c.act(make([]float64, len(c.xd)/c.inC*c.outC), c.outC), c.act(c.xd, c.inC), c.K, c.depthwise, c.relu, segLo, segHi)
+	return newConvShape(c.act(make([]float64, len(c.xd)/c.inC*c.outC), c.outC), c.act(c.xd, c.inC), c.K, c.depthwise, c.relu)
 }
 
 // direct is the reference: convDirect, serially.
@@ -138,8 +119,7 @@ func (c *paddedCase) padded(workers int) []float64 {
 // routed runs the layer through runConv, which picks the driver.
 func (c *paddedCase) routed(workers int) []float64 {
 	out := c.act(make([]float64, len(c.xd)/c.inC*c.outC), c.outC)
-	segLo, segHi := segTables(c.counts, c.n1())
-	runConv(out, c.act(c.xd, c.inC), c.wd, c.bd, c.K, c.depthwise, c.relu, segLo, segHi, NewArena(), workers)
+	runConv(out, c.act(c.xd, c.inC), c.wd, c.bd, c.K, c.depthwise, c.relu, NewArena(), workers)
 	return out.Data
 }
 
@@ -152,18 +132,14 @@ func firstDiff(got, want []float64) int {
 	return -1
 }
 
-// rowSegs2D are the 2D sweep's row segments per height: their boundaries
-// fall inside a padRows-row band, and the longer segments span two bands.
-var rowSegs2D = map[int][]int{2: {1, 1}, 5: {2, 3}, 17: {5, 12}, 40: {5, 17, 18}}
-
 // TestPaddedConvMatchesClipped is the exactness contract of convPadded:
 // on every tier and at one to three workers, in 2D and 3D, over widths and
 // heights on both sides of the kernels' minimum lengths (a band of r rows
 // is n = r·(W+2)−2 elements, which runs tap9z only from 8 and tap9 only
 // from 4, so one-row planes of width 1 to 3 take the Go loop), over one
-// and several row bands, unsegmented and segmented (planes in 3D, rows in
-// 2D), dense and depthwise, with and without a folded ReLU and with a
-// zero plane or row, it writes the bits of convDirect, which clips the
+// and several row bands, the last one full or partial, dense and
+// depthwise, with and without a folded ReLU and with a zero plane or row,
+// it writes the bits of convDirect, which clips the
 // taps convPadded reads as zeros, and runConv, which routes there, does
 // too. A second sweep takes dense layers through every split of their
 // output channels into tap9z3 triples and tap9Rows leftovers (outC 1 to
@@ -177,16 +153,16 @@ func TestPaddedConvMatchesClipped(t *testing.T) {
 	}
 	for _, rank := range []int{2, 3} {
 		for _, W := range []int{1, 2, 3, 7, 8, 9, 64, 65} {
-			for _, H := range []int{1, 2, 5, 17, 40} { // 17 and 40 span two and three row bands
-				for _, counts := range sweepCounts(rank, H) {
-					for _, l := range []layer{{1, 3, false}, {9, 2, false}, {4, 4, true}} {
-						for _, relu := range []bool{false, true} {
-							c := sweepCase(rank, l.inC, l.outC, H, W, counts)
-							c.depthwise, c.relu = l.depthwise, relu
-							paddedData(rng, &c, rng.Intn(c.n1()+1)-1)
-							name := fmt.Sprintf("rank=%d W=%d H=%d counts=%v inC=%d depthwise=%v relu=%v", rank, W, H, counts, l.inC, l.depthwise, relu)
-							checkPadded(t, name, &c, true)
-						}
+			// 16 and 32 fill one and two row bands exactly; 17 and 40
+			// end in a partial second and third band.
+			for _, H := range []int{1, 2, 5, 16, 17, 32, 40} {
+				for _, l := range []layer{{1, 3, false}, {9, 2, false}, {4, 4, true}} {
+					for _, relu := range []bool{false, true} {
+						c := sweepCase(rank, l.inC, l.outC, H, W)
+						c.depthwise, c.relu = l.depthwise, relu
+						paddedData(rng, &c, rng.Intn(c.n1()+1)-1)
+						name := fmt.Sprintf("rank=%d W=%d H=%d inC=%d depthwise=%v relu=%v", rank, W, H, l.inC, l.depthwise, relu)
+						checkPadded(t, name, &c, true)
 					}
 				}
 			}
@@ -194,33 +170,19 @@ func TestPaddedConvMatchesClipped(t *testing.T) {
 		wide := map[int]int{2: 20, 3: 14}[rank]
 		for _, outC := range []int{1, 2, 3, 4, 5, 7, wide} {
 			for _, wh := range [][2]int{{7, 1}, {9, 1}, {65, 17}} {
-				for _, counts := range sweepCounts(rank, wh[1]) {
-					c := sweepCase(rank, 3, outC, wh[1], wh[0], counts)
-					c.relu = rng.Intn(2) == 0
-					paddedData(rng, &c, rng.Intn(c.n1()+1)-1)
-					name := fmt.Sprintf("rank=%d outC=%d W=%d H=%d counts=%v relu=%v", rank, outC, c.W, c.H, counts, c.relu)
-					checkPadded(t, name, &c, true)
-				}
+				c := sweepCase(rank, 3, outC, wh[1], wh[0])
+				c.relu = rng.Intn(2) == 0
+				paddedData(rng, &c, rng.Intn(c.n1()+1)-1)
+				name := fmt.Sprintf("rank=%d outC=%d W=%d H=%d relu=%v", rank, outC, c.W, c.H, c.relu)
+				checkPadded(t, name, &c, true)
 			}
 		}
 	}
 }
 
-// sweepCounts returns the segmentations a sweep runs: one segment, and 7
-// planes as 1+4+2 in 3D or rowSegs2D's rows in 2D.
-func sweepCounts(rank, H int) [][]int {
-	if rank == 3 {
-		return [][]int{nil, {1, 4, 2}}
-	}
-	if segs, ok := rowSegs2D[H]; ok {
-		return [][]int{nil, segs}
-	}
-	return [][]int{nil}
-}
-
 // sweepCase returns a 3×3 dense case of the sweeps: 7 planes in 3D.
-func sweepCase(rank, inC, outC, H, W int, counts []int) paddedCase {
-	c := paddedCase{rank: rank, inC: inC, outC: outC, K: 3, D: 1, H: H, W: W, counts: counts}
+func sweepCase(rank, inC, outC, H, W int) paddedCase {
+	c := paddedCase{rank: rank, inC: inC, outC: outC, K: 3, D: 1, H: H, W: W}
 	if rank == 3 {
 		c.D = 7
 	}
@@ -267,7 +229,7 @@ func checkPadded(t *testing.T, name string, c *paddedCase, exact bool) {
 func TestPaddedConvUnsafeLayersClip(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, rank := range []int{2, 3} {
-		negZero := sweepCase(rank, 2, 2, 4, 9, nil)
+		negZero := sweepCase(rank, 2, 2, 4, 9)
 		negZero.D = min(negZero.D, 3)
 		paddedData(rng, &negZero, -1)
 		for i := range negZero.xd {
@@ -278,7 +240,7 @@ func TestPaddedConvUnsafeLayersClip(t *testing.T) {
 		}
 		negZero.bd[1] = float32(math.Copysign(0, -1))
 
-		inf := sweepCase(rank, 3, 2, 5, 8, []int{2, 3})
+		inf := sweepCase(rank, 3, 2, 5, 8)
 		inf.D = min(inf.D, 5)
 		paddedData(rng, &inf, -1)
 		inf.wd[inf.taps()+inf.taps()/18*9] = math.Inf(1) // filter (0, 1), tap (middle kz, ki 0, kj 0)
@@ -294,8 +256,7 @@ func TestPaddedConvUnsafeLayersClip(t *testing.T) {
 }
 
 // TestConvDirectKernelSizes takes the layers only convDirect runs
-// through runConv, in 2D and 3D, segmented, on every tier at one to three
-// workers. A 5×5(×5) layer whose outer ring of taps is zero must write
+// through runConv, in 2D and 3D, on every tier at one to three workers. A 5×5(×5) layer whose outer ring of taps is zero must write
 // the bits of the 3×3(×3) layer of its inner taps: each zero tap adds
 // w·x = ±0 to an accumulator that starts at a nonzero bias, which changes
 // no bit. A 1×1 depthwise layer must write each element's
@@ -304,7 +265,7 @@ func TestConvDirectKernelSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, rank := range []int{2, 3} {
 		for _, depthwise := range []bool{false, true} {
-			c3 := sweepCase(rank, 4, 4, 17, 11, sweepCounts(rank, 17)[1])
+			c3 := sweepCase(rank, 4, 4, 17, 11)
 			c3.depthwise, c3.relu = depthwise, true
 			paddedData(rng, &c3, -1)
 			c5 := c3
@@ -321,7 +282,7 @@ func TestConvDirectKernelSizes(t *testing.T) {
 			checkRouted(t, fmt.Sprintf("rank=%d depthwise=%v 5×5", rank, depthwise), &c5, c3.direct())
 		}
 
-		c1 := sweepCase(rank, 5, 5, 17, 11, sweepCounts(rank, 17)[1])
+		c1 := sweepCase(rank, 5, 5, 17, 11)
 		c1.K, c1.depthwise = 1, true
 		paddedData(rng, &c1, -1)
 		vol := len(c1.xd) / c1.inC
@@ -378,7 +339,7 @@ func BenchmarkConvPadded(b *testing.B) {
 			a := NewArena()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runConv(out, x, c.wd, c.bd, 3, c.depthwise, false, nil, nil, a, 1)
+				runConv(out, x, c.wd, c.bd, 3, c.depthwise, false, a, 1)
 			}
 		})
 	}

@@ -166,51 +166,38 @@ func benchModel(tb testing.TB, nz, ny, nx int) (*cfnn.Model, []*tensor.Tensor) {
 
 // TestPredictDiffsArenaZeroAlloc pins the inference hot path's
 // allocation contract: a steady-state PredictDiffsWith pass through a
-// warmed arena, here segmented into four slabs, performs zero heap
-// allocations at workers=1 (parallel dispatch necessarily allocates
-// goroutine frames, so it is exercised elsewhere).
+// warmed arena performs zero heap allocations at workers=1 (parallel
+// dispatch necessarily allocates goroutine frames, so it is exercised
+// elsewhere).
 func TestPredictDiffsArenaZeroAlloc(t *testing.T) {
 	m, anchors := benchModel(t, 8, 24, 24)
-	segs := []int{2, 2, 2, 2}
 	arena := nn.NewArena()
 	// Warm up: arena buffers grow to their steady-state sizes.
 	for i := 0; i < 3; i++ {
-		if _, err := m.PredictDiffsWith(anchors, segs, arena, 1); err != nil {
+		if _, err := m.PredictDiffsWith(anchors, arena, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := m.PredictDiffsWith(anchors, segs, arena, 1); err != nil {
+		if _, err := m.PredictDiffsWith(anchors, arena, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state PredictDiffsWith allocated %.1f objects/op, want 0", allocs)
 	}
-	// The unsegmented pass shares the same machinery.
-	if _, err := m.PredictDiffsWith(anchors, nil, arena, 1); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		if _, err := m.PredictDiffsWith(anchors, nil, arena, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state unsegmented PredictDiffsWith allocated %.1f objects/op, want 0", allocs)
-	}
 }
 
 func BenchmarkPredictDiffsArena(b *testing.B) {
 	m, anchors := benchModel(b, 16, 48, 48)
 	arena := nn.NewArena()
-	if _, err := m.PredictDiffsWith(anchors, nil, arena, 0); err != nil {
+	if _, err := m.PredictDiffsWith(anchors, arena, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(anchors[0].Len() * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.PredictDiffsWith(anchors, nil, arena, 0); err != nil {
+		if _, err := m.PredictDiffsWith(anchors, arena, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
