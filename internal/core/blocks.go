@@ -125,37 +125,6 @@ func boxVoxels(lo, hi []int) int {
 	return n
 }
 
-// hybridPredAt2D evaluates the hybrid (or cross-only, hasLor=false)
-// prediction at (i,j) with the causal horizon at org — org zero is the
-// seam-crossing prediction, org at a block origin the seam-reset one. The
-// accumulation order matches predictor.Hybrid.Apply exactly, which is
-// what keeps block decode bit-identical to the sequential reference.
-func hybridPredAt2D(q []int32, nx int, dq0, dq1 []float64, w []float64, bias float64, hasLor bool, i, j, p int, org []int) int32 {
-	acc := bias
-	f := 0
-	if hasLor {
-		acc += float64(w[0] * float64(predictor.LorenzoPred2DFrom(q, nx, i, j, org[0], org[1])))
-		f = 1
-	}
-	acc += float64(w[f] * predictor.CrossFieldPredFrom(q, p, nx, i, org[0], dq0[p]))
-	acc += float64(w[f+1] * predictor.CrossFieldPredFrom(q, p, 1, j, org[1], dq1[p]))
-	return int32(roundHalfAway(clampPred(acc)))
-}
-
-// hybridPredAt3D is hybridPredAt2D for rank 3.
-func hybridPredAt3D(q []int32, ny, nx int, dq0, dq1, dq2 []float64, w []float64, bias float64, hasLor bool, k, i, j, p int, org []int) int32 {
-	acc := bias
-	f := 0
-	if hasLor {
-		acc += float64(w[0] * float64(predictor.LorenzoPred3DFrom(q, ny, nx, k, i, j, org[0], org[1], org[2])))
-		f = 1
-	}
-	acc += float64(w[f] * predictor.CrossFieldPredFrom(q, p, ny*nx, k, org[0], dq0[p]))
-	acc += float64(w[f+1] * predictor.CrossFieldPredFrom(q, p, nx, i, org[1], dq1[p]))
-	acc += float64(w[f+2] * predictor.CrossFieldPredFrom(q, p, 1, j, org[2], dq2[p]))
-	return int32(roundHalfAway(clampPred(acc)))
-}
-
 // payloadPlan is the decode descriptor every CFC1 payload version parses
 // into (planPayload) and the one input of the engine, reconstructBlocks.
 type payloadPlan struct {
@@ -431,101 +400,11 @@ func reconstructBaselineBlock(q, codes []int32, dims, lo, hi, org []int) {
 }
 
 // reconstructCrossBlock reverses the hybrid (or cross-only) prediction
-// over one block. The interior fast path hoists the hybrid weights out of
-// the loop and reads neighbors directly — no per-point feature row, no
-// Apply call — while keeping the exact floating-point accumulation order
-// of predictor.Hybrid.Apply, so the output stays bit-identical to the
-// sequential reference (and, for wavefront payloads, to pre-v3 decodes).
+// over one block through the encoder's own kernel (hybrid.go), so the
+// output stays bit-identical to the sequential reference (and, for
+// wavefront payloads, to pre-v3 decodes).
 func reconstructCrossBlock(q, codes []int32, dims, lo, hi, org []int, dq [][]float64, weights []float64, hasLor bool) {
-	numFeats := len(weights) - 1
-	w := weights[:numFeats]
-	bias := weights[numFeats]
-	c := 0
-	if len(dims) == 2 {
-		nx := dims[1]
-		dq0, dq1 := dq[0], dq[1]
-		var w0 float64
-		f := 0
-		if hasLor {
-			w0 = w[0]
-			f = 1
-		}
-		w1, w2 := w[f], w[f+1]
-		for i := lo[0]; i < hi[0]; i++ {
-			base := i * nx
-			j := lo[1]
-			if i > org[0] {
-				if j == org[1] {
-					p := base + j
-					q[p] = codes[c] + hybridPredAt2D(q, nx, dq0, dq1, w, bias, hasLor, i, j, p, org)
-					c++
-					j++
-				}
-				for ; j < hi[1]; j++ {
-					p := base + j
-					acc := bias
-					if hasLor {
-						lor := int64(q[p-nx]) + int64(q[p-1]) - int64(q[p-nx-1])
-						acc += float64(w0 * float64(lor))
-					}
-					acc += float64(w1 * (float64(q[p-nx]) + dq0[p]))
-					acc += float64(w2 * (float64(q[p-1]) + dq1[p]))
-					q[p] = codes[c] + int32(roundHalfAway(clampPred(acc)))
-					c++
-				}
-			} else {
-				for ; j < hi[1]; j++ {
-					p := base + j
-					q[p] = codes[c] + hybridPredAt2D(q, nx, dq0, dq1, w, bias, hasLor, i, j, p, org)
-					c++
-				}
-			}
-		}
-		return
-	}
-	ny, nx := dims[1], dims[2]
-	snynx := ny * nx
-	dq0, dq1, dq2 := dq[0], dq[1], dq[2]
-	var w0 float64
-	f := 0
-	if hasLor {
-		w0 = w[0]
-		f = 1
-	}
-	w1, w2, w3 := w[f], w[f+1], w[f+2]
-	for k := lo[0]; k < hi[0]; k++ {
-		for i := lo[1]; i < hi[1]; i++ {
-			base := (k*ny + i) * nx
-			j := lo[2]
-			if k > org[0] && i > org[1] {
-				if j == org[2] {
-					p := base + j
-					q[p] = codes[c] + hybridPredAt3D(q, ny, nx, dq0, dq1, dq2, w, bias, hasLor, k, i, j, p, org)
-					c++
-					j++
-				}
-				for ; j < hi[2]; j++ {
-					p := base + j
-					acc := bias
-					if hasLor {
-						lor := int64(q[p-snynx]) + int64(q[p-nx]) + int64(q[p-1]) -
-							int64(q[p-snynx-nx]) - int64(q[p-snynx-1]) - int64(q[p-nx-1]) +
-							int64(q[p-snynx-nx-1])
-						acc += float64(w0 * float64(lor))
-					}
-					acc += float64(w1 * (float64(q[p-snynx]) + dq0[p]))
-					acc += float64(w2 * (float64(q[p-nx]) + dq1[p]))
-					acc += float64(w3 * (float64(q[p-1]) + dq2[p]))
-					q[p] = codes[c] + int32(roundHalfAway(clampPred(acc)))
-					c++
-				}
-			} else {
-				for ; j < hi[2]; j++ {
-					p := base + j
-					q[p] = codes[c] + hybridPredAt3D(q, ny, nx, dq0, dq1, dq2, w, bias, hasLor, k, i, j, p, org)
-					c++
-				}
-			}
-		}
-	}
+	n := len(weights) - 1
+	kn := newKernel(&Features{q: q, dims: dims, dq: dq, lor: hasLor}, &predictor.Hybrid{W: weights[:n], Bias: weights[n]})
+	kn.block(codes, lo, hi, org, true)
 }

@@ -189,11 +189,13 @@ func referenceCodes(t *testing.T, q []int32, dims []int, dq [][]float64, weights
 // hybrid weights, then the bias (nil for the baseline).
 func blockLocalCodes(q []int32, dims []int, g *blockGeom, dq [][]float64, hybrid []float64, method container.Method) []int32 {
 	out := make([]int32, len(q))
-	hasLor := method == container.MethodHybrid
-	var w []float64
-	var bias float64
+	// Cross-field points go through the feature row at every point, never
+	// the decoder's interior path.
+	var kn *kernel
 	if method != container.MethodBaseline {
-		w, bias = hybrid[:len(hybrid)-1], hybrid[len(hybrid)-1]
+		n := len(hybrid) - 1
+		f := &Features{q: q, dims: dims, dq: dq, lor: method == container.MethodHybrid}
+		kn = newKernel(f, &predictor.Hybrid{W: hybrid[:n], Bias: hybrid[n]})
 	}
 	parallel.For(g.total, func(b int) {
 		lo, hi := g.bounds(b)
@@ -210,7 +212,7 @@ func blockLocalCodes(q []int32, dims []int, g *blockGeom, dq [][]float64, hybrid
 					if method == container.MethodBaseline {
 						out[p] = q[p] - int32(predictor.LorenzoPred2DFrom(q, nx, i, j, lo[0], lo[1]))
 					} else {
-						out[p] = q[p] - hybridPredAt2D(q, nx, dq[0], dq[1], w, bias, hasLor, i, j, p, lo)
+						out[p] = q[p] - kn.edge2D(i, j, p, lo)
 					}
 				}
 			}
@@ -223,7 +225,7 @@ func blockLocalCodes(q []int32, dims []int, g *blockGeom, dq [][]float64, hybrid
 						if method == container.MethodBaseline {
 							out[p] = q[p] - int32(predictor.LorenzoPred3DFrom(q, ny, nx, k, i, j, lo[0], lo[1], lo[2]))
 						} else {
-							out[p] = q[p] - hybridPredAt3D(q, ny, nx, dq[0], dq[1], dq[2], w, bias, hasLor, k, i, j, p, lo)
+							out[p] = q[p] - kn.edge3D(k, i, j, p, lo)
 						}
 					}
 				}

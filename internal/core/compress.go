@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/rand"
 
 	"repro/internal/bitstream"
 	"repro/internal/cfnn"
@@ -242,9 +241,10 @@ func (e *encoder) chunk(field *tensor.Tensor, i int, arena *nn.Arena, workers in
 // predict runs the prediction stack over the prequant integers q and
 // returns the residual codes and the hybrid parameters (weights, then the
 // bias; nil for the baseline): Lorenzo residuals for the baseline, and for
-// the cross-field methods the candidate features, a least-squares hybrid
-// fit and the rounded hybrid prediction. The plain and layered
-// compressors both predict here, the layered one over its base layer.
+// the cross-field methods a least-squares hybrid fit on sampled features
+// and the codes against it through the decoder's kernel (hybrid.go). The
+// plain and layered compressors both predict here, the layered one over
+// its base layer.
 func predict(q []int32, dims []int, dq [][]float64, method container.Method) ([]int32, []float64, error) {
 	if method == container.MethodBaseline {
 		lor, err := predictor.LorenzoAll(q, dims)
@@ -253,73 +253,15 @@ func predict(q []int32, dims []int, dq [][]float64, method container.Method) ([]
 		}
 		return predictor.ResidualCodesInt(q, lor), nil, nil
 	}
-	// Candidate predictions over the full field (compression side is
-	// parallel thanks to dual quantization).
-	feats, err := candidateFeatures(q, dims, dq, method)
+	f, err := NewFeatures(q, dims, dq, method)
 	if err != nil {
 		return nil, nil, err
 	}
-	hy, err := fitHybrid(feats, q)
+	hy, err := f.Fit()
 	if err != nil {
 		return nil, nil, err
 	}
-	codes := make([]int32, len(q))
-	parallel.ForRange(len(q), func(lo, hi int) {
-		row := make([]float64, len(feats))
-		for i := lo; i < hi; i++ {
-			for k := range feats {
-				row[k] = feats[k][i]
-			}
-			pred := roundHalfAway(clampPred(hy.Apply(row)))
-			codes[i] = q[i] - int32(pred)
-		}
-	})
-	return codes, append(append([]float64(nil), hy.W...), hy.Bias), nil
-}
-
-// candidateFeatures builds the per-point candidate predictions:
-// [Lorenzo, cross-axis-0, ..., cross-axis-(r-1)] for hybrid, or just the
-// cross predictions for cross-only.
-func candidateFeatures(q []int32, dims []int, dq [][]float64, method container.Method) ([][]float64, error) {
-	var feats [][]float64
-	if method == container.MethodHybrid {
-		lor, err := predictor.LorenzoAll(q, dims)
-		if err != nil {
-			return nil, err
-		}
-		lf := make([]float64, len(q))
-		parallel.ForRange(len(q), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				lf[i] = float64(lor[i])
-			}
-		})
-		feats = append(feats, lf)
-	}
-	strides := stridesOf(dims)
-	for a := range dq {
-		cf := make([]float64, len(q))
-		axis := a
-		stride, dim := strides[axis], dims[axis]
-		dqa := dq[axis]
-		parallel.ForRange(len(q), func(lo, hi int) {
-			// Walk the axis coordinate incrementally instead of dividing
-			// per point: coord advances by 1 every `stride` points and
-			// wraps after `dim` steps.
-			coord := (lo / stride) % dim
-			phase := lo % stride
-			for i := lo; i < hi; i++ {
-				cf[i] = predictor.CrossFieldPred(q, i, stride, coord, dqa[i])
-				if phase++; phase == stride {
-					phase = 0
-					if coord++; coord == dim {
-						coord = 0
-					}
-				}
-			}
-		})
-		feats = append(feats, cf)
-	}
-	return feats, nil
+	return f.codes(hy), append(append([]float64(nil), hy.W...), hy.Bias), nil
 }
 
 // marshalModel serializes CFNN weights for embedding in a container.
@@ -329,40 +271,6 @@ func marshalModel(model *cfnn.Model) ([]byte, error) {
 		return nil, err
 	}
 	return mb.Bytes(), nil
-}
-
-func stridesOf(dims []int) []int {
-	s := make([]int, len(dims))
-	acc := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= dims[i]
-	}
-	return s
-}
-
-// fitHybrid least-squares-fits the hybrid weights on a deterministic random
-// sample of points.
-func fitHybrid(feats [][]float64, q []int32) (*predictor.Hybrid, error) {
-	n := len(q)
-	samples := min(hybridSamples, n)
-	rng := rand.New(rand.NewSource(hybridSeed))
-	idx := make([]int, samples)
-	for i := range idx {
-		idx[i] = rng.Intn(n)
-	}
-	sub := make([][]float64, len(feats))
-	for k := range feats {
-		sub[k] = make([]float64, samples)
-		for i, p := range idx {
-			sub[k][i] = feats[k][p]
-		}
-	}
-	target := make([]float64, samples)
-	for i, p := range idx {
-		target[i] = float64(q[p])
-	}
-	return predictor.Fit(sub, target)
 }
 
 // entropyCode builds a Huffman codec for codes, at the default alphabet

@@ -12,7 +12,6 @@ import (
 	"repro/internal/container"
 	"repro/internal/lossless"
 	"repro/internal/quant"
-	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -351,38 +350,6 @@ func TestHybridImprovesEntropyWithInformativeAnchor(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBound(t, target, back, hyb.Stats.AbsEB)
-}
-
-func TestPredictionQualityHybridBest(t *testing.T) {
-	ds, err := sim.GenerateHurricane(sim.HurricaneSpec{NZ: 6, NY: 32, NX: 32, Seed: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := ds.MustField("Wf")
-	anchors := []*tensor.Tensor{ds.MustField("Uf"), ds.MustField("Vf"), ds.MustField("Pf")}
-	m, err := cfnn.New(cfnn.Config{SpatialRank: 3, NumAnchors: 3, Features: 6, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Train(anchors, target, cfnn.TrainConfig{
-		Epochs: 4, StepsPerEpoch: 6, Batch: 1, PatchD: 4, PatchH: 12, PatchW: 12, Seed: 18,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := PredictionQuality(target, m, anchors, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The hybrid is a least-squares fusion: it must be at least as good as
-	// (in practice better than) the best single predictor on the fit
-	// sample; allow a small slack for out-of-sample points.
-	best := math.Max(rep.PSNRLorenzo, rep.PSNRCross)
-	if rep.PSNRHybrid < best-0.5 {
-		t.Fatalf("hybrid PSNR %v well below best single %v", rep.PSNRHybrid, best)
-	}
-	if len(rep.HybridWeights) != 5 {
-		t.Fatalf("weights = %v", rep.HybridWeights)
-	}
 }
 
 // Property: baseline round-trip honors the bound for random smooth-ish

@@ -92,12 +92,7 @@ func AblationHybridFit(w io.Writer, s Sizes) error {
 	if err != nil {
 		return err
 	}
-	bound := crossfield.Rel(1e-3)
-	anchorsDec, err := decompressedAnchors(p.anchors, bound)
-	if err != nil {
-		return err
-	}
-	feats, target, err := hybridFeatures(p, anchorsDec, bound)
+	feats, target, err := p.hybridSamples(crossfield.Rel(1e-3))
 	if err != nil {
 		return err
 	}
@@ -168,7 +163,7 @@ func AblationAttention(w io.Writer, s Sizes) error {
 		}); err != nil {
 			return err
 		}
-		rep, err := core.PredictionQuality(target.Tensor(), m, fieldTensorsOf(anchors), s.Seed)
+		rep, err := predictionQuality(target, m, anchorsDec, bound)
 		if err != nil {
 			return err
 		}
@@ -179,7 +174,7 @@ func AblationAttention(w io.Writer, s Sizes) error {
 			return err
 		}
 		fmt.Fprintf(w, "  %-16s params %6d | cross-pred PSNR %6.2f dB | hybrid CR %6.2f\n",
-			variant.name, m.ParamCount(), rep.PSNRCross, st.Ratio)
+			variant.name, m.ParamCount(), rep.psnrCross, st.Ratio)
 	}
 	return nil
 }
@@ -197,12 +192,7 @@ func AblationBlockwiseHybrid(w io.Writer, s Sizes) error {
 	if err != nil {
 		return err
 	}
-	bound := crossfield.Rel(1e-3)
-	anchorsDec, err := decompressedAnchors(p.anchors, bound)
-	if err != nil {
-		return err
-	}
-	feats, target, err := hybridFeatures(p, anchorsDec, bound)
+	feats, target, err := p.hybridSamples(crossfield.Rel(1e-3))
 	if err != nil {
 		return err
 	}
@@ -271,7 +261,12 @@ func AblationDirectValue(w io.Writer, s Sizes) error {
 	if err != nil {
 		return err
 	}
-	rep, err := core.PredictionQuality(p.target.Tensor(), p.codec.Model(), fieldTensorsOf(p.anchors), s.Seed)
+	bound := crossfield.Rel(1e-3)
+	anchorsDec, err := decompressedAnchors(p.anchors, bound)
+	if err != nil {
+		return err
+	}
+	rep, err := predictionQuality(p.target, p.codec.Model(), anchorsDec, bound)
 	if err != nil {
 		return err
 	}
@@ -305,7 +300,7 @@ func AblationDirectValue(w io.Writer, s Sizes) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  diff-based cross-field PSNR: %6.2f dB\n", rep.PSNRCross)
+	fmt.Fprintf(w, "  diff-based cross-field PSNR: %6.2f dB\n", rep.psnrCross)
 	fmt.Fprintf(w, "  direct-value linear PSNR:    %6.2f dB\n", psnrDirect)
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 
 	crossfield "repro"
+	"repro/internal/cfnn"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/predictor"
@@ -135,14 +137,9 @@ func FigV(w io.Writer, s Sizes) error {
 		fmt.Fprintf(w, "  epoch %2d: loss %.4f\n", e+1, l)
 	}
 
-	// Hybrid model trained by gradient descent on prequantized values at
+	// Hybrid model trained by gradient descent on the codec's features at
 	// rel-eb 1e-3 (Figure 5 right).
-	bound := crossfield.Rel(1e-3)
-	anchorsDec, err := decompressedAnchors(p.anchors, bound)
-	if err != nil {
-		return err
-	}
-	feats, target, err := hybridFeatures(p, anchorsDec, bound)
+	feats, target, err := p.hybridSamples(crossfield.Rel(1e-3))
 	if err != nil {
 		return err
 	}
@@ -159,54 +156,124 @@ func FigV(w io.Writer, s Sizes) error {
 
 const cfnnNormScale = 300.0
 
-// hybridFeatures builds sampled (candidate predictions, prequant target)
-// training data for the hybrid model, mirroring the compression pipeline.
-func hybridFeatures(p *preparedPlan, anchorsDec []*crossfield.Field, bound crossfield.ErrorBound) ([][]float64, []float64, error) {
-	target := p.target
-	vr := metrics.ValueRange(target.Data())
-	eb, err := bound.Absolute(vr)
+// codecPrediction is the codec's hybrid predictor on a target field at one
+// bound, as a monolithic encode runs it: the field's absolute bound, its
+// prequant codes, and core's feature builder over the CFNN's difference
+// predictions from the decompressed anchors.
+type codecPrediction struct {
+	eb    float64
+	q     []int32
+	feats *core.Features
+}
+
+// predictionAt builds the codec's predictor for target at bound.
+func predictionAt(target *crossfield.Field, model *cfnn.Model, anchorsDec []*crossfield.Field, bound crossfield.ErrorBound) (*codecPrediction, error) {
+	eb, err := bound.Absolute(metrics.ValueRange(target.Data()))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	q, err := quant.Prequantize(target.Data(), eb)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	diffs, err := p.codec.Model().PredictDiffs(fieldTensorsOf(anchorsDec))
+	diffs, err := model.PredictDiffs(fieldTensorsOf(anchorsDec))
+	if err != nil {
+		return nil, err
+	}
+	inv := 1 / (2 * eb)
+	dq := make([][]float64, len(diffs))
+	for a, d := range diffs {
+		dq[a] = make([]float64, d.Len())
+		for i, v := range d.Data() {
+			dq[a][i] = float64(v) * inv
+		}
+	}
+	feats, err := core.NewFeatures(q, target.Dims(), dq, container.MethodHybrid)
+	if err != nil {
+		return nil, err
+	}
+	return &codecPrediction{eb: eb, q: q, feats: feats}, nil
+}
+
+// hybridSamples returns the codec's features at bound, one column per
+// feature, and the prequant values at every 7th point in raster order: the
+// training set of Figure 5's gradient-descent hybrid and of the fit
+// ablations.
+func (p *preparedPlan) hybridSamples(bound crossfield.ErrorBound) ([][]float64, []float64, error) {
+	anchorsDec, err := decompressedAnchors(p.anchors, bound)
 	if err != nil {
 		return nil, nil, err
 	}
-	dims := target.Dims()
-	strides := make([]int, len(dims))
-	acc := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		strides[i] = acc
-		acc *= dims[i]
-	}
-	lor, err := predictor.LorenzoAll(q, dims)
+	cp, err := predictionAt(p.target, p.codec.Model(), anchorsDec, bound)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Subsample deterministically for GD speed.
 	const stride = 7
-	n := len(q) / stride
-	feats := make([][]float64, 1+len(dims))
+	n := len(cp.q) / stride
+	feats := make([][]float64, cp.feats.Len())
 	for k := range feats {
 		feats[k] = make([]float64, n)
 	}
-	tgt := make([]float64, n)
-	invEB := 1 / (2 * eb)
-	for i := 0; i < n; i++ {
-		p := i * stride
-		feats[0][i] = float64(lor[p])
-		for a := 0; a < len(dims); a++ {
-			coord := (p / strides[a]) % dims[a]
-			dq := float64(diffs[a].Data()[p]) * invEB
-			feats[1+a][i] = predictor.CrossFieldPred(q, p, strides[a], coord, dq)
+	target := make([]float64, n)
+	row := make([]float64, len(feats))
+	for i := range target {
+		for k, v := range cp.feats.Row(row, i*stride) {
+			feats[k][i] = v
 		}
-		tgt[i] = float64(q[p])
+		target[i] = float64(cp.q[i*stride])
 	}
-	return feats, tgt, nil
+	return feats, target, nil
+}
+
+// qualityReport is the measurement of Figures 6 and 7: each predictor's
+// prediction at every point in physical units, its PSNR against the
+// field, and the codec's hybrid fit.
+type qualityReport struct {
+	lorenzo, cross, hybrid             *tensor.Tensor
+	psnrLorenzo, psnrCross, psnrHybrid float64
+	fit                                *predictor.Hybrid
+}
+
+// predictionQuality predicts every point of target the way the codec does
+// at bound, over the target's prequant codes and the CFNN's predictions
+// from the decompressed anchors: the Lorenzo feature, the mean of the
+// per-axis cross-field features, and the codec's prediction under its own
+// fit, each ×2·eb back to physical units.
+func predictionQuality(target *crossfield.Field, model *cfnn.Model, anchorsDec []*crossfield.Field, bound crossfield.ErrorBound) (*qualityReport, error) {
+	cp, err := predictionAt(target, model, anchorsDec, bound)
+	if err != nil {
+		return nil, err
+	}
+	fit, err := cp.feats.Fit()
+	if err != nil {
+		return nil, err
+	}
+	dims := target.Dims()
+	rep := &qualityReport{lorenzo: tensor.New(dims...), cross: tensor.New(dims...), hybrid: tensor.New(dims...), fit: fit}
+	ld, cd, hd := rep.lorenzo.Data(), rep.cross.Data(), rep.hybrid.Data()
+	step := 2 * cp.eb
+	row := make([]float64, cp.feats.Len())
+	for p := range cp.q {
+		cp.feats.Row(row, p)
+		var sum float64
+		for _, v := range row[1:] {
+			sum += v
+		}
+		ld[p] = float32(row[0] * step)
+		cd[p] = float32(sum / float64(len(dims)) * step)
+		hd[p] = float32(float64(core.Predict(fit, row)) * step)
+	}
+	data := target.Data()
+	if rep.psnrLorenzo, err = metrics.PSNR(data, ld); err != nil {
+		return nil, err
+	}
+	if rep.psnrCross, err = metrics.PSNR(data, cd); err != nil {
+		return nil, err
+	}
+	if rep.psnrHybrid, err = metrics.PSNR(data, hd); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 func fieldTensorsOf(fs []*crossfield.Field) []*tensor.Tensor {
@@ -220,22 +287,30 @@ func fieldTensorsOf(fs []*crossfield.Field) []*tensor.Tensor {
 // FigVI reproduces Figures 6 and 7: prediction-only reconstruction of
 // Hurricane Wf via cross-field, Lorenzo, and hybrid prediction, with
 // whole-slice PSNR (Fig 6) and a zoomed 50×50-equivalent region comparison
-// (Fig 7). PGM slices go to outDir if non-empty.
+// (Fig 7). The predictions are the codec's own at rel eb 1e-3: prequant
+// codes, CFNN predictions from decompressed anchors and the codec's hybrid
+// fit, scaled back to physical units. PGM slices go to outDir if
+// non-empty.
 func FigVI(w io.Writer, s Sizes, outDir string) error {
-	section(w, "Figures 6 & 7: Prediction accuracy (Hurricane Wf from Uf,Vf,Pf)")
+	section(w, "Figures 6 & 7: Prediction accuracy (Hurricane Wf from Uf,Vf,Pf; prequant, rel eb 1e-3, decompressed anchors)")
 	plan := crossfield.PaperPlans()[2]
 	p, err := s.prepare(plan)
 	if err != nil {
 		return err
 	}
-	rep, err := core.PredictionQuality(p.target.Tensor(), p.codec.Model(), fieldTensorsOf(p.anchors), s.Seed)
+	bound := crossfield.Rel(1e-3)
+	anchorsDec, err := decompressedAnchors(p.anchors, bound)
+	if err != nil {
+		return err
+	}
+	rep, err := predictionQuality(p.target, p.codec.Model(), anchorsDec, bound)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "prediction PSNR (dB): cross-field %.2f | lorenzo %.2f | hybrid %.2f\n",
-		rep.PSNRCross, rep.PSNRLorenzo, rep.PSNRHybrid)
-	fmt.Fprintf(w, "hybrid weights [lorenzo, d_z, d_y, d_x, bias]: %v\n", fmtWeights(rep.HybridWeights))
-	share := weightShare(rep.HybridWeights)
+		rep.psnrCross, rep.psnrLorenzo, rep.psnrHybrid)
+	fmt.Fprintf(w, "hybrid weights [lorenzo, d_z, d_y, d_x, bias]: %v\n", fmtWeights(append(append([]float64(nil), rep.fit.W...), rep.fit.Bias)))
+	share := rep.fit.WeightShare()
 	fmt.Fprintf(w, "weight share: lorenzo %.0f%%, dz %.0f%%, dy %.0f%%, dx %.0f%%\n",
 		share[0]*100, share[1]*100, share[2]*100, share[3]*100)
 
@@ -243,9 +318,9 @@ func FigVI(w io.Writer, s Sizes, outDir string) error {
 	mid := p.target.Dims()[1] / 2
 	views := map[string]*tensor.Tensor{
 		"original": p.target.Tensor(),
-		"cross":    rep.Cross,
-		"lorenzo":  rep.Lorenzo,
-		"hybrid":   rep.Hybrid,
+		"cross":    rep.cross,
+		"lorenzo":  rep.lorenzo,
+		"hybrid":   rep.hybrid,
 	}
 	var zoomErr = map[string]float64{}
 	for name, t := range views {
@@ -306,23 +381,6 @@ func fmtWeights(ws []float64) string {
 		out += fmt.Sprintf("%.3f", v)
 	}
 	return out + "]"
-}
-
-func weightShare(ws []float64) []float64 {
-	// Last entry is the bias; share over the rest.
-	n := len(ws) - 1
-	total := 0.0
-	for _, v := range ws[:n] {
-		total += math.Abs(v)
-	}
-	out := make([]float64, n)
-	if total == 0 {
-		return out
-	}
-	for i, v := range ws[:n] {
-		out[i] = math.Abs(v) / total
-	}
-	return out
 }
 
 // FigVIIIPoint is one rate-distortion sample.

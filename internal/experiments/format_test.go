@@ -33,24 +33,6 @@ func TestCRDelta(t *testing.T) {
 	}
 }
 
-func TestWeightShareNormalizes(t *testing.T) {
-	s := weightShare([]float64{0.5, 0.25, 0.25, 99 /* bias ignored */})
-	if len(s) != 3 {
-		t.Fatalf("share len = %d", len(s))
-	}
-	total := s[0] + s[1] + s[2]
-	if total < 0.999 || total > 1.001 {
-		t.Fatalf("shares sum to %v", total)
-	}
-	if s[0] != 0.5 {
-		t.Fatalf("s[0] = %v", s[0])
-	}
-	zero := weightShare([]float64{0, 0, 1})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Fatalf("degenerate share = %v", zero)
-	}
-}
-
 func TestFmtWeights(t *testing.T) {
 	if got := fmtWeights([]float64{1, 0.5}); got != "[1.000, 0.500]" {
 		t.Fatalf("fmtWeights = %q", got)

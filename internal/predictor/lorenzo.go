@@ -131,38 +131,44 @@ func LorenzoPred2DFrom(q []int32, nx, i, j, i0, j0 int) int64 {
 // origin is (k0,i0,j0) — the seam-reset 3D Lorenzo prediction for
 // block-independent coding.
 func LorenzoPred3DFrom(q []int32, ny, nx, k, i, j, k0, i0, j0 int) int64 {
-	idx := func(k, i, j int) int64 {
-		if k < k0 || i < i0 || j < j0 {
-			return 0
+	dk, di, dj := k > k0, i > i0, j > j0
+	p, s := (k*ny+i)*nx+j, ny*nx
+	var v int64
+	if dk {
+		v += int64(q[p-s])
+		if di {
+			v -= int64(q[p-s-nx])
+			if dj {
+				v += int64(q[p-s-nx-1])
+			}
 		}
-		return int64(q[(k*ny+i)*nx+j])
+		if dj {
+			v -= int64(q[p-s-1])
+		}
 	}
-	return idx(k-1, i, j) + idx(k, i-1, j) + idx(k, i, j-1) -
-		idx(k-1, i-1, j) - idx(k-1, i, j-1) - idx(k, i-1, j-1) +
-		idx(k-1, i-1, j-1)
+	if di {
+		v += int64(q[p-nx])
+		if dj {
+			v -= int64(q[p-nx-1])
+		}
+	}
+	if dj {
+		v += int64(q[p-1])
+	}
+	return v
 }
 
-// CrossFieldPred returns the cross-field value prediction along one axis at
-// flat index idx: the causal neighbor along that axis plus the CFNN's
-// predicted backward difference (in prequant units).
+// CrossFieldPredFrom returns the cross-field value prediction along one
+// axis at flat index idx: the causal neighbor along that axis plus the
+// CFNN's predicted backward difference (in prequant units).
 //
 //	f_cross_a(p) = q(p − stride_a) + d̂_a(p)/(2eb)
 //
-// coordA is the point's coordinate along the axis; at the axis boundary the
-// neighbor is the implicit zero, matching the diff package's backward
-// convention (the boundary difference carries the value itself).
-func CrossFieldPred(q []int32, idx, strideA, coordA int, dq float64) float64 {
-	var prev float64
-	if coordA > 0 {
-		prev = float64(q[idx-strideA])
-	}
-	return prev + dq
-}
-
-// CrossFieldPredFrom is CrossFieldPred with the axis origin moved to
-// originA: the causal neighbor is the implicit zero when coordA <= originA.
-// With originA = 0 it equals CrossFieldPred; with originA at a block origin
-// it is the seam-reset cross-field prediction of block-independent coding.
+// coordA is the point's coordinate along the axis. At the axis origin
+// originA and before it the neighbor is the implicit zero: with originA 0
+// that matches the diff package's backward convention (the boundary
+// difference carries the value itself); with originA at a block origin it
+// is the seam-reset cross-field prediction of block-independent coding.
 func CrossFieldPredFrom(q []int32, idx, strideA, coordA, originA int, dq float64) float64 {
 	var prev float64
 	if coordA > originA {

@@ -115,6 +115,41 @@ func TestLorenzoAllMatchesPointwise(t *testing.T) {
 	}
 }
 
+// TestLorenzo3DFromMatchesBox holds LorenzoPred3DFrom to the 7-term
+// inclusion-exclusion with zeros outside the box at its origin, at every
+// point of the box, for the grid origin and for interior origins.
+func TestLorenzo3DFromMatchesBox(t *testing.T) {
+	const nz, ny, nx = 4, 5, 6
+	rng := rand.New(rand.NewSource(2))
+	q := make([]int32, nz*ny*nx)
+	for i := range q {
+		q[i] = int32(rng.Intn(2000) - 1000)
+	}
+	for _, org := range [][3]int{{0, 0, 0}, {1, 2, 3}, {3, 0, 5}, {0, 4, 1}} {
+		at := func(k, i, j int) int64 {
+			if k < org[0] || i < org[1] || j < org[2] {
+				return 0
+			}
+			return int64(q[(k*ny+i)*nx+j])
+		}
+		for k := org[0]; k < nz; k++ {
+			for i := org[1]; i < ny; i++ {
+				for j := org[2]; j < nx; j++ {
+					want := at(k-1, i, j) + at(k, i-1, j) + at(k, i, j-1) -
+						at(k-1, i-1, j) - at(k-1, i, j-1) - at(k, i-1, j-1) +
+						at(k-1, i-1, j-1)
+					if got := LorenzoPred3DFrom(q, ny, nx, k, i, j, org[0], org[1], org[2]); got != want {
+						t.Fatalf("origin %v, (%d,%d,%d): %d, want %d", org, k, i, j, got, want)
+					}
+					if org == [3]int{} && want != LorenzoPred3D(q, ny, nx, k, i, j) {
+						t.Fatalf("(%d,%d,%d): origin 0 differs from LorenzoPred3D", k, i, j)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestLorenzoAllErrors(t *testing.T) {
 	if _, err := LorenzoAll(make([]int32, 10), []int{3, 3}); err == nil {
 		t.Fatal("expected volume mismatch")
@@ -127,12 +162,16 @@ func TestLorenzoAllErrors(t *testing.T) {
 func TestCrossFieldPred(t *testing.T) {
 	q := []int32{10, 20, 30}
 	// Interior: previous value + dq.
-	if got := CrossFieldPred(q, 2, 1, 2, 5.5); got != 25.5 {
+	if got := CrossFieldPredFrom(q, 2, 1, 2, 0, 5.5); got != 25.5 {
 		t.Fatalf("pred = %v, want 25.5", got)
 	}
 	// Boundary: implicit zero neighbor.
-	if got := CrossFieldPred(q, 0, 1, 0, 9.5); got != 9.5 {
+	if got := CrossFieldPredFrom(q, 0, 1, 0, 0, 9.5); got != 9.5 {
 		t.Fatalf("boundary pred = %v, want 9.5", got)
+	}
+	// A block origin at coordinate 2 resets the neighbor there.
+	if got := CrossFieldPredFrom(q, 2, 1, 2, 2, 5.5); got != 5.5 {
+		t.Fatalf("seam-reset pred = %v, want 5.5", got)
 	}
 }
 
@@ -236,6 +275,20 @@ func TestTrainGDConvergesToFit(t *testing.T) {
 func TestTrainGDErrors(t *testing.T) {
 	if _, _, err := TrainGD(nil, nil, GDConfig{}); !errors.Is(err, ErrBadTraining) {
 		t.Fatal("expected error")
+	}
+}
+
+func TestWeightShareNormalizes(t *testing.T) {
+	h := &Hybrid{W: []float64{0.5, -0.25, 0.25}, Bias: 99}
+	s := h.WeightShare()
+	if len(s) != 3 {
+		t.Fatalf("share len = %d", len(s))
+	}
+	if total := s[0] + s[1] + s[2]; total < 0.999 || total > 1.001 {
+		t.Fatalf("shares sum to %v", total)
+	}
+	if s[0] != 0.5 || s[1] != 0.25 {
+		t.Fatalf("share = %v, want [0.5 0.25 0.25]", s)
 	}
 }
 
